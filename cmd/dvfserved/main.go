@@ -72,7 +72,7 @@ func main() {
 	boost := flag.Bool("boost", false, "allow the 1.08 V emergency boost level")
 	deadlineMs := flag.Float64("deadline-ms", exp.Deadline*1e3, "per-job deadline in milliseconds")
 	workers := flag.Int("workers", 0, "parallel training workers (0 = GOMAXPROCS)")
-	engine := flag.String("engine", "", "RTL engine: compiled, event, interp, batch, or native")
+	engine := flag.String("engine", "", "RTL engine: native, compiled, or interp (default: native, or $REPRO_ENGINE)")
 	cacheDir := flag.String("cachedir", os.Getenv("REPRO_CACHE_DIR"),
 		"persistent trace cache directory (default: $REPRO_CACHE_DIR; empty disables)")
 	overflow := flag.String("overflow", "shed", "full-queue policy: shed (reject excess) or degrade (reject and run the backlog at max frequency)")
@@ -141,10 +141,14 @@ func main() {
 	if *onlineLearn {
 		onlineCfg = &online.Config{DriftWindow: *driftWindow, CanaryWindow: *canaryWindow}
 	}
+	var offNative []string
 	shardCfg := func(name string) (serve.ShardConfig, string, error) {
 		entry, err := lab.Entry(name)
 		if err != nil {
 			return serve.ShardConfig{}, "", err
+		}
+		if sl, full := entry.Pred.Engines(); sl != rtl.EngineNative || full != rtl.EngineNative {
+			offNative = append(offNative, fmt.Sprintf("%s (slice %s, full design %s)", name, sl, full))
 		}
 		return serve.ShardConfig{
 			Name: name,
@@ -236,6 +240,12 @@ func main() {
 		}
 		handler = serve.NewAPI(srv, source).Handler()
 		fmt.Printf("dvfserved: listening on %s, serving %v\n", *addr, srv.Names())
+	}
+	if len(offNative) > 0 && rtl.DefaultEngine() == rtl.EngineNative {
+		// The generated-simulator registry is stale for these netlists:
+		// they run on the compiled fallback, several times slower.
+		fmt.Fprintf(os.Stderr, "dvfserved: native engine fell back to compiled for %s; %d native fallbacks (regenerate with go generate ./internal/rtl/native)\n",
+			strings.Join(offNative, ", "), rtl.NativeFallbacks())
 	}
 	if err := http.ListenAndServe(*addr, handler); err != nil {
 		fmt.Fprintf(os.Stderr, "dvfserved: %v\n", err)

@@ -45,7 +45,7 @@ func main() {
 	charts := flag.Bool("charts", false, "render ASCII plots for figure experiments")
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
 	workers := flag.Int("workers", 0, "parallel job-simulation workers (0 = GOMAXPROCS)")
-	engine := flag.String("engine", "", "RTL engine: compiled, event, interp, batch, or native (default: compiled, or $REPRO_ENGINE)")
+	engine := flag.String("engine", "", "RTL engine: native, compiled, or interp (default: native, or $REPRO_ENGINE)")
 	cacheDir := flag.String("cachedir", os.Getenv("REPRO_CACHE_DIR"),
 		"persistent trace cache directory (default: $REPRO_CACHE_DIR; empty disables)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -146,7 +146,7 @@ func main() {
 	if cache != nil {
 		fmt.Printf("trace cache [%s]: %s; ", cache.Dir(), cache.Stats())
 	}
-	fmt.Printf("jobs batched: %d; jobs simulated: %d\n", core.BatchedJobs(), core.SimulatedJobs())
+	fmt.Printf("jobs simulated: %d\n", core.SimulatedJobs())
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)

@@ -56,7 +56,7 @@ func (m memFlags) Set(s string) error {
 func main() {
 	maxCycles := flag.Uint64("max", 1<<20, "cycle limit")
 	vcdPath := flag.String("vcd", "", "write a VCD waveform here")
-	engine := flag.String("engine", "", "RTL engine: compiled, event, interp, batch, or native (default: compiled, or $REPRO_ENGINE)")
+	engine := flag.String("engine", "", "RTL engine: native, compiled, or interp (default: native, or $REPRO_ENGINE)")
 	mems := memFlags{}
 	flag.Var(mems, "mem", "load a memory: name=v0,v1,... (repeatable)")
 	flag.Parse()
@@ -77,14 +77,6 @@ func main() {
 		if eng, err = rtl.ParseEngine(*engine); err != nil {
 			fatal(err)
 		}
-	}
-	if eng == rtl.EngineBatch && *vcdPath == "" {
-		// One lane of the batch engine: same observables as a scalar
-		// run, exercising the bit-sliced data layout end to end. VCD
-		// dumps need per-cycle scalar probing, so -vcd falls back to
-		// the compiled engine below.
-		runBatchLane(m, mems, *maxCycles)
-		return
 	}
 	sim := rtl.NewSimEngine(m, eng)
 	for name, data := range mems { //detlint:allow each iteration loads a distinct memory; order-independent
@@ -115,24 +107,6 @@ func main() {
 	fmt.Printf("%s finished in %d cycles\n", m.Name, ticks)
 	for ri := range m.Regs {
 		fmt.Printf("  %-24s = %d\n", m.Regs[ri].Name, sim.RegValue(ri))
-	}
-}
-
-// runBatchLane simulates the design as lane 0 of a 1-lane BatchSim
-// and prints the same summary the scalar path does.
-func runBatchLane(m *rtl.Module, mems memFlags, maxCycles uint64) {
-	bs := rtl.NewBatchSim(m, 1)
-	for name, data := range mems { //detlint:allow each iteration loads a distinct memory; order-independent
-		if err := bs.LoadMem(0, name, data); err != nil {
-			fatal(err)
-		}
-	}
-	if err := bs.Run(maxCycles); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%s finished in %d cycles\n", m.Name, bs.LaneCycles(0))
-	for ri := range m.Regs {
-		fmt.Printf("  %-24s = %d\n", m.Regs[ri].Name, bs.RegValue(0, ri))
 	}
 }
 

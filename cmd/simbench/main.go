@@ -7,30 +7,34 @@
 //	simbench [-out BENCH_sim.json] [-workers N] [-seed N] [-reps N]
 //	         [-designs a,b,...] [-engine E] [-warm] [-cachedir dir]
 //
+// Every timed cell is samplesPerCell samples; the report keeps each
+// cell's median and interquartile range (q1, q3), never a best run,
+// and records the host the samples were taken on (GOMAXPROCS, CPU
+// count, Go version, commit). Within a cell group the engines take
+// their samples round-robin, so background load drifts onto every
+// engine alike.
+//
 // It reports four things:
 //
-//  1. engine throughput (Mevals/s, ns/cycle) for all five engines —
-//     interp, compiled, event, native (pre-generated straight-line
-//     code), and batch (measured as 64 lanes of the same job,
-//     aggregate) — on the Toy design and on every benchmark of the
-//     suite, with per-design speedup ratios. Toy has no generated
-//     native sim by design, so its native row measures the compiled
-//     fallback,
-//  2. CollectTraces wall-clock swept across worker counts
-//     (1, 2, 4, 8, capped at GOMAXPROCS) under the compiled, batch,
-//     and native engines (retraining per engine, since Train binds
-//     the predictor's simulators to the engine current at that time),
+//  1. engine speed (ns/cycle, Mevals/s) for interp, compiled, and
+//     native (pre-generated straight-line code) on the Toy design and
+//     on every benchmark of the suite, with per-design speedup ratios.
+//     Toy has no generated native simulator by design, so it has no
+//     native row (a native request would measure the compiled
+//     fallback),
+//  2. CollectTraces wall-clock swept across worker counts (1, 2, 4, 8,
+//     capped at -workers, default GOMAXPROCS) under the compiled and
+//     native engines (retraining per engine, since Train binds the
+//     predictor's simulators to the engine current at that time),
 //  3. trace-collection throughput (instrumented design + hardware
 //     slice per job, the work core.CollectTraces does) per benchmark:
-//     scalar compiled jobs/s vs batched jobs/s vs native jobs/s and
-//     their ratios,
-//  4. the wall-clock of warming the full (quick) experiment lab
-//     (skipped with -warm=false).
+//     compiled jobs/s vs native jobs/s and their ratio,
+//  4. the wall-clock of warming the full (quick) experiment lab with
+//     the trace cache detached (skipped with -warm=false).
 //
 // -designs restricts sections 1 and 3 to a comma-separated subset of
 // benchmarks (CI smoke runs use this). -engine sets the process-wide
-// default RTL engine, which section 4 (and any cache-miss simulation)
-// picks up.
+// default RTL engine, which section 4 picks up.
 package main
 
 import (
@@ -39,6 +43,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
+	"sort"
 	"strings"
 	"time"
 
@@ -54,60 +60,86 @@ import (
 	"repro/internal/tracecache"
 )
 
-// EngineResult is one engine's throughput on one design.
-type EngineResult struct {
-	Engine     string  `json:"engine"`
-	Cycles     uint64  `json:"cycles"`
-	Seconds    float64 `json:"seconds"`
-	MevalsPerS float64 `json:"mevals_per_s"`
-	NsPerCycle float64 `json:"ns_per_cycle"`
+// samplesPerCell is the number of timed samples behind every reported
+// cell.
+const samplesPerCell = 7
+
+// Dist summarizes the samples of one timed cell: the median and the
+// first and third quartiles (linear interpolation between order
+// statistics).
+type Dist struct {
+	Median float64 `json:"median"`
+	Q1     float64 `json:"q1"`
+	Q3     float64 `json:"q3"`
+	K      int     `json:"k"`
 }
 
-// DesignResult groups the three engines' numbers on one design plus
-// the headline ratios.
+// newDist summarizes samples (which it sorts in place).
+func newDist(samples []float64) Dist {
+	sort.Float64s(samples)
+	q := func(p float64) float64 {
+		pos := p * float64(len(samples)-1)
+		lo := int(pos)
+		if lo+1 >= len(samples) {
+			return samples[lo]
+		}
+		return samples[lo] + (pos-float64(lo))*(samples[lo+1]-samples[lo])
+	}
+	return Dist{Median: q(0.5), Q1: q(0.25), Q3: q(0.75), K: len(samples)}
+}
+
+// Host records what the numbers depend on.
+type Host struct {
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	Commit     string `json:"commit"`
+}
+
+// EngineResult is one engine's speed on one design: per-cycle cost
+// over samplesPerCell samples, each a timed run of -reps jobs.
+type EngineResult struct {
+	Engine     string `json:"engine"`
+	NsPerCycle Dist   `json:"ns_per_cycle"`
+	// MevalsPerS is node evaluations per second at the median.
+	MevalsPerS float64 `json:"mevals_per_s"`
+}
+
+// DesignResult groups the engines' numbers on one design plus the
+// headline ratios (of medians; equivalently wall-clock, same work).
 type DesignResult struct {
-	Design  string         `json:"design"`
-	Nodes   int            `json:"nodes"`
-	Engines []EngineResult `json:"engines"`
-	// Speedup ratios in Mevals/s (equivalently wall-clock, same work).
-	CompiledVsInterp float64 `json:"compiled_vs_interp"`
-	EventVsCompiled  float64 `json:"event_vs_compiled"`
-	EventVsInterp    float64 `json:"event_vs_interp"`
+	Design           string         `json:"design"`
+	Nodes            int            `json:"nodes"`
+	Engines          []EngineResult `json:"engines"`
+	CompiledVsInterp float64        `json:"compiled_vs_interp"`
 	// NativeVsCompiled compares the pre-generated native code against
-	// the compiled instruction stream on the same single job. For
-	// designs without a registered native sim (toy) the native row is
-	// the compiled fallback and this ratio sits near 1.
-	NativeVsCompiled float64 `json:"native_vs_compiled"`
-	// BatchVsCompiled compares aggregate batch throughput (64 lanes
-	// of the same job) against one scalar compiled run of it.
-	BatchVsCompiled float64 `json:"batch_vs_compiled"`
+	// the compiled instruction stream on the same job; absent for
+	// designs without a generated simulator (toy).
+	NativeVsCompiled float64 `json:"native_vs_compiled,omitempty"`
 }
 
 // TraceResult reports the job fan-out measurement at one worker count
 // under one engine.
 type TraceResult struct {
-	Benchmark string  `json:"benchmark"`
-	Engine    string  `json:"engine"`
-	Jobs      int     `json:"jobs"`
-	Workers   int     `json:"workers"`
-	Seconds   float64 `json:"seconds"`
-	// Speedup is relative to the 1-worker entry of the same engine's
-	// sweep.
+	Benchmark string `json:"benchmark"`
+	Engine    string `json:"engine"`
+	Jobs      int    `json:"jobs"`
+	Workers   int    `json:"workers"`
+	Seconds   Dist   `json:"seconds"`
+	// Speedup is the 1-worker median over this median, within the same
+	// engine's sweep.
 	Speedup float64 `json:"speedup"`
 }
 
 // ThroughputResult is one benchmark's trace-collection throughput:
-// scalar compiled engine vs the 64-lane batch engine on the same
-// work (one instrumented full-design job plus one slice job).
+// compiled vs native on the same work (one instrumented full-design
+// job plus one slice job).
 type ThroughputResult struct {
-	Benchmark       string  `json:"benchmark"`
-	ScalarJobsPerS  float64 `json:"scalar_jobs_per_s"`
-	BatchJobsPerS   float64 `json:"batch_jobs_per_s"`
-	BatchVsCompiled float64 `json:"batch_vs_compiled"`
-	// NativeJobsPerS measures the same per-job work on the generated
-	// native sims — the single-job latency story, where batch's lane
-	// amortization does not apply.
-	NativeJobsPerS   float64 `json:"native_jobs_per_s"`
+	Benchmark        string  `json:"benchmark"`
+	CompiledJobsPerS Dist    `json:"compiled_jobs_per_s"`
+	NativeJobsPerS   Dist    `json:"native_jobs_per_s"`
 	NativeVsCompiled float64 `json:"native_vs_compiled"`
 }
 
@@ -127,117 +159,92 @@ type PruneResult struct {
 // Report is the BENCH_sim.json schema.
 type Report struct {
 	Generated       string             `json:"generated"`
+	Host            Host               `json:"host"`
+	SamplesPerCell  int                `json:"samples_per_cell"`
 	MaxWorkers      int                `json:"max_workers"`
 	Designs         []DesignResult     `json:"designs"`
 	Prune           []PruneResult      `json:"prune"`
 	WorkerSweep     []TraceResult      `json:"worker_sweep"`
 	TraceThroughput []ThroughputResult `json:"trace_throughput"`
-	SuiteWallclockS float64            `json:"suite_wallclock_s"`
+	SuiteWallclockS *Dist              `json:"suite_wallclock_s,omitempty"`
+	// NativeFallbacks is rtl.NativeFallbacks at the end of the run:
+	// native requests that silently measured the compiled engine.
+	NativeFallbacks uint64 `json:"native_fallbacks"`
 }
 
-// engineOrder fixes the measurement and report order; interp first so
-// every ratio reads engines[i] vs engines[0].
-var engineOrder = []rtl.Engine{rtl.EngineInterp, rtl.EngineCompiled, rtl.EngineEvent, rtl.EngineNative}
+// cell is one engine's timed work within a round-robin group.
+type cell struct {
+	engine rtl.Engine
+	run    func() (uint64, error) // returns the work units done
+}
 
-// measurePasses splits each engine measurement into this many timed
-// passes and reports the fastest one, so a transient background blip
-// hitting one engine's slice of wall-clock does not skew the ratios.
-const measurePasses = 3
-
-// measure runs fn reps times in measurePasses timed passes and
-// returns the cycles and seconds of the fastest pass.
-func measure(reps int, fn func() (uint64, error)) (uint64, float64, error) {
-	per := reps / measurePasses
-	if per < 1 {
-		per = 1
+// sampleCells times samplesPerCell samples of every cell, round-robin
+// across cells, and returns per-cell samples of seconds per work unit.
+func sampleCells(cells []cell) ([][]float64, error) {
+	out := make([][]float64, len(cells))
+	for _, c := range cells {
+		if _, err := c.run(); err != nil { // warm-up, untimed
+			return nil, fmt.Errorf("%s: %w", c.engine, err)
+		}
 	}
-	var bestCycles uint64
-	bestSecs := 0.0
-	for p := 0; p < measurePasses; p++ {
-		var cycles uint64
-		start := time.Now() //detlint:allow simbench measures wall-clock throughput by design
-		for i := 0; i < per; i++ {
-			c, err := fn()
+	for i := 0; i < samplesPerCell; i++ {
+		for ci, c := range cells {
+			start := time.Now() //detlint:allow simbench measures wall-clock throughput by design
+			units, err := c.run()
 			if err != nil {
-				return 0, 0, err
+				return nil, fmt.Errorf("%s: %w", c.engine, err)
 			}
-			cycles += c
-		}
-		secs := time.Since(start).Seconds()
-		if bestSecs == 0 || secs*float64(bestCycles) < bestSecs*float64(cycles) {
-			bestCycles, bestSecs = cycles, secs
+			out[ci] = append(out[ci], time.Since(start).Seconds()/float64(units))
 		}
 	}
-	return bestCycles, bestSecs, nil
+	return out, nil
 }
 
-// measureDesign runs one job on a design under the four scalar
-// engines, then the same job on all 64 lanes of the batch engine
-// (whose cycles and Mevals/s are therefore aggregate numbers).
-func measureDesign(design string, m *rtl.Module, job accel.Job, maxTicks uint64, reps int,
+// measureDesign times one job on a design under each engine, each
+// sample reps back-to-back runs. The native engine is measured only
+// when a generated simulator is registered for the design.
+func measureDesign(design string, m *rtl.Module, reps int,
 	runner func(*rtl.Sim) func() (uint64, error)) (DesignResult, error) {
 	dr := DesignResult{Design: design, Nodes: m.NumNodes()}
-	p := rtl.Compile(m)
-	for _, eng := range engineOrder {
-		var s *rtl.Sim
-		switch eng {
-		case rtl.EngineInterp:
-			s = rtl.NewInterpSim(m)
-		case rtl.EngineCompiled:
-			s = p.NewSim()
-		case rtl.EngineEvent:
-			s = p.NewEventSim()
-		case rtl.EngineNative:
-			s = rtl.NewSimEngine(m, rtl.EngineNative)
+	sims := []*rtl.Sim{rtl.NewInterpSim(m), rtl.NewSimEngine(m, rtl.EngineCompiled)}
+	if step, ok := rtl.NativeStepFor(m); ok {
+		sims = append(sims, rtl.NewNativeSim(m, step))
+	}
+	var cells []cell
+	for _, s := range sims {
+		job := runner(s)
+		cells = append(cells, cell{engine: s.Engine(), run: func() (uint64, error) {
+			var cycles uint64
+			for i := 0; i < reps; i++ {
+				c, err := job()
+				if err != nil {
+					return 0, err
+				}
+				cycles += c
+			}
+			return cycles, nil
+		}})
+	}
+	samples, err := sampleCells(cells)
+	if err != nil {
+		return dr, fmt.Errorf("%s: %w", design, err)
+	}
+	for ci, c := range cells {
+		for i := range samples[ci] {
+			samples[ci][i] *= 1e9 // seconds per cycle -> ns per cycle
 		}
-		cycles, secs, err := measure(reps, runner(s))
-		if err != nil {
-			return dr, fmt.Errorf("%s/%s: %w", design, eng, err)
-		}
+		d := newDist(samples[ci])
 		dr.Engines = append(dr.Engines, EngineResult{
-			Engine:     string(eng),
-			Cycles:     cycles,
-			Seconds:    secs,
-			MevalsPerS: float64(cycles*uint64(m.NumNodes())) / secs / 1e6,
-			NsPerCycle: secs * 1e9 / float64(cycles),
+			Engine:     string(c.engine),
+			NsPerCycle: d,
+			MevalsPerS: float64(m.NumNodes()) / d.Median * 1e3,
 		})
 	}
-	jobs := make([]accel.Job, rtl.MaxBatchLanes)
-	for l := range jobs {
-		jobs[l] = job
-	}
-	bs := rtl.NewBatchSim(m, len(jobs))
-	batchReps := reps / len(jobs)
-	if batchReps < measurePasses {
-		batchReps = measurePasses
-	}
-	cycles, secs, err := measure(batchReps, func() (uint64, error) {
-		ticks, errs := accel.RunJobs(bs, jobs, maxTicks)
-		total := uint64(0)
-		for l, e := range errs {
-			if e != nil {
-				return 0, e
-			}
-			total += ticks[l]
-		}
-		return total, nil
-	})
-	if err != nil {
-		return dr, fmt.Errorf("%s/batch: %w", design, err)
-	}
-	dr.Engines = append(dr.Engines, EngineResult{
-		Engine:     string(rtl.EngineBatch),
-		Cycles:     cycles,
-		Seconds:    secs,
-		MevalsPerS: float64(cycles*uint64(m.NumNodes())) / secs / 1e6,
-		NsPerCycle: secs * 1e9 / float64(cycles),
-	})
-	interp, compiled, event := dr.Engines[0].MevalsPerS, dr.Engines[1].MevalsPerS, dr.Engines[2].MevalsPerS
+	interp, compiled := dr.Engines[0].MevalsPerS, dr.Engines[1].MevalsPerS
 	dr.CompiledVsInterp = compiled / interp
-	dr.EventVsCompiled = event / compiled
-	dr.EventVsInterp = event / interp
-	dr.NativeVsCompiled = dr.Engines[3].MevalsPerS / compiled
-	dr.BatchVsCompiled = dr.Engines[4].MevalsPerS / compiled
+	if len(dr.Engines) > 2 {
+		dr.NativeVsCompiled = dr.Engines[2].MevalsPerS / compiled
+	}
 	return dr, nil
 }
 
@@ -245,14 +252,17 @@ func run() error {
 	out := flag.String("out", "BENCH_sim.json", "output path for the JSON report")
 	workers := flag.Int("workers", 0, "max parallel job-simulation workers for the sweep (0 = GOMAXPROCS)")
 	seed := flag.Int64("seed", 42, "workload generation seed")
-	reps := flag.Int("reps", 60, "jobs per engine measurement")
+	reps := flag.Int("reps", 20, "jobs per engine-speed sample")
 	designs := flag.String("designs", "", "comma-separated benchmark subset for the throughput sections (default: all)")
-	engine := flag.String("engine", "", "process-wide default RTL engine: compiled, event, interp, batch, or native")
+	engine := flag.String("engine", "", "process-wide default RTL engine: native, compiled, or interp (default: native, or $REPRO_ENGINE)")
 	warm := flag.Bool("warm", true, "measure the quick-lab warm-up wall-clock")
 	cacheDir := flag.String("cachedir", os.Getenv("REPRO_CACHE_DIR"),
 		"persistent trace cache directory (default: $REPRO_CACHE_DIR; empty disables)")
 	flag.Parse()
 
+	if *reps < 1 {
+		return fmt.Errorf("-reps must be at least 1")
+	}
 	if *engine != "" {
 		e, err := rtl.ParseEngine(*engine)
 		if err != nil {
@@ -286,17 +296,28 @@ func run() error {
 	if maxWorkers <= 0 {
 		maxWorkers = runtime.GOMAXPROCS(0)
 	}
-	rep := Report{Generated: time.Now().UTC().Format(time.RFC3339), MaxWorkers: maxWorkers} //detlint:allow simbench measures wall-clock throughput by design
+	rep := Report{
+		Generated: time.Now().UTC().Format(time.RFC3339), //detlint:allow simbench measures wall-clock throughput by design
+		Host: Host{
+			GOOS:       runtime.GOOS,
+			GOARCH:     runtime.GOARCH,
+			NumCPU:     runtime.NumCPU(),
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			GoVersion:  runtime.Version(),
+			Commit:     commit(),
+		},
+		SamplesPerCell: samplesPerCell,
+		MaxWorkers:     maxWorkers,
+	}
 
-	// 1. Engine throughput: Toy plus every benchmark, three engines each.
+	// 1. Engine speed: Toy plus every benchmark.
 	toy := testdesigns.Toy()
 	items := make([]uint64, 100)
 	for i := range items {
 		items[i] = testdesigns.ToyItem(i%2 == 0, 20)
 	}
 	toyJob := testdesigns.ToyJob(items)
-	toyBatchJob := accel.Job{Mems: map[string][]uint64{"in": toyJob}}
-	dr, err := measureDesign("toy", toy.M, toyBatchJob, 1<<20, *reps, func(s *rtl.Sim) func() (uint64, error) {
+	dr, err := measureDesign("toy", toy.M, *reps, func(s *rtl.Sim) func() (uint64, error) {
 		return func() (uint64, error) {
 			s.Reset()
 			if err := s.LoadMem("in", toyJob); err != nil {
@@ -311,9 +332,8 @@ func run() error {
 	rep.Designs = append(rep.Designs, dr)
 	for _, spec := range specs {
 		spec := spec
-		m := spec.Build()
 		job := spec.TestJobs(3)[0]
-		dr, err := measureDesign(spec.Name, m, job, spec.MaxTicks, *reps, func(s *rtl.Sim) func() (uint64, error) {
+		dr, err := measureDesign(spec.Name, spec.Build(), *reps, func(s *rtl.Sim) func() (uint64, error) {
 			return func() (uint64, error) { return accel.RunJob(s, job, spec.MaxTicks) }
 		})
 		if err != nil {
@@ -334,10 +354,10 @@ func run() error {
 	}
 
 	// 2. CollectTraces fan-out: sweep worker counts 1, 2, 4, 8 (capped
-	// at GOMAXPROCS) under the compiled, batch, and native engines.
-	// Train binds the predictor's simulators to the engine current at
-	// train time, so each engine gets its own (cheap, cache-served)
-	// Train call before its sweep.
+	// at maxWorkers) under the compiled and native engines. Train binds
+	// the predictor's simulators to the engine current at train time,
+	// so each engine gets its own (cheap, cache-served) Train call
+	// before its sweep.
 	spec, err := suite.ByName("stencil")
 	if err != nil {
 		return err
@@ -351,10 +371,10 @@ func run() error {
 		counts = append(counts, cap)
 	}
 	// The sweep times real simulation: detach the cache so every pass
-	// actually runs RTL, then restore it for the lab warm-up below.
+	// actually runs RTL, then restore it afterwards.
 	sweepCache := core.TraceCache()
 	sweepDefault := rtl.DefaultEngine()
-	for _, eng := range []rtl.Engine{rtl.EngineCompiled, rtl.EngineBatch, rtl.EngineNative} {
+	for _, eng := range []rtl.Engine{rtl.EngineCompiled, rtl.EngineNative} {
 		if err := rtl.SetDefaultEngine(eng); err != nil {
 			return err
 		}
@@ -364,24 +384,27 @@ func run() error {
 			return err
 		}
 		core.SetTraceCache(nil)
-		var oneWorkerS float64
+		var oneWorker float64
 		for _, w := range counts {
 			core.SetWorkers(w)
-			start := time.Now() //detlint:allow simbench measures wall-clock throughput by design
-			if _, err := pred.CollectTraces(jobs); err != nil {
+			samples, err := sampleCells([]cell{{engine: eng, run: func() (uint64, error) {
+				_, err := pred.CollectTraces(jobs)
+				return 1, err
+			}}})
+			if err != nil {
 				return err
 			}
-			secs := time.Since(start).Seconds()
+			d := newDist(samples[0])
 			if w == counts[0] {
-				oneWorkerS = secs
+				oneWorker = d.Median
 			}
 			rep.WorkerSweep = append(rep.WorkerSweep, TraceResult{
 				Benchmark: spec.Name,
 				Engine:    string(eng),
 				Jobs:      len(jobs),
 				Workers:   w,
-				Seconds:   secs,
-				Speedup:   oneWorkerS / secs,
+				Seconds:   d,
+				Speedup:   oneWorker / d.Median,
 			})
 		}
 	}
@@ -393,7 +416,7 @@ func run() error {
 
 	// 3. Trace-collection throughput per benchmark: the work one
 	// CollectTraces job does (instrumented full design + hardware
-	// slice), scalar compiled vs 64 batch lanes, in jobs/s.
+	// slice), compiled vs native, in jobs/s.
 	for _, spec := range specs {
 		tr, err := measureTraceThroughput(spec)
 		if err != nil {
@@ -403,16 +426,23 @@ func run() error {
 	}
 
 	// 4. Full quick-lab warm-up wall-clock (train + trace all seven
-	// benchmarks), the end-to-end number the experiments feel.
+	// benchmarks), the end-to-end number the experiments feel. The
+	// cache is detached so every sample simulates.
 	if *warm {
-		lab := exp.NewLab(*seed)
-		lab.Quick = true
-		start := time.Now() //detlint:allow simbench measures wall-clock throughput by design
-		if err := lab.Warm(); err != nil {
+		core.SetTraceCache(nil)
+		samples, err := sampleCells([]cell{{engine: rtl.DefaultEngine(), run: func() (uint64, error) {
+			lab := exp.NewLab(*seed)
+			lab.Quick = true
+			return 1, lab.Warm()
+		}}})
+		if err != nil {
 			return err
 		}
-		rep.SuiteWallclockS = time.Since(start).Seconds()
+		d := newDist(samples[0])
+		rep.SuiteWallclockS = &d
+		core.SetTraceCache(sweepCache)
 	}
+	rep.NativeFallbacks = rtl.NativeFallbacks()
 
 	data, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
@@ -422,30 +452,47 @@ func run() error {
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		return err
 	}
-	twoX := 0
-	nativeThreeX := 0
+	nativeThreeX, withNative := 0, 0
 	for _, d := range rep.Designs {
-		if d.Design == "toy" {
+		if d.NativeVsCompiled == 0 {
 			continue
 		}
-		if d.EventVsCompiled >= 2 {
-			twoX++
-		}
+		withNative++
 		if d.NativeVsCompiled >= 3 {
 			nativeThreeX++
 		}
 	}
-	fourX := 0
-	for _, tr := range rep.TraceThroughput {
-		if tr.BatchVsCompiled >= 4 {
-			fourX++
+	last := rep.WorkerSweep[len(rep.WorkerSweep)-1]
+	wall := "skipped"
+	if rep.SuiteWallclockS != nil {
+		wall = fmt.Sprintf("%.2fs", rep.SuiteWallclockS.Median)
+	}
+	fmt.Printf("simbench: native>=3x compiled on %d/%d benchmarks, traces %.2fx with %d workers (%s), quick suite %s, %d native fallbacks -> %s\n",
+		nativeThreeX, withNative, last.Speedup, last.Workers, last.Engine, wall, rep.NativeFallbacks, *out)
+	fmt.Printf("jobs simulated: %d\n", core.SimulatedJobs())
+	return nil
+}
+
+// commit is the VCS revision the binary was built from, when the build
+// saw one ("unknown" under go run, or in a checkout without .git).
+func commit() string {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "unknown"
+	}
+	rev, dirty := "unknown", false
+	for _, s := range info.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
 		}
 	}
-	last := rep.WorkerSweep[len(rep.WorkerSweep)-1]
-	fmt.Printf("simbench: event>=2x compiled on %d/%d benchmarks, native>=3x compiled on %d/%d, batch>=4x compiled traces on %d/%d, traces %.2fx with %d workers (%s), quick suite %.1fs -> %s\n",
-		twoX, len(rep.Designs)-1, nativeThreeX, len(rep.Designs)-1, fourX, len(rep.TraceThroughput), last.Speedup, last.Workers, last.Engine, rep.SuiteWallclockS, *out)
-	fmt.Printf("jobs batched: %d; jobs simulated: %d\n", core.BatchedJobs(), core.SimulatedJobs())
-	return nil
+	if dirty {
+		rev += "-dirty"
+	}
+	return rev
 }
 
 // measurePrune compiles each benchmark's instrumented design and slice
@@ -486,8 +533,7 @@ func measurePrune(spec accel.Spec) (PruneResult, error) {
 
 // measureTraceThroughput times the per-job work of CollectTraces —
 // one instrumented full-design simulation plus one slice simulation —
-// on the scalar compiled engine and as 64 batch lanes, best of three
-// passes each.
+// on the compiled and native engines, each sample traceReps jobs.
 func measureTraceThroughput(spec accel.Spec) (ThroughputResult, error) {
 	ins, err := instrument.Instrument(spec.Build())
 	if err != nil {
@@ -502,66 +548,40 @@ func measureTraceThroughput(spec accel.Spec) (ThroughputResult, error) {
 		return ThroughputResult{}, err
 	}
 	job := spec.TestJobs(3)[0]
-	jobs := make([]accel.Job, rtl.MaxBatchLanes)
-	for l := range jobs {
-		jobs[l] = job
-	}
-	fullS := rtl.NewSimEngine(ins.M, rtl.EngineCompiled)
-	sliceS := rtl.NewSimEngine(sl.M, rtl.EngineCompiled)
 	// The sections before this one leave a large heap behind; collect
 	// now so background GC does not tax one engine's timed window.
 	runtime.GC()
-	const scalarReps = 24
-	_, scalarSecs, err := measure(scalarReps, func() (uint64, error) {
-		for _, s := range []*rtl.Sim{fullS, sliceS} {
-			if _, err := accel.RunJob(s, job, spec.MaxTicks); err != nil {
-				return 0, err
-			}
-		}
-		return 1, nil
-	})
-	if err != nil {
-		return ThroughputResult{}, err
-	}
-	fbs := rtl.NewBatchSim(ins.M, len(jobs))
-	sbs := rtl.NewBatchSim(sl.M, len(jobs))
-	_, batchSecs, err := measure(measurePasses, func() (uint64, error) {
-		for _, bs := range []*rtl.BatchSim{fbs, sbs} {
-			_, errs := accel.RunJobs(bs, jobs, spec.MaxTicks)
-			for _, e := range errs {
-				if e != nil {
-					return 0, e
+	const traceReps = 8
+	var cells []cell
+	for _, eng := range []rtl.Engine{rtl.EngineCompiled, rtl.EngineNative} {
+		full, sliceS := rtl.NewSimEngine(ins.M, eng), rtl.NewSimEngine(sl.M, eng)
+		cells = append(cells, cell{engine: eng, run: func() (uint64, error) {
+			for i := 0; i < traceReps; i++ {
+				for _, s := range []*rtl.Sim{full, sliceS} {
+					if _, err := accel.RunJob(s, job, spec.MaxTicks); err != nil {
+						return 0, err
+					}
 				}
 			}
-		}
-		return 1, nil
-	})
-	if err != nil {
-		return ThroughputResult{}, err
+			return traceReps, nil
+		}})
 	}
-	nativeFull := rtl.NewSimEngine(ins.M, rtl.EngineNative)
-	nativeSlice := rtl.NewSimEngine(sl.M, rtl.EngineNative)
-	_, nativeSecs, err := measure(scalarReps, func() (uint64, error) {
-		for _, s := range []*rtl.Sim{nativeFull, nativeSlice} {
-			if _, err := accel.RunJob(s, job, spec.MaxTicks); err != nil {
-				return 0, err
-			}
-		}
-		return 1, nil
-	})
+	samples, err := sampleCells(cells)
 	if err != nil {
-		return ThroughputResult{}, err
+		return ThroughputResult{}, fmt.Errorf("%s: %w", spec.Name, err)
 	}
-	scalarJPS := float64(scalarReps/measurePasses) / scalarSecs
-	batchJPS := float64(len(jobs)) / batchSecs
-	nativeJPS := float64(scalarReps/measurePasses) / nativeSecs
+	jps := make([]Dist, len(cells))
+	for ci := range cells {
+		for i, secs := range samples[ci] {
+			samples[ci][i] = 1 / secs
+		}
+		jps[ci] = newDist(samples[ci])
+	}
 	return ThroughputResult{
 		Benchmark:        spec.Name,
-		ScalarJobsPerS:   scalarJPS,
-		BatchJobsPerS:    batchJPS,
-		BatchVsCompiled:  batchJPS / scalarJPS,
-		NativeJobsPerS:   nativeJPS,
-		NativeVsCompiled: nativeJPS / scalarJPS,
+		CompiledJobsPerS: jps[0],
+		NativeJobsPerS:   jps[1],
+		NativeVsCompiled: jps[1].Median / jps[0].Median,
 	}, nil
 }
 

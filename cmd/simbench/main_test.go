@@ -1,0 +1,76 @@
+package main
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// TestNewDist checks the quartile interpolation on known samples.
+func TestNewDist(t *testing.T) {
+	for _, tc := range []struct {
+		in   []float64
+		want Dist
+	}{
+		{[]float64{4, 1, 3, 2, 5}, Dist{Median: 3, Q1: 2, Q3: 4, K: 5}},
+		{[]float64{1, 2, 3, 4}, Dist{Median: 2.5, Q1: 1.75, Q3: 3.25, K: 4}},
+		{[]float64{7}, Dist{Median: 7, Q1: 7, Q3: 7, K: 1}},
+	} {
+		if got := newDist(tc.in); got != tc.want {
+			t.Errorf("newDist(%v) = %+v, want %+v", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestReport runs simbench end to end on one benchmark and checks the
+// report's shape: every cell carries samplesPerCell samples, toy has no
+// native row (it has no generated simulator), the benchmark measures
+// all three engines and native beats compiled, and nothing fell back.
+func TestReport(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "bench.json")
+	args := os.Args
+	defer func() { os.Args = args }()
+	os.Args = []string{"simbench", "-designs", "stencil", "-reps", "2", "-warm=false", "-out", out}
+	if err := run(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.SamplesPerCell != samplesPerCell || rep.Host.GOMAXPROCS < 1 || rep.MaxWorkers != rep.Host.GOMAXPROCS {
+		t.Errorf("header: samples %d, host %+v, max_workers %d", rep.SamplesPerCell, rep.Host, rep.MaxWorkers)
+	}
+	if rep.NativeFallbacks != 0 {
+		t.Errorf("%d native fallbacks", rep.NativeFallbacks)
+	}
+	if len(rep.Designs) != 2 {
+		t.Fatalf("%d designs, want toy and stencil", len(rep.Designs))
+	}
+	for i, want := range []int{2, 3} {
+		d := rep.Designs[i]
+		if len(d.Engines) != want {
+			t.Errorf("%s: %d engine rows, want %d", d.Design, len(d.Engines), want)
+		}
+		for _, e := range d.Engines {
+			if e.NsPerCycle.K != samplesPerCell || e.NsPerCycle.Q1 > e.NsPerCycle.Median || e.NsPerCycle.Median > e.NsPerCycle.Q3 {
+				t.Errorf("%s/%s: ns_per_cycle %+v", d.Design, e.Engine, e.NsPerCycle)
+			}
+		}
+	}
+	if d := rep.Designs[0]; d.NativeVsCompiled != 0 {
+		t.Errorf("toy reports native_vs_compiled %g without a generated simulator", d.NativeVsCompiled)
+	}
+	if d := rep.Designs[1]; d.NativeVsCompiled <= 1 {
+		t.Errorf("stencil native_vs_compiled %g, want > 1", d.NativeVsCompiled)
+	}
+	if len(rep.WorkerSweep) == 0 || len(rep.TraceThroughput) != 1 || len(rep.Prune) != 1 || rep.SuiteWallclockS != nil {
+		t.Errorf("sections: %d sweep, %d throughput, %d prune, wall-clock %v",
+			len(rep.WorkerSweep), len(rep.TraceThroughput), len(rep.Prune), rep.SuiteWallclockS)
+	}
+}

@@ -31,7 +31,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "workload generation seed")
 	save := flag.String("save", "", "write the trained model as JSON (single benchmark only)")
 	load := flag.String("load", "", "evaluate a saved model instead of training")
-	engine := flag.String("engine", "", "RTL engine: compiled, event, interp, batch, or native (default: compiled, or $REPRO_ENGINE)")
+	engine := flag.String("engine", "", "RTL engine: native, compiled, or interp (default: native, or $REPRO_ENGINE)")
 	cacheDir := flag.String("cachedir", os.Getenv("REPRO_CACHE_DIR"),
 		"persistent trace cache directory (default: $REPRO_CACHE_DIR; empty disables)")
 	flag.Parse()

@@ -98,41 +98,3 @@ func RunJob(s *rtl.Sim, job Job, maxTicks uint64) (uint64, error) {
 	}
 	return s.Run(maxTicks)
 }
-
-// RunJobs is the batched analogue of RunJob: it loads one job per lane,
-// runs all lanes to completion in a single batch pass, and returns
-// per-job tick counts and per-job errors (index-aligned with jobs). A
-// lane whose load or simulation fails gets a non-nil error and a zero
-// tick count; the other lanes are unaffected — the caller decides
-// whether to retry failed jobs on a scalar engine. len(jobs) must equal
-// bs.Lanes(); size the simulator to the chunk.
-func RunJobs(bs *rtl.BatchSim, jobs []Job, maxTicks uint64) ([]uint64, []error) {
-	if len(jobs) != bs.Lanes() {
-		panic(fmt.Sprintf("accel: %d jobs for %d lanes", len(jobs), bs.Lanes()))
-	}
-	bs.Reset()
-	ticks := make([]uint64, len(jobs))
-	errs := make([]error, len(jobs))
-	for l, job := range jobs {
-		for name, data := range job.Mems { //detlint:allow each iteration loads a distinct memory; order-independent
-			if err := bs.LoadMem(l, name, data); err != nil {
-				errs[l] = fmt.Errorf("accel: load %s: %w", name, err)
-				break
-			}
-		}
-	}
-	// The summary error is dropped on purpose: per-lane outcomes below
-	// carry strictly more information.
-	_ = bs.Run(maxTicks)
-	for l := range jobs {
-		if errs[l] != nil {
-			continue
-		}
-		if err := bs.LaneErr(l); err != nil {
-			errs[l] = err
-		} else {
-			ticks[l] = bs.LaneCycles(l)
-		}
-	}
-	return ticks, errs
-}

@@ -50,26 +50,6 @@ func TestDetectToyFSM(t *testing.T) {
 	}
 }
 
-// TestBatchHintsFromToy checks that the batch-planning hints carry the
-// detected FSM state registers and that PlanBatch bit-slices exactly
-// those under the hints, with no stray datapath groups.
-func TestBatchHintsFromToy(t *testing.T) {
-	toy := testdesigns.Toy()
-	a := Analyze(toy.M)
-	h := BatchHints(a)
-	if len(h.StateRegs) != len(a.FSMs) || len(h.StateRegs) == 0 {
-		t.Fatalf("hints carry %d regs, want %d FSM state regs", len(h.StateRegs), len(a.FSMs))
-	}
-	for i, ri := range h.StateRegs {
-		if ri != a.FSMs[i].Reg {
-			t.Errorf("hint %d = reg %d, want %d", i, ri, a.FSMs[i].Reg)
-		}
-	}
-	if g := rtl.PlanBatch(toy.M, h).Groups(); g == 0 {
-		t.Error("hinted plan produced no bit-sliced groups on Toy")
-	}
-}
-
 func TestDetectToyCounters(t *testing.T) {
 	toy := testdesigns.Toy()
 	a := Analyze(toy.M)

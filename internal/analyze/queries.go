@@ -196,21 +196,6 @@ func TaintedFrom(m *rtl.Module, src rtl.NodeID, cut map[rtl.NodeID]bool) map[rtl
 	return tainted
 }
 
-// BatchHints packages the control-plane classification for the batch
-// simulation engine: the registers recognized as FSM state machines are
-// exactly the ones whose next cones are const-leaf mux trees, which is
-// the shape rtl.PlanBatch can bit-slice one-lane-per-bit into uint64
-// words. Passing hints instead of nil restricts group planning to the
-// analyzed state registers, so datapath registers that merely happen to
-// look mux-shaped stay in SoA columns.
-func BatchHints(a *Analysis) *rtl.BatchHints {
-	h := &rtl.BatchHints{}
-	for i := range a.FSMs {
-		h.StateRegs = append(h.StateRegs, a.FSMs[i].Reg)
-	}
-	return h
-}
-
 // ConeWithCuts is Cone with substitution awareness: traversal does not
 // descend through nodes in cut, mirroring how the slicer's guard
 // substitution prevents elided logic from being pulled into the slice.

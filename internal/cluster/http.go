@@ -214,6 +214,7 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		shards = append(shards, a.fleet.Pool(name).Shards()...)
 	}
 	serve.WriteMetrics(w, shards)
+	serve.WriteNativeFallbacks(w, "dvfscluster_native_fallbacks_total")
 
 	counters := []struct {
 		name, help string

@@ -35,15 +35,6 @@ var simJobs atomic.Uint64
 // this process so far.
 func SimulatedJobs() uint64 { return simJobs.Load() }
 
-// batchedJobs counts the subset of simJobs that ran inside batch lanes
-// rather than on a scalar engine. Scalar retries of failed lanes are
-// not batched, so BatchedJobs < SimulatedJobs under injected faults.
-var batchedJobs atomic.Uint64
-
-// BatchedJobs returns the number of RTL job simulations executed in
-// batch lanes by this process so far.
-func BatchedJobs() uint64 { return batchedJobs.Load() }
-
 // keyHasher accumulates the inputs that determine a cached artifact.
 // Every field is length- or tag-delimited so distinct input sequences
 // can never produce the same stream.

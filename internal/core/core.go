@@ -20,7 +20,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/absint"
@@ -32,7 +31,7 @@ import (
 	"repro/internal/rtl"
 
 	// Register the pre-generated native simulators for the benchmark
-	// suite: with this import, REPRO_ENGINE=native resolves suite
+	// suite: with this import, the native default engine resolves suite
 	// netlists (full designs, pruned twins, predictor slices) to
 	// specialized straight-line code in every flow built on core.
 	_ "repro/internal/rtl/native"
@@ -101,37 +100,11 @@ type Predictor struct {
 	// lock and a swap is one word store (see SwapModel).
 	live atomic.Pointer[liveModel]
 
-	// fullM is the module the full-design simulators actually run: the
-	// instrumented design, or its absint-pruned twin when pruning is
-	// enabled (see SetPruning). fullFeatRegs maps each feature index to
-	// its witness register index in fullM; both default to the
-	// instrumented design when unset.
-	fullM        *rtl.Module
+	// fullFeatRegs maps each feature index to its witness register
+	// index in the module fullSim runs: the instrumented design, or its
+	// absint-pruned twin when pruning is enabled (see SetPruning). Nil
+	// means the instrumented design's own witness registers.
 	fullFeatRegs []int
-
-	// Batch-engine state, built lazily on first batched fan-out: the
-	// plans are immutable and shared by every chunk's BatchSim; hints
-	// carry the analyzer's FSM classification so the instrumented
-	// design's control plane is bit-sliced (the slice's own plan
-	// self-detects — its FSM survives slicing but the reg indices do
-	// not).
-	batchOnce           sync.Once
-	batchHints          *rtl.BatchHints
-	fullPlan, slicePlan *rtl.BatchPlan
-}
-
-// batchPlans returns (building on first use) the batch-simulation plans
-// for the instrumented design and the slice.
-func (p *Predictor) batchPlans() (full, sl *rtl.BatchPlan) {
-	p.batchOnce.Do(func() {
-		m := p.fullM
-		if m == nil {
-			m = p.Ins.M
-		}
-		p.fullPlan = rtl.PlanBatch(m, p.batchHints)
-		p.slicePlan = rtl.PlanBatch(p.Slice.M, nil)
-	})
-	return p.fullPlan, p.slicePlan
 }
 
 // Train runs the full offline flow of Figure 6 for one accelerator.
@@ -173,7 +146,7 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 	// The full-design simulators run the pruned twin when pruning is
 	// enabled: identical cycle-for-cycle on done, memories, and every
 	// witness register, but with proven-constant logic folded away.
-	fullM, featRegs, hints, err := bindFull(ins, analyze.BatchHints(a))
+	fullM, featRegs, err := bindFull(ins)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +162,7 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 		}
 		return nil
 	}
-	readFeats := func(s rtl.RegReader) []float64 {
+	readFeats := func(s *rtl.Sim) []float64 {
 		out := make([]float64, len(featRegs))
 		for i, ri := range featRegs {
 			out[i] = float64(s.RegValue(ri))
@@ -227,52 +200,7 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 			y[i] = spec.Seconds(ticks)
 			return nil
 		}
-		if rtl.DefaultEngine() == rtl.EngineBatch {
-			// Batched fan-out: same-netlist jobs pack into lanes of one
-			// BatchSim per chunk. Jobs with an attempt-0 injected fault are
-			// excluded before lane packing and — like any lane that fails —
-			// retried via runJob on a fresh scalar clone (sim is the
-			// compiled fallback under the batch default engine).
-			plan := rtl.PlanBatch(fullM, hints)
-			err = runBatchedChunks(len(jobs), newState, runJob,
-				func(lo, hi int) []error {
-					errs := make([]error, hi-lo)
-					packed := make([]int, 0, hi-lo)
-					for i := lo; i < hi; i++ {
-						if ferr := FaultInjector().ErrN(FaultJob, fmt.Sprintf("train/%s/%d", spec.Name, i), 0); ferr != nil {
-							errs[i-lo] = fmt.Errorf("core: %s train job %d: %w", spec.Name, i, ferr)
-							continue
-						}
-						packed = append(packed, i)
-					}
-					if len(packed) == 0 {
-						return errs
-					}
-					batch := make([]accel.Job, len(packed))
-					for l, i := range packed {
-						batch[l] = jobs[i]
-					}
-					batchedJobs.Add(uint64(len(packed)))
-					bs := plan.NewBatchSim(len(packed))
-					ticks, jerrs := accel.RunJobs(bs, batch, spec.MaxTicks)
-					for l, i := range packed {
-						if jerrs[l] != nil {
-							errs[i-lo] = fmt.Errorf("core: %s train job %d: %w", spec.Name, i, jerrs[l])
-							continue
-						}
-						if berr := checkTicks(i, ticks[l]); berr != nil {
-							errs[i-lo] = berr
-							continue
-						}
-						X[i] = readFeats(bs.Lane(l))
-						y[i] = spec.Seconds(ticks[l])
-					}
-					return errs
-				})
-		} else {
-			err = runParallel(len(jobs), newState, runJob)
-		}
-		if err != nil {
+		if err := runParallel(len(jobs), newState, runJob); err != nil {
 			return nil, err
 		}
 		if c := TraceCache(); c != nil {
@@ -318,9 +246,7 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 		SliceBounds:  absint.Bounds(sl.M),
 		fullSim:      sim,
 		sliceSim:     rtl.NewSim(sl.M),
-		fullM:        fullM,
 		fullFeatRegs: featRegs,
-		batchHints:   hints,
 	}
 	return pred, nil
 }
@@ -449,41 +375,62 @@ func (p *Predictor) NewJobSimulator() *JobSimulator {
 	return &JobSimulator{p: p, full: p.fullSim.Clone(), slice: p.sliceSim.Clone()}
 }
 
-// Engine reports the engine actually executing the slice — the
-// latency-critical simulator on the serving path. When the default
-// engine is native but the slice's netlist has no registered generated
-// step, this reports the compiled fallback, making a silently stale
-// registry observable (see rtl.NativeFallbacks).
-func (js *JobSimulator) Engine() rtl.Engine { return js.slice.Engine() }
-
-// Trace runs one job on both the instrumented full design and the
-// hardware slice, returning its complete trace (ground-truth cycles
-// plus the slice-driven prediction).
-func (js *JobSimulator) Trace(job accel.Job) (JobTrace, error) {
-	simJobs.Add(2) // the full design and the slice each run once
-	p := js.p
-	ticks, err := accel.RunJob(js.full, job, p.Spec.MaxTicks)
-	if err != nil {
-		return JobTrace{}, fmt.Errorf("core: %s job: %w", p.Spec.Name, err)
-	}
-	sliceTicks, err := accel.RunJob(js.slice, job, p.Spec.MaxTicks)
-	if err != nil {
-		return JobTrace{}, fmt.Errorf("core: %s slice job: %w", p.Spec.Name, err)
-	}
-	if err := p.checkObserved(ticks, sliceTicks); err != nil {
-		return JobTrace{}, err
-	}
-	return p.buildTrace(job, ticks, sliceTicks, js.full, js.slice), nil
+// Engines reports the engines actually executing the predictor's
+// hardware slice and full design. Under the native default, a netlist
+// without a registered generated step reports the compiled fallback.
+func (p *Predictor) Engines() (slice, full rtl.Engine) {
+	return p.sliceSim.Engine(), p.fullSim.Engine()
 }
 
-// buildTrace assembles one JobTrace from a finished full-design run and
-// a finished slice run, reading the witness registers through any
-// register reader — a scalar Sim or one lane of a batch simulator —
-// so the scalar and batched collection paths produce byte-identical
-// traces by construction.
-func (p *Predictor) buildTrace(job accel.Job, ticks, sliceTicks uint64, full, sl rtl.RegReader) JobTrace {
-	sliceFeats := p.Slice.ReadFeatures(sl)
-	fullFeats := p.readFullFeatures(full)
+// Engines reports the engines actually executing this simulator's
+// slice — the latency-critical simulator on the serving path — and
+// full design. When the default engine is native but a netlist has no
+// registered generated step, it reports the compiled fallback, making
+// a silently stale registry observable (see rtl.NativeFallbacks).
+func (js *JobSimulator) Engines() (slice, full rtl.Engine) {
+	return js.slice.Engine(), js.full.Engine()
+}
+
+// Prediction is the slice half of a JobTrace: what the runtime loop
+// knows about a job before running it.
+type Prediction struct {
+	// SliceTicks is the slice's own execution time in IR ticks.
+	SliceTicks uint64
+	// Features are the kept features' values, aligned with
+	// Predictor.Kept.
+	Features []float64
+	// Seconds is the live model's clamped prediction of the job's
+	// execution time at nominal frequency (see PredFromSliceOrFloor).
+	Seconds float64
+}
+
+// Predict runs one job on the hardware slice and evaluates the live
+// model on the slice's features: the prediction step of §3.6, without
+// the full design.
+func (js *JobSimulator) Predict(job accel.Job) (Prediction, error) {
+	simJobs.Add(1)
+	p := js.p
+	ticks, err := accel.RunJob(js.slice, job, p.Spec.MaxTicks)
+	if err != nil {
+		return Prediction{}, fmt.Errorf("core: %s slice job: %w", p.Spec.Name, err)
+	}
+	if !p.SliceBounds.Contains(ticks) {
+		return Prediction{}, fmt.Errorf("core: %s: observed %d slice ticks outside static bounds %s — engine or analysis bug",
+			p.Spec.Name, ticks, p.SliceBounds)
+	}
+	feats := p.Slice.ReadFeatures(js.slice)
+	return Prediction{SliceTicks: ticks, Features: feats, Seconds: p.PredFromSliceOrFloor(feats)}, nil
+}
+
+// Complete runs one job on the instrumented full design and joins the
+// ground truth with the job's earlier Prediction into its JobTrace.
+func (js *JobSimulator) Complete(job accel.Job, pr Prediction) (JobTrace, error) {
+	ticks, err := js.runFull(job)
+	if err != nil {
+		return JobTrace{}, err
+	}
+	p := js.p
+	fullFeats := p.readFullFeatures(js.full)
 	var items float64
 	for fi, f := range p.Ins.Features {
 		if f.Kind == instrument.IC && fullFeats[fi] > items {
@@ -495,18 +442,30 @@ func (p *Predictor) buildTrace(job accel.Job, ticks, sliceTicks uint64, full, sl
 		Ticks:         ticks,
 		Seconds:       p.Spec.Seconds(ticks),
 		Cycles:        p.Spec.Cycles(ticks),
-		PredSeconds:   p.PredFromSliceOrFloor(sliceFeats),
-		SliceTicks:    sliceTicks,
-		SliceSeconds:  p.Spec.Seconds(sliceTicks),
-		SliceFeatures: sliceFeats,
+		PredSeconds:   pr.Seconds,
+		SliceTicks:    pr.SliceTicks,
+		SliceSeconds:  p.Spec.Seconds(pr.SliceTicks),
+		SliceFeatures: pr.Features,
 		Class:         job.Class,
+	}, nil
+}
+
+// Trace runs one job on the hardware slice and then the instrumented
+// full design, returning its complete trace (the slice-driven
+// prediction plus ground-truth cycles). It is Predict followed by
+// Complete.
+func (js *JobSimulator) Trace(job accel.Job) (JobTrace, error) {
+	pr, err := js.Predict(job)
+	if err != nil {
+		return JobTrace{}, err
 	}
+	return js.Complete(job, pr)
 }
 
 // readFullFeatures extracts the witness values from a full-design
 // simulator in catalog order, going through the pruned register remap
 // when the predictor simulates the pruned twin.
-func (p *Predictor) readFullFeatures(s rtl.RegReader) []float64 {
+func (p *Predictor) readFullFeatures(s *rtl.Sim) []float64 {
 	if p.fullFeatRegs == nil {
 		return p.Ins.ReadFeatures(s)
 	}
@@ -517,21 +476,34 @@ func (p *Predictor) readFullFeatures(s rtl.RegReader) []float64 {
 	return out
 }
 
+// runFull runs one job on the full design and checks the observed
+// tick count against the static bounds: a run escaping the provable
+// interval can only mean a simulation-engine or analysis bug, never a
+// legitimate sample.
+func (js *JobSimulator) runFull(job accel.Job) (uint64, error) {
+	simJobs.Add(1)
+	p := js.p
+	ticks, err := accel.RunJob(js.full, job, p.Spec.MaxTicks)
+	if err != nil {
+		return 0, fmt.Errorf("core: %s job: %w", p.Spec.Name, err)
+	}
+	if !p.Bounds.Contains(ticks) {
+		return 0, fmt.Errorf("core: %s: observed %d ticks outside static bounds %s — engine or analysis bug",
+			p.Spec.Name, ticks, p.Bounds)
+	}
+	return ticks, nil
+}
+
 // Execute runs one job on the full design only, skipping the slice and
 // the prediction — the serving layer's degraded path, where the job
 // runs at maximum frequency and the predictor is bypassed entirely.
 // Prediction fields are zero.
 func (js *JobSimulator) Execute(job accel.Job) (JobTrace, error) {
-	simJobs.Add(1)
-	p := js.p
-	ticks, err := accel.RunJob(js.full, job, p.Spec.MaxTicks)
+	ticks, err := js.runFull(job)
 	if err != nil {
-		return JobTrace{}, fmt.Errorf("core: %s job: %w", p.Spec.Name, err)
+		return JobTrace{}, err
 	}
-	if !p.Bounds.Contains(ticks) {
-		return JobTrace{}, fmt.Errorf("core: %s: observed %d ticks outside static bounds %s — engine or analysis bug",
-			p.Spec.Name, ticks, p.Bounds)
-	}
+	p := js.p
 	return JobTrace{
 		Ticks:   ticks,
 		Seconds: p.Spec.Seconds(ticks),
@@ -568,61 +540,7 @@ func (p *Predictor) CollectTraces(jobs []accel.Job) ([]JobTrace, error) {
 		traces[i] = tr
 		return nil
 	}
-	var err error
-	if rtl.DefaultEngine() == rtl.EngineBatch {
-		// Batched fan-out: each chunk runs the instrumented design and
-		// the slice once for all its lanes. Fault injection happens per
-		// job before lane packing (same keys and attempt numbers as the
-		// scalar path); any failed job — injected, load error, stuck
-		// lane — retries on a fresh scalar JobSimulator via runJob.
-		err = runBatchedChunks(len(jobs), p.NewJobSimulator, runJob,
-			func(lo, hi int) []error {
-				errs := make([]error, hi-lo)
-				packed := make([]int, 0, hi-lo)
-				for i := lo; i < hi; i++ {
-					if ferr := FaultInjector().ErrN(FaultJob, fmt.Sprintf("traces/%s/%d", p.Spec.Name, i), 0); ferr != nil {
-						errs[i-lo] = fmt.Errorf("core: job %d: %w", i, ferr)
-						continue
-					}
-					packed = append(packed, i)
-				}
-				if len(packed) == 0 {
-					return errs
-				}
-				batch := make([]accel.Job, len(packed))
-				for l, i := range packed {
-					batch[l] = jobs[i]
-				}
-				// The full design and the slice each run once per job,
-				// mirroring JobSimulator.Trace's accounting.
-				simJobs.Add(2 * uint64(len(packed)))
-				batchedJobs.Add(2 * uint64(len(packed)))
-				fullPlan, slicePlan := p.batchPlans()
-				fbs := fullPlan.NewBatchSim(len(packed))
-				ticks, ferrs := accel.RunJobs(fbs, batch, p.Spec.MaxTicks)
-				sbs := slicePlan.NewBatchSim(len(packed))
-				sliceTicks, serrs := accel.RunJobs(sbs, batch, p.Spec.MaxTicks)
-				for l, i := range packed {
-					if ferrs[l] != nil {
-						errs[i-lo] = fmt.Errorf("core: job %d: core: %s job: %w", i, p.Spec.Name, ferrs[l])
-						continue
-					}
-					if serrs[l] != nil {
-						errs[i-lo] = fmt.Errorf("core: job %d: core: %s slice job: %w", i, p.Spec.Name, serrs[l])
-						continue
-					}
-					if berr := p.checkObserved(ticks[l], sliceTicks[l]); berr != nil {
-						errs[i-lo] = fmt.Errorf("core: job %d: %w", i, berr)
-						continue
-					}
-					traces[i] = p.buildTrace(jobs[i], ticks[l], sliceTicks[l], fbs.Lane(l), sbs.Lane(l))
-				}
-				return errs
-			})
-	} else {
-		err = runParallel(len(jobs), p.NewJobSimulator, runJob)
-	}
-	if err != nil {
+	if err := runParallel(len(jobs), p.NewJobSimulator, runJob); err != nil {
 		return nil, err
 	}
 	if c := TraceCache(); c != nil {
@@ -686,21 +604,6 @@ func (p *Predictor) clamp(yhat float64, count bool) float64 {
 // BoundClamps returns how many predictions have been pulled into the
 // static cycle bounds since training. Safe to read concurrently.
 func (p *Predictor) BoundClamps() uint64 { return p.boundClamps.Load() }
-
-// checkObserved is the runtime half of the static-bounds tripwire: a
-// finished run whose tick count escapes the provable interval can only
-// mean a simulation-engine or analysis bug, never a legitimate sample.
-func (p *Predictor) checkObserved(ticks, sliceTicks uint64) error {
-	if !p.Bounds.Contains(ticks) {
-		return fmt.Errorf("core: %s: observed %d ticks outside static bounds %s — engine or analysis bug",
-			p.Spec.Name, ticks, p.Bounds)
-	}
-	if !p.SliceBounds.Contains(sliceTicks) {
-		return fmt.Errorf("core: %s: observed %d slice ticks outside static bounds %s — engine or analysis bug",
-			p.Spec.Name, sliceTicks, p.SliceBounds)
-	}
-	return nil
-}
 
 // EvaluateTest computes prediction-error statistics over test jobs,
 // comparing slice-driven predictions against full-design ground truth

@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/rtl"
 )
 
 // Job-level parallelism. RTL simulation of independent jobs is
@@ -83,80 +81,6 @@ func runParallel[S any](n int, newState func() S, run func(state S, i, attempt i
 				}
 				if err := run(state, i, 0); err != nil {
 					state, errs[i] = retry(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runBatchedChunks is runParallel's batched sibling: jobs are grouped
-// into contiguous chunks of up to rtl.MaxBatchLanes and each chunk is
-// simulated in one batch pass by runChunk, which returns per-job errors
-// aligned with its [lo, hi) range. A job that fails in the batch —
-// injected fault, load error, stuck lane — is retried exactly once on
-// freshly built scalar state (attempt 1), matching runParallel's retry
-// contract bit for bit: under the batch default engine the scalar state
-// is a compiled-engine clone, so the PR 5 fault semantics are
-// unchanged. Chunks fan out across workers; the callbacks write results
-// only into index-addressed slots, so output is byte-identical to a
-// serial scalar run. The first surviving error in job-index order is
-// returned.
-func runBatchedChunks[S any](n int, newState func() S,
-	runScalar func(state S, i, attempt int) error,
-	runChunk func(lo, hi int) []error) error {
-	if n == 0 {
-		return nil
-	}
-	retry := func(i int) error {
-		state := newState()
-		retriedJobs.Add(1)
-		return runScalar(state, i, 1)
-	}
-	chunks := (n + rtl.MaxBatchLanes - 1) / rtl.MaxBatchLanes
-	workers := Workers()
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 {
-		for c := 0; c < chunks; c++ {
-			lo := c * rtl.MaxBatchLanes
-			hi := min(lo+rtl.MaxBatchLanes, n)
-			for off, err := range runChunk(lo, hi) {
-				if err == nil {
-					continue
-				}
-				if rerr := retry(lo + off); rerr != nil {
-					return rerr
-				}
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= chunks {
-					return
-				}
-				lo := c * rtl.MaxBatchLanes
-				hi := min(lo+rtl.MaxBatchLanes, n)
-				for off, err := range runChunk(lo, hi) {
-					if err != nil {
-						errs[lo+off] = retry(lo + off)
-					}
 				}
 			}
 		}()

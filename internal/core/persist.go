@@ -101,7 +101,7 @@ func Load(data []byte, spec accel.Spec) (*Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	fullM, featRegs, _, err := bindFull(ins, nil)
+	fullM, featRegs, err := bindFull(ins)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +116,6 @@ func Load(data []byte, spec accel.Spec) (*Predictor, error) {
 		SliceBounds:  absint.Bounds(sl.M),
 		fullSim:      rtl.NewSim(fullM),
 		sliceSim:     rtl.NewSim(sl.M),
-		fullM:        fullM,
 		fullFeatRegs: featRegs,
 	}, nil
 }

@@ -38,40 +38,23 @@ func PruningEnabled() bool { return !pruneDisabled.Load() }
 // bindFull selects the module the full-design simulators run — the
 // instrumented design itself, or its absint-pruned twin when pruning is
 // enabled — and returns it with the feature-witness register indices in
-// that module (catalog order) and the batch hints translated to its
-// register numbering.
-func bindFull(ins *instrument.Instrumented, hints *rtl.BatchHints) (*rtl.Module, []int, *rtl.BatchHints, error) {
+// that module (catalog order).
+func bindFull(ins *instrument.Instrumented) (*rtl.Module, []int, error) {
 	featRegs := make([]int, len(ins.Features))
 	for i, f := range ins.Features {
 		featRegs[i] = f.Witness
 	}
 	if !PruningEnabled() {
-		return ins.M, featRegs, hints, nil
+		return ins.M, featRegs, nil
 	}
 	pm, regMap := absint.Prune(ins.M, featRegs)
 	for i, ri := range featRegs {
 		ni, ok := regMap[ri]
 		if !ok {
-			return nil, nil, nil, fmt.Errorf("core: prune dropped witness register %d (%s)",
+			return nil, nil, fmt.Errorf("core: prune dropped witness register %d (%s)",
 				ri, ins.Features[i].Name)
 		}
 		featRegs[i] = ni
 	}
-	return pm, featRegs, translateHints(hints, regMap), nil
-}
-
-// translateHints maps batch-plan hints through a pruning register map.
-// A hinted register the pruner removed (a constant FSM) is dropped;
-// PlanBatch re-validates the survivors against the pruned netlist.
-func translateHints(h *rtl.BatchHints, regMap map[int]int) *rtl.BatchHints {
-	if h == nil {
-		return nil
-	}
-	out := &rtl.BatchHints{}
-	for _, ri := range h.StateRegs {
-		if ni, ok := regMap[ri]; ok {
-			out.StateRegs = append(out.StateRegs, ni)
-		}
-	}
-	return out
+	return pm, featRegs, nil
 }

@@ -198,9 +198,8 @@ func regIndexOf(m *rtl.Module, r rtl.RegSignal) int {
 }
 
 // ReadFeatures extracts the witness values from a simulator after a job
-// has run, in catalog order. Any register reader works: a scalar
-// *rtl.Sim or one lane of a batch simulator.
-func (ins *Instrumented) ReadFeatures(s rtl.RegReader) []float64 {
+// has run, in catalog order.
+func (ins *Instrumented) ReadFeatures(s *rtl.Sim) []float64 {
 	out := make([]float64, len(ins.Features))
 	for i, f := range ins.Features {
 		out[i] = float64(s.RegValue(f.Witness))

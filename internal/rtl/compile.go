@@ -1,7 +1,5 @@
 package rtl
 
-import "sync"
-
 // compile.go lowers a validated Module into a flat, specialized
 // instruction stream — the same move Verilator makes when it compiles a
 // netlist instead of interpreting it. The interpreter (NewInterpSim)
@@ -100,10 +98,6 @@ type Program struct {
 	regMask []uint64
 	// Memory write ports, unboxed.
 	wEn, wAddr, wData, wMem []int32
-	// Event-engine static schedule (levels, fanout CSR), built lazily
-	// under evOnce on the first NewEventSim; see event.go.
-	evOnce sync.Once
-	ev     *eventTables
 }
 
 // Module returns the module this program was compiled from.

@@ -116,19 +116,16 @@ type engineSim struct {
 	s    *rtl.Sim
 }
 
-// engineSims instantiates the scalar engines over one module, with the
+// engineSims instantiates the engines over one module, with the
 // interpreter first — it is the reference the others are compared to.
-// The compiled and event Sims share one Program, exactly like the
-// production fan-out does. The native leg runs a freshly built codegen
-// plan (the same specialized instruction lists cmd/rtlgen emits as Go
-// source), so the partial evaluator and FSM-state dispatch face every
-// random netlist here and in FuzzEngineDifferential.
+// The native leg runs a freshly built codegen plan (the same
+// specialized instruction lists cmd/rtlgen emits as Go source), so the
+// partial evaluator and FSM-state dispatch face every random netlist
+// here and in FuzzEngineDifferential.
 func engineSims(m *rtl.Module) []engineSim {
-	p := rtl.Compile(m)
 	return []engineSim{
 		{"interp", rtl.NewInterpSim(m)},
-		{"compiled", p.NewSim()},
-		{"event", p.NewEventSim()},
+		{"compiled", rtl.Compile(m).NewSim()},
 		{"native", rtl.NewNativeSim(m, codegen.Build(m).Step)},
 	}
 }
@@ -176,7 +173,7 @@ func diffFinish(t *testing.T, m *rtl.Module, sims []engineSim) {
 }
 
 // TestEnginesMatchOnRandomNetlists is the differential property test:
-// on random netlists, the compiled and event engines must be
+// on random netlists, the compiled and native engines must be
 // cycle-exact with the interpreter — node values, Cycles, Toggles, and
 // memory contents.
 func TestEnginesMatchOnRandomNetlists(t *testing.T) {
@@ -290,9 +287,9 @@ func TestCloneIsIndependent(t *testing.T) {
 		name string
 		mk   func(*rtl.Module) *rtl.Sim
 	}{
-		{"compiled", rtl.NewSim},
+		{"compiled", func(m *rtl.Module) *rtl.Sim { return rtl.NewSimEngine(m, rtl.EngineCompiled) }},
 		{"interp", rtl.NewInterpSim},
-		{"event", rtl.NewEventSim},
+		{"native", func(m *rtl.Module) *rtl.Sim { return rtl.NewNativeSim(m, codegen.Build(m).Step) }},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
 			s := mk.mk(toy.M)

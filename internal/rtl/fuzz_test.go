@@ -2,7 +2,6 @@ package rtl_test
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/absint"
@@ -93,9 +92,8 @@ func fuzzModule(f *byteFeed) *rtl.Module {
 	cnt := b.Reg("cnt", 6, 0)
 	b.SetNext(cnt, cnt.Inc())
 	// Done is partly data-dependent: a hard counter limit OR an early
-	// exit gated on a pool value. Identical netlists fed different
-	// stimulus finish at different cycles, which is what exercises the
-	// batch engine's ragged lane retirement.
+	// exit gated on a pool value, so identical netlists fed different
+	// stimulus finish at different cycles.
 	limit := cnt.EqK(uint64(8 + f.next()%24))
 	early := pick().NonZero().And(cnt.EqK(uint64(4 + f.next()%8)))
 	b.SetDone(limit.Or(early))
@@ -104,12 +102,10 @@ func fuzzModule(f *byteFeed) *rtl.Module {
 
 // FuzzEngineDifferential is the coverage-guided version of
 // TestEnginesMatchOnRandomNetlists: fuzz bytes pick the netlist shape
-// and the stimulus, and the compiled, event, and batch engines must
-// stay bit-exact with the interpreter on every node value, cycle
-// count, toggle counter, and memory word. The batch engine runs a
-// fuzz-chosen lane count (1..64) with per-lane perturbed stimulus, so
-// lanes retire at different cycles and the ragged-freeze path is
-// fuzzed too.
+// and the stimulus, and the compiled engine and a freshly built codegen
+// plan (the native engine's semantics) must stay bit-exact with the
+// interpreter on every node value, cycle count, toggle counter, and
+// memory word.
 func FuzzEngineDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
@@ -156,82 +152,15 @@ func FuzzEngineDifferential(f *testing.F) {
 		diffFinish(t, m, sims)
 
 		// Pruned leg: absint-driven pruning (proven-constant folding plus
-		// dead-port removal) must leave every scalar engine bit-exact with
-		// an unpruned interpreter on the observables — done timing, every
+		// dead-port removal) must leave every engine bit-exact with an
+		// unpruned interpreter on the observables — done timing, every
 		// kept register, and memory contents — under the same stimulus.
 		diffPruned(t, m, ins, load, stim)
-
-		// Batch engine: a fuzz-chosen lane count, each lane against its
-		// own interpreter. The byte feed is usually exhausted by now, so
-		// per-lane diversity comes from a PRNG it seeds: the input still
-		// fully determines the run.
-		lanes := 1 + int(fd.next())%rtl.MaxBatchLanes
-		prng := rand.New(rand.NewSource(int64(fd.u64()) + int64(lanes)))
-		bs := rtl.NewBatchSim(m, lanes)
-		bs.EnableActivity()
-		refs := make([]*rtl.Sim, lanes)
-		retired := make([]bool, lanes)
-		for l := range refs {
-			refs[l] = rtl.NewInterpSim(m)
-			refs[l].EnableActivity()
-			laneLoad := make([]uint64, len(load))
-			copy(laneLoad, load)
-			if l > 0 {
-				laneLoad[prng.Intn(len(laneLoad))] ^= prng.Uint64()
-			}
-			if err := refs[l].LoadMem("m", laneLoad); err != nil {
-				t.Fatal(err)
-			}
-			if err := bs.LoadMem(l, "m", laneLoad); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for cycle := 0; cycle < 40; cycle++ {
-			for l := 0; l < lanes; l++ {
-				if retired[l] {
-					continue
-				}
-				for _, id := range ins {
-					v := prng.Uint64()
-					refs[l].SetInput(id, v)
-					bs.SetInput(l, id, v)
-				}
-			}
-			all := bs.Step()
-			for l := 0; l < lanes; l++ {
-				if retired[l] {
-					continue
-				}
-				rd := refs[l].Step()
-				if bs.Retired(l) != rd {
-					t.Fatalf("cycle %d lane %d: batch retired=%v but interp done=%v",
-						cycle, l, bs.Retired(l), rd)
-				}
-				if rd {
-					retired[l] = true
-					if bs.LaneCycles(l) != refs[l].Cycles() {
-						t.Fatalf("lane %d: cycles batch=%d interp=%d",
-							l, bs.LaneCycles(l), refs[l].Cycles())
-					}
-					compareLane(t, m, bs, l, refs[l], true)
-				} else {
-					compareLane(t, m, bs, l, refs[l], false)
-				}
-			}
-			if all {
-				break
-			}
-		}
-		for l := 0; l < lanes; l++ {
-			if !retired[l] {
-				compareLane(t, m, bs, l, refs[l], true)
-			}
-		}
 	})
 }
 
 // diffPruned replays recorded stimulus on the absint-pruned module
-// under all three scalar engines, against a fresh unpruned interpreter:
+// under all three engines, against a fresh unpruned interpreter:
 // done timing, every kept register (through the pruning register map),
 // and memory contents must match cycle for cycle.
 func diffPruned(t *testing.T, m *rtl.Module, ins []rtl.NodeID, load []uint64, stim [][]uint64) {

@@ -119,3 +119,37 @@ func TestGeneratedCodeMatchesInterpOnSuite(t *testing.T) {
 		})
 	}
 }
+
+// TestServedPredictorsRunNative is the no-fallback guarantee for the
+// serving path: predictors trained the way dvfserved trains them (seed
+// 42, pruning on) must run both the hardware slice and the full design
+// on generated code under the native default. A failure means the
+// checked-in registry is stale for a netlist the daemon simulates on
+// every job: regenerate with `go generate ./internal/rtl/native`.
+func TestServedPredictorsRunNative(t *testing.T) {
+	prevEngine, prevPrune := rtl.DefaultEngine(), core.PruningEnabled()
+	defer func() {
+		core.SetPruning(prevPrune)
+		if err := rtl.SetDefaultEngine(prevEngine); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	core.SetPruning(true)
+	if err := rtl.SetDefaultEngine(rtl.EngineNative); err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range suite.All() {
+		before := rtl.NativeFallbacks()
+		pred, err := core.Train(spec, core.Options{Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		js := pred.NewJobSimulator()
+		if d := rtl.NativeFallbacks() - before; d != 0 {
+			t.Errorf("%s: NativeFallbacks advanced by %d", spec.Name, d)
+		}
+		if sl, full := js.Engines(); sl != rtl.EngineNative || full != rtl.EngineNative {
+			t.Errorf("%s: slice engine %s, full-design engine %s; want native for both", spec.Name, sl, full)
+		}
+	}
+}

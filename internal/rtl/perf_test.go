@@ -7,6 +7,10 @@ import (
 	"repro/internal/accel/stencil"
 	"repro/internal/rtl"
 	"repro/internal/testdesigns"
+
+	// Register the generated simulators so EngineNative resolves
+	// stencil in BenchmarkStencilSimNative.
+	_ "repro/internal/rtl/native"
 )
 
 // benchToy runs the Toy workload on the given engine and reports
@@ -37,17 +41,11 @@ func benchToy(b *testing.B, s *rtl.Sim, nodes int) {
 	b.ReportMetric(float64(total)/float64(b.N), "ticks/job")
 }
 
-// BenchmarkToySim measures the default (compiled) engine.
+// BenchmarkToySim measures the compiled engine (Toy has no generated
+// native simulator, so this is also what the native default runs).
 func BenchmarkToySim(b *testing.B) {
 	toy := testdesigns.Toy()
 	benchToy(b, rtl.NewSimEngine(toy.M, rtl.EngineCompiled), toy.M.NumNodes())
-}
-
-// BenchmarkToySimEvent measures the event-driven engine on the same
-// wait-heavy workload — the elision headroom of the paper's §3.
-func BenchmarkToySimEvent(b *testing.B) {
-	toy := testdesigns.Toy()
-	benchToy(b, rtl.NewEventSim(toy.M), toy.M.NumNodes())
 }
 
 // BenchmarkToySimInterp measures the interpreter escape hatch on the
@@ -83,60 +81,9 @@ func benchAccel(b *testing.B, engine rtl.Engine) {
 // accelerator netlist.
 func BenchmarkStencilSim(b *testing.B) { benchAccel(b, rtl.EngineCompiled) }
 
-// BenchmarkStencilSimEvent measures the event engine on the same job.
-func BenchmarkStencilSimEvent(b *testing.B) { benchAccel(b, rtl.EngineEvent) }
+// BenchmarkStencilSimNative measures the default engine: stencil's
+// checked-in generated simulator.
+func BenchmarkStencilSimNative(b *testing.B) { benchAccel(b, rtl.EngineNative) }
 
 // BenchmarkStencilSimInterp is the interpreter reference point.
 func BenchmarkStencilSimInterp(b *testing.B) { benchAccel(b, rtl.EngineInterp) }
-
-// BenchmarkToySimBatch measures aggregate batched throughput: 64 Toy
-// jobs per RunJobs call, reported as jobs/s so the ratio against 64
-// scalar RunJob calls is the batch amortization factor.
-func BenchmarkToySimBatch(b *testing.B) {
-	toy := testdesigns.Toy()
-	items := make([]uint64, 100)
-	for i := range items {
-		items[i] = testdesigns.ToyItem(i%2 == 0, uint8(20))
-	}
-	jobs := make([]accel.Job, rtl.MaxBatchLanes)
-	for l := range jobs {
-		jobs[l] = accel.Job{Mems: map[string][]uint64{"in": testdesigns.ToyJob(items)}}
-	}
-	plan := rtl.PlanBatch(toy.M, nil)
-	bs := plan.NewBatchSim(len(jobs))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, errs := accel.RunJobs(bs, jobs, 1<<20)
-		for _, err := range errs {
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
-}
-
-// BenchmarkStencilSimBatch is the batched counterpart of
-// BenchmarkStencilSim on a real accelerator netlist: 64 lanes of the
-// same job, aggregate jobs/s.
-func BenchmarkStencilSimBatch(b *testing.B) {
-	spec := stencil.Spec()
-	m := spec.Build()
-	job := spec.TestJobs(3)[0]
-	jobs := make([]accel.Job, rtl.MaxBatchLanes)
-	for l := range jobs {
-		jobs[l] = job
-	}
-	plan := rtl.PlanBatch(m, nil)
-	bs := plan.NewBatchSim(len(jobs))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, errs := accel.RunJobs(bs, jobs, spec.MaxTicks)
-		for _, err := range errs {
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
-}

@@ -9,48 +9,39 @@ import (
 
 // Engine names a simulation execution strategy. Three engines share
 // one cycle-accurate semantics (bit-exact values, cycle counts, toggle
-// counters, memory contents — enforced by differential tests):
+// counters, memory contents — enforced by differential and fuzz tests
+// against the interpreter):
 //
-//   - EngineCompiled executes the flat specialized instruction stream
-//     produced by Compile; the default, fastest for designs whose
-//     activity is dense.
-//   - EngineEvent is the levelized event-driven evaluator (event.go):
-//     it re-evaluates only the cone of values that changed, making
-//     wait-state cycles near-free; fastest for the control-dominated
-//     accelerators the paper targets.
-//   - EngineInterp walks the Node table directly; the reference
-//     implementation for differential testing.
-//   - EngineBatch simulates up to MaxBatchLanes independent jobs of the
-//     same netlist at once (batch.go): 1-bit control signals are
-//     bit-sliced one-lane-per-bit into uint64 words and multi-bit
-//     datapath values run in structure-of-arrays lane loops. It has its
-//     own simulator type (BatchSim); NewSimEngine falls back to the
-//     compiled engine for callers that need a scalar Sim.
 //   - EngineNative executes pre-generated straight-line Go specialized
 //     to one netlist (see native.go and internal/rtl/codegen): no
-//     instruction dispatch at all, the fastest single-job engine.
-//     Netlists without a registered generated step fall back to the
-//     compiled engine (counted in NativeFallbacks).
+//     instruction dispatch at all. It is the default and the fastest
+//     engine on every benchmark. Netlists without a registered
+//     generated step fall back to the compiled engine (counted in
+//     NativeFallbacks).
+//   - EngineCompiled executes the flat specialized instruction stream
+//     produced by Compile: the fallback for unregistered netlists, and
+//     the escape hatch (REPRO_ENGINE=compiled, -engine compiled) when a
+//     generated simulator is suspect.
+//   - EngineInterp walks the Node table directly; the reference
+//     implementation the other two are tested against.
 type Engine string
 
 const (
+	EngineNative   Engine = "native"
 	EngineCompiled Engine = "compiled"
 	EngineInterp   Engine = "interp"
-	EngineEvent    Engine = "event"
-	EngineBatch    Engine = "batch"
-	EngineNative   Engine = "native"
 )
 
-// ParseEngine validates an engine name ("" selects the compiled
+// ParseEngine validates an engine name ("" selects the native
 // default), for threading CLI flags through to NewSim.
 func ParseEngine(name string) (Engine, error) {
 	switch Engine(name) {
-	case "", EngineCompiled:
-		return EngineCompiled, nil
-	case EngineInterp, EngineEvent, EngineBatch, EngineNative:
+	case "", EngineNative:
+		return EngineNative, nil
+	case EngineCompiled, EngineInterp:
 		return Engine(name), nil
 	}
-	return "", fmt.Errorf("rtl: unknown engine %q (have compiled, event, interp, batch, native)", name)
+	return "", fmt.Errorf("rtl: unknown engine %q (have interp, compiled, native)", name)
 }
 
 // defaultEngine holds the Engine NewSim selects; set by init from the
@@ -61,7 +52,7 @@ func init() {
 	e, err := ParseEngine(os.Getenv("REPRO_ENGINE"))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rtl: ignoring REPRO_ENGINE: %v\n", err)
-		e = EngineCompiled
+		e = EngineNative
 	}
 	defaultEngine.Store(e)
 }
@@ -85,12 +76,12 @@ func DefaultEngine() Engine {
 	return defaultEngine.Load().(Engine)
 }
 
-// Sim is a cycle-accurate simulator for a Module. By default it
-// executes a compiled Program (see Compile); NewInterpSim builds one
-// that interprets the Node table directly, kept as an escape hatch and
-// as the reference engine for differential testing. One Sim instance
-// can run many jobs back to back; Reset restores registers and clears
-// scratchpads between jobs.
+// Sim is a cycle-accurate simulator for a Module. It executes a
+// pre-generated native step (see native.go), a compiled Program (see
+// Compile), or — built by NewInterpSim — interprets the Node table
+// directly, the reference engine for differential testing. One Sim
+// instance can run many jobs back to back; Reset restores registers
+// and clears scratchpads between jobs.
 //
 // Each Sim owns its value array and its writable memory backing, so
 // independent Sims over the same Module never share mutable state:
@@ -130,11 +121,8 @@ type Sim struct {
 	latch []uint64
 	// cycles counts the cycles executed since the last Reset.
 	cycles uint64
-	// ev holds the event engine's dynamic state; nil selects the
-	// compiled loop (prog != nil) or the interpreter (prog == nil).
-	ev *evState
 	// nat is a pre-generated specialized step function (see native.go);
-	// when set it overrides every other engine selection.
+	// when set it overrides prog. With neither set the Sim interprets.
 	nat NativeStep
 }
 
@@ -152,19 +140,13 @@ func NewSim(m *Module) *Sim {
 }
 
 // NewSimEngine prepares a simulator with an explicit engine choice.
-// EngineBatch has no scalar Sim form (it simulates many jobs at once
-// through BatchSim); callers that need a single-job simulator under the
-// batch engine — retries, serving shards, VCD dumps — get the compiled
-// engine, which the batch fan-out in package core uses as its per-job
-// fallback as well. EngineNative requires a generated step registered
-// for the module's fingerprint (see RegisterNative); without one the
-// caller gets a compiled Sim and NativeFallbacks increments.
+// EngineNative requires a generated step registered for the module's
+// fingerprint (see RegisterNative); without one the caller gets a
+// compiled Sim and NativeFallbacks increments.
 func NewSimEngine(m *Module, e Engine) *Sim {
 	switch e {
 	case EngineInterp:
 		return NewInterpSim(m)
-	case EngineEvent:
-		return Compile(m).NewEventSim()
 	case EngineNative:
 		if step, ok := NativeStepFor(m); ok {
 			return NewNativeSim(m, step)
@@ -174,13 +156,6 @@ func NewSimEngine(m *Module, e Engine) *Sim {
 	default:
 		return Compile(m).NewSim()
 	}
-}
-
-// RegReader is the read-only view feature extraction needs from a
-// simulation: the latched value of a register by Regs index. Both the
-// scalar Sim and one lane of a BatchSim satisfy it.
-type RegReader interface {
-	RegValue(i int) uint64
 }
 
 // NewSim instantiates a simulator executing this compiled program.
@@ -246,9 +221,6 @@ func (s *Sim) Clone() *Sim {
 	c.prog = s.prog
 	c.masks = s.masks
 	c.nat = s.nat
-	if s.ev != nil {
-		c.initEvent()
-	}
 	if s.countToggles {
 		c.EnableActivity()
 	}
@@ -264,8 +236,6 @@ func (s *Sim) Engine() Engine {
 	switch {
 	case s.nat != nil:
 		return EngineNative
-	case s.ev != nil:
-		return EngineEvent
 	case s.prog != nil:
 		return EngineCompiled
 	default:
@@ -278,11 +248,6 @@ func (s *Sim) EnableActivity() {
 	s.countToggles = true
 	if s.toggles == nil {
 		s.toggles = make([]uint64, len(s.m.Nodes))
-	}
-	if s.ev != nil {
-		// Changes before this call were not tracked incrementally; one
-		// full sweep re-baselines, matching the interpreter.
-		s.ev.fullScan = true
 	}
 }
 
@@ -317,9 +282,6 @@ func (s *Sim) Reset() {
 	}
 	s.cycles = 0
 	copy(s.prev, s.vals)
-	if s.ev != nil {
-		s.evReset()
-	}
 }
 
 // SetInput drives an input port for subsequent cycles. The value is
@@ -329,16 +291,7 @@ func (s *Sim) SetInput(id NodeID, v uint64) {
 	if s.m.Nodes[id].Op != OpInput {
 		panic(fmt.Sprintf("rtl: SetInput on non-input node %d", id))
 	}
-	nv := v & s.m.Nodes[id].Mask()
-	if s.ev != nil {
-		if s.vals[id] != nv {
-			s.vals[id] = nv
-			s.evMark(int32(id))
-			s.evSeedSlot(int32(id))
-		}
-		return
-	}
-	s.vals[id] = nv
+	s.vals[id] = v & s.m.Nodes[id].Mask()
 }
 
 // memIndex returns the index of the named memory, or -1.
@@ -370,9 +323,6 @@ func (s *Sim) LoadMem(name string, data []uint64) error {
 	for i := len(data); i < mem.Words; i++ {
 		dst[i] = 0
 	}
-	if s.ev != nil {
-		s.evSeedMem(int32(idx))
-	}
 	return nil
 }
 
@@ -403,36 +353,10 @@ func (s *Sim) Step() bool {
 		s.cycles++
 		return done
 	}
-	if s.ev != nil {
-		return s.stepEvent()
-	}
 	if s.prog != nil {
 		return s.stepCompiled()
 	}
 	return s.stepInterp()
-}
-
-// InstrEvals returns the number of combinational evaluations performed
-// since Reset. For the compiled engine and the interpreter every
-// instruction (or combinational node) runs every cycle; the event
-// engine reports the work it actually did, so the ratio between the
-// two quantifies wait-state elision.
-func (s *Sim) InstrEvals() uint64 {
-	if s.ev != nil {
-		return s.ev.evals
-	}
-	if s.prog != nil {
-		return s.cycles * uint64(len(s.prog.code))
-	}
-	comb := 0
-	for i := range s.m.Nodes {
-		switch s.m.Nodes[i].Op {
-		case OpConst, OpInput, OpReg:
-		default:
-			comb++
-		}
-	}
-	return s.cycles * uint64(comb)
 }
 
 // stepInterp is the reference interpreter. Constants are preloaded and

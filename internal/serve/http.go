@@ -11,6 +11,7 @@ import (
 	"repro/internal/accel"
 	"repro/internal/core"
 	"repro/internal/online"
+	"repro/internal/rtl"
 	"repro/internal/workload"
 )
 
@@ -254,6 +255,17 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		shards = append(shards, a.srv.Shard(name))
 	}
 	WriteMetrics(w, shards)
+	WriteNativeFallbacks(w, "dvfserved_native_fallbacks_total")
+}
+
+// WriteNativeFallbacks renders rtl.NativeFallbacks — process-wide
+// native-engine requests that fell back to the compiled engine — as a
+// counter under the given metric name. Nonzero means some netlist the
+// process simulates has no registered generated step, a ~5x slowdown
+// on that simulator.
+func WriteNativeFallbacks(w io.Writer, metric string) {
+	fmt.Fprintf(w, "# HELP %s Native-engine simulator requests that fell back to the compiled engine.\n# TYPE %s counter\n%s %d\n",
+		metric, metric, metric, rtl.NativeFallbacks())
 }
 
 // WriteMetrics renders the Prometheus-style text exposition for the
@@ -321,18 +333,31 @@ func WriteMetrics(w io.Writer, shards []*Shard) {
 		fmt.Fprintf(w, "dvfserved_latency_seconds_sum{shard=%q} %g\n", name, sum)
 		fmt.Fprintf(w, "dvfserved_latency_seconds_count{shard=%q} %d\n", name, cum[len(cum)-1])
 	}
-	fmt.Fprintf(w, "# HELP dvfserved_predict_ns Wall-clock prediction latency in nanoseconds, labeled with the RTL engine executing the slice.\n# TYPE dvfserved_predict_ns histogram\n")
+	writeNsHist(w, "dvfserved_predict_ns",
+		"Wall-clock prediction latency (hardware slice run plus model) in nanoseconds, labeled with the RTL engine executing the slice.",
+		shards, func(sh *Shard) (*histogram, string) { return &sh.predHist, sh.predEngine })
+	writeNsHist(w, "dvfserved_execute_ns",
+		"Wall-clock full-design simulation latency in nanoseconds, labeled with the RTL engine executing the full design.",
+		shards, func(sh *Shard) (*histogram, string) { return &sh.execHist, sh.execEngine })
+}
+
+// writeNsHist renders one engine-labeled nanosecond histogram per
+// shard. Replay-only shards (no predictor, engine "") simulate nothing
+// and are skipped.
+func writeNsHist(w io.Writer, metric, help string, shards []*Shard, pick func(*Shard) (*histogram, string)) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", metric, help, metric)
 	for _, sh := range shards {
+		h, engine := pick(sh)
+		if engine == "" {
+			continue
+		}
 		name := sh.Name()
-		if sh.predEngine == "" {
-			continue // replay-only shard: no predictor, no predictions
+		cum, sum := h.Snapshot()
+		for i, b := range h.bkts() {
+			fmt.Fprintf(w, "%s_bucket{shard=%q,engine=%q,le=%q} %d\n", metric, name, engine, fmt.Sprintf("%g", b), cum[i])
 		}
-		cum, sum := sh.predHist.Snapshot()
-		for i, b := range sh.predHist.bkts() {
-			fmt.Fprintf(w, "dvfserved_predict_ns_bucket{shard=%q,engine=%q,le=%q} %d\n", name, sh.predEngine, fmt.Sprintf("%g", b), cum[i])
-		}
-		fmt.Fprintf(w, "dvfserved_predict_ns_bucket{shard=%q,engine=%q,le=\"+Inf\"} %d\n", name, sh.predEngine, cum[len(cum)-1])
-		fmt.Fprintf(w, "dvfserved_predict_ns_sum{shard=%q,engine=%q} %g\n", name, sh.predEngine, sum)
-		fmt.Fprintf(w, "dvfserved_predict_ns_count{shard=%q,engine=%q} %d\n", name, sh.predEngine, cum[len(cum)-1])
+		fmt.Fprintf(w, "%s_bucket{shard=%q,engine=%q,le=\"+Inf\"} %d\n", metric, name, engine, cum[len(cum)-1])
+		fmt.Fprintf(w, "%s_sum{shard=%q,engine=%q} %g\n", metric, name, engine, sum)
+		fmt.Fprintf(w, "%s_count{shard=%q,engine=%q} %d\n", metric, name, engine, cum[len(cum)-1])
 	}
 }

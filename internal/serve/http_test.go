@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/accel"
-	"repro/internal/rtl"
 	"repro/internal/serve"
 	"repro/internal/suite"
 )
@@ -134,6 +133,11 @@ func TestHTTPAPI(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("metrics: %d", code)
 	}
+	e, err := lab.Entry("aes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sliceEng, fullEng := e.Pred.Engines()
 	for _, want := range []string{
 		`dvfserved_jobs_done_total{shard="aes"} 12`,
 		`dvfserved_latency_seconds_count{shard="aes"} 12`,
@@ -142,7 +146,11 @@ func TestHTTPAPI(t *testing.T) {
 		`dvfserved_bound_clamps_total{shard="aes"}`,
 		"# TYPE dvfserved_energy_joules_total counter",
 		"# TYPE dvfserved_predict_ns histogram",
-		`dvfserved_predict_ns_count{shard="aes",engine="` + string(rtl.DefaultEngine()) + `"}`,
+		`dvfserved_predict_ns_count{shard="aes",engine="` + string(sliceEng) + `"} 12`,
+		"# TYPE dvfserved_execute_ns histogram",
+		`dvfserved_execute_ns_count{shard="aes",engine="` + string(fullEng) + `"} 12`,
+		"# TYPE dvfserved_native_fallbacks_total counter",
+		"\ndvfserved_native_fallbacks_total ",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
@@ -152,10 +160,6 @@ func TestHTTPAPI(t *testing.T) {
 	// Bound-clamp wiring: force a clamp on the shard's predictor (an
 	// absurd feature vector predicts far past the static maximum) and
 	// the count must surface in the shard's stats snapshot.
-	e, err := lab.Entry("aes")
-	if err != nil {
-		t.Fatal(err)
-	}
 	huge := make([]float64, len(e.Pred.Kept))
 	for i := range huge {
 		huge[i] = 1e12

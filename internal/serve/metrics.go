@@ -55,11 +55,11 @@ var histBuckets = func() []float64 {
 	return b
 }()
 
-// predBuckets are the upper bounds (nanoseconds) of the prediction
-// latency histogram: 24 logarithmic buckets from 1 µs to ~50 ms plus a
-// +Inf overflow. Prediction latencies span a native slice run (a few
-// µs) up to a full-design degraded simulation, which this brackets.
-var predBuckets = func() []float64 {
+// nsBuckets are the upper bounds (nanoseconds) of the prediction and
+// full-design simulation latency histograms: 24 logarithmic buckets
+// from 1 µs to ~50 ms plus a +Inf overflow. They span a native slice
+// run (a few µs) up to a compiled full-design simulation.
+var nsBuckets = func() []float64 {
 	b := make([]float64, 24)
 	v := 1000.0
 	for i := range b {
@@ -72,7 +72,7 @@ var predBuckets = func() []float64 {
 // histogram counts observations into 24 logarithmic buckets plus
 // overflow. The zero value uses histBuckets (seconds); set buckets
 // before the first Observe to use another scale with the same ×1.6
-// growth (predBuckets).
+// growth (nsBuckets).
 type histogram struct {
 	counts  [25]atomic.Uint64 // len(bkts()) + overflow
 	total   atomic.Uint64

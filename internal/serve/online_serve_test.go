@@ -193,3 +193,43 @@ func TestOnlineRequiresPredictor(t *testing.T) {
 		t.Error("replay-only shard accepted an online trainer")
 	}
 }
+
+// TestStageHistogramsSplit checks the two wall-clock stage histograms:
+// predHist counts the prediction (slice plus model) of every predicted
+// job, execHist the full-design run of every job, degraded or not, and
+// each is labeled with the engine its own simulator resolved to.
+func TestStageHistogramsSplit(t *testing.T) {
+	cfg := stencilShardConfig(t)
+	cfg.Online = nil
+	cfg.DegradeWait = 1e-9 // every job that waits at all degrades
+	sh, err := NewShard(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgs := make([]workload.StencilImage, 6)
+	for i := range imgs {
+		imgs[i] = workload.StencilImage{Rows: 10 + i, Cols: 40, Class: "c"}
+	}
+	jobs := stencil.JobsFrom(imgs, 9)
+	res := make(chan Outcome, len(jobs))
+	for _, job := range jobs {
+		if err := sh.Submit(Job{Arrival: 0, Payload: job, Result: res}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh.Close()
+	st := sh.Stats()
+	if st.Done != uint64(len(jobs)) || st.Degraded == 0 || st.Degraded == st.Done {
+		t.Fatalf("want a mix of predicted and degraded jobs: %+v", st)
+	}
+	if got, want := sh.predHist.Count(), st.Done-st.Degraded; got != want {
+		t.Errorf("predHist counted %d, want %d predicted jobs", got, want)
+	}
+	if got := sh.execHist.Count(); got != st.Done {
+		t.Errorf("execHist counted %d, want %d jobs", got, st.Done)
+	}
+	sl, full := cfg.Pred.Engines()
+	if sh.predEngine != string(sl) || sh.execEngine != string(full) {
+		t.Errorf("labels predict=%s execute=%s, want %s and %s", sh.predEngine, sh.execEngine, sl, full)
+	}
+}

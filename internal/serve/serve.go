@@ -325,15 +325,18 @@ type Shard struct {
 	depth                          gauge
 	waitHist, latHist              histogram
 
-	// predHist tracks wall-clock prediction latency in nanoseconds,
-	// labeled with the engine actually executing the slice (native vs
-	// compiled fallback vs others) so the codegen engine's serving-path
-	// win — or a stale native registry — is visible on /metrics. It is
+	// predHist and execHist track wall-clock simulation latency in
+	// nanoseconds for the two halves of a served job: predHist the
+	// prediction (hardware slice run plus model, JobSimulator.Predict),
+	// execHist the full-design run (JobSimulator.Complete, or Execute on
+	// the degraded path). Each is labeled with the engine its simulator
+	// actually resolved to, so the codegen engine's serving-path win —
+	// or a stale native registry — is visible on /metrics. Both are
 	// deliberately NOT part of Stats: Stats must stay a deterministic
-	// function of the job stream (the chaos suite replays and diffs
-	// it), and wall-clock is not.
-	predHist   histogram
-	predEngine string
+	// function of the job stream (the chaos suite replays and diffs it),
+	// and wall-clock is not.
+	predHist, execHist     histogram
+	predEngine, execEngine string
 }
 
 // NewShard validates the configuration and starts the shard's worker.
@@ -367,10 +370,12 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 		return nil, fmt.Errorf("serve: %s: %w", cfg.Name, err)
 	}
 	s := &Shard{cfg: cfg, queue: make(chan Job, cfg.QueueDepth), stepper: stepper}
-	s.predHist.buckets = predBuckets
+	s.predHist.buckets = nsBuckets
+	s.execHist.buckets = nsBuckets
 	if js := cfg.Profile.NewJobSimulator(); js != nil {
 		s.js = js
-		s.predEngine = string(s.js.Engine())
+		sl, full := js.Engines()
+		s.predEngine, s.execEngine = string(sl), string(full)
 	}
 	if cfg.Online != nil {
 		if cfg.Pred == nil {
@@ -658,7 +663,7 @@ func (s *Shard) serve(j Job) Outcome {
 	// index. Degraded jobs never ran the slice (no features, no
 	// prediction), so there is nothing to learn from them. The canary
 	// evaluation is pure replay arithmetic: it touches neither predHist
-	// (no wall-clock prediction happens) nor the serving counters, so
+	// nor execHist (no simulation happens) nor the serving counters, so
 	// shadow-predictions can never double-count.
 	if s.trainer != nil && !degraded {
 		s.trainer.Observe(tr, jr.Missed)
@@ -689,35 +694,19 @@ func (s *Shard) simulate(j Job, degraded bool) (core.JobTrace, bool, error) {
 	case s.js == nil:
 		return core.JobTrace{}, false, fmt.Errorf("serve: %s: job without trace on a replay-only shard", s.cfg.Name)
 	}
-	// Prediction latency is observed for successful non-degraded
-	// attempts only (timed-out and errored attempts would measure the
-	// failure mode, not the engine) and never enters Stats — see the
-	// predHist field comment.
-	predStart := time.Now() //detlint:allow metrics-only wall-clock; no effect on serving behavior
 	if s.cfg.JobTimeout <= 0 {
-		tr, err := execute(s.js, j, degraded)
-		if err == nil && !degraded {
-			s.predHist.Observe(float64(time.Since(predStart).Nanoseconds()))
-		}
-		return tr, false, err
-	}
-	type result struct {
-		tr  core.JobTrace
-		err error
+		r := execute(s.js, j, degraded)
+		s.observe(r, degraded)
+		return r.tr, false, r.err
 	}
 	js := s.js
-	ch := make(chan result, 1)
-	go func() {
-		tr, err := execute(js, j, degraded)
-		ch <- result{tr, err}
-	}()
+	ch := make(chan simResult, 1)
+	go func() { ch <- execute(js, j, degraded) }()
 	timer := time.NewTimer(s.cfg.JobTimeout)
 	defer timer.Stop()
 	select {
 	case r := <-ch:
-		if r.err == nil && !degraded {
-			s.predHist.Observe(float64(time.Since(predStart).Nanoseconds()))
-		}
+		s.observe(r, degraded)
 		return r.tr, false, r.err
 	case <-timer.C:
 		// The attempt wedged. The goroutine owns js and will exit into
@@ -729,14 +718,46 @@ func (s *Shard) simulate(j Job, degraded bool) (core.JobTrace, bool, error) {
 	}
 }
 
+// simResult is one simulation attempt's outcome plus the wall-clock
+// nanoseconds its prediction and full-design halves took (zero for a
+// half that did not run).
+type simResult struct {
+	tr             core.JobTrace
+	err            error
+	predNs, execNs float64
+}
+
 // execute runs the appropriate simulation for the serving path: the
 // degraded path skips the slice simulation entirely — that is the
 // point: the predictor is the component that fell behind.
-func execute(js *core.JobSimulator, j Job, degraded bool) (core.JobTrace, error) {
+func execute(js *core.JobSimulator, j Job, degraded bool) simResult {
+	start := time.Now() //detlint:allow metrics-only wall-clock; no effect on serving behavior
 	if degraded {
-		return js.Execute(j.Payload)
+		tr, err := js.Execute(j.Payload)
+		return simResult{tr: tr, err: err, execNs: float64(time.Since(start).Nanoseconds())}
 	}
-	return js.Trace(j.Payload)
+	pr, err := js.Predict(j.Payload)
+	if err != nil {
+		return simResult{err: err}
+	}
+	mid := time.Now() //detlint:allow metrics-only wall-clock; no effect on serving behavior
+	tr, err := js.Complete(j.Payload, pr)
+	return simResult{tr: tr, err: err,
+		predNs: float64(mid.Sub(start).Nanoseconds()), execNs: float64(time.Since(mid).Nanoseconds())}
+}
+
+// observe records a finished attempt's stage latencies. Only
+// successful attempts count — a timed-out or errored attempt would
+// measure the failure mode, not the engine — and degraded attempts
+// never ran the slice, so they feed execHist alone.
+func (s *Shard) observe(r simResult, degraded bool) {
+	if r.err != nil {
+		return
+	}
+	if !degraded {
+		s.predHist.Observe(r.predNs)
+	}
+	s.execHist.Observe(r.execNs)
 }
 
 // Stats snapshots the shard's counters. Safe to call concurrently with

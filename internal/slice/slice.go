@@ -83,9 +83,8 @@ type Result struct {
 }
 
 // ReadFeatures extracts the kept features from a slice simulation, in
-// Kept order. Any register reader works: a scalar *rtl.Sim or one lane
-// of a batch simulator.
-func (r *Result) ReadFeatures(s rtl.RegReader) []float64 {
+// Kept order.
+func (r *Result) ReadFeatures(s *rtl.Sim) []float64 {
 	out := make([]float64, len(r.WitnessRegs))
 	for i, ri := range r.WitnessRegs {
 		out[i] = float64(s.RegValue(ri))

@@ -12,17 +12,21 @@ import (
 
 // TestEnginesMatchOnSuite is the suite-wide differential test: for
 // every benchmark, the instrumented full design AND its hardware slice
-// are run on real jobs by the scalar engines — interpreter (reference),
-// compiled, event-driven, and the generated native code — and every
-// observable (ticks, every node value, every toggle counter, every
-// memory word) must agree bit-exactly. The toggle counters feed the energy model, so their
-// equivalence is what licenses making the faster engines the default.
-// TestBatchEngineMatchesOnSuite extends the differential net to the
-// batch engine on every benchmark: several real jobs of differing
-// lengths are packed into lanes of one BatchSim — so lanes retire at
-// different cycles — and each lane's ticks, node values, toggle
-// counters, and memories must match a scalar interpreter run of the
-// same job bit-exactly, on both the instrumented design and its slice.
+// are run on real jobs by all three engines — interpreter (reference),
+// compiled, and the generated native code — and every observable
+// (ticks, every node value, every toggle counter, every memory word)
+// must agree bit-exactly. The toggle counters feed the energy model,
+// so their equivalence is what licenses making the native engine the
+// default.
+// TestBatchEngineMatchesOnSuite covers bulk trace collection, the work
+// the deleted 64-lane batch engine used to do and the native engine
+// now does: one native Sim per module is reused across several real
+// jobs of differing lengths, as a core worker reuses its simulators,
+// and after each job its ticks, node values, toggle counters and
+// memories must match a fresh interpreter run of the same job
+// bit-exactly, on both the instrumented design and its slice. A long
+// job followed by a shorter one on the same Sim is what catches state
+// that Reset fails to clear.
 func TestBatchEngineMatchesOnSuite(t *testing.T) {
 	for _, spec := range All() {
 		spec := spec
@@ -33,12 +37,15 @@ func TestBatchEngineMatchesOnSuite(t *testing.T) {
 				jobs = jobs[:5]
 			}
 			for _, mod := range []*rtl.Module{ins.M, sl.M} {
-				bs := rtl.NewBatchSim(mod, len(jobs))
-				bs.EnableActivity()
-				ticks, errs := accel.RunJobs(bs, jobs, spec.MaxTicks)
-				for l, job := range jobs {
-					if errs[l] != nil {
-						t.Fatalf("%s lane %d: %v", mod.Name, l, errs[l])
+				nat := rtl.NewSimEngine(mod, rtl.EngineNative)
+				if got := nat.Engine(); got != rtl.EngineNative {
+					t.Fatalf("%s: native sim reports %q — regenerate internal/rtl/native", mod.Name, got)
+				}
+				nat.EnableActivity()
+				for ji, job := range jobs {
+					nt, err := accel.RunJob(nat, job, spec.MaxTicks)
+					if err != nil {
+						t.Fatalf("%s job %d: %v", mod.Name, ji, err)
 					}
 					ref := rtl.NewInterpSim(mod)
 					ref.EnableActivity()
@@ -46,28 +53,28 @@ func TestBatchEngineMatchesOnSuite(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if ticks[l] != rt {
-						t.Fatalf("%s lane %d: ticks %d (batch) != %d (interp)", mod.Name, l, ticks[l], rt)
+					if nt != rt {
+						t.Fatalf("%s job %d: ticks %d (native) != %d (interp)", mod.Name, ji, nt, rt)
 					}
 					for id := 0; id < mod.NumNodes(); id++ {
-						if bv, rv := bs.Value(l, rtl.NodeID(id)), ref.Value(rtl.NodeID(id)); bv != rv {
-							t.Fatalf("%s lane %d node %d (%s): %#x (batch) != %#x (interp)",
-								mod.Name, l, id, mod.Nodes[id].Op, bv, rv)
+						if nv, rv := nat.Value(rtl.NodeID(id)), ref.Value(rtl.NodeID(id)); nv != rv {
+							t.Fatalf("%s job %d node %d (%s): %#x (native) != %#x (interp)",
+								mod.Name, ji, id, mod.Nodes[id].Op, nv, rv)
 						}
 					}
-					bg, rg := bs.Toggles(l), ref.Toggles()
+					ng, rg := nat.Toggles(), ref.Toggles()
 					for id := range rg {
-						if bg[id] != rg[id] {
-							t.Fatalf("%s lane %d node %d: toggles %d (batch) != %d (interp)",
-								mod.Name, l, id, bg[id], rg[id])
+						if ng[id] != rg[id] {
+							t.Fatalf("%s job %d node %d: toggles %d (native) != %d (interp)",
+								mod.Name, ji, id, ng[id], rg[id])
 						}
 					}
 					for _, mem := range mod.Mems {
-						bm, rm := bs.Mem(l, mem.Name), ref.Mem(mem.Name)
+						nm, rm := nat.Mem(mem.Name), ref.Mem(mem.Name)
 						for a := range rm {
-							if bm[a] != rm[a] {
-								t.Fatalf("%s lane %d mem %s[%d]: %#x (batch) != %#x (interp)",
-									mod.Name, l, mem.Name, a, bm[a], rm[a])
+							if nm[a] != rm[a] {
+								t.Fatalf("%s job %d mem %s[%d]: %#x (native) != %#x (interp)",
+									mod.Name, ji, mem.Name, a, nm[a], rm[a])
 							}
 						}
 					}
@@ -84,7 +91,6 @@ func TestEnginesMatchOnSuite(t *testing.T) {
 			ins, sl := instrumentAndSlice(t, spec)
 			jobs := spec.TestJobs(23)[:2]
 			for _, mod := range []*rtl.Module{ins.M, sl.M} {
-				p := rtl.Compile(mod)
 				ref := rtl.NewInterpSim(mod)
 				nat := rtl.NewSimEngine(mod, rtl.EngineNative)
 				if got := nat.Engine(); got != rtl.EngineNative {
@@ -95,8 +101,7 @@ func TestEnginesMatchOnSuite(t *testing.T) {
 					name string
 					s    *rtl.Sim
 				}{
-					{"compiled", p.NewSim()},
-					{"event", p.NewEventSim()},
+					{"compiled", rtl.NewSimEngine(mod, rtl.EngineCompiled)},
 					{"native", nat},
 				}
 				ref.EnableActivity()

@@ -14,8 +14,8 @@ import (
 // absint pruning on the real benchmarks: for every instrumented
 // design, the pruned twin must reproduce the unpruned interpreter's
 // observables bit-exactly on real jobs — tick count, every feature
-// witness register, and every surviving memory — under all four
-// engines (interp, compiled, event scalar; batch as packed lanes).
+// witness register, and every surviving memory — under all three
+// engines (interp, compiled, and the generated native code).
 func TestPrunedFullDesignMatchesOnSuite(t *testing.T) {
 	for _, spec := range All() {
 		spec := spec
@@ -47,14 +47,13 @@ func TestPrunedFullDesignMatchesOnSuite(t *testing.T) {
 			if len(jobs) > 3 {
 				jobs = jobs[:3]
 			}
-			pp := rtl.Compile(pm)
 			engines := []struct {
 				name string
 				s    *rtl.Sim
 			}{
 				{"interp", rtl.NewInterpSim(pm)},
-				{"compiled", pp.NewSim()},
-				{"event", pp.NewEventSim()},
+				{"compiled", rtl.NewSimEngine(pm, rtl.EngineCompiled)},
+				{"native", rtl.NewSimEngine(pm, rtl.EngineNative)},
 			}
 			ref := rtl.NewInterpSim(ins.M)
 			for ji, job := range jobs {
@@ -71,29 +70,6 @@ func TestPrunedFullDesignMatchesOnSuite(t *testing.T) {
 						t.Fatalf("job %d: %d ticks (%s, pruned) != %d (interp, unpruned)", ji, pt, e.name, rt)
 					}
 					comparePrunedObservables(t, ins, pm, keep, witness, ref, e.s, e.name, ji)
-				}
-			}
-
-			// Batch engine: the jobs pack into lanes of one pruned-plan
-			// BatchSim; each lane must match the scalar unpruned reference.
-			bs := rtl.NewBatchSim(pm, len(jobs))
-			ticks, errs := accel.RunJobs(bs, jobs, spec.MaxTicks)
-			for l, job := range jobs {
-				if errs[l] != nil {
-					t.Fatalf("lane %d: %v", l, errs[l])
-				}
-				rt, err := accel.RunJob(ref, job, spec.MaxTicks)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ticks[l] != rt {
-					t.Fatalf("lane %d: %d ticks (batch, pruned) != %d (interp, unpruned)", l, ticks[l], rt)
-				}
-				for i, ri := range keep {
-					if rv, pv := ref.RegValue(ri), bs.Lane(l).RegValue(witness[i]); rv != pv {
-						t.Fatalf("lane %d witness %s: %#x (batch, pruned) != %#x (interp, unpruned)",
-							l, ins.Features[i].Name, pv, rv)
-					}
 				}
 			}
 		})
