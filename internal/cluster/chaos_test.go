@@ -1,11 +1,18 @@
 package cluster
 
 import (
+	"encoding/json"
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
+	"time"
 
+	"repro/internal/exp"
+	"repro/internal/fault"
 	"repro/internal/serve"
+	"repro/internal/suite"
+	"repro/internal/workload"
 )
 
 // chaosSeed drives the arrival jitter and job sizes; the test runs the
@@ -136,5 +143,136 @@ func TestChaosKillsRestartsDeterministic(t *testing.T) {
 	again := chaosRun(t, chaosSeed)
 	if !reflect.DeepEqual(st, again) {
 		t.Fatalf("same-seed chaos runs diverged:\nfirst:  %+v\nsecond: %+v", st, again)
+	}
+}
+
+// stallSeed drives TestChaosSoak's injected stall schedule.
+const stallSeed = 1234
+
+// stallSoakRun replays every benchmark's test workload through
+// one-replica pressure pools — the router admits every job in arrival
+// order — under a seeded stall schedule, and returns each pool's
+// replica stats keyed by accelerator (replica names cleared).
+func stallSoakRun(t *testing.T, lab *exp.Lab, seed int64) map[string]serve.Stats {
+	t.Helper()
+	out := make(map[string]serve.Stats)
+	for _, name := range lab.Names() {
+		cfg := poolCfgFor(t, lab, name, 1, 0)
+		cfg.Policy = PolicyPressure{}
+		// 15% of first attempts stall; retries never re-fault (transient),
+		// so two retries guarantee every job eventually predicts. The
+		// watchdog is armed but far beyond any real simulation time: only
+		// the injected, deterministic stalls fire.
+		cfg.Shard.Faults = fault.New(seed).Site(serve.FaultStall, 0.15)
+		cfg.Shard.JobTimeout = 10 * time.Second
+		cfg.Shard.MaxRetries = 2
+		cfg.Shard.RetryBackoff = 20 * time.Microsecond
+		cfg.Shard.StallPenalty = 2e-3
+		p, err := NewPool(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := suite.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := lab.Entry(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs := spec.TestJobs(lab.Seed + 1)[:len(e.Test)]
+		res := make(chan serve.Outcome, len(jobs))
+		arrivals := workload.PeriodicArrivals(len(jobs), exp.Deadline)
+		for i, job := range jobs {
+			if err := p.Submit(Job{Arrival: arrivals[i], Payload: job, Result: res}); err != nil {
+				t.Fatalf("%s: submit %d: %v", name, i, err)
+			}
+		}
+		p.Close()
+
+		// No lost or duplicated jobs: exactly one outcome per submitted
+		// job and not one more.
+		if got := len(res); got != len(jobs) {
+			t.Fatalf("%s: %d outcomes for %d submitted jobs", name, got, len(jobs))
+		}
+		for i := range jobs {
+			if o := <-res; o.Err != nil {
+				t.Fatalf("%s: job %d failed: %v", name, i, o.Err)
+			}
+		}
+		ps := p.Stats()
+		if ps.Shed != 0 || ps.Errors != 0 || len(ps.Replicas) != 1 {
+			t.Fatalf("%s: shed %d, errors %d, %d replicas", name, ps.Shed, ps.Errors, len(ps.Replicas))
+		}
+		st := ps.Replicas[0].Stats
+		st.Name = ""
+		out[name] = st
+	}
+	return out
+}
+
+// TestChaosSoak is the capstone failure-path test: all benchmarks are
+// served through one-replica pools under a seeded stall schedule with
+// the watchdog, retries and stall penalty armed. It asserts the hard
+// chaos guarantees — no panics, no lost or duplicated jobs, no errors,
+// injected stalls actually fired and were retried, every serving-layer
+// miss is attributed to the injected schedule (ServingMisses stays
+// zero) — and that every replica's stats match, field for field, the
+// golden captured from the single-shard server this path replaced,
+// and replay bit-identically under the same seed.
+func TestChaosSoak(t *testing.T) {
+	// A private lab: other tests force bound clamps on the shared one,
+	// and BoundClamps is part of the golden.
+	lab := exp.NewLab(42)
+	lab.Quick = true
+	if err := lab.Warm(); err != nil {
+		t.Fatal(err)
+	}
+	first := stallSoakRun(t, lab, stallSeed)
+
+	var stalled, retries, misses, faultMisses uint64
+	for name, st := range first {
+		if st.Errors != 0 {
+			t.Errorf("%s: %d errors under injection", name, st.Errors)
+		}
+		if st.ServingMisses != 0 {
+			t.Errorf("%s: %d misses attributed to the serving layer beyond the injected faults", name, st.ServingMisses)
+		}
+		stalled += st.Stalled
+		retries += st.Retries
+		misses += st.Misses
+		faultMisses += st.FaultMisses
+	}
+	if stalled == 0 || retries == 0 {
+		t.Fatalf("fault schedule never fired: stalled %d, retries %d", stalled, retries)
+	}
+	t.Logf("chaos: stalled %d, retries %d, misses %d (%d fault-attributed)", stalled, retries, misses, faultMisses)
+
+	// The golden stores floats in Go's shortest round-trip form, so they
+	// decode to the exact bits; an unknown field means serve.Stats lost
+	// one the golden still pins.
+	f, err := os.Open("testdata/chaos_soak_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	var golden map[string]serve.Stats
+	if err := dec.Decode(&golden); err != nil {
+		t.Fatal(err)
+	}
+	if len(golden) != len(first) {
+		t.Fatalf("golden covers %d accelerators, run served %d", len(golden), len(first))
+	}
+	for name, want := range golden {
+		if got := first[name]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s diverges from the golden:\ngot:    %+v\ngolden: %+v", name, got, want)
+		}
+	}
+
+	second := stallSoakRun(t, lab, stallSeed)
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("same-seed chaos runs diverged:\nfirst:  %+v\nsecond: %+v", first, second)
 	}
 }

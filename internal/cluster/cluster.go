@@ -1,21 +1,28 @@
-// Package cluster scales the serving layer (package serve) from one
-// shard per accelerator to a fleet: N replicas per accelerator type,
-// each an ordinary serve.Shard with its own predictor clone, queue, and
-// virtual clock, behind a front-end router that does predict-then-place.
+// Package cluster is dvfserved's serving front end: for each
+// accelerator type a Pool of N replicas (N = 1 by default), each an
+// ordinary serve.Shard with its own queue, governor and virtual clock,
+// behind a router that does predict-then-place.
 //
 // The trained-slice prediction runs once, at the router: the arriving
 // job is simulated (slice + full design) on the pool's own predictor
 // clone, and the resulting trace — which carries both the prediction
-// and the actual cycle count — is what the chosen replica replays. For
-// every replica the router keeps a twin of the replica's governor (a
-// sim.Stepper seeded identically) and a virtual clock advanced by the
-// same accounting the shard applies. Because traces carry actual
-// cycles, the twin's projection of a job IS the outcome the shard will
-// compute: projected completion, energy, and deadline feasibility at
-// each candidate are exact, not estimates. The router admits the job to
-// the replica that can still meet the deadline at the lowest energy
-// (policy "predict"), shedding only when no replica can; least-pressure
-// and consistent-hash policies are available behind the same interface.
+// and the actual cycle count — is what the chosen replica replays. The
+// router also owns the prediction-attempt ladder: an attempt that
+// stalls (an injected serve.FaultStall, or the JobTimeout watchdog
+// firing) is retried with backoff up to MaxRetries times and then
+// degraded, and the job carries its serve.Stall record to the replica,
+// which charges the delay against the job's budget.
+//
+// For every replica the router keeps a twin of the replica's governor
+// (a sim.Stepper seeded identically) and a virtual clock advanced by
+// the same accounting the shard applies, stall delay included. Because
+// traces carry actual cycles, the twin's projection of a job IS the
+// outcome the shard will compute: projected completion, energy, and
+// deadline feasibility at each candidate are exact, not estimates. The
+// router admits the job to the replica that can still meet the
+// deadline at the lowest energy (policy "predict"), shedding only when
+// no replica can; least-pressure (which never sheds) and
+// consistent-hash policies are available behind the same interface.
 //
 // Determinism holds at fleet scale: placement, shedding, autoscaling,
 // and replica-kill handling are all pure functions of the virtual-time
@@ -31,6 +38,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"time"
 
 	"repro/internal/accel"
 	"repro/internal/core"
@@ -55,15 +63,14 @@ type Config struct {
 	// Shard is the replica template: its Profile (predictor, device,
 	// energy models, deadline) is shared by every replica and by the
 	// router's twin governors; its queueing knobs apply per replica.
-	// Name names the pool; replicas are named "<Name>/<id>". Overflow
-	// and Faults are ignored — the router is the admission authority
-	// and replica-level fault injection is not modeled by the twins.
-	// Shard.Online attaches the online trainer to the POOL, not to the
-	// replicas: prediction happens once at the router over the shared
-	// predictor, so drift detection, refits and canary decisions run
-	// there, and one promotion swaps the live model every replica and
-	// every router projection reads — promote-on-all-replicas by
-	// construction.
+	// Name names the pool; replicas are named "<Name>/<id>". The
+	// prediction-attempt knobs (JobTimeout, MaxRetries, RetryBackoff,
+	// StallPenalty, Faults) drive the router's ladder. Shard.Online
+	// attaches the online trainer to the POOL, not to the replicas:
+	// prediction happens once at the router over the shared predictor,
+	// so drift detection, refits and canary decisions run there, and one
+	// promotion swaps the live model every replica and every router
+	// projection reads — promote-on-all-replicas by construction.
 	Shard serve.ShardConfig
 	// Replicas is the initial replica count (minimum 1).
 	Replicas int
@@ -94,7 +101,8 @@ type Job struct {
 	// Trace replays a pre-simulated job, bypassing router prediction.
 	Trace *core.JobTrace
 	// Result, when non-nil, receives the job's outcome from whichever
-	// replica finally serves it (exactly one send; buffer it).
+	// replica finally serves it, or the error of a job that failed at
+	// the router (exactly one send unless the job is shed; buffer it).
 	Result chan<- serve.Outcome
 }
 
@@ -158,7 +166,18 @@ func (r *replica) state() string {
 type Pool struct {
 	mu  sync.Mutex
 	cfg Config
-	js  *core.JobSimulator
+	// js is the router's simulator (nil for replay-only pools); the
+	// JobTimeout watchdog replaces it after a stalled attempt.
+	js *core.JobSimulator
+	// predHist and execHist time the router's simulation of payload
+	// jobs in wall-clock nanoseconds: predHist the prediction (hardware
+	// slice run plus model, JobSimulator.Predict), execHist the
+	// full-design run (JobSimulator.Complete, or Execute on the degraded
+	// last resort). Each is labeled with the engine its simulator
+	// resolved to. Neither enters PoolStats: stats must stay a
+	// deterministic function of the job stream, and wall-clock is not.
+	predHist, execHist     *serve.Histogram
+	predEngine, execEngine string
 	// trainer is the pool-level online trainer (nil when disabled); it
 	// observes committed placements under mu, so its Observe-from-one-
 	// owner contract holds.
@@ -176,6 +195,7 @@ type Pool struct {
 	submitted uint64
 	placed    uint64
 	shed      uint64
+	errs      uint64
 	intrinsic uint64
 	replaced  uint64
 	faultDebt uint64
@@ -202,6 +222,15 @@ func NewPool(cfg Config) (*Pool, error) {
 	if cfg.MaxBacklog < 0 {
 		return nil, fmt.Errorf("cluster: %s: negative backlog bound", cfg.Shard.Name)
 	}
+	if cfg.Shard.JobTimeout < 0 || cfg.Shard.RetryBackoff < 0 {
+		return nil, fmt.Errorf("cluster: %s: negative timeout or backoff", cfg.Shard.Name)
+	}
+	if cfg.Shard.MaxRetries < 0 {
+		cfg.Shard.MaxRetries = 0
+	}
+	if cfg.Shard.StallPenalty <= 0 {
+		cfg.Shard.StallPenalty = cfg.Shard.JobTimeout.Seconds()
+	}
 	for _, k := range cfg.Kills {
 		if k.Replica < 0 || k.Replica >= cfg.Replicas {
 			return nil, fmt.Errorf("cluster: %s: kill references replica %d of %d", cfg.Shard.Name, k.Replica, cfg.Replicas)
@@ -210,7 +239,12 @@ func NewPool(cfg Config) (*Pool, error) {
 			return nil, fmt.Errorf("cluster: %s: kill at %g", cfg.Shard.Name, k.At)
 		}
 	}
-	p := &Pool{cfg: cfg, js: cfg.Shard.Profile.NewJobSimulator()}
+	p := &Pool{cfg: cfg, js: cfg.Shard.Profile.NewJobSimulator(),
+		predHist: serve.NsHistogram(), execHist: serve.NsHistogram()}
+	if p.js != nil {
+		sl, full := p.js.Engines()
+		p.predEngine, p.execEngine = string(sl), string(full)
+	}
 	if cfg.Shard.Online != nil {
 		if cfg.Shard.Pred == nil {
 			return nil, fmt.Errorf("cluster: %s: online learning needs a predictor", cfg.Shard.Name)
@@ -253,11 +287,6 @@ func (p *Pool) addReplica(activeFrom, killAt, restartAfter float64) (*replica, e
 	p.nextID++
 	scfg := p.cfg.Shard
 	scfg.Name = fmt.Sprintf("%s/%d", p.cfg.Shard.Name, id)
-	scfg.Overflow = serve.OverflowShed
-	scfg.Faults = nil
-	// Replicas replay router-predicted traces; the pool-level trainer
-	// owns online learning (see Config.Shard).
-	scfg.Online = nil
 	scfg.KillAt = killAt
 	sh, err := serve.NewShard(scfg)
 	if err != nil {
@@ -277,9 +306,12 @@ func (p *Pool) addReplica(activeFrom, killAt, restartAfter float64) (*replica, e
 }
 
 // Submit routes one job. It returns ErrShed when no replica can meet
-// the deadline (the job never executes), or an error for a simulation
-// failure; otherwise the job has been placed and its outcome will
-// arrive on Job.Result from the serving replica.
+// the deadline (the job never executes), or an error when the job
+// cannot be predicted — it is counted in PoolStats.Errors and its
+// Outcome{Err} is sent on Job.Result; otherwise the job has been placed
+// and its outcome will arrive on Job.Result from the serving replica.
+// Every submission on an open pool ends in exactly one of placed, shed
+// or errored.
 func (p *Pool) Submit(j Job) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -291,28 +323,25 @@ func (p *Pool) Submit(j Job) error {
 	}
 	p.last = j.Arrival
 	p.submitted++
+	seq := p.seq
+	p.seq++
 	p.detectKills(j.Arrival)
 
-	var tr core.JobTrace
-	if j.Trace != nil {
-		tr = *j.Trace
-	} else {
-		if p.js == nil {
-			return fmt.Errorf("cluster: %s: job without trace on a replay-only pool", p.cfg.Shard.Name)
+	tr, stall, err := p.predict(j, seq)
+	if err != nil {
+		p.errs++
+		err = fmt.Errorf("cluster: %s: predict: %w", p.cfg.Shard.Name, err)
+		if j.Result != nil {
+			j.Result <- serve.Outcome{Stalls: stall.Count, StallDelay: stall.Delay(), Err: err}
 		}
-		var err error
-		tr, err = p.js.Trace(j.Payload)
-		if err != nil {
-			return fmt.Errorf("cluster: %s: predict: %w", p.cfg.Shard.Name, err)
-		}
+		return err
 	}
 	key := j.Key
 	if key == "" {
-		key = strconv.FormatUint(p.seq, 10)
+		key = strconv.FormatUint(seq, 10)
 	}
-	p.seq++
 
-	sj := serve.Job{Arrival: j.Arrival, Trace: &tr, Result: j.Result}
+	sj := serve.Job{Arrival: j.Arrival, Trace: &tr, Stall: stall, Result: j.Result}
 	wait, ok := p.place(sj, key, false)
 	if p.scaler != nil {
 		p.autoscaleTick(j.Arrival, wait, !ok)
@@ -322,6 +351,132 @@ func (p *Pool) Submit(j Job) error {
 		return ErrShed
 	}
 	return nil
+}
+
+// predict is the prediction-attempt ladder. Each attempt may stall —
+// injected by the fault schedule (decided up front, without touching
+// the simulator, so replays are bit-identical) or genuinely (the
+// watchdog in simulate fires). A stalled attempt burns StallPenalty of
+// virtual time and is retried after an exponential wall-clock backoff;
+// when retries are exhausted the job is simulated once more on the
+// degraded path, which skips the slice, as a last resort. Trace jobs
+// climb the same ladder, so a replayed stream sees the same stalls.
+func (p *Pool) predict(j Job, seq uint64) (core.JobTrace, serve.Stall, error) {
+	cfg := &p.cfg.Shard
+	// The fault key is the pool's job sequence: arrival timestamps
+	// collide inside bursts, and the schedule must be a pure function of
+	// (seed, pool, position in stream).
+	var key string
+	if cfg.Faults != nil {
+		key = fmt.Sprintf("%s/%d", cfg.Name, seq)
+	}
+	var st serve.Stall
+	for attempt := 0; ; attempt++ {
+		if cfg.Faults.HitN(serve.FaultStall, key, attempt) {
+			st.Count++
+			st.Injected += cfg.StallPenalty
+		} else {
+			tr, stalled, err := p.simulate(j, false)
+			if !stalled {
+				return tr, st, err
+			}
+			st.Count++
+			st.Genuine += cfg.StallPenalty
+		}
+		if attempt >= cfg.MaxRetries {
+			// Last resort: simulate degraded. This final attempt is
+			// organic — no injection — so an injected schedule can exhaust
+			// retries but never lose the job.
+			st.Exhausted = true
+			tr, stalled, err := p.simulate(j, true)
+			if stalled {
+				st.Count++
+				st.Genuine += cfg.StallPenalty
+				err = fmt.Errorf("job %d stalled through %d attempts", seq, attempt+2)
+			}
+			return tr, st, err
+		}
+		if cfg.RetryBackoff > 0 {
+			time.Sleep(cfg.RetryBackoff << attempt)
+		}
+	}
+}
+
+// simulate runs one prediction attempt for j, under the watchdog when
+// JobTimeout is configured. It reports the trace, whether the attempt
+// stalled (timed out — the result is void and the router's simulator
+// has been replaced with a fresh clone, since the wedged attempt may
+// have left it mid-job), and any simulation error.
+func (p *Pool) simulate(j Job, degraded bool) (core.JobTrace, bool, error) {
+	switch {
+	case j.Trace != nil:
+		return *j.Trace, false, nil
+	case p.js == nil:
+		return core.JobTrace{}, false, fmt.Errorf("job without trace on a replay-only pool")
+	}
+	if p.cfg.Shard.JobTimeout <= 0 {
+		r := execute(p.js, j.Payload, degraded)
+		p.observe(r, degraded)
+		return r.tr, false, r.err
+	}
+	js := p.js
+	ch := make(chan simResult, 1)
+	go func() { ch <- execute(js, j.Payload, degraded) }()
+	timer := time.NewTimer(p.cfg.Shard.JobTimeout)
+	defer timer.Stop()
+	select {
+	case r := <-ch:
+		p.observe(r, degraded)
+		return r.tr, false, r.err
+	case <-timer.C:
+		// The attempt wedged. The goroutine owns js and will exit into
+		// its buffered channel on its own; the router abandons both and
+		// rebuilds its simulator.
+		p.js = p.cfg.Shard.Profile.NewJobSimulator()
+		return core.JobTrace{}, true, nil
+	}
+}
+
+// simResult is one simulation attempt's outcome plus the wall-clock
+// nanoseconds its prediction and full-design halves took (zero for a
+// half that did not run).
+type simResult struct {
+	tr             core.JobTrace
+	err            error
+	predNs, execNs float64
+}
+
+// execute runs one simulation attempt: the slice-driven prediction and
+// then the full design, or — on the degraded path — the full design
+// alone, because the predictor is the component that fell behind.
+func execute(js *core.JobSimulator, job accel.Job, degraded bool) simResult {
+	start := time.Now() //detlint:allow metrics-only wall-clock; no effect on serving behavior
+	if degraded {
+		tr, err := js.Execute(job)
+		return simResult{tr: tr, err: err, execNs: float64(time.Since(start).Nanoseconds())}
+	}
+	pr, err := js.Predict(job)
+	if err != nil {
+		return simResult{err: err}
+	}
+	mid := time.Now() //detlint:allow metrics-only wall-clock; no effect on serving behavior
+	tr, err := js.Complete(job, pr)
+	return simResult{tr: tr, err: err,
+		predNs: float64(mid.Sub(start).Nanoseconds()), execNs: float64(time.Since(mid).Nanoseconds())}
+}
+
+// observe records a finished attempt's stage latencies. Only
+// successful attempts count — a timed-out or errored attempt would
+// measure the failure mode, not the engine — and degraded attempts
+// never ran the slice, so they feed execHist alone.
+func (p *Pool) observe(r simResult, degraded bool) {
+	if r.err != nil {
+		return
+	}
+	if !degraded {
+		p.predHist.Observe(r.predNs)
+	}
+	p.execHist.Observe(r.execNs)
 }
 
 // place routes one already-predicted job. replaced marks re-placements
@@ -347,7 +502,7 @@ func (p *Pool) place(sj serve.Job, key string, replaced bool) (float64, bool) {
 	}
 	views := make([]Candidate, len(cands))
 	for i, r := range cands {
-		views[i] = p.project(r, sj.Arrival, *sj.Trace)
+		views[i] = p.project(r, sj)
 	}
 	idx := p.cfg.Policy.Pick(views, key)
 	if idx < 0 || idx >= len(cands) {
@@ -392,8 +547,10 @@ func (p *Pool) drainingReplicas() []*replica {
 }
 
 // project computes one replica's Candidate view of a job: the exact
-// outcome the shard would produce, from the twin governor.
-func (p *Pool) project(r *replica, arrival float64, tr core.JobTrace) Candidate {
+// outcome the shard would produce, from the twin governor, with the
+// job's stall delay charged exactly as the shard charges it.
+func (p *Pool) project(r *replica, sj serve.Job) Candidate {
+	arrival, tr := sj.Arrival, *sj.Trace
 	start := r.clock
 	if arrival > start {
 		start = arrival
@@ -404,7 +561,9 @@ func (p *Pool) project(r *replica, arrival float64, tr core.JobTrace) Candidate 
 	if dw := p.cfg.Shard.EffectiveDegradeWait(); !degraded && dw > 0 && wait >= dw {
 		degraded = true
 	}
-	jr := r.model.Project(tr, budget, degraded)
+	degraded = degraded || sj.Stall.Exhausted
+	delay := sj.Stall.Delay()
+	jr := r.model.Project(tr, budget-delay, degraded)
 	backlog := 0
 	for _, f := range r.backlog {
 		if f > arrival {
@@ -415,10 +574,10 @@ func (p *Pool) project(r *replica, arrival float64, tr core.JobTrace) Candidate 
 	if p.cfg.MaxBacklog > 0 && backlog >= p.cfg.MaxBacklog {
 		feasible = false
 	}
-	fresh := r.model.Project(tr, p.cfg.Shard.Deadline, false)
+	fresh := r.model.Project(tr, p.cfg.Shard.Deadline, sj.Stall.Exhausted)
 	return Candidate{
 		ID: r.id, Name: r.name,
-		Start: start, Wait: wait, Budget: budget, Finish: start + jr.TotalSeconds,
+		Start: start, Wait: wait, Budget: budget - delay, Finish: start + delay + jr.TotalSeconds,
 		Backlog: backlog, Degraded: degraded,
 		Feasible: feasible, FreshFeasible: !fresh.Missed,
 		Result: jr,
@@ -445,7 +604,7 @@ func (p *Pool) commit(r *replica, sj serve.Job, v Candidate, key string, replace
 	} else {
 		jr = r.model.Step(*sj.Trace, v.Budget)
 	}
-	finish := v.Start + jr.TotalSeconds
+	finish := v.Start + sj.Stall.Delay() + jr.TotalSeconds
 	r.clock = finish
 	if jr.Missed && r.clock > sj.Arrival+p.cfg.Shard.Deadline {
 		// Frame-drop resync, mirroring serve.Shard exactly.
@@ -638,18 +797,22 @@ type Rollup struct {
 type PoolStats struct {
 	Name   string `json:"name"`
 	Policy string `json:"policy"`
-	// Submitted counts Submit calls; Placed, router placements
-	// (including re-placements); Shed, jobs refused because no replica
-	// could meet the deadline; Intrinsic, jobs placed despite missing
+	// Submitted counts Submit calls on the open pool; Placed, router
+	// placements (including re-placements); Shed, jobs refused because
+	// no replica could meet the deadline; Errors, jobs that failed at
+	// the router (no trace on a replay-only pool, a simulation error, or
+	// a stall on the last-resort attempt), so that Submitted = first
+	// placements + Shed + Errors; Intrinsic, jobs placed despite missing
 	// everywhere because they would miss even a fresh deadline (the
 	// miss is the job's, not the fleet's); Replaced, jobs recovered
 	// from dead replicas; FaultDebtMisses, recovered jobs that then
 	// missed; Lost, recovered jobs with no live replica left (reported
 	// as errors, never silent); Kills, crash horizons fired; ScaleUps/
 	// ScaleDowns, autoscaler actions.
-	Submitted, Placed, Shed, Intrinsic uint64
-	Replaced, FaultDebtMisses, Lost    uint64
-	Kills, ScaleUps, ScaleDowns        uint64
+	Submitted, Placed, Shed, Errors uint64
+	Intrinsic                       uint64
+	Replaced, FaultDebtMisses, Lost uint64
+	Kills, ScaleUps, ScaleDowns     uint64
 	// Online is the pool-level trainer's snapshot (zeros with State
 	// "off" when online learning is disabled). Every replica serves the
 	// same live model, so Online.ModelVersion is the fleet's version.
@@ -665,7 +828,7 @@ func (p *Pool) Stats() PoolStats {
 	defer p.mu.Unlock()
 	st := PoolStats{
 		Name: p.cfg.Shard.Name, Policy: p.cfg.Policy.Name(),
-		Submitted: p.submitted, Placed: p.placed, Shed: p.shed, Intrinsic: p.intrinsic,
+		Submitted: p.submitted, Placed: p.placed, Shed: p.shed, Errors: p.errs, Intrinsic: p.intrinsic,
 		Replaced: p.replaced, FaultDebtMisses: p.faultDebt, Lost: p.lost,
 		Kills: p.kills, ScaleUps: p.scaleUps, ScaleDowns: p.scaleDown,
 		Online: p.trainer.Stats(),
@@ -689,14 +852,49 @@ func (p *Pool) Stats() PoolStats {
 	return st
 }
 
+// ModelStatus is one pool's serving-model report: the live β
+// snapshot, its version, and — when online learning is enabled — the
+// trainer's counters. The /v1/model endpoint returns one per pool.
+type ModelStatus struct {
+	Pool string `json:"pool"`
+	// Version is 0 for the offline-trained β, incremented per promoted
+	// online refit.
+	Version uint64 `json:"version"`
+	// Online reports whether a trainer is attached to this pool.
+	Online bool `json:"online"`
+	// Model is the live β restricted to the slice's kept features,
+	// keyed by feature name — the coefficients the hardware actually
+	// multiplies.
+	Model map[string]float64 `json:"model"`
+	// Intercept is the live model's constant term.
+	Intercept float64 `json:"intercept"`
+	// Trainer is the online trainer's counter snapshot (zeros with
+	// State "off" when disabled).
+	Trainer online.Stats `json:"trainer"`
+}
+
 // ModelStatus reports the pool's shared serving model — the one every
 // replica and every router projection reads; ok is false for
 // replay-only pools, which have no predictor.
-func (p *Pool) ModelStatus() (serve.ModelStatus, bool) {
-	if p.cfg.Shard.Pred == nil {
-		return serve.ModelStatus{}, false
+func (p *Pool) ModelStatus() (ModelStatus, bool) {
+	pred := p.cfg.Shard.Pred
+	if pred == nil {
+		return ModelStatus{}, false
 	}
-	return serve.ModelStatusFor(p.cfg.Shard.Name, p.cfg.Shard.Pred, p.trainer), true
+	live := pred.LiveModel()
+	names := pred.Ins.Names()
+	coefs := make(map[string]float64, len(pred.Kept))
+	for _, k := range pred.Kept {
+		coefs[names[k]] = live.Coef[k]
+	}
+	return ModelStatus{
+		Pool:      p.cfg.Shard.Name,
+		Version:   pred.ModelVersion(),
+		Online:    p.trainer != nil,
+		Model:     coefs,
+		Intercept: live.Intercept,
+		Trainer:   p.trainer.Stats(),
+	}, true
 }
 
 // Shards returns the pool's shards in replica-id order (for metrics).
@@ -710,8 +908,8 @@ func (p *Pool) Shards() []*serve.Shard {
 	return out
 }
 
-// Fleet is a set of pools keyed by accelerator name — the cluster
-// equivalent of serve.Server.
+// Fleet is a set of pools keyed by accelerator name: everything one
+// dvfserved process serves.
 type Fleet struct {
 	mu    sync.Mutex
 	pools map[string]*Pool

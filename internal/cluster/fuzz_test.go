@@ -112,18 +112,22 @@ func (a *auditPolicy) auditPredict(cands []Candidate, idx int) {
 // drain, and a job stream of arbitrary gaps and durations — and holds
 // the router to its invariants: no panics, placements only on eligible
 // replicas, predict's choice lexicographically minimal among feasible,
-// and exact job conservation (every admitted job yields exactly one
-// outcome; handoffs equal recoveries; nothing is silently dropped).
+// and exact job conservation (every submission is placed, shed or
+// counted as an error; every admitted job yields exactly one outcome;
+// handoffs equal recoveries; nothing is silently dropped).
 //
 // Encoding: data[0] policy, data[1] replicas, data[2] backlog bound,
 // data[3] kill spec (bit0 arm, bit1 restart, rest replica index), then
 // byte pairs of (arrival gap, duration); a 0xFF gap byte drains the
-// highest-id active replica instead of submitting.
+// highest-id active replica instead of submitting, and a 0xFE gap byte
+// submits a job without a trace, which the replay-only pool must
+// reject as a counted error.
 func FuzzRouterPlacement(f *testing.F) {
 	f.Add([]byte{0, 2, 0, 0, 10, 50, 30, 80, 200, 120, 0, 60})
 	f.Add([]byte{1, 2, 0, 3, 0, 90, 0, 90, 5, 90, 90, 40, 200, 100, 90, 90})
 	f.Add([]byte{2, 3, 2, 0, 10, 50, 255, 0, 20, 60, 20, 60, 0, 200})
 	f.Add([]byte{0, 1, 1, 1, 0, 255, 0, 255, 40, 40, 250, 10, 0, 10})
+	f.Add([]byte{1, 2, 0, 0, 10, 50, 254, 0, 20, 60})
 	f.Fuzz(fuzzScenario)
 }
 
@@ -154,9 +158,17 @@ func fuzzScenario(t *testing.T, data []byte) {
 	ops := data[4:]
 	res := make(chan serve.Outcome, len(ops))
 	clock := 0.0
-	submitted, placed := 0, 0
+	submitted, placed, errored := 0, 0, 0
 	drained := false
 	for i := 0; i+1 < len(ops); i += 2 {
+		if ops[i] == 0xFE {
+			submitted++
+			errored++
+			if err := p.Submit(Job{Arrival: clock, Result: res}); err == nil || err == ErrShed {
+				t.Fatalf("traceless job on a replay-only pool: err %v", err)
+			}
+			continue
+		}
 		if ops[i] == 0xFF && !drained {
 			p.mu.Lock()
 			if cands := p.candidates(clock); len(cands) > 1 {
@@ -179,21 +191,24 @@ func fuzzScenario(t *testing.T, data []byte) {
 	}
 	p.Close()
 
+	// Every submission ended in exactly one of placed, shed or errored.
 	st := p.Stats()
-	if st.Submitted != uint64(submitted) || st.Shed != uint64(submitted-placed) {
-		t.Fatalf("submitted %d shed %d, want %d/%d", st.Submitted, st.Shed, submitted, submitted-placed)
+	shed := submitted - placed - errored
+	if st.Submitted != uint64(submitted) || st.Shed != uint64(shed) || st.Errors != uint64(errored) {
+		t.Fatalf("submitted %d shed %d errors %d, want %d/%d/%d",
+			st.Submitted, st.Shed, st.Errors, submitted, shed, errored)
 	}
-	if got := len(res); got != placed {
-		t.Fatalf("%d outcomes for %d admitted jobs", got, placed)
+	if got := len(res); got != placed+errored {
+		t.Fatalf("%d outcomes for %d admitted + %d errored jobs", got, placed, errored)
 	}
 	errs := uint64(0)
-	for i := 0; i < placed; i++ {
+	for i := 0; i < placed+errored; i++ {
 		if o := <-res; o.Err != nil {
 			errs++
 		}
 	}
-	if errs != st.Lost {
-		t.Fatalf("%d errored outcomes, %d counted lost", errs, st.Lost)
+	if errs != st.Lost+st.Errors {
+		t.Fatalf("%d errored outcomes, %d counted lost + %d router errors", errs, st.Lost, st.Errors)
 	}
 	var done, handed uint64
 	for _, rs := range st.Replicas {

@@ -3,41 +3,71 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
 
+	"repro/internal/accel"
+	"repro/internal/rtl"
 	"repro/internal/serve"
 	"repro/internal/workload"
 )
 
-// API wraps a Fleet with the dvfserved HTTP surface in cluster mode.
-// It mirrors serve.API — same job-generation contract, same metrics
-// exposition (every replica is a shard named "bench/i") — and adds the
-// cluster endpoints.
+// JobSource generates n jobs for a benchmark from a seed; the API uses
+// it to synthesize request payloads server-side, so clients describe
+// load (count, seed, arrival process) instead of shipping scratchpad
+// images over HTTP.
+type JobSource func(bench string, n int, seed int64) ([]accel.Job, error)
+
+// API wraps a Fleet with the dvfserved HTTP surface. Arrival
+// timestamps come from a per-pool cursor, so successive submissions
+// form one continuous virtual-time stream per accelerator.
 type API struct {
 	fleet  *Fleet
-	source serve.JobSource
+	source JobSource
 
-	mu     sync.Mutex
-	cursor map[string]float64
+	mu      sync.Mutex // guards cursors (the map, not the entries)
+	cursors map[string]*cursor
+}
+
+// cursor is one pool's arrival cursor. Its lock spans a whole POST's
+// routing loop, so one request's arrivals reach the pool in order,
+// while requests for other pools route in parallel.
+type cursor struct {
+	mu   sync.Mutex
+	next float64
 }
 
 // NewAPI builds the HTTP API over a fleet.
-func NewAPI(fleet *Fleet, source serve.JobSource) *API {
-	return &API{fleet: fleet, source: source, cursor: make(map[string]float64)}
+func NewAPI(fleet *Fleet, source JobSource) *API {
+	return &API{fleet: fleet, source: source, cursors: make(map[string]*cursor)}
+}
+
+// cursor returns the named pool's arrival cursor, creating it on first
+// use.
+func (a *API) cursor(name string) *cursor {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	c := a.cursors[name]
+	if c == nil {
+		c = &cursor{}
+		a.cursors[name] = c
+	}
+	return c
 }
 
 // Handler returns the route mux:
 //
 //	GET  /healthz          liveness probe
 //	GET  /v1/benchmarks    pool names
-//	GET  /v1/stats         per-pool cluster stats (JSON)
-//	GET  /v1/cluster       alias of /v1/stats (router + replica detail)
-//	POST /v1/jobs          submit a generated job stream (routed)
+//	GET  /v1/stats         per-pool stats: router counters, replicas (JSON)
+//	GET  /v1/cluster       alias of /v1/stats
+//	GET  /v1/model         live model per pool: version, β, trainer counters
+//	POST /v1/jobs          submit a generated job stream; returns once routed
 //	POST /v1/drain         block until every replica queue is empty
 //	POST /v1/retire        drain-with-handoff one replica now
-//	GET  /metrics          per-replica + cluster counters (text)
+//	GET  /metrics          per-replica and per-pool series (text)
 func (a *API) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -68,7 +98,7 @@ func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleModel(w http.ResponseWriter, r *http.Request) {
-	out := make([]serve.ModelStatus, 0)
+	out := make([]ModelStatus, 0)
 	for _, name := range a.fleet.Names() {
 		if ms, ok := a.fleet.Pool(name).ModelStatus(); ok {
 			out = append(out, ms)
@@ -77,14 +107,31 @@ func (a *API) handleModel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-// JobsRequest reuses the single-server request shape (serve.JobsRequest).
-type JobsRequest = serve.JobsRequest
+// JobsRequest is the POST /v1/jobs body.
+type JobsRequest struct {
+	// Bench names the target pool.
+	Bench string `json:"bench"`
+	// Count is the number of jobs to generate and submit.
+	Count int `json:"count"`
+	// Seed drives job generation (default 1).
+	Seed int64 `json:"seed"`
+	// PeriodMs spaces periodic arrivals (default: the pool deadline).
+	PeriodMs float64 `json:"period_ms"`
+	// Poisson switches to exponential inter-arrival gaps at RateHz.
+	Poisson bool `json:"poisson"`
+	// RateHz is the Poisson arrival rate (default: 1000/PeriodMs).
+	RateHz float64 `json:"rate_hz"`
+	// Burst > 1 groups periodic arrivals into back-to-back bursts.
+	Burst int `json:"burst"`
+}
 
-// JobsResponse reports routing results for one submission.
+// JobsResponse reports routing results for one submission: every job
+// was accepted (placed on a replica), shed, or failed at the router.
 type JobsResponse struct {
 	Bench    string  `json:"bench"`
 	Accepted int     `json:"accepted"`
 	Shed     int     `json:"shed"`
+	Errors   int     `json:"errors"`
 	First    float64 `json:"first_arrival_s"`
 	Last     float64 `json:"last_arrival_s"`
 }
@@ -135,18 +182,22 @@ func (a *API) handleJobs(w http.ResponseWriter, r *http.Request) {
 		offs = workload.PeriodicArrivals(req.Count, period)
 	}
 
-	a.mu.Lock()
-	base := a.cursor[req.Bench]
-	a.cursor[req.Bench] = base + offs[len(offs)-1] + period
+	c := a.cursor(req.Bench)
+	c.mu.Lock()
+	base := c.next
+	c.next = base + offs[len(offs)-1] + period
 	resp := JobsResponse{Bench: req.Bench, First: base + offs[0], Last: base + offs[len(offs)-1]}
 	for i, job := range jobs {
-		if err := p.Submit(Job{Arrival: base + offs[i], Payload: job}); err != nil {
-			resp.Shed++
-		} else {
+		switch err := p.Submit(Job{Arrival: base + offs[i], Payload: job}); err {
+		case nil:
 			resp.Accepted++
+		case ErrShed:
+			resp.Shed++
+		default:
+			resp.Errors++
 		}
 	}
-	a.mu.Unlock()
+	c.mu.Unlock()
 	writeJSON(w, resp)
 }
 
@@ -214,7 +265,17 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		shards = append(shards, a.fleet.Pool(name).Shards()...)
 	}
 	serve.WriteMetrics(w, shards)
-	serve.WriteNativeFallbacks(w, "dvfscluster_native_fallbacks_total")
+	// Process-wide native-engine requests that fell back to the
+	// compiled engine: nonzero means some netlist has no registered
+	// generated step, a ~5x slowdown on that simulator.
+	fmt.Fprintf(w, "# HELP dvfserved_native_fallbacks_total Native-engine simulator requests that fell back to the compiled engine.\n# TYPE dvfserved_native_fallbacks_total counter\ndvfserved_native_fallbacks_total %d\n",
+		rtl.NativeFallbacks())
+	a.writeStageMetrics(w, "dvfserved_predict_ns",
+		"Wall-clock prediction latency at the router (hardware slice run plus model) in nanoseconds, labeled with the RTL engine executing the slice.",
+		func(p *Pool) (*serve.Histogram, string) { return p.predHist, p.predEngine })
+	a.writeStageMetrics(w, "dvfserved_execute_ns",
+		"Wall-clock full-design simulation latency at the router in nanoseconds, labeled with the RTL engine executing the full design.",
+		func(p *Pool) (*serve.Histogram, string) { return p.execHist, p.execEngine })
 
 	counters := []struct {
 		name, help string
@@ -223,6 +284,7 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"dvfscluster_jobs_submitted_total", "Jobs offered to the router.", func(s PoolStats) uint64 { return s.Submitted }},
 		{"dvfscluster_jobs_placed_total", "Router placements, including re-placements.", func(s PoolStats) uint64 { return s.Placed }},
 		{"dvfscluster_jobs_shed_total", "Jobs shed because no replica could meet the deadline.", func(s PoolStats) uint64 { return s.Shed }},
+		{"dvfscluster_job_errors_total", "Jobs that failed at the router (never placed).", func(s PoolStats) uint64 { return s.Errors }},
 		{"dvfscluster_jobs_intrinsic_total", "Placed jobs that would miss even a fresh deadline.", func(s PoolStats) uint64 { return s.Intrinsic }},
 		{"dvfscluster_jobs_replaced_total", "Jobs recovered from dead replicas and re-placed.", func(s PoolStats) uint64 { return s.Replaced }},
 		{"dvfscluster_fault_debt_misses_total", "Recovered jobs that then missed their deadline.", func(s PoolStats) uint64 { return s.FaultDebtMisses }},
@@ -254,5 +316,19 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP dvfscluster_energy_joules_total Fleet energy by pool.\n# TYPE dvfscluster_energy_joules_total counter\n")
 	for _, ps := range stats {
 		fmt.Fprintf(w, "dvfscluster_energy_joules_total{pool=%q} %g\n", ps.Name, ps.Fleet.Energy)
+	}
+}
+
+// writeStageMetrics renders one engine-labeled nanosecond histogram per
+// pool. Replay-only pools (no predictor, engine "") simulate nothing
+// and are skipped.
+func (a *API) writeStageMetrics(w io.Writer, metric, help string, pick func(*Pool) (*serve.Histogram, string)) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", metric, help, metric)
+	for _, name := range a.fleet.Names() {
+		h, engine := pick(a.fleet.Pool(name))
+		if engine == "" {
+			continue
+		}
+		serve.WriteHistogram(w, metric, fmt.Sprintf("pool=%q,engine=%q", name, engine), h)
 	}
 }

@@ -18,14 +18,16 @@ type Candidate struct {
 	Name string
 	// Start is the projected virtual service start (max of the
 	// replica's clock and the arrival); Wait = Start − arrival; Budget
-	// is the deadline remaining at Start; Finish = Start + projected
-	// slice/switch/execution time.
+	// is the deadline remaining at Start less the job's stall delay (the
+	// budget the governor sees); Finish = Start + stall delay +
+	// projected slice/switch/execution time.
 	Start, Wait, Budget, Finish float64
 	// Backlog counts placed jobs still unfinished (in virtual time) at
 	// the arrival.
 	Backlog int
 	// Degraded reports that the replica would serve this job on the
-	// max-frequency bypass (budget or queue-wait trigger).
+	// max-frequency bypass (budget, queue-wait or stall-exhaustion
+	// trigger).
 	Degraded bool
 	// Feasible: the projection meets the deadline and the backlog
 	// bound. FreshFeasible: the job would meet a full deadline from an

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/accel/stencil"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dvfs"
 	"repro/internal/model"
@@ -67,7 +68,7 @@ func stencilProfile(p *core.Predictor) serve.Profile {
 
 type soakResult struct {
 	online     online.Stats
-	shard      serve.Stats
+	pool       cluster.PoolStats
 	coef       []float64
 	intercept  float64
 	postEnergy float64
@@ -78,7 +79,8 @@ type soakResult struct {
 }
 
 // runDriftSoak serves 96 cols=40 jobs (the training distribution) and
-// then 208 cols=8 jobs through an online-enabled shard. With ring 64,
+// then 208 cols=8 jobs through an online-enabled one-replica pool — the
+// daemon's default front end, whose router runs the trainer. With ring 64,
 // window 32 and hot-streak 2, the drift monitor arms the refit at
 // observation 160 — when the ring holds exactly the first 64 drifted
 // jobs — and the canary decision lands at observation 192, so jobs
@@ -108,12 +110,12 @@ func runDriftSoak(t *testing.T, workers int) soakResult {
 		traces[i] = tr
 	}
 
-	sh, err := serve.NewShard(serve.ShardConfig{
+	pool, err := cluster.NewPool(cluster.Config{Shard: serve.ShardConfig{
 		Name:       "stencil",
 		Profile:    prof,
 		QueueDepth: 8,
 		Online:     &online.Config{RingSize: 64, MinObservations: 64, DriftWindow: 32, CanaryWindow: 32},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +123,7 @@ func runDriftSoak(t *testing.T, workers int) soakResult {
 	var postEnergy float64
 	postMisses := 0
 	for i, job := range jobs {
-		if err := sh.Submit(serve.Job{Arrival: float64(i) * 0.02, Payload: job, Result: res}); err != nil {
+		if err := pool.Submit(cluster.Job{Arrival: float64(i) * 0.02, Payload: job, Result: res}); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		out := <-res
@@ -135,15 +137,14 @@ func runDriftSoak(t *testing.T, workers int) soakResult {
 			}
 		}
 	}
-	os, ok := sh.OnlineStats()
-	if !ok {
-		t.Fatal("online-enabled shard reports no trainer stats")
+	pool.Close()
+	st := pool.Stats()
+	if st.Online.State == "off" {
+		t.Fatal("online-enabled pool reports no trainer")
 	}
-	st := sh.Stats()
-	sh.Close()
 	live := p.LiveModel()
 	return soakResult{
-		online: os, shard: st,
+		online: st.Online, pool: st,
 		coef: append([]float64(nil), live.Coef...), intercept: live.Intercept,
 		postEnergy: postEnergy, postMisses: postMisses,
 		traces: traces, profile: prof, pred: p,
@@ -181,14 +182,18 @@ func TestServeDriftSoak(t *testing.T) {
 		t.Fatalf("promotion without energy dominance: %+v", d)
 	}
 
-	// The shard's stats mirror the trainer and the swapped version.
-	st := r.shard
-	if st.ModelVersion != 1 || st.Promotions != 1 || st.Retrains != 1 ||
-		st.DriftEvents != 1 || st.CanaryRejects != 0 {
-		t.Fatalf("shard stats out of step with trainer: %+v", st)
+	// The replica serves the swapped version, and every job was served
+	// predictively.
+	if len(r.pool.Replicas) != 1 {
+		t.Fatalf("%d replicas, want 1", len(r.pool.Replicas))
 	}
-	if st.Done != 304 || st.Degraded != 0 || st.Errors != 0 {
-		t.Fatalf("serving counters: done %d degraded %d errors %d", st.Done, st.Degraded, st.Errors)
+	st := r.pool.Replicas[0]
+	if st.ModelVersion != 1 {
+		t.Fatalf("replica model version %d out of step with the trainer", st.ModelVersion)
+	}
+	if st.Done != 304 || st.Degraded != 0 || st.Errors != 0 || r.pool.Shed != 0 || r.pool.Errors != 0 {
+		t.Fatalf("serving counters: done %d degraded %d errors %d, pool shed %d errors %d",
+			st.Done, st.Degraded, st.Errors, r.pool.Shed, r.pool.Errors)
 	}
 
 	// Promoted β ≡ offline refit on the same observation window (the 64
@@ -249,8 +254,8 @@ func TestServeDriftSoak(t *testing.T) {
 	if !reflect.DeepEqual(r.online, r2.online) {
 		t.Errorf("trainer stats diverge across worker counts:\n%+v\n%+v", r.online, r2.online)
 	}
-	if !reflect.DeepEqual(r.shard, r2.shard) {
-		t.Errorf("shard stats diverge across worker counts:\n%+v\n%+v", r.shard, r2.shard)
+	if !reflect.DeepEqual(r.pool, r2.pool) {
+		t.Errorf("pool stats diverge across worker counts:\n%+v\n%+v", r.pool, r2.pool)
 	}
 	if !reflect.DeepEqual(r.coef, r2.coef) || r.intercept != r2.intercept {
 		t.Errorf("promoted β diverges across worker counts")
@@ -262,7 +267,7 @@ func TestServeDriftSoak(t *testing.T) {
 }
 
 // TestServeDriftModelStatus: the promoted model is visible through the
-// shard's model-status report (the /v1/model payload).
+// pool's model-status report (the /v1/model payload).
 func TestServeDriftModelStatus(t *testing.T) {
 	p := trainStencil(t)
 	prof := stencilProfile(p)
@@ -271,17 +276,17 @@ func TestServeDriftModelStatus(t *testing.T) {
 	if _, err := p.SwapModel(next); err != nil {
 		t.Fatal(err)
 	}
-	sh, err := serve.NewShard(serve.ShardConfig{Name: "stencil", Profile: prof,
-		Online: &online.Config{}})
+	pool, err := cluster.NewPool(cluster.Config{Shard: serve.ShardConfig{Name: "stencil", Profile: prof,
+		Online: &online.Config{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sh.Close()
-	ms, ok := sh.ModelStatus()
+	defer pool.Close()
+	ms, ok := pool.ModelStatus()
 	if !ok {
-		t.Fatal("predictor-backed shard reports no model status")
+		t.Fatal("predictor-backed pool reports no model status")
 	}
-	if ms.Version != 1 || !ms.Online || ms.Shard != "stencil" {
+	if ms.Version != 1 || !ms.Online || ms.Pool != "stencil" {
 		t.Fatalf("model status: %+v", ms)
 	}
 	if len(ms.Model) != len(p.Kept) {

@@ -18,8 +18,9 @@ import (
 // projections, so placement decisions and replica accounting are built
 // from one set of parts.
 type Profile struct {
-	// Pred simulates arriving jobs online (slice + full design). It may
-	// be nil for replay-only serving, where every job carries a Trace.
+	// Pred is the trained predictor the cluster router simulates
+	// arriving jobs on (slice + full design). It may be nil for
+	// replay-only serving, where every job carries a Trace.
 	Pred *core.Predictor
 	// Device, Power and SlicePower are the DVFS profile and energy
 	// models, as in sim.Config.

@@ -4,12 +4,11 @@ import (
 	"math"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/dvfs"
-	"repro/internal/fault"
+	"repro/internal/online"
 	"repro/internal/power"
 	"repro/internal/rtl"
 	"repro/internal/sim"
@@ -70,9 +69,7 @@ func submitTraces(t *testing.T, sh *Shard, traces []core.JobTrace, arrivals []fl
 	t.Helper()
 	res := make(chan Outcome, len(traces))
 	for i := range traces {
-		if err := sh.Submit(Job{Arrival: arrivals[i], Trace: &traces[i], Result: res}); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
+		sh.SubmitWait(Job{Arrival: arrivals[i], Trace: &traces[i], Result: res})
 	}
 	sh.Close()
 	out := make([]Outcome, 0, len(traces))
@@ -103,6 +100,14 @@ func TestShardValidation(t *testing.T) {
 	}
 }
 
+func TestOnlineRequiresPredictor(t *testing.T) {
+	cfg := testShardConfig("replay")
+	cfg.Online = &online.Config{}
+	if _, err := NewShard(cfg); err == nil {
+		t.Error("replay-only shard accepted an online trainer")
+	}
+}
+
 // TestCloseHandoffReturnsQueuedJobs is the drain-with-handoff
 // regression test: a retiring shard must hand its admitted-but-
 // unstarted backlog back to the caller instead of silently grinding
@@ -120,18 +125,14 @@ func TestCloseHandoffReturnsQueuedJobs(t *testing.T) {
 	// outcome on the unbuffered channel.
 	gate := make(chan Outcome)
 	gateTr := synthTraces([]float64{1})[0]
-	if err := sh.Submit(Job{Trace: &gateTr, Result: gate}); err != nil {
-		t.Fatal(err)
-	}
+	sh.SubmitWait(Job{Trace: &gateTr, Result: gate})
 	for sh.Stats().Done != 1 {
 		runtime.Gosched() // wait until the worker is blocked on the gate send
 	}
 	const n = 5
 	traces := synthTraces([]float64{2, 2, 2, 2, 2})
 	for i := 0; i < n; i++ {
-		if err := sh.Submit(Job{Arrival: float64(i), Trace: &traces[i]}); err != nil {
-			t.Fatal(err)
-		}
+		sh.SubmitWait(Job{Arrival: float64(i), Trace: &traces[i]})
 	}
 	done := make(chan []Job, 1)
 	go func() { done <- sh.CloseHandoff() }()
@@ -175,9 +176,7 @@ func TestKillAtHandsBackJobsPastHorizon(t *testing.T) {
 	arrivals := workload.PeriodicArrivals(len(traces), testDeadline)
 	res := make(chan Outcome, len(traces))
 	for i := range traces {
-		if err := sh.Submit(Job{Arrival: arrivals[i], Trace: &traces[i], Result: res}); err != nil {
-			t.Fatal(err)
-		}
+		sh.SubmitWait(Job{Arrival: arrivals[i], Trace: &traces[i], Result: res})
 	}
 	sh.Close()
 	// Arrivals 0, 1d, 2d start before 2.5d; 3d, 4d, 5d are past the
@@ -217,9 +216,7 @@ func TestKillAtUsesServiceStartNotArrival(t *testing.T) {
 	traces := synthTraces([]float64{15, 2})
 	res := make(chan Outcome, len(traces))
 	for i := range traces {
-		if err := sh.Submit(Job{Arrival: 0, Trace: &traces[i], Result: res}); err != nil {
-			t.Fatal(err)
-		}
+		sh.SubmitWait(Job{Arrival: 0, Trace: &traces[i], Result: res})
 	}
 	sh.Close()
 	if o := <-res; o.Err != nil {
@@ -266,8 +263,8 @@ func TestPeriodicStreamMatchesOfflineReplay(t *testing.T) {
 	if st.Done != uint64(len(traces)) {
 		t.Fatalf("done = %d, want %d", st.Done, len(traces))
 	}
-	if st.Degraded != 0 || st.Rejected != 0 || st.Errors != 0 {
-		t.Fatalf("unexpected degraded/rejected/errors: %+v", st)
+	if st.Degraded != 0 || st.Errors != 0 {
+		t.Fatalf("unexpected degraded/errors: %+v", st)
 	}
 	if st.ServingMisses != 0 {
 		t.Errorf("serving-layer misses at nominal load: %d", st.ServingMisses)
@@ -328,40 +325,6 @@ func TestQueueWaitConsumesBudget(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl: a stalled queue rejects overflow rather than
-// growing without bound.
-func TestAdmissionControl(t *testing.T) {
-	cfg := testShardConfig("full")
-	cfg.QueueDepth = 2
-	sh, err := NewShard(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stall the worker with a gate job so the queue backs up.
-	gate := make(chan Outcome) // unbuffered: worker blocks sending it
-	tr := synthTraces([]float64{1})[0]
-	if err := sh.Submit(Job{Trace: &tr, Result: gate}); err != nil {
-		t.Fatal(err)
-	}
-	// Fill the queue behind the gate, then overflow it. The worker may
-	// have dequeued up to one job before blocking on the gate send, so
-	// allow one extra acceptance before demanding rejection.
-	rejected := 0
-	for i := 0; i < cfg.QueueDepth+2; i++ {
-		if err := sh.Submit(Job{Trace: &tr}); err == ErrQueueFull {
-			rejected++
-		}
-	}
-	if rejected == 0 {
-		t.Error("overflow submissions were all accepted")
-	}
-	if got := sh.Stats().Rejected; int(got) != rejected {
-		t.Errorf("rejected counter = %d, want %d", got, rejected)
-	}
-	<-gate
-	sh.Close()
-}
-
 // TestDegradationUnderBacklog: a burst whose tail waits past the
 // degradation threshold serves those jobs at maximum frequency with
 // prediction bypassed, and recovers (serves predictively) once the
@@ -379,9 +342,7 @@ func TestDegradationUnderBacklog(t *testing.T) {
 	arrivals := workload.BurstyArrivals(len(burst), len(burst), testDeadline)
 	res := make(chan Outcome, len(burst)+1)
 	for i := range burst {
-		if err := sh.Submit(Job{Arrival: arrivals[i], Trace: &burst[i], Result: res}); err != nil {
-			t.Fatal(err)
-		}
+		sh.SubmitWait(Job{Arrival: arrivals[i], Trace: &burst[i], Result: res})
 	}
 	outs := make([]Outcome, 0, len(burst))
 	for range burst {
@@ -405,9 +366,7 @@ func TestDegradationUnderBacklog(t *testing.T) {
 
 	// Recovery: with the backlog gone, a fresh job is served predictively.
 	late := synthTraces([]float64{6})[0]
-	if err := sh.Submit(Job{Arrival: 1e6, Trace: &late, Result: res}); err != nil {
-		t.Fatal(err)
-	}
+	sh.SubmitWait(Job{Arrival: 1e6, Trace: &late, Result: res})
 	if o := <-res; o.Degraded {
 		t.Error("shard did not recover from degradation after the backlog cleared")
 	}
@@ -433,58 +392,26 @@ func TestBudgetExhaustionDegrades(t *testing.T) {
 	}
 }
 
-func TestReplayOnlyShardRejectsPayloadJobs(t *testing.T) {
-	sh, err := NewShard(testShardConfig("noPred"))
+// TestTracelessJobErrors: a job without a trace cannot be served; the
+// shard reports it as an error outcome and counts it, never silently.
+func TestTracelessJobErrors(t *testing.T) {
+	sh, err := NewShard(testShardConfig("noTrace"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := make(chan Outcome, 1)
-	if err := sh.Submit(Job{Result: res}); err != nil {
-		t.Fatal(err)
-	}
-	if o := <-res; o.Err == nil {
-		t.Error("payload job on a replay-only shard should error")
-	}
-	if st := sh.Stats(); st.Errors != 1 {
-		t.Errorf("errors = %d, want 1", st.Errors)
-	}
+	sh.SubmitWait(Job{Result: res})
 	sh.Close()
-}
-
-func TestServerRouting(t *testing.T) {
-	sv := NewServer()
-	if _, err := sv.AddShard(testShardConfig("a")); err != nil {
-		t.Fatal(err)
+	if o := <-res; o.Err == nil {
+		t.Error("traceless job served without error")
 	}
-	if _, err := sv.AddShard(testShardConfig("b")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sv.AddShard(testShardConfig("a")); err == nil {
-		t.Error("duplicate shard accepted")
-	}
-	if got := sv.Names(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("names = %v", got)
-	}
-	if err := sv.Submit("nope", Job{}); err == nil {
-		t.Error("unknown shard accepted a job")
-	}
-	tr := synthTraces([]float64{3})[0]
-	res := make(chan Outcome, 1)
-	if err := sv.Submit("a", Job{Trace: &tr, Result: res}); err != nil {
-		t.Fatal(err)
-	}
-	if o := <-res; o.Err != nil {
-		t.Fatal(o.Err)
-	}
-	sv.Close()
-	stats := sv.Stats()
-	if len(stats) != 2 || stats[0].Done != 1 || stats[1].Done != 0 {
-		t.Errorf("stats = %+v", stats)
+	if st := sh.Stats(); st.Errors != 1 || st.Done != 1 || st.QueueDepth != 0 {
+		t.Errorf("errors %d done %d depth %d, want 1/1/0", st.Errors, st.Done, st.QueueDepth)
 	}
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	var h histogram
+	var h Histogram
 	for i := 0; i < 1000; i++ {
 		h.Observe(1e-3) // all in one bucket
 	}
@@ -497,186 +424,8 @@ func TestHistogramQuantiles(t *testing.T) {
 	if m := h.Mean(); math.Abs(m-1e-3) > 1e-9 {
 		t.Errorf("mean = %g", m)
 	}
-	var empty histogram
+	var empty Histogram
 	if empty.Quantile(0.99) != 0 || empty.Mean() != 0 {
 		t.Error("empty histogram should report zeros")
-	}
-}
-
-// TestStallRetryRecovers: a transient stall schedule (rate 1, retries
-// never re-fault) with one retry allowed serves every job on its retry
-// — no degradation, no errors, and stall delays charged to the budget.
-func TestStallRetryRecovers(t *testing.T) {
-	cfg := testShardConfig("stall")
-	cfg.Faults = fault.New(3).Site(FaultStall, 1) // transient
-	cfg.MaxRetries = 1
-	cfg.RetryBackoff = 50 * time.Microsecond
-	cfg.StallPenalty = 1e-3
-	sh, err := NewShard(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces := synthTraces([]float64{4, 8, 12, 5})
-	arrivals := workload.PeriodicArrivals(len(traces), testDeadline)
-	outs := submitTraces(t, sh, traces, arrivals)
-	for i, o := range outs {
-		if o.Err != nil {
-			t.Fatalf("job %d: %v", i, o.Err)
-		}
-		if o.Stalls != 1 || o.StallDelay != 1e-3 {
-			t.Errorf("job %d: stalls %d delay %g, want 1 stall of 1ms", i, o.Stalls, o.StallDelay)
-		}
-		if o.Degraded {
-			t.Errorf("job %d degraded despite a successful retry", i)
-		}
-	}
-	st := sh.Stats()
-	n := uint64(len(traces))
-	if st.Stalled != n || st.Retries != n {
-		t.Errorf("stalled %d retries %d, want %d each", st.Stalled, st.Retries, n)
-	}
-	if st.Degraded != 0 || st.DegradedStall != 0 || st.Errors != 0 {
-		t.Errorf("degraded %d (stall-triggered %d), errors %d, want zeros", st.Degraded, st.DegradedStall, st.Errors)
-	}
-}
-
-// TestStallExhaustionDegrades: with no retries allowed, a stalled job
-// falls back to the degraded path instead of erroring, and the
-// transition is attributed to stall exhaustion in the metrics.
-func TestStallExhaustionDegrades(t *testing.T) {
-	cfg := testShardConfig("exhaust")
-	cfg.Faults = fault.New(3).Site(FaultStall, 1)
-	cfg.MaxRetries = 0
-	cfg.StallPenalty = 1e-3
-	sh, err := NewShard(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces := synthTraces([]float64{4, 8, 5})
-	arrivals := workload.PeriodicArrivals(len(traces), testDeadline)
-	outs := submitTraces(t, sh, traces, arrivals)
-	for i, o := range outs {
-		if o.Err != nil {
-			t.Fatalf("job %d: %v", i, o.Err)
-		}
-		if !o.Degraded {
-			t.Errorf("job %d not degraded after stall exhaustion", i)
-		}
-	}
-	st := sh.Stats()
-	n := uint64(len(traces))
-	if st.Degraded != n || st.DegradedStall != n {
-		t.Errorf("degraded %d (stall-triggered %d), want %d", st.Degraded, st.DegradedStall, n)
-	}
-	if st.Retries != 0 || st.Stalled != n || st.Errors != 0 {
-		t.Errorf("retries %d stalled %d errors %d", st.Retries, st.Stalled, st.Errors)
-	}
-}
-
-// TestStallDelayAttributedToFaultMisses: an injected stall that pushes
-// an otherwise-fitting job past its deadline counts as a fault miss,
-// not a serving miss.
-func TestStallDelayAttributedToFaultMisses(t *testing.T) {
-	cfg := testShardConfig("attr")
-	cfg.Faults = fault.New(3).Site(FaultStall, 1)
-	cfg.MaxRetries = 1
-	cfg.StallPenalty = 10e-3 // 10 ms of a 16.7 ms deadline
-	sh, err := NewShard(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 12 ms of work fits a fresh deadline but not one down 10 ms.
-	traces := synthTraces([]float64{12})
-	outs := submitTraces(t, sh, traces, []float64{0})
-	if !outs[0].Missed() {
-		t.Fatal("job with 10ms injected delay met a 16.7ms deadline")
-	}
-	st := sh.Stats()
-	if st.Misses != 1 || st.FaultMisses != 1 || st.ServingMisses != 0 {
-		t.Errorf("misses %d fault %d serving %d, want 1/1/0", st.Misses, st.FaultMisses, st.ServingMisses)
-	}
-}
-
-// TestOverflowPolicies: OverflowShed rejects excess and keeps serving
-// predictively; OverflowDegrade additionally pushes the shard into the
-// overloaded regime, so admitted jobs bypass prediction until the
-// backlog halves.
-func TestOverflowPolicies(t *testing.T) {
-	for _, policy := range []OverflowPolicy{OverflowShed, OverflowDegrade} {
-		t.Run(policy.String(), func(t *testing.T) {
-			cfg := testShardConfig("ovf")
-			cfg.QueueDepth = 4
-			cfg.Overflow = policy
-			cfg.DegradeWait = -1 // isolate the overload trigger from wait-degradation
-			sh, err := NewShard(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Gate the worker so the queue can actually fill.
-			gate := make(chan Outcome) // unbuffered: worker blocks sending it
-			gateTr := synthTraces([]float64{1})[0]
-			if err := sh.Submit(Job{Trace: &gateTr, Result: gate}); err != nil {
-				t.Fatal(err)
-			}
-			traces := synthTraces([]float64{1, 1, 1, 1, 1, 1, 1, 1})
-			res := make(chan Outcome, len(traces))
-			accepted := 0
-			for i := range traces {
-				if err := sh.Submit(Job{Trace: &traces[i], Result: res}); err == nil {
-					accepted++
-				}
-			}
-			if accepted == len(traces) {
-				t.Fatal("queue never overflowed")
-			}
-			<-gate
-			sh.Close()
-			degraded := 0
-			for i := 0; i < accepted; i++ {
-				if o := <-res; o.Degraded {
-					degraded++
-				}
-			}
-			st := sh.Stats()
-			shed := uint64(len(traces) - accepted)
-			if st.Shed != shed || st.Rejected != shed {
-				t.Errorf("shed %d rejected %d, want %d", st.Shed, st.Rejected, shed)
-			}
-			if policy == OverflowShed {
-				if st.Overloads != 0 || st.DegradedOverload != 0 || degraded != 0 {
-					t.Errorf("shed policy entered overload: overloads %d, degraded %d", st.Overloads, degraded)
-				}
-			} else {
-				if st.Overloads == 0 {
-					t.Error("degrade policy never declared overload")
-				}
-				if st.DegradedOverload == 0 || degraded == 0 {
-					t.Errorf("degrade policy never degraded admitted jobs (attributed %d, observed %d)", st.DegradedOverload, degraded)
-				}
-			}
-		})
-	}
-}
-
-// TestShardConfigValidatesFailureKnobs: negative watchdog knobs are
-// rejected up front.
-func TestShardConfigValidatesFailureKnobs(t *testing.T) {
-	cfg := testShardConfig("x")
-	cfg.JobTimeout = -time.Second
-	if _, err := NewShard(cfg); err == nil {
-		t.Error("negative JobTimeout accepted")
-	}
-	cfg = testShardConfig("x")
-	cfg.RetryBackoff = -time.Second
-	if _, err := NewShard(cfg); err == nil {
-		t.Error("negative RetryBackoff accepted")
-	}
-	if _, err := ParseOverflowPolicy("bogus"); err == nil {
-		t.Error("bogus overflow policy parsed")
-	}
-	for spell, want := range map[string]OverflowPolicy{"": OverflowShed, "shed": OverflowShed, "degrade": OverflowDegrade} {
-		if got, err := ParseOverflowPolicy(spell); err != nil || got != want {
-			t.Errorf("ParseOverflowPolicy(%q) = %v, %v", spell, got, err)
-		}
 	}
 }

@@ -10,13 +10,11 @@ import (
 	"repro/internal/exp"
 	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/suite"
 	"repro/internal/workload"
 )
 
 // The soak tests share one quick-mode lab: training all seven
-// benchmarks once is the dominant cost, and both the closed-loop soak
-// and the HTTP tests only need its entries.
+// benchmarks once is the dominant cost.
 var (
 	labOnce sync.Once
 	soakLab *exp.Lab
@@ -36,14 +34,11 @@ func quickLab(t *testing.T) *exp.Lab {
 	return soakLab
 }
 
-// shardCfgFor builds a shard config exactly as cmd/dvfserved does.
-func shardCfgFor(t *testing.T, lab *exp.Lab, name string, queue int) serve.ShardConfig {
+// shardFor builds a replica shard over the lab's trained entry, with
+// the profile cmd/dvfserved hands every pool.
+func shardFor(t *testing.T, e *exp.Entry, name string, queue int) *serve.Shard {
 	t.Helper()
-	e, err := lab.Entry(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return serve.ShardConfig{
+	sh, err := serve.NewShard(serve.ShardConfig{
 		Name: name,
 		Profile: serve.Profile{
 			Pred:       e.Pred,
@@ -54,12 +49,7 @@ func shardCfgFor(t *testing.T, lab *exp.Lab, name string, queue int) serve.Shard
 			Margin:     exp.PredictiveMargin,
 		},
 		QueueDepth: queue,
-	}
-}
-
-func shardFor(t *testing.T, lab *exp.Lab, name string, queue int) *serve.Shard {
-	t.Helper()
-	sh, err := serve.NewShard(shardCfgFor(t, lab, name, queue))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +57,12 @@ func shardFor(t *testing.T, lab *exp.Lab, name string, queue int) *serve.Shard {
 }
 
 // TestSoakReconcilesWithOfflineTables is the closed-loop soak of the
-// serving layer: all 7 benchmark workloads are replayed through a
-// server shard as frame-periodic streams, with every job simulated
-// online (slice prediction included), and the aggregate energy and
-// deadline-miss rate must land within 1% of the offline exp replay of
-// the same jobs — with zero misses attributable to the serving layer
-// itself at nominal load.
+// replica engine: all 7 benchmark workloads' collected traces are
+// replayed through a shard as frame-periodic streams, and the
+// aggregate energy and deadline-miss rate must land within 1% of the
+// offline exp replay of the same jobs — with zero misses attributable
+// to the serving layer itself at nominal load. (The cluster package's
+// fleet soak runs the same streams with prediction at the router.)
 func TestSoakReconcilesWithOfflineTables(t *testing.T) {
 	lab := quickLab(t)
 	for _, name := range lab.Names() {
@@ -93,26 +83,16 @@ func TestSoakReconcilesWithOfflineTables(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// The same job bytes the lab collected e.Test from: the
-			// spec's test workload at seed+1, trimmed as Quick mode does.
-			spec, err := suite.ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			jobs := spec.TestJobs(lab.Seed + 1)[:len(e.Test)]
-
-			sh := shardFor(t, lab, name, len(jobs)+1)
-			arrivals := workload.PeriodicArrivals(len(jobs), exp.Deadline)
-			for i, job := range jobs {
-				if err := sh.Submit(serve.Job{Arrival: arrivals[i], Payload: job}); err != nil {
-					t.Fatalf("submit %d: %v", i, err)
-				}
+			sh := shardFor(t, e, name, len(e.Test)+1)
+			arrivals := workload.PeriodicArrivals(len(e.Test), exp.Deadline)
+			for i := range e.Test {
+				sh.SubmitWait(serve.Job{Arrival: arrivals[i], Trace: &e.Test[i]})
 			}
 			sh.Close()
 			st := sh.Stats()
 
-			if st.Done != uint64(len(jobs)) || st.Errors != 0 || st.Rejected != 0 {
-				t.Fatalf("served %d jobs with %d errors, %d rejected", st.Done, st.Errors, st.Rejected)
+			if st.Done != uint64(len(e.Test)) || st.Errors != 0 || st.HandedOff != 0 {
+				t.Fatalf("served %d of %d jobs with %d errors, %d handed off", st.Done, len(e.Test), st.Errors, st.HandedOff)
 			}
 			if st.ServingMisses != 0 {
 				t.Errorf("%d misses attributable to the serving layer at nominal load", st.ServingMisses)
@@ -132,11 +112,13 @@ func TestSoakReconcilesWithOfflineTables(t *testing.T) {
 	}
 }
 
-// TestSoakOverloadDegradesInsteadOfCollapsing pushes one shard past
-// nominal load (bursty arrivals at twice the sustainable rate) and
-// checks the safety valves: admission control sheds load once the
-// queue fills, waiting jobs degrade to max frequency, and the shard
-// keeps serving — no deadlock, no unbounded queue.
+// TestSoakOverloadDegradesInsteadOfCollapsing pushes one shard far
+// past nominal load (the whole stream arrives as one burst at t=0) and
+// checks the shard's safety valves: its physical queue stays bounded
+// (SubmitWait applies backpressure instead of growing it), waiting
+// jobs degrade to max frequency, and the shard keeps serving every
+// job — no deadlock, no unbounded queue. Shedding the excess is the
+// router's job (see the cluster package's overload soak).
 func TestSoakOverloadDegradesInsteadOfCollapsing(t *testing.T) {
 	lab := quickLab(t)
 	name := "aes"
@@ -144,32 +126,30 @@ func TestSoakOverloadDegradesInsteadOfCollapsing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := suite.ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := spec.TestJobs(lab.Seed + 1)[:len(e.Test)]
 
-	sh := shardFor(t, lab, name, 8)
-	// Whole stream arrives as one burst at t=0: far beyond what a
-	// 16.7 ms/job deadline can absorb.
-	accepted := 0
-	for _, job := range jobs {
-		if err := sh.Submit(serve.Job{Arrival: 0, Payload: job}); err == nil {
-			accepted++
+	const queue = 8
+	sh := shardFor(t, e, name, queue)
+	var maxDepth int64
+	for i := range e.Test {
+		if d := sh.Stats().QueueDepth; d > maxDepth {
+			maxDepth = d
 		}
+		sh.SubmitWait(serve.Job{Arrival: 0, Trace: &e.Test[i]})
 	}
 	sh.Close()
 	st := sh.Stats()
-	if st.Done != uint64(accepted) {
-		t.Fatalf("done %d != accepted %d", st.Done, accepted)
+	if st.Done != uint64(len(e.Test)) || st.Errors != 0 {
+		t.Fatalf("done %d of %d submitted, %d errors", st.Done, len(e.Test), st.Errors)
 	}
-	if st.Rejected == 0 {
-		t.Error("overload never tripped admission control")
+	if maxDepth > queue+1 {
+		t.Errorf("backlog reached %d with a %d-deep queue: backpressure never applied", maxDepth, queue)
+	}
+	if st.QueueDepth != 0 {
+		t.Errorf("queue depth %d after close", st.QueueDepth)
 	}
 	if st.Degraded == 0 {
 		t.Error("overload never degraded to max frequency")
 	}
-	t.Logf("%s overload: accepted %d, rejected %d, degraded %d, misses %d",
-		name, accepted, st.Rejected, st.Degraded, st.Misses)
+	t.Logf("%s overload: served %d, peak backlog %d, degraded %d, misses %d",
+		name, st.Done, maxDepth, st.Degraded, st.Misses)
 }
