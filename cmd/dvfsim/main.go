@@ -12,13 +12,14 @@
 //
 // Job-level RTL simulation fans out across -workers goroutines
 // (default: GOMAXPROCS); results are deterministic regardless of the
-// worker count. -engine selects the RTL engine (compiled, event,
-// interp, batch — batch packs up to 64 same-design jobs into one
-// bit-sliced simulation — or native, which runs the pre-generated
-// straight-line code in internal/rtl/native and falls back to
-// compiled for unregistered netlists). -cachedir (or REPRO_CACHE_DIR) enables the persistent trace
-// cache: a re-run with unchanged netlists and workloads replays every
-// simulation from disk and reports "jobs simulated: 0".
+// worker count. -engine selects the RTL engine: native (the default),
+// which runs the pre-generated code in internal/rtl/native and falls
+// back to compiled for unregistered netlists, compiled, or interp. The
+// run ends by reporting "native fallbacks: N", the netlists that had
+// no generated simulator. -cachedir (or REPRO_CACHE_DIR) enables the
+// persistent trace cache: a re-run with unchanged netlists and
+// workloads replays every simulation from disk and reports "jobs
+// simulated: 0".
 // -cpuprofile/-memprofile write pprof profiles of the run for
 // "Profiling the simulator" in README.md.
 package main
@@ -147,6 +148,7 @@ func main() {
 		fmt.Printf("trace cache [%s]: %s; ", cache.Dir(), cache.Stats())
 	}
 	fmt.Printf("jobs simulated: %d\n", core.SimulatedJobs())
+	fmt.Printf("native fallbacks: %d\n", rtl.NativeFallbacks())
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)

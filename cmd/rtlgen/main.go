@@ -8,10 +8,13 @@
 //     is disabled, REPRO_PRUNE=0),
 //   - its pruned twin (the full-design simulator core.Train binds under
 //     default pruning),
-//   - the keep-everything slice (the suite tests' shape), and
+//   - the keep-everything slice (the suite tests' shape),
 //   - the trained predictor slice for the canonical training seed (42,
 //     the default of simbench/slicegen) — the latency-critical module
-//     on the serving path.
+//     on the serving path, and
+//   - the slice a quick exp.Lab trains (dvfsim -quick, the exp tests):
+//     the same seed on its first exp.QuickJobs training jobs, which
+//     for most benchmarks has the full-trained slice's fingerprint.
 //
 // Variants are deduplicated by netlist fingerprint across the whole
 // run, one generated file per benchmark. Output is deterministic for a
@@ -22,6 +25,11 @@
 // directive there), or directly:
 //
 //	go run repro/cmd/rtlgen -out internal/rtl/native
+//
+// rtlgen links the package it rewrites (through core), so after a
+// change that stops the checked-in gen_*.go files compiling — a new
+// rtl.NativeStep signature, say — delete them first; training then
+// runs on the compiled fallback and the output is the same.
 package main
 
 import (
@@ -36,6 +44,7 @@ import (
 	"repro/internal/absint"
 	"repro/internal/accel"
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/instrument"
 	"repro/internal/rtl"
 	"repro/internal/rtl/codegen"
@@ -97,7 +106,7 @@ func main() {
 
 // variants builds the netlist shapes worth pre-generating for one
 // benchmark, mirroring the exact transformations the production flows
-// apply (instrument, bindFull's prune, keep-all slice, trained slice).
+// apply (instrument, bindFull's prune, keep-all slice, trained slices).
 func variants(spec accel.Spec) ([]variant, error) {
 	vars := []variant{{spec.Name, spec.Build()}}
 
@@ -129,6 +138,16 @@ func variants(spec accel.Spec) ([]variant, error) {
 		return nil, err
 	}
 	vars = append(vars, variant{spec.Name + "_slice_t" + fmt.Sprint(trainSeed), pred.Slice.M})
+
+	jobs := spec.TrainJobs(trainSeed)
+	if len(jobs) > exp.QuickJobs {
+		jobs = jobs[:exp.QuickJobs]
+	}
+	quick, err := core.Train(spec, core.Options{Seed: trainSeed, TrainJobs: jobs})
+	if err != nil {
+		return nil, err
+	}
+	vars = append(vars, variant{spec.Name + "_slice_quick", quick.Slice.M})
 	return vars, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/rtl"
 	"repro/internal/tracecache"
 )
 
@@ -51,5 +52,25 @@ func TestRunAllWarmCacheZeroSimulation(t *testing.T) {
 			t.Errorf("%s: warm table differs from cold table\n--- cold ---\n%s--- warm ---\n%s",
 				ExperimentIDs[i], want, got)
 		}
+	}
+}
+
+// TestQuickLabRunsNative is the no-fallback guarantee for quick labs
+// (dvfsim -quick and these tests): cmd/rtlgen pre-generates the slices
+// a quick lab trains, so warming one must not fall back to the compiled
+// engine for any netlist. A failure means internal/rtl/native is stale:
+// regenerate with `go generate ./internal/rtl/native`.
+func TestQuickLabRunsNative(t *testing.T) {
+	if !core.PruningEnabled() {
+		t.Skip("pruning disabled; generated slices target the pruned flow")
+	}
+	before := rtl.NativeFallbacks()
+	l := NewLab(42)
+	l.Quick = true
+	if err := l.Warm(); err != nil {
+		t.Fatal(err)
+	}
+	if d := rtl.NativeFallbacks() - before; d != 0 {
+		t.Fatalf("warming a quick lab fell back to the compiled engine %d time(s)", d)
 	}
 }

@@ -34,6 +34,10 @@ const (
 	TableMargin      = 0.10
 )
 
+// QuickJobs is how many training and test jobs a Quick lab keeps per
+// benchmark (cmd/rtlgen pre-generates the slices it trains).
+const QuickJobs = 60
+
 // Lab caches trained predictors and traces per benchmark.
 type Lab struct {
 	// Seed drives workload generation; a fixed seed makes every
@@ -96,8 +100,8 @@ func (l *Lab) build(name string) (*Entry, error) {
 	trainJobs := spec.TrainJobs(l.Seed)
 	testJobs := spec.TestJobs(l.Seed + 1)
 	if l.Quick {
-		trainJobs = trim(trainJobs, 60)
-		testJobs = trim(testJobs, 60)
+		trainJobs = trim(trainJobs, QuickJobs)
+		testJobs = trim(testJobs, QuickJobs)
 	}
 	pred, err := core.Train(spec, core.Options{Seed: l.Seed, TrainJobs: trainJobs})
 	if err != nil {

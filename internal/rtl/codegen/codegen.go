@@ -24,6 +24,16 @@
 // unspecialized code so the generated step stays total even if an
 // analysis bug ever produced an impossible state.
 //
+// On top of the specialization, the generated function runs whole
+// jobs: registers and inputs live in locals across cycles, and each
+// state's arm evaluates only the instructions its done test, memory
+// writes and register latch need (the plan's hot lists, from a
+// per-state demand analysis). Nothing is stored into the value array
+// until the cycle the function returns on (the last one the limit
+// allows, or the one that raises done): that cycle leaves the loop
+// before its writes and latch, and runs again in full, storing every
+// node's value.
+//
 // Both backends consume the same Plan: the Go source emitter (emit.go,
 // used by cmd/rtlgen to produce the checked-in internal/rtl/native
 // registry) and a closure evaluator (eval.go) that executes the plan
@@ -31,15 +41,19 @@
 // FuzzEngineDifferential can check the specialization logic on
 // arbitrary random netlists without invoking the Go toolchain; the
 // emitted source for the benchmark suite is then checked bit-exact by
-// the suite differential tests, and checked fresh by CI's
-// generated-code drift gate.
+// the suite differential tests and, for every generated shape under
+// cut-off and full-length runs, by cmd/rtlgen's tests, and checked
+// fresh by CI's generated-code drift gate.
 //
-// Bit-exactness contract: a plan step writes every node's value into
-// the value array each cycle and mirrors the interpreter's four-phase
-// cycle (combinational evaluation in SSA order, memory-write commit,
-// simultaneous register latch, caller-side toggle counting), so
-// Value/RegValue/Toggles/Mem observe state identical to the
-// interpreter on every cycle.
+// Bit-exactness contract: after every return — so after each Sim.Step
+// and each Sim.Run — every node's value, every memory word and the
+// cycle count equal the interpreter's, and each cycle mirrors the
+// interpreter's four phases (combinational evaluation in SSA order,
+// memory-write commit, simultaneous register latch, caller-side toggle
+// counting). Between the cycles inside one call the value array is
+// not maintained; activity counting therefore steps one cycle per
+// call, and Value/RegValue/Toggles/Mem observe interpreter state
+// whenever the caller can look.
 package codegen
 
 import (
@@ -107,6 +121,18 @@ type Plan struct {
 	// generic is the unspecialized suffix (the default arm).
 	generic []inst
 	armOf   map[uint64]int
+
+	// The hot lists are what each cycle of a multi-cycle run evaluates
+	// first: only the instructions the done test, the memory writes and
+	// the register latch need, transitively. The cycle a run returns on
+	// (done, or the last the limit allows) then runs the full lists.
+	// hotPrefix holds the prefix instructions every arm needs;
+	// hotArms[i] (and hotGeneric for the default arm) the rest of the
+	// prefix that arm needs, followed by its needed suffix instructions,
+	// each part in SSA order. An unspecialized plan has only hotPrefix.
+	hotPrefix  []inst
+	hotArms    [][]inst
+	hotGeneric []inst
 }
 
 // Module returns the module this plan was built from.
@@ -141,7 +167,7 @@ func Build(m *rtl.Module) *Plan {
 	}
 
 	if stateNode < 0 {
-		p.prefix = planOps(m, combNodes(m, nil), copyKnown(baseKnown))
+		p.unspecialized(baseKnown)
 		return p
 	}
 
@@ -182,8 +208,7 @@ func Build(m *rtl.Module) *Plan {
 	// of proportion to the win, so fall back to one straight-line body
 	// — still dispatch-free, just not state-specialized.
 	if len(suffixIDs)*(len(states)+1) > 60000 {
-		p.stateNode = -1
-		p.prefix = planOps(m, combNodes(m, nil), copyKnown(baseKnown))
+		p.unspecialized(baseKnown)
 		return p
 	}
 
@@ -193,14 +218,124 @@ func Build(m *rtl.Module) *Plan {
 	p.stateNode = int32(stateNode)
 	p.stateVals = states
 	p.armOf = make(map[uint64]int, len(states))
+	// Per-state demand: each arm (the default one last) marks what its
+	// own roots need; prefix instructions every arm needs are hoisted
+	// out of the state dispatch. Arms that are done on every cycle run
+	// in full and do not vote on the hoisting.
+	var needs, voters [][]bool
+	addDemand := func(suffix []inst, known map[int32]uint64) {
+		need := demand(m, p.prefix, suffix, known)
+		needs = append(needs, need)
+		if !alwaysDone(m, known) {
+			voters = append(voters, need)
+		}
+	}
 	for ai, sv := range states {
 		known := copyKnown(prefixKnown)
 		known[int32(stateNode)] = sv
 		p.arms = append(p.arms, planOps(m, suffixIDs, known))
 		p.armOf[sv] = ai
+		addDemand(p.arms[ai], known)
 	}
-	p.generic = planOps(m, suffixIDs, copyKnown(prefixKnown))
+	genKnown := copyKnown(prefixKnown)
+	p.generic = planOps(m, suffixIDs, genKnown)
+	addDemand(p.generic, genKnown)
+	common := func(id int32) bool {
+		for _, need := range voters {
+			if !need[id] {
+				return false
+			}
+		}
+		return len(voters) > 0
+	}
+	p.hotPrefix = filter(p.prefix, common)
+	armHot := func(arm []inst, need []bool) []inst {
+		own := func(id int32) bool { return need[id] && !common(id) }
+		return append(filter(p.prefix, own), filter(arm, func(id int32) bool { return need[id] })...)
+	}
+	for ai := range states {
+		p.hotArms = append(p.hotArms, armHot(p.arms[ai], needs[ai]))
+	}
+	p.hotGeneric = armHot(p.generic, needs[len(states)])
 	return p
+}
+
+// unspecialized makes p one straight-line body over every comb node.
+func (p *Plan) unspecialized(baseKnown map[int32]uint64) {
+	known := copyKnown(baseKnown)
+	p.stateNode = -1
+	p.prefix = planOps(p.m, combNodes(p.m, nil), known)
+	need := demand(p.m, p.prefix, nil, known)
+	p.hotPrefix = filter(p.prefix, func(id int32) bool { return need[id] })
+}
+
+// demand marks the comb nodes one cycle needs to reach its done test,
+// memory writes and register latch, through the residual instructions
+// prefix then suffix, under the literal knowledge of that scope. A
+// write port whose enable is known zero needs neither address nor
+// data. Arguments are marked even when they are literals in scope: the
+// evaluator reads them from the value array, so their (pConst)
+// instructions must run too; the emitter prints them as literals.
+func demand(m *rtl.Module, prefix, suffix []inst, known map[int32]uint64) []bool {
+	need := make([]bool, len(m.Nodes))
+	need[m.Done] = true
+	if alwaysDone(m, known) {
+		// Every cycle in this scope is a done cycle, which runs in full.
+		return need
+	}
+	for i := range m.Writes {
+		w := &m.Writes[i]
+		need[w.En] = true
+		if en, ok := known[int32(w.En)]; !ok || en != 0 {
+			need[w.Addr], need[w.Data] = true, true
+		}
+	}
+	for i := range m.Regs {
+		need[m.Regs[i].Next] = true
+	}
+	mark := func(insts []inst) {
+		for i := len(insts) - 1; i >= 0; i-- {
+			in := &insts[i]
+			if !need[in.dst] {
+				continue
+			}
+			for _, a := range in.args(m) {
+				need[a] = true
+			}
+		}
+	}
+	mark(suffix)
+	mark(prefix)
+	return need
+}
+
+// alwaysDone reports whether the done test is a nonzero literal under
+// the scope's knowledge.
+func alwaysDone(m *rtl.Module, known map[int32]uint64) bool {
+	done, ok := known[int32(m.Done)]
+	return ok && done != 0
+}
+
+// args lists the value-array slots the instruction reads.
+func (in *inst) args(m *rtl.Module) []int32 {
+	switch in.kind {
+	case pConst:
+		return nil
+	case pGeneric:
+		return []int32{in.a, in.b, in.c}[:m.Nodes[in.dst].NArgs]
+	}
+	return []int32{in.a}
+}
+
+// filter keeps the instructions whose destination satisfies keep.
+func filter(insts []inst, keep func(int32) bool) []inst {
+	var out []inst
+	for _, in := range insts {
+		if keep(in.dst) {
+			out = append(out, in)
+		}
+	}
+	return out
 }
 
 // pickFSM chooses the FSM register to specialize on: the one whose
@@ -337,6 +472,26 @@ func planOps(m *rtl.Module, ids []rtl.NodeID, known map[int32]uint64) []inst {
 				} else {
 					in.kind, in.imm = pShrImm, sh
 				}
+			}
+		case n.Op == rtl.OpAnd || n.Op == rtl.OpOr || n.Op == rtl.OpXor || n.Op == rtl.OpAdd:
+			// One known operand can absorb the other (x & 0) or make the
+			// node a copy of it (x & all-ones, x | 0, x ^ 0, x + 0); a
+			// state-gated enable folds to zero in every other state.
+			for _, kx := range [2][2]int32{{in.a, in.b}, {in.b, in.a}} {
+				k, ok := known[kx[0]]
+				if !ok {
+					continue
+				}
+				xMask := m.Nodes[kx[1]].Mask()
+				if n.Op == rtl.OpAnd && k == 0 {
+					known[int32(id)] = 0
+					in.kind, in.imm = pConst, 0
+				} else if (n.Op == rtl.OpAnd && k&xMask == xMask) || (n.Op != rtl.OpAnd && k == 0) {
+					in.kind, in.a = pCopy, kx[1]
+				} else {
+					continue
+				}
+				break
 			}
 		}
 		out = append(out, in)

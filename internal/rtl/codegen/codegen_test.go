@@ -96,6 +96,52 @@ func TestPlanStepMatchesInterpOnToy(t *testing.T) {
 	}
 }
 
+// TestPlanRunMatchesInterpOnToy covers the plan's multi-cycle path on
+// an FSM-specialized design: with activity off, Run executes in one
+// plan call that evaluates only each state's demand until the cycle it
+// returns on. For limits from one cycle to past the job's end, and for
+// a run resumed after a cut-off, cycles, the ErrNoProgress verdict,
+// every node value and the output memory must match the interpreter.
+func TestPlanRunMatchesInterpOnToy(t *testing.T) {
+	m := testdesigns.Toy().M
+	ref := rtl.NewInterpSim(m)
+	if err := ref.LoadMem("in", toyJob()); err != nil {
+		t.Fatal(err)
+	}
+	total, err := ref.Run(10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := codegen.Build(m)
+	for _, limits := range [][]uint64{{1}, {2}, {7}, {total - 1}, {total}, {10000}, {3, 10000}, {total / 2, total / 2}} {
+		ref, nat := rtl.NewInterpSim(m), rtl.NewNativeSim(m, plan.Step)
+		for _, s := range []*rtl.Sim{ref, nat} {
+			if err := s.LoadMem("in", toyJob()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, limit := range limits {
+			rc, rerr := ref.Run(limit)
+			nc, nerr := nat.Run(limit)
+			if nc != rc || (nerr == nil) != (rerr == nil) {
+				t.Fatalf("limits %v: Run(%d) native %d (err %v), interp %d (err %v)", limits, limit, nc, nerr, rc, rerr)
+			}
+			for id := range m.Nodes {
+				if rv, nv := ref.Value(rtl.NodeID(id)), nat.Value(rtl.NodeID(id)); rv != nv {
+					t.Fatalf("limits %v: Run(%d) node %d (%s): interp=%#x native=%#x",
+						limits, limit, id, m.Nodes[id].Op, rv, nv)
+				}
+			}
+			ro, no := ref.Mem("out"), nat.Mem("out")
+			for i := range ro {
+				if ro[i] != no[i] {
+					t.Fatalf("limits %v: Run(%d) out[%d]: interp=%#x native=%#x", limits, limit, i, ro[i], no[i])
+				}
+			}
+		}
+	}
+}
+
 // TestEmitTypechecks emits Go source for a spread of designs — the
 // FSM-heavy Toy, lint designs with unusual shapes (unreachable states,
 // racing writes, combinational-only logic) — and runs the assembled

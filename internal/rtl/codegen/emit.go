@@ -10,21 +10,25 @@ import (
 // EmitFunc renders the plan as the source of one Go function with the
 // rtl.NativeStep signature:
 //
-//	func <name>(vals []uint64, mems [][]uint64) bool
+//	func <name>(vals []uint64, mems [][]uint64, limit uint64) (uint64, bool)
 //
-// The body is the cycle unrolled into straight-line statements:
-// register and input values are loaded into locals once, each residual
-// node becomes an SSA local (so consumers read machine registers, not
-// memory), folded constants print as literals at their use sites, and
-// the state-dependent suffix becomes a switch over the latched FSM
-// register with one case per reachable state. Every node's value is
-// still stored into vals so observation (Value, toggles, VCD) stays
-// bit-exact with the interpreter.
+// The function runs whole jobs. Registers and the inputs it reads live
+// in locals across cycles. The cycle loop dispatches one switch over
+// the state register's local, and each arm evaluates only the
+// instructions its done test, memory writes and register latch need
+// (the plan's hot lists), with every intermediate in an SSA local and
+// folded constants printed as literals; nothing is stored into vals.
+// The cycle that will return — the last one limit allows, or the one
+// whose done test is high — leaves the loop before its writes and
+// latch, writes the registers back, and runs again as the full cycle
+// body: every node's value is stored into vals, then the writes commit
+// and the registers latch through vals. So vals and the memories are
+// bit-exact with the interpreter whenever the function returns.
 //
 // The output is plain unformatted Go; cmd/rtlgen runs the assembled
 // file through go/format before writing it.
 func EmitFunc(p *Plan, name string) string {
-	e := &emitter{p: p, m: p.m, defined: map[int32]bool{}}
+	e := &emitter{p: p, m: p.m, used: map[int32]bool{}}
 	return e.run(name)
 }
 
@@ -32,9 +36,10 @@ type emitter struct {
 	p *Plan
 	m *rtl.Module
 	b strings.Builder
-	// defined marks nodes with a function-scope local v<N> (loads and
-	// prefix results). Arm-scope locals are tracked per arm.
-	defined map[int32]bool
+	// used marks register and input locals some emitted code reads.
+	used map[int32]bool
+	// brk records whether any arm emitted break loop.
+	brk bool
 }
 
 func (e *emitter) pf(format string, args ...any) {
@@ -43,21 +48,6 @@ func (e *emitter) pf(format string, args ...any) {
 
 func (e *emitter) run(name string) string {
 	p, m := e.p, e.m
-	e.pf("func %s(vals []uint64, mems [][]uint64) bool {\n", name)
-	if n := len(m.Nodes); n > 0 {
-		e.pf("_ = vals[%d]\n", n-1)
-	}
-	for _, mi := range e.usedMems() {
-		e.pf("m%d := mems[%d]\n", mi, mi)
-	}
-
-	// Function-scope loads: register/input values referenced by residual
-	// instructions (in any scope where they are not a known literal).
-	for _, id := range e.loadNodes() {
-		e.pf("v%d := vals[%d]\n", id, id)
-		e.defined[id] = true
-	}
-
 	// Scope knowledge: OpConst node values hold everywhere (preloaded at
 	// Reset, and printed as literals at use sites), extended by each
 	// instruction list's own folded constants.
@@ -70,33 +60,63 @@ func (e *emitter) run(name string) string {
 	for k, v := range knownIn(p.prefix) { //detlint:allow scratch map, never ranged for output
 		prefixKnown[k] = v
 	}
-	for _, in := range p.prefix {
-		if in.kind != pConst {
-			e.defined[in.dst] = true
+	armKnown := func(insts []inst, ai int) map[int32]uint64 {
+		known := knownIn(insts)
+		for k, v := range prefixKnown { //detlint:allow scratch map, never ranged for output
+			known[k] = v
+		}
+		if ai >= 0 {
+			known[p.stateNode] = p.stateVals[ai]
+		}
+		return known
+	}
+	// Registers and inputs are read through locals loaded before the
+	// loop; the header declares those some code reads.
+	state := map[int32]bool{}
+	for i := range m.Nodes {
+		switch m.Nodes[i].Op {
+		case rtl.OpReg, rtl.OpInput:
+			state[int32(i)] = true
 		}
 	}
-	e.emitInsts(p.prefix, prefixKnown, e.defined)
 
+	// The cycle loop: hot instructions only, no stores to vals.
+	hotDefined := extend(state, p.hotPrefix)
+	e.emitInsts(p.hotPrefix, prefixKnown, hotDefined, false)
 	if p.stateNode >= 0 {
-		e.pf("switch vals[%d] {\n", p.stateNode)
+		e.pf("switch v%d {\n", p.stateNode)
+		e.used[p.stateNode] = true
 		for ai, sv := range p.stateVals {
 			e.pf("case %#x:\n", sv)
-			armKnown := knownIn(p.arms[ai])
-			for k, v := range prefixKnown { //detlint:allow scratch map, never ranged for output
-				armKnown[k] = v
-			}
-			armKnown[p.stateNode] = sv
-			e.emitInsts(p.arms[ai], armKnown, armDefined(e.defined, p.arms[ai]))
+			e.emitHotArm(p.hotArms[ai], armKnown(p.arms[ai], ai), hotDefined)
 		}
 		e.pf("default:\n")
-		genKnown := knownIn(p.generic)
-		for k, v := range prefixKnown { //detlint:allow scratch map, never ranged for output
-			genKnown[k] = v
+		e.emitHotArm(p.hotGeneric, armKnown(p.generic, -1), hotDefined)
+		e.pf("}\n")
+	} else {
+		e.emitHotArm(nil, prefixKnown, hotDefined)
+	}
+	loop := e.b.String()
+	e.b.Reset()
+
+	// The returning cycle in full, through vals.
+	for i := range m.Regs {
+		id := int32(m.Regs[i].Node)
+		e.pf("vals[%d] = v%d\n", id, id)
+		e.used[id] = true
+	}
+	fnDefined := extend(state, p.prefix)
+	e.emitInsts(p.prefix, prefixKnown, fnDefined, true)
+	if p.stateNode >= 0 {
+		e.pf("switch v%d {\n", p.stateNode)
+		for ai, sv := range p.stateVals {
+			e.pf("case %#x:\n", sv)
+			e.emitInsts(p.arms[ai], armKnown(p.arms[ai], ai), extend(fnDefined, p.arms[ai]), true)
 		}
-		e.emitInsts(p.generic, genKnown, armDefined(e.defined, p.generic))
+		e.pf("default:\n")
+		e.emitInsts(p.generic, armKnown(p.generic, -1), extend(fnDefined, p.generic), true)
 		e.pf("}\n")
 	}
-
 	e.pf("done := vals[%d] != 0\n", m.Done)
 	for i := range m.Writes {
 		w := &m.Writes[i]
@@ -114,8 +134,96 @@ func (e *emitter) run(name string) string {
 	for i := range m.Regs {
 		e.pf("vals[%d] = l%d\n", m.Regs[i].Node, i)
 	}
-	e.pf("return done\n}\n")
+	e.pf("return cycles + 1, done\n}\n")
+	final := e.b.String()
+
+	e.b.Reset()
+	e.pf("func %s(vals []uint64, mems [][]uint64, limit uint64) (uint64, bool) {\n", name)
+	if n := len(m.Nodes); n > 0 {
+		e.pf("_ = vals[%d]\n", n-1)
+	}
+	for _, mi := range e.usedMems() {
+		e.pf("m%d := mems[%d]\n", mi, mi)
+	}
+	for i := range m.Nodes {
+		if e.used[int32(i)] {
+			e.pf("v%d := vals[%d]\n", i, i)
+		}
+	}
+	e.pf("var cycles uint64\n")
+	if e.brk {
+		e.pf("loop:\n")
+	}
+	e.pf("for ; cycles+1 < limit; cycles++ {\n%s}\n%s", loop, final)
 	return e.b.String()
+}
+
+// emitHotArm renders the rest of one arm of the cycle loop: its hot
+// instructions, then the done test (leaving the loop so the cycle runs
+// again in full), the memory writes and the register latch, all
+// reading locals and literals.
+func (e *emitter) emitHotArm(insts []inst, known map[int32]uint64, defined map[int32]bool) {
+	m := e.m
+	defined = extend(defined, insts)
+	e.emitInsts(insts, known, defined, false)
+	r := func(id rtl.NodeID) string { return e.hotRef(int32(id), known, defined) }
+	if alwaysDone(m, known) {
+		// Done in every cycle of this state: the loop never commits it.
+		e.pf("break loop\n")
+		e.brk = true
+		return
+	}
+	if _, ok := known[int32(m.Done)]; !ok {
+		e.pf("if %s != 0 {\nbreak loop\n}\n", r(m.Done))
+		e.brk = true
+	}
+	for i := range m.Writes {
+		w := &m.Writes[i]
+		en, enKnown := known[int32(w.En)]
+		if enKnown && en == 0 {
+			continue
+		}
+		if !enKnown {
+			e.pf("if %s != 0 {\n", r(w.En))
+		}
+		e.pf("if addr := uint64(%s); addr < uint64(len(m%d)) {\nm%d[addr] = %s\n}\n",
+			r(w.Addr), w.Mem, w.Mem, r(w.Data))
+		if !enKnown {
+			e.pf("}\n")
+		}
+	}
+	// Registers latch simultaneously: next values that are not literals
+	// go to temporaries before any register local is overwritten.
+	for i := range m.Regs {
+		rg := &m.Regs[i]
+		if _, lit := known[int32(rg.Next)]; lit || rg.Next == rg.Node {
+			continue
+		}
+		mask := m.Nodes[rg.Node].Mask()
+		msk := maskSuffix(mask)
+		if bound(int32(rg.Next), m, known)&^mask == 0 {
+			msk = ""
+		}
+		e.pf("n%d := %s%s\n", i, r(rg.Next), msk)
+	}
+	for i := range m.Regs {
+		rg := &m.Regs[i]
+		if v, lit := known[int32(rg.Next)]; lit {
+			e.pf("v%d = %#x\n", rg.Node, v&m.Nodes[rg.Node].Mask())
+		} else if rg.Next != rg.Node {
+			e.pf("v%d = n%d\n", rg.Node, i)
+		}
+	}
+}
+
+// hotRef renders a read inside the cycle loop, where vals is stale: the
+// node must be a literal in scope or have a local. A miss is a demand
+// bug, caught at generation time.
+func (e *emitter) hotRef(id int32, known map[int32]uint64, defined map[int32]bool) string {
+	if _, ok := known[id]; !ok && !defined[id] {
+		panic(fmt.Sprintf("codegen: cycle loop reads node %d with no local", id))
+	}
+	return e.ref(id, known, defined)
 }
 
 // usedMems lists memory indices touched by read or write ports, in
@@ -146,51 +254,6 @@ func (e *emitter) usedMems() []int32 {
 	return out
 }
 
-// loadNodes lists register/input nodes that some residual instruction
-// reads in a scope where the value is not a known literal, in ID order.
-func (e *emitter) loadNodes() []int32 {
-	m := e.m
-	need := make([]bool, len(m.Nodes))
-	scan := func(insts []inst, known map[int32]uint64) {
-		for i := range insts {
-			in := &insts[i]
-			if in.kind == pConst {
-				continue
-			}
-			nargs := 1
-			if in.kind == pGeneric {
-				nargs = int(m.Nodes[in.dst].NArgs)
-			}
-			args := [3]int32{in.a, in.b, in.c}
-			for a := 0; a < nargs; a++ {
-				id := args[a]
-				if _, ok := known[id]; ok {
-					continue
-				}
-				switch m.Nodes[id].Op {
-				case rtl.OpReg, rtl.OpInput:
-					need[id] = true
-				}
-			}
-		}
-	}
-	prefixKnown := knownIn(e.p.prefix)
-	scan(e.p.prefix, prefixKnown)
-	for ai, arm := range e.p.arms {
-		armKnown := knownIn(arm)
-		armKnown[e.p.stateNode] = e.p.stateVals[ai]
-		scan(arm, armKnown)
-	}
-	scan(e.p.generic, knownIn(e.p.generic))
-	var out []int32
-	for i, n := range need {
-		if n {
-			out = append(out, int32(i))
-		}
-	}
-	return out
-}
-
 // knownIn collects the literal results proven within an instruction
 // list (its pConst entries), used to print consumers as literals.
 func knownIn(insts []inst) map[int32]uint64 {
@@ -203,12 +266,12 @@ func knownIn(insts []inst) map[int32]uint64 {
 	return known
 }
 
-// armDefined extends the function-scope defined set with the locals the
-// arm itself will introduce (its residual instructions), so intra-arm
-// consumers read those locals.
-func armDefined(fn map[int32]bool, insts []inst) map[int32]bool {
-	d := make(map[int32]bool, len(fn)+len(insts))
-	for k, v := range fn { //detlint:allow scratch map, never ranged for output
+// extend returns a copy of the defined set plus the locals the
+// instruction list itself introduces (its residual instructions), so
+// consumers within the list's scope read those locals.
+func extend(defined map[int32]bool, insts []inst) map[int32]bool {
+	d := make(map[int32]bool, len(defined)+len(insts))
+	for k, v := range defined { //detlint:allow scratch map, never ranged for output
 		d[k] = v
 	}
 	for i := range insts {
@@ -220,12 +283,17 @@ func armDefined(fn map[int32]bool, insts []inst) map[int32]bool {
 }
 
 // ref renders a read of node id: a literal when known in scope, the SSA
-// local when one exists, else the backing array.
-func ref(id int32, known map[int32]uint64, defined map[int32]bool) string {
+// local when one exists, else the backing array. It records which
+// register and input locals are read, so only those are declared.
+func (e *emitter) ref(id int32, known map[int32]uint64, defined map[int32]bool) string {
 	if v, ok := known[id]; ok {
 		return fmt.Sprintf("%#x", v)
 	}
 	if defined[id] {
+		switch e.m.Nodes[id].Op {
+		case rtl.OpReg, rtl.OpInput:
+			e.used[id] = true
+		}
 		return fmt.Sprintf("v%d", id)
 	}
 	return fmt.Sprintf("vals[%d]", id)
@@ -251,16 +319,23 @@ func bound(id int32, m *rtl.Module, known map[int32]uint64) uint64 {
 
 // emitInsts renders one instruction list. known maps nodes to literal
 // values in this scope; defined holds every node with a visible local
-// (including this list's own, precomputed by the caller).
-func (e *emitter) emitInsts(insts []inst, known map[int32]uint64, defined map[int32]bool) {
+// (including this list's own, precomputed by the caller). With store
+// set every result is also stored into vals; without it (the cycle
+// loop) folded constants emit nothing and reads must hit locals.
+func (e *emitter) emitInsts(insts []inst, known map[int32]uint64, defined map[int32]bool, store bool) {
 	m := e.m
-	r := func(id int32) string { return ref(id, known, defined) }
+	r := func(id int32) string { return e.ref(id, known, defined) }
+	if !store {
+		r = func(id int32) string { return e.hotRef(id, known, defined) }
+	}
 	for i := range insts {
 		in := &insts[i]
 		d := in.dst
 		switch in.kind {
 		case pConst:
-			e.pf("vals[%d] = %#x\n", d, in.imm)
+			if store {
+				e.pf("vals[%d] = %#x\n", d, in.imm)
+			}
 			continue
 		case pCopy:
 			msk := maskSuffix(in.mask)
@@ -277,15 +352,17 @@ func (e *emitter) emitInsts(insts []inst, known map[int32]uint64, defined map[in
 			}
 			e.pf("v%d := (%s >> %d)%s\n", d, r(in.a), in.imm, msk)
 		default:
-			e.emitGeneric(in, r, known, defined)
+			e.emitGeneric(in, r, known)
 		}
-		e.pf("vals[%d] = v%d\n", d, d)
+		if store {
+			e.pf("vals[%d] = v%d\n", d, d)
+		}
 	}
 }
 
 // emitGeneric renders a pGeneric instruction as the statements defining
-// local v<dst> (the caller appends the vals store).
-func (e *emitter) emitGeneric(in *inst, r func(int32) string, known map[int32]uint64, defined map[int32]bool) {
+// local v<dst> (the caller appends any vals store).
+func (e *emitter) emitGeneric(in *inst, r func(int32) string, known map[int32]uint64) {
 	m := e.m
 	d := in.dst
 	msk := maskSuffix(in.mask)

@@ -2,30 +2,57 @@ package codegen
 
 import "repro/internal/rtl"
 
-// Step executes one cycle of the plan directly — the interpretive
-// backend over the same specialized instruction lists the emitter turns
-// into Go source. Its signature matches rtl.NativeStep, so
-// rtl.NewNativeSim(m, plan.Step) yields a simulator the differential
-// tests can run against the other engines on arbitrary modules,
-// exercising the partial-evaluation and FSM-dispatch logic without the
-// Go toolchain. It allocates a latch scratch per call rather than
-// capturing one, keeping the step pure over (vals, mems) as the
-// NativeStep contract requires; the emitted code uses stack locals and
-// pays no such allocation.
-func (p *Plan) Step(vals []uint64, mems [][]uint64) bool {
+// Step runs the plan directly — the interpretive backend over the same
+// specialized instruction lists the emitter turns into Go source. Its
+// signature matches rtl.NativeStep, so rtl.NewNativeSim(m, plan.Step)
+// yields a simulator the differential tests can run against the other
+// engines on arbitrary modules, exercising the partial evaluation,
+// FSM-state dispatch and per-state demand without the Go toolchain.
+//
+// It mirrors the emitted control flow cycle for cycle: a cycle that is
+// not the last allowed by limit runs only the hot lists, and only if
+// its done test is low does it commit; otherwise the cycle is
+// re-evaluated in full, so every node is exact on return, and then
+// commits. Values of nodes outside the hot lists go stale in between.
+// The latch scratch is allocated per call rather than captured,
+// keeping the step pure over (vals, mems) as the NativeStep contract
+// requires.
+func (p *Plan) Step(vals []uint64, mems [][]uint64, limit uint64) (uint64, bool) {
 	m := p.m
-	// Phase 1: combinational evaluation — prefix, then the suffix arm
-	// specialized for the current state (or the generic default).
-	runInsts(p.prefix, vals, mems)
-	if p.stateNode >= 0 {
-		if ai, ok := p.armOf[vals[p.stateNode]]; ok {
-			runInsts(p.arms[ai], vals, mems)
-		} else {
-			runInsts(p.generic, vals, mems)
+	latch := make([]uint64, len(m.Regs))
+	for cycles := uint64(1); ; cycles++ {
+		if cycles < limit {
+			runInsts(p.hotPrefix, vals, mems)
+			if p.stateNode >= 0 {
+				runInsts(p.pick(p.hotArms, p.hotGeneric, vals), vals, mems)
+			}
+			if vals[m.Done] == 0 {
+				p.commit(vals, mems, latch)
+				continue
+			}
 		}
+		runInsts(p.prefix, vals, mems)
+		if p.stateNode >= 0 {
+			runInsts(p.pick(p.arms, p.generic, vals), vals, mems)
+		}
+		done := vals[m.Done] != 0
+		p.commit(vals, mems, latch)
+		return cycles, done
 	}
-	done := vals[m.Done] != 0
-	// Phase 2: memory writes commit.
+}
+
+// pick selects the arm for the latched state, or the default arm.
+func (p *Plan) pick(arms [][]inst, generic []inst, vals []uint64) []inst {
+	if ai, ok := p.armOf[vals[p.stateNode]]; ok {
+		return arms[ai]
+	}
+	return generic
+}
+
+// commit runs the cycle's memory writes, then latches every register
+// simultaneously through the latch scratch.
+func (p *Plan) commit(vals []uint64, mems [][]uint64, latch []uint64) {
+	m := p.m
 	for i := range m.Writes {
 		w := &m.Writes[i]
 		if vals[w.En] != 0 {
@@ -35,8 +62,6 @@ func (p *Plan) Step(vals []uint64, mems [][]uint64) bool {
 			}
 		}
 	}
-	// Phase 3: registers latch simultaneously.
-	latch := make([]uint64, len(m.Regs))
 	for i := range m.Regs {
 		r := &m.Regs[i]
 		latch[i] = vals[r.Next] & m.Nodes[r.Node].Mask()
@@ -44,7 +69,6 @@ func (p *Plan) Step(vals []uint64, mems [][]uint64) bool {
 	for i := range m.Regs {
 		vals[m.Regs[i].Node] = latch[i]
 	}
-	return done
 }
 
 func runInsts(insts []inst, vals []uint64, mems [][]uint64) {

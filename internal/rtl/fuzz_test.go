@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/absint"
 	"repro/internal/rtl"
+	"repro/internal/rtl/codegen"
 )
 
 // byteFeed deterministically consumes fuzz input bytes, yielding zeros
@@ -156,7 +157,50 @@ func FuzzEngineDifferential(f *testing.F) {
 		// unpruned interpreter on the observables — done timing, every
 		// kept register, and memory contents — under the same stimulus.
 		diffPruned(t, m, ins, load, stim)
+
+		// Run leg: fuzzed cycle limits through the plan's multi-cycle
+		// path, resuming a cut-off run with a second limit.
+		diffRun(t, m, ins, load, stim[0], [2]uint64{1 + uint64(fd.next()%48), 1 + uint64(fd.next()%48)})
 	})
+}
+
+// diffRun checks the codegen plan's multi-cycle path: a plan-backed
+// native Sim without activity counting executes each Run in one call,
+// evaluating only the per-state demand until the cycle it returns on,
+// so after each of two successive Runs under the given limits — the
+// second resuming where the first stopped — its cycle count,
+// ErrNoProgress verdict, every node value and every memory word must
+// equal an interpreter's under constant inputs.
+func diffRun(t *testing.T, m *rtl.Module, ins []rtl.NodeID, load, inputs []uint64, limits [2]uint64) {
+	t.Helper()
+	ref := rtl.NewInterpSim(m)
+	nat := rtl.NewNativeSim(m, codegen.Build(m).Step)
+	for _, s := range []*rtl.Sim{ref, nat} {
+		if err := s.LoadMem("m", load); err != nil {
+			t.Fatal(err)
+		}
+		for k, id := range ins {
+			s.SetInput(id, inputs[k])
+		}
+	}
+	for _, limit := range limits {
+		rc, rerr := ref.Run(limit)
+		nc, nerr := nat.Run(limit)
+		if nc != rc || nat.Cycles() != ref.Cycles() || (nerr == nil) != (rerr == nil) {
+			t.Fatalf("Run(%d): native %d cycles (err %v), interp %d (err %v)", limit, nc, nerr, rc, rerr)
+		}
+		for id := range m.Nodes {
+			if nv, rv := nat.Value(rtl.NodeID(id)), ref.Value(rtl.NodeID(id)); nv != rv {
+				t.Fatalf("Run(%d): node %d (%s): native %#x != interp %#x", limit, id, m.Nodes[id].Op, nv, rv)
+			}
+		}
+		nm, rm := nat.Mem("m"), ref.Mem("m")
+		for w := range rm {
+			if nm[w] != rm[w] {
+				t.Fatalf("Run(%d): mem[%d]: native %#x != interp %#x", limit, w, nm[w], rm[w])
+			}
+		}
+	}
 }
 
 // diffPruned replays recorded stimulus on the absint-pruned module

@@ -13,12 +13,15 @@ import (
 // checked-in generated code for the benchmark suite, produced by
 // cmd/rtlgen via go:generate).
 //
-// A NativeStep is one cycle of one specific netlist compiled to
-// straight-line Go: no instruction dispatch, constants folded into the
-// code, masks baked in, and FSM-state-specialized basic blocks. It
-// still writes every node's value into the Sim's value array each
-// cycle, so Value, RegValue, toggle counting, VCD dumps, and the
-// differential tests observe state bit-identical to the interpreter.
+// A NativeStep runs one specific netlist compiled to straight-line Go:
+// no instruction dispatch, constants folded into the code, masks baked
+// in, FSM-state-specialized basic blocks, registers held in locals
+// across cycles, and per state only the logic that state's next state,
+// memory writes and done test need. Node values are stored only on the
+// cycle it returns, so Value, RegValue, toggle counting, VCD dumps, and
+// the differential tests observe state bit-identical to the
+// interpreter after every Step and every Run, but not between the
+// cycles inside one Run.
 //
 // Registration is keyed on Fingerprint(m): two modules with equal
 // fingerprints simulate identically, so a step generated from one is
@@ -28,16 +31,20 @@ import (
 // observable through NativeFallbacks so a silently stale registry
 // cannot masquerade as a codegen win.
 
-// NativeStep executes one cycle of a specific netlist: combinational
+// NativeStep runs cycles of a specific netlist until one raises Done or
+// limit cycles have run (a limit below 1 acts as 1), and returns how
+// many cycles ran and whether the last one raised Done. Each cycle
+// follows the same four-phase contract as Sim.Step: combinational
 // evaluation in SSA order, memory-write commit, simultaneous register
-// latch — the same four-phase contract as Sim.Step (toggle counting is
-// phase 4, handled by the caller). It must write every node's value
-// into vals and return whether Done evaluated nonzero this cycle.
+// latch (toggle counting is phase 4, handled by the caller, which
+// passes limit 1 to count every cycle). On return, every node's value
+// in vals and every memory word must equal what the interpreter holds
+// after the same cycles; in between, vals need not be maintained.
 //
 // A NativeStep must be pure over (vals, mems): implementations hold no
 // mutable captured state, so one step function is shared by any number
 // of concurrently running Sim clones.
-type NativeStep func(vals []uint64, mems [][]uint64) bool
+type NativeStep func(vals []uint64, mems [][]uint64, limit uint64) (cycles uint64, done bool)
 
 // nativeEntry is one registered generated simulator.
 type nativeEntry struct {

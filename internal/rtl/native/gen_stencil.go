@@ -6,7 +6,7 @@ package native
 
 import "repro/internal/rtl"
 
-func step_stencil(vals []uint64, mems [][]uint64) bool {
+func step_stencil(vals []uint64, mems [][]uint64, limit uint64) (uint64, bool) {
 	_ = vals[86]
 	m0 := mems[0]
 	m1 := mems[1]
@@ -15,6 +15,385 @@ func step_stencil(vals []uint64, mems [][]uint64) bool {
 	v15 := vals[15]
 	v24 := vals[24]
 	v83 := vals[83]
+	var cycles uint64
+loop:
+	for ; cycles+1 < limit; cycles++ {
+		var v25 uint64
+		if v24 != 0x0 {
+			v25 = 1
+		}
+		v26 := (v24 - 0x1) & 0x7f
+		var v27 uint64
+		if v25 != 0 {
+			v27 = v26
+		} else {
+			v27 = v24
+		}
+		switch v8 {
+		case 0x0:
+			v28 := v27
+			v41 := v4
+			v85 := v83
+			n0 := v41
+			n3 := v28
+			n4 := v85
+			v4 = n0
+			v8 = 0x1
+			v15 = 0x2
+			v24 = n3
+			v83 = n4
+		case 0x1:
+			var v3 uint64
+			if addr := uint64(0x1); addr < uint64(len(m0)) {
+				v3 = m0[addr] & 0x7f
+			}
+			var v16 uint64
+			if v15 != 0x0 {
+				v16 = 1
+			}
+			v18 := (v15 - 0x1) & 0x7
+			var v19 uint64
+			if v16 != 0 {
+				v19 = v18
+			} else {
+				v19 = v15
+			}
+			var v22 uint64
+			if v15 == 0x0 {
+				v22 = 1
+			}
+			v20 := v19
+			v23 := v22
+			var v28 uint64
+			if v23 != 0 {
+				v28 = v3
+			} else {
+				v28 = v27
+			}
+			var v38 uint64
+			if v22 != 0 {
+				v38 = 0x2
+			} else {
+				v38 = 0x1
+			}
+			v39 := v38
+			v40 := v39
+			v41 := v4
+			v85 := v83
+			n0 := v41
+			n1 := v40
+			n2 := v20
+			n3 := v28
+			n4 := v85
+			v4 = n0
+			v8 = n1
+			v15 = n2
+			v24 = n3
+			v83 = n4
+		case 0x2:
+			v6 := (v4 + 0x2) & 0x7f
+			var v7 uint64
+			if addr := uint64(v6); addr < uint64(len(m0)) {
+				v7 = m0[addr] & 0xffff
+			}
+			var v16 uint64
+			if v15 != 0x0 {
+				v16 = 1
+			}
+			v18 := (v15 - 0x1) & 0x7
+			var v19 uint64
+			if v16 != 0 {
+				v19 = v18
+			} else {
+				v19 = v15
+			}
+			var v29 uint64
+			if v24 == 0x0 {
+				v29 = 1
+			}
+			v42 := (v7 * v7) & 0xffffffff
+			v44 := (v42 * 0x1) & 0xffffffff
+			v45 := (v42 >> 1)
+			v47 := v24
+			v48 := (v45 ^ v47)
+			v50 := (v48 * 0x2) & 0xffffffff
+			v51 := (v44 + v50) & 0xffffffff
+			v52 := (v48 >> 1)
+			v53 := (v52 ^ v47)
+			v54 := (v53 * 0x1) & 0xffffffff
+			v55 := (v51 + v54) & 0xffffffff
+			v56 := (v53 >> 1)
+			v57 := (v56 ^ v47)
+			v58 := (v57 * 0x2) & 0xffffffff
+			v59 := (v55 + v58) & 0xffffffff
+			v60 := (v57 >> 1)
+			v61 := (v60 ^ v47)
+			v63 := (v61 * 0x4) & 0xffffffff
+			v64 := (v59 + v63) & 0xffffffff
+			v65 := (v61 >> 1)
+			v66 := (v65 ^ v47)
+			v67 := (v66 * 0x2) & 0xffffffff
+			v68 := (v64 + v67) & 0xffffffff
+			v69 := (v66 >> 1)
+			v70 := (v69 ^ v47)
+			v71 := (v70 * 0x1) & 0xffffffff
+			v72 := (v68 + v71) & 0xffffffff
+			v73 := (v70 >> 1)
+			v74 := (v73 ^ v47)
+			v75 := (v74 * 0x2) & 0xffffffff
+			v76 := (v72 + v75) & 0xffffffff
+			v77 := (v74 >> 1)
+			v78 := (v77 ^ v47)
+			v79 := (v78 * 0x1) & 0xffffffff
+			v80 := (v76 + v79) & 0xffffffff
+			v84 := (v83 + v80) & 0xffffffff
+			v20 := v19
+			v28 := v27
+			var v35 uint64
+			if v29 != 0 {
+				v35 = 0x3
+			} else {
+				v35 = 0x2
+			}
+			v37 := v35
+			v39 := v37
+			v40 := v39
+			v41 := v4
+			v85 := v84
+			n0 := v41
+			n1 := v40
+			n2 := v20
+			n3 := v28
+			n4 := v85
+			v4 = n0
+			v8 = n1
+			v15 = n2
+			v24 = n3
+			v83 = n4
+		case 0x3:
+			var v1 uint64
+			if addr := uint64(0x0); addr < uint64(len(m0)) {
+				v1 = m0[addr] & 0x7f
+			}
+			v30 := (v4 + 0x1) & 0x7f
+			var v31 uint64
+			if v1 <= v30 {
+				v31 = 1
+			}
+			var v33 uint64
+			if v31 != 0 {
+				v33 = 0x4
+			} else {
+				v33 = 0x1
+			}
+			v28 := v27
+			v34 := v33
+			v37 := v34
+			v39 := v37
+			v40 := v39
+			v41 := v30
+			v85 := v83
+			if addr := uint64(v4); addr < uint64(len(m1)) {
+				m1[addr] = v83
+			}
+			n0 := v41
+			n1 := v40
+			n3 := v28
+			n4 := v85
+			v4 = n0
+			v8 = n1
+			v15 = 0x2
+			v24 = n3
+			v83 = n4
+		case 0x4:
+			break loop
+		default:
+			var v1 uint64
+			if addr := uint64(0x0); addr < uint64(len(m0)) {
+				v1 = m0[addr] & 0x7f
+			}
+			var v3 uint64
+			if addr := uint64(0x1); addr < uint64(len(m0)) {
+				v3 = m0[addr] & 0x7f
+			}
+			v6 := (v4 + 0x2) & 0x7f
+			var v7 uint64
+			if addr := uint64(v6); addr < uint64(len(m0)) {
+				v7 = m0[addr] & 0xffff
+			}
+			var v16 uint64
+			if v15 != 0x0 {
+				v16 = 1
+			}
+			v18 := (v15 - 0x1) & 0x7
+			var v19 uint64
+			if v16 != 0 {
+				v19 = v18
+			} else {
+				v19 = v15
+			}
+			var v22 uint64
+			if v15 == 0x0 {
+				v22 = 1
+			}
+			var v29 uint64
+			if v24 == 0x0 {
+				v29 = 1
+			}
+			v30 := (v4 + 0x1) & 0x7f
+			var v31 uint64
+			if v1 <= v30 {
+				v31 = 1
+			}
+			var v33 uint64
+			if v31 != 0 {
+				v33 = 0x4
+			} else {
+				v33 = 0x1
+			}
+			v42 := (v7 * v7) & 0xffffffff
+			v44 := (v42 * 0x1) & 0xffffffff
+			v45 := (v42 >> 1)
+			v47 := v24
+			v48 := (v45 ^ v47)
+			v50 := (v48 * 0x2) & 0xffffffff
+			v51 := (v44 + v50) & 0xffffffff
+			v52 := (v48 >> 1)
+			v53 := (v52 ^ v47)
+			v54 := (v53 * 0x1) & 0xffffffff
+			v55 := (v51 + v54) & 0xffffffff
+			v56 := (v53 >> 1)
+			v57 := (v56 ^ v47)
+			v58 := (v57 * 0x2) & 0xffffffff
+			v59 := (v55 + v58) & 0xffffffff
+			v60 := (v57 >> 1)
+			v61 := (v60 ^ v47)
+			v63 := (v61 * 0x4) & 0xffffffff
+			v64 := (v59 + v63) & 0xffffffff
+			v65 := (v61 >> 1)
+			v66 := (v65 ^ v47)
+			v67 := (v66 * 0x2) & 0xffffffff
+			v68 := (v64 + v67) & 0xffffffff
+			v69 := (v66 >> 1)
+			v70 := (v69 ^ v47)
+			v71 := (v70 * 0x1) & 0xffffffff
+			v72 := (v68 + v71) & 0xffffffff
+			v73 := (v70 >> 1)
+			v74 := (v73 ^ v47)
+			v75 := (v74 * 0x2) & 0xffffffff
+			v76 := (v72 + v75) & 0xffffffff
+			v77 := (v74 >> 1)
+			v78 := (v77 ^ v47)
+			v79 := (v78 * 0x1) & 0xffffffff
+			v80 := (v76 + v79) & 0xffffffff
+			v84 := (v83 + v80) & 0xffffffff
+			var v10 uint64
+			if v8 == 0x0 {
+				v10 = 1
+			}
+			var v12 uint64
+			if v8 == 0x3 {
+				v12 = 1
+			}
+			v13 := (v10 | v12)
+			var v20 uint64
+			if v13 != 0 {
+				v20 = 0x2
+			} else {
+				v20 = v19
+			}
+			var v21 uint64
+			if v8 == 0x1 {
+				v21 = 1
+			}
+			v23 := v21 & v22
+			var v28 uint64
+			if v23 != 0 {
+				v28 = v3
+			} else {
+				v28 = v27
+			}
+			var v34 uint64
+			if v12 != 0 {
+				v34 = v33
+			} else {
+				v34 = v8
+			}
+			var v35 uint64
+			if v29 != 0 {
+				v35 = 0x3
+			} else {
+				v35 = v8
+			}
+			var v36 uint64
+			if v8 == 0x2 {
+				v36 = 1
+			}
+			var v37 uint64
+			if v36 != 0 {
+				v37 = v35
+			} else {
+				v37 = v34
+			}
+			var v38 uint64
+			if v22 != 0 {
+				v38 = 0x2
+			} else {
+				v38 = v8
+			}
+			var v39 uint64
+			if v21 != 0 {
+				v39 = v38
+			} else {
+				v39 = v37
+			}
+			var v40 uint64
+			if v10 != 0 {
+				v40 = 0x1
+			} else {
+				v40 = v39
+			}
+			var v41 uint64
+			if v12 != 0 {
+				v41 = v30
+			} else {
+				v41 = v4
+			}
+			var v85 uint64
+			if v36 != 0 {
+				v85 = v84
+			} else {
+				v85 = v83
+			}
+			var v86 uint64
+			if v8 == 0x4 {
+				v86 = 1
+			}
+			if v86 != 0 {
+				break loop
+			}
+			if v12 != 0 {
+				if addr := uint64(v4); addr < uint64(len(m1)) {
+					m1[addr] = v83
+				}
+			}
+			n0 := v41
+			n1 := v40
+			n2 := v20
+			n3 := v28
+			n4 := v85
+			v4 = n0
+			v8 = n1
+			v15 = n2
+			v24 = n3
+			v83 = n4
+		}
+	}
+	vals[4] = v4
+	vals[8] = v8
+	vals[15] = v15
+	vals[24] = v24
+	vals[83] = v83
 	var v1 uint64
 	if addr := uint64(0x0); addr < uint64(len(m0)) {
 		v1 = m0[addr] & 0x7f
@@ -90,7 +469,7 @@ func step_stencil(vals []uint64, mems [][]uint64) bool {
 	vals[44] = v44
 	v45 := (v42 >> 1)
 	vals[45] = v45
-	v47 := (v24 | 0x0)
+	v47 := v24
 	vals[47] = v47
 	v48 := (v45 ^ v47)
 	vals[48] = v48
@@ -160,21 +539,15 @@ func step_stencil(vals []uint64, mems [][]uint64) bool {
 	vals[82] = v82
 	v84 := (v83 + v80) & 0xffffffff
 	vals[84] = v84
-	switch vals[8] {
+	switch v8 {
 	case 0x0:
 		vals[10] = 0x1
 		vals[12] = 0x0
 		vals[13] = 0x1
 		vals[20] = 0x2
 		vals[21] = 0x0
-		v23 := 0x0 & v22
-		vals[23] = v23
-		var v28 uint64
-		if v23 != 0 {
-			v28 = v3
-		} else {
-			v28 = v27
-		}
+		vals[23] = 0x0
+		v28 := v27
 		vals[28] = v28
 		vals[34] = 0x0
 		var v35 uint64
@@ -207,7 +580,7 @@ func step_stencil(vals []uint64, mems [][]uint64) bool {
 		v20 := v19
 		vals[20] = v20
 		vals[21] = 0x1
-		v23 := 0x1 & v22
+		v23 := v22
 		vals[23] = v23
 		var v28 uint64
 		if v23 != 0 {
@@ -249,14 +622,8 @@ func step_stencil(vals []uint64, mems [][]uint64) bool {
 		v20 := v19
 		vals[20] = v20
 		vals[21] = 0x0
-		v23 := 0x0 & v22
-		vals[23] = v23
-		var v28 uint64
-		if v23 != 0 {
-			v28 = v3
-		} else {
-			v28 = v27
-		}
+		vals[23] = 0x0
+		v28 := v27
 		vals[28] = v28
 		vals[34] = 0x2
 		var v35 uint64
@@ -291,14 +658,8 @@ func step_stencil(vals []uint64, mems [][]uint64) bool {
 		vals[13] = 0x1
 		vals[20] = 0x2
 		vals[21] = 0x0
-		v23 := 0x0 & v22
-		vals[23] = v23
-		var v28 uint64
-		if v23 != 0 {
-			v28 = v3
-		} else {
-			v28 = v27
-		}
+		vals[23] = 0x0
+		v28 := v27
 		vals[28] = v28
 		v34 := v33
 		vals[34] = v34
@@ -335,14 +696,8 @@ func step_stencil(vals []uint64, mems [][]uint64) bool {
 		v20 := v19
 		vals[20] = v20
 		vals[21] = 0x0
-		v23 := 0x0 & v22
-		vals[23] = v23
-		var v28 uint64
-		if v23 != 0 {
-			v28 = v3
-		} else {
-			v28 = v27
-		}
+		vals[23] = 0x0
+		v28 := v27
 		vals[28] = v28
 		vals[34] = 0x4
 		var v35 uint64
@@ -485,10 +840,10 @@ func step_stencil(vals []uint64, mems [][]uint64) bool {
 	vals[15] = l2
 	vals[24] = l3
 	vals[83] = l4
-	return done
+	return cycles + 1, done
 }
 
-func step_stencil_ins(vals []uint64, mems [][]uint64) bool {
+func step_stencil_ins(vals []uint64, mems [][]uint64, limit uint64) (uint64, bool) {
 	_ = vals[129]
 	m0 := mems[0]
 	m1 := mems[1]
@@ -508,6 +863,717 @@ func step_stencil_ins(vals []uint64, mems [][]uint64) bool {
 	v121 := vals[121]
 	v124 := vals[124]
 	v127 := vals[127]
+	var cycles uint64
+loop:
+	for ; cycles+1 < limit; cycles++ {
+		var v25 uint64
+		if v24 != 0x0 {
+			v25 = 1
+		}
+		v26 := (v24 - 0x1) & 0x7f
+		var v27 uint64
+		if v25 != 0 {
+			v27 = v26
+		} else {
+			v27 = v24
+		}
+		switch v8 {
+		case 0x0:
+			v91 := (v90 + 0x1) & 0xffffff
+			v113 := (v112 + 0x1) & 0xffffff
+			v116 := (v115 + 0x2) & 0xffffff
+			v119 := (v118 + v15) & 0xffffff
+			v28 := v27
+			v41 := v4
+			v85 := v83
+			v92 := v91
+			v97 := v95
+			v102 := v100
+			v107 := v105
+			v111 := v109
+			v114 := v113
+			v117 := v116
+			v120 := v119
+			v123 := v121
+			v126 := v124
+			v129 := v127
+			n0 := v41
+			n3 := v28
+			n4 := v85
+			n5 := v92
+			n6 := v97
+			n7 := v102
+			n8 := v107
+			n9 := v111
+			n10 := v114
+			n11 := v117
+			n12 := v120
+			n13 := v123
+			n14 := v126
+			n15 := v129
+			v4 = n0
+			v8 = 0x1
+			v15 = 0x2
+			v24 = n3
+			v83 = n4
+			v90 = n5
+			v95 = n6
+			v100 = n7
+			v105 = n8
+			v109 = n9
+			v112 = n10
+			v115 = n11
+			v118 = n12
+			v121 = n13
+			v124 = n14
+			v127 = n15
+		case 0x1:
+			var v3 uint64
+			if addr := uint64(0x1); addr < uint64(len(m0)) {
+				v3 = m0[addr] & 0x7f
+			}
+			var v16 uint64
+			if v15 != 0x0 {
+				v16 = 1
+			}
+			v18 := (v15 - 0x1) & 0x7
+			var v19 uint64
+			if v16 != 0 {
+				v19 = v18
+			} else {
+				v19 = v15
+			}
+			var v22 uint64
+			if v15 == 0x0 {
+				v22 = 1
+			}
+			v96 := (v95 + 0x1) & 0xffffff
+			v122 := (v121 + 0x1) & 0xffffff
+			v125 := (v124 + v3) & 0xffffff
+			v128 := (v127 + v24) & 0xffffff
+			v20 := v19
+			v23 := v22
+			var v28 uint64
+			if v23 != 0 {
+				v28 = v3
+			} else {
+				v28 = v27
+			}
+			var v38 uint64
+			if v22 != 0 {
+				v38 = 0x2
+			} else {
+				v38 = 0x1
+			}
+			v39 := v38
+			v40 := v39
+			v41 := v4
+			v85 := v83
+			v92 := v90
+			var v93 uint64
+			if v40 == 0x2 {
+				v93 = 1
+			}
+			v94 := v93
+			var v97 uint64
+			if v94 != 0 {
+				v97 = v96
+			} else {
+				v97 = v95
+			}
+			v102 := v100
+			v107 := v105
+			v111 := v109
+			v114 := v112
+			v117 := v115
+			v120 := v118
+			var v123 uint64
+			if v23 != 0 {
+				v123 = v122
+			} else {
+				v123 = v121
+			}
+			var v126 uint64
+			if v23 != 0 {
+				v126 = v125
+			} else {
+				v126 = v124
+			}
+			var v129 uint64
+			if v23 != 0 {
+				v129 = v128
+			} else {
+				v129 = v127
+			}
+			n0 := v41
+			n1 := v40
+			n2 := v20
+			n3 := v28
+			n4 := v85
+			n5 := v92
+			n6 := v97
+			n7 := v102
+			n8 := v107
+			n9 := v111
+			n10 := v114
+			n11 := v117
+			n12 := v120
+			n13 := v123
+			n14 := v126
+			n15 := v129
+			v4 = n0
+			v8 = n1
+			v15 = n2
+			v24 = n3
+			v83 = n4
+			v90 = n5
+			v95 = n6
+			v100 = n7
+			v105 = n8
+			v109 = n9
+			v112 = n10
+			v115 = n11
+			v118 = n12
+			v121 = n13
+			v124 = n14
+			v127 = n15
+		case 0x2:
+			v6 := (v4 + 0x2) & 0x7f
+			var v7 uint64
+			if addr := uint64(v6); addr < uint64(len(m0)) {
+				v7 = m0[addr] & 0xffff
+			}
+			var v16 uint64
+			if v15 != 0x0 {
+				v16 = 1
+			}
+			v18 := (v15 - 0x1) & 0x7
+			var v19 uint64
+			if v16 != 0 {
+				v19 = v18
+			} else {
+				v19 = v15
+			}
+			var v29 uint64
+			if v24 == 0x0 {
+				v29 = 1
+			}
+			v42 := (v7 * v7) & 0xffffffff
+			v44 := (v42 * 0x1) & 0xffffffff
+			v45 := (v42 >> 1)
+			v47 := v24
+			v48 := (v45 ^ v47)
+			v50 := (v48 * 0x2) & 0xffffffff
+			v51 := (v44 + v50) & 0xffffffff
+			v52 := (v48 >> 1)
+			v53 := (v52 ^ v47)
+			v54 := (v53 * 0x1) & 0xffffffff
+			v55 := (v51 + v54) & 0xffffffff
+			v56 := (v53 >> 1)
+			v57 := (v56 ^ v47)
+			v58 := (v57 * 0x2) & 0xffffffff
+			v59 := (v55 + v58) & 0xffffffff
+			v60 := (v57 >> 1)
+			v61 := (v60 ^ v47)
+			v63 := (v61 * 0x4) & 0xffffffff
+			v64 := (v59 + v63) & 0xffffffff
+			v65 := (v61 >> 1)
+			v66 := (v65 ^ v47)
+			v67 := (v66 * 0x2) & 0xffffffff
+			v68 := (v64 + v67) & 0xffffffff
+			v69 := (v66 >> 1)
+			v70 := (v69 ^ v47)
+			v71 := (v70 * 0x1) & 0xffffffff
+			v72 := (v68 + v71) & 0xffffffff
+			v73 := (v70 >> 1)
+			v74 := (v73 ^ v47)
+			v75 := (v74 * 0x2) & 0xffffffff
+			v76 := (v72 + v75) & 0xffffffff
+			v77 := (v74 >> 1)
+			v78 := (v77 ^ v47)
+			v79 := (v78 * 0x1) & 0xffffffff
+			v80 := (v76 + v79) & 0xffffffff
+			v84 := (v83 + v80) & 0xffffffff
+			v101 := (v100 + 0x1) & 0xffffff
+			v20 := v19
+			v28 := v27
+			var v35 uint64
+			if v29 != 0 {
+				v35 = 0x3
+			} else {
+				v35 = 0x2
+			}
+			v37 := v35
+			v39 := v37
+			v40 := v39
+			v41 := v4
+			v85 := v84
+			v92 := v90
+			v97 := v95
+			var v98 uint64
+			if v40 == 0x3 {
+				v98 = 1
+			}
+			v99 := v98
+			var v102 uint64
+			if v99 != 0 {
+				v102 = v101
+			} else {
+				v102 = v100
+			}
+			v107 := v105
+			v111 := v109
+			v114 := v112
+			v117 := v115
+			v120 := v118
+			v123 := v121
+			v126 := v124
+			v129 := v127
+			n0 := v41
+			n1 := v40
+			n2 := v20
+			n3 := v28
+			n4 := v85
+			n5 := v92
+			n6 := v97
+			n7 := v102
+			n8 := v107
+			n9 := v111
+			n10 := v114
+			n11 := v117
+			n12 := v120
+			n13 := v123
+			n14 := v126
+			n15 := v129
+			v4 = n0
+			v8 = n1
+			v15 = n2
+			v24 = n3
+			v83 = n4
+			v90 = n5
+			v95 = n6
+			v100 = n7
+			v105 = n8
+			v109 = n9
+			v112 = n10
+			v115 = n11
+			v118 = n12
+			v121 = n13
+			v124 = n14
+			v127 = n15
+		case 0x3:
+			var v1 uint64
+			if addr := uint64(0x0); addr < uint64(len(m0)) {
+				v1 = m0[addr] & 0x7f
+			}
+			v30 := (v4 + 0x1) & 0x7f
+			var v31 uint64
+			if v1 <= v30 {
+				v31 = 1
+			}
+			var v33 uint64
+			if v31 != 0 {
+				v33 = 0x4
+			} else {
+				v33 = 0x1
+			}
+			v106 := (v105 + 0x1) & 0xffffff
+			v110 := (v109 + 0x1) & 0xffffff
+			v113 := (v112 + 0x1) & 0xffffff
+			v116 := (v115 + 0x2) & 0xffffff
+			v119 := (v118 + v15) & 0xffffff
+			v28 := v27
+			v34 := v33
+			v37 := v34
+			v39 := v37
+			v40 := v39
+			v41 := v30
+			v85 := v83
+			var v87 uint64
+			if v40 == 0x1 {
+				v87 = 1
+			}
+			v92 := v90
+			v97 := v95
+			v102 := v100
+			var v103 uint64
+			if v40 == 0x4 {
+				v103 = 1
+			}
+			v104 := v103
+			var v107 uint64
+			if v104 != 0 {
+				v107 = v106
+			} else {
+				v107 = v105
+			}
+			v108 := v87
+			var v111 uint64
+			if v108 != 0 {
+				v111 = v110
+			} else {
+				v111 = v109
+			}
+			v114 := v113
+			v117 := v116
+			v120 := v119
+			v123 := v121
+			v126 := v124
+			v129 := v127
+			if addr := uint64(v4); addr < uint64(len(m1)) {
+				m1[addr] = v83
+			}
+			n0 := v41
+			n1 := v40
+			n3 := v28
+			n4 := v85
+			n5 := v92
+			n6 := v97
+			n7 := v102
+			n8 := v107
+			n9 := v111
+			n10 := v114
+			n11 := v117
+			n12 := v120
+			n13 := v123
+			n14 := v126
+			n15 := v129
+			v4 = n0
+			v8 = n1
+			v15 = 0x2
+			v24 = n3
+			v83 = n4
+			v90 = n5
+			v95 = n6
+			v100 = n7
+			v105 = n8
+			v109 = n9
+			v112 = n10
+			v115 = n11
+			v118 = n12
+			v121 = n13
+			v124 = n14
+			v127 = n15
+		case 0x4:
+			break loop
+		default:
+			var v1 uint64
+			if addr := uint64(0x0); addr < uint64(len(m0)) {
+				v1 = m0[addr] & 0x7f
+			}
+			var v3 uint64
+			if addr := uint64(0x1); addr < uint64(len(m0)) {
+				v3 = m0[addr] & 0x7f
+			}
+			v6 := (v4 + 0x2) & 0x7f
+			var v7 uint64
+			if addr := uint64(v6); addr < uint64(len(m0)) {
+				v7 = m0[addr] & 0xffff
+			}
+			var v16 uint64
+			if v15 != 0x0 {
+				v16 = 1
+			}
+			v18 := (v15 - 0x1) & 0x7
+			var v19 uint64
+			if v16 != 0 {
+				v19 = v18
+			} else {
+				v19 = v15
+			}
+			var v22 uint64
+			if v15 == 0x0 {
+				v22 = 1
+			}
+			var v29 uint64
+			if v24 == 0x0 {
+				v29 = 1
+			}
+			v30 := (v4 + 0x1) & 0x7f
+			var v31 uint64
+			if v1 <= v30 {
+				v31 = 1
+			}
+			var v33 uint64
+			if v31 != 0 {
+				v33 = 0x4
+			} else {
+				v33 = 0x1
+			}
+			v42 := (v7 * v7) & 0xffffffff
+			v44 := (v42 * 0x1) & 0xffffffff
+			v45 := (v42 >> 1)
+			v47 := v24
+			v48 := (v45 ^ v47)
+			v50 := (v48 * 0x2) & 0xffffffff
+			v51 := (v44 + v50) & 0xffffffff
+			v52 := (v48 >> 1)
+			v53 := (v52 ^ v47)
+			v54 := (v53 * 0x1) & 0xffffffff
+			v55 := (v51 + v54) & 0xffffffff
+			v56 := (v53 >> 1)
+			v57 := (v56 ^ v47)
+			v58 := (v57 * 0x2) & 0xffffffff
+			v59 := (v55 + v58) & 0xffffffff
+			v60 := (v57 >> 1)
+			v61 := (v60 ^ v47)
+			v63 := (v61 * 0x4) & 0xffffffff
+			v64 := (v59 + v63) & 0xffffffff
+			v65 := (v61 >> 1)
+			v66 := (v65 ^ v47)
+			v67 := (v66 * 0x2) & 0xffffffff
+			v68 := (v64 + v67) & 0xffffffff
+			v69 := (v66 >> 1)
+			v70 := (v69 ^ v47)
+			v71 := (v70 * 0x1) & 0xffffffff
+			v72 := (v68 + v71) & 0xffffffff
+			v73 := (v70 >> 1)
+			v74 := (v73 ^ v47)
+			v75 := (v74 * 0x2) & 0xffffffff
+			v76 := (v72 + v75) & 0xffffffff
+			v77 := (v74 >> 1)
+			v78 := (v77 ^ v47)
+			v79 := (v78 * 0x1) & 0xffffffff
+			v80 := (v76 + v79) & 0xffffffff
+			v84 := (v83 + v80) & 0xffffffff
+			v91 := (v90 + 0x1) & 0xffffff
+			v96 := (v95 + 0x1) & 0xffffff
+			v101 := (v100 + 0x1) & 0xffffff
+			v106 := (v105 + 0x1) & 0xffffff
+			v110 := (v109 + 0x1) & 0xffffff
+			v113 := (v112 + 0x1) & 0xffffff
+			v116 := (v115 + 0x2) & 0xffffff
+			v119 := (v118 + v15) & 0xffffff
+			v122 := (v121 + 0x1) & 0xffffff
+			v125 := (v124 + v3) & 0xffffff
+			v128 := (v127 + v24) & 0xffffff
+			var v10 uint64
+			if v8 == 0x0 {
+				v10 = 1
+			}
+			var v12 uint64
+			if v8 == 0x3 {
+				v12 = 1
+			}
+			v13 := (v10 | v12)
+			var v20 uint64
+			if v13 != 0 {
+				v20 = 0x2
+			} else {
+				v20 = v19
+			}
+			var v21 uint64
+			if v8 == 0x1 {
+				v21 = 1
+			}
+			v23 := v21 & v22
+			var v28 uint64
+			if v23 != 0 {
+				v28 = v3
+			} else {
+				v28 = v27
+			}
+			var v34 uint64
+			if v12 != 0 {
+				v34 = v33
+			} else {
+				v34 = v8
+			}
+			var v35 uint64
+			if v29 != 0 {
+				v35 = 0x3
+			} else {
+				v35 = v8
+			}
+			var v36 uint64
+			if v8 == 0x2 {
+				v36 = 1
+			}
+			var v37 uint64
+			if v36 != 0 {
+				v37 = v35
+			} else {
+				v37 = v34
+			}
+			var v38 uint64
+			if v22 != 0 {
+				v38 = 0x2
+			} else {
+				v38 = v8
+			}
+			var v39 uint64
+			if v21 != 0 {
+				v39 = v38
+			} else {
+				v39 = v37
+			}
+			var v40 uint64
+			if v10 != 0 {
+				v40 = 0x1
+			} else {
+				v40 = v39
+			}
+			var v41 uint64
+			if v12 != 0 {
+				v41 = v30
+			} else {
+				v41 = v4
+			}
+			var v85 uint64
+			if v36 != 0 {
+				v85 = v84
+			} else {
+				v85 = v83
+			}
+			var v86 uint64
+			if v8 == 0x4 {
+				v86 = 1
+			}
+			var v87 uint64
+			if v40 == 0x1 {
+				v87 = 1
+			}
+			v88 := v10 & v87
+			var v92 uint64
+			if v88 != 0 {
+				v92 = v91
+			} else {
+				v92 = v90
+			}
+			var v93 uint64
+			if v40 == 0x2 {
+				v93 = 1
+			}
+			v94 := v21 & v93
+			var v97 uint64
+			if v94 != 0 {
+				v97 = v96
+			} else {
+				v97 = v95
+			}
+			var v98 uint64
+			if v40 == 0x3 {
+				v98 = 1
+			}
+			v99 := v36 & v98
+			var v102 uint64
+			if v99 != 0 {
+				v102 = v101
+			} else {
+				v102 = v100
+			}
+			var v103 uint64
+			if v40 == 0x4 {
+				v103 = 1
+			}
+			v104 := v12 & v103
+			var v107 uint64
+			if v104 != 0 {
+				v107 = v106
+			} else {
+				v107 = v105
+			}
+			v108 := v12 & v87
+			var v111 uint64
+			if v108 != 0 {
+				v111 = v110
+			} else {
+				v111 = v109
+			}
+			var v114 uint64
+			if v13 != 0 {
+				v114 = v113
+			} else {
+				v114 = v112
+			}
+			var v117 uint64
+			if v13 != 0 {
+				v117 = v116
+			} else {
+				v117 = v115
+			}
+			var v120 uint64
+			if v13 != 0 {
+				v120 = v119
+			} else {
+				v120 = v118
+			}
+			var v123 uint64
+			if v23 != 0 {
+				v123 = v122
+			} else {
+				v123 = v121
+			}
+			var v126 uint64
+			if v23 != 0 {
+				v126 = v125
+			} else {
+				v126 = v124
+			}
+			var v129 uint64
+			if v23 != 0 {
+				v129 = v128
+			} else {
+				v129 = v127
+			}
+			if v86 != 0 {
+				break loop
+			}
+			if v12 != 0 {
+				if addr := uint64(v4); addr < uint64(len(m1)) {
+					m1[addr] = v83
+				}
+			}
+			n0 := v41
+			n1 := v40
+			n2 := v20
+			n3 := v28
+			n4 := v85
+			n5 := v92
+			n6 := v97
+			n7 := v102
+			n8 := v107
+			n9 := v111
+			n10 := v114
+			n11 := v117
+			n12 := v120
+			n13 := v123
+			n14 := v126
+			n15 := v129
+			v4 = n0
+			v8 = n1
+			v15 = n2
+			v24 = n3
+			v83 = n4
+			v90 = n5
+			v95 = n6
+			v100 = n7
+			v105 = n8
+			v109 = n9
+			v112 = n10
+			v115 = n11
+			v118 = n12
+			v121 = n13
+			v124 = n14
+			v127 = n15
+		}
+	}
+	vals[4] = v4
+	vals[8] = v8
+	vals[15] = v15
+	vals[24] = v24
+	vals[83] = v83
+	vals[90] = v90
+	vals[95] = v95
+	vals[100] = v100
+	vals[105] = v105
+	vals[109] = v109
+	vals[112] = v112
+	vals[115] = v115
+	vals[118] = v118
+	vals[121] = v121
+	vals[124] = v124
+	vals[127] = v127
 	var v1 uint64
 	if addr := uint64(0x0); addr < uint64(len(m0)) {
 		v1 = m0[addr] & 0x7f
@@ -583,7 +1649,7 @@ func step_stencil_ins(vals []uint64, mems [][]uint64) bool {
 	vals[44] = v44
 	v45 := (v42 >> 1)
 	vals[45] = v45
-	v47 := (v24 | 0x0)
+	v47 := v24
 	vals[47] = v47
 	v48 := (v45 ^ v47)
 	vals[48] = v48
@@ -675,21 +1741,15 @@ func step_stencil_ins(vals []uint64, mems [][]uint64) bool {
 	vals[125] = v125
 	v128 := (v127 + v24) & 0xffffff
 	vals[128] = v128
-	switch vals[8] {
+	switch v8 {
 	case 0x0:
 		vals[10] = 0x1
 		vals[12] = 0x0
 		vals[13] = 0x1
 		vals[20] = 0x2
 		vals[21] = 0x0
-		v23 := 0x0 & v22
-		vals[23] = v23
-		var v28 uint64
-		if v23 != 0 {
-			v28 = v3
-		} else {
-			v28 = v27
-		}
+		vals[23] = 0x0
+		v28 := v27
 		vals[28] = v28
 		vals[34] = 0x0
 		var v35 uint64
@@ -740,26 +1800,11 @@ func step_stencil_ins(vals []uint64, mems [][]uint64) bool {
 		vals[117] = v117
 		v120 := v119
 		vals[120] = v120
-		var v123 uint64
-		if v23 != 0 {
-			v123 = v122
-		} else {
-			v123 = v121
-		}
+		v123 := v121
 		vals[123] = v123
-		var v126 uint64
-		if v23 != 0 {
-			v126 = v125
-		} else {
-			v126 = v124
-		}
+		v126 := v124
 		vals[126] = v126
-		var v129 uint64
-		if v23 != 0 {
-			v129 = v128
-		} else {
-			v129 = v127
-		}
+		v129 := v127
 		vals[129] = v129
 	case 0x1:
 		vals[10] = 0x0
@@ -768,7 +1813,7 @@ func step_stencil_ins(vals []uint64, mems [][]uint64) bool {
 		v20 := v19
 		vals[20] = v20
 		vals[21] = 0x1
-		v23 := 0x1 & v22
+		v23 := v22
 		vals[23] = v23
 		var v28 uint64
 		if v23 != 0 {
@@ -808,21 +1853,15 @@ func step_stencil_ins(vals []uint64, mems [][]uint64) bool {
 			v87 = 1
 		}
 		vals[87] = v87
-		v88 := 0x0 & v87
-		vals[88] = v88
-		var v92 uint64
-		if v88 != 0 {
-			v92 = v91
-		} else {
-			v92 = v90
-		}
+		vals[88] = 0x0
+		v92 := v90
 		vals[92] = v92
 		var v93 uint64
 		if v40 == 0x2 {
 			v93 = 1
 		}
 		vals[93] = v93
-		v94 := 0x1 & v93
+		v94 := v93
 		vals[94] = v94
 		var v97 uint64
 		if v94 != 0 {
@@ -836,37 +1875,19 @@ func step_stencil_ins(vals []uint64, mems [][]uint64) bool {
 			v98 = 1
 		}
 		vals[98] = v98
-		v99 := 0x0 & v98
-		vals[99] = v99
-		var v102 uint64
-		if v99 != 0 {
-			v102 = v101
-		} else {
-			v102 = v100
-		}
+		vals[99] = 0x0
+		v102 := v100
 		vals[102] = v102
 		var v103 uint64
 		if v40 == 0x4 {
 			v103 = 1
 		}
 		vals[103] = v103
-		v104 := 0x0 & v103
-		vals[104] = v104
-		var v107 uint64
-		if v104 != 0 {
-			v107 = v106
-		} else {
-			v107 = v105
-		}
+		vals[104] = 0x0
+		v107 := v105
 		vals[107] = v107
-		v108 := 0x0 & v87
-		vals[108] = v108
-		var v111 uint64
-		if v108 != 0 {
-			v111 = v110
-		} else {
-			v111 = v109
-		}
+		vals[108] = 0x0
+		v111 := v109
 		vals[111] = v111
 		v114 := v112
 		vals[114] = v114
@@ -902,14 +1923,8 @@ func step_stencil_ins(vals []uint64, mems [][]uint64) bool {
 		v20 := v19
 		vals[20] = v20
 		vals[21] = 0x0
-		v23 := 0x0 & v22
-		vals[23] = v23
-		var v28 uint64
-		if v23 != 0 {
-			v28 = v3
-		} else {
-			v28 = v27
-		}
+		vals[23] = 0x0
+		v28 := v27
 		vals[28] = v28
 		vals[34] = 0x2
 		var v35 uint64
@@ -943,35 +1958,23 @@ func step_stencil_ins(vals []uint64, mems [][]uint64) bool {
 			v87 = 1
 		}
 		vals[87] = v87
-		v88 := 0x0 & v87
-		vals[88] = v88
-		var v92 uint64
-		if v88 != 0 {
-			v92 = v91
-		} else {
-			v92 = v90
-		}
+		vals[88] = 0x0
+		v92 := v90
 		vals[92] = v92
 		var v93 uint64
 		if v40 == 0x2 {
 			v93 = 1
 		}
 		vals[93] = v93
-		v94 := 0x0 & v93
-		vals[94] = v94
-		var v97 uint64
-		if v94 != 0 {
-			v97 = v96
-		} else {
-			v97 = v95
-		}
+		vals[94] = 0x0
+		v97 := v95
 		vals[97] = v97
 		var v98 uint64
 		if v40 == 0x3 {
 			v98 = 1
 		}
 		vals[98] = v98
-		v99 := 0x1 & v98
+		v99 := v98
 		vals[99] = v99
 		var v102 uint64
 		if v99 != 0 {
@@ -985,23 +1988,11 @@ func step_stencil_ins(vals []uint64, mems [][]uint64) bool {
 			v103 = 1
 		}
 		vals[103] = v103
-		v104 := 0x0 & v103
-		vals[104] = v104
-		var v107 uint64
-		if v104 != 0 {
-			v107 = v106
-		} else {
-			v107 = v105
-		}
+		vals[104] = 0x0
+		v107 := v105
 		vals[107] = v107
-		v108 := 0x0 & v87
-		vals[108] = v108
-		var v111 uint64
-		if v108 != 0 {
-			v111 = v110
-		} else {
-			v111 = v109
-		}
+		vals[108] = 0x0
+		v111 := v109
 		vals[111] = v111
 		v114 := v112
 		vals[114] = v114
@@ -1009,26 +2000,11 @@ func step_stencil_ins(vals []uint64, mems [][]uint64) bool {
 		vals[117] = v117
 		v120 := v118
 		vals[120] = v120
-		var v123 uint64
-		if v23 != 0 {
-			v123 = v122
-		} else {
-			v123 = v121
-		}
+		v123 := v121
 		vals[123] = v123
-		var v126 uint64
-		if v23 != 0 {
-			v126 = v125
-		} else {
-			v126 = v124
-		}
+		v126 := v124
 		vals[126] = v126
-		var v129 uint64
-		if v23 != 0 {
-			v129 = v128
-		} else {
-			v129 = v127
-		}
+		v129 := v127
 		vals[129] = v129
 	case 0x3:
 		vals[10] = 0x0
@@ -1036,14 +2012,8 @@ func step_stencil_ins(vals []uint64, mems [][]uint64) bool {
 		vals[13] = 0x1
 		vals[20] = 0x2
 		vals[21] = 0x0
-		v23 := 0x0 & v22
-		vals[23] = v23
-		var v28 uint64
-		if v23 != 0 {
-			v28 = v3
-		} else {
-			v28 = v27
-		}
+		vals[23] = 0x0
+		v28 := v27
 		vals[28] = v28
 		v34 := v33
 		vals[34] = v34
@@ -1078,49 +2048,31 @@ func step_stencil_ins(vals []uint64, mems [][]uint64) bool {
 			v87 = 1
 		}
 		vals[87] = v87
-		v88 := 0x0 & v87
-		vals[88] = v88
-		var v92 uint64
-		if v88 != 0 {
-			v92 = v91
-		} else {
-			v92 = v90
-		}
+		vals[88] = 0x0
+		v92 := v90
 		vals[92] = v92
 		var v93 uint64
 		if v40 == 0x2 {
 			v93 = 1
 		}
 		vals[93] = v93
-		v94 := 0x0 & v93
-		vals[94] = v94
-		var v97 uint64
-		if v94 != 0 {
-			v97 = v96
-		} else {
-			v97 = v95
-		}
+		vals[94] = 0x0
+		v97 := v95
 		vals[97] = v97
 		var v98 uint64
 		if v40 == 0x3 {
 			v98 = 1
 		}
 		vals[98] = v98
-		v99 := 0x0 & v98
-		vals[99] = v99
-		var v102 uint64
-		if v99 != 0 {
-			v102 = v101
-		} else {
-			v102 = v100
-		}
+		vals[99] = 0x0
+		v102 := v100
 		vals[102] = v102
 		var v103 uint64
 		if v40 == 0x4 {
 			v103 = 1
 		}
 		vals[103] = v103
-		v104 := 0x1 & v103
+		v104 := v103
 		vals[104] = v104
 		var v107 uint64
 		if v104 != 0 {
@@ -1129,7 +2081,7 @@ func step_stencil_ins(vals []uint64, mems [][]uint64) bool {
 			v107 = v105
 		}
 		vals[107] = v107
-		v108 := 0x1 & v87
+		v108 := v87
 		vals[108] = v108
 		var v111 uint64
 		if v108 != 0 {
@@ -1144,26 +2096,11 @@ func step_stencil_ins(vals []uint64, mems [][]uint64) bool {
 		vals[117] = v117
 		v120 := v119
 		vals[120] = v120
-		var v123 uint64
-		if v23 != 0 {
-			v123 = v122
-		} else {
-			v123 = v121
-		}
+		v123 := v121
 		vals[123] = v123
-		var v126 uint64
-		if v23 != 0 {
-			v126 = v125
-		} else {
-			v126 = v124
-		}
+		v126 := v124
 		vals[126] = v126
-		var v129 uint64
-		if v23 != 0 {
-			v129 = v128
-		} else {
-			v129 = v127
-		}
+		v129 := v127
 		vals[129] = v129
 	case 0x4:
 		vals[10] = 0x0
@@ -1172,14 +2109,8 @@ func step_stencil_ins(vals []uint64, mems [][]uint64) bool {
 		v20 := v19
 		vals[20] = v20
 		vals[21] = 0x0
-		v23 := 0x0 & v22
-		vals[23] = v23
-		var v28 uint64
-		if v23 != 0 {
-			v28 = v3
-		} else {
-			v28 = v27
-		}
+		vals[23] = 0x0
+		v28 := v27
 		vals[28] = v28
 		vals[34] = 0x4
 		var v35 uint64
@@ -1230,26 +2161,11 @@ func step_stencil_ins(vals []uint64, mems [][]uint64) bool {
 		vals[117] = v117
 		v120 := v118
 		vals[120] = v120
-		var v123 uint64
-		if v23 != 0 {
-			v123 = v122
-		} else {
-			v123 = v121
-		}
+		v123 := v121
 		vals[123] = v123
-		var v126 uint64
-		if v23 != 0 {
-			v126 = v125
-		} else {
-			v126 = v124
-		}
+		v126 := v124
 		vals[126] = v126
-		var v129 uint64
-		if v23 != 0 {
-			v129 = v128
-		} else {
-			v129 = v127
-		}
+		v129 := v127
 		vals[129] = v129
 	default:
 		var v10 uint64
@@ -1497,10 +2413,10 @@ func step_stencil_ins(vals []uint64, mems [][]uint64) bool {
 	vals[121] = l13
 	vals[124] = l14
 	vals[127] = l15
-	return done
+	return cycles + 1, done
 }
 
-func step_stencil_pruned(vals []uint64, mems [][]uint64) bool {
+func step_stencil_pruned(vals []uint64, mems [][]uint64, limit uint64) (uint64, bool) {
 	_ = vals[122]
 	m0 := mems[0]
 	m1 := mems[1]
@@ -1520,6 +2436,709 @@ func step_stencil_pruned(vals []uint64, mems [][]uint64) bool {
 	v113 := vals[113]
 	v116 := vals[116]
 	v119 := vals[119]
+	var cycles uint64
+loop:
+	for ; cycles+1 < limit; cycles++ {
+		var v35 uint64
+		if v16 != 0x0 {
+			v35 = 1
+		}
+		v36 := (v16 - 0x1) & 0x7f
+		var v37 uint64
+		if v35 != 0 {
+			v37 = v36
+		} else {
+			v37 = v16
+		}
+		switch v1 {
+		case 0x0:
+			v83 := (v79 + 0x1) & 0xffffff
+			v105 := (v104 + 0x1) & 0xffffff
+			v108 := (v107 + 0x2) & 0xffffff
+			v111 := (v110 + v11) & 0xffffff
+			v6 := v0
+			v38 := v37
+			v78 := v39
+			v84 := v83
+			v89 := v85
+			v94 := v90
+			v99 := v95
+			v103 := v100
+			v106 := v105
+			v109 := v108
+			v112 := v111
+			v115 := v113
+			v118 := v116
+			v121 := v119
+			n0 := v6
+			n3 := v38
+			n4 := v78
+			n5 := v84
+			n6 := v89
+			n7 := v94
+			n8 := v99
+			n9 := v103
+			n10 := v106
+			n11 := v109
+			n12 := v112
+			n13 := v115
+			n14 := v118
+			n15 := v121
+			v0 = n0
+			v1 = 0x1
+			v11 = 0x2
+			v16 = n3
+			v39 = n4
+			v79 = n5
+			v85 = n6
+			v90 = n7
+			v95 = n8
+			v100 = n9
+			v104 = n10
+			v107 = n11
+			v110 = n12
+			v113 = n13
+			v116 = n14
+			v119 = n15
+		case 0x1:
+			var v12 uint64
+			if v11 == 0x0 {
+				v12 = 1
+			}
+			var v29 uint64
+			if v11 != 0x0 {
+				v29 = 1
+			}
+			v30 := (v11 - 0x1) & 0x7
+			var v31 uint64
+			if v29 != 0 {
+				v31 = v30
+			} else {
+				v31 = v11
+			}
+			var v34 uint64
+			if addr := uint64(0x1); addr < uint64(len(m0)) {
+				v34 = m0[addr] & 0x7f
+			}
+			v88 := (v85 + 0x1) & 0xffffff
+			v114 := (v113 + 0x1) & 0xffffff
+			v117 := (v116 + v34) & 0xffffff
+			v120 := (v119 + v16) & 0xffffff
+			v6 := v0
+			var v14 uint64
+			if v12 != 0 {
+				v14 = 0x2
+			} else {
+				v14 = 0x1
+			}
+			v26 := v14
+			v27 := v26
+			v32 := v31
+			v33 := v12
+			var v38 uint64
+			if v33 != 0 {
+				v38 = v34
+			} else {
+				v38 = v37
+			}
+			v78 := v39
+			v84 := v79
+			var v86 uint64
+			if v27 == 0x2 {
+				v86 = 1
+			}
+			v87 := v86
+			var v89 uint64
+			if v87 != 0 {
+				v89 = v88
+			} else {
+				v89 = v85
+			}
+			v94 := v90
+			v99 := v95
+			v103 := v100
+			v106 := v104
+			v109 := v107
+			v112 := v110
+			var v115 uint64
+			if v33 != 0 {
+				v115 = v114
+			} else {
+				v115 = v113
+			}
+			var v118 uint64
+			if v33 != 0 {
+				v118 = v117
+			} else {
+				v118 = v116
+			}
+			var v121 uint64
+			if v33 != 0 {
+				v121 = v120
+			} else {
+				v121 = v119
+			}
+			n0 := v6
+			n1 := v27
+			n2 := v32
+			n3 := v38
+			n4 := v78
+			n5 := v84
+			n6 := v89
+			n7 := v94
+			n8 := v99
+			n9 := v103
+			n10 := v106
+			n11 := v109
+			n12 := v112
+			n13 := v115
+			n14 := v118
+			n15 := v121
+			v0 = n0
+			v1 = n1
+			v11 = n2
+			v16 = n3
+			v39 = n4
+			v79 = n5
+			v85 = n6
+			v90 = n7
+			v95 = n8
+			v100 = n9
+			v104 = n10
+			v107 = n11
+			v110 = n12
+			v113 = n13
+			v116 = n14
+			v119 = n15
+		case 0x2:
+			var v18 uint64
+			if v16 == 0x0 {
+				v18 = 1
+			}
+			var v29 uint64
+			if v11 != 0x0 {
+				v29 = 1
+			}
+			v30 := (v11 - 0x1) & 0x7
+			var v31 uint64
+			if v29 != 0 {
+				v31 = v30
+			} else {
+				v31 = v11
+			}
+			v41 := (v0 + 0x2) & 0x7f
+			var v42 uint64
+			if addr := uint64(v41); addr < uint64(len(m0)) {
+				v42 = m0[addr] & 0xffff
+			}
+			v43 := (v42 * v42) & 0xffffffff
+			v44 := (v43 >> 1)
+			v46 := v16
+			v47 := (v44 ^ v46)
+			v49 := (v47 * 0x2) & 0xffffffff
+			v50 := (v43 + v49) & 0xffffffff
+			v51 := (v47 >> 1)
+			v52 := (v51 ^ v46)
+			v53 := (v50 + v52) & 0xffffffff
+			v54 := (v52 >> 1)
+			v55 := (v54 ^ v46)
+			v56 := (v55 * 0x2) & 0xffffffff
+			v57 := (v53 + v56) & 0xffffffff
+			v58 := (v55 >> 1)
+			v59 := (v58 ^ v46)
+			v61 := (v59 * 0x4) & 0xffffffff
+			v62 := (v57 + v61) & 0xffffffff
+			v63 := (v59 >> 1)
+			v64 := (v63 ^ v46)
+			v65 := (v64 * 0x2) & 0xffffffff
+			v66 := (v62 + v65) & 0xffffffff
+			v67 := (v64 >> 1)
+			v68 := (v67 ^ v46)
+			v69 := (v66 + v68) & 0xffffffff
+			v70 := (v68 >> 1)
+			v71 := (v70 ^ v46)
+			v72 := (v71 * 0x2) & 0xffffffff
+			v73 := (v69 + v72) & 0xffffffff
+			v74 := (v71 >> 1)
+			v75 := (v74 ^ v46)
+			v76 := (v73 + v75) & 0xffffffff
+			v77 := (v39 + v76) & 0xffffffff
+			v93 := (v90 + 0x1) & 0xffffff
+			v6 := v0
+			var v19 uint64
+			if v18 != 0 {
+				v19 = 0x3
+			} else {
+				v19 = 0x2
+			}
+			v25 := v19
+			v26 := v25
+			v27 := v26
+			v32 := v31
+			v38 := v37
+			v78 := v77
+			v84 := v79
+			v89 := v85
+			var v91 uint64
+			if v27 == 0x3 {
+				v91 = 1
+			}
+			v92 := v91
+			var v94 uint64
+			if v92 != 0 {
+				v94 = v93
+			} else {
+				v94 = v90
+			}
+			v99 := v95
+			v103 := v100
+			v106 := v104
+			v109 := v107
+			v112 := v110
+			v115 := v113
+			v118 := v116
+			v121 := v119
+			n0 := v6
+			n1 := v27
+			n2 := v32
+			n3 := v38
+			n4 := v78
+			n5 := v84
+			n6 := v89
+			n7 := v94
+			n8 := v99
+			n9 := v103
+			n10 := v106
+			n11 := v109
+			n12 := v112
+			n13 := v115
+			n14 := v118
+			n15 := v121
+			v0 = n0
+			v1 = n1
+			v11 = n2
+			v16 = n3
+			v39 = n4
+			v79 = n5
+			v85 = n6
+			v90 = n7
+			v95 = n8
+			v100 = n9
+			v104 = n10
+			v107 = n11
+			v110 = n12
+			v113 = n13
+			v116 = n14
+			v119 = n15
+		case 0x3:
+			v5 := (v0 + 0x1) & 0x7f
+			var v20 uint64
+			if addr := uint64(0x0); addr < uint64(len(m0)) {
+				v20 = m0[addr] & 0x7f
+			}
+			var v21 uint64
+			if v20 <= v5 {
+				v21 = 1
+			}
+			var v23 uint64
+			if v21 != 0 {
+				v23 = 0x4
+			} else {
+				v23 = 0x1
+			}
+			v98 := (v95 + 0x1) & 0xffffff
+			v102 := (v100 + 0x1) & 0xffffff
+			v105 := (v104 + 0x1) & 0xffffff
+			v108 := (v107 + 0x2) & 0xffffff
+			v111 := (v110 + v11) & 0xffffff
+			v6 := v5
+			v24 := v23
+			v25 := v24
+			v26 := v25
+			v27 := v26
+			v38 := v37
+			v78 := v39
+			var v80 uint64
+			if v27 == 0x1 {
+				v80 = 1
+			}
+			v84 := v79
+			v89 := v85
+			v94 := v90
+			var v96 uint64
+			if v27 == 0x4 {
+				v96 = 1
+			}
+			v97 := v96
+			var v99 uint64
+			if v97 != 0 {
+				v99 = v98
+			} else {
+				v99 = v95
+			}
+			v101 := v80
+			var v103 uint64
+			if v101 != 0 {
+				v103 = v102
+			} else {
+				v103 = v100
+			}
+			v106 := v105
+			v109 := v108
+			v112 := v111
+			v115 := v113
+			v118 := v116
+			v121 := v119
+			if addr := uint64(v0); addr < uint64(len(m1)) {
+				m1[addr] = v39
+			}
+			n0 := v6
+			n1 := v27
+			n3 := v38
+			n4 := v78
+			n5 := v84
+			n6 := v89
+			n7 := v94
+			n8 := v99
+			n9 := v103
+			n10 := v106
+			n11 := v109
+			n12 := v112
+			n13 := v115
+			n14 := v118
+			n15 := v121
+			v0 = n0
+			v1 = n1
+			v11 = 0x2
+			v16 = n3
+			v39 = n4
+			v79 = n5
+			v85 = n6
+			v90 = n7
+			v95 = n8
+			v100 = n9
+			v104 = n10
+			v107 = n11
+			v110 = n12
+			v113 = n13
+			v116 = n14
+			v119 = n15
+		case 0x4:
+			break loop
+		default:
+			v5 := (v0 + 0x1) & 0x7f
+			var v12 uint64
+			if v11 == 0x0 {
+				v12 = 1
+			}
+			var v18 uint64
+			if v16 == 0x0 {
+				v18 = 1
+			}
+			var v20 uint64
+			if addr := uint64(0x0); addr < uint64(len(m0)) {
+				v20 = m0[addr] & 0x7f
+			}
+			var v21 uint64
+			if v20 <= v5 {
+				v21 = 1
+			}
+			var v23 uint64
+			if v21 != 0 {
+				v23 = 0x4
+			} else {
+				v23 = 0x1
+			}
+			var v29 uint64
+			if v11 != 0x0 {
+				v29 = 1
+			}
+			v30 := (v11 - 0x1) & 0x7
+			var v31 uint64
+			if v29 != 0 {
+				v31 = v30
+			} else {
+				v31 = v11
+			}
+			var v34 uint64
+			if addr := uint64(0x1); addr < uint64(len(m0)) {
+				v34 = m0[addr] & 0x7f
+			}
+			v41 := (v0 + 0x2) & 0x7f
+			var v42 uint64
+			if addr := uint64(v41); addr < uint64(len(m0)) {
+				v42 = m0[addr] & 0xffff
+			}
+			v43 := (v42 * v42) & 0xffffffff
+			v44 := (v43 >> 1)
+			v46 := v16
+			v47 := (v44 ^ v46)
+			v49 := (v47 * 0x2) & 0xffffffff
+			v50 := (v43 + v49) & 0xffffffff
+			v51 := (v47 >> 1)
+			v52 := (v51 ^ v46)
+			v53 := (v50 + v52) & 0xffffffff
+			v54 := (v52 >> 1)
+			v55 := (v54 ^ v46)
+			v56 := (v55 * 0x2) & 0xffffffff
+			v57 := (v53 + v56) & 0xffffffff
+			v58 := (v55 >> 1)
+			v59 := (v58 ^ v46)
+			v61 := (v59 * 0x4) & 0xffffffff
+			v62 := (v57 + v61) & 0xffffffff
+			v63 := (v59 >> 1)
+			v64 := (v63 ^ v46)
+			v65 := (v64 * 0x2) & 0xffffffff
+			v66 := (v62 + v65) & 0xffffffff
+			v67 := (v64 >> 1)
+			v68 := (v67 ^ v46)
+			v69 := (v66 + v68) & 0xffffffff
+			v70 := (v68 >> 1)
+			v71 := (v70 ^ v46)
+			v72 := (v71 * 0x2) & 0xffffffff
+			v73 := (v69 + v72) & 0xffffffff
+			v74 := (v71 >> 1)
+			v75 := (v74 ^ v46)
+			v76 := (v73 + v75) & 0xffffffff
+			v77 := (v39 + v76) & 0xffffffff
+			v83 := (v79 + 0x1) & 0xffffff
+			v88 := (v85 + 0x1) & 0xffffff
+			v93 := (v90 + 0x1) & 0xffffff
+			v98 := (v95 + 0x1) & 0xffffff
+			v102 := (v100 + 0x1) & 0xffffff
+			v105 := (v104 + 0x1) & 0xffffff
+			v108 := (v107 + 0x2) & 0xffffff
+			v111 := (v110 + v11) & 0xffffff
+			v114 := (v113 + 0x1) & 0xffffff
+			v117 := (v116 + v34) & 0xffffff
+			v120 := (v119 + v16) & 0xffffff
+			var v3 uint64
+			if v1 == 0x3 {
+				v3 = 1
+			}
+			var v6 uint64
+			if v3 != 0 {
+				v6 = v5
+			} else {
+				v6 = v0
+			}
+			var v8 uint64
+			if v1 == 0x0 {
+				v8 = 1
+			}
+			var v10 uint64
+			if v1 == 0x1 {
+				v10 = 1
+			}
+			var v14 uint64
+			if v12 != 0 {
+				v14 = 0x2
+			} else {
+				v14 = v1
+			}
+			var v15 uint64
+			if v1 == 0x2 {
+				v15 = 1
+			}
+			var v19 uint64
+			if v18 != 0 {
+				v19 = 0x3
+			} else {
+				v19 = v1
+			}
+			var v24 uint64
+			if v3 != 0 {
+				v24 = v23
+			} else {
+				v24 = v1
+			}
+			var v25 uint64
+			if v15 != 0 {
+				v25 = v19
+			} else {
+				v25 = v24
+			}
+			var v26 uint64
+			if v10 != 0 {
+				v26 = v14
+			} else {
+				v26 = v25
+			}
+			var v27 uint64
+			if v8 != 0 {
+				v27 = 0x1
+			} else {
+				v27 = v26
+			}
+			v28 := (v8 | v3)
+			var v32 uint64
+			if v28 != 0 {
+				v32 = 0x2
+			} else {
+				v32 = v31
+			}
+			v33 := v10 & v12
+			var v38 uint64
+			if v33 != 0 {
+				v38 = v34
+			} else {
+				v38 = v37
+			}
+			var v78 uint64
+			if v15 != 0 {
+				v78 = v77
+			} else {
+				v78 = v39
+			}
+			var v80 uint64
+			if v27 == 0x1 {
+				v80 = 1
+			}
+			v81 := v8 & v80
+			var v84 uint64
+			if v81 != 0 {
+				v84 = v83
+			} else {
+				v84 = v79
+			}
+			var v86 uint64
+			if v27 == 0x2 {
+				v86 = 1
+			}
+			v87 := v10 & v86
+			var v89 uint64
+			if v87 != 0 {
+				v89 = v88
+			} else {
+				v89 = v85
+			}
+			var v91 uint64
+			if v27 == 0x3 {
+				v91 = 1
+			}
+			v92 := v15 & v91
+			var v94 uint64
+			if v92 != 0 {
+				v94 = v93
+			} else {
+				v94 = v90
+			}
+			var v96 uint64
+			if v27 == 0x4 {
+				v96 = 1
+			}
+			v97 := v3 & v96
+			var v99 uint64
+			if v97 != 0 {
+				v99 = v98
+			} else {
+				v99 = v95
+			}
+			v101 := v3 & v80
+			var v103 uint64
+			if v101 != 0 {
+				v103 = v102
+			} else {
+				v103 = v100
+			}
+			var v106 uint64
+			if v28 != 0 {
+				v106 = v105
+			} else {
+				v106 = v104
+			}
+			var v109 uint64
+			if v28 != 0 {
+				v109 = v108
+			} else {
+				v109 = v107
+			}
+			var v112 uint64
+			if v28 != 0 {
+				v112 = v111
+			} else {
+				v112 = v110
+			}
+			var v115 uint64
+			if v33 != 0 {
+				v115 = v114
+			} else {
+				v115 = v113
+			}
+			var v118 uint64
+			if v33 != 0 {
+				v118 = v117
+			} else {
+				v118 = v116
+			}
+			var v121 uint64
+			if v33 != 0 {
+				v121 = v120
+			} else {
+				v121 = v119
+			}
+			var v122 uint64
+			if v1 == 0x4 {
+				v122 = 1
+			}
+			if v122 != 0 {
+				break loop
+			}
+			if v3 != 0 {
+				if addr := uint64(v0); addr < uint64(len(m1)) {
+					m1[addr] = v39
+				}
+			}
+			n0 := v6
+			n1 := v27
+			n2 := v32
+			n3 := v38
+			n4 := v78
+			n5 := v84
+			n6 := v89
+			n7 := v94
+			n8 := v99
+			n9 := v103
+			n10 := v106
+			n11 := v109
+			n12 := v112
+			n13 := v115
+			n14 := v118
+			n15 := v121
+			v0 = n0
+			v1 = n1
+			v11 = n2
+			v16 = n3
+			v39 = n4
+			v79 = n5
+			v85 = n6
+			v90 = n7
+			v95 = n8
+			v100 = n9
+			v104 = n10
+			v107 = n11
+			v110 = n12
+			v113 = n13
+			v116 = n14
+			v119 = n15
+		}
+	}
+	vals[0] = v0
+	vals[1] = v1
+	vals[11] = v11
+	vals[16] = v16
+	vals[39] = v39
+	vals[79] = v79
+	vals[85] = v85
+	vals[90] = v90
+	vals[95] = v95
+	vals[100] = v100
+	vals[104] = v104
+	vals[107] = v107
+	vals[110] = v110
+	vals[113] = v113
+	vals[116] = v116
+	vals[119] = v119
 	v5 := (v0 + 0x1) & 0x7f
 	vals[5] = v5
 	var v12 uint64
@@ -1593,7 +3212,7 @@ func step_stencil_pruned(vals []uint64, mems [][]uint64) bool {
 	vals[43] = v43
 	v44 := (v43 >> 1)
 	vals[44] = v44
-	v46 := (v16 | 0x0)
+	v46 := v16
 	vals[46] = v46
 	v47 := (v44 ^ v46)
 	vals[47] = v47
@@ -1675,7 +3294,7 @@ func step_stencil_pruned(vals []uint64, mems [][]uint64) bool {
 	vals[117] = v117
 	v120 := (v119 + v16) & 0xffffff
 	vals[120] = v120
-	switch vals[1] {
+	switch v1 {
 	case 0x0:
 		vals[3] = 0x0
 		v6 := v0
@@ -1703,14 +3322,8 @@ func step_stencil_pruned(vals []uint64, mems [][]uint64) bool {
 		vals[27] = 0x1
 		vals[28] = 0x1
 		vals[32] = 0x2
-		v33 := 0x0 & v12
-		vals[33] = v33
-		var v38 uint64
-		if v33 != 0 {
-			v38 = v34
-		} else {
-			v38 = v37
-		}
+		vals[33] = 0x0
+		v38 := v37
 		vals[38] = v38
 		v78 := v39
 		vals[78] = v78
@@ -1739,26 +3352,11 @@ func step_stencil_pruned(vals []uint64, mems [][]uint64) bool {
 		vals[109] = v109
 		v112 := v111
 		vals[112] = v112
-		var v115 uint64
-		if v33 != 0 {
-			v115 = v114
-		} else {
-			v115 = v113
-		}
+		v115 := v113
 		vals[115] = v115
-		var v118 uint64
-		if v33 != 0 {
-			v118 = v117
-		} else {
-			v118 = v116
-		}
+		v118 := v116
 		vals[118] = v118
-		var v121 uint64
-		if v33 != 0 {
-			v121 = v120
-		} else {
-			v121 = v119
-		}
+		v121 := v119
 		vals[121] = v121
 		vals[122] = 0x0
 	case 0x1:
@@ -1791,7 +3389,7 @@ func step_stencil_pruned(vals []uint64, mems [][]uint64) bool {
 		vals[28] = 0x0
 		v32 := v31
 		vals[32] = v32
-		v33 := 0x1 & v12
+		v33 := v12
 		vals[33] = v33
 		var v38 uint64
 		if v33 != 0 {
@@ -1807,21 +3405,15 @@ func step_stencil_pruned(vals []uint64, mems [][]uint64) bool {
 			v80 = 1
 		}
 		vals[80] = v80
-		v81 := 0x0 & v80
-		vals[81] = v81
-		var v84 uint64
-		if v81 != 0 {
-			v84 = v83
-		} else {
-			v84 = v79
-		}
+		vals[81] = 0x0
+		v84 := v79
 		vals[84] = v84
 		var v86 uint64
 		if v27 == 0x2 {
 			v86 = 1
 		}
 		vals[86] = v86
-		v87 := 0x1 & v86
+		v87 := v86
 		vals[87] = v87
 		var v89 uint64
 		if v87 != 0 {
@@ -1835,37 +3427,19 @@ func step_stencil_pruned(vals []uint64, mems [][]uint64) bool {
 			v91 = 1
 		}
 		vals[91] = v91
-		v92 := 0x0 & v91
-		vals[92] = v92
-		var v94 uint64
-		if v92 != 0 {
-			v94 = v93
-		} else {
-			v94 = v90
-		}
+		vals[92] = 0x0
+		v94 := v90
 		vals[94] = v94
 		var v96 uint64
 		if v27 == 0x4 {
 			v96 = 1
 		}
 		vals[96] = v96
-		v97 := 0x0 & v96
-		vals[97] = v97
-		var v99 uint64
-		if v97 != 0 {
-			v99 = v98
-		} else {
-			v99 = v95
-		}
+		vals[97] = 0x0
+		v99 := v95
 		vals[99] = v99
-		v101 := 0x0 & v80
-		vals[101] = v101
-		var v103 uint64
-		if v101 != 0 {
-			v103 = v102
-		} else {
-			v103 = v100
-		}
+		vals[101] = 0x0
+		v103 := v100
 		vals[103] = v103
 		v106 := v104
 		vals[106] = v106
@@ -1926,14 +3500,8 @@ func step_stencil_pruned(vals []uint64, mems [][]uint64) bool {
 		vals[28] = 0x0
 		v32 := v31
 		vals[32] = v32
-		v33 := 0x0 & v12
-		vals[33] = v33
-		var v38 uint64
-		if v33 != 0 {
-			v38 = v34
-		} else {
-			v38 = v37
-		}
+		vals[33] = 0x0
+		v38 := v37
 		vals[38] = v38
 		v78 := v77
 		vals[78] = v78
@@ -1942,35 +3510,23 @@ func step_stencil_pruned(vals []uint64, mems [][]uint64) bool {
 			v80 = 1
 		}
 		vals[80] = v80
-		v81 := 0x0 & v80
-		vals[81] = v81
-		var v84 uint64
-		if v81 != 0 {
-			v84 = v83
-		} else {
-			v84 = v79
-		}
+		vals[81] = 0x0
+		v84 := v79
 		vals[84] = v84
 		var v86 uint64
 		if v27 == 0x2 {
 			v86 = 1
 		}
 		vals[86] = v86
-		v87 := 0x0 & v86
-		vals[87] = v87
-		var v89 uint64
-		if v87 != 0 {
-			v89 = v88
-		} else {
-			v89 = v85
-		}
+		vals[87] = 0x0
+		v89 := v85
 		vals[89] = v89
 		var v91 uint64
 		if v27 == 0x3 {
 			v91 = 1
 		}
 		vals[91] = v91
-		v92 := 0x1 & v91
+		v92 := v91
 		vals[92] = v92
 		var v94 uint64
 		if v92 != 0 {
@@ -1984,23 +3540,11 @@ func step_stencil_pruned(vals []uint64, mems [][]uint64) bool {
 			v96 = 1
 		}
 		vals[96] = v96
-		v97 := 0x0 & v96
-		vals[97] = v97
-		var v99 uint64
-		if v97 != 0 {
-			v99 = v98
-		} else {
-			v99 = v95
-		}
+		vals[97] = 0x0
+		v99 := v95
 		vals[99] = v99
-		v101 := 0x0 & v80
-		vals[101] = v101
-		var v103 uint64
-		if v101 != 0 {
-			v103 = v102
-		} else {
-			v103 = v100
-		}
+		vals[101] = 0x0
+		v103 := v100
 		vals[103] = v103
 		v106 := v104
 		vals[106] = v106
@@ -2008,26 +3552,11 @@ func step_stencil_pruned(vals []uint64, mems [][]uint64) bool {
 		vals[109] = v109
 		v112 := v110
 		vals[112] = v112
-		var v115 uint64
-		if v33 != 0 {
-			v115 = v114
-		} else {
-			v115 = v113
-		}
+		v115 := v113
 		vals[115] = v115
-		var v118 uint64
-		if v33 != 0 {
-			v118 = v117
-		} else {
-			v118 = v116
-		}
+		v118 := v116
 		vals[118] = v118
-		var v121 uint64
-		if v33 != 0 {
-			v121 = v120
-		} else {
-			v121 = v119
-		}
+		v121 := v119
 		vals[121] = v121
 		vals[122] = 0x0
 	case 0x3:
@@ -2061,14 +3590,8 @@ func step_stencil_pruned(vals []uint64, mems [][]uint64) bool {
 		vals[27] = v27
 		vals[28] = 0x1
 		vals[32] = 0x2
-		v33 := 0x0 & v12
-		vals[33] = v33
-		var v38 uint64
-		if v33 != 0 {
-			v38 = v34
-		} else {
-			v38 = v37
-		}
+		vals[33] = 0x0
+		v38 := v37
 		vals[38] = v38
 		v78 := v39
 		vals[78] = v78
@@ -2077,49 +3600,31 @@ func step_stencil_pruned(vals []uint64, mems [][]uint64) bool {
 			v80 = 1
 		}
 		vals[80] = v80
-		v81 := 0x0 & v80
-		vals[81] = v81
-		var v84 uint64
-		if v81 != 0 {
-			v84 = v83
-		} else {
-			v84 = v79
-		}
+		vals[81] = 0x0
+		v84 := v79
 		vals[84] = v84
 		var v86 uint64
 		if v27 == 0x2 {
 			v86 = 1
 		}
 		vals[86] = v86
-		v87 := 0x0 & v86
-		vals[87] = v87
-		var v89 uint64
-		if v87 != 0 {
-			v89 = v88
-		} else {
-			v89 = v85
-		}
+		vals[87] = 0x0
+		v89 := v85
 		vals[89] = v89
 		var v91 uint64
 		if v27 == 0x3 {
 			v91 = 1
 		}
 		vals[91] = v91
-		v92 := 0x0 & v91
-		vals[92] = v92
-		var v94 uint64
-		if v92 != 0 {
-			v94 = v93
-		} else {
-			v94 = v90
-		}
+		vals[92] = 0x0
+		v94 := v90
 		vals[94] = v94
 		var v96 uint64
 		if v27 == 0x4 {
 			v96 = 1
 		}
 		vals[96] = v96
-		v97 := 0x1 & v96
+		v97 := v96
 		vals[97] = v97
 		var v99 uint64
 		if v97 != 0 {
@@ -2128,7 +3633,7 @@ func step_stencil_pruned(vals []uint64, mems [][]uint64) bool {
 			v99 = v95
 		}
 		vals[99] = v99
-		v101 := 0x1 & v80
+		v101 := v80
 		vals[101] = v101
 		var v103 uint64
 		if v101 != 0 {
@@ -2143,26 +3648,11 @@ func step_stencil_pruned(vals []uint64, mems [][]uint64) bool {
 		vals[109] = v109
 		v112 := v111
 		vals[112] = v112
-		var v115 uint64
-		if v33 != 0 {
-			v115 = v114
-		} else {
-			v115 = v113
-		}
+		v115 := v113
 		vals[115] = v115
-		var v118 uint64
-		if v33 != 0 {
-			v118 = v117
-		} else {
-			v118 = v116
-		}
+		v118 := v116
 		vals[118] = v118
-		var v121 uint64
-		if v33 != 0 {
-			v121 = v120
-		} else {
-			v121 = v119
-		}
+		v121 := v119
 		vals[121] = v121
 		vals[122] = 0x0
 	case 0x4:
@@ -2193,14 +3683,8 @@ func step_stencil_pruned(vals []uint64, mems [][]uint64) bool {
 		vals[28] = 0x0
 		v32 := v31
 		vals[32] = v32
-		v33 := 0x0 & v12
-		vals[33] = v33
-		var v38 uint64
-		if v33 != 0 {
-			v38 = v34
-		} else {
-			v38 = v37
-		}
+		vals[33] = 0x0
+		v38 := v37
 		vals[38] = v38
 		v78 := v39
 		vals[78] = v78
@@ -2229,26 +3713,11 @@ func step_stencil_pruned(vals []uint64, mems [][]uint64) bool {
 		vals[109] = v109
 		v112 := v110
 		vals[112] = v112
-		var v115 uint64
-		if v33 != 0 {
-			v115 = v114
-		} else {
-			v115 = v113
-		}
+		v115 := v113
 		vals[115] = v115
-		var v118 uint64
-		if v33 != 0 {
-			v118 = v117
-		} else {
-			v118 = v116
-		}
+		v118 := v116
 		vals[118] = v118
-		var v121 uint64
-		if v33 != 0 {
-			v121 = v120
-		} else {
-			v121 = v119
-		}
+		v121 := v119
 		vals[121] = v121
 		vals[122] = 0x1
 	default:
@@ -2497,16 +3966,18 @@ func step_stencil_pruned(vals []uint64, mems [][]uint64) bool {
 	vals[113] = l13
 	vals[116] = l14
 	vals[119] = l15
-	return done
+	return cycles + 1, done
 }
 
-func step_stencil_slice_all(vals []uint64, mems [][]uint64) bool {
+func step_stencil_slice_all(vals []uint64, mems [][]uint64, limit uint64) (uint64, bool) {
 	_ = vals[64]
 	m0 := mems[0]
 	v0 := vals[0]
 	v11 := vals[11]
+	v22 := vals[22]
 	v24 := vals[24]
 	v28 := vals[28]
+	v32 := vals[32]
 	v33 := vals[33]
 	v37 := vals[37]
 	v40 := vals[40]
@@ -2514,6 +3985,400 @@ func step_stencil_slice_all(vals []uint64, mems [][]uint64) bool {
 	v50 := vals[50]
 	v55 := vals[55]
 	v60 := vals[60]
+	var cycles uint64
+loop:
+	for ; cycles+1 < limit; cycles++ {
+		switch v0 {
+		case 0x0:
+			v35 := (v33 + 0x2) & 0xffffff
+			v38 := (v37 + 0x1) & 0xffffff
+			v62 := (v60 + 0x1) & 0xffffff
+			v21 := v11
+			v27 := v24
+			v31 := v28
+			v36 := v35
+			v39 := v38
+			v44 := v40
+			v49 := v45
+			v54 := v50
+			v59 := v55
+			v63 := v62
+			n1 := v21
+			n3 := v27
+			n4 := v31
+			n6 := v36
+			n7 := v39
+			n8 := v44
+			n9 := v49
+			n10 := v54
+			n11 := v59
+			n12 := v63
+			v0 = 0x1
+			v11 = n1
+			v22 = 0x0
+			v24 = n3
+			v28 = n4
+			v32 = 0x0
+			v33 = n6
+			v37 = n7
+			v40 = n8
+			v45 = n9
+			v50 = n10
+			v55 = n11
+			v60 = n12
+		case 0x1:
+			var v25 uint64
+			if addr := uint64(0x1); addr < uint64(len(m0)) {
+				v25 = m0[addr] & 0x7f
+			}
+			v26 := (v24 + v25) & 0xffffff
+			v30 := (v28 + 0x1) & 0xffffff
+			v58 := (v55 + 0x1) & 0xffffff
+			v21 := v11
+			v27 := v26
+			v31 := v30
+			v36 := v33
+			v39 := v37
+			v44 := v40
+			v49 := v45
+			v54 := v50
+			v59 := v58
+			v63 := v60
+			n1 := v21
+			n3 := v27
+			n4 := v31
+			n6 := v36
+			n7 := v39
+			n8 := v44
+			n9 := v49
+			n10 := v54
+			n11 := v59
+			n12 := v63
+			v0 = 0x2
+			v11 = n1
+			v22 = 0x0
+			v24 = n3
+			v28 = n4
+			v32 = 0x0
+			v33 = n6
+			v37 = n7
+			v40 = n8
+			v45 = n9
+			v50 = n10
+			v55 = n11
+			v60 = n12
+		case 0x2:
+			v53 := (v50 + 0x1) & 0xffffff
+			v21 := v11
+			v27 := v24
+			v31 := v28
+			v36 := v33
+			v39 := v37
+			v44 := v40
+			v49 := v45
+			v54 := v53
+			v59 := v55
+			v63 := v60
+			n1 := v21
+			n3 := v27
+			n4 := v31
+			n6 := v36
+			n7 := v39
+			n8 := v44
+			n9 := v49
+			n10 := v54
+			n11 := v59
+			n12 := v63
+			v0 = 0x3
+			v11 = n1
+			v22 = 0x0
+			v24 = n3
+			v28 = n4
+			v32 = 0x0
+			v33 = n6
+			v37 = n7
+			v40 = n8
+			v45 = n9
+			v50 = n10
+			v55 = n11
+			v60 = n12
+		case 0x3:
+			var v10 uint64
+			if addr := uint64(0x0); addr < uint64(len(m0)) {
+				v10 = m0[addr] & 0x7f
+			}
+			v13 := (v11 + 0x1) & 0x7f
+			var v14 uint64
+			if v10 <= v13 {
+				v14 = 1
+			}
+			var v16 uint64
+			if v14 != 0 {
+				v16 = 0x4
+			} else {
+				v16 = 0x1
+			}
+			v35 := (v33 + 0x2) & 0xffffff
+			v38 := (v37 + 0x1) & 0xffffff
+			v43 := (v40 + 0x1) & 0xffffff
+			v48 := (v45 + 0x1) & 0xffffff
+			v17 := v16
+			v18 := v17
+			v19 := v18
+			v20 := v19
+			v21 := v13
+			v27 := v24
+			v31 := v28
+			v36 := v35
+			v39 := v38
+			var v41 uint64
+			if v20 == 0x1 {
+				v41 = 1
+			}
+			v42 := v41
+			var v44 uint64
+			if v42 != 0 {
+				v44 = v43
+			} else {
+				v44 = v40
+			}
+			var v46 uint64
+			if v20 == 0x4 {
+				v46 = 1
+			}
+			v47 := v46
+			var v49 uint64
+			if v47 != 0 {
+				v49 = v48
+			} else {
+				v49 = v45
+			}
+			v54 := v50
+			v59 := v55
+			v63 := v60
+			n0 := v20
+			n1 := v21
+			n3 := v27
+			n4 := v31
+			n6 := v36
+			n7 := v39
+			n8 := v44
+			n9 := v49
+			n10 := v54
+			n11 := v59
+			n12 := v63
+			v0 = n0
+			v11 = n1
+			v22 = 0x0
+			v24 = n3
+			v28 = n4
+			v32 = 0x0
+			v33 = n6
+			v37 = n7
+			v40 = n8
+			v45 = n9
+			v50 = n10
+			v55 = n11
+			v60 = n12
+		case 0x4:
+			break loop
+		default:
+			var v10 uint64
+			if addr := uint64(0x0); addr < uint64(len(m0)) {
+				v10 = m0[addr] & 0x7f
+			}
+			v13 := (v11 + 0x1) & 0x7f
+			var v14 uint64
+			if v10 <= v13 {
+				v14 = 1
+			}
+			var v16 uint64
+			if v14 != 0 {
+				v16 = 0x4
+			} else {
+				v16 = 0x1
+			}
+			var v25 uint64
+			if addr := uint64(0x1); addr < uint64(len(m0)) {
+				v25 = m0[addr] & 0x7f
+			}
+			v26 := (v24 + v25) & 0xffffff
+			v30 := (v28 + 0x1) & 0xffffff
+			v35 := (v33 + 0x2) & 0xffffff
+			v38 := (v37 + 0x1) & 0xffffff
+			v43 := (v40 + 0x1) & 0xffffff
+			v48 := (v45 + 0x1) & 0xffffff
+			v53 := (v50 + 0x1) & 0xffffff
+			v58 := (v55 + 0x1) & 0xffffff
+			v62 := (v60 + 0x1) & 0xffffff
+			var v2 uint64
+			if v0 == 0x0 {
+				v2 = 1
+			}
+			var v4 uint64
+			if v0 == 0x1 {
+				v4 = 1
+			}
+			var v6 uint64
+			if v0 == 0x2 {
+				v6 = 1
+			}
+			var v8 uint64
+			if v0 == 0x3 {
+				v8 = 1
+			}
+			var v17 uint64
+			if v8 != 0 {
+				v17 = v16
+			} else {
+				v17 = v0
+			}
+			var v18 uint64
+			if v6 != 0 {
+				v18 = 0x3
+			} else {
+				v18 = v17
+			}
+			var v19 uint64
+			if v4 != 0 {
+				v19 = 0x2
+			} else {
+				v19 = v18
+			}
+			var v20 uint64
+			if v2 != 0 {
+				v20 = 0x1
+			} else {
+				v20 = v19
+			}
+			var v21 uint64
+			if v8 != 0 {
+				v21 = v13
+			} else {
+				v21 = v11
+			}
+			var v27 uint64
+			if v4 != 0 {
+				v27 = v26
+			} else {
+				v27 = v24
+			}
+			var v31 uint64
+			if v4 != 0 {
+				v31 = v30
+			} else {
+				v31 = v28
+			}
+			v34 := (v2 | v8)
+			var v36 uint64
+			if v34 != 0 {
+				v36 = v35
+			} else {
+				v36 = v33
+			}
+			var v39 uint64
+			if v34 != 0 {
+				v39 = v38
+			} else {
+				v39 = v37
+			}
+			var v41 uint64
+			if v20 == 0x1 {
+				v41 = 1
+			}
+			v42 := v8 & v41
+			var v44 uint64
+			if v42 != 0 {
+				v44 = v43
+			} else {
+				v44 = v40
+			}
+			var v46 uint64
+			if v20 == 0x4 {
+				v46 = 1
+			}
+			v47 := v8 & v46
+			var v49 uint64
+			if v47 != 0 {
+				v49 = v48
+			} else {
+				v49 = v45
+			}
+			var v51 uint64
+			if v20 == 0x3 {
+				v51 = 1
+			}
+			v52 := v6 & v51
+			var v54 uint64
+			if v52 != 0 {
+				v54 = v53
+			} else {
+				v54 = v50
+			}
+			var v56 uint64
+			if v20 == 0x2 {
+				v56 = 1
+			}
+			v57 := v4 & v56
+			var v59 uint64
+			if v57 != 0 {
+				v59 = v58
+			} else {
+				v59 = v55
+			}
+			v61 := v2 & v41
+			var v63 uint64
+			if v61 != 0 {
+				v63 = v62
+			} else {
+				v63 = v60
+			}
+			var v64 uint64
+			if v0 == 0x4 {
+				v64 = 1
+			}
+			if v64 != 0 {
+				break loop
+			}
+			n0 := v20
+			n1 := v21
+			n3 := v27
+			n4 := v31
+			n6 := v36
+			n7 := v39
+			n8 := v44
+			n9 := v49
+			n10 := v54
+			n11 := v59
+			n12 := v63
+			v0 = n0
+			v11 = n1
+			v22 = 0x0
+			v24 = n3
+			v28 = n4
+			v32 = 0x0
+			v33 = n6
+			v37 = n7
+			v40 = n8
+			v45 = n9
+			v50 = n10
+			v55 = n11
+			v60 = n12
+		}
+	}
+	vals[0] = v0
+	vals[11] = v11
+	vals[22] = v22
+	vals[24] = v24
+	vals[28] = v28
+	vals[32] = v32
+	vals[33] = v33
+	vals[37] = v37
+	vals[40] = v40
+	vals[45] = v45
+	vals[50] = v50
+	vals[55] = v55
+	vals[60] = v60
 	var v10 uint64
 	if addr := uint64(0x0); addr < uint64(len(m0)) {
 		v10 = m0[addr] & 0x7f
@@ -2556,7 +4421,7 @@ func step_stencil_slice_all(vals []uint64, mems [][]uint64) bool {
 	vals[58] = v58
 	v62 := (v60 + 0x1) & 0xffffff
 	vals[62] = v62
-	switch vals[0] {
+	switch v0 {
 	case 0x0:
 		vals[2] = 0x1
 		vals[4] = 0x0
@@ -2706,7 +4571,7 @@ func step_stencil_slice_all(vals []uint64, mems [][]uint64) bool {
 			v41 = 1
 		}
 		vals[41] = v41
-		v42 := 0x1 & v41
+		v42 := v41
 		vals[42] = v42
 		var v44 uint64
 		if v42 != 0 {
@@ -2720,7 +4585,7 @@ func step_stencil_slice_all(vals []uint64, mems [][]uint64) bool {
 			v46 = 1
 		}
 		vals[46] = v46
-		v47 := 0x1 & v46
+		v47 := v46
 		vals[47] = v47
 		var v49 uint64
 		if v47 != 0 {
@@ -2734,37 +4599,19 @@ func step_stencil_slice_all(vals []uint64, mems [][]uint64) bool {
 			v51 = 1
 		}
 		vals[51] = v51
-		v52 := 0x0 & v51
-		vals[52] = v52
-		var v54 uint64
-		if v52 != 0 {
-			v54 = v53
-		} else {
-			v54 = v50
-		}
+		vals[52] = 0x0
+		v54 := v50
 		vals[54] = v54
 		var v56 uint64
 		if v20 == 0x2 {
 			v56 = 1
 		}
 		vals[56] = v56
-		v57 := 0x0 & v56
-		vals[57] = v57
-		var v59 uint64
-		if v57 != 0 {
-			v59 = v58
-		} else {
-			v59 = v55
-		}
+		vals[57] = 0x0
+		v59 := v55
 		vals[59] = v59
-		v61 := 0x0 & v41
-		vals[61] = v61
-		var v63 uint64
-		if v61 != 0 {
-			v63 = v62
-		} else {
-			v63 = v60
-		}
+		vals[61] = 0x0
+		v63 := v60
 		vals[63] = v63
 		vals[64] = 0x0
 	case 0x4:
@@ -2991,10 +4838,10 @@ func step_stencil_slice_all(vals []uint64, mems [][]uint64) bool {
 	vals[50] = l10
 	vals[55] = l11
 	vals[60] = l12
-	return done
+	return cycles + 1, done
 }
 
-func step_stencil_slice_t42(vals []uint64, mems [][]uint64) bool {
+func step_stencil_slice_t42(vals []uint64, mems [][]uint64, limit uint64) (uint64, bool) {
 	_ = vals[52]
 	m0 := mems[0]
 	v0 := vals[0]
@@ -3006,6 +4853,326 @@ func step_stencil_slice_t42(vals []uint64, mems [][]uint64) bool {
 	v37 := vals[37]
 	v42 := vals[42]
 	v47 := vals[47]
+	var cycles uint64
+loop:
+	for ; cycles+1 < limit; cycles++ {
+		switch v0 {
+		case 0x0:
+			v32 := (v30 + 0x2) & 0xffffff
+			v35 := (v34 + 0x1) & 0xffffff
+			v21 := v11
+			v25 := v22
+			v29 := v26
+			v33 := v32
+			v36 := v35
+			v41 := v37
+			v46 := v42
+			v51 := v47
+			n1 := v21
+			n2 := v25
+			n3 := v29
+			n4 := v33
+			n5 := v36
+			n6 := v41
+			n7 := v46
+			n8 := v51
+			v0 = 0x1
+			v11 = n1
+			v22 = n2
+			v26 = n3
+			v30 = n4
+			v34 = n5
+			v37 = n6
+			v42 = n7
+			v47 = n8
+		case 0x1:
+			var v23 uint64
+			if addr := uint64(0x1); addr < uint64(len(m0)) {
+				v23 = m0[addr] & 0x7f
+			}
+			v24 := (v22 + v23) & 0xffffff
+			v28 := (v26 + 0x1) & 0xffffff
+			v50 := (v47 + 0x1) & 0xffffff
+			v21 := v11
+			v25 := v24
+			v29 := v28
+			v33 := v30
+			v36 := v34
+			v41 := v37
+			v46 := v42
+			v51 := v50
+			n1 := v21
+			n2 := v25
+			n3 := v29
+			n4 := v33
+			n5 := v36
+			n6 := v41
+			n7 := v46
+			n8 := v51
+			v0 = 0x2
+			v11 = n1
+			v22 = n2
+			v26 = n3
+			v30 = n4
+			v34 = n5
+			v37 = n6
+			v42 = n7
+			v47 = n8
+		case 0x2:
+			v45 := (v42 + 0x1) & 0xffffff
+			v21 := v11
+			v25 := v22
+			v29 := v26
+			v33 := v30
+			v36 := v34
+			v41 := v37
+			v46 := v45
+			v51 := v47
+			n1 := v21
+			n2 := v25
+			n3 := v29
+			n4 := v33
+			n5 := v36
+			n6 := v41
+			n7 := v46
+			n8 := v51
+			v0 = 0x3
+			v11 = n1
+			v22 = n2
+			v26 = n3
+			v30 = n4
+			v34 = n5
+			v37 = n6
+			v42 = n7
+			v47 = n8
+		case 0x3:
+			var v10 uint64
+			if addr := uint64(0x0); addr < uint64(len(m0)) {
+				v10 = m0[addr] & 0x7f
+			}
+			v13 := (v11 + 0x1) & 0x7f
+			var v14 uint64
+			if v10 <= v13 {
+				v14 = 1
+			}
+			var v16 uint64
+			if v14 != 0 {
+				v16 = 0x4
+			} else {
+				v16 = 0x1
+			}
+			v32 := (v30 + 0x2) & 0xffffff
+			v35 := (v34 + 0x1) & 0xffffff
+			v40 := (v37 + 0x1) & 0xffffff
+			v17 := v16
+			v18 := v17
+			v19 := v18
+			v20 := v19
+			v21 := v13
+			v25 := v22
+			v29 := v26
+			v33 := v32
+			v36 := v35
+			var v38 uint64
+			if v20 == 0x1 {
+				v38 = 1
+			}
+			v39 := v38
+			var v41 uint64
+			if v39 != 0 {
+				v41 = v40
+			} else {
+				v41 = v37
+			}
+			v46 := v42
+			v51 := v47
+			n0 := v20
+			n1 := v21
+			n2 := v25
+			n3 := v29
+			n4 := v33
+			n5 := v36
+			n6 := v41
+			n7 := v46
+			n8 := v51
+			v0 = n0
+			v11 = n1
+			v22 = n2
+			v26 = n3
+			v30 = n4
+			v34 = n5
+			v37 = n6
+			v42 = n7
+			v47 = n8
+		case 0x4:
+			break loop
+		default:
+			var v10 uint64
+			if addr := uint64(0x0); addr < uint64(len(m0)) {
+				v10 = m0[addr] & 0x7f
+			}
+			v13 := (v11 + 0x1) & 0x7f
+			var v14 uint64
+			if v10 <= v13 {
+				v14 = 1
+			}
+			var v16 uint64
+			if v14 != 0 {
+				v16 = 0x4
+			} else {
+				v16 = 0x1
+			}
+			var v23 uint64
+			if addr := uint64(0x1); addr < uint64(len(m0)) {
+				v23 = m0[addr] & 0x7f
+			}
+			v24 := (v22 + v23) & 0xffffff
+			v28 := (v26 + 0x1) & 0xffffff
+			v32 := (v30 + 0x2) & 0xffffff
+			v35 := (v34 + 0x1) & 0xffffff
+			v40 := (v37 + 0x1) & 0xffffff
+			v45 := (v42 + 0x1) & 0xffffff
+			v50 := (v47 + 0x1) & 0xffffff
+			var v2 uint64
+			if v0 == 0x0 {
+				v2 = 1
+			}
+			var v4 uint64
+			if v0 == 0x1 {
+				v4 = 1
+			}
+			var v6 uint64
+			if v0 == 0x2 {
+				v6 = 1
+			}
+			var v8 uint64
+			if v0 == 0x3 {
+				v8 = 1
+			}
+			var v17 uint64
+			if v8 != 0 {
+				v17 = v16
+			} else {
+				v17 = v0
+			}
+			var v18 uint64
+			if v6 != 0 {
+				v18 = 0x3
+			} else {
+				v18 = v17
+			}
+			var v19 uint64
+			if v4 != 0 {
+				v19 = 0x2
+			} else {
+				v19 = v18
+			}
+			var v20 uint64
+			if v2 != 0 {
+				v20 = 0x1
+			} else {
+				v20 = v19
+			}
+			var v21 uint64
+			if v8 != 0 {
+				v21 = v13
+			} else {
+				v21 = v11
+			}
+			var v25 uint64
+			if v4 != 0 {
+				v25 = v24
+			} else {
+				v25 = v22
+			}
+			var v29 uint64
+			if v4 != 0 {
+				v29 = v28
+			} else {
+				v29 = v26
+			}
+			v31 := (v2 | v8)
+			var v33 uint64
+			if v31 != 0 {
+				v33 = v32
+			} else {
+				v33 = v30
+			}
+			var v36 uint64
+			if v31 != 0 {
+				v36 = v35
+			} else {
+				v36 = v34
+			}
+			var v38 uint64
+			if v20 == 0x1 {
+				v38 = 1
+			}
+			v39 := v8 & v38
+			var v41 uint64
+			if v39 != 0 {
+				v41 = v40
+			} else {
+				v41 = v37
+			}
+			var v43 uint64
+			if v20 == 0x3 {
+				v43 = 1
+			}
+			v44 := v6 & v43
+			var v46 uint64
+			if v44 != 0 {
+				v46 = v45
+			} else {
+				v46 = v42
+			}
+			var v48 uint64
+			if v20 == 0x2 {
+				v48 = 1
+			}
+			v49 := v4 & v48
+			var v51 uint64
+			if v49 != 0 {
+				v51 = v50
+			} else {
+				v51 = v47
+			}
+			var v52 uint64
+			if v0 == 0x4 {
+				v52 = 1
+			}
+			if v52 != 0 {
+				break loop
+			}
+			n0 := v20
+			n1 := v21
+			n2 := v25
+			n3 := v29
+			n4 := v33
+			n5 := v36
+			n6 := v41
+			n7 := v46
+			n8 := v51
+			v0 = n0
+			v11 = n1
+			v22 = n2
+			v26 = n3
+			v30 = n4
+			v34 = n5
+			v37 = n6
+			v42 = n7
+			v47 = n8
+		}
+	}
+	vals[0] = v0
+	vals[11] = v11
+	vals[22] = v22
+	vals[26] = v26
+	vals[30] = v30
+	vals[34] = v34
+	vals[37] = v37
+	vals[42] = v42
+	vals[47] = v47
 	var v10 uint64
 	if addr := uint64(0x0); addr < uint64(len(m0)) {
 		v10 = m0[addr] & 0x7f
@@ -3044,7 +5211,7 @@ func step_stencil_slice_t42(vals []uint64, mems [][]uint64) bool {
 	vals[45] = v45
 	v50 := (v47 + 0x1) & 0xffffff
 	vals[50] = v50
-	switch vals[0] {
+	switch v0 {
 	case 0x0:
 		vals[2] = 0x1
 		vals[4] = 0x0
@@ -3173,7 +5340,7 @@ func step_stencil_slice_t42(vals []uint64, mems [][]uint64) bool {
 			v38 = 1
 		}
 		vals[38] = v38
-		v39 := 0x1 & v38
+		v39 := v38
 		vals[39] = v39
 		var v41 uint64
 		if v39 != 0 {
@@ -3187,28 +5354,16 @@ func step_stencil_slice_t42(vals []uint64, mems [][]uint64) bool {
 			v43 = 1
 		}
 		vals[43] = v43
-		v44 := 0x0 & v43
-		vals[44] = v44
-		var v46 uint64
-		if v44 != 0 {
-			v46 = v45
-		} else {
-			v46 = v42
-		}
+		vals[44] = 0x0
+		v46 := v42
 		vals[46] = v46
 		var v48 uint64
 		if v20 == 0x2 {
 			v48 = 1
 		}
 		vals[48] = v48
-		v49 := 0x0 & v48
-		vals[49] = v49
-		var v51 uint64
-		if v49 != 0 {
-			v51 = v50
-		} else {
-			v51 = v47
-		}
+		vals[49] = 0x0
+		v51 := v47
 		vals[51] = v51
 		vals[52] = 0x0
 	case 0x4:
@@ -3397,7 +5552,7 @@ func step_stencil_slice_t42(vals []uint64, mems [][]uint64) bool {
 	vals[37] = l6
 	vals[42] = l7
 	vals[47] = l8
-	return done
+	return cycles + 1, done
 }
 
 func init() {

@@ -1,8 +1,9 @@
 // Package native holds the pre-generated (checked-in) native
-// simulators for the benchmark suite: one specialized straight-line Go
-// step function per distinct netlist shape the production flows
-// simulate — raw designs, instrumented designs, their pruned twins,
-// and predictor slices. The gen_*.go files are produced by cmd/rtlgen
+// simulators for the benchmark suite: one specialized Go function per
+// distinct netlist shape the production flows simulate — raw designs,
+// instrumented designs, their pruned twins, and predictor slices
+// (including the ones a quick exp.Lab trains) — that runs a whole job
+// per call (see rtl.NativeStep). The gen_*.go files are produced by cmd/rtlgen
 // from internal/rtl/codegen plans and register themselves with the rtl
 // engine registry at init, so importing this package (internal/core
 // does, blank) is all it takes for rtl.NewSimEngine(rtl.EngineNative)

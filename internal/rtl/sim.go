@@ -346,7 +346,7 @@ func (s *Sim) Cycles() uint64 { return s.cycles }
 // Step executes one cycle and reports whether Done was high.
 func (s *Sim) Step() bool {
 	if s.nat != nil {
-		done := s.nat(s.vals, s.mems)
+		_, done := s.nat(s.vals, s.mems, 1)
 		if s.countToggles {
 			s.countActivity()
 		}
@@ -485,9 +485,17 @@ func (s *Sim) countActivity() {
 
 // Run steps the module until Done is raised, returning the number of
 // cycles taken (inclusive of the done cycle). If maxCycles elapses
-// first, it returns ErrNoProgress.
+// first, it returns ErrNoProgress. A native Sim without activity
+// counting runs the whole job in one call of its generated step.
 func (s *Sim) Run(maxCycles uint64) (uint64, error) {
 	start := s.cycles
+	if s.nat != nil && !s.countToggles && maxCycles > 0 {
+		n, done := s.nat(s.vals, s.mems, maxCycles)
+		s.cycles += n
+		if done {
+			return n, nil
+		}
+	}
 	for s.cycles-start < maxCycles {
 		if s.Step() {
 			return s.cycles - start, nil
