@@ -104,7 +104,7 @@ func setup(args []string, stdout, stderr io.Writer) (*cluster.Fleet, http.Handle
 	boost := fs.Bool("boost", false, "allow the 1.08 V emergency boost level")
 	deadlineMs := fs.Float64("deadline-ms", exp.Deadline*1e3, "per-job deadline in milliseconds")
 	workers := fs.Int("workers", 0, "parallel training workers (0 = GOMAXPROCS)")
-	engine := fs.String("engine", "", "RTL engine: native, compiled, or interp (default: native, or $REPRO_ENGINE)")
+	engine := fs.String("engine", "", "RTL engine: native or interp (default: native, or $REPRO_ENGINE)")
 	cacheDir := fs.String("cachedir", os.Getenv("REPRO_CACHE_DIR"),
 		"persistent trace cache directory (default: $REPRO_CACHE_DIR; empty disables)")
 	jobTimeoutMs := fs.Float64("job-timeout-ms", 0, "wall-clock watchdog per prediction attempt in ms (0 disables)")
@@ -144,11 +144,9 @@ func setup(args []string, stdout, stderr io.Writer) (*cluster.Fleet, http.Handle
 
 	core.SetWorkers(*workers)
 	if *engine != "" {
-		e, err := rtl.ParseEngine(*engine)
-		if err != nil {
+		if err := rtl.SetDefaultEngine(rtl.Engine(*engine)); err != nil {
 			return nil, nil, "", usage(err)
 		}
-		rtl.SetDefaultEngine(e)
 	}
 	if *cacheDir != "" {
 		cache, err := tracecache.Open(*cacheDir)
@@ -220,8 +218,8 @@ func setup(args []string, stdout, stderr io.Writer) (*cluster.Fleet, http.Handle
 	}
 	if len(offNative) > 0 && rtl.DefaultEngine() == rtl.EngineNative {
 		// The generated-simulator registry is stale for these netlists:
-		// they run on the compiled fallback, several times slower.
-		fmt.Fprintf(stderr, "dvfserved: native engine fell back to compiled for %s; %d native fallbacks (regenerate with go generate ./internal/rtl/native)\n",
+		// they run on the plan fallback, several times slower.
+		fmt.Fprintf(stderr, "dvfserved: native engine fell back to the plan for %s; %d native fallbacks (regenerate with go generate ./internal/rtl/native)\n",
 			strings.Join(offNative, ", "), rtl.NativeFallbacks())
 	}
 	return fleet, cluster.NewAPI(fleet, suiteSource).Handler(), *addr, nil

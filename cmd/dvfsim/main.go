@@ -14,7 +14,7 @@
 // (default: GOMAXPROCS); results are deterministic regardless of the
 // worker count. -engine selects the RTL engine: native (the default),
 // which runs the pre-generated code in internal/rtl/native and falls
-// back to compiled for unregistered netlists, compiled, or interp. The
+// back to the codegen plan for unregistered netlists, or interp. The
 // run ends by reporting "native fallbacks: N", the netlists that had
 // no generated simulator. -cachedir (or REPRO_CACHE_DIR) enables the
 // persistent trace cache: a re-run with unchanged netlists and
@@ -46,7 +46,7 @@ func main() {
 	charts := flag.Bool("charts", false, "render ASCII plots for figure experiments")
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
 	workers := flag.Int("workers", 0, "parallel job-simulation workers (0 = GOMAXPROCS)")
-	engine := flag.String("engine", "", "RTL engine: native, compiled, or interp (default: native, or $REPRO_ENGINE)")
+	engine := flag.String("engine", "", "RTL engine: native or interp (default: native, or $REPRO_ENGINE)")
 	cacheDir := flag.String("cachedir", os.Getenv("REPRO_CACHE_DIR"),
 		"persistent trace cache directory (default: $REPRO_CACHE_DIR; empty disables)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -62,12 +62,7 @@ func main() {
 
 	core.SetWorkers(*workers)
 	if *engine != "" {
-		e, err := rtl.ParseEngine(*engine)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dvfsim: %v\n", err)
-			os.Exit(2)
-		}
-		if err := rtl.SetDefaultEngine(e); err != nil {
+		if err := rtl.SetDefaultEngine(rtl.Engine(*engine)); err != nil {
 			fmt.Fprintf(os.Stderr, "dvfsim: %v\n", err)
 			os.Exit(2)
 		}

@@ -29,7 +29,7 @@
 // rtlgen links the package it rewrites (through core), so after a
 // change that stops the checked-in gen_*.go files compiling — a new
 // rtl.NativeStep signature, say — delete them first; training then
-// runs on the compiled fallback and the output is the same.
+// runs on the plan fallback and the output is the same.
 package main
 
 import (

@@ -56,7 +56,7 @@ func (m memFlags) Set(s string) error {
 func main() {
 	maxCycles := flag.Uint64("max", 1<<20, "cycle limit")
 	vcdPath := flag.String("vcd", "", "write a VCD waveform here")
-	engine := flag.String("engine", "", "RTL engine: native, compiled, or interp (default: native, or $REPRO_ENGINE)")
+	engine := flag.String("engine", "", "RTL engine: native or interp (default: native, or $REPRO_ENGINE)")
 	mems := memFlags{}
 	flag.Var(mems, "mem", "load a memory: name=v0,v1,... (repeatable)")
 	flag.Parse()

@@ -16,19 +16,17 @@
 //
 // It reports four things:
 //
-//  1. engine speed (ns/cycle, Mevals/s) for interp, compiled, and
-//     native (pre-generated straight-line code) on the Toy design and
-//     on every benchmark of the suite, with per-design speedup ratios.
-//     Toy has no generated native simulator by design, so it has no
-//     native row (a native request would measure the compiled
-//     fallback),
+//  1. engine speed (ns/cycle, Mevals/s) for interp, the codegen plan
+//     (the native fallback), and native (pre-generated straight-line
+//     code) on the Toy design and on every benchmark of the suite,
+//     with per-design speedup ratios. Toy has no generated native
+//     simulator by design, so it has no native row (a native request
+//     would measure the plan fallback),
 //  2. CollectTraces wall-clock swept across worker counts (1, 2, 4, 8,
-//     capped at -workers, default GOMAXPROCS) under the compiled and
-//     native engines (retraining per engine, since Train binds the
-//     predictor's simulators to the engine current at that time),
+//     capped at -workers, default GOMAXPROCS) under the native engine,
 //  3. trace-collection throughput (instrumented design + hardware
 //     slice per job, the work core.CollectTraces does) per benchmark:
-//     compiled jobs/s vs native jobs/s and their ratio,
+//     plan jobs/s vs native jobs/s and their ratio,
 //  4. the wall-clock of warming the full (quick) experiment lab with
 //     the trace cache detached (skipped with -warm=false).
 //
@@ -54,6 +52,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/instrument"
 	"repro/internal/rtl"
+	"repro/internal/rtl/codegen"
 	"repro/internal/slice"
 	"repro/internal/suite"
 	"repro/internal/testdesigns"
@@ -110,14 +109,14 @@ type EngineResult struct {
 // DesignResult groups the engines' numbers on one design plus the
 // headline ratios (of medians; equivalently wall-clock, same work).
 type DesignResult struct {
-	Design           string         `json:"design"`
-	Nodes            int            `json:"nodes"`
-	Engines          []EngineResult `json:"engines"`
-	CompiledVsInterp float64        `json:"compiled_vs_interp"`
-	// NativeVsCompiled compares the pre-generated native code against
-	// the compiled instruction stream on the same job; absent for
-	// designs without a generated simulator (toy).
-	NativeVsCompiled float64 `json:"native_vs_compiled,omitempty"`
+	Design       string         `json:"design"`
+	Nodes        int            `json:"nodes"`
+	Engines      []EngineResult `json:"engines"`
+	PlanVsInterp float64        `json:"plan_vs_interp"`
+	// NativeVsPlan compares the pre-generated native code against the
+	// plan it was emitted from, run by the fallback evaluator, on the
+	// same job; absent for designs without a generated simulator (toy).
+	NativeVsPlan float64 `json:"native_vs_plan,omitempty"`
 }
 
 // TraceResult reports the job fan-out measurement at one worker count
@@ -134,26 +133,26 @@ type TraceResult struct {
 }
 
 // ThroughputResult is one benchmark's trace-collection throughput:
-// compiled vs native on the same work (one instrumented full-design
-// job plus one slice job).
+// plan vs native on the same work (one instrumented full-design job
+// plus one slice job).
 type ThroughputResult struct {
-	Benchmark        string  `json:"benchmark"`
-	CompiledJobsPerS Dist    `json:"compiled_jobs_per_s"`
-	NativeJobsPerS   Dist    `json:"native_jobs_per_s"`
-	NativeVsCompiled float64 `json:"native_vs_compiled"`
+	Benchmark      string  `json:"benchmark"`
+	PlanJobsPerS   Dist    `json:"plan_jobs_per_s"`
+	NativeJobsPerS Dist    `json:"native_jobs_per_s"`
+	NativeVsPlan   float64 `json:"native_vs_plan"`
 }
 
 // PruneResult records the static win of absint pruning on one
-// benchmark: compiled instructions per cycle for the instrumented full
-// design and its hardware slice, unpruned vs pruned. Every engine's
-// per-cycle work scales with this stream.
+// benchmark: combinational nodes (those an engine evaluates each
+// cycle, see rtl.CombNodes) of the instrumented full design and its
+// hardware slice, unpruned vs pruned.
 type PruneResult struct {
 	Benchmark        string  `json:"benchmark"`
-	FullInstr        int     `json:"full_instr"`
-	FullInstrPruned  int     `json:"full_instr_pruned"`
+	FullComb         int     `json:"full_comb"`
+	FullCombPruned   int     `json:"full_comb_pruned"`
 	FullReductionPct float64 `json:"full_reduction_pct"`
-	SliceInstr       int     `json:"slice_instr"`
-	SliceInstrPruned int     `json:"slice_instr_pruned"`
+	SliceComb        int     `json:"slice_comb"`
+	SliceCombPruned  int     `json:"slice_comb_pruned"`
 }
 
 // Report is the BENCH_sim.json schema.
@@ -168,7 +167,7 @@ type Report struct {
 	TraceThroughput []ThroughputResult `json:"trace_throughput"`
 	SuiteWallclockS *Dist              `json:"suite_wallclock_s,omitempty"`
 	// NativeFallbacks is rtl.NativeFallbacks at the end of the run:
-	// native requests that silently measured the compiled engine.
+	// native requests that silently measured the plan fallback.
 	NativeFallbacks uint64 `json:"native_fallbacks"`
 }
 
@@ -206,14 +205,18 @@ func sampleCells(cells []cell) ([][]float64, error) {
 func measureDesign(design string, m *rtl.Module, reps int,
 	runner func(*rtl.Sim) func() (uint64, error)) (DesignResult, error) {
 	dr := DesignResult{Design: design, Nodes: m.NumNodes()}
-	sims := []*rtl.Sim{rtl.NewInterpSim(m), rtl.NewSimEngine(m, rtl.EngineCompiled)}
+	type engineSim struct {
+		engine rtl.Engine
+		sim    *rtl.Sim
+	}
+	sims := []engineSim{{rtl.EngineInterp, rtl.NewInterpSim(m)}, {rtl.EnginePlan, planSim(m)}}
 	if step, ok := rtl.NativeStepFor(m); ok {
-		sims = append(sims, rtl.NewNativeSim(m, step))
+		sims = append(sims, engineSim{rtl.EngineNative, rtl.NewNativeSim(m, step)})
 	}
 	var cells []cell
-	for _, s := range sims {
-		job := runner(s)
-		cells = append(cells, cell{engine: s.Engine(), run: func() (uint64, error) {
+	for _, es := range sims {
+		job := runner(es.sim)
+		cells = append(cells, cell{engine: es.engine, run: func() (uint64, error) {
 			var cycles uint64
 			for i := 0; i < reps; i++ {
 				c, err := job()
@@ -240,13 +243,17 @@ func measureDesign(design string, m *rtl.Module, reps int,
 			MevalsPerS: float64(m.NumNodes()) / d.Median * 1e3,
 		})
 	}
-	interp, compiled := dr.Engines[0].MevalsPerS, dr.Engines[1].MevalsPerS
-	dr.CompiledVsInterp = compiled / interp
+	interp, plan := dr.Engines[0].MevalsPerS, dr.Engines[1].MevalsPerS
+	dr.PlanVsInterp = plan / interp
 	if len(dr.Engines) > 2 {
-		dr.NativeVsCompiled = dr.Engines[2].MevalsPerS / compiled
+		dr.NativeVsPlan = dr.Engines[2].MevalsPerS / plan
 	}
 	return dr, nil
 }
+
+// planSim runs the module on the codegen plan, the native fallback,
+// without counting a fallback.
+func planSim(m *rtl.Module) *rtl.Sim { return rtl.NewNativeSim(m, codegen.Build(m).Step) }
 
 func run() error {
 	out := flag.String("out", "BENCH_sim.json", "output path for the JSON report")
@@ -254,7 +261,7 @@ func run() error {
 	seed := flag.Int64("seed", 42, "workload generation seed")
 	reps := flag.Int("reps", 20, "jobs per engine-speed sample")
 	designs := flag.String("designs", "", "comma-separated benchmark subset for the throughput sections (default: all)")
-	engine := flag.String("engine", "", "process-wide default RTL engine: native, compiled, or interp (default: native, or $REPRO_ENGINE)")
+	engine := flag.String("engine", "", "process-wide default RTL engine: native or interp (default: native, or $REPRO_ENGINE)")
 	warm := flag.Bool("warm", true, "measure the quick-lab warm-up wall-clock")
 	cacheDir := flag.String("cachedir", os.Getenv("REPRO_CACHE_DIR"),
 		"persistent trace cache directory (default: $REPRO_CACHE_DIR; empty disables)")
@@ -264,11 +271,7 @@ func run() error {
 		return fmt.Errorf("-reps must be at least 1")
 	}
 	if *engine != "" {
-		e, err := rtl.ParseEngine(*engine)
-		if err != nil {
-			return err
-		}
-		if err := rtl.SetDefaultEngine(e); err != nil {
+		if err := rtl.SetDefaultEngine(rtl.Engine(*engine)); err != nil {
 			return err
 		}
 	}
@@ -342,8 +345,8 @@ func run() error {
 		rep.Designs = append(rep.Designs, dr)
 	}
 
-	// 1b. Static pruning win: compiled instructions per cycle, unpruned
-	// vs absint-pruned, for each benchmark's instrumented design and its
+	// 1b. Static pruning win: combinational nodes, unpruned vs
+	// absint-pruned, for each benchmark's instrumented design and its
 	// hardware slice.
 	for _, spec := range specs {
 		pr, err := measurePrune(spec)
@@ -354,10 +357,9 @@ func run() error {
 	}
 
 	// 2. CollectTraces fan-out: sweep worker counts 1, 2, 4, 8 (capped
-	// at maxWorkers) under the compiled and native engines. Train binds
-	// the predictor's simulators to the engine current at train time,
-	// so each engine gets its own (cheap, cache-served) Train call
-	// before its sweep.
+	// at maxWorkers) under the native engine. Train binds the
+	// predictor's simulators to the engine current at train time, so
+	// native is selected for the (cheap, cache-served) Train call.
 	spec, err := suite.ByName("stencil")
 	if err != nil {
 		return err
@@ -374,39 +376,36 @@ func run() error {
 	// actually runs RTL, then restore it afterwards.
 	sweepCache := core.TraceCache()
 	sweepDefault := rtl.DefaultEngine()
-	for _, eng := range []rtl.Engine{rtl.EngineCompiled, rtl.EngineNative} {
-		if err := rtl.SetDefaultEngine(eng); err != nil {
-			return err
-		}
-		core.SetTraceCache(sweepCache)
-		pred, err := core.Train(spec, core.Options{Seed: *seed})
+	if err := rtl.SetDefaultEngine(rtl.EngineNative); err != nil {
+		return err
+	}
+	pred, err := core.Train(spec, core.Options{Seed: *seed})
+	if err != nil {
+		return err
+	}
+	core.SetTraceCache(nil)
+	var oneWorker float64
+	for _, w := range counts {
+		core.SetWorkers(w)
+		samples, err := sampleCells([]cell{{engine: rtl.EngineNative, run: func() (uint64, error) {
+			_, err := pred.CollectTraces(jobs)
+			return 1, err
+		}}})
 		if err != nil {
 			return err
 		}
-		core.SetTraceCache(nil)
-		var oneWorker float64
-		for _, w := range counts {
-			core.SetWorkers(w)
-			samples, err := sampleCells([]cell{{engine: eng, run: func() (uint64, error) {
-				_, err := pred.CollectTraces(jobs)
-				return 1, err
-			}}})
-			if err != nil {
-				return err
-			}
-			d := newDist(samples[0])
-			if w == counts[0] {
-				oneWorker = d.Median
-			}
-			rep.WorkerSweep = append(rep.WorkerSweep, TraceResult{
-				Benchmark: spec.Name,
-				Engine:    string(eng),
-				Jobs:      len(jobs),
-				Workers:   w,
-				Seconds:   d,
-				Speedup:   oneWorker / d.Median,
-			})
+		d := newDist(samples[0])
+		if w == counts[0] {
+			oneWorker = d.Median
 		}
+		rep.WorkerSweep = append(rep.WorkerSweep, TraceResult{
+			Benchmark: spec.Name,
+			Engine:    string(rtl.EngineNative),
+			Jobs:      len(jobs),
+			Workers:   w,
+			Seconds:   d,
+			Speedup:   oneWorker / d.Median,
+		})
 	}
 	if err := rtl.SetDefaultEngine(sweepDefault); err != nil {
 		return err
@@ -416,7 +415,7 @@ func run() error {
 
 	// 3. Trace-collection throughput per benchmark: the work one
 	// CollectTraces job does (instrumented full design + hardware
-	// slice), compiled vs native, in jobs/s.
+	// slice), plan vs native, in jobs/s.
 	for _, spec := range specs {
 		tr, err := measureTraceThroughput(spec)
 		if err != nil {
@@ -454,11 +453,11 @@ func run() error {
 	}
 	nativeThreeX, withNative := 0, 0
 	for _, d := range rep.Designs {
-		if d.NativeVsCompiled == 0 {
+		if d.NativeVsPlan == 0 {
 			continue
 		}
 		withNative++
-		if d.NativeVsCompiled >= 3 {
+		if d.NativeVsPlan >= 3 {
 			nativeThreeX++
 		}
 	}
@@ -467,7 +466,7 @@ func run() error {
 	if rep.SuiteWallclockS != nil {
 		wall = fmt.Sprintf("%.2fs", rep.SuiteWallclockS.Median)
 	}
-	fmt.Printf("simbench: native>=3x compiled on %d/%d benchmarks, traces %.2fx with %d workers (%s), quick suite %s, %d native fallbacks -> %s\n",
+	fmt.Printf("simbench: native>=3x plan on %d/%d benchmarks, traces %.2fx with %d workers (%s), quick suite %s, %d native fallbacks -> %s\n",
 		nativeThreeX, withNative, last.Speedup, last.Workers, last.Engine, wall, rep.NativeFallbacks, *out)
 	fmt.Printf("jobs simulated: %d\n", core.SimulatedJobs())
 	return nil
@@ -495,8 +494,8 @@ func commit() string {
 	return rev
 }
 
-// measurePrune compiles each benchmark's instrumented design and slice
-// with and without absint pruning and records the instruction counts.
+// measurePrune counts the combinational nodes of each benchmark's
+// instrumented design and slice with and without absint pruning.
 func measurePrune(spec accel.Spec) (PruneResult, error) {
 	ins, err := instrument.Instrument(spec.Build())
 	if err != nil {
@@ -519,21 +518,20 @@ func measurePrune(spec accel.Spec) (PruneResult, error) {
 	if err != nil {
 		return PruneResult{}, err
 	}
-	fi := rtl.Compile(ins.M).Instructions()
-	pi := rtl.Compile(pm).Instructions()
+	fi, pi := rtl.CombNodes(ins.M), rtl.CombNodes(pm)
 	return PruneResult{
 		Benchmark:        spec.Name,
-		FullInstr:        fi,
-		FullInstrPruned:  pi,
+		FullComb:         fi,
+		FullCombPruned:   pi,
 		FullReductionPct: 100 * float64(fi-pi) / float64(fi),
-		SliceInstr:       rtl.Compile(slP.M).Instructions(),
-		SliceInstrPruned: rtl.Compile(slA.M).Instructions(),
+		SliceComb:        rtl.CombNodes(slP.M),
+		SliceCombPruned:  rtl.CombNodes(slA.M),
 	}, nil
 }
 
 // measureTraceThroughput times the per-job work of CollectTraces —
 // one instrumented full-design simulation plus one slice simulation —
-// on the compiled and native engines, each sample traceReps jobs.
+// on the plan and native engines, each sample traceReps jobs.
 func measureTraceThroughput(spec accel.Spec) (ThroughputResult, error) {
 	ins, err := instrument.Instrument(spec.Build())
 	if err != nil {
@@ -553,8 +551,12 @@ func measureTraceThroughput(spec accel.Spec) (ThroughputResult, error) {
 	runtime.GC()
 	const traceReps = 8
 	var cells []cell
-	for _, eng := range []rtl.Engine{rtl.EngineCompiled, rtl.EngineNative} {
-		full, sliceS := rtl.NewSimEngine(ins.M, eng), rtl.NewSimEngine(sl.M, eng)
+	for _, eng := range []rtl.Engine{rtl.EnginePlan, rtl.EngineNative} {
+		sim := planSim
+		if eng == rtl.EngineNative {
+			sim = func(m *rtl.Module) *rtl.Sim { return rtl.NewSimEngine(m, rtl.EngineNative) }
+		}
+		full, sliceS := sim(ins.M), sim(sl.M)
 		cells = append(cells, cell{engine: eng, run: func() (uint64, error) {
 			for i := 0; i < traceReps; i++ {
 				for _, s := range []*rtl.Sim{full, sliceS} {
@@ -578,10 +580,10 @@ func measureTraceThroughput(spec accel.Spec) (ThroughputResult, error) {
 		jps[ci] = newDist(samples[ci])
 	}
 	return ThroughputResult{
-		Benchmark:        spec.Name,
-		CompiledJobsPerS: jps[0],
-		NativeJobsPerS:   jps[1],
-		NativeVsCompiled: jps[1].Median / jps[0].Median,
+		Benchmark:      spec.Name,
+		PlanJobsPerS:   jps[0],
+		NativeJobsPerS: jps[1],
+		NativeVsPlan:   jps[1].Median / jps[0].Median,
 	}, nil
 }
 

@@ -26,7 +26,8 @@ func TestNewDist(t *testing.T) {
 // TestReport runs simbench end to end on one benchmark and checks the
 // report's shape: every cell carries samplesPerCell samples, toy has no
 // native row (it has no generated simulator), the benchmark measures
-// all three engines and native beats compiled, and nothing fell back.
+// all three engines (interp, plan, native) and native beats the plan,
+// and nothing fell back.
 func TestReport(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "bench.json")
 	args := os.Args
@@ -63,11 +64,11 @@ func TestReport(t *testing.T) {
 			}
 		}
 	}
-	if d := rep.Designs[0]; d.NativeVsCompiled != 0 {
-		t.Errorf("toy reports native_vs_compiled %g without a generated simulator", d.NativeVsCompiled)
+	if d := rep.Designs[0]; d.NativeVsPlan != 0 {
+		t.Errorf("toy reports native_vs_plan %g without a generated simulator", d.NativeVsPlan)
 	}
-	if d := rep.Designs[1]; d.NativeVsCompiled <= 1 {
-		t.Errorf("stencil native_vs_compiled %g, want > 1", d.NativeVsCompiled)
+	if d := rep.Designs[1]; d.NativeVsPlan <= 1 {
+		t.Errorf("stencil native_vs_plan %g, want > 1", d.NativeVsPlan)
 	}
 	if len(rep.WorkerSweep) == 0 || len(rep.TraceThroughput) != 1 || len(rep.Prune) != 1 || rep.SuiteWallclockS != nil {
 		t.Errorf("sections: %d sweep, %d throughput, %d prune, wall-clock %v",

@@ -11,9 +11,9 @@
 // evaluates a previously saved model instead. -cachedir (or
 // REPRO_CACHE_DIR) enables the persistent trace cache, so retraining
 // with unchanged netlists and workloads skips all RTL simulation.
-// -engine selects the RTL engine (compiled, event, interp, batch,
-// native); batch packs training jobs 64 to a simulation, native runs
-// pre-generated straight-line code where registered.
+// -engine selects the RTL engine: native (the default) runs
+// pre-generated straight-line code where registered and the codegen
+// plan elsewhere; interp is the reference interpreter.
 package main
 
 import (
@@ -31,18 +31,13 @@ func main() {
 	seed := flag.Int64("seed", 42, "workload generation seed")
 	save := flag.String("save", "", "write the trained model as JSON (single benchmark only)")
 	load := flag.String("load", "", "evaluate a saved model instead of training")
-	engine := flag.String("engine", "", "RTL engine: native, compiled, or interp (default: native, or $REPRO_ENGINE)")
+	engine := flag.String("engine", "", "RTL engine: native or interp (default: native, or $REPRO_ENGINE)")
 	cacheDir := flag.String("cachedir", os.Getenv("REPRO_CACHE_DIR"),
 		"persistent trace cache directory (default: $REPRO_CACHE_DIR; empty disables)")
 	flag.Parse()
 
 	if *engine != "" {
-		e, err := rtl.ParseEngine(*engine)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if err := rtl.SetDefaultEngine(e); err != nil {
+		if err := rtl.SetDefaultEngine(rtl.Engine(*engine)); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}

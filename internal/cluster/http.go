@@ -265,10 +265,10 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		shards = append(shards, a.fleet.Pool(name).Shards()...)
 	}
 	serve.WriteMetrics(w, shards)
-	// Process-wide native-engine requests that fell back to the
-	// compiled engine: nonzero means some netlist has no registered
-	// generated step, a ~5x slowdown on that simulator.
-	fmt.Fprintf(w, "# HELP dvfserved_native_fallbacks_total Native-engine simulator requests that fell back to the compiled engine.\n# TYPE dvfserved_native_fallbacks_total counter\ndvfserved_native_fallbacks_total %d\n",
+	// Process-wide native-engine requests that fell back to the plan
+	// evaluator: nonzero means some netlist has no registered generated
+	// step, a ~10x slowdown on that simulator.
+	fmt.Fprintf(w, "# HELP dvfserved_native_fallbacks_total Native-engine simulator requests that fell back to the plan evaluator.\n# TYPE dvfserved_native_fallbacks_total counter\ndvfserved_native_fallbacks_total %d\n",
 		rtl.NativeFallbacks())
 	a.writeStageMetrics(w, "dvfserved_predict_ns",
 		"Wall-clock prediction latency at the router (hardware slice run plus model) in nanoseconds, labeled with the RTL engine executing the slice.",

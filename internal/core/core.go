@@ -362,8 +362,8 @@ type JobTrace struct {
 // JobSimulator owns private simulator clones and turns individual jobs
 // into JobTraces — the per-job, online analogue of CollectTraces. A
 // JobSimulator is NOT safe for concurrent use; each goroutine (worker,
-// serving shard) creates its own, which is cheap because the compiled
-// programs and ROM images are shared read-only through Clone.
+// serving shard) creates its own, which is cheap because the step
+// functions and ROM images are shared read-only through Clone.
 type JobSimulator struct {
 	p           *Predictor
 	full, slice *rtl.Sim
@@ -377,7 +377,7 @@ func (p *Predictor) NewJobSimulator() *JobSimulator {
 
 // Engines reports the engines actually executing the predictor's
 // hardware slice and full design. Under the native default, a netlist
-// without a registered generated step reports the compiled fallback.
+// without a registered generated step reports the plan fallback.
 func (p *Predictor) Engines() (slice, full rtl.Engine) {
 	return p.sliceSim.Engine(), p.fullSim.Engine()
 }
@@ -385,7 +385,7 @@ func (p *Predictor) Engines() (slice, full rtl.Engine) {
 // Engines reports the engines actually executing this simulator's
 // slice — the latency-critical simulator on the serving path — and
 // full design. When the default engine is native but a netlist has no
-// registered generated step, it reports the compiled fallback, making
+// registered generated step, it reports the plan fallback, making
 // a silently stale registry observable (see rtl.NativeFallbacks).
 func (js *JobSimulator) Engines() (slice, full rtl.Engine) {
 	return js.slice.Engine(), js.full.Engine()

@@ -42,34 +42,34 @@ func trainOn(t *testing.T, e rtl.Engine, seed int64) *Predictor {
 // TestTrainBatchMatchesScalar is the end-to-end bit-exactness check for
 // bulk training-set simulation, which runs on the native engine: the
 // trained model — coefficients, selected features, error statistics,
-// every float — must be identical to one trained on the compiled
-// fallback, at one worker and several.
+// every float — must be identical to one trained on the reference
+// interpreter, at one worker and several.
 func TestTrainBatchMatchesScalar(t *testing.T) {
 	defer SetWorkers(0)
 	SetWorkers(1)
-	compiled := trainOn(t, rtl.EngineCompiled, 21)
+	interp := trainOn(t, rtl.EngineInterp, 21)
 	for _, workers := range []int{1, 4} {
 		SetWorkers(workers)
 		native := trainOn(t, rtl.EngineNative, 21)
-		if !reflect.DeepEqual(compiled.Model, native.Model) ||
-			!reflect.DeepEqual(compiled.Kept, native.Kept) ||
-			compiled.Gamma != native.Gamma ||
-			!reflect.DeepEqual(compiled.TrainErr, native.TrainErr) {
-			t.Fatalf("workers=%d: native training produced a different predictor than compiled", workers)
+		if !reflect.DeepEqual(interp.Model, native.Model) ||
+			!reflect.DeepEqual(interp.Kept, native.Kept) ||
+			interp.Gamma != native.Gamma ||
+			!reflect.DeepEqual(interp.TrainErr, native.TrainErr) {
+			t.Fatalf("workers=%d: native training produced a different predictor than interp", workers)
 		}
 	}
 }
 
 // TestCollectTracesBatchMatchesScalar proves bulk trace collection on
-// the native engine is byte-identical to collection on the compiled
-// fallback, at one worker and several (jobs fan out across workers;
+// the native engine is byte-identical to collection on the reference
+// interpreter, at one worker and several (jobs fan out across workers;
 // results are index-addressed), and that every job simulates both the
 // full design and the slice exactly once.
 func TestCollectTracesBatchMatchesScalar(t *testing.T) {
 	jobs := md.Spec().TestJobs(9)[:70]
 	defer SetWorkers(0)
 	SetWorkers(1)
-	want, err := trainOn(t, rtl.EngineCompiled, 21).CollectTraces(jobs)
+	want, err := trainOn(t, rtl.EngineInterp, 21).CollectTraces(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestCollectTracesBatchMatchesScalar(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: native traces differ from compiled collection", workers)
+			t.Fatalf("workers=%d: native traces differ from interp collection", workers)
 		}
 		if d, n := SimulatedJobs()-before, 2*uint64(len(jobs)); d != n {
 			t.Errorf("workers=%d: SimulatedJobs advanced by %d, want %d", workers, d, n)

@@ -8,7 +8,7 @@ import (
 
 // Job-level parallelism. RTL simulation of independent jobs is
 // embarrassingly parallel: each worker goroutine owns private Sim
-// clones (the compiled Program and netlist are shared read-only), and
+// clones (the step function and netlist are shared read-only), and
 // every result is written into an index-addressed slot, so the output —
 // including every float — is byte-identical to a serial run regardless
 // of worker count or scheduling.

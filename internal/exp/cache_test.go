@@ -57,8 +57,8 @@ func TestRunAllWarmCacheZeroSimulation(t *testing.T) {
 
 // TestQuickLabRunsNative is the no-fallback guarantee for quick labs
 // (dvfsim -quick and these tests): cmd/rtlgen pre-generates the slices
-// a quick lab trains, so warming one must not fall back to the compiled
-// engine for any netlist. A failure means internal/rtl/native is stale:
+// a quick lab trains, so warming one must not fall back to the plan
+// evaluator for any netlist. A failure means internal/rtl/native is stale:
 // regenerate with `go generate ./internal/rtl/native`.
 func TestQuickLabRunsNative(t *testing.T) {
 	if !core.PruningEnabled() {
@@ -71,6 +71,6 @@ func TestQuickLabRunsNative(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d := rtl.NativeFallbacks() - before; d != 0 {
-		t.Fatalf("warming a quick lab fell back to the compiled engine %d time(s)", d)
+		t.Fatalf("warming a quick lab fell back to the plan evaluator %d time(s)", d)
 	}
 }

@@ -1,16 +1,18 @@
 // Package codegen translates a netlist into specialized straight-line
 // Go — the generation half of the native execution engine (the runtime
-// half is rtl's NativeStep registry).
+// half is rtl's NativeStep registry) — and is the one lowering every
+// netlist runs through: Plan.Step executes the same plan directly for
+// netlists without generated code (package native installs it as the
+// rtl fallback).
 //
-// The translation is Verilator's move taken one step further than the
-// compiled engine: where Compile lowers the node DAG to a flat
-// instruction stream that still pays one dispatch per instruction per
-// cycle, codegen unrolls the cycle body into ordinary Go statements the
-// Go compiler optimizes like any other code — constants become
-// literals, width masks are baked in (and elided where the operand
-// widths prove them redundant), intermediate values live in locals the
-// register allocator can keep in machine registers, and instruction
-// dispatch disappears entirely.
+// The translation is Verilator's move taken one step further than a
+// flat instruction stream, which still pays one dispatch per
+// instruction per cycle: codegen unrolls the cycle body into ordinary
+// Go statements the Go compiler optimizes like any other code —
+// constants become literals, width masks are baked in (and elided where
+// the operand widths prove them redundant), intermediate values live in
+// locals the register allocator can keep in machine registers, and
+// instruction dispatch disappears entirely.
 //
 // On top of the unrolling, the translator specializes control flow per
 // FSM state. The structural analyses already recover each design's FSM
@@ -36,24 +38,23 @@
 //
 // Both backends consume the same Plan: the Go source emitter (emit.go,
 // used by cmd/rtlgen to produce the checked-in internal/rtl/native
-// registry) and a closure evaluator (eval.go) that executes the plan
-// directly. The evaluator exists so the differential tests and
-// FuzzEngineDifferential can check the specialization logic on
-// arbitrary random netlists without invoking the Go toolchain; the
-// emitted source for the benchmark suite is then checked bit-exact by
-// the suite differential tests and, for every generated shape under
-// cut-off and full-length runs, by cmd/rtlgen's tests, and checked
-// fresh by CI's generated-code drift gate.
+// registry) and an evaluator (eval.go) that executes the plan directly,
+// one switch per instruction. The evaluator runs every netlist nobody
+// generated code for, and lets the differential tests and
+// FuzzEngineDifferential check the specialization logic on arbitrary
+// random netlists without invoking the Go toolchain; the emitted source
+// for the benchmark suite is then checked bit-exact by the suite
+// differential tests and, for every generated shape under cut-off and
+// full-length runs, by cmd/rtlgen's tests, and checked fresh by CI's
+// generated-code drift gate.
 //
 // Bit-exactness contract: after every return — so after each Sim.Step
 // and each Sim.Run — every node's value, every memory word and the
 // cycle count equal the interpreter's, and each cycle mirrors the
-// interpreter's four phases (combinational evaluation in SSA order,
-// memory-write commit, simultaneous register latch, caller-side toggle
-// counting). Between the cycles inside one call the value array is
-// not maintained; activity counting therefore steps one cycle per
-// call, and Value/RegValue/Toggles/Mem observe interpreter state
-// whenever the caller can look.
+// interpreter's three phases (combinational evaluation in SSA order,
+// memory-write commit, simultaneous register latch). Between the cycles
+// inside one call the value array is not maintained; Value/RegValue/Mem
+// observe interpreter state whenever the caller can look.
 package codegen
 
 import (
@@ -120,7 +121,6 @@ type Plan struct {
 	arms      [][]inst
 	// generic is the unspecialized suffix (the default arm).
 	generic []inst
-	armOf   map[uint64]int
 
 	// The hot lists are what each cycle of a multi-cycle run evaluates
 	// first: only the instructions the done test, the memory writes and
@@ -133,6 +133,12 @@ type Plan struct {
 	hotPrefix  []inst
 	hotArms    [][]inst
 	hotGeneric []inst
+
+	// eval holds the evaluator's form of each arm, the default arm last
+	// (see eval.go); regNode and regMask are its latch tables.
+	eval    []evalArm
+	regNode []int32
+	regMask []uint64
 }
 
 // Module returns the module this plan was built from.
@@ -155,6 +161,10 @@ func (p *Plan) StateReg() rtl.NodeID {
 // module with no (usable) FSM simply gets an unspecialized plan.
 func Build(m *rtl.Module) *Plan {
 	p := &Plan{m: m, stateNode: -1}
+	for i := range m.Regs {
+		p.regNode = append(p.regNode, int32(m.Regs[i].Node))
+		p.regMask = append(p.regMask, m.Nodes[m.Regs[i].Node].Mask())
+	}
 
 	stateNode, states := pickFSM(m)
 
@@ -217,15 +227,16 @@ func Build(m *rtl.Module) *Plan {
 
 	p.stateNode = int32(stateNode)
 	p.stateVals = states
-	p.armOf = make(map[uint64]int, len(states))
 	// Per-state demand: each arm (the default one last) marks what its
 	// own roots need; prefix instructions every arm needs are hoisted
 	// out of the state dispatch. Arms that are done on every cycle run
 	// in full and do not vote on the hoisting.
 	var needs, voters [][]bool
+	var knowns []map[int32]uint64
 	addDemand := func(suffix []inst, known map[int32]uint64) {
 		need := demand(m, p.prefix, suffix, known)
 		needs = append(needs, need)
+		knowns = append(knowns, known)
 		if !alwaysDone(m, known) {
 			voters = append(voters, need)
 		}
@@ -234,7 +245,6 @@ func Build(m *rtl.Module) *Plan {
 		known := copyKnown(prefixKnown)
 		known[int32(stateNode)] = sv
 		p.arms = append(p.arms, planOps(m, suffixIDs, known))
-		p.armOf[sv] = ai
 		addDemand(p.arms[ai], known)
 	}
 	genKnown := copyKnown(prefixKnown)
@@ -257,6 +267,14 @@ func Build(m *rtl.Module) *Plan {
 		p.hotArms = append(p.hotArms, armHot(p.arms[ai], needs[ai]))
 	}
 	p.hotGeneric = armHot(p.generic, needs[len(states)])
+	cat := func(a, b []inst) []inst { return append(append([]inst(nil), a...), b...) }
+	for ai := range knowns {
+		arm, hot := p.generic, p.hotGeneric
+		if ai < len(states) {
+			arm, hot = p.arms[ai], p.hotArms[ai]
+		}
+		p.eval = append(p.eval, p.lowerArm(cat(p.prefix, arm), cat(p.hotPrefix, hot), knowns[ai]))
+	}
 	return p
 }
 
@@ -267,6 +285,7 @@ func (p *Plan) unspecialized(baseKnown map[int32]uint64) {
 	p.prefix = planOps(p.m, combNodes(p.m, nil), known)
 	need := demand(p.m, p.prefix, nil, known)
 	p.hotPrefix = filter(p.prefix, func(id int32) bool { return need[id] })
+	p.eval = []evalArm{p.lowerArm(p.prefix, p.hotPrefix, known)}
 }
 
 // demand marks the comb nodes one cycle needs to reach its done test,

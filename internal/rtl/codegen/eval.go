@@ -2,15 +2,119 @@ package codegen
 
 import "repro/internal/rtl"
 
+// The evaluator dispatches one switch per instruction: a generic
+// instruction on its rtl.Op, the plan's residue forms on the codes
+// after the last Op.
+const (
+	xConst = rtl.OpMemRead + 1 + iota
+	xCopy
+	xShlImm
+	xShrImm
+)
+
+// op is one evaluator instruction; dst/a/b/c index the value array.
+type op struct {
+	code    rtl.Op
+	mem     int32
+	dst     int32
+	a, b, c int32
+	mask    uint64
+	imm     uint64
+}
+
+// port is a memory write port with its operands resolved.
+type port struct{ en, addr, data, mem int32 }
+
+// evalArm is the evaluator's form of one arm (the default arm last; an
+// unspecialized plan has one): the prefix and the arm's suffix in one
+// list, in full for the cycle a call returns on and hot for the cycle
+// loop, plus the arm's commit tables. The hot list reads a copy's
+// source instead of the copy whenever the copy cannot change the
+// value, and drops the copies and constants nothing then reads; the
+// commit tables read through the same aliases.
+type evalArm struct {
+	full, hot []op
+	done      int32
+	writes    []port
+	next      []int32 // per register
+}
+
+// lowerArm builds one arm's evaluator form from the plan's full and
+// hot instruction lists and the scope's literal knowledge.
+func (p *Plan) lowerArm(full, hot []inst, known map[int32]uint64) evalArm {
+	m := p.m
+	alias := map[int32]int32{}
+	read := make([]bool, len(m.Nodes))
+	res := func(id int32) int32 {
+		if src, ok := alias[id]; ok {
+			id = src
+		}
+		read[id] = true
+		return id
+	}
+	a := evalArm{full: lower(m, full, func(id int32) int32 { return id }, nil)}
+	hotOps := lower(m, hot, res, alias)
+	a.done = res(int32(m.Done))
+	for i := range m.Writes {
+		w := &m.Writes[i]
+		if en, ok := known[int32(w.En)]; ok && en == 0 {
+			continue
+		}
+		a.writes = append(a.writes, port{res(int32(w.En)), res(int32(w.Addr)), res(int32(w.Data)), w.Mem})
+	}
+	for i := range m.Regs {
+		a.next = append(a.next, res(int32(m.Regs[i].Next)))
+	}
+	for _, o := range hotOps {
+		if o.code != xConst || read[o.dst] {
+			a.hot = append(a.hot, o)
+		}
+	}
+	return a
+}
+
+// lower translates instructions into evaluator ops, reading every
+// operand through res. With alias set, a copy whose source fits its
+// mask emits nothing and is recorded in alias instead.
+func lower(m *rtl.Module, insts []inst, res func(int32) int32, alias map[int32]int32) []op {
+	out := make([]op, 0, len(insts))
+	for _, in := range insts {
+		o := op{code: in.op, dst: in.dst, mem: in.mem, mask: in.mask, imm: in.imm}
+		switch in.kind {
+		case pConst:
+			o.code = xConst
+		case pCopy:
+			if alias != nil && m.Nodes[in.a].Mask()&^in.mask == 0 {
+				alias[in.dst] = res(in.a)
+				continue
+			}
+			o.code, o.a = xCopy, res(in.a)
+		case pShlImm:
+			o.code, o.a = xShlImm, res(in.a)
+		case pShrImm:
+			o.code, o.a = xShrImm, res(in.a)
+		default:
+			args := in.args(m)
+			for i, dst := range []*int32{&o.a, &o.b, &o.c}[:len(args)] {
+				*dst = res(args[i])
+			}
+		}
+		out = append(out, o)
+	}
+	return out
+}
+
 // Step runs the plan directly — the interpretive backend over the same
 // specialized instruction lists the emitter turns into Go source. Its
-// signature matches rtl.NativeStep, so rtl.NewNativeSim(m, plan.Step)
-// yields a simulator the differential tests can run against the other
-// engines on arbitrary modules, exercising the partial evaluation,
-// FSM-state dispatch and per-state demand without the Go toolchain.
+// signature matches rtl.NativeStep: it is the rtl engine's fallback
+// for netlists without a generated simulator (registered by package
+// native), and rtl.NewNativeSim(m, plan.Step) yields a simulator the
+// differential tests run against the interpreter on arbitrary
+// modules, exercising the partial evaluation, FSM-state dispatch and
+// per-state demand without the Go toolchain.
 //
 // It mirrors the emitted control flow cycle for cycle: a cycle that is
-// not the last allowed by limit runs only the hot lists, and only if
+// not the last allowed by limit runs only the hot list, and only if
 // its done test is low does it commit; otherwise the cycle is
 // re-evaluated in full, so every node is exact on return, and then
 // commits. Values of nodes outside the hot lists go stale in between.
@@ -18,137 +122,117 @@ import "repro/internal/rtl"
 // keeping the step pure over (vals, mems) as the NativeStep contract
 // requires.
 func (p *Plan) Step(vals []uint64, mems [][]uint64, limit uint64) (uint64, bool) {
-	m := p.m
-	latch := make([]uint64, len(m.Regs))
+	latch := make([]uint64, len(p.regNode))
 	for cycles := uint64(1); ; cycles++ {
+		a := p.arm(vals)
 		if cycles < limit {
-			runInsts(p.hotPrefix, vals, mems)
-			if p.stateNode >= 0 {
-				runInsts(p.pick(p.hotArms, p.hotGeneric, vals), vals, mems)
-			}
-			if vals[m.Done] == 0 {
-				p.commit(vals, mems, latch)
+			run(a.hot, vals, mems)
+			if vals[a.done] == 0 {
+				p.commit(a, vals, mems, latch)
 				continue
 			}
 		}
-		runInsts(p.prefix, vals, mems)
-		if p.stateNode >= 0 {
-			runInsts(p.pick(p.arms, p.generic, vals), vals, mems)
-		}
-		done := vals[m.Done] != 0
-		p.commit(vals, mems, latch)
+		run(a.full, vals, mems)
+		done := vals[a.done] != 0
+		p.commit(a, vals, mems, latch)
 		return cycles, done
 	}
 }
 
-// pick selects the arm for the latched state, or the default arm.
-func (p *Plan) pick(arms [][]inst, generic []inst, vals []uint64) []inst {
-	if ai, ok := p.armOf[vals[p.stateNode]]; ok {
-		return arms[ai]
+// arm selects the arm for the latched state, or the default arm.
+func (p *Plan) arm(vals []uint64) *evalArm {
+	if p.stateNode >= 0 {
+		s := vals[p.stateNode]
+		for i, sv := range p.stateVals {
+			if sv == s {
+				return &p.eval[i]
+			}
+		}
 	}
-	return generic
+	return &p.eval[len(p.eval)-1]
 }
 
 // commit runs the cycle's memory writes, then latches every register
 // simultaneously through the latch scratch.
-func (p *Plan) commit(vals []uint64, mems [][]uint64, latch []uint64) {
-	m := p.m
-	for i := range m.Writes {
-		w := &m.Writes[i]
-		if vals[w.En] != 0 {
-			data := mems[w.Mem]
-			if addr := vals[w.Addr]; addr < uint64(len(data)) {
-				data[addr] = vals[w.Data]
+func (p *Plan) commit(a *evalArm, vals []uint64, mems [][]uint64, latch []uint64) {
+	for _, w := range a.writes {
+		if vals[w.en] != 0 {
+			data := mems[w.mem]
+			if addr := vals[w.addr]; addr < uint64(len(data)) {
+				data[addr] = vals[w.data]
 			}
 		}
 	}
-	for i := range m.Regs {
-		r := &m.Regs[i]
-		latch[i] = vals[r.Next] & m.Nodes[r.Node].Mask()
+	for i, nx := range a.next {
+		latch[i] = vals[nx] & p.regMask[i]
 	}
-	for i := range m.Regs {
-		vals[m.Regs[i].Node] = latch[i]
+	for i, nd := range p.regNode {
+		vals[nd] = latch[i]
 	}
 }
 
-func runInsts(insts []inst, vals []uint64, mems [][]uint64) {
-	for i := range insts {
-		in := &insts[i]
-		switch in.kind {
-		case pConst:
-			vals[in.dst] = in.imm
-		case pCopy:
-			vals[in.dst] = vals[in.a] & in.mask
-		case pShlImm:
-			vals[in.dst] = (vals[in.a] << in.imm) & in.mask
-		case pShrImm:
-			vals[in.dst] = (vals[in.a] >> in.imm) & in.mask
-		default:
-			switch in.op {
-			case rtl.OpMemRead:
-				data := mems[in.mem]
-				if addr := vals[in.a]; addr < uint64(len(data)) {
-					vals[in.dst] = data[addr] & in.mask
-				} else {
-					vals[in.dst] = 0
-				}
-			case rtl.OpMux:
-				if vals[in.a] != 0 {
-					vals[in.dst] = vals[in.b] & in.mask
-				} else {
-					vals[in.dst] = vals[in.c] & in.mask
-				}
-			case rtl.OpAdd:
-				vals[in.dst] = (vals[in.a] + vals[in.b]) & in.mask
-			case rtl.OpSub:
-				vals[in.dst] = (vals[in.a] - vals[in.b]) & in.mask
-			case rtl.OpMul:
-				vals[in.dst] = (vals[in.a] * vals[in.b]) & in.mask
-			case rtl.OpAnd:
-				vals[in.dst] = vals[in.a] & vals[in.b] & in.mask
-			case rtl.OpOr:
-				vals[in.dst] = (vals[in.a] | vals[in.b]) & in.mask
-			case rtl.OpXor:
-				vals[in.dst] = (vals[in.a] ^ vals[in.b]) & in.mask
-			case rtl.OpNot:
-				vals[in.dst] = ^vals[in.a] & in.mask
-			case rtl.OpShl:
-				if sh := vals[in.b]; sh < 64 {
-					vals[in.dst] = (vals[in.a] << sh) & in.mask
-				} else {
-					vals[in.dst] = 0
-				}
-			case rtl.OpShr:
-				if sh := vals[in.b]; sh < 64 {
-					vals[in.dst] = (vals[in.a] >> sh) & in.mask
-				} else {
-					vals[in.dst] = 0
-				}
-			case rtl.OpEq:
-				if vals[in.a] == vals[in.b] {
-					vals[in.dst] = 1
-				} else {
-					vals[in.dst] = 0
-				}
-			case rtl.OpNe:
-				if vals[in.a] != vals[in.b] {
-					vals[in.dst] = 1
-				} else {
-					vals[in.dst] = 0
-				}
-			case rtl.OpLt:
-				if vals[in.a] < vals[in.b] {
-					vals[in.dst] = 1
-				} else {
-					vals[in.dst] = 0
-				}
-			case rtl.OpLe:
-				if vals[in.a] <= vals[in.b] {
-					vals[in.dst] = 1
-				} else {
-					vals[in.dst] = 0
-				}
+// b2u converts a comparison result to its 1-bit value.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func run(ops []op, vals []uint64, mems [][]uint64) {
+	for i := range ops {
+		o := &ops[i]
+		var v uint64
+		switch o.code {
+		case xConst:
+			v = o.imm
+		case xCopy:
+			v = vals[o.a] & o.mask
+		case xShlImm:
+			v = (vals[o.a] << o.imm) & o.mask
+		case xShrImm:
+			v = (vals[o.a] >> o.imm) & o.mask
+		case rtl.OpMemRead:
+			if data, addr := mems[o.mem], vals[o.a]; addr < uint64(len(data)) {
+				v = data[addr] & o.mask
 			}
+		case rtl.OpMux:
+			if vals[o.a] != 0 {
+				v = vals[o.b] & o.mask
+			} else {
+				v = vals[o.c] & o.mask
+			}
+		case rtl.OpNot:
+			v = ^vals[o.a] & o.mask
+		case rtl.OpAdd:
+			v = (vals[o.a] + vals[o.b]) & o.mask
+		case rtl.OpSub:
+			v = (vals[o.a] - vals[o.b]) & o.mask
+		case rtl.OpMul:
+			v = (vals[o.a] * vals[o.b]) & o.mask
+		case rtl.OpAnd:
+			v = vals[o.a] & vals[o.b] & o.mask
+		case rtl.OpOr:
+			v = (vals[o.a] | vals[o.b]) & o.mask
+		case rtl.OpXor:
+			v = (vals[o.a] ^ vals[o.b]) & o.mask
+		case rtl.OpShl:
+			if sh := vals[o.b]; sh < 64 {
+				v = (vals[o.a] << sh) & o.mask
+			}
+		case rtl.OpShr:
+			if sh := vals[o.b]; sh < 64 {
+				v = (vals[o.a] >> sh) & o.mask
+			}
+		case rtl.OpEq:
+			v = b2u(vals[o.a] == vals[o.b])
+		case rtl.OpNe:
+			v = b2u(vals[o.a] != vals[o.b])
+		case rtl.OpLt:
+			v = b2u(vals[o.a] < vals[o.b])
+		case rtl.OpLe:
+			v = b2u(vals[o.a] <= vals[o.b])
 		}
+		vals[o.dst] = v
 	}
 }

@@ -10,10 +10,11 @@ import (
 )
 
 // randModule hand-assembles a random but valid netlist exercising every
-// op, both memory kinds, write ports, and the exact two-node shapes the
-// compiler fuses (compare-with-const feeding a mux, add/sub feeding an
-// AND mask). Nodes are built directly rather than through the Builder
-// so hash-consing cannot collapse the patterns under test.
+// op, both memory kinds, write ports, constants on either operand side,
+// and common shapes (compare-with-const feeding a mux, add/sub feeding
+// an AND mask, a mux on a constant selector). Nodes are built directly
+// rather than through the Builder so hash-consing cannot collapse the
+// patterns under test.
 func randModule(rng *rand.Rand) *rtl.Module {
 	m := &rtl.Module{Name: "rand"}
 	add := func(n rtl.Node) rtl.NodeID {
@@ -85,6 +86,9 @@ func randModule(rng *rand.Rand) *rtl.Module {
 			}
 			x := add(rtl.Node{Op: ar, Width: randWidth(), Args: [3]rtl.NodeID{pick(), pick()}})
 			add(rtl.Node{Op: rtl.OpAnd, Width: randWidth(), Args: [3]rtl.NodeID{x, addConst()}})
+		case 2: // a mux on a constant selector, which the plan folds to a
+			// copy of one arm (a narrowing one when the mux is narrower)
+			add(rtl.Node{Op: rtl.OpMux, Width: randWidth(), Args: [3]rtl.NodeID{addConst(), pick(), pick()}})
 		}
 	}
 
@@ -118,16 +122,55 @@ type engineSim struct {
 
 // engineSims instantiates the engines over one module, with the
 // interpreter first — it is the reference the others are compared to.
-// The native leg runs a freshly built codegen plan (the same
-// specialized instruction lists cmd/rtlgen emits as Go source), so the
-// partial evaluator and FSM-state dispatch face every random netlist
-// here and in FuzzEngineDifferential.
+// The plan leg runs a freshly built codegen plan (the native fallback,
+// and the same specialized instruction lists cmd/rtlgen emits as Go
+// source), so the partial evaluator and FSM-state dispatch face every
+// random netlist here and in FuzzEngineDifferential.
 func engineSims(m *rtl.Module) []engineSim {
 	return []engineSim{
 		{"interp", rtl.NewInterpSim(m)},
-		{"compiled", rtl.Compile(m).NewSim()},
-		{"native", rtl.NewNativeSim(m, codegen.Build(m).Step)},
+		{"plan", rtl.NewNativeSim(m, codegen.Build(m).Step)},
 	}
+}
+
+// stepAll steps every sim one cycle, checks they agree on done, and
+// compares every node value against the reference (sims[0]).
+func stepAll(t *testing.T, m *rtl.Module, sims []engineSim, cycle int) bool {
+	t.Helper()
+	rd := sims[0].s.Step()
+	for _, e := range sims[1:] {
+		if ed := e.s.Step(); ed != rd {
+			t.Fatalf("cycle %d: done %v (%s) != %v (%s)", cycle, ed, e.name, rd, sims[0].name)
+		}
+	}
+	diffCompare(t, m, sims, cycle)
+	return rd
+}
+
+// diffRunAll resets every sim, loads mem, drives inputs to the given
+// constant values and runs them through Run for limit cycles (one call
+// per job on the plan), then compares the final state: cycle count,
+// every node value and every memory word.
+func diffRunAll(t *testing.T, m *rtl.Module, sims []engineSim, mem string, load []uint64, ins []rtl.NodeID, inputs []uint64, limit uint64) {
+	t.Helper()
+	var ref uint64
+	for i, e := range sims {
+		e.s.Reset()
+		if err := e.s.LoadMem(mem, load); err != nil {
+			t.Fatal(err)
+		}
+		for k, id := range ins {
+			e.s.SetInput(id, inputs[k])
+		}
+		c, _ := e.s.Run(limit)
+		if i == 0 {
+			ref = c
+		} else if c != ref {
+			t.Fatalf("Run(%d): %d cycles (%s) != %d (%s)", limit, c, e.name, ref, sims[0].name)
+		}
+	}
+	diffCompare(t, m, sims, int(ref))
+	diffFinish(t, m, sims)
 }
 
 // diffCompare fails on the first per-node or cycle-count divergence of
@@ -148,19 +191,11 @@ func diffCompare(t *testing.T, m *rtl.Module, sims []engineSim, cycle int) {
 	}
 }
 
-// diffFinish checks the end-of-run observables: toggle counters and
-// memory contents.
+// diffFinish checks the end-of-run memory contents.
 func diffFinish(t *testing.T, m *rtl.Module, sims []engineSim) {
 	t.Helper()
 	ref := sims[0]
 	for _, e := range sims[1:] {
-		et, rt := e.s.Toggles(), ref.s.Toggles()
-		for i := range et {
-			if et[i] != rt[i] {
-				t.Fatalf("node %d (%s): toggles %d (%s) != %d (%s)",
-					i, m.Nodes[i].Op, et[i], e.name, rt[i], ref.name)
-			}
-		}
 		for _, mem := range m.Mems {
 			em, rm := e.s.Mem(mem.Name), ref.s.Mem(mem.Name)
 			for a := range em {
@@ -173,9 +208,10 @@ func diffFinish(t *testing.T, m *rtl.Module, sims []engineSim) {
 }
 
 // TestEnginesMatchOnRandomNetlists is the differential property test:
-// on random netlists, the compiled and native engines must be
-// cycle-exact with the interpreter — node values, Cycles, Toggles, and
-// memory contents.
+// on random netlists, the plan must be cycle-exact with the
+// interpreter — node values and Cycles on every cycle stepped one at a
+// time under random stimulus, then node values, Cycles and memory
+// contents after a Run under constant inputs.
 func TestEnginesMatchOnRandomNetlists(t *testing.T) {
 	rng := rand.New(rand.NewSource(1729))
 	for trial := 0; trial < 40; trial++ {
@@ -189,41 +225,34 @@ func TestEnginesMatchOnRandomNetlists(t *testing.T) {
 			load[i] = rng.Uint64()
 		}
 		for _, e := range sims {
-			e.s.EnableActivity()
 			if err := e.s.LoadMem("in", load); err != nil {
 				t.Fatal(err)
 			}
 		}
 		ins := inputsOf(m)
+		inputs := make([]uint64, len(ins))
 		for cycle := 0; cycle < 80; cycle++ {
-			for _, id := range ins {
-				v := rng.Uint64()
+			for k, id := range ins {
+				inputs[k] = rng.Uint64()
 				for _, e := range sims {
-					e.s.SetInput(id, v)
+					e.s.SetInput(id, inputs[k])
 				}
 			}
-			rd := sims[0].s.Step()
-			for _, e := range sims[1:] {
-				if ed := e.s.Step(); ed != rd {
-					t.Fatalf("trial %d cycle %d: done %v (%s) != %v (interp)", trial, cycle, ed, e.name, rd)
-				}
-			}
-			diffCompare(t, m, sims, cycle)
+			stepAll(t, m, sims, cycle)
 		}
 		diffFinish(t, m, sims)
+		diffRunAll(t, m, sims, "in", load, ins, inputs, 80)
 	}
 }
 
-// TestEnginesMatchOnToy runs the documented Toy design on all three
-// engines across a spread of jobs and checks full-state agreement,
-// including the hand-computed cycle formula.
+// TestEnginesMatchOnToy runs the documented Toy design on every
+// engine across a spread of jobs, stepping one cycle at a time with
+// full-state agreement on every cycle, then through Run, checking the
+// hand-computed cycle formula and the final state.
 func TestEnginesMatchOnToy(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	toy := testdesigns.Toy()
 	sims := engineSims(toy.M)
-	for _, e := range sims {
-		e.s.EnableActivity()
-	}
 	for trial := 0; trial < 10; trial++ {
 		items := make([]uint64, 1+rng.Intn(40))
 		for i := range items {
@@ -231,6 +260,21 @@ func TestEnginesMatchOnToy(t *testing.T) {
 		}
 		job := testdesigns.ToyJob(items)
 		want := testdesigns.ToyCycles(items)
+		for _, e := range sims {
+			e.s.Reset()
+			if err := e.s.LoadMem("in", job); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for cycle := 1; !stepAll(t, toy.M, sims, cycle); cycle++ {
+			if cycle > int(want) {
+				t.Fatalf("trial %d: stepped past %d cycles without done", trial, want)
+			}
+		}
+		if got := sims[0].s.Cycles(); got != want {
+			t.Fatalf("trial %d: stepped %d cycles, want %d", trial, got, want)
+		}
+		diffFinish(t, toy.M, sims)
 		for _, e := range sims {
 			e.s.Reset()
 			if err := e.s.LoadMem("in", job); err != nil {
@@ -250,34 +294,39 @@ func TestEnginesMatchOnToy(t *testing.T) {
 }
 
 // TestEnginesMatchOnHandFSM covers the input-driven path: the
-// hand-lowered FSM is stepped with random stimulus on all engines.
+// hand-lowered FSM is stepped with random stimulus on every engine,
+// then run under constant inputs.
 func TestEnginesMatchOnHandFSM(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	m, _ := testdesigns.HandFSM()
 	sims := engineSims(m)
-	for _, e := range sims {
-		e.s.EnableActivity()
-	}
 	ins := inputsOf(m)
+	inputs := make([]uint64, len(ins))
 	for cycle := 0; cycle < 200; cycle++ {
-		for _, id := range ins {
-			v := rng.Uint64()
+		for k, id := range ins {
+			inputs[k] = rng.Uint64()
 			for _, e := range sims {
-				e.s.SetInput(id, v)
+				e.s.SetInput(id, inputs[k])
 			}
 		}
-		for _, e := range sims {
-			e.s.Step()
-		}
-		diffCompare(t, m, sims, cycle)
+		stepAll(t, m, sims, cycle)
 	}
 	diffFinish(t, m, sims)
+	for _, e := range sims {
+		e.s.Reset()
+		for k, id := range ins {
+			e.s.SetInput(id, inputs[k])
+		}
+		e.s.Run(200)
+	}
+	diffCompare(t, m, sims, 200)
 }
 
 // TestCloneIsIndependent checks that a clone starts fresh, matches its
 // parent's behaviour, and that parent and clone do not share writable
 // memory — for every engine (the parallel job fan-out clones whatever
-// engine the caller picked).
+// engine the caller picked), including a native request that fell back
+// to the plan.
 func TestCloneIsIndependent(t *testing.T) {
 	toy := testdesigns.Toy()
 	items := []uint64{testdesigns.ToyItem(false, 0), testdesigns.ToyItem(true, 9)}
@@ -287,19 +336,15 @@ func TestCloneIsIndependent(t *testing.T) {
 		name string
 		mk   func(*rtl.Module) *rtl.Sim
 	}{
-		{"compiled", func(m *rtl.Module) *rtl.Sim { return rtl.NewSimEngine(m, rtl.EngineCompiled) }},
+		{"plan", func(m *rtl.Module) *rtl.Sim { return rtl.NewSimEngine(m, rtl.EngineNative) }},
 		{"interp", rtl.NewInterpSim},
 		{"native", func(m *rtl.Module) *rtl.Sim { return rtl.NewNativeSim(m, codegen.Build(m).Step) }},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
 			s := mk.mk(toy.M)
-			s.EnableActivity()
 			c := s.Clone()
-			if c.Toggles() == nil {
-				t.Fatal("clone did not inherit activity tracking")
-			}
-			if c.Engine() != s.Engine() {
-				t.Fatalf("clone engine %s != parent %s", c.Engine(), s.Engine())
+			if c.Engine() != s.Engine() || string(s.Engine()) != mk.name {
+				t.Fatalf("clone engine %s, parent %s, want %s", c.Engine(), s.Engine(), mk.name)
 			}
 			if err := s.LoadMem("in", job); err != nil {
 				t.Fatal(err)
@@ -319,24 +364,5 @@ func TestCloneIsIndependent(t *testing.T) {
 				t.Fatalf("cycles parent=%d clone=%d want=%d", sc, cc, testdesigns.ToyCycles(items))
 			}
 		})
-	}
-}
-
-// TestCompileFusesToy sanity-checks that compilation actually shrinks
-// the dispatch stream: constants, inputs and registers take no slots,
-// and at least one super-op fusion fires on the Toy control logic.
-func TestCompileFusesToy(t *testing.T) {
-	toy := testdesigns.Toy()
-	comb := 0
-	for i := range toy.M.Nodes {
-		switch toy.M.Nodes[i].Op {
-		case rtl.OpConst, rtl.OpInput, rtl.OpReg:
-		default:
-			comb++
-		}
-	}
-	p := rtl.Compile(toy.M)
-	if got := p.Instructions(); got >= comb {
-		t.Fatalf("compiled %d instructions, want fewer than %d combinational nodes (fusion)", got, comb)
 	}
 }

@@ -19,18 +19,20 @@ func TestEngineSelection(t *testing.T) {
 	}{
 		{"", rtl.EngineNative, true},
 		{"native", rtl.EngineNative, true},
-		{"compiled", rtl.EngineCompiled, true},
 		{"interp", rtl.EngineInterp, true},
-		// Retired engines are parse errors, not silent aliases.
+		// Retired engines are parse errors, not silent aliases; "plan" is
+		// only ever reported, by Sims on the native fallback.
+		{"compiled", "", false},
 		{"event", "", false},
 		{"batch", "", false},
+		{"plan", "", false},
 		// Bad names: unknown engines, wrong case, stray whitespace — the
 		// flag value is taken verbatim, never normalized.
 		{"verilator", "", false},
-		{"COMPILED", "", false},
+		{"NATIVE", "", false},
 		{"Interp", "", false},
-		{" compiled", "", false},
-		{"compiled ", "", false},
+		{" native", "", false},
+		{"interp ", "", false},
 		{"native,interp", "", false},
 		{"gate-level", "", false},
 	} {
@@ -40,7 +42,7 @@ func TestEngineSelection(t *testing.T) {
 		}
 		if err != nil {
 			// The error names every engine that does exist.
-			for _, e := range []string{"interp", "compiled", "native"} {
+			for _, e := range []string{"interp", "native"} {
 				if !strings.Contains(err.Error(), e) {
 					t.Fatalf("ParseEngine(%q) error %q does not list %s", tc.in, err, e)
 				}
@@ -49,10 +51,8 @@ func TestEngineSelection(t *testing.T) {
 	}
 
 	toy := testdesigns.Toy()
-	for _, e := range []rtl.Engine{rtl.EngineCompiled, rtl.EngineInterp} {
-		if got := rtl.NewSimEngine(toy.M, e).Engine(); got != e {
-			t.Fatalf("NewSimEngine(%s).Engine() = %s", e, got)
-		}
+	if got := rtl.NewSimEngine(toy.M, rtl.EngineInterp).Engine(); got != rtl.EngineInterp {
+		t.Fatalf("NewSimEngine(interp).Engine() = %s", got)
 	}
 
 	prev := rtl.DefaultEngine()
@@ -68,17 +68,17 @@ func TestEngineSelection(t *testing.T) {
 		t.Fatalf("NewSim under interp default: engine %s", got)
 	}
 	// Toy has no generated step, so the native default resolves it to
-	// the compiled fallback.
+	// the plan fallback (this test binary links package native).
 	if err := rtl.SetDefaultEngine(""); err != nil {
 		t.Fatal(err)
 	}
 	if got := rtl.DefaultEngine(); got != rtl.EngineNative {
 		t.Fatalf("SetDefaultEngine(\"\") selected %s, want native", got)
 	}
-	if got := rtl.NewSim(toy.M).Engine(); got != rtl.EngineCompiled {
-		t.Fatalf("NewSim(toy) under native default: engine %s, want the compiled fallback", got)
+	if got := rtl.NewSim(toy.M).Engine(); got != rtl.EnginePlan {
+		t.Fatalf("NewSim(toy) under native default: engine %s, want the plan fallback", got)
 	}
-	for _, bad := range []rtl.Engine{"gatesim", "event", "batch"} {
+	for _, bad := range []rtl.Engine{"gatesim", "compiled", "event", "batch", "plan"} {
 		if err := rtl.SetDefaultEngine(bad); err == nil {
 			t.Fatalf("SetDefaultEngine accepted %q", bad)
 		}

@@ -103,10 +103,10 @@ func fuzzModule(f *byteFeed) *rtl.Module {
 
 // FuzzEngineDifferential is the coverage-guided version of
 // TestEnginesMatchOnRandomNetlists: fuzz bytes pick the netlist shape
-// and the stimulus, and the compiled engine and a freshly built codegen
-// plan (the native engine's semantics) must stay bit-exact with the
-// interpreter on every node value, cycle count, toggle counter, and
-// memory word.
+// and the stimulus, and a freshly built codegen plan (the native
+// fallback, and the lowering the generated code is emitted from) must
+// stay bit-exact with the interpreter on every node value, cycle count
+// and memory word, stepped one cycle at a time and run whole.
 func FuzzEngineDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
@@ -126,7 +126,6 @@ func FuzzEngineDifferential(f *testing.F) {
 			load[i] = fd.u64()
 		}
 		for _, e := range sims {
-			e.s.EnableActivity()
 			if err := e.s.LoadMem("m", load); err != nil {
 				t.Fatal(err)
 			}
@@ -142,13 +141,7 @@ func FuzzEngineDifferential(f *testing.F) {
 					e.s.SetInput(id, v)
 				}
 			}
-			rd := sims[0].s.Step()
-			for _, e := range sims[1:] {
-				if ed := e.s.Step(); ed != rd {
-					t.Fatalf("cycle %d: done %v (%s) != %v (interp)", cycle, ed, e.name, rd)
-				}
-			}
-			diffCompare(t, m, sims, cycle)
+			stepAll(t, m, sims, cycle)
 		}
 		diffFinish(t, m, sims)
 
@@ -165,7 +158,7 @@ func FuzzEngineDifferential(f *testing.F) {
 }
 
 // diffRun checks the codegen plan's multi-cycle path: a plan-backed
-// native Sim without activity counting executes each Run in one call,
+// Sim executes each Run in one call,
 // evaluating only the per-state demand until the cycle it returns on,
 // so after each of two successive Runs under the given limits — the
 // second resuming where the first stopped — its cycle count,
@@ -204,7 +197,7 @@ func diffRun(t *testing.T, m *rtl.Module, ins []rtl.NodeID, load, inputs []uint6
 }
 
 // diffPruned replays recorded stimulus on the absint-pruned module
-// under all three engines, against a fresh unpruned interpreter:
+// under every engine, against a fresh unpruned interpreter:
 // done timing, every kept register (through the pruning register map),
 // and memory contents must match cycle for cycle.
 func diffPruned(t *testing.T, m *rtl.Module, ins []rtl.NodeID, load []uint64, stim [][]uint64) {

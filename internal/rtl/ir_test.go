@@ -438,25 +438,6 @@ func TestBitsAndTrunc(t *testing.T) {
 	}
 }
 
-func TestActivityCounting(t *testing.T) {
-	b := NewBuilder("act")
-	cnt := b.Reg("cnt", 8, 0)
-	b.SetNext(cnt, cnt.Inc())
-	b.SetDone(cnt.EqK(7))
-	m := b.MustBuild()
-	s := NewSim(m)
-	s.EnableActivity()
-	if _, err := s.Run(100); err != nil {
-		t.Fatal(err)
-	}
-	tg := s.Toggles()
-	// The counter register toggles every cycle.
-	idx := m.Regs[0].Node
-	if tg[idx] == 0 {
-		t.Error("counter register shows no activity")
-	}
-}
-
 func TestFSMBuilderLowering(t *testing.T) {
 	// 3-state machine: 0 -> 1 on go, 1 -> 2 always, 2 -> 0 always.
 	b := NewBuilder("fsm")

@@ -18,28 +18,31 @@ import (
 // in, FSM-state-specialized basic blocks, registers held in locals
 // across cycles, and per state only the logic that state's next state,
 // memory writes and done test need. Node values are stored only on the
-// cycle it returns, so Value, RegValue, toggle counting, VCD dumps, and
-// the differential tests observe state bit-identical to the
-// interpreter after every Step and every Run, but not between the
-// cycles inside one Run.
+// cycle it returns, so Value, RegValue, VCD dumps, and the
+// differential tests observe state bit-identical to the interpreter
+// after every Step and every Run, but not between the cycles inside
+// one Run.
 //
 // Registration is keyed on Fingerprint(m): two modules with equal
 // fingerprints simulate identically, so a step generated from one is
 // valid for the other. Netlists without a registered step (random fuzz
-// modules, testdesigns, freshly edited benchmarks before regeneration)
-// transparently fall back to the compiled engine; the fallback is
-// observable through NativeFallbacks so a silently stale registry
-// cannot masquerade as a codegen win.
+// modules, testdesigns, user Verilog, freshly edited benchmarks before
+// regeneration) transparently run on the fallback step, built per
+// netlist by the function SetNativeFallback installed: package native
+// installs the codegen plan's evaluator, the same lowering the
+// generated code is emitted from. The fallback is observable through
+// NativeFallbacks so a silently stale registry cannot masquerade as a
+// codegen win.
 
 // NativeStep runs cycles of a specific netlist until one raises Done or
 // limit cycles have run (a limit below 1 acts as 1), and returns how
 // many cycles ran and whether the last one raised Done. Each cycle
-// follows the same four-phase contract as Sim.Step: combinational
+// follows the same three-phase contract as Sim.Step: combinational
 // evaluation in SSA order, memory-write commit, simultaneous register
-// latch (toggle counting is phase 4, handled by the caller, which
-// passes limit 1 to count every cycle). On return, every node's value
-// in vals and every memory word must equal what the interpreter holds
-// after the same cycles; in between, vals need not be maintained.
+// latch. On return, every node's value in vals and every memory word
+// must equal what the interpreter holds after the same cycles; in
+// between, vals need not be maintained. Sim.Run makes one call per
+// job; Sim.Step calls with limit 1.
 //
 // A NativeStep must be pure over (vals, mems): implementations hold no
 // mutable captured state, so one step function is shared by any number
@@ -56,9 +59,18 @@ var (
 	nativeMu  sync.RWMutex
 	nativeReg = map[string]nativeEntry{}
 	// nativeFallbacks counts NewSimEngine(native) calls that found no
-	// registered step and fell back to the compiled engine.
+	// registered step and fell back.
 	nativeFallbacks atomic.Uint64
+	// nativeFallback builds the step for a netlist without a registered
+	// one; nil falls back to the interpreter.
+	nativeFallback func(*Module) NativeStep
 )
+
+// SetNativeFallback installs the builder of the step a native request
+// runs when no generated step is registered for its netlist. It is not
+// synchronized: package native calls it from init, before any Sim is
+// built.
+func SetNativeFallback(build func(*Module) NativeStep) { nativeFallback = build }
 
 // RegisterNative binds a generated step function to a netlist
 // fingerprint (see Fingerprint). Generated code calls it from init;
@@ -97,8 +109,8 @@ func NativeNames() []string {
 }
 
 // NativeFallbacks reports how many native-engine simulator requests
-// fell back to the compiled engine because no generated step was
-// registered for the netlist. Monotone; safe to read concurrently.
+// fell back because no generated step was registered for the netlist.
+// Monotone; safe to read concurrently.
 func NativeFallbacks() uint64 { return nativeFallbacks.Load() }
 
 // NewNativeSim prepares a simulator that executes the given generated
@@ -112,6 +124,7 @@ func NewNativeSim(m *Module, step NativeStep) *Sim {
 	}
 	s := newSimState(m)
 	s.nat = step
+	s.engine = EngineNative
 	s.Reset()
 	return s
 }

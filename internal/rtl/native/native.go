@@ -10,10 +10,21 @@
 // to resolve them.
 //
 // Netlists without a registered step — random fuzz modules,
-// testdesigns, benchmarks edited since the last regeneration — fall
-// back to the compiled engine; rtl.NativeFallbacks counts those so a
-// stale registry is observable, and CI's drift gate (go generate
-// ./... && git diff --exit-code) keeps the checked-in code current.
+// testdesigns, user Verilog, benchmarks edited since the last
+// regeneration — run on the fallback this package installs: the
+// FSM-specialized codegen plan, executed directly. rtl.NativeFallbacks
+// counts those so a stale registry is observable, and CI's drift gate
+// (go generate ./... && git diff --exit-code) keeps the checked-in
+// code current.
 package native
 
+import (
+	"repro/internal/rtl"
+	"repro/internal/rtl/codegen"
+)
+
 //go:generate go run repro/cmd/rtlgen -out .
+
+func init() {
+	rtl.SetNativeFallback(func(m *rtl.Module) rtl.NativeStep { return codegen.Build(m).Step })
+}

@@ -1,6 +1,7 @@
 package native_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/absint"
@@ -49,8 +50,10 @@ func TestRegistryCoversSuiteShapes(t *testing.T) {
 // the emitted (checked-in) code itself, as opposed to the codegen plan
 // evaluator the rtl package fuzzes: for every benchmark, real jobs run
 // on the generated native sims for the raw design and the trained
-// predictor slice, and ticks, node values, toggles, and memories must
-// match the interpreter bit-exactly.
+// predictor slice. Each job is stepped one cycle at a time with every
+// node value compared on every cycle, then run whole through Run (one
+// call of the generated function), and ticks, node values and memories
+// must match the interpreter bit-exactly.
 func TestGeneratedCodeMatchesInterpOnSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential suite run in -short mode")
@@ -61,7 +64,7 @@ func TestGeneratedCodeMatchesInterpOnSuite(t *testing.T) {
 			if !core.PruningEnabled() {
 				// The checked-in slices are generated under default
 				// pruning; REPRO_PRUNE=0 slices legitimately fall back
-				// to compiled (covered by TestNativeFallback in rtl).
+				// to the plan (covered by TestNativeFallback in rtl).
 				t.Skip("pruning disabled; generated slices target the pruned flow")
 			}
 			pred, err := core.Train(spec, core.Options{Seed: 42})
@@ -78,9 +81,29 @@ func TestGeneratedCodeMatchesInterpOnSuite(t *testing.T) {
 					t.Fatalf("%s: engine %q, want native (stale registry?)", m.Name, got)
 				}
 				ref := rtl.NewInterpSim(m)
-				nat.EnableActivity()
-				ref.EnableActivity()
+				sameValues := func(ji int, when string) {
+					for id := 0; id < m.NumNodes(); id++ {
+						if nv, rv := nat.Value(rtl.NodeID(id)), ref.Value(rtl.NodeID(id)); nv != rv {
+							t.Fatalf("%s job %d %s node %d (%s): %#x (native) != %#x (interp)",
+								m.Name, ji, when, id, m.Nodes[id].Op, nv, rv)
+						}
+					}
+				}
 				for ji, job := range jobs {
+					for _, s := range []*rtl.Sim{ref, nat} {
+						s.Reset()
+						for name, data := range job.Mems { //detlint:allow each iteration loads a distinct memory; order-independent
+							if err := s.LoadMem(name, data); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					for done := false; !done; {
+						if done = ref.Step(); nat.Step() != done || ref.Cycles() > spec.MaxTicks {
+							t.Fatalf("%s job %d cycle %d: done or cycle limit mismatch", m.Name, ji, ref.Cycles())
+						}
+						sameValues(ji, fmt.Sprintf("cycle %d", ref.Cycles()))
+					}
 					rt, err := accel.RunJob(ref, job, spec.MaxTicks)
 					if err != nil {
 						t.Fatal(err)
@@ -92,19 +115,7 @@ func TestGeneratedCodeMatchesInterpOnSuite(t *testing.T) {
 					if nt != rt {
 						t.Fatalf("%s job %d: ticks %d (native) != %d (interp)", m.Name, ji, nt, rt)
 					}
-					for id := 0; id < m.NumNodes(); id++ {
-						if nv, rv := nat.Value(rtl.NodeID(id)), ref.Value(rtl.NodeID(id)); nv != rv {
-							t.Fatalf("%s job %d node %d (%s): %#x (native) != %#x (interp)",
-								m.Name, ji, id, m.Nodes[id].Op, nv, rv)
-						}
-					}
-					ng, rg := nat.Toggles(), ref.Toggles()
-					for id := range rg {
-						if ng[id] != rg[id] {
-							t.Fatalf("%s job %d node %d: toggles %d (native) != %d (interp)",
-								m.Name, ji, id, ng[id], rg[id])
-						}
-					}
+					sameValues(ji, "after Run")
 					for _, mem := range m.Mems {
 						nm, rm := nat.Mem(mem.Name), ref.Mem(mem.Name)
 						for a := range rm {

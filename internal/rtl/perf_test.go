@@ -6,10 +6,11 @@ import (
 	"repro/internal/accel"
 	"repro/internal/accel/stencil"
 	"repro/internal/rtl"
+	"repro/internal/rtl/codegen"
 	"repro/internal/testdesigns"
 
 	// Register the generated simulators so EngineNative resolves
-	// stencil in BenchmarkStencilSimNative.
+	// stencil in BenchmarkStencilSimNative, and the plan fallback.
 	_ "repro/internal/rtl/native"
 )
 
@@ -41,11 +42,11 @@ func benchToy(b *testing.B, s *rtl.Sim, nodes int) {
 	b.ReportMetric(float64(total)/float64(b.N), "ticks/job")
 }
 
-// BenchmarkToySim measures the compiled engine (Toy has no generated
-// native simulator, so this is also what the native default runs).
+// BenchmarkToySim measures the plan fallback, which is what the native
+// default runs on Toy (it has no generated native simulator).
 func BenchmarkToySim(b *testing.B) {
 	toy := testdesigns.Toy()
-	benchToy(b, rtl.NewSimEngine(toy.M, rtl.EngineCompiled), toy.M.NumNodes())
+	benchToy(b, rtl.NewSimEngine(toy.M, rtl.EngineNative), toy.M.NumNodes())
 }
 
 // BenchmarkToySimInterp measures the interpreter escape hatch on the
@@ -56,12 +57,12 @@ func BenchmarkToySimInterp(b *testing.B) {
 }
 
 // benchAccel runs one real accelerator job repeatedly on the given
-// engine. stencil is used because its netlist is datapath-heavy and
+// sim. stencil is used because its netlist is datapath-heavy and
 // representative of the suite's per-cycle cost.
-func benchAccel(b *testing.B, engine rtl.Engine) {
+func benchAccel(b *testing.B, sim func(*rtl.Module) *rtl.Sim) {
 	spec := stencil.Spec()
 	m := spec.Build()
-	s := rtl.NewSimEngine(m, engine)
+	s := sim(m)
 	job := spec.TestJobs(3)[0]
 	b.ResetTimer()
 	total := uint64(0)
@@ -77,13 +78,17 @@ func benchAccel(b *testing.B, engine rtl.Engine) {
 	b.ReportMetric(sec*1e9/float64(total), "ns/cycle")
 }
 
-// BenchmarkStencilSim measures the compiled engine on a real
-// accelerator netlist.
-func BenchmarkStencilSim(b *testing.B) { benchAccel(b, rtl.EngineCompiled) }
+// BenchmarkStencilSim measures the plan fallback on a real accelerator
+// netlist.
+func BenchmarkStencilSim(b *testing.B) {
+	benchAccel(b, func(m *rtl.Module) *rtl.Sim { return rtl.NewNativeSim(m, codegen.Build(m).Step) })
+}
 
 // BenchmarkStencilSimNative measures the default engine: stencil's
 // checked-in generated simulator.
-func BenchmarkStencilSimNative(b *testing.B) { benchAccel(b, rtl.EngineNative) }
+func BenchmarkStencilSimNative(b *testing.B) {
+	benchAccel(b, func(m *rtl.Module) *rtl.Sim { return rtl.NewSimEngine(m, rtl.EngineNative) })
+}
 
 // BenchmarkStencilSimInterp is the interpreter reference point.
-func BenchmarkStencilSimInterp(b *testing.B) { benchAccel(b, rtl.EngineInterp) }
+func BenchmarkStencilSimInterp(b *testing.B) { benchAccel(b, rtl.NewInterpSim) }

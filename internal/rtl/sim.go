@@ -7,29 +7,30 @@ import (
 	"sync/atomic"
 )
 
-// Engine names a simulation execution strategy. Three engines share
-// one cycle-accurate semantics (bit-exact values, cycle counts, toggle
-// counters, memory contents — enforced by differential and fuzz tests
-// against the interpreter):
+// Engine names a simulation execution strategy. The engines share one
+// cycle-accurate semantics (bit-exact values, cycle counts, memory
+// contents — enforced by differential and fuzz tests against the
+// interpreter):
 //
 //   - EngineNative executes pre-generated straight-line Go specialized
 //     to one netlist (see native.go and internal/rtl/codegen): no
 //     instruction dispatch at all. It is the default and the fastest
 //     engine on every benchmark. Netlists without a registered
-//     generated step fall back to the compiled engine (counted in
-//     NativeFallbacks).
-//   - EngineCompiled executes the flat specialized instruction stream
-//     produced by Compile: the fallback for unregistered netlists, and
-//     the escape hatch (REPRO_ENGINE=compiled, -engine compiled) when a
-//     generated simulator is suspect.
+//     generated step run on the fallback instead (counted in
+//     NativeFallbacks): the codegen plan the generated code is emitted
+//     from, executed directly, which such Sims report as EnginePlan.
 //   - EngineInterp walks the Node table directly; the reference
-//     implementation the other two are tested against.
+//     implementation the others are tested against, and the escape
+//     hatch (REPRO_ENGINE=interp, -engine interp) when a generated
+//     simulator is suspect.
 type Engine string
 
 const (
-	EngineNative   Engine = "native"
-	EngineCompiled Engine = "compiled"
-	EngineInterp   Engine = "interp"
+	EngineNative Engine = "native"
+	EngineInterp Engine = "interp"
+	// EnginePlan is only reported, by Sims on the native fallback; it
+	// is not a selectable engine.
+	EnginePlan Engine = "plan"
 )
 
 // ParseEngine validates an engine name ("" selects the native
@@ -38,10 +39,10 @@ func ParseEngine(name string) (Engine, error) {
 	switch Engine(name) {
 	case "", EngineNative:
 		return EngineNative, nil
-	case EngineCompiled, EngineInterp:
-		return Engine(name), nil
+	case EngineInterp:
+		return EngineInterp, nil
 	}
-	return "", fmt.Errorf("rtl: unknown engine %q (have interp, compiled, native)", name)
+	return "", fmt.Errorf("rtl: unknown engine %q (have native, interp)", name)
 }
 
 // defaultEngine holds the Engine NewSim selects; set by init from the
@@ -57,11 +58,11 @@ func init() {
 	defaultEngine.Store(e)
 }
 
-// SetDefaultEngine selects the engine NewSim (and therefore the whole
-// train/trace/experiment stack) uses. It is how cmd/dvfsim and
-// cmd/rtlsim thread their -engine flag through; the REPRO_ENGINE
-// environment variable provides the initial value. Safe to call
-// concurrently.
+// SetDefaultEngine validates an engine name (see ParseEngine) and
+// selects it as the engine NewSim (and therefore the whole
+// train/trace/experiment stack) uses. It is how the commands thread
+// their -engine flag through; the REPRO_ENGINE environment variable
+// provides the initial value. Safe to call concurrently.
 func SetDefaultEngine(e Engine) error {
 	parsed, err := ParseEngine(string(e))
 	if err != nil {
@@ -76,33 +77,28 @@ func DefaultEngine() Engine {
 	return defaultEngine.Load().(Engine)
 }
 
-// Sim is a cycle-accurate simulator for a Module. It executes a
-// pre-generated native step (see native.go), a compiled Program (see
-// Compile), or — built by NewInterpSim — interprets the Node table
+// Sim is a cycle-accurate simulator for a Module. It executes a step
+// function — a pre-generated native one (see native.go) or the
+// fallback's — or, built by NewInterpSim, interprets the Node table
 // directly, the reference engine for differential testing. One Sim
 // instance can run many jobs back to back; Reset restores registers
 // and clears scratchpads between jobs.
 //
 // Each Sim owns its value array and its writable memory backing, so
 // independent Sims over the same Module never share mutable state:
-// Clone is cheap (the compiled Program and ROM contents are shared,
-// both immutable) and clones may run concurrently, which is what the
+// Clone is cheap (the step function and ROM contents are shared, both
+// immutable) and clones may run concurrently, which is what the
 // parallel job fan-out in package core relies on.
 //
 // Evaluation model per cycle:
 //  1. combinational nodes are evaluated in ID order (SSA guarantees
 //     arguments are ready; OpReg nodes read latched state),
 //  2. memory write ports with En != 0 commit,
-//  3. registers latch their Next values,
-//  4. activity (toggle) counters are updated for the energy model.
+//  3. registers latch their Next values.
 type Sim struct {
 	m *Module
-	// prog is the compiled program; nil selects the interpreter.
-	prog *Program
 	// vals holds the current cycle's node values.
 	vals []uint64
-	// prev holds the previous cycle's values for toggle counting.
-	prev []uint64
 	// mems is the per-Sim memory backing, index-aligned with m.Mems.
 	// ROM entries alias the module's (immutable) contents; RAM entries
 	// are private to this Sim.
@@ -112,18 +108,15 @@ type Sim struct {
 	// constIdx/constVal preload literal values at Reset.
 	constIdx []int32
 	constVal []uint64
-	// toggles accumulates per-node value-change counts across a Run; a
-	// proxy for switching activity used by the energy model.
-	toggles []uint64
-	// countToggles enables activity tracking (small slowdown).
-	countToggles bool
 	// latch is scratch space for the simultaneous register update.
 	latch []uint64
 	// cycles counts the cycles executed since the last Reset.
 	cycles uint64
-	// nat is a pre-generated specialized step function (see native.go);
-	// when set it overrides prog. With neither set the Sim interprets.
+	// nat is the step function (see native.go); nil selects the
+	// interpreter.
 	nat NativeStep
+	// engine is what Engine reports.
+	engine Engine
 }
 
 // ErrNoProgress is returned by Run when the cycle limit is reached
@@ -131,48 +124,39 @@ type Sim struct {
 var ErrNoProgress = errors.New("rtl: cycle limit reached before done")
 
 // NewSim prepares a simulator for the module using the default engine
-// (see SetDefaultEngine), compiling it first when the engine calls for
-// it. The module must be valid (Builder.Build validates; hand-built
-// modules should call Validate) and must not be mutated while the Sim
-// is live.
+// (see SetDefaultEngine). The module must be valid (Builder.Build
+// validates; hand-built modules should call Validate) and must not be
+// mutated while the Sim is live.
 func NewSim(m *Module) *Sim {
 	return NewSimEngine(m, DefaultEngine())
 }
 
 // NewSimEngine prepares a simulator with an explicit engine choice.
-// EngineNative requires a generated step registered for the module's
-// fingerprint (see RegisterNative); without one the caller gets a
-// compiled Sim and NativeFallbacks increments.
+// EngineNative uses the generated step registered for the module's
+// fingerprint (see RegisterNative); without one NativeFallbacks
+// increments and the caller gets the fallback (see SetNativeFallback),
+// or the interpreter in a binary where none was installed.
 func NewSimEngine(m *Module, e Engine) *Sim {
-	switch e {
-	case EngineInterp:
+	if e == EngineInterp {
 		return NewInterpSim(m)
-	case EngineNative:
-		if step, ok := NativeStepFor(m); ok {
-			return NewNativeSim(m, step)
-		}
-		nativeFallbacks.Add(1)
-		return Compile(m).NewSim()
-	default:
-		return Compile(m).NewSim()
 	}
-}
-
-// NewSim instantiates a simulator executing this compiled program.
-// Many Sims may share one Program.
-func (p *Program) NewSim() *Sim {
-	s := newSimState(p.m)
-	s.prog = p
-	s.Reset()
+	if step, ok := NativeStepFor(m); ok {
+		return NewNativeSim(m, step)
+	}
+	nativeFallbacks.Add(1)
+	if nativeFallback == nil {
+		return NewInterpSim(m)
+	}
+	s := NewNativeSim(m, nativeFallback(m))
+	s.engine = EnginePlan
 	return s
 }
 
 // NewInterpSim prepares a simulator that interprets the Node table
-// directly instead of compiling it. Semantics are bit-identical to the
-// compiled engine; it exists for differential testing and as a
-// fallback while debugging the compiler.
+// directly: the reference the other engines are tested against.
 func NewInterpSim(m *Module) *Sim {
 	s := newSimState(m)
+	s.engine = EngineInterp
 	s.masks = make([]uint64, len(m.Nodes))
 	for i := range m.Nodes {
 		s.masks[i] = m.Nodes[i].Mask()
@@ -186,7 +170,6 @@ func newSimState(m *Module) *Sim {
 	s := &Sim{
 		m:     m,
 		vals:  make([]uint64, len(m.Nodes)),
-		prev:  make([]uint64, len(m.Nodes)),
 		latch: make([]uint64, len(m.Regs)),
 		mems:  make([][]uint64, len(m.Mems)),
 	}
@@ -213,50 +196,27 @@ func newSimState(m *Module) *Sim {
 }
 
 // Clone returns an independent simulator over the same module and
-// engine, in freshly Reset state. The compiled program, netlist, and
-// ROM contents are shared (all immutable); values, registers, and
-// writable memories are private, so clones may run concurrently.
+// engine, in freshly Reset state. The step function (with any plan it
+// runs), netlist, and ROM contents are shared (all immutable); values,
+// registers, and writable memories are private, so clones may run
+// concurrently.
 func (s *Sim) Clone() *Sim {
 	c := newSimState(s.m)
-	c.prog = s.prog
 	c.masks = s.masks
 	c.nat = s.nat
-	if s.countToggles {
-		c.EnableActivity()
-	}
+	c.engine = s.engine
 	c.Reset()
 	return c
 }
 
 // Engine reports which execution engine this simulator uses. A Sim
-// built by NewSimEngine(m, EngineNative) reports EngineCompiled when it
-// fell back, so silent fallback is detectable per simulator as well as
-// through the NativeFallbacks counter.
-func (s *Sim) Engine() Engine {
-	switch {
-	case s.nat != nil:
-		return EngineNative
-	case s.prog != nil:
-		return EngineCompiled
-	default:
-		return EngineInterp
-	}
-}
-
-// EnableActivity turns on per-node toggle counting for energy modeling.
-func (s *Sim) EnableActivity() {
-	s.countToggles = true
-	if s.toggles == nil {
-		s.toggles = make([]uint64, len(s.m.Nodes))
-	}
-}
-
-// Toggles returns the per-node toggle counts accumulated since Reset.
-// The slice is owned by the simulator; callers must not modify it.
-func (s *Sim) Toggles() []uint64 { return s.toggles }
+// built by NewSimEngine(m, EngineNative) reports EnginePlan (or
+// EngineInterp) when it fell back, so silent fallback is detectable
+// per simulator as well as through the NativeFallbacks counter.
+func (s *Sim) Engine() Engine { return s.engine }
 
 // Reset restores registers to their init values, zeroes non-ROM memory,
-// clears inputs, the cycle counter, and activity counts.
+// clears inputs and the cycle counter.
 func (s *Sim) Reset() {
 	for i := range s.vals {
 		s.vals[i] = 0
@@ -277,11 +237,7 @@ func (s *Sim) Reset() {
 			data[j] = 0
 		}
 	}
-	for i := range s.toggles {
-		s.toggles[i] = 0
-	}
 	s.cycles = 0
-	copy(s.prev, s.vals)
 }
 
 // SetInput drives an input port for subsequent cycles. The value is
@@ -347,14 +303,8 @@ func (s *Sim) Cycles() uint64 { return s.cycles }
 func (s *Sim) Step() bool {
 	if s.nat != nil {
 		_, done := s.nat(s.vals, s.mems, 1)
-		if s.countToggles {
-			s.countActivity()
-		}
 		s.cycles++
 		return done
-	}
-	if s.prog != nil {
-		return s.stepCompiled()
 	}
 	return s.stepInterp()
 }
@@ -462,34 +412,17 @@ func (s *Sim) stepInterp() bool {
 	for i := range m.Regs {
 		vals[m.Regs[i].Node] = latch[i]
 	}
-	// Phase 4: activity accounting.
-	if s.countToggles {
-		s.countActivity()
-	}
 	s.cycles++
 	return done
 }
 
-// countActivity updates toggle counters after a cycle's latch phase.
-func (s *Sim) countActivity() {
-	vals := s.vals
-	prev := s.prev
-	tg := s.toggles
-	for i := range vals {
-		if vals[i] != prev[i] {
-			tg[i]++
-			prev[i] = vals[i]
-		}
-	}
-}
-
 // Run steps the module until Done is raised, returning the number of
 // cycles taken (inclusive of the done cycle). If maxCycles elapses
-// first, it returns ErrNoProgress. A native Sim without activity
-// counting runs the whole job in one call of its generated step.
+// first, it returns ErrNoProgress. A Sim with a step function runs the
+// whole job in one call of it.
 func (s *Sim) Run(maxCycles uint64) (uint64, error) {
 	start := s.cycles
-	if s.nat != nil && !s.countToggles && maxCycles > 0 {
+	if s.nat != nil && maxCycles > 0 {
 		n, done := s.nat(s.vals, s.mems, maxCycles)
 		s.cycles += n
 		if done {

@@ -103,3 +103,17 @@ func Stats(m *Module) AreaStats {
 // (time-multiplexed access, Figure 5), so slice-vs-full area ratios
 // must not double-count them.
 func (a AreaStats) LogicArea() float64 { return a.LogicGates + a.RegGates + a.ROMGates }
+
+// CombNodes counts the nodes an engine evaluates each cycle: every node
+// that is not a constant, an input or a register.
+func CombNodes(m *Module) int {
+	n := 0
+	for i := range m.Nodes {
+		switch m.Nodes[i].Op {
+		case OpConst, OpInput, OpReg:
+		default:
+			n++
+		}
+	}
+	return n
+}

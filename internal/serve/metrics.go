@@ -61,7 +61,7 @@ var histBuckets = func() []float64 {
 // nsBuckets are the upper bounds (nanoseconds) of the router's
 // prediction and full-design simulation latency histograms: 24 logarithmic buckets
 // from 1 µs to ~50 ms plus a +Inf overflow. They span a native slice
-// run (a few µs) up to a compiled full-design simulation.
+// run (a few µs) up to a full-design simulation on the plan fallback.
 var nsBuckets = func() []float64 {
 	b := make([]float64, 24)
 	v := 1000.0

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/rtl"
+	"repro/internal/rtl/codegen"
 )
 
 // TestNativeEngineNoRegression guards the native (codegen) engine's
@@ -13,10 +14,9 @@ import (
 // the serving path where a prediction runs inline before each job.
 // Aggregate single-job throughput (instrumented full design + hardware
 // slice per job) across the whole suite must comfortably beat the
-// compiled engine. Measured per-design ratios are ≥3x on most benchmarks (see
-// the native section of BENCH_sim.json); the aggregate floor here is
-// 2x so only a real regression — not scheduler noise on a loaded
-// runner — can trip it. Skipped under -short: it measures wall-clock
+// codegen plan the native fallback runs (BENCH_sim.json
+// native_vs_plan); the aggregate floor here is 2x so only a real
+// regression — not scheduler noise on a loaded runner — can trip it. Skipped under -short: it measures wall-clock
 // on purpose.
 func TestNativeEngineNoRegression(t *testing.T) {
 	if testing.Short() {
@@ -24,9 +24,9 @@ func TestNativeEngineNoRegression(t *testing.T) {
 	}
 	const floor = 2.0
 	type pair struct {
-		compiled, native *rtl.Sim
-		job              accel.Job
-		max              uint64
+		plan, native *rtl.Sim
+		job          accel.Job
+		max          uint64
 	}
 	var pairs []pair
 	for _, spec := range All() {
@@ -38,10 +38,10 @@ func TestNativeEngineNoRegression(t *testing.T) {
 				t.Fatalf("%s: native sim reports %q — regenerate internal/rtl/native", m.Name, got)
 			}
 			pairs = append(pairs, pair{
-				compiled: rtl.NewSimEngine(m, rtl.EngineCompiled),
-				native:   nat,
-				job:      job,
-				max:      spec.MaxTicks,
+				plan:   rtl.NewNativeSim(m, codegen.Build(m).Step),
+				native: nat,
+				job:    job,
+				max:    spec.MaxTicks,
 			})
 		}
 	}
@@ -64,12 +64,12 @@ func TestNativeEngineNoRegression(t *testing.T) {
 		}
 		return float64(jobs) / best
 	}
-	compiledJPS := run(func(p *pair) *rtl.Sim { return p.compiled })
+	planJPS := run(func(p *pair) *rtl.Sim { return p.plan })
 	nativeJPS := run(func(p *pair) *rtl.Sim { return p.native })
-	ratio := nativeJPS / compiledJPS
-	t.Logf("compiled %.0f jobs/s, native %.0f jobs/s, aggregate ratio %.2fx", compiledJPS, nativeJPS, ratio)
+	ratio := nativeJPS / planJPS
+	t.Logf("plan %.0f jobs/s, native %.0f jobs/s, aggregate ratio %.2fx", planJPS, nativeJPS, ratio)
 	if ratio < floor {
-		t.Errorf("native single-job throughput only %.2fx compiled across the suite (floor %.1fx)", ratio, floor)
+		t.Errorf("native single-job throughput only %.2fx the plan across the suite (floor %.1fx)", ratio, floor)
 	}
 }
 
@@ -77,11 +77,10 @@ func TestNativeEngineNoRegression(t *testing.T) {
 // benchmark, the job the deleted batch engine did before native beat
 // it: collecting one trace (instrumented full design + hardware slice,
 // the exact work core.CollectTraces does per job) on the native engine
-// must comfortably beat the compiled fallback on every benchmark, not
-// just in the suite aggregate that TestNativeEngineNoRegression checks.
-// Measured ratios are 5x or more on every benchmark (BENCH_sim.json
-// native_vs_compiled); the floor here is 1.5x so only a real regression
-// — or a benchmark silently falling back to compiled — can trip it.
+// must comfortably beat the plan fallback on every benchmark, not just
+// in the suite aggregate that TestNativeEngineNoRegression checks
+// (BENCH_sim.json native_vs_plan); the floor here is 1.5x so only a
+// real regression — or a benchmark silently falling back — can trip it.
 // Skipped under -short: it measures wall-clock on purpose.
 func TestBatchEngineNoRegression(t *testing.T) {
 	if testing.Short() {
@@ -93,14 +92,10 @@ func TestBatchEngineNoRegression(t *testing.T) {
 		t.Run(spec.Name, func(t *testing.T) {
 			ins, sl := instrumentAndSlice(t, spec)
 			job := spec.TestJobs(3)[0]
-			collector := func(e rtl.Engine) func() {
+			collector := func(sim func(*rtl.Module) *rtl.Sim) func() {
 				var sims []*rtl.Sim
 				for _, m := range []*rtl.Module{ins.M, sl.M} {
-					s := rtl.NewSimEngine(m, e)
-					if got := s.Engine(); got != e {
-						t.Fatalf("%s: %s sim reports %q", m.Name, e, got)
-					}
-					sims = append(sims, s)
+					sims = append(sims, sim(m))
 				}
 				return func() {
 					for _, s := range sims {
@@ -110,7 +105,14 @@ func TestBatchEngineNoRegression(t *testing.T) {
 					}
 				}
 			}
-			runCompiled, runNative := collector(rtl.EngineCompiled), collector(rtl.EngineNative)
+			runPlan := collector(func(m *rtl.Module) *rtl.Sim { return rtl.NewNativeSim(m, codegen.Build(m).Step) })
+			runNative := collector(func(m *rtl.Module) *rtl.Sim {
+				s := rtl.NewSimEngine(m, rtl.EngineNative)
+				if got := s.Engine(); got != rtl.EngineNative {
+					t.Fatalf("%s: native sim reports %q", m.Name, got)
+				}
+				return s
+			})
 			// Each pass repeats traces for at least 20 ms, so one
 			// scheduler blip cannot dominate a pass even on the smallest
 			// design; the engines alternate passes so a load shift hits
@@ -124,17 +126,17 @@ func TestBatchEngineNoRegression(t *testing.T) {
 				}
 				return float64(n) / time.Since(start).Seconds()
 			}
-			runCompiled()
+			runPlan()
 			runNative()
-			compiledJPS, nativeJPS := 0.0, 0.0
+			planJPS, nativeJPS := 0.0, 0.0
 			for p := 0; p < 5; p++ {
-				compiledJPS = max(compiledJPS, pass(runCompiled))
+				planJPS = max(planJPS, pass(runPlan))
 				nativeJPS = max(nativeJPS, pass(runNative))
 			}
-			ratio := nativeJPS / compiledJPS
-			t.Logf("compiled %.0f traces/s, native %.0f traces/s, ratio %.2fx", compiledJPS, nativeJPS, ratio)
+			ratio := nativeJPS / planJPS
+			t.Logf("plan %.0f traces/s, native %.0f traces/s, ratio %.2fx", planJPS, nativeJPS, ratio)
 			if ratio < floor {
-				t.Errorf("native trace collection only %.2fx compiled on %s (floor %.1fx)",
+				t.Errorf("native trace collection only %.2fx the plan on %s (floor %.1fx)",
 					ratio, spec.Name, floor)
 			}
 		})

@@ -7,6 +7,7 @@ import (
 	"repro/internal/accel"
 	"repro/internal/instrument"
 	"repro/internal/rtl"
+	"repro/internal/rtl/codegen"
 	"repro/internal/slice"
 )
 
@@ -14,8 +15,9 @@ import (
 // absint pruning on the real benchmarks: for every instrumented
 // design, the pruned twin must reproduce the unpruned interpreter's
 // observables bit-exactly on real jobs — tick count, every feature
-// witness register, and every surviving memory — under all three
-// engines (interp, compiled, and the generated native code).
+// witness register, and every surviving memory — under every
+// engine: interp, the codegen plan (the native fallback), and the
+// generated native code.
 func TestPrunedFullDesignMatchesOnSuite(t *testing.T) {
 	for _, spec := range All() {
 		spec := spec
@@ -52,7 +54,7 @@ func TestPrunedFullDesignMatchesOnSuite(t *testing.T) {
 				s    *rtl.Sim
 			}{
 				{"interp", rtl.NewInterpSim(pm)},
-				{"compiled", rtl.NewSimEngine(pm, rtl.EngineCompiled)},
+				{"plan", rtl.NewNativeSim(pm, codegen.Build(pm).Step)},
 				{"native", rtl.NewSimEngine(pm, rtl.EngineNative)},
 			}
 			ref := rtl.NewInterpSim(ins.M)
@@ -128,10 +130,10 @@ func TestSlicePruneDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Raw node counts can differ by a hoisted const; what the
-			// engines execute is the compiled instruction stream.
-			pi, ai := rtl.Compile(slP.M).Instructions(), rtl.Compile(slA.M).Instructions()
+			// engines evaluate each cycle is the combinational nodes.
+			pi, ai := rtl.CombNodes(slP.M), rtl.CombNodes(slA.M)
 			if ai > pi {
-				t.Errorf("pruned slice compiles to more instructions: %d vs %d plain", ai, pi)
+				t.Errorf("pruned slice has more combinational nodes: %d vs %d plain", ai, pi)
 			}
 			jobs := spec.TestJobs(29)
 			if len(jobs) > 3 {
