@@ -8,6 +8,8 @@
 //     is disabled, REPRO_PRUNE=0),
 //   - its pruned twin (the full-design simulator core.Train binds under
 //     default pruning),
+//   - its timing cone (core.TimingCone: the ground-truth simulator of
+//     every JobSimulator; model-independent, so one per benchmark),
 //   - the keep-everything slice (the suite tests' shape),
 //   - the trained predictor slice for the canonical training seed (42,
 //     the default of simbench/slicegen) — the latency-critical module
@@ -106,7 +108,8 @@ func main() {
 
 // variants builds the netlist shapes worth pre-generating for one
 // benchmark, mirroring the exact transformations the production flows
-// apply (instrument, bindFull's prune, keep-all slice, trained slices).
+// apply (instrument, bindFull's prune, the timing cone, keep-all slice,
+// trained slices).
 func variants(spec accel.Spec) ([]variant, error) {
 	vars := []variant{{spec.Name, spec.Build()}}
 
@@ -122,6 +125,12 @@ func variants(spec accel.Spec) ([]variant, error) {
 	}
 	pm, _ := absint.Prune(ins.M, featRegs)
 	vars = append(vars, variant{spec.Name + "_pruned", pm})
+
+	cone, err := core.TimingCone(ins)
+	if err != nil {
+		return nil, err
+	}
+	vars = append(vars, variant{spec.Name + "_cone", cone.M})
 
 	keep := make([]int, len(ins.Features))
 	for i := range keep {

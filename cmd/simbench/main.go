@@ -14,7 +14,7 @@
 // their samples round-robin, so background load drifts onto every
 // engine alike.
 //
-// It reports four things:
+// It reports five things:
 //
 //  1. engine speed (ns/cycle, Mevals/s) for interp, the codegen plan
 //     (the native fallback), and native (pre-generated straight-line
@@ -28,9 +28,13 @@
 //     slice per job, the work core.CollectTraces does) per benchmark:
 //     plan jobs/s vs native jobs/s and their ratio,
 //  4. the wall-clock of warming the full (quick) experiment lab with
-//     the trace cache detached (skipped with -warm=false).
+//     the trace cache detached (skipped with -warm=false),
+//  5. per benchmark, the ground-truth simulators on native code: the
+//     pruned full design core.Train simulates against the timing cone
+//     every JobSimulator serves from (core.TimingCone) — ns/cycle,
+//     µs/job, combinational nodes and memories.
 //
-// -designs restricts sections 1 and 3 to a comma-separated subset of
+// -designs restricts sections 1, 3 and 5 to a comma-separated subset of
 // benchmarks (CI smoke runs use this). -engine sets the process-wide
 // default RTL engine, which section 4 picks up.
 package main
@@ -155,6 +159,27 @@ type PruneResult struct {
 	SliceCombPruned  int     `json:"slice_comb_pruned"`
 }
 
+// ConeResult compares one benchmark's two ground-truth simulators on
+// the native engine over the same jobs: the pruned full design and the
+// timing cone, whose ticks are equal by construction.
+type ConeResult struct {
+	Benchmark string `json:"benchmark"`
+	Jobs      int    `json:"jobs"`
+	// FullComb and ConeComb count combinational nodes (rtl.CombNodes);
+	// FullMems and ConeMems count memories, each zeroed on every Reset.
+	FullComb int `json:"full_comb"`
+	ConeComb int `json:"cone_comb"`
+	FullMems int `json:"full_mems"`
+	ConeMems int `json:"cone_mems"`
+	// NsPerCycle and UsPerJob time the same samples two ways.
+	FullNsPerCycle Dist `json:"full_ns_per_cycle"`
+	ConeNsPerCycle Dist `json:"cone_ns_per_cycle"`
+	FullUsPerJob   Dist `json:"full_us_per_job"`
+	ConeUsPerJob   Dist `json:"cone_us_per_job"`
+	// ConeVsFull is the full design's median µs/job over the cone's.
+	ConeVsFull float64 `json:"cone_vs_full"`
+}
+
 // Report is the BENCH_sim.json schema.
 type Report struct {
 	Generated       string             `json:"generated"`
@@ -166,6 +191,7 @@ type Report struct {
 	WorkerSweep     []TraceResult      `json:"worker_sweep"`
 	TraceThroughput []ThroughputResult `json:"trace_throughput"`
 	SuiteWallclockS *Dist              `json:"suite_wallclock_s,omitempty"`
+	Cone            []ConeResult       `json:"cone"`
 	// NativeFallbacks is rtl.NativeFallbacks at the end of the run:
 	// native requests that silently measured the plan fallback.
 	NativeFallbacks uint64 `json:"native_fallbacks"`
@@ -441,6 +467,14 @@ func run() error {
 		rep.SuiteWallclockS = &d
 		core.SetTraceCache(sweepCache)
 	}
+	// 5. Ground truth: pruned full design vs timing cone, native.
+	for _, spec := range specs {
+		cr, err := measureCone(spec)
+		if err != nil {
+			return err
+		}
+		rep.Cone = append(rep.Cone, cr)
+	}
 	rep.NativeFallbacks = rtl.NativeFallbacks()
 
 	data, err := json.MarshalIndent(&rep, "", "  ")
@@ -584,6 +618,83 @@ func measureTraceThroughput(spec accel.Spec) (ThroughputResult, error) {
 		PlanJobsPerS:   jps[0],
 		NativeJobsPerS: jps[1],
 		NativeVsPlan:   jps[1].Median / jps[0].Median,
+	}, nil
+}
+
+// measureCone times the pruned full design against the timing cone on
+// the native engine, each sample coneJobs jobs run back to back the way
+// the flows run them (accel.RunJob on the full design, accel.RunCone on
+// the cone, which loads only the memories it kept).
+func measureCone(spec accel.Spec) (ConeResult, error) {
+	ins, err := instrument.Instrument(spec.Build())
+	if err != nil {
+		return ConeResult{}, err
+	}
+	regs := make([]int, len(ins.Features))
+	for i, f := range ins.Features {
+		regs[i] = f.Witness
+	}
+	pm, _ := absint.Prune(ins.M, regs)
+	cone, err := core.TimingCone(ins)
+	if err != nil {
+		return ConeResult{}, err
+	}
+	const coneJobs = 8
+	jobs := spec.TestJobs(3)[:coneJobs]
+	runtime.GC()
+	full, cs := rtl.NewSimEngine(pm, rtl.EngineNative), rtl.NewSimEngine(cone.M, rtl.EngineNative)
+	runAll := func(run func(accel.Job) (uint64, error)) func() (uint64, error) {
+		return func() (uint64, error) {
+			var cycles uint64
+			for _, job := range jobs {
+				c, err := run(job)
+				if err != nil {
+					return 0, err
+				}
+				cycles += c
+			}
+			return cycles, nil
+		}
+	}
+	cells := []cell{
+		{engine: rtl.EngineNative, run: runAll(func(job accel.Job) (uint64, error) {
+			return accel.RunJob(full, job, spec.MaxTicks)
+		})},
+		{engine: rtl.EngineNative, run: runAll(func(job accel.Job) (uint64, error) {
+			return accel.RunCone(cs, ins.M, job, spec.MaxTicks)
+		})},
+	}
+	cycles, err := cells[0].run()
+	if err != nil {
+		return ConeResult{}, fmt.Errorf("%s: %w", spec.Name, err)
+	}
+	samples, err := sampleCells(cells)
+	if err != nil {
+		return ConeResult{}, fmt.Errorf("%s: %w", spec.Name, err)
+	}
+	// Both cells run the same jobs for the same cycles, so seconds per
+	// cycle converts exactly to µs per job.
+	var ns, us [2]Dist
+	for ci := range cells {
+		perJob := make([]float64, len(samples[ci]))
+		for i, secs := range samples[ci] {
+			perJob[i] = secs * float64(cycles) / coneJobs * 1e6
+			samples[ci][i] = secs * 1e9
+		}
+		ns[ci], us[ci] = newDist(samples[ci]), newDist(perJob)
+	}
+	return ConeResult{
+		Benchmark:      spec.Name,
+		Jobs:           coneJobs,
+		FullComb:       rtl.CombNodes(pm),
+		ConeComb:       rtl.CombNodes(cone.M),
+		FullMems:       len(pm.Mems),
+		ConeMems:       len(cone.M.Mems),
+		FullNsPerCycle: ns[0],
+		ConeNsPerCycle: ns[1],
+		FullUsPerJob:   us[0],
+		ConeUsPerJob:   us[1],
+		ConeVsFull:     us[0].Median / us[1].Median,
 	}, nil
 }
 

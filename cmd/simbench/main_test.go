@@ -27,6 +27,7 @@ func TestNewDist(t *testing.T) {
 // report's shape: every cell carries samplesPerCell samples, toy has no
 // native row (it has no generated simulator), the benchmark measures
 // all three engines (interp, plan, native) and native beats the plan,
+// the timing cone is smaller and faster than the pruned full design,
 // and nothing fell back.
 func TestReport(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "bench.json")
@@ -73,5 +74,18 @@ func TestReport(t *testing.T) {
 	if len(rep.WorkerSweep) == 0 || len(rep.TraceThroughput) != 1 || len(rep.Prune) != 1 || rep.SuiteWallclockS != nil {
 		t.Errorf("sections: %d sweep, %d throughput, %d prune, wall-clock %v",
 			len(rep.WorkerSweep), len(rep.TraceThroughput), len(rep.Prune), rep.SuiteWallclockS)
+	}
+	if len(rep.Cone) != 1 {
+		t.Fatalf("%d cone rows, want stencil's", len(rep.Cone))
+	}
+	c := rep.Cone[0]
+	for _, d := range []Dist{c.FullNsPerCycle, c.ConeNsPerCycle, c.FullUsPerJob, c.ConeUsPerJob} {
+		if d.K != samplesPerCell || d.Q1 > d.Median || d.Median > d.Q3 {
+			t.Errorf("cone row %+v", d)
+		}
+	}
+	if c.ConeComb >= c.FullComb || c.ConeMems >= c.FullMems || c.ConeVsFull <= 1 {
+		t.Errorf("cone: %d/%d comb nodes, %d/%d mems (cone/full), %gx faster",
+			c.ConeComb, c.FullComb, c.ConeMems, c.FullMems, c.ConeVsFull)
 	}
 }

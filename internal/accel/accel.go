@@ -98,3 +98,23 @@ func RunJob(s *rtl.Sim, job Job, maxTicks uint64) (uint64, error) {
 	}
 	return s.Run(maxTicks)
 }
+
+// RunCone is RunJob for a simulator of a slice of design that keeps its
+// timing (see core.TimingCone). Each job memory is checked against
+// design, so a job fails exactly when RunJob on design would fail, but
+// only the memories the slice kept are loaded.
+func RunCone(s *rtl.Sim, design *rtl.Module, job Job, maxTicks uint64) (uint64, error) {
+	s.Reset()
+	for name, data := range job.Mems { //detlint:allow each iteration checks or loads a distinct memory; order-independent
+		if err := design.CheckLoad(name, len(data)); err != nil {
+			return 0, fmt.Errorf("accel: load %s: %w", name, err)
+		}
+		if s.Mem(name) == nil {
+			continue // dropped: nothing the slice keeps reads it
+		}
+		if err := s.LoadMem(name, data); err != nil {
+			return 0, fmt.Errorf("accel: load %s: %w", name, err)
+		}
+	}
+	return s.Run(maxTicks)
+}

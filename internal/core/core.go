@@ -32,8 +32,9 @@ import (
 
 	// Register the pre-generated native simulators for the benchmark
 	// suite: with this import, the native default engine resolves suite
-	// netlists (full designs, pruned twins, predictor slices) to
-	// specialized straight-line code in every flow built on core.
+	// netlists (full designs, pruned twins, timing cones, predictor
+	// slices) to specialized straight-line code in every flow built on
+	// core.
 	_ "repro/internal/rtl/native"
 
 	"repro/internal/slice"
@@ -60,8 +61,8 @@ type Options struct {
 type Predictor struct {
 	// Spec is the accelerator this predictor was trained for.
 	Spec accel.Spec
-	// Ins is the instrumented full design (used for evaluation and for
-	// collecting ground truth).
+	// Ins is the instrumented full design: the source of the feature
+	// catalog, the hardware slice and the timing cone.
 	Ins *instrument.Instrumented
 	// Model maps full feature vectors to execution seconds at nominal
 	// frequency.
@@ -78,17 +79,21 @@ type Predictor struct {
 	// Bounds is the static cycles-to-done interval of the full
 	// instrumented design, from abstract interpretation. Predictions are
 	// clamped into it (a prediction outside the provable interval is
-	// physically impossible), and every observed full-design run is
-	// checked against it — an out-of-bounds trace means an engine or
-	// analysis bug, and hard-errors. The zero value (Min 0, unbounded
-	// Max) disables both, so hand-built predictors stay valid.
+	// physically impossible), and every observed ground-truth run (the
+	// timing cone's, whose ticks equal the full design's) is checked
+	// against it — an out-of-bounds trace means an engine or analysis
+	// bug, and hard-errors. The zero value (Min 0, unbounded Max)
+	// disables both, so hand-built predictors stay valid.
 	Bounds absint.CycleBounds
 	// SliceBounds is the same interval for the hardware slice; observed
 	// slice runs are checked against it.
 	SliceBounds absint.CycleBounds
 
-	fullSim  *rtl.Sim
-	sliceSim *rtl.Sim
+	// coneSim runs the timing cone (see TimingCone), the ground-truth
+	// simulator; coneItems are its IC witness registers.
+	coneSim   *rtl.Sim
+	coneItems []int
+	sliceSim  *rtl.Sim
 
 	// boundClamps counts predictions pulled into Bounds (see
 	// PredFromSliceOrFloor); exposed in serving metrics.
@@ -99,12 +104,6 @@ type Predictor struct {
 	// refit. An atomic pointer so the serving hot path never takes a
 	// lock and a swap is one word store (see SwapModel).
 	live atomic.Pointer[liveModel]
-
-	// fullFeatRegs maps each feature index to its witness register
-	// index in the module fullSim runs: the instrumented design, or its
-	// absint-pruned twin when pruning is enabled (see SetPruning). Nil
-	// means the instrumented design's own witness registers.
-	fullFeatRegs []int
 }
 
 // Train runs the full offline flow of Figure 6 for one accelerator.
@@ -233,22 +232,30 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", spec.Name, err)
 	}
-
 	pred := &Predictor{
-		Spec:         spec,
-		Ins:          ins,
-		Model:        p,
-		Gamma:        gamma,
-		Kept:         kept,
-		Slice:        sl,
-		TrainErr:     model.Evaluate(p, X, y),
-		Bounds:       bounds,
-		SliceBounds:  absint.Bounds(sl.M),
-		fullSim:      sim,
-		sliceSim:     rtl.NewSim(sl.M),
-		fullFeatRegs: featRegs,
+		Spec:        spec,
+		Ins:         ins,
+		Model:       p,
+		Gamma:       gamma,
+		Kept:        kept,
+		Slice:       sl,
+		TrainErr:    model.Evaluate(p, X, y),
+		Bounds:      bounds,
+		SliceBounds: absint.Bounds(sl.M),
 	}
-	return pred, nil
+	return pred.withSims()
+}
+
+// withSims binds the predictor's simulators: the hardware slice and
+// the timing cone its JobSimulators run for ground truth.
+func (p *Predictor) withSims() (*Predictor, error) {
+	cone, err := TimingCone(p.Ins)
+	if err != nil {
+		return nil, err
+	}
+	p.coneSim, p.coneItems = rtl.NewSim(cone.M), itemRegs(p.Ins, cone)
+	p.sliceSim = rtl.NewSim(p.Slice.M)
+	return p, nil
 }
 
 // liveModel pairs a hot-swapped β with its monotonically increasing
@@ -335,6 +342,11 @@ func predictSlice(m *model.Predictor, kept []int, sliceFeats []float64) float64 
 // Controllers and experiments replay traces: cycle counts are
 // frequency-independent (T = C/f, §3.6), so each job's RTL simulation
 // runs once no matter how many schemes and deadlines are evaluated.
+//
+// The ground truth (Ticks, Seconds, Cycles, Items) is simulated on the
+// timing cone (see TimingCone), not the full design. It is exact: the
+// cone keeps everything done and the IC witnesses depend on, with no
+// wait elided, so done fires on the full design's cycle.
 type JobTrace struct {
 	// Ticks and Seconds are the full design's execution at nominal.
 	Ticks   uint64
@@ -351,44 +363,50 @@ type JobTrace struct {
 	// invariant.
 	SliceFeatures []float64
 	// Items is the job's work-item count, read as the largest counter
-	// initialization count (IC) across all instrumented features — the
-	// number of iterations any feature-computing loop must make. Used
-	// by the HLS slicing extension's cost model (§4.5).
+	// initialization count (IC) across all instrumented features (the
+	// cone's IC witnesses) — the number of iterations any
+	// feature-computing loop must make. Used by the HLS slicing
+	// extension's cost model (§4.5).
 	Items float64
 	// Class is the job's coarse parameter (for table-based control).
 	Class string
 }
 
 // JobSimulator owns private simulator clones and turns individual jobs
-// into JobTraces — the per-job, online analogue of CollectTraces. A
-// JobSimulator is NOT safe for concurrent use; each goroutine (worker,
-// serving shard) creates its own, which is cheap because the step
-// functions and ROM images are shared read-only through Clone.
+// into JobTraces — the per-job, online analogue of CollectTraces. Its
+// ground truth comes from the timing cone (see TimingCone), whose done
+// cycle and IC witnesses equal the full design's because nothing they
+// depend on is cut. A JobSimulator is NOT safe for concurrent use; each
+// goroutine (worker, serving shard) creates its own, which is cheap
+// because the step functions and ROM images are shared read-only
+// through Clone.
 type JobSimulator struct {
 	p           *Predictor
-	full, slice *rtl.Sim
+	cone, slice *rtl.Sim
 }
 
 // NewJobSimulator returns a simulator bound to this predictor with
-// private clones of the instrumented design and the slice.
+// private clones of the timing cone and the slice.
 func (p *Predictor) NewJobSimulator() *JobSimulator {
-	return &JobSimulator{p: p, full: p.fullSim.Clone(), slice: p.sliceSim.Clone()}
+	return &JobSimulator{p: p, cone: p.coneSim.Clone(), slice: p.sliceSim.Clone()}
 }
 
 // Engines reports the engines actually executing the predictor's
-// hardware slice and full design. Under the native default, a netlist
-// without a registered generated step reports the plan fallback.
+// hardware slice and its full-design ground truth, the timing cone.
+// Under the native default, a netlist without a registered generated
+// step reports the plan fallback.
 func (p *Predictor) Engines() (slice, full rtl.Engine) {
-	return p.sliceSim.Engine(), p.fullSim.Engine()
+	return p.sliceSim.Engine(), p.coneSim.Engine()
 }
 
 // Engines reports the engines actually executing this simulator's
-// slice — the latency-critical simulator on the serving path — and
-// full design. When the default engine is native but a netlist has no
-// registered generated step, it reports the plan fallback, making
-// a silently stale registry observable (see rtl.NativeFallbacks).
+// slice — the latency-critical simulator on the serving path — and its
+// full-design ground truth, the timing cone (exact: see TimingCone).
+// When the default engine is native but a netlist has no registered
+// generated step, it reports the plan fallback, making a silently
+// stale registry observable (see rtl.NativeFallbacks).
 func (js *JobSimulator) Engines() (slice, full rtl.Engine) {
-	return js.slice.Engine(), js.full.Engine()
+	return js.slice.Engine(), js.cone.Engine()
 }
 
 // Prediction is the slice half of a JobTrace: what the runtime loop
@@ -422,20 +440,17 @@ func (js *JobSimulator) Predict(job accel.Job) (Prediction, error) {
 	return Prediction{SliceTicks: ticks, Features: feats, Seconds: p.PredFromSliceOrFloor(feats)}, nil
 }
 
-// Complete runs one job on the instrumented full design and joins the
-// ground truth with the job's earlier Prediction into its JobTrace.
+// Complete runs one job on the timing cone and joins the ground truth
+// with the job's earlier Prediction into its JobTrace.
 func (js *JobSimulator) Complete(job accel.Job, pr Prediction) (JobTrace, error) {
-	ticks, err := js.runFull(job)
+	ticks, err := js.runCone(job)
 	if err != nil {
 		return JobTrace{}, err
 	}
 	p := js.p
-	fullFeats := p.readFullFeatures(js.full)
 	var items float64
-	for fi, f := range p.Ins.Features {
-		if f.Kind == instrument.IC && fullFeats[fi] > items {
-			items = fullFeats[fi]
-		}
+	for _, ri := range p.coneItems {
+		items = max(items, float64(js.cone.RegValue(ri)))
 	}
 	return JobTrace{
 		Items:         items,
@@ -450,10 +465,9 @@ func (js *JobSimulator) Complete(job accel.Job, pr Prediction) (JobTrace, error)
 	}, nil
 }
 
-// Trace runs one job on the hardware slice and then the instrumented
-// full design, returning its complete trace (the slice-driven
-// prediction plus ground-truth cycles). It is Predict followed by
-// Complete.
+// Trace runs one job on the hardware slice and then the timing cone,
+// returning its complete trace (the slice-driven prediction plus
+// ground-truth cycles). It is Predict followed by Complete.
 func (js *JobSimulator) Trace(job accel.Job) (JobTrace, error) {
 	pr, err := js.Predict(job)
 	if err != nil {
@@ -462,28 +476,16 @@ func (js *JobSimulator) Trace(job accel.Job) (JobTrace, error) {
 	return js.Complete(job, pr)
 }
 
-// readFullFeatures extracts the witness values from a full-design
-// simulator in catalog order, going through the pruned register remap
-// when the predictor simulates the pruned twin.
-func (p *Predictor) readFullFeatures(s *rtl.Sim) []float64 {
-	if p.fullFeatRegs == nil {
-		return p.Ins.ReadFeatures(s)
-	}
-	out := make([]float64, len(p.fullFeatRegs))
-	for i, ri := range p.fullFeatRegs {
-		out[i] = float64(s.RegValue(ri))
-	}
-	return out
-}
-
-// runFull runs one job on the full design and checks the observed
-// tick count against the static bounds: a run escaping the provable
-// interval can only mean a simulation-engine or analysis bug, never a
-// legitimate sample.
-func (js *JobSimulator) runFull(job accel.Job) (uint64, error) {
+// runCone runs one job on the timing cone and checks the observed tick
+// count against the full design's static bounds, which hold for the
+// cone because its ticks are the full design's: a run escaping the
+// provable interval can only mean a simulation-engine or analysis bug,
+// never a legitimate sample. Job memories are checked against the
+// instrumented design (see accel.RunCone).
+func (js *JobSimulator) runCone(job accel.Job) (uint64, error) {
 	simJobs.Add(1)
 	p := js.p
-	ticks, err := accel.RunJob(js.full, job, p.Spec.MaxTicks)
+	ticks, err := accel.RunCone(js.cone, p.Ins.M, job, p.Spec.MaxTicks)
 	if err != nil {
 		return 0, fmt.Errorf("core: %s job: %w", p.Spec.Name, err)
 	}
@@ -494,12 +496,13 @@ func (js *JobSimulator) runFull(job accel.Job) (uint64, error) {
 	return ticks, nil
 }
 
-// Execute runs one job on the full design only, skipping the slice and
-// the prediction — the serving layer's degraded path, where the job
-// runs at maximum frequency and the predictor is bypassed entirely.
-// Prediction fields are zero.
+// Execute runs one job on the timing cone only (the full design's
+// exact done cycle, see TimingCone), skipping the slice and the
+// prediction — the serving layer's degraded path, where the job runs at
+// maximum frequency and the predictor is bypassed entirely. Prediction
+// fields and Items are zero.
 func (js *JobSimulator) Execute(job accel.Job) (JobTrace, error) {
-	ticks, err := js.runFull(job)
+	ticks, err := js.runCone(job)
 	if err != nil {
 		return JobTrace{}, err
 	}
@@ -512,8 +515,8 @@ func (js *JobSimulator) Execute(job accel.Job) (JobTrace, error) {
 	}, nil
 }
 
-// CollectTraces runs each job on both the instrumented design and the
-// slice, returning per-job traces. When a persistent cache is
+// CollectTraces runs each job on both the timing cone and the slice,
+// returning per-job traces. When a persistent cache is
 // installed (SetTraceCache) the whole trace set is served from disk if
 // the netlists, model, spec constants, and workload bytes all match a
 // previous run. On a miss, jobs fan out across worker goroutines (see

@@ -8,7 +8,6 @@ import (
 	"repro/internal/accel"
 	"repro/internal/instrument"
 	"repro/internal/model"
-	"repro/internal/rtl"
 	"repro/internal/slice"
 )
 
@@ -57,8 +56,8 @@ func (p *Predictor) Save() ([]byte, error) {
 
 // Load rebuilds a predictor from a saved model and the accelerator
 // spec: the netlist is rebuilt and re-instrumented, coefficients are
-// re-bound by feature name, and the hardware slice is regenerated for
-// the model's features.
+// re-bound by feature name, the hardware slice is regenerated for the
+// model's features, and the timing cone is rebuilt.
 func Load(data []byte, spec accel.Spec) (*Predictor, error) {
 	var sp SavedPredictor
 	if err := json.Unmarshal(data, &sp); err != nil {
@@ -101,21 +100,15 @@ func Load(data []byte, spec accel.Spec) (*Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	fullM, featRegs, err := bindFull(ins)
-	if err != nil {
-		return nil, err
+	pred := &Predictor{
+		Spec:        spec,
+		Ins:         ins,
+		Model:       m,
+		Gamma:       sp.Gamma,
+		Kept:        kept,
+		Slice:       sl,
+		Bounds:      absint.Bounds(ins.M),
+		SliceBounds: absint.Bounds(sl.M),
 	}
-	return &Predictor{
-		Spec:         spec,
-		Ins:          ins,
-		Model:        m,
-		Gamma:        sp.Gamma,
-		Kept:         kept,
-		Slice:        sl,
-		Bounds:       absint.Bounds(ins.M),
-		SliceBounds:  absint.Bounds(sl.M),
-		fullSim:      rtl.NewSim(fullM),
-		sliceSim:     rtl.NewSim(sl.M),
-		fullFeatRegs: featRegs,
-	}, nil
+	return pred.withSims()
 }

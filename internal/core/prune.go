@@ -35,10 +35,12 @@ func SetPruning(on bool) { pruneDisabled.Store(!on) }
 // PruningEnabled reports whether newly trained predictors prune.
 func PruningEnabled() bool { return !pruneDisabled.Load() }
 
-// bindFull selects the module the full-design simulators run — the
-// instrumented design itself, or its absint-pruned twin when pruning is
-// enabled — and returns it with the feature-witness register indices in
-// that module (catalog order).
+// bindFull selects the full-design module Train simulates for its
+// feature matrix — the instrumented design itself, or its absint-pruned
+// twin when pruning is enabled — and returns it with the
+// feature-witness register indices in that module (catalog order).
+// Serving and trace collection run the timing cone instead (see
+// TimingCone), which needs only the IC witnesses.
 func bindFull(ins *instrument.Instrumented) (*rtl.Module, []int, error) {
 	featRegs := make([]int, len(ins.Features))
 	for i, f := range ins.Features {

@@ -255,6 +255,24 @@ func (m *Module) MemByName(name string) *Mem {
 	return nil
 }
 
+// CheckLoad reports why words of job data cannot be loaded into the
+// named memory, or nil if they can: the checks Sim.LoadMem makes before
+// it copies. A caller simulating a slice of m uses it to reject a job
+// exactly when a simulator of m would, even for memories the slice
+// dropped.
+func (m *Module) CheckLoad(name string, words int) error {
+	mem := m.MemByName(name)
+	switch {
+	case mem == nil:
+		return fmt.Errorf("rtl: module %s has no memory %q", m.Name, name)
+	case mem.ROM:
+		return fmt.Errorf("rtl: memory %q is a ROM", name)
+	case words > mem.Words:
+		return fmt.Errorf("rtl: %d words exceed memory %q size %d", words, name, mem.Words)
+	}
+	return nil
+}
+
 // invalidateCaches drops lazily built lookup tables after a mutation.
 func (m *Module) invalidateCaches() { m.regOf = nil }
 

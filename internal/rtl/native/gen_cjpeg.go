@@ -6992,6 +6992,972 @@ loop:
 	return cycles + 1, done
 }
 
+func step_cjpeg_cone(vals []uint64, mems [][]uint64, limit uint64) (uint64, bool) {
+	_ = vals[60]
+	m0 := mems[0]
+	v0 := vals[0]
+	v7 := vals[7]
+	v15 := vals[15]
+	v23 := vals[23]
+	v53 := vals[53]
+	v57 := vals[57]
+	var cycles uint64
+loop:
+	for ; cycles+1 < limit; cycles++ {
+		switch v0 {
+		case 0x0:
+			var v42 uint64
+			if v15 != 0x0 {
+				v42 = 1
+			}
+			v44 := (v15 - 0x1) & 0x7f
+			var v45 uint64
+			if v42 != 0 {
+				v45 = v44
+			} else {
+				v45 = v15
+			}
+			var v48 uint64
+			if v7 != 0x0 {
+				v48 = 1
+			}
+			v50 := (v7 - 0x1) & 0xf
+			var v51 uint64
+			if v48 != 0 {
+				v51 = v50
+			} else {
+				v51 = v7
+			}
+			v35 := v23
+			v46 := v45
+			v52 := v51
+			v56 := v53
+			v59 := v57
+			n1 := v35
+			n2 := v46
+			n3 := v52
+			n4 := v56
+			n5 := v59
+			v0 = 0x1
+			v23 = n1
+			v15 = n2
+			v7 = n3
+			v53 = n4
+			v57 = n5
+		case 0x1:
+			var v42 uint64
+			if v15 != 0x0 {
+				v42 = 1
+			}
+			v44 := (v15 - 0x1) & 0x7f
+			var v45 uint64
+			if v42 != 0 {
+				v45 = v44
+			} else {
+				v45 = v15
+			}
+			v58 := (v57 + 0x1) & 0xffffff
+			v35 := v23
+			v46 := v45
+			v56 := v53
+			v59 := v58
+			n1 := v35
+			n2 := v46
+			n4 := v56
+			n5 := v59
+			v0 = 0x2
+			v23 = n1
+			v15 = n2
+			v7 = 0xc
+			v53 = n4
+			v57 = n5
+		case 0x2:
+			var v9 uint64
+			if v7 == 0x0 {
+				v9 = 1
+			}
+			var v42 uint64
+			if v15 != 0x0 {
+				v42 = 1
+			}
+			v44 := (v15 - 0x1) & 0x7f
+			var v45 uint64
+			if v42 != 0 {
+				v45 = v44
+			} else {
+				v45 = v15
+			}
+			var v48 uint64
+			if v7 != 0x0 {
+				v48 = 1
+			}
+			v50 := (v7 - 0x1) & 0xf
+			var v51 uint64
+			if v48 != 0 {
+				v51 = v50
+			} else {
+				v51 = v7
+			}
+			var v11 uint64
+			if v9 != 0 {
+				v11 = 0x3
+			} else {
+				v11 = 0x2
+			}
+			v30 := v11
+			v31 := v30
+			v32 := v31
+			v35 := v23
+			v46 := v45
+			v52 := v51
+			v56 := v53
+			v59 := v57
+			n0 := v32
+			n1 := v35
+			n2 := v46
+			n3 := v52
+			n4 := v56
+			n5 := v59
+			v0 = n0
+			v23 = n1
+			v15 = n2
+			v7 = n3
+			v53 = n4
+			v57 = n5
+		case 0x3:
+			var v36 uint64
+			if addr := uint64(v23); addr < uint64(len(m0)) {
+				v36 = m0[addr] & 0x3fffff
+			}
+			v38 := v36 & 0x3f
+			v39 := v38
+			v41 := (v39 + 0x3) & 0x7f
+			var v48 uint64
+			if v7 != 0x0 {
+				v48 = 1
+			}
+			v50 := (v7 - 0x1) & 0xf
+			var v51 uint64
+			if v48 != 0 {
+				v51 = v50
+			} else {
+				v51 = v7
+			}
+			v55 := (v53 + 0x1) & 0xffffff
+			v35 := v23
+			v46 := v41
+			v52 := v51
+			v56 := v55
+			v59 := v57
+			n1 := v35
+			n2 := v46
+			n3 := v52
+			n4 := v56
+			n5 := v59
+			v0 = 0x4
+			v23 = n1
+			v15 = n2
+			v7 = n3
+			v53 = n4
+			v57 = n5
+		case 0x4:
+			var v17 uint64
+			if v15 == 0x0 {
+				v17 = 1
+			}
+			var v42 uint64
+			if v15 != 0x0 {
+				v42 = 1
+			}
+			v44 := (v15 - 0x1) & 0x7f
+			var v45 uint64
+			if v42 != 0 {
+				v45 = v44
+			} else {
+				v45 = v15
+			}
+			var v48 uint64
+			if v7 != 0x0 {
+				v48 = 1
+			}
+			v50 := (v7 - 0x1) & 0xf
+			var v51 uint64
+			if v48 != 0 {
+				v51 = v50
+			} else {
+				v51 = v7
+			}
+			var v19 uint64
+			if v17 != 0 {
+				v19 = 0x5
+			} else {
+				v19 = 0x4
+			}
+			v28 := v19
+			v29 := v28
+			v30 := v29
+			v31 := v30
+			v32 := v31
+			v35 := v23
+			v46 := v45
+			v52 := v51
+			v56 := v53
+			v59 := v57
+			n0 := v32
+			n1 := v35
+			n2 := v46
+			n3 := v52
+			n4 := v56
+			n5 := v59
+			v0 = n0
+			v23 = n1
+			v15 = n2
+			v7 = n3
+			v53 = n4
+			v57 = n5
+		case 0x5:
+			var v22 uint64
+			if addr := uint64(0x0); addr < uint64(len(m0)) {
+				v22 = m0[addr] & 0x7ff
+			}
+			var v24 uint64
+			if v22 <= v23 {
+				v24 = 1
+			}
+			var v26 uint64
+			if v24 != 0 {
+				v26 = 0x6
+			} else {
+				v26 = 0x1
+			}
+			v34 := (v23 + 0x1) & 0x7ff
+			var v42 uint64
+			if v15 != 0x0 {
+				v42 = 1
+			}
+			v44 := (v15 - 0x1) & 0x7f
+			var v45 uint64
+			if v42 != 0 {
+				v45 = v44
+			} else {
+				v45 = v15
+			}
+			var v48 uint64
+			if v7 != 0x0 {
+				v48 = 1
+			}
+			v50 := (v7 - 0x1) & 0xf
+			var v51 uint64
+			if v48 != 0 {
+				v51 = v50
+			} else {
+				v51 = v7
+			}
+			v27 := v26
+			v28 := v27
+			v29 := v28
+			v30 := v29
+			v31 := v30
+			v32 := v31
+			v35 := v34
+			v46 := v45
+			v52 := v51
+			v56 := v53
+			v59 := v57
+			n0 := v32
+			n1 := v35
+			n2 := v46
+			n3 := v52
+			n4 := v56
+			n5 := v59
+			v0 = n0
+			v23 = n1
+			v15 = n2
+			v7 = n3
+			v53 = n4
+			v57 = n5
+		case 0x6:
+			break loop
+		default:
+			var v9 uint64
+			if v7 == 0x0 {
+				v9 = 1
+			}
+			var v17 uint64
+			if v15 == 0x0 {
+				v17 = 1
+			}
+			var v22 uint64
+			if addr := uint64(0x0); addr < uint64(len(m0)) {
+				v22 = m0[addr] & 0x7ff
+			}
+			var v24 uint64
+			if v22 <= v23 {
+				v24 = 1
+			}
+			var v26 uint64
+			if v24 != 0 {
+				v26 = 0x6
+			} else {
+				v26 = 0x1
+			}
+			v34 := (v23 + 0x1) & 0x7ff
+			var v36 uint64
+			if addr := uint64(v23); addr < uint64(len(m0)) {
+				v36 = m0[addr] & 0x3fffff
+			}
+			v38 := v36 & 0x3f
+			v39 := v38
+			v41 := (v39 + 0x3) & 0x7f
+			var v42 uint64
+			if v15 != 0x0 {
+				v42 = 1
+			}
+			v44 := (v15 - 0x1) & 0x7f
+			var v45 uint64
+			if v42 != 0 {
+				v45 = v44
+			} else {
+				v45 = v15
+			}
+			var v48 uint64
+			if v7 != 0x0 {
+				v48 = 1
+			}
+			v50 := (v7 - 0x1) & 0xf
+			var v51 uint64
+			if v48 != 0 {
+				v51 = v50
+			} else {
+				v51 = v7
+			}
+			v55 := (v53 + 0x1) & 0xffffff
+			v58 := (v57 + 0x1) & 0xffffff
+			var v2 uint64
+			if v0 == 0x0 {
+				v2 = 1
+			}
+			var v4 uint64
+			if v0 == 0x1 {
+				v4 = 1
+			}
+			var v6 uint64
+			if v0 == 0x2 {
+				v6 = 1
+			}
+			var v11 uint64
+			if v9 != 0 {
+				v11 = 0x3
+			} else {
+				v11 = v0
+			}
+			var v12 uint64
+			if v0 == 0x3 {
+				v12 = 1
+			}
+			var v14 uint64
+			if v0 == 0x4 {
+				v14 = 1
+			}
+			var v19 uint64
+			if v17 != 0 {
+				v19 = 0x5
+			} else {
+				v19 = v0
+			}
+			var v20 uint64
+			if v0 == 0x5 {
+				v20 = 1
+			}
+			var v27 uint64
+			if v20 != 0 {
+				v27 = v26
+			} else {
+				v27 = v0
+			}
+			var v28 uint64
+			if v14 != 0 {
+				v28 = v19
+			} else {
+				v28 = v27
+			}
+			var v29 uint64
+			if v12 != 0 {
+				v29 = 0x4
+			} else {
+				v29 = v28
+			}
+			var v30 uint64
+			if v6 != 0 {
+				v30 = v11
+			} else {
+				v30 = v29
+			}
+			var v31 uint64
+			if v4 != 0 {
+				v31 = 0x2
+			} else {
+				v31 = v30
+			}
+			var v32 uint64
+			if v2 != 0 {
+				v32 = 0x1
+			} else {
+				v32 = v31
+			}
+			var v35 uint64
+			if v20 != 0 {
+				v35 = v34
+			} else {
+				v35 = v23
+			}
+			var v46 uint64
+			if v12 != 0 {
+				v46 = v41
+			} else {
+				v46 = v45
+			}
+			var v52 uint64
+			if v4 != 0 {
+				v52 = 0xc
+			} else {
+				v52 = v51
+			}
+			var v56 uint64
+			if v12 != 0 {
+				v56 = v55
+			} else {
+				v56 = v53
+			}
+			var v59 uint64
+			if v4 != 0 {
+				v59 = v58
+			} else {
+				v59 = v57
+			}
+			var v60 uint64
+			if v0 == 0x6 {
+				v60 = 1
+			}
+			if v60 != 0 {
+				break loop
+			}
+			n0 := v32
+			n1 := v35
+			n2 := v46
+			n3 := v52
+			n4 := v56
+			n5 := v59
+			v0 = n0
+			v23 = n1
+			v15 = n2
+			v7 = n3
+			v53 = n4
+			v57 = n5
+		}
+	}
+	vals[0] = v0
+	vals[23] = v23
+	vals[15] = v15
+	vals[7] = v7
+	vals[53] = v53
+	vals[57] = v57
+	var v9 uint64
+	if v7 == 0x0 {
+		v9 = 1
+	}
+	vals[9] = v9
+	var v17 uint64
+	if v15 == 0x0 {
+		v17 = 1
+	}
+	vals[17] = v17
+	var v22 uint64
+	if addr := uint64(0x0); addr < uint64(len(m0)) {
+		v22 = m0[addr] & 0x7ff
+	}
+	vals[22] = v22
+	var v24 uint64
+	if v22 <= v23 {
+		v24 = 1
+	}
+	vals[24] = v24
+	var v26 uint64
+	if v24 != 0 {
+		v26 = 0x6
+	} else {
+		v26 = 0x1
+	}
+	vals[26] = v26
+	v34 := (v23 + 0x1) & 0x7ff
+	vals[34] = v34
+	var v36 uint64
+	if addr := uint64(v23); addr < uint64(len(m0)) {
+		v36 = m0[addr] & 0x3fffff
+	}
+	vals[36] = v36
+	v38 := v36 & 0x3f
+	vals[38] = v38
+	v39 := v38
+	vals[39] = v39
+	v41 := (v39 + 0x3) & 0x7f
+	vals[41] = v41
+	var v42 uint64
+	if v15 != 0x0 {
+		v42 = 1
+	}
+	vals[42] = v42
+	v44 := (v15 - 0x1) & 0x7f
+	vals[44] = v44
+	var v45 uint64
+	if v42 != 0 {
+		v45 = v44
+	} else {
+		v45 = v15
+	}
+	vals[45] = v45
+	var v48 uint64
+	if v7 != 0x0 {
+		v48 = 1
+	}
+	vals[48] = v48
+	v50 := (v7 - 0x1) & 0xf
+	vals[50] = v50
+	var v51 uint64
+	if v48 != 0 {
+		v51 = v50
+	} else {
+		v51 = v7
+	}
+	vals[51] = v51
+	v55 := (v53 + 0x1) & 0xffffff
+	vals[55] = v55
+	v58 := (v57 + 0x1) & 0xffffff
+	vals[58] = v58
+	switch v0 {
+	case 0x0:
+		vals[2] = 0x1
+		vals[4] = 0x0
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x0
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		vals[14] = 0x0
+		var v19 uint64
+		if v17 != 0 {
+			v19 = 0x5
+		} else {
+			v19 = 0x0
+		}
+		vals[19] = v19
+		vals[20] = 0x0
+		vals[27] = 0x0
+		vals[28] = 0x0
+		vals[29] = 0x0
+		vals[30] = 0x0
+		vals[31] = 0x0
+		vals[32] = 0x1
+		v35 := v23
+		vals[35] = v35
+		v46 := v45
+		vals[46] = v46
+		v52 := v51
+		vals[52] = v52
+		v56 := v53
+		vals[56] = v56
+		v59 := v57
+		vals[59] = v59
+		vals[60] = 0x0
+	case 0x1:
+		vals[2] = 0x0
+		vals[4] = 0x1
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x1
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		vals[14] = 0x0
+		var v19 uint64
+		if v17 != 0 {
+			v19 = 0x5
+		} else {
+			v19 = 0x1
+		}
+		vals[19] = v19
+		vals[20] = 0x0
+		vals[27] = 0x1
+		vals[28] = 0x1
+		vals[29] = 0x1
+		vals[30] = 0x1
+		vals[31] = 0x2
+		vals[32] = 0x2
+		v35 := v23
+		vals[35] = v35
+		v46 := v45
+		vals[46] = v46
+		vals[52] = 0xc
+		v56 := v53
+		vals[56] = v56
+		v59 := v58
+		vals[59] = v59
+		vals[60] = 0x0
+	case 0x2:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		vals[6] = 0x1
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x2
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		vals[14] = 0x0
+		var v19 uint64
+		if v17 != 0 {
+			v19 = 0x5
+		} else {
+			v19 = 0x2
+		}
+		vals[19] = v19
+		vals[20] = 0x0
+		vals[27] = 0x2
+		vals[28] = 0x2
+		vals[29] = 0x2
+		v30 := v11
+		vals[30] = v30
+		v31 := v30
+		vals[31] = v31
+		v32 := v31
+		vals[32] = v32
+		v35 := v23
+		vals[35] = v35
+		v46 := v45
+		vals[46] = v46
+		v52 := v51
+		vals[52] = v52
+		v56 := v53
+		vals[56] = v56
+		v59 := v57
+		vals[59] = v59
+		vals[60] = 0x0
+	case 0x3:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x3
+		}
+		vals[11] = v11
+		vals[12] = 0x1
+		vals[14] = 0x0
+		var v19 uint64
+		if v17 != 0 {
+			v19 = 0x5
+		} else {
+			v19 = 0x3
+		}
+		vals[19] = v19
+		vals[20] = 0x0
+		vals[27] = 0x3
+		vals[28] = 0x3
+		vals[29] = 0x4
+		vals[30] = 0x4
+		vals[31] = 0x4
+		vals[32] = 0x4
+		v35 := v23
+		vals[35] = v35
+		v46 := v41
+		vals[46] = v46
+		v52 := v51
+		vals[52] = v52
+		v56 := v55
+		vals[56] = v56
+		v59 := v57
+		vals[59] = v59
+		vals[60] = 0x0
+	case 0x4:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x4
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		vals[14] = 0x1
+		var v19 uint64
+		if v17 != 0 {
+			v19 = 0x5
+		} else {
+			v19 = 0x4
+		}
+		vals[19] = v19
+		vals[20] = 0x0
+		vals[27] = 0x4
+		v28 := v19
+		vals[28] = v28
+		v29 := v28
+		vals[29] = v29
+		v30 := v29
+		vals[30] = v30
+		v31 := v30
+		vals[31] = v31
+		v32 := v31
+		vals[32] = v32
+		v35 := v23
+		vals[35] = v35
+		v46 := v45
+		vals[46] = v46
+		v52 := v51
+		vals[52] = v52
+		v56 := v53
+		vals[56] = v56
+		v59 := v57
+		vals[59] = v59
+		vals[60] = 0x0
+	case 0x5:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x5
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		vals[14] = 0x0
+		var v19 uint64
+		if v17 != 0 {
+			v19 = 0x5
+		} else {
+			v19 = 0x5
+		}
+		vals[19] = v19
+		vals[20] = 0x1
+		v27 := v26
+		vals[27] = v27
+		v28 := v27
+		vals[28] = v28
+		v29 := v28
+		vals[29] = v29
+		v30 := v29
+		vals[30] = v30
+		v31 := v30
+		vals[31] = v31
+		v32 := v31
+		vals[32] = v32
+		v35 := v34
+		vals[35] = v35
+		v46 := v45
+		vals[46] = v46
+		v52 := v51
+		vals[52] = v52
+		v56 := v53
+		vals[56] = v56
+		v59 := v57
+		vals[59] = v59
+		vals[60] = 0x0
+	case 0x6:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x6
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		vals[14] = 0x0
+		var v19 uint64
+		if v17 != 0 {
+			v19 = 0x5
+		} else {
+			v19 = 0x6
+		}
+		vals[19] = v19
+		vals[20] = 0x0
+		vals[27] = 0x6
+		vals[28] = 0x6
+		vals[29] = 0x6
+		vals[30] = 0x6
+		vals[31] = 0x6
+		vals[32] = 0x6
+		v35 := v23
+		vals[35] = v35
+		v46 := v45
+		vals[46] = v46
+		v52 := v51
+		vals[52] = v52
+		v56 := v53
+		vals[56] = v56
+		v59 := v57
+		vals[59] = v59
+		vals[60] = 0x1
+	default:
+		var v2 uint64
+		if v0 == 0x0 {
+			v2 = 1
+		}
+		vals[2] = v2
+		var v4 uint64
+		if v0 == 0x1 {
+			v4 = 1
+		}
+		vals[4] = v4
+		var v6 uint64
+		if v0 == 0x2 {
+			v6 = 1
+		}
+		vals[6] = v6
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = v0
+		}
+		vals[11] = v11
+		var v12 uint64
+		if v0 == 0x3 {
+			v12 = 1
+		}
+		vals[12] = v12
+		var v14 uint64
+		if v0 == 0x4 {
+			v14 = 1
+		}
+		vals[14] = v14
+		var v19 uint64
+		if v17 != 0 {
+			v19 = 0x5
+		} else {
+			v19 = v0
+		}
+		vals[19] = v19
+		var v20 uint64
+		if v0 == 0x5 {
+			v20 = 1
+		}
+		vals[20] = v20
+		var v27 uint64
+		if v20 != 0 {
+			v27 = v26
+		} else {
+			v27 = v0
+		}
+		vals[27] = v27
+		var v28 uint64
+		if v14 != 0 {
+			v28 = v19
+		} else {
+			v28 = v27
+		}
+		vals[28] = v28
+		var v29 uint64
+		if v12 != 0 {
+			v29 = 0x4
+		} else {
+			v29 = v28
+		}
+		vals[29] = v29
+		var v30 uint64
+		if v6 != 0 {
+			v30 = v11
+		} else {
+			v30 = v29
+		}
+		vals[30] = v30
+		var v31 uint64
+		if v4 != 0 {
+			v31 = 0x2
+		} else {
+			v31 = v30
+		}
+		vals[31] = v31
+		var v32 uint64
+		if v2 != 0 {
+			v32 = 0x1
+		} else {
+			v32 = v31
+		}
+		vals[32] = v32
+		var v35 uint64
+		if v20 != 0 {
+			v35 = v34
+		} else {
+			v35 = v23
+		}
+		vals[35] = v35
+		var v46 uint64
+		if v12 != 0 {
+			v46 = v41
+		} else {
+			v46 = v45
+		}
+		vals[46] = v46
+		var v52 uint64
+		if v4 != 0 {
+			v52 = 0xc
+		} else {
+			v52 = v51
+		}
+		vals[52] = v52
+		var v56 uint64
+		if v12 != 0 {
+			v56 = v55
+		} else {
+			v56 = v53
+		}
+		vals[56] = v56
+		var v59 uint64
+		if v4 != 0 {
+			v59 = v58
+		} else {
+			v59 = v57
+		}
+		vals[59] = v59
+		var v60 uint64
+		if v0 == 0x6 {
+			v60 = 1
+		}
+		vals[60] = v60
+	}
+	done := vals[60] != 0
+	l0 := vals[32] & 0x7
+	l1 := vals[35] & 0x7ff
+	l2 := vals[46] & 0x7f
+	l3 := vals[52] & 0xf
+	l4 := vals[56] & 0xffffff
+	l5 := vals[59] & 0xffffff
+	vals[0] = l0
+	vals[23] = l1
+	vals[15] = l2
+	vals[7] = l3
+	vals[53] = l4
+	vals[57] = l5
+	return cycles + 1, done
+}
+
 func step_cjpeg_slice_all(vals []uint64, mems [][]uint64, limit uint64) (uint64, bool) {
 	_ = vals[86]
 	m0 := mems[0]
@@ -9340,6 +10306,7 @@ func init() {
 	rtl.RegisterNative("aebf8bea70d0f8729adab6b19971503c118b4703e98c0175fcaa7f6c0d8e16fc", "cjpeg", step_cjpeg)
 	rtl.RegisterNative("8f5ebf5b5eeee4e6071e3e77b771c75e327ab1f696b6bedc40768f41d35043d3", "cjpeg_ins", step_cjpeg_ins)
 	rtl.RegisterNative("951d00830e8e5a63c3e6c232f1bf9dff6d17582aea805c925f360522bc41b0af", "cjpeg_pruned", step_cjpeg_pruned)
+	rtl.RegisterNative("123f48dc5a8cc18159ab06fdbc824b86390e6c50aa5d1232492db096451c35da", "cjpeg_cone", step_cjpeg_cone)
 	rtl.RegisterNative("fb3e3f30aa05cf96f7cb29e949c16782c5e468c9c1713fbf3a0004555a6e3fcc", "cjpeg_slice_all", step_cjpeg_slice_all)
 	rtl.RegisterNative("8b952a68593d91d14c2895f28d30da38aaa0a8c9b1e82c3b159b04b904283936", "cjpeg_slice_t42", step_cjpeg_slice_t42)
 }

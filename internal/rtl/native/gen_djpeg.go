@@ -7823,6 +7823,1131 @@ loop:
 	return cycles + 1, done
 }
 
+func step_djpeg_cone(vals []uint64, mems [][]uint64, limit uint64) (uint64, bool) {
+	_ = vals[76]
+	m0 := mems[0]
+	v0 := vals[0]
+	v7 := vals[7]
+	v13 := vals[13]
+	v19 := vals[19]
+	v27 := vals[27]
+	v69 := vals[69]
+	v73 := vals[73]
+	var cycles uint64
+loop:
+	for ; cycles+1 < limit; cycles++ {
+		var v42 uint64
+		if v19 != 0x0 {
+			v42 = 1
+		}
+		v44 := (v19 - 0x1) & 0xf
+		var v45 uint64
+		if v42 != 0 {
+			v45 = v44
+		} else {
+			v45 = v19
+		}
+		var v53 uint64
+		if v13 != 0x0 {
+			v53 = 1
+		}
+		v55 := (v13 - 0x1) & 0x3f
+		var v56 uint64
+		if v53 != 0 {
+			v56 = v55
+		} else {
+			v56 = v13
+		}
+		switch v0 {
+		case 0x0:
+			v39 := v27
+			v46 := v45
+			v57 := v56
+			v67 := v7
+			v68 := v67
+			v72 := v69
+			v75 := v73
+			n1 := v39
+			n2 := v46
+			n3 := v57
+			n4 := v68
+			n5 := v72
+			n6 := v75
+			v0 = 0x1
+			v27 = n1
+			v19 = n2
+			v13 = n3
+			v7 = n4
+			v69 = n5
+			v73 = n6
+		case 0x1:
+			var v48 uint64
+			if addr := uint64(v27); addr < uint64(len(m0)) {
+				v48 = m0[addr] & 0x3ffffff
+			}
+			v59 := (v48 >> 6)
+			v61 := v59 & 0xfffff
+			v39 := v27
+			v46 := v45
+			v57 := v56
+			v68 := v61
+			v72 := v69
+			v75 := v73
+			n1 := v39
+			n2 := v46
+			n3 := v57
+			n4 := v68
+			n5 := v72
+			n6 := v75
+			v0 = 0x2
+			v27 = n1
+			v19 = n2
+			v13 = n3
+			v7 = n4
+			v69 = n5
+			v73 = n6
+		case 0x2:
+			var v9 uint64
+			if v7 == 0x0 {
+				v9 = 1
+			}
+			var v48 uint64
+			if addr := uint64(v27); addr < uint64(len(m0)) {
+				v48 = m0[addr] & 0x3ffffff
+			}
+			v50 := v48 & 0x3f
+			v52 := (v50 >> 1)
+			v63 := v7 & 0x1
+			v65 := (v63 + 0x1) & 0x3
+			var v66 uint64
+			if sh := v65; sh < 64 {
+				v66 = (v7 >> sh) & 0xfffff
+			}
+			v74 := (v73 + 0x1) & 0xffffff
+			var v11 uint64
+			if v9 != 0 {
+				v11 = 0x3
+			} else {
+				v11 = 0x2
+			}
+			v34 := v11
+			v35 := v34
+			v36 := v35
+			v39 := v27
+			v46 := v45
+			v47 := v9
+			var v57 uint64
+			if v47 != 0 {
+				v57 = v52
+			} else {
+				v57 = v56
+			}
+			v67 := v66
+			v68 := v67
+			v72 := v69
+			var v75 uint64
+			if v47 != 0 {
+				v75 = v74
+			} else {
+				v75 = v73
+			}
+			n0 := v36
+			n1 := v39
+			n2 := v46
+			n3 := v57
+			n4 := v68
+			n5 := v72
+			n6 := v75
+			v0 = n0
+			v27 = n1
+			v19 = n2
+			v13 = n3
+			v7 = n4
+			v69 = n5
+			v73 = n6
+		case 0x3:
+			var v15 uint64
+			if v13 == 0x0 {
+				v15 = 1
+			}
+			v71 := (v69 + 0x1) & 0xffffff
+			var v17 uint64
+			if v15 != 0 {
+				v17 = 0x4
+			} else {
+				v17 = 0x3
+			}
+			v33 := v17
+			v34 := v33
+			v35 := v34
+			v36 := v35
+			v39 := v27
+			v40 := v15
+			var v46 uint64
+			if v40 != 0 {
+				v46 = 0xc
+			} else {
+				v46 = v45
+			}
+			v57 := v56
+			v67 := v7
+			v68 := v67
+			var v72 uint64
+			if v40 != 0 {
+				v72 = v71
+			} else {
+				v72 = v69
+			}
+			v75 := v73
+			n0 := v36
+			n1 := v39
+			n2 := v46
+			n3 := v57
+			n4 := v68
+			n5 := v72
+			n6 := v75
+			v0 = n0
+			v27 = n1
+			v19 = n2
+			v13 = n3
+			v7 = n4
+			v69 = n5
+			v73 = n6
+		case 0x4:
+			var v21 uint64
+			if v19 == 0x0 {
+				v21 = 1
+			}
+			var v23 uint64
+			if v21 != 0 {
+				v23 = 0x5
+			} else {
+				v23 = 0x4
+			}
+			v32 := v23
+			v33 := v32
+			v34 := v33
+			v35 := v34
+			v36 := v35
+			v39 := v27
+			v46 := v45
+			v57 := v56
+			v67 := v7
+			v68 := v67
+			v72 := v69
+			v75 := v73
+			n0 := v36
+			n1 := v39
+			n2 := v46
+			n3 := v57
+			n4 := v68
+			n5 := v72
+			n6 := v75
+			v0 = n0
+			v27 = n1
+			v19 = n2
+			v13 = n3
+			v7 = n4
+			v69 = n5
+			v73 = n6
+		case 0x5:
+			var v26 uint64
+			if addr := uint64(0x0); addr < uint64(len(m0)) {
+				v26 = m0[addr] & 0x7ff
+			}
+			var v28 uint64
+			if v26 <= v27 {
+				v28 = 1
+			}
+			var v30 uint64
+			if v28 != 0 {
+				v30 = 0x6
+			} else {
+				v30 = 0x1
+			}
+			v38 := (v27 + 0x1) & 0x7ff
+			v31 := v30
+			v32 := v31
+			v33 := v32
+			v34 := v33
+			v35 := v34
+			v36 := v35
+			v39 := v38
+			v46 := v45
+			v57 := v56
+			v67 := v7
+			v68 := v67
+			v72 := v69
+			v75 := v73
+			n0 := v36
+			n1 := v39
+			n2 := v46
+			n3 := v57
+			n4 := v68
+			n5 := v72
+			n6 := v75
+			v0 = n0
+			v27 = n1
+			v19 = n2
+			v13 = n3
+			v7 = n4
+			v69 = n5
+			v73 = n6
+		case 0x6:
+			break loop
+		default:
+			var v9 uint64
+			if v7 == 0x0 {
+				v9 = 1
+			}
+			var v15 uint64
+			if v13 == 0x0 {
+				v15 = 1
+			}
+			var v21 uint64
+			if v19 == 0x0 {
+				v21 = 1
+			}
+			var v26 uint64
+			if addr := uint64(0x0); addr < uint64(len(m0)) {
+				v26 = m0[addr] & 0x7ff
+			}
+			var v28 uint64
+			if v26 <= v27 {
+				v28 = 1
+			}
+			var v30 uint64
+			if v28 != 0 {
+				v30 = 0x6
+			} else {
+				v30 = 0x1
+			}
+			v38 := (v27 + 0x1) & 0x7ff
+			var v48 uint64
+			if addr := uint64(v27); addr < uint64(len(m0)) {
+				v48 = m0[addr] & 0x3ffffff
+			}
+			v50 := v48 & 0x3f
+			v52 := (v50 >> 1)
+			v59 := (v48 >> 6)
+			v61 := v59 & 0xfffff
+			v63 := v7 & 0x1
+			v65 := (v63 + 0x1) & 0x3
+			var v66 uint64
+			if sh := v65; sh < 64 {
+				v66 = (v7 >> sh) & 0xfffff
+			}
+			v71 := (v69 + 0x1) & 0xffffff
+			v74 := (v73 + 0x1) & 0xffffff
+			var v2 uint64
+			if v0 == 0x0 {
+				v2 = 1
+			}
+			var v4 uint64
+			if v0 == 0x1 {
+				v4 = 1
+			}
+			var v6 uint64
+			if v0 == 0x2 {
+				v6 = 1
+			}
+			var v11 uint64
+			if v9 != 0 {
+				v11 = 0x3
+			} else {
+				v11 = v0
+			}
+			var v12 uint64
+			if v0 == 0x3 {
+				v12 = 1
+			}
+			var v17 uint64
+			if v15 != 0 {
+				v17 = 0x4
+			} else {
+				v17 = v0
+			}
+			var v18 uint64
+			if v0 == 0x4 {
+				v18 = 1
+			}
+			var v23 uint64
+			if v21 != 0 {
+				v23 = 0x5
+			} else {
+				v23 = v0
+			}
+			var v24 uint64
+			if v0 == 0x5 {
+				v24 = 1
+			}
+			var v31 uint64
+			if v24 != 0 {
+				v31 = v30
+			} else {
+				v31 = v0
+			}
+			var v32 uint64
+			if v18 != 0 {
+				v32 = v23
+			} else {
+				v32 = v31
+			}
+			var v33 uint64
+			if v12 != 0 {
+				v33 = v17
+			} else {
+				v33 = v32
+			}
+			var v34 uint64
+			if v6 != 0 {
+				v34 = v11
+			} else {
+				v34 = v33
+			}
+			var v35 uint64
+			if v4 != 0 {
+				v35 = 0x2
+			} else {
+				v35 = v34
+			}
+			var v36 uint64
+			if v2 != 0 {
+				v36 = 0x1
+			} else {
+				v36 = v35
+			}
+			var v39 uint64
+			if v24 != 0 {
+				v39 = v38
+			} else {
+				v39 = v27
+			}
+			v40 := v12 & v15
+			var v46 uint64
+			if v40 != 0 {
+				v46 = 0xc
+			} else {
+				v46 = v45
+			}
+			v47 := v6 & v9
+			var v57 uint64
+			if v47 != 0 {
+				v57 = v52
+			} else {
+				v57 = v56
+			}
+			var v67 uint64
+			if v6 != 0 {
+				v67 = v66
+			} else {
+				v67 = v7
+			}
+			var v68 uint64
+			if v4 != 0 {
+				v68 = v61
+			} else {
+				v68 = v67
+			}
+			var v72 uint64
+			if v40 != 0 {
+				v72 = v71
+			} else {
+				v72 = v69
+			}
+			var v75 uint64
+			if v47 != 0 {
+				v75 = v74
+			} else {
+				v75 = v73
+			}
+			var v76 uint64
+			if v0 == 0x6 {
+				v76 = 1
+			}
+			if v76 != 0 {
+				break loop
+			}
+			n0 := v36
+			n1 := v39
+			n2 := v46
+			n3 := v57
+			n4 := v68
+			n5 := v72
+			n6 := v75
+			v0 = n0
+			v27 = n1
+			v19 = n2
+			v13 = n3
+			v7 = n4
+			v69 = n5
+			v73 = n6
+		}
+	}
+	vals[0] = v0
+	vals[27] = v27
+	vals[19] = v19
+	vals[13] = v13
+	vals[7] = v7
+	vals[69] = v69
+	vals[73] = v73
+	var v9 uint64
+	if v7 == 0x0 {
+		v9 = 1
+	}
+	vals[9] = v9
+	var v15 uint64
+	if v13 == 0x0 {
+		v15 = 1
+	}
+	vals[15] = v15
+	var v21 uint64
+	if v19 == 0x0 {
+		v21 = 1
+	}
+	vals[21] = v21
+	var v26 uint64
+	if addr := uint64(0x0); addr < uint64(len(m0)) {
+		v26 = m0[addr] & 0x7ff
+	}
+	vals[26] = v26
+	var v28 uint64
+	if v26 <= v27 {
+		v28 = 1
+	}
+	vals[28] = v28
+	var v30 uint64
+	if v28 != 0 {
+		v30 = 0x6
+	} else {
+		v30 = 0x1
+	}
+	vals[30] = v30
+	v38 := (v27 + 0x1) & 0x7ff
+	vals[38] = v38
+	var v42 uint64
+	if v19 != 0x0 {
+		v42 = 1
+	}
+	vals[42] = v42
+	v44 := (v19 - 0x1) & 0xf
+	vals[44] = v44
+	var v45 uint64
+	if v42 != 0 {
+		v45 = v44
+	} else {
+		v45 = v19
+	}
+	vals[45] = v45
+	var v48 uint64
+	if addr := uint64(v27); addr < uint64(len(m0)) {
+		v48 = m0[addr] & 0x3ffffff
+	}
+	vals[48] = v48
+	v50 := v48 & 0x3f
+	vals[50] = v50
+	v52 := (v50 >> 1)
+	vals[52] = v52
+	var v53 uint64
+	if v13 != 0x0 {
+		v53 = 1
+	}
+	vals[53] = v53
+	v55 := (v13 - 0x1) & 0x3f
+	vals[55] = v55
+	var v56 uint64
+	if v53 != 0 {
+		v56 = v55
+	} else {
+		v56 = v13
+	}
+	vals[56] = v56
+	v59 := (v48 >> 6)
+	vals[59] = v59
+	v61 := v59 & 0xfffff
+	vals[61] = v61
+	v63 := v7 & 0x1
+	vals[63] = v63
+	v65 := (v63 + 0x1) & 0x3
+	vals[65] = v65
+	var v66 uint64
+	if sh := v65; sh < 64 {
+		v66 = (v7 >> sh) & 0xfffff
+	}
+	vals[66] = v66
+	v71 := (v69 + 0x1) & 0xffffff
+	vals[71] = v71
+	v74 := (v73 + 0x1) & 0xffffff
+	vals[74] = v74
+	switch v0 {
+	case 0x0:
+		vals[2] = 0x1
+		vals[4] = 0x0
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x0
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		var v17 uint64
+		if v15 != 0 {
+			v17 = 0x4
+		} else {
+			v17 = 0x0
+		}
+		vals[17] = v17
+		vals[18] = 0x0
+		var v23 uint64
+		if v21 != 0 {
+			v23 = 0x5
+		} else {
+			v23 = 0x0
+		}
+		vals[23] = v23
+		vals[24] = 0x0
+		vals[31] = 0x0
+		vals[32] = 0x0
+		vals[33] = 0x0
+		vals[34] = 0x0
+		vals[35] = 0x0
+		vals[36] = 0x1
+		v39 := v27
+		vals[39] = v39
+		vals[40] = 0x0
+		v46 := v45
+		vals[46] = v46
+		vals[47] = 0x0
+		v57 := v56
+		vals[57] = v57
+		v67 := v7
+		vals[67] = v67
+		v68 := v67
+		vals[68] = v68
+		v72 := v69
+		vals[72] = v72
+		v75 := v73
+		vals[75] = v75
+		vals[76] = 0x0
+	case 0x1:
+		vals[2] = 0x0
+		vals[4] = 0x1
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x1
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		var v17 uint64
+		if v15 != 0 {
+			v17 = 0x4
+		} else {
+			v17 = 0x1
+		}
+		vals[17] = v17
+		vals[18] = 0x0
+		var v23 uint64
+		if v21 != 0 {
+			v23 = 0x5
+		} else {
+			v23 = 0x1
+		}
+		vals[23] = v23
+		vals[24] = 0x0
+		vals[31] = 0x1
+		vals[32] = 0x1
+		vals[33] = 0x1
+		vals[34] = 0x1
+		vals[35] = 0x2
+		vals[36] = 0x2
+		v39 := v27
+		vals[39] = v39
+		vals[40] = 0x0
+		v46 := v45
+		vals[46] = v46
+		vals[47] = 0x0
+		v57 := v56
+		vals[57] = v57
+		v67 := v7
+		vals[67] = v67
+		v68 := v61
+		vals[68] = v68
+		v72 := v69
+		vals[72] = v72
+		v75 := v73
+		vals[75] = v75
+		vals[76] = 0x0
+	case 0x2:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		vals[6] = 0x1
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x2
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		var v17 uint64
+		if v15 != 0 {
+			v17 = 0x4
+		} else {
+			v17 = 0x2
+		}
+		vals[17] = v17
+		vals[18] = 0x0
+		var v23 uint64
+		if v21 != 0 {
+			v23 = 0x5
+		} else {
+			v23 = 0x2
+		}
+		vals[23] = v23
+		vals[24] = 0x0
+		vals[31] = 0x2
+		vals[32] = 0x2
+		vals[33] = 0x2
+		v34 := v11
+		vals[34] = v34
+		v35 := v34
+		vals[35] = v35
+		v36 := v35
+		vals[36] = v36
+		v39 := v27
+		vals[39] = v39
+		vals[40] = 0x0
+		v46 := v45
+		vals[46] = v46
+		v47 := v9
+		vals[47] = v47
+		var v57 uint64
+		if v47 != 0 {
+			v57 = v52
+		} else {
+			v57 = v56
+		}
+		vals[57] = v57
+		v67 := v66
+		vals[67] = v67
+		v68 := v67
+		vals[68] = v68
+		v72 := v69
+		vals[72] = v72
+		var v75 uint64
+		if v47 != 0 {
+			v75 = v74
+		} else {
+			v75 = v73
+		}
+		vals[75] = v75
+		vals[76] = 0x0
+	case 0x3:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x3
+		}
+		vals[11] = v11
+		vals[12] = 0x1
+		var v17 uint64
+		if v15 != 0 {
+			v17 = 0x4
+		} else {
+			v17 = 0x3
+		}
+		vals[17] = v17
+		vals[18] = 0x0
+		var v23 uint64
+		if v21 != 0 {
+			v23 = 0x5
+		} else {
+			v23 = 0x3
+		}
+		vals[23] = v23
+		vals[24] = 0x0
+		vals[31] = 0x3
+		vals[32] = 0x3
+		v33 := v17
+		vals[33] = v33
+		v34 := v33
+		vals[34] = v34
+		v35 := v34
+		vals[35] = v35
+		v36 := v35
+		vals[36] = v36
+		v39 := v27
+		vals[39] = v39
+		v40 := v15
+		vals[40] = v40
+		var v46 uint64
+		if v40 != 0 {
+			v46 = 0xc
+		} else {
+			v46 = v45
+		}
+		vals[46] = v46
+		vals[47] = 0x0
+		v57 := v56
+		vals[57] = v57
+		v67 := v7
+		vals[67] = v67
+		v68 := v67
+		vals[68] = v68
+		var v72 uint64
+		if v40 != 0 {
+			v72 = v71
+		} else {
+			v72 = v69
+		}
+		vals[72] = v72
+		v75 := v73
+		vals[75] = v75
+		vals[76] = 0x0
+	case 0x4:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x4
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		var v17 uint64
+		if v15 != 0 {
+			v17 = 0x4
+		} else {
+			v17 = 0x4
+		}
+		vals[17] = v17
+		vals[18] = 0x1
+		var v23 uint64
+		if v21 != 0 {
+			v23 = 0x5
+		} else {
+			v23 = 0x4
+		}
+		vals[23] = v23
+		vals[24] = 0x0
+		vals[31] = 0x4
+		v32 := v23
+		vals[32] = v32
+		v33 := v32
+		vals[33] = v33
+		v34 := v33
+		vals[34] = v34
+		v35 := v34
+		vals[35] = v35
+		v36 := v35
+		vals[36] = v36
+		v39 := v27
+		vals[39] = v39
+		vals[40] = 0x0
+		v46 := v45
+		vals[46] = v46
+		vals[47] = 0x0
+		v57 := v56
+		vals[57] = v57
+		v67 := v7
+		vals[67] = v67
+		v68 := v67
+		vals[68] = v68
+		v72 := v69
+		vals[72] = v72
+		v75 := v73
+		vals[75] = v75
+		vals[76] = 0x0
+	case 0x5:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x5
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		var v17 uint64
+		if v15 != 0 {
+			v17 = 0x4
+		} else {
+			v17 = 0x5
+		}
+		vals[17] = v17
+		vals[18] = 0x0
+		var v23 uint64
+		if v21 != 0 {
+			v23 = 0x5
+		} else {
+			v23 = 0x5
+		}
+		vals[23] = v23
+		vals[24] = 0x1
+		v31 := v30
+		vals[31] = v31
+		v32 := v31
+		vals[32] = v32
+		v33 := v32
+		vals[33] = v33
+		v34 := v33
+		vals[34] = v34
+		v35 := v34
+		vals[35] = v35
+		v36 := v35
+		vals[36] = v36
+		v39 := v38
+		vals[39] = v39
+		vals[40] = 0x0
+		v46 := v45
+		vals[46] = v46
+		vals[47] = 0x0
+		v57 := v56
+		vals[57] = v57
+		v67 := v7
+		vals[67] = v67
+		v68 := v67
+		vals[68] = v68
+		v72 := v69
+		vals[72] = v72
+		v75 := v73
+		vals[75] = v75
+		vals[76] = 0x0
+	case 0x6:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x6
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		var v17 uint64
+		if v15 != 0 {
+			v17 = 0x4
+		} else {
+			v17 = 0x6
+		}
+		vals[17] = v17
+		vals[18] = 0x0
+		var v23 uint64
+		if v21 != 0 {
+			v23 = 0x5
+		} else {
+			v23 = 0x6
+		}
+		vals[23] = v23
+		vals[24] = 0x0
+		vals[31] = 0x6
+		vals[32] = 0x6
+		vals[33] = 0x6
+		vals[34] = 0x6
+		vals[35] = 0x6
+		vals[36] = 0x6
+		v39 := v27
+		vals[39] = v39
+		vals[40] = 0x0
+		v46 := v45
+		vals[46] = v46
+		vals[47] = 0x0
+		v57 := v56
+		vals[57] = v57
+		v67 := v7
+		vals[67] = v67
+		v68 := v67
+		vals[68] = v68
+		v72 := v69
+		vals[72] = v72
+		v75 := v73
+		vals[75] = v75
+		vals[76] = 0x1
+	default:
+		var v2 uint64
+		if v0 == 0x0 {
+			v2 = 1
+		}
+		vals[2] = v2
+		var v4 uint64
+		if v0 == 0x1 {
+			v4 = 1
+		}
+		vals[4] = v4
+		var v6 uint64
+		if v0 == 0x2 {
+			v6 = 1
+		}
+		vals[6] = v6
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = v0
+		}
+		vals[11] = v11
+		var v12 uint64
+		if v0 == 0x3 {
+			v12 = 1
+		}
+		vals[12] = v12
+		var v17 uint64
+		if v15 != 0 {
+			v17 = 0x4
+		} else {
+			v17 = v0
+		}
+		vals[17] = v17
+		var v18 uint64
+		if v0 == 0x4 {
+			v18 = 1
+		}
+		vals[18] = v18
+		var v23 uint64
+		if v21 != 0 {
+			v23 = 0x5
+		} else {
+			v23 = v0
+		}
+		vals[23] = v23
+		var v24 uint64
+		if v0 == 0x5 {
+			v24 = 1
+		}
+		vals[24] = v24
+		var v31 uint64
+		if v24 != 0 {
+			v31 = v30
+		} else {
+			v31 = v0
+		}
+		vals[31] = v31
+		var v32 uint64
+		if v18 != 0 {
+			v32 = v23
+		} else {
+			v32 = v31
+		}
+		vals[32] = v32
+		var v33 uint64
+		if v12 != 0 {
+			v33 = v17
+		} else {
+			v33 = v32
+		}
+		vals[33] = v33
+		var v34 uint64
+		if v6 != 0 {
+			v34 = v11
+		} else {
+			v34 = v33
+		}
+		vals[34] = v34
+		var v35 uint64
+		if v4 != 0 {
+			v35 = 0x2
+		} else {
+			v35 = v34
+		}
+		vals[35] = v35
+		var v36 uint64
+		if v2 != 0 {
+			v36 = 0x1
+		} else {
+			v36 = v35
+		}
+		vals[36] = v36
+		var v39 uint64
+		if v24 != 0 {
+			v39 = v38
+		} else {
+			v39 = v27
+		}
+		vals[39] = v39
+		v40 := v12 & v15
+		vals[40] = v40
+		var v46 uint64
+		if v40 != 0 {
+			v46 = 0xc
+		} else {
+			v46 = v45
+		}
+		vals[46] = v46
+		v47 := v6 & v9
+		vals[47] = v47
+		var v57 uint64
+		if v47 != 0 {
+			v57 = v52
+		} else {
+			v57 = v56
+		}
+		vals[57] = v57
+		var v67 uint64
+		if v6 != 0 {
+			v67 = v66
+		} else {
+			v67 = v7
+		}
+		vals[67] = v67
+		var v68 uint64
+		if v4 != 0 {
+			v68 = v61
+		} else {
+			v68 = v67
+		}
+		vals[68] = v68
+		var v72 uint64
+		if v40 != 0 {
+			v72 = v71
+		} else {
+			v72 = v69
+		}
+		vals[72] = v72
+		var v75 uint64
+		if v47 != 0 {
+			v75 = v74
+		} else {
+			v75 = v73
+		}
+		vals[75] = v75
+		var v76 uint64
+		if v0 == 0x6 {
+			v76 = 1
+		}
+		vals[76] = v76
+	}
+	done := vals[76] != 0
+	l0 := vals[36] & 0x7
+	l1 := vals[39] & 0x7ff
+	l2 := vals[46] & 0xf
+	l3 := vals[57] & 0x3f
+	l4 := vals[68] & 0xfffff
+	l5 := vals[72] & 0xffffff
+	l6 := vals[75] & 0xffffff
+	vals[0] = l0
+	vals[27] = l1
+	vals[19] = l2
+	vals[13] = l3
+	vals[7] = l4
+	vals[69] = l5
+	vals[73] = l6
+	return cycles + 1, done
+}
+
 func step_djpeg_slice_all(vals []uint64, mems [][]uint64, limit uint64) (uint64, bool) {
 	_ = vals[84]
 	m0 := mems[0]
@@ -10163,6 +11288,7 @@ func init() {
 	rtl.RegisterNative("389ed69b7a9c6b982aa5e8e0d12ee60c4b53ffdca195a1f4dd386b058c8b985c", "djpeg", step_djpeg)
 	rtl.RegisterNative("e69c984a9be3fd18bbf0538a1c6ad75e8d2f913b453267bf16d788920db47fe7", "djpeg_ins", step_djpeg_ins)
 	rtl.RegisterNative("a8624f8b57241389602b349714dfdca2a5f7d9936e7029c96959a2438bf00691", "djpeg_pruned", step_djpeg_pruned)
+	rtl.RegisterNative("79801d9fb490561b236fadcbffaf0080a96a54b0732c9b9b035156bb1769355f", "djpeg_cone", step_djpeg_cone)
 	rtl.RegisterNative("a382f731d6dd2b8cbd099d6e2c57fd843f66b80d06f1d477ddc780593bbbec55", "djpeg_slice_all", step_djpeg_slice_all)
 	rtl.RegisterNative("aa58d9dccf8c52a035cf0f978bc3a1d425487b1708f341198db642ad45c518f2", "djpeg_slice_t42", step_djpeg_slice_t42)
 }

@@ -16682,6 +16682,2639 @@ loop:
 	return cycles + 1, done
 }
 
+func step_h264_cone(vals []uint64, mems [][]uint64, limit uint64) (uint64, bool) {
+	_ = vals[147]
+	m0 := mems[0]
+	v0 := vals[0]
+	v7 := vals[7]
+	v13 := vals[13]
+	v27 := vals[27]
+	v31 := vals[31]
+	v36 := vals[36]
+	v40 := vals[40]
+	v127 := vals[127]
+	v135 := vals[135]
+	v138 := vals[138]
+	v141 := vals[141]
+	v144 := vals[144]
+	var cycles uint64
+loop:
+	for ; cycles+1 < limit; cycles++ {
+		var v73 uint64
+		if v40 != 0x0 {
+			v73 = 1
+		}
+		v75 := (v40 - 0x1) & 0xff
+		var v76 uint64
+		if v73 != 0 {
+			v76 = v75
+		} else {
+			v76 = v40
+		}
+		var v96 uint64
+		if v36 != 0x0 {
+			v96 = 1
+		}
+		v97 := (v36 - 0x1) & 0xff
+		var v98 uint64
+		if v96 != 0 {
+			v98 = v97
+		} else {
+			v98 = v36
+		}
+		var v105 uint64
+		if v31 != 0x0 {
+			v105 = 1
+		}
+		v106 := (v31 - 0x1) & 0xff
+		var v107 uint64
+		if v105 != 0 {
+			v107 = v106
+		} else {
+			v107 = v31
+		}
+		var v115 uint64
+		if v27 != 0x0 {
+			v115 = 1
+		}
+		v116 := (v27 - 0x1) & 0xff
+		var v117 uint64
+		if v115 != 0 {
+			v117 = v116
+		} else {
+			v117 = v27
+		}
+		switch v0 {
+		case 0x0:
+			var v123 uint64
+			if v7 != 0x0 {
+				v123 = 1
+			}
+			v124 := (v7 - 0x1) & 0xff
+			var v125 uint64
+			if v123 != 0 {
+				v125 = v124
+			} else {
+				v125 = v7
+			}
+			v77 := v76
+			v99 := v98
+			v108 := v107
+			v118 := v117
+			v121 := v13
+			v126 := v125
+			v134 := v127
+			v137 := v135
+			v140 := v138
+			v143 := v141
+			v146 := v144
+			n1 := v77
+			n2 := v99
+			n3 := v108
+			n4 := v118
+			n5 := v121
+			n6 := v126
+			n7 := v134
+			n8 := v137
+			n9 := v140
+			n10 := v143
+			n11 := v146
+			v0 = 0x1
+			v40 = n1
+			v36 = n2
+			v31 = n3
+			v27 = n4
+			v13 = n5
+			v7 = n6
+			v127 = n7
+			v135 = n8
+			v138 = n9
+			v141 = n10
+			v144 = n11
+		case 0x1:
+			var v14 uint64
+			if addr := uint64(v13); addr < uint64(len(m0)) {
+				v14 = m0[addr] & 0xfffffff
+			}
+			v65 := (v14 >> 2)
+			v67 := v65 & 0x3f
+			v122 := (v67 >> 1)
+			v145 := (v144 + 0x1) & 0xffffff
+			v77 := v76
+			v99 := v98
+			v108 := v107
+			v118 := v117
+			v121 := v13
+			v126 := v122
+			v134 := v127
+			v137 := v135
+			v140 := v138
+			v143 := v141
+			v146 := v145
+			n1 := v77
+			n2 := v99
+			n3 := v108
+			n4 := v118
+			n5 := v121
+			n6 := v126
+			n7 := v134
+			n8 := v137
+			n9 := v140
+			n10 := v143
+			n11 := v146
+			v0 = 0x2
+			v40 = n1
+			v36 = n2
+			v31 = n3
+			v27 = n4
+			v13 = n5
+			v7 = n6
+			v127 = n7
+			v135 = n8
+			v138 = n9
+			v141 = n10
+			v144 = n11
+		case 0x2:
+			var v9 uint64
+			if v7 == 0x0 {
+				v9 = 1
+			}
+			var v123 uint64
+			if v7 != 0x0 {
+				v123 = 1
+			}
+			v124 := (v7 - 0x1) & 0xff
+			var v125 uint64
+			if v123 != 0 {
+				v125 = v124
+			} else {
+				v125 = v7
+			}
+			var v11 uint64
+			if v9 != 0 {
+				v11 = 0x3
+			} else {
+				v11 = 0x2
+			}
+			v56 := v11
+			v57 := v56
+			v58 := v57
+			v77 := v76
+			v99 := v98
+			v108 := v107
+			v118 := v117
+			v121 := v13
+			v126 := v125
+			v134 := v127
+			v137 := v135
+			v140 := v138
+			v143 := v141
+			v146 := v144
+			n0 := v58
+			n1 := v77
+			n2 := v99
+			n3 := v108
+			n4 := v118
+			n5 := v121
+			n6 := v126
+			n7 := v134
+			n8 := v137
+			n9 := v140
+			n10 := v143
+			n11 := v146
+			v0 = n0
+			v40 = n1
+			v36 = n2
+			v31 = n3
+			v27 = n4
+			v13 = n5
+			v7 = n6
+			v127 = n7
+			v135 = n8
+			v138 = n9
+			v141 = n10
+			v144 = n11
+		case 0x3:
+			var v14 uint64
+			if addr := uint64(v13); addr < uint64(len(m0)) {
+				v14 = m0[addr] & 0xfffffff
+			}
+			v16 := v14 & 0x3
+			var v18 uint64
+			if v16 == 0x0 {
+				v18 = 1
+			}
+			var v21 uint64
+			if v16 == 0x1 {
+				v21 = 1
+			}
+			var v24 uint64
+			if v21 != 0 {
+				v24 = 0x4
+			} else {
+				v24 = 0x5
+			}
+			var v25 uint64
+			if v18 != 0 {
+				v25 = 0x7
+			} else {
+				v25 = v24
+			}
+			v65 := (v14 >> 2)
+			v67 := v65 & 0x3f
+			var v69 uint64
+			if v67 != 0x0 {
+				v69 = 1
+			}
+			var v72 uint64
+			if v69 != 0 {
+				v72 = 0xc
+			} else {
+				v72 = 0x8
+			}
+			v81 := (v14 >> 9)
+			v83 := v81 & 0x7
+			v84 := v83
+			v86 := (v84 << 1) & 0xff
+			v87 := (v84 + v86) & 0xff
+			var v101 uint64
+			if v16 == 0x2 {
+				v101 = 1
+			}
+			v104 := (0x3 + v87) & 0xff
+			v111 := v67
+			v112 := (v67 >> 2)
+			v113 := (v111 - v112) & 0xff
+			v114 := (0xa + v113) & 0xff
+			var v123 uint64
+			if v7 != 0x0 {
+				v123 = 1
+			}
+			v124 := (v7 - 0x1) & 0xff
+			var v125 uint64
+			if v123 != 0 {
+				v125 = v124
+			} else {
+				v125 = v7
+			}
+			v129 := ^v69 & 0x1
+			v133 := (v127 + 0x1) & 0xffffff
+			v139 := (v138 + 0x1) & 0xffffff
+			v142 := (v141 + 0x1) & 0xffffff
+			v55 := v25
+			v56 := v55
+			v57 := v56
+			v58 := v57
+			v62 := v18
+			v63 := v62
+			var v77 uint64
+			if v63 != 0 {
+				v77 = v72
+			} else {
+				v77 = v76
+			}
+			v99 := v98
+			v102 := v101
+			var v108 uint64
+			if v102 != 0 {
+				v108 = v104
+			} else {
+				v108 = v107
+			}
+			v109 := v21
+			var v118 uint64
+			if v109 != 0 {
+				v118 = v114
+			} else {
+				v118 = v117
+			}
+			v121 := v13
+			v126 := v125
+			v128 := v63 & v69
+			v130 := v63 & v129
+			v131 := (v128 | v130)
+			var v134 uint64
+			if v131 != 0 {
+				v134 = v133
+			} else {
+				v134 = v127
+			}
+			v137 := v135
+			var v140 uint64
+			if v102 != 0 {
+				v140 = v139
+			} else {
+				v140 = v138
+			}
+			var v143 uint64
+			if v109 != 0 {
+				v143 = v142
+			} else {
+				v143 = v141
+			}
+			v146 := v144
+			n0 := v58
+			n1 := v77
+			n2 := v99
+			n3 := v108
+			n4 := v118
+			n5 := v121
+			n6 := v126
+			n7 := v134
+			n8 := v137
+			n9 := v140
+			n10 := v143
+			n11 := v146
+			v0 = n0
+			v40 = n1
+			v36 = n2
+			v31 = n3
+			v27 = n4
+			v13 = n5
+			v7 = n6
+			v127 = n7
+			v135 = n8
+			v138 = n9
+			v141 = n10
+			v144 = n11
+		case 0x4:
+			var v14 uint64
+			if addr := uint64(v13); addr < uint64(len(m0)) {
+				v14 = m0[addr] & 0xfffffff
+			}
+			var v28 uint64
+			if v27 == 0x0 {
+				v28 = 1
+			}
+			v65 := (v14 >> 2)
+			v67 := v65 & 0x3f
+			var v69 uint64
+			if v67 != 0x0 {
+				v69 = 1
+			}
+			var v72 uint64
+			if v69 != 0 {
+				v72 = 0xc
+			} else {
+				v72 = 0x8
+			}
+			var v123 uint64
+			if v7 != 0x0 {
+				v123 = 1
+			}
+			v124 := (v7 - 0x1) & 0xff
+			var v125 uint64
+			if v123 != 0 {
+				v125 = v124
+			} else {
+				v125 = v7
+			}
+			v129 := ^v69 & 0x1
+			v133 := (v127 + 0x1) & 0xffffff
+			var v29 uint64
+			if v28 != 0 {
+				v29 = 0x7
+			} else {
+				v29 = 0x4
+			}
+			v54 := v29
+			v55 := v54
+			v56 := v55
+			v57 := v56
+			v58 := v57
+			v59 := v28
+			v61 := v59
+			v63 := v61
+			var v77 uint64
+			if v63 != 0 {
+				v77 = v72
+			} else {
+				v77 = v76
+			}
+			v99 := v98
+			v108 := v107
+			v118 := v117
+			v121 := v13
+			v126 := v125
+			v128 := v63 & v69
+			v130 := v63 & v129
+			v131 := (v128 | v130)
+			var v134 uint64
+			if v131 != 0 {
+				v134 = v133
+			} else {
+				v134 = v127
+			}
+			v137 := v135
+			v140 := v138
+			v143 := v141
+			v146 := v144
+			n0 := v58
+			n1 := v77
+			n2 := v99
+			n3 := v108
+			n4 := v118
+			n5 := v121
+			n6 := v126
+			n7 := v134
+			n8 := v137
+			n9 := v140
+			n10 := v143
+			n11 := v146
+			v0 = n0
+			v40 = n1
+			v36 = n2
+			v31 = n3
+			v27 = n4
+			v13 = n5
+			v7 = n6
+			v127 = n7
+			v135 = n8
+			v138 = n9
+			v141 = n10
+			v144 = n11
+		case 0x5:
+			var v14 uint64
+			if addr := uint64(v13); addr < uint64(len(m0)) {
+				v14 = m0[addr] & 0xfffffff
+			}
+			var v32 uint64
+			if v31 == 0x0 {
+				v32 = 1
+			}
+			v81 := (v14 >> 9)
+			v83 := v81 & 0x7
+			v84 := v83
+			v86 := (v84 << 1) & 0xff
+			v87 := (v84 + v86) & 0xff
+			v88 := (0x2 + v87) & 0xff
+			v90 := (v14 >> 8)
+			v92 := v90 & 0x1
+			var v94 uint64
+			if v92 != 0 {
+				v94 = 0x14
+			} else {
+				v94 = 0x0
+			}
+			v95 := (v88 + v94) & 0xff
+			var v123 uint64
+			if v7 != 0x0 {
+				v123 = 1
+			}
+			v124 := (v7 - 0x1) & 0xff
+			var v125 uint64
+			if v123 != 0 {
+				v125 = v124
+			} else {
+				v125 = v7
+			}
+			v136 := (v135 + 0x1) & 0xffffff
+			var v34 uint64
+			if v32 != 0 {
+				v34 = 0x6
+			} else {
+				v34 = 0x5
+			}
+			v53 := v34
+			v54 := v53
+			v55 := v54
+			v56 := v55
+			v57 := v56
+			v58 := v57
+			v77 := v76
+			v78 := v32
+			var v99 uint64
+			if v78 != 0 {
+				v99 = v95
+			} else {
+				v99 = v98
+			}
+			v108 := v107
+			v118 := v117
+			v121 := v13
+			v126 := v125
+			v134 := v127
+			var v137 uint64
+			if v78 != 0 {
+				v137 = v136
+			} else {
+				v137 = v135
+			}
+			v140 := v138
+			v143 := v141
+			v146 := v144
+			n0 := v58
+			n1 := v77
+			n2 := v99
+			n3 := v108
+			n4 := v118
+			n5 := v121
+			n6 := v126
+			n7 := v134
+			n8 := v137
+			n9 := v140
+			n10 := v143
+			n11 := v146
+			v0 = n0
+			v40 = n1
+			v36 = n2
+			v31 = n3
+			v27 = n4
+			v13 = n5
+			v7 = n6
+			v127 = n7
+			v135 = n8
+			v138 = n9
+			v141 = n10
+			v144 = n11
+		case 0x6:
+			var v14 uint64
+			if addr := uint64(v13); addr < uint64(len(m0)) {
+				v14 = m0[addr] & 0xfffffff
+			}
+			var v37 uint64
+			if v36 == 0x0 {
+				v37 = 1
+			}
+			v65 := (v14 >> 2)
+			v67 := v65 & 0x3f
+			var v69 uint64
+			if v67 != 0x0 {
+				v69 = 1
+			}
+			var v72 uint64
+			if v69 != 0 {
+				v72 = 0xc
+			} else {
+				v72 = 0x8
+			}
+			var v123 uint64
+			if v7 != 0x0 {
+				v123 = 1
+			}
+			v124 := (v7 - 0x1) & 0xff
+			var v125 uint64
+			if v123 != 0 {
+				v125 = v124
+			} else {
+				v125 = v7
+			}
+			v129 := ^v69 & 0x1
+			v133 := (v127 + 0x1) & 0xffffff
+			var v38 uint64
+			if v37 != 0 {
+				v38 = 0x7
+			} else {
+				v38 = 0x6
+			}
+			v52 := v38
+			v53 := v52
+			v54 := v53
+			v55 := v54
+			v56 := v55
+			v57 := v56
+			v58 := v57
+			v60 := v37
+			v61 := v60
+			v63 := v61
+			var v77 uint64
+			if v63 != 0 {
+				v77 = v72
+			} else {
+				v77 = v76
+			}
+			v99 := v98
+			v108 := v107
+			v118 := v117
+			v121 := v13
+			v126 := v125
+			v128 := v63 & v69
+			v130 := v63 & v129
+			v131 := (v128 | v130)
+			var v134 uint64
+			if v131 != 0 {
+				v134 = v133
+			} else {
+				v134 = v127
+			}
+			v137 := v135
+			v140 := v138
+			v143 := v141
+			v146 := v144
+			n0 := v58
+			n1 := v77
+			n2 := v99
+			n3 := v108
+			n4 := v118
+			n5 := v121
+			n6 := v126
+			n7 := v134
+			n8 := v137
+			n9 := v140
+			n10 := v143
+			n11 := v146
+			v0 = n0
+			v40 = n1
+			v36 = n2
+			v31 = n3
+			v27 = n4
+			v13 = n5
+			v7 = n6
+			v127 = n7
+			v135 = n8
+			v138 = n9
+			v141 = n10
+			v144 = n11
+		case 0x7:
+			var v41 uint64
+			if v40 == 0x0 {
+				v41 = 1
+			}
+			var v123 uint64
+			if v7 != 0x0 {
+				v123 = 1
+			}
+			v124 := (v7 - 0x1) & 0xff
+			var v125 uint64
+			if v123 != 0 {
+				v125 = v124
+			} else {
+				v125 = v7
+			}
+			var v43 uint64
+			if v41 != 0 {
+				v43 = 0x8
+			} else {
+				v43 = 0x7
+			}
+			v51 := v43
+			v52 := v51
+			v53 := v52
+			v54 := v53
+			v55 := v54
+			v56 := v55
+			v57 := v56
+			v58 := v57
+			v77 := v76
+			v99 := v98
+			v108 := v107
+			v118 := v117
+			v121 := v13
+			v126 := v125
+			v134 := v127
+			v137 := v135
+			v140 := v138
+			v143 := v141
+			v146 := v144
+			n0 := v58
+			n1 := v77
+			n2 := v99
+			n3 := v108
+			n4 := v118
+			n5 := v121
+			n6 := v126
+			n7 := v134
+			n8 := v137
+			n9 := v140
+			n10 := v143
+			n11 := v146
+			v0 = n0
+			v40 = n1
+			v36 = n2
+			v31 = n3
+			v27 = n4
+			v13 = n5
+			v7 = n6
+			v127 = n7
+			v135 = n8
+			v138 = n9
+			v141 = n10
+			v144 = n11
+		case 0x8:
+			var v46 uint64
+			if addr := uint64(0x0); addr < uint64(len(m0)) {
+				v46 = m0[addr] & 0x1fff
+			}
+			var v47 uint64
+			if v46 <= v13 {
+				v47 = 1
+			}
+			var v49 uint64
+			if v47 != 0 {
+				v49 = 0x9
+			} else {
+				v49 = 0x1
+			}
+			v120 := (v13 + 0x1) & 0x1fff
+			var v123 uint64
+			if v7 != 0x0 {
+				v123 = 1
+			}
+			v124 := (v7 - 0x1) & 0xff
+			var v125 uint64
+			if v123 != 0 {
+				v125 = v124
+			} else {
+				v125 = v7
+			}
+			v50 := v49
+			v51 := v50
+			v52 := v51
+			v53 := v52
+			v54 := v53
+			v55 := v54
+			v56 := v55
+			v57 := v56
+			v58 := v57
+			v77 := v76
+			v99 := v98
+			v108 := v107
+			v118 := v117
+			v121 := v120
+			v126 := v125
+			v134 := v127
+			v137 := v135
+			v140 := v138
+			v143 := v141
+			v146 := v144
+			n0 := v58
+			n1 := v77
+			n2 := v99
+			n3 := v108
+			n4 := v118
+			n5 := v121
+			n6 := v126
+			n7 := v134
+			n8 := v137
+			n9 := v140
+			n10 := v143
+			n11 := v146
+			v0 = n0
+			v40 = n1
+			v36 = n2
+			v31 = n3
+			v27 = n4
+			v13 = n5
+			v7 = n6
+			v127 = n7
+			v135 = n8
+			v138 = n9
+			v141 = n10
+			v144 = n11
+		case 0x9:
+			break loop
+		default:
+			var v9 uint64
+			if v7 == 0x0 {
+				v9 = 1
+			}
+			var v14 uint64
+			if addr := uint64(v13); addr < uint64(len(m0)) {
+				v14 = m0[addr] & 0xfffffff
+			}
+			v16 := v14 & 0x3
+			var v18 uint64
+			if v16 == 0x0 {
+				v18 = 1
+			}
+			var v21 uint64
+			if v16 == 0x1 {
+				v21 = 1
+			}
+			var v24 uint64
+			if v21 != 0 {
+				v24 = 0x4
+			} else {
+				v24 = 0x5
+			}
+			var v25 uint64
+			if v18 != 0 {
+				v25 = 0x7
+			} else {
+				v25 = v24
+			}
+			var v28 uint64
+			if v27 == 0x0 {
+				v28 = 1
+			}
+			var v32 uint64
+			if v31 == 0x0 {
+				v32 = 1
+			}
+			var v37 uint64
+			if v36 == 0x0 {
+				v37 = 1
+			}
+			var v41 uint64
+			if v40 == 0x0 {
+				v41 = 1
+			}
+			var v46 uint64
+			if addr := uint64(0x0); addr < uint64(len(m0)) {
+				v46 = m0[addr] & 0x1fff
+			}
+			var v47 uint64
+			if v46 <= v13 {
+				v47 = 1
+			}
+			var v49 uint64
+			if v47 != 0 {
+				v49 = 0x9
+			} else {
+				v49 = 0x1
+			}
+			v65 := (v14 >> 2)
+			v67 := v65 & 0x3f
+			var v69 uint64
+			if v67 != 0x0 {
+				v69 = 1
+			}
+			var v72 uint64
+			if v69 != 0 {
+				v72 = 0xc
+			} else {
+				v72 = 0x8
+			}
+			v81 := (v14 >> 9)
+			v83 := v81 & 0x7
+			v84 := v83
+			v86 := (v84 << 1) & 0xff
+			v87 := (v84 + v86) & 0xff
+			v88 := (0x2 + v87) & 0xff
+			v90 := (v14 >> 8)
+			v92 := v90 & 0x1
+			var v94 uint64
+			if v92 != 0 {
+				v94 = 0x14
+			} else {
+				v94 = 0x0
+			}
+			v95 := (v88 + v94) & 0xff
+			var v101 uint64
+			if v16 == 0x2 {
+				v101 = 1
+			}
+			v104 := (0x3 + v87) & 0xff
+			v111 := v67
+			v112 := (v67 >> 2)
+			v113 := (v111 - v112) & 0xff
+			v114 := (0xa + v113) & 0xff
+			v120 := (v13 + 0x1) & 0x1fff
+			v122 := (v67 >> 1)
+			var v123 uint64
+			if v7 != 0x0 {
+				v123 = 1
+			}
+			v124 := (v7 - 0x1) & 0xff
+			var v125 uint64
+			if v123 != 0 {
+				v125 = v124
+			} else {
+				v125 = v7
+			}
+			v129 := ^v69 & 0x1
+			v133 := (v127 + 0x1) & 0xffffff
+			v136 := (v135 + 0x1) & 0xffffff
+			v139 := (v138 + 0x1) & 0xffffff
+			v142 := (v141 + 0x1) & 0xffffff
+			v145 := (v144 + 0x1) & 0xffffff
+			var v2 uint64
+			if v0 == 0x0 {
+				v2 = 1
+			}
+			var v4 uint64
+			if v0 == 0x1 {
+				v4 = 1
+			}
+			var v6 uint64
+			if v0 == 0x2 {
+				v6 = 1
+			}
+			var v11 uint64
+			if v9 != 0 {
+				v11 = 0x3
+			} else {
+				v11 = v0
+			}
+			var v12 uint64
+			if v0 == 0x3 {
+				v12 = 1
+			}
+			var v26 uint64
+			if v0 == 0x4 {
+				v26 = 1
+			}
+			var v29 uint64
+			if v28 != 0 {
+				v29 = 0x7
+			} else {
+				v29 = v0
+			}
+			var v30 uint64
+			if v0 == 0x5 {
+				v30 = 1
+			}
+			var v34 uint64
+			if v32 != 0 {
+				v34 = 0x6
+			} else {
+				v34 = v0
+			}
+			var v35 uint64
+			if v0 == 0x6 {
+				v35 = 1
+			}
+			var v38 uint64
+			if v37 != 0 {
+				v38 = 0x7
+			} else {
+				v38 = v0
+			}
+			var v39 uint64
+			if v0 == 0x7 {
+				v39 = 1
+			}
+			var v43 uint64
+			if v41 != 0 {
+				v43 = 0x8
+			} else {
+				v43 = v0
+			}
+			var v44 uint64
+			if v0 == 0x8 {
+				v44 = 1
+			}
+			var v50 uint64
+			if v44 != 0 {
+				v50 = v49
+			} else {
+				v50 = v0
+			}
+			var v51 uint64
+			if v39 != 0 {
+				v51 = v43
+			} else {
+				v51 = v50
+			}
+			var v52 uint64
+			if v35 != 0 {
+				v52 = v38
+			} else {
+				v52 = v51
+			}
+			var v53 uint64
+			if v30 != 0 {
+				v53 = v34
+			} else {
+				v53 = v52
+			}
+			var v54 uint64
+			if v26 != 0 {
+				v54 = v29
+			} else {
+				v54 = v53
+			}
+			var v55 uint64
+			if v12 != 0 {
+				v55 = v25
+			} else {
+				v55 = v54
+			}
+			var v56 uint64
+			if v6 != 0 {
+				v56 = v11
+			} else {
+				v56 = v55
+			}
+			var v57 uint64
+			if v4 != 0 {
+				v57 = 0x2
+			} else {
+				v57 = v56
+			}
+			var v58 uint64
+			if v2 != 0 {
+				v58 = 0x1
+			} else {
+				v58 = v57
+			}
+			v59 := v26 & v28
+			v60 := v35 & v37
+			v61 := (v59 | v60)
+			v62 := v12 & v18
+			v63 := (v61 | v62)
+			var v77 uint64
+			if v63 != 0 {
+				v77 = v72
+			} else {
+				v77 = v76
+			}
+			v78 := v30 & v32
+			var v99 uint64
+			if v78 != 0 {
+				v99 = v95
+			} else {
+				v99 = v98
+			}
+			v102 := v12 & v101
+			var v108 uint64
+			if v102 != 0 {
+				v108 = v104
+			} else {
+				v108 = v107
+			}
+			v109 := v12 & v21
+			var v118 uint64
+			if v109 != 0 {
+				v118 = v114
+			} else {
+				v118 = v117
+			}
+			var v121 uint64
+			if v44 != 0 {
+				v121 = v120
+			} else {
+				v121 = v13
+			}
+			var v126 uint64
+			if v4 != 0 {
+				v126 = v122
+			} else {
+				v126 = v125
+			}
+			v128 := v63 & v69
+			v130 := v63 & v129
+			v131 := (v128 | v130)
+			var v134 uint64
+			if v131 != 0 {
+				v134 = v133
+			} else {
+				v134 = v127
+			}
+			var v137 uint64
+			if v78 != 0 {
+				v137 = v136
+			} else {
+				v137 = v135
+			}
+			var v140 uint64
+			if v102 != 0 {
+				v140 = v139
+			} else {
+				v140 = v138
+			}
+			var v143 uint64
+			if v109 != 0 {
+				v143 = v142
+			} else {
+				v143 = v141
+			}
+			var v146 uint64
+			if v4 != 0 {
+				v146 = v145
+			} else {
+				v146 = v144
+			}
+			var v147 uint64
+			if v0 == 0x9 {
+				v147 = 1
+			}
+			if v147 != 0 {
+				break loop
+			}
+			n0 := v58
+			n1 := v77
+			n2 := v99
+			n3 := v108
+			n4 := v118
+			n5 := v121
+			n6 := v126
+			n7 := v134
+			n8 := v137
+			n9 := v140
+			n10 := v143
+			n11 := v146
+			v0 = n0
+			v40 = n1
+			v36 = n2
+			v31 = n3
+			v27 = n4
+			v13 = n5
+			v7 = n6
+			v127 = n7
+			v135 = n8
+			v138 = n9
+			v141 = n10
+			v144 = n11
+		}
+	}
+	vals[0] = v0
+	vals[40] = v40
+	vals[36] = v36
+	vals[31] = v31
+	vals[27] = v27
+	vals[13] = v13
+	vals[7] = v7
+	vals[127] = v127
+	vals[135] = v135
+	vals[138] = v138
+	vals[141] = v141
+	vals[144] = v144
+	var v9 uint64
+	if v7 == 0x0 {
+		v9 = 1
+	}
+	vals[9] = v9
+	var v14 uint64
+	if addr := uint64(v13); addr < uint64(len(m0)) {
+		v14 = m0[addr] & 0xfffffff
+	}
+	vals[14] = v14
+	v16 := v14 & 0x3
+	vals[16] = v16
+	var v18 uint64
+	if v16 == 0x0 {
+		v18 = 1
+	}
+	vals[18] = v18
+	var v21 uint64
+	if v16 == 0x1 {
+		v21 = 1
+	}
+	vals[21] = v21
+	var v24 uint64
+	if v21 != 0 {
+		v24 = 0x4
+	} else {
+		v24 = 0x5
+	}
+	vals[24] = v24
+	var v25 uint64
+	if v18 != 0 {
+		v25 = 0x7
+	} else {
+		v25 = v24
+	}
+	vals[25] = v25
+	var v28 uint64
+	if v27 == 0x0 {
+		v28 = 1
+	}
+	vals[28] = v28
+	var v32 uint64
+	if v31 == 0x0 {
+		v32 = 1
+	}
+	vals[32] = v32
+	var v37 uint64
+	if v36 == 0x0 {
+		v37 = 1
+	}
+	vals[37] = v37
+	var v41 uint64
+	if v40 == 0x0 {
+		v41 = 1
+	}
+	vals[41] = v41
+	var v46 uint64
+	if addr := uint64(0x0); addr < uint64(len(m0)) {
+		v46 = m0[addr] & 0x1fff
+	}
+	vals[46] = v46
+	var v47 uint64
+	if v46 <= v13 {
+		v47 = 1
+	}
+	vals[47] = v47
+	var v49 uint64
+	if v47 != 0 {
+		v49 = 0x9
+	} else {
+		v49 = 0x1
+	}
+	vals[49] = v49
+	v65 := (v14 >> 2)
+	vals[65] = v65
+	v67 := v65 & 0x3f
+	vals[67] = v67
+	var v69 uint64
+	if v67 != 0x0 {
+		v69 = 1
+	}
+	vals[69] = v69
+	var v72 uint64
+	if v69 != 0 {
+		v72 = 0xc
+	} else {
+		v72 = 0x8
+	}
+	vals[72] = v72
+	var v73 uint64
+	if v40 != 0x0 {
+		v73 = 1
+	}
+	vals[73] = v73
+	v75 := (v40 - 0x1) & 0xff
+	vals[75] = v75
+	var v76 uint64
+	if v73 != 0 {
+		v76 = v75
+	} else {
+		v76 = v40
+	}
+	vals[76] = v76
+	v81 := (v14 >> 9)
+	vals[81] = v81
+	v83 := v81 & 0x7
+	vals[83] = v83
+	v84 := v83
+	vals[84] = v84
+	v86 := (v84 << 1) & 0xff
+	vals[86] = v86
+	v87 := (v84 + v86) & 0xff
+	vals[87] = v87
+	v88 := (0x2 + v87) & 0xff
+	vals[88] = v88
+	v90 := (v14 >> 8)
+	vals[90] = v90
+	v92 := v90 & 0x1
+	vals[92] = v92
+	var v94 uint64
+	if v92 != 0 {
+		v94 = 0x14
+	} else {
+		v94 = 0x0
+	}
+	vals[94] = v94
+	v95 := (v88 + v94) & 0xff
+	vals[95] = v95
+	var v96 uint64
+	if v36 != 0x0 {
+		v96 = 1
+	}
+	vals[96] = v96
+	v97 := (v36 - 0x1) & 0xff
+	vals[97] = v97
+	var v98 uint64
+	if v96 != 0 {
+		v98 = v97
+	} else {
+		v98 = v36
+	}
+	vals[98] = v98
+	var v101 uint64
+	if v16 == 0x2 {
+		v101 = 1
+	}
+	vals[101] = v101
+	v104 := (0x3 + v87) & 0xff
+	vals[104] = v104
+	var v105 uint64
+	if v31 != 0x0 {
+		v105 = 1
+	}
+	vals[105] = v105
+	v106 := (v31 - 0x1) & 0xff
+	vals[106] = v106
+	var v107 uint64
+	if v105 != 0 {
+		v107 = v106
+	} else {
+		v107 = v31
+	}
+	vals[107] = v107
+	v111 := v67
+	vals[111] = v111
+	v112 := (v67 >> 2)
+	vals[112] = v112
+	v113 := (v111 - v112) & 0xff
+	vals[113] = v113
+	v114 := (0xa + v113) & 0xff
+	vals[114] = v114
+	var v115 uint64
+	if v27 != 0x0 {
+		v115 = 1
+	}
+	vals[115] = v115
+	v116 := (v27 - 0x1) & 0xff
+	vals[116] = v116
+	var v117 uint64
+	if v115 != 0 {
+		v117 = v116
+	} else {
+		v117 = v27
+	}
+	vals[117] = v117
+	v120 := (v13 + 0x1) & 0x1fff
+	vals[120] = v120
+	v122 := (v67 >> 1)
+	vals[122] = v122
+	var v123 uint64
+	if v7 != 0x0 {
+		v123 = 1
+	}
+	vals[123] = v123
+	v124 := (v7 - 0x1) & 0xff
+	vals[124] = v124
+	var v125 uint64
+	if v123 != 0 {
+		v125 = v124
+	} else {
+		v125 = v7
+	}
+	vals[125] = v125
+	v129 := ^v69 & 0x1
+	vals[129] = v129
+	v133 := (v127 + 0x1) & 0xffffff
+	vals[133] = v133
+	v136 := (v135 + 0x1) & 0xffffff
+	vals[136] = v136
+	v139 := (v138 + 0x1) & 0xffffff
+	vals[139] = v139
+	v142 := (v141 + 0x1) & 0xffffff
+	vals[142] = v142
+	v145 := (v144 + 0x1) & 0xffffff
+	vals[145] = v145
+	switch v0 {
+	case 0x0:
+		vals[2] = 0x1
+		vals[4] = 0x0
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x0
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		vals[26] = 0x0
+		var v29 uint64
+		if v28 != 0 {
+			v29 = 0x7
+		} else {
+			v29 = 0x0
+		}
+		vals[29] = v29
+		vals[30] = 0x0
+		var v34 uint64
+		if v32 != 0 {
+			v34 = 0x6
+		} else {
+			v34 = 0x0
+		}
+		vals[34] = v34
+		vals[35] = 0x0
+		var v38 uint64
+		if v37 != 0 {
+			v38 = 0x7
+		} else {
+			v38 = 0x0
+		}
+		vals[38] = v38
+		vals[39] = 0x0
+		var v43 uint64
+		if v41 != 0 {
+			v43 = 0x8
+		} else {
+			v43 = 0x0
+		}
+		vals[43] = v43
+		vals[44] = 0x0
+		vals[50] = 0x0
+		vals[51] = 0x0
+		vals[52] = 0x0
+		vals[53] = 0x0
+		vals[54] = 0x0
+		vals[55] = 0x0
+		vals[56] = 0x0
+		vals[57] = 0x0
+		vals[58] = 0x1
+		vals[59] = 0x0
+		vals[60] = 0x0
+		vals[61] = 0x0
+		vals[62] = 0x0
+		vals[63] = 0x0
+		v77 := v76
+		vals[77] = v77
+		vals[78] = 0x0
+		v99 := v98
+		vals[99] = v99
+		vals[102] = 0x0
+		v108 := v107
+		vals[108] = v108
+		vals[109] = 0x0
+		v118 := v117
+		vals[118] = v118
+		v121 := v13
+		vals[121] = v121
+		v126 := v125
+		vals[126] = v126
+		vals[128] = 0x0
+		vals[130] = 0x0
+		vals[131] = 0x0
+		v134 := v127
+		vals[134] = v134
+		v137 := v135
+		vals[137] = v137
+		v140 := v138
+		vals[140] = v140
+		v143 := v141
+		vals[143] = v143
+		v146 := v144
+		vals[146] = v146
+		vals[147] = 0x0
+	case 0x1:
+		vals[2] = 0x0
+		vals[4] = 0x1
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x1
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		vals[26] = 0x0
+		var v29 uint64
+		if v28 != 0 {
+			v29 = 0x7
+		} else {
+			v29 = 0x1
+		}
+		vals[29] = v29
+		vals[30] = 0x0
+		var v34 uint64
+		if v32 != 0 {
+			v34 = 0x6
+		} else {
+			v34 = 0x1
+		}
+		vals[34] = v34
+		vals[35] = 0x0
+		var v38 uint64
+		if v37 != 0 {
+			v38 = 0x7
+		} else {
+			v38 = 0x1
+		}
+		vals[38] = v38
+		vals[39] = 0x0
+		var v43 uint64
+		if v41 != 0 {
+			v43 = 0x8
+		} else {
+			v43 = 0x1
+		}
+		vals[43] = v43
+		vals[44] = 0x0
+		vals[50] = 0x1
+		vals[51] = 0x1
+		vals[52] = 0x1
+		vals[53] = 0x1
+		vals[54] = 0x1
+		vals[55] = 0x1
+		vals[56] = 0x1
+		vals[57] = 0x2
+		vals[58] = 0x2
+		vals[59] = 0x0
+		vals[60] = 0x0
+		vals[61] = 0x0
+		vals[62] = 0x0
+		vals[63] = 0x0
+		v77 := v76
+		vals[77] = v77
+		vals[78] = 0x0
+		v99 := v98
+		vals[99] = v99
+		vals[102] = 0x0
+		v108 := v107
+		vals[108] = v108
+		vals[109] = 0x0
+		v118 := v117
+		vals[118] = v118
+		v121 := v13
+		vals[121] = v121
+		v126 := v122
+		vals[126] = v126
+		vals[128] = 0x0
+		vals[130] = 0x0
+		vals[131] = 0x0
+		v134 := v127
+		vals[134] = v134
+		v137 := v135
+		vals[137] = v137
+		v140 := v138
+		vals[140] = v140
+		v143 := v141
+		vals[143] = v143
+		v146 := v145
+		vals[146] = v146
+		vals[147] = 0x0
+	case 0x2:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		vals[6] = 0x1
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x2
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		vals[26] = 0x0
+		var v29 uint64
+		if v28 != 0 {
+			v29 = 0x7
+		} else {
+			v29 = 0x2
+		}
+		vals[29] = v29
+		vals[30] = 0x0
+		var v34 uint64
+		if v32 != 0 {
+			v34 = 0x6
+		} else {
+			v34 = 0x2
+		}
+		vals[34] = v34
+		vals[35] = 0x0
+		var v38 uint64
+		if v37 != 0 {
+			v38 = 0x7
+		} else {
+			v38 = 0x2
+		}
+		vals[38] = v38
+		vals[39] = 0x0
+		var v43 uint64
+		if v41 != 0 {
+			v43 = 0x8
+		} else {
+			v43 = 0x2
+		}
+		vals[43] = v43
+		vals[44] = 0x0
+		vals[50] = 0x2
+		vals[51] = 0x2
+		vals[52] = 0x2
+		vals[53] = 0x2
+		vals[54] = 0x2
+		vals[55] = 0x2
+		v56 := v11
+		vals[56] = v56
+		v57 := v56
+		vals[57] = v57
+		v58 := v57
+		vals[58] = v58
+		vals[59] = 0x0
+		vals[60] = 0x0
+		vals[61] = 0x0
+		vals[62] = 0x0
+		vals[63] = 0x0
+		v77 := v76
+		vals[77] = v77
+		vals[78] = 0x0
+		v99 := v98
+		vals[99] = v99
+		vals[102] = 0x0
+		v108 := v107
+		vals[108] = v108
+		vals[109] = 0x0
+		v118 := v117
+		vals[118] = v118
+		v121 := v13
+		vals[121] = v121
+		v126 := v125
+		vals[126] = v126
+		vals[128] = 0x0
+		vals[130] = 0x0
+		vals[131] = 0x0
+		v134 := v127
+		vals[134] = v134
+		v137 := v135
+		vals[137] = v137
+		v140 := v138
+		vals[140] = v140
+		v143 := v141
+		vals[143] = v143
+		v146 := v144
+		vals[146] = v146
+		vals[147] = 0x0
+	case 0x3:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x3
+		}
+		vals[11] = v11
+		vals[12] = 0x1
+		vals[26] = 0x0
+		var v29 uint64
+		if v28 != 0 {
+			v29 = 0x7
+		} else {
+			v29 = 0x3
+		}
+		vals[29] = v29
+		vals[30] = 0x0
+		var v34 uint64
+		if v32 != 0 {
+			v34 = 0x6
+		} else {
+			v34 = 0x3
+		}
+		vals[34] = v34
+		vals[35] = 0x0
+		var v38 uint64
+		if v37 != 0 {
+			v38 = 0x7
+		} else {
+			v38 = 0x3
+		}
+		vals[38] = v38
+		vals[39] = 0x0
+		var v43 uint64
+		if v41 != 0 {
+			v43 = 0x8
+		} else {
+			v43 = 0x3
+		}
+		vals[43] = v43
+		vals[44] = 0x0
+		vals[50] = 0x3
+		vals[51] = 0x3
+		vals[52] = 0x3
+		vals[53] = 0x3
+		vals[54] = 0x3
+		v55 := v25
+		vals[55] = v55
+		v56 := v55
+		vals[56] = v56
+		v57 := v56
+		vals[57] = v57
+		v58 := v57
+		vals[58] = v58
+		vals[59] = 0x0
+		vals[60] = 0x0
+		vals[61] = 0x0
+		v62 := v18
+		vals[62] = v62
+		v63 := v62
+		vals[63] = v63
+		var v77 uint64
+		if v63 != 0 {
+			v77 = v72
+		} else {
+			v77 = v76
+		}
+		vals[77] = v77
+		vals[78] = 0x0
+		v99 := v98
+		vals[99] = v99
+		v102 := v101
+		vals[102] = v102
+		var v108 uint64
+		if v102 != 0 {
+			v108 = v104
+		} else {
+			v108 = v107
+		}
+		vals[108] = v108
+		v109 := v21
+		vals[109] = v109
+		var v118 uint64
+		if v109 != 0 {
+			v118 = v114
+		} else {
+			v118 = v117
+		}
+		vals[118] = v118
+		v121 := v13
+		vals[121] = v121
+		v126 := v125
+		vals[126] = v126
+		v128 := v63 & v69
+		vals[128] = v128
+		v130 := v63 & v129
+		vals[130] = v130
+		v131 := (v128 | v130)
+		vals[131] = v131
+		var v134 uint64
+		if v131 != 0 {
+			v134 = v133
+		} else {
+			v134 = v127
+		}
+		vals[134] = v134
+		v137 := v135
+		vals[137] = v137
+		var v140 uint64
+		if v102 != 0 {
+			v140 = v139
+		} else {
+			v140 = v138
+		}
+		vals[140] = v140
+		var v143 uint64
+		if v109 != 0 {
+			v143 = v142
+		} else {
+			v143 = v141
+		}
+		vals[143] = v143
+		v146 := v144
+		vals[146] = v146
+		vals[147] = 0x0
+	case 0x4:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x4
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		vals[26] = 0x1
+		var v29 uint64
+		if v28 != 0 {
+			v29 = 0x7
+		} else {
+			v29 = 0x4
+		}
+		vals[29] = v29
+		vals[30] = 0x0
+		var v34 uint64
+		if v32 != 0 {
+			v34 = 0x6
+		} else {
+			v34 = 0x4
+		}
+		vals[34] = v34
+		vals[35] = 0x0
+		var v38 uint64
+		if v37 != 0 {
+			v38 = 0x7
+		} else {
+			v38 = 0x4
+		}
+		vals[38] = v38
+		vals[39] = 0x0
+		var v43 uint64
+		if v41 != 0 {
+			v43 = 0x8
+		} else {
+			v43 = 0x4
+		}
+		vals[43] = v43
+		vals[44] = 0x0
+		vals[50] = 0x4
+		vals[51] = 0x4
+		vals[52] = 0x4
+		vals[53] = 0x4
+		v54 := v29
+		vals[54] = v54
+		v55 := v54
+		vals[55] = v55
+		v56 := v55
+		vals[56] = v56
+		v57 := v56
+		vals[57] = v57
+		v58 := v57
+		vals[58] = v58
+		v59 := v28
+		vals[59] = v59
+		vals[60] = 0x0
+		v61 := v59
+		vals[61] = v61
+		vals[62] = 0x0
+		v63 := v61
+		vals[63] = v63
+		var v77 uint64
+		if v63 != 0 {
+			v77 = v72
+		} else {
+			v77 = v76
+		}
+		vals[77] = v77
+		vals[78] = 0x0
+		v99 := v98
+		vals[99] = v99
+		vals[102] = 0x0
+		v108 := v107
+		vals[108] = v108
+		vals[109] = 0x0
+		v118 := v117
+		vals[118] = v118
+		v121 := v13
+		vals[121] = v121
+		v126 := v125
+		vals[126] = v126
+		v128 := v63 & v69
+		vals[128] = v128
+		v130 := v63 & v129
+		vals[130] = v130
+		v131 := (v128 | v130)
+		vals[131] = v131
+		var v134 uint64
+		if v131 != 0 {
+			v134 = v133
+		} else {
+			v134 = v127
+		}
+		vals[134] = v134
+		v137 := v135
+		vals[137] = v137
+		v140 := v138
+		vals[140] = v140
+		v143 := v141
+		vals[143] = v143
+		v146 := v144
+		vals[146] = v146
+		vals[147] = 0x0
+	case 0x5:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x5
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		vals[26] = 0x0
+		var v29 uint64
+		if v28 != 0 {
+			v29 = 0x7
+		} else {
+			v29 = 0x5
+		}
+		vals[29] = v29
+		vals[30] = 0x1
+		var v34 uint64
+		if v32 != 0 {
+			v34 = 0x6
+		} else {
+			v34 = 0x5
+		}
+		vals[34] = v34
+		vals[35] = 0x0
+		var v38 uint64
+		if v37 != 0 {
+			v38 = 0x7
+		} else {
+			v38 = 0x5
+		}
+		vals[38] = v38
+		vals[39] = 0x0
+		var v43 uint64
+		if v41 != 0 {
+			v43 = 0x8
+		} else {
+			v43 = 0x5
+		}
+		vals[43] = v43
+		vals[44] = 0x0
+		vals[50] = 0x5
+		vals[51] = 0x5
+		vals[52] = 0x5
+		v53 := v34
+		vals[53] = v53
+		v54 := v53
+		vals[54] = v54
+		v55 := v54
+		vals[55] = v55
+		v56 := v55
+		vals[56] = v56
+		v57 := v56
+		vals[57] = v57
+		v58 := v57
+		vals[58] = v58
+		vals[59] = 0x0
+		vals[60] = 0x0
+		vals[61] = 0x0
+		vals[62] = 0x0
+		vals[63] = 0x0
+		v77 := v76
+		vals[77] = v77
+		v78 := v32
+		vals[78] = v78
+		var v99 uint64
+		if v78 != 0 {
+			v99 = v95
+		} else {
+			v99 = v98
+		}
+		vals[99] = v99
+		vals[102] = 0x0
+		v108 := v107
+		vals[108] = v108
+		vals[109] = 0x0
+		v118 := v117
+		vals[118] = v118
+		v121 := v13
+		vals[121] = v121
+		v126 := v125
+		vals[126] = v126
+		vals[128] = 0x0
+		vals[130] = 0x0
+		vals[131] = 0x0
+		v134 := v127
+		vals[134] = v134
+		var v137 uint64
+		if v78 != 0 {
+			v137 = v136
+		} else {
+			v137 = v135
+		}
+		vals[137] = v137
+		v140 := v138
+		vals[140] = v140
+		v143 := v141
+		vals[143] = v143
+		v146 := v144
+		vals[146] = v146
+		vals[147] = 0x0
+	case 0x6:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x6
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		vals[26] = 0x0
+		var v29 uint64
+		if v28 != 0 {
+			v29 = 0x7
+		} else {
+			v29 = 0x6
+		}
+		vals[29] = v29
+		vals[30] = 0x0
+		var v34 uint64
+		if v32 != 0 {
+			v34 = 0x6
+		} else {
+			v34 = 0x6
+		}
+		vals[34] = v34
+		vals[35] = 0x1
+		var v38 uint64
+		if v37 != 0 {
+			v38 = 0x7
+		} else {
+			v38 = 0x6
+		}
+		vals[38] = v38
+		vals[39] = 0x0
+		var v43 uint64
+		if v41 != 0 {
+			v43 = 0x8
+		} else {
+			v43 = 0x6
+		}
+		vals[43] = v43
+		vals[44] = 0x0
+		vals[50] = 0x6
+		vals[51] = 0x6
+		v52 := v38
+		vals[52] = v52
+		v53 := v52
+		vals[53] = v53
+		v54 := v53
+		vals[54] = v54
+		v55 := v54
+		vals[55] = v55
+		v56 := v55
+		vals[56] = v56
+		v57 := v56
+		vals[57] = v57
+		v58 := v57
+		vals[58] = v58
+		vals[59] = 0x0
+		v60 := v37
+		vals[60] = v60
+		v61 := v60
+		vals[61] = v61
+		vals[62] = 0x0
+		v63 := v61
+		vals[63] = v63
+		var v77 uint64
+		if v63 != 0 {
+			v77 = v72
+		} else {
+			v77 = v76
+		}
+		vals[77] = v77
+		vals[78] = 0x0
+		v99 := v98
+		vals[99] = v99
+		vals[102] = 0x0
+		v108 := v107
+		vals[108] = v108
+		vals[109] = 0x0
+		v118 := v117
+		vals[118] = v118
+		v121 := v13
+		vals[121] = v121
+		v126 := v125
+		vals[126] = v126
+		v128 := v63 & v69
+		vals[128] = v128
+		v130 := v63 & v129
+		vals[130] = v130
+		v131 := (v128 | v130)
+		vals[131] = v131
+		var v134 uint64
+		if v131 != 0 {
+			v134 = v133
+		} else {
+			v134 = v127
+		}
+		vals[134] = v134
+		v137 := v135
+		vals[137] = v137
+		v140 := v138
+		vals[140] = v140
+		v143 := v141
+		vals[143] = v143
+		v146 := v144
+		vals[146] = v146
+		vals[147] = 0x0
+	case 0x7:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x7
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		vals[26] = 0x0
+		var v29 uint64
+		if v28 != 0 {
+			v29 = 0x7
+		} else {
+			v29 = 0x7
+		}
+		vals[29] = v29
+		vals[30] = 0x0
+		var v34 uint64
+		if v32 != 0 {
+			v34 = 0x6
+		} else {
+			v34 = 0x7
+		}
+		vals[34] = v34
+		vals[35] = 0x0
+		var v38 uint64
+		if v37 != 0 {
+			v38 = 0x7
+		} else {
+			v38 = 0x7
+		}
+		vals[38] = v38
+		vals[39] = 0x1
+		var v43 uint64
+		if v41 != 0 {
+			v43 = 0x8
+		} else {
+			v43 = 0x7
+		}
+		vals[43] = v43
+		vals[44] = 0x0
+		vals[50] = 0x7
+		v51 := v43
+		vals[51] = v51
+		v52 := v51
+		vals[52] = v52
+		v53 := v52
+		vals[53] = v53
+		v54 := v53
+		vals[54] = v54
+		v55 := v54
+		vals[55] = v55
+		v56 := v55
+		vals[56] = v56
+		v57 := v56
+		vals[57] = v57
+		v58 := v57
+		vals[58] = v58
+		vals[59] = 0x0
+		vals[60] = 0x0
+		vals[61] = 0x0
+		vals[62] = 0x0
+		vals[63] = 0x0
+		v77 := v76
+		vals[77] = v77
+		vals[78] = 0x0
+		v99 := v98
+		vals[99] = v99
+		vals[102] = 0x0
+		v108 := v107
+		vals[108] = v108
+		vals[109] = 0x0
+		v118 := v117
+		vals[118] = v118
+		v121 := v13
+		vals[121] = v121
+		v126 := v125
+		vals[126] = v126
+		vals[128] = 0x0
+		vals[130] = 0x0
+		vals[131] = 0x0
+		v134 := v127
+		vals[134] = v134
+		v137 := v135
+		vals[137] = v137
+		v140 := v138
+		vals[140] = v140
+		v143 := v141
+		vals[143] = v143
+		v146 := v144
+		vals[146] = v146
+		vals[147] = 0x0
+	case 0x8:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x8
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		vals[26] = 0x0
+		var v29 uint64
+		if v28 != 0 {
+			v29 = 0x7
+		} else {
+			v29 = 0x8
+		}
+		vals[29] = v29
+		vals[30] = 0x0
+		var v34 uint64
+		if v32 != 0 {
+			v34 = 0x6
+		} else {
+			v34 = 0x8
+		}
+		vals[34] = v34
+		vals[35] = 0x0
+		var v38 uint64
+		if v37 != 0 {
+			v38 = 0x7
+		} else {
+			v38 = 0x8
+		}
+		vals[38] = v38
+		vals[39] = 0x0
+		var v43 uint64
+		if v41 != 0 {
+			v43 = 0x8
+		} else {
+			v43 = 0x8
+		}
+		vals[43] = v43
+		vals[44] = 0x1
+		v50 := v49
+		vals[50] = v50
+		v51 := v50
+		vals[51] = v51
+		v52 := v51
+		vals[52] = v52
+		v53 := v52
+		vals[53] = v53
+		v54 := v53
+		vals[54] = v54
+		v55 := v54
+		vals[55] = v55
+		v56 := v55
+		vals[56] = v56
+		v57 := v56
+		vals[57] = v57
+		v58 := v57
+		vals[58] = v58
+		vals[59] = 0x0
+		vals[60] = 0x0
+		vals[61] = 0x0
+		vals[62] = 0x0
+		vals[63] = 0x0
+		v77 := v76
+		vals[77] = v77
+		vals[78] = 0x0
+		v99 := v98
+		vals[99] = v99
+		vals[102] = 0x0
+		v108 := v107
+		vals[108] = v108
+		vals[109] = 0x0
+		v118 := v117
+		vals[118] = v118
+		v121 := v120
+		vals[121] = v121
+		v126 := v125
+		vals[126] = v126
+		vals[128] = 0x0
+		vals[130] = 0x0
+		vals[131] = 0x0
+		v134 := v127
+		vals[134] = v134
+		v137 := v135
+		vals[137] = v137
+		v140 := v138
+		vals[140] = v140
+		v143 := v141
+		vals[143] = v143
+		v146 := v144
+		vals[146] = v146
+		vals[147] = 0x0
+	case 0x9:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x9
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		vals[26] = 0x0
+		var v29 uint64
+		if v28 != 0 {
+			v29 = 0x7
+		} else {
+			v29 = 0x9
+		}
+		vals[29] = v29
+		vals[30] = 0x0
+		var v34 uint64
+		if v32 != 0 {
+			v34 = 0x6
+		} else {
+			v34 = 0x9
+		}
+		vals[34] = v34
+		vals[35] = 0x0
+		var v38 uint64
+		if v37 != 0 {
+			v38 = 0x7
+		} else {
+			v38 = 0x9
+		}
+		vals[38] = v38
+		vals[39] = 0x0
+		var v43 uint64
+		if v41 != 0 {
+			v43 = 0x8
+		} else {
+			v43 = 0x9
+		}
+		vals[43] = v43
+		vals[44] = 0x0
+		vals[50] = 0x9
+		vals[51] = 0x9
+		vals[52] = 0x9
+		vals[53] = 0x9
+		vals[54] = 0x9
+		vals[55] = 0x9
+		vals[56] = 0x9
+		vals[57] = 0x9
+		vals[58] = 0x9
+		vals[59] = 0x0
+		vals[60] = 0x0
+		vals[61] = 0x0
+		vals[62] = 0x0
+		vals[63] = 0x0
+		v77 := v76
+		vals[77] = v77
+		vals[78] = 0x0
+		v99 := v98
+		vals[99] = v99
+		vals[102] = 0x0
+		v108 := v107
+		vals[108] = v108
+		vals[109] = 0x0
+		v118 := v117
+		vals[118] = v118
+		v121 := v13
+		vals[121] = v121
+		v126 := v125
+		vals[126] = v126
+		vals[128] = 0x0
+		vals[130] = 0x0
+		vals[131] = 0x0
+		v134 := v127
+		vals[134] = v134
+		v137 := v135
+		vals[137] = v137
+		v140 := v138
+		vals[140] = v140
+		v143 := v141
+		vals[143] = v143
+		v146 := v144
+		vals[146] = v146
+		vals[147] = 0x1
+	default:
+		var v2 uint64
+		if v0 == 0x0 {
+			v2 = 1
+		}
+		vals[2] = v2
+		var v4 uint64
+		if v0 == 0x1 {
+			v4 = 1
+		}
+		vals[4] = v4
+		var v6 uint64
+		if v0 == 0x2 {
+			v6 = 1
+		}
+		vals[6] = v6
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = v0
+		}
+		vals[11] = v11
+		var v12 uint64
+		if v0 == 0x3 {
+			v12 = 1
+		}
+		vals[12] = v12
+		var v26 uint64
+		if v0 == 0x4 {
+			v26 = 1
+		}
+		vals[26] = v26
+		var v29 uint64
+		if v28 != 0 {
+			v29 = 0x7
+		} else {
+			v29 = v0
+		}
+		vals[29] = v29
+		var v30 uint64
+		if v0 == 0x5 {
+			v30 = 1
+		}
+		vals[30] = v30
+		var v34 uint64
+		if v32 != 0 {
+			v34 = 0x6
+		} else {
+			v34 = v0
+		}
+		vals[34] = v34
+		var v35 uint64
+		if v0 == 0x6 {
+			v35 = 1
+		}
+		vals[35] = v35
+		var v38 uint64
+		if v37 != 0 {
+			v38 = 0x7
+		} else {
+			v38 = v0
+		}
+		vals[38] = v38
+		var v39 uint64
+		if v0 == 0x7 {
+			v39 = 1
+		}
+		vals[39] = v39
+		var v43 uint64
+		if v41 != 0 {
+			v43 = 0x8
+		} else {
+			v43 = v0
+		}
+		vals[43] = v43
+		var v44 uint64
+		if v0 == 0x8 {
+			v44 = 1
+		}
+		vals[44] = v44
+		var v50 uint64
+		if v44 != 0 {
+			v50 = v49
+		} else {
+			v50 = v0
+		}
+		vals[50] = v50
+		var v51 uint64
+		if v39 != 0 {
+			v51 = v43
+		} else {
+			v51 = v50
+		}
+		vals[51] = v51
+		var v52 uint64
+		if v35 != 0 {
+			v52 = v38
+		} else {
+			v52 = v51
+		}
+		vals[52] = v52
+		var v53 uint64
+		if v30 != 0 {
+			v53 = v34
+		} else {
+			v53 = v52
+		}
+		vals[53] = v53
+		var v54 uint64
+		if v26 != 0 {
+			v54 = v29
+		} else {
+			v54 = v53
+		}
+		vals[54] = v54
+		var v55 uint64
+		if v12 != 0 {
+			v55 = v25
+		} else {
+			v55 = v54
+		}
+		vals[55] = v55
+		var v56 uint64
+		if v6 != 0 {
+			v56 = v11
+		} else {
+			v56 = v55
+		}
+		vals[56] = v56
+		var v57 uint64
+		if v4 != 0 {
+			v57 = 0x2
+		} else {
+			v57 = v56
+		}
+		vals[57] = v57
+		var v58 uint64
+		if v2 != 0 {
+			v58 = 0x1
+		} else {
+			v58 = v57
+		}
+		vals[58] = v58
+		v59 := v26 & v28
+		vals[59] = v59
+		v60 := v35 & v37
+		vals[60] = v60
+		v61 := (v59 | v60)
+		vals[61] = v61
+		v62 := v12 & v18
+		vals[62] = v62
+		v63 := (v61 | v62)
+		vals[63] = v63
+		var v77 uint64
+		if v63 != 0 {
+			v77 = v72
+		} else {
+			v77 = v76
+		}
+		vals[77] = v77
+		v78 := v30 & v32
+		vals[78] = v78
+		var v99 uint64
+		if v78 != 0 {
+			v99 = v95
+		} else {
+			v99 = v98
+		}
+		vals[99] = v99
+		v102 := v12 & v101
+		vals[102] = v102
+		var v108 uint64
+		if v102 != 0 {
+			v108 = v104
+		} else {
+			v108 = v107
+		}
+		vals[108] = v108
+		v109 := v12 & v21
+		vals[109] = v109
+		var v118 uint64
+		if v109 != 0 {
+			v118 = v114
+		} else {
+			v118 = v117
+		}
+		vals[118] = v118
+		var v121 uint64
+		if v44 != 0 {
+			v121 = v120
+		} else {
+			v121 = v13
+		}
+		vals[121] = v121
+		var v126 uint64
+		if v4 != 0 {
+			v126 = v122
+		} else {
+			v126 = v125
+		}
+		vals[126] = v126
+		v128 := v63 & v69
+		vals[128] = v128
+		v130 := v63 & v129
+		vals[130] = v130
+		v131 := (v128 | v130)
+		vals[131] = v131
+		var v134 uint64
+		if v131 != 0 {
+			v134 = v133
+		} else {
+			v134 = v127
+		}
+		vals[134] = v134
+		var v137 uint64
+		if v78 != 0 {
+			v137 = v136
+		} else {
+			v137 = v135
+		}
+		vals[137] = v137
+		var v140 uint64
+		if v102 != 0 {
+			v140 = v139
+		} else {
+			v140 = v138
+		}
+		vals[140] = v140
+		var v143 uint64
+		if v109 != 0 {
+			v143 = v142
+		} else {
+			v143 = v141
+		}
+		vals[143] = v143
+		var v146 uint64
+		if v4 != 0 {
+			v146 = v145
+		} else {
+			v146 = v144
+		}
+		vals[146] = v146
+		var v147 uint64
+		if v0 == 0x9 {
+			v147 = 1
+		}
+		vals[147] = v147
+	}
+	done := vals[147] != 0
+	l0 := vals[58] & 0xf
+	l1 := vals[77] & 0xff
+	l2 := vals[99] & 0xff
+	l3 := vals[108] & 0xff
+	l4 := vals[118] & 0xff
+	l5 := vals[121] & 0x1fff
+	l6 := vals[126] & 0xff
+	l7 := vals[134] & 0xffffff
+	l8 := vals[137] & 0xffffff
+	l9 := vals[140] & 0xffffff
+	l10 := vals[143] & 0xffffff
+	l11 := vals[146] & 0xffffff
+	vals[0] = l0
+	vals[40] = l1
+	vals[36] = l2
+	vals[31] = l3
+	vals[27] = l4
+	vals[13] = l5
+	vals[7] = l6
+	vals[127] = l7
+	vals[135] = l8
+	vals[138] = l9
+	vals[141] = l10
+	vals[144] = l11
+	return cycles + 1, done
+}
+
 func step_h264_slice_all(vals []uint64, mems [][]uint64, limit uint64) (uint64, bool) {
 	_ = vals[187]
 	m0 := mems[0]
@@ -23483,6 +26116,7 @@ func init() {
 	rtl.RegisterNative("1fe7b9d3f48f87ed9935d7678d2c5b6483b6594dce85c51f5537715d3a6b1279", "h264", step_h264)
 	rtl.RegisterNative("55928936a53a3cb3e32008a681cd2c7b45f8b7221a08203b5572043c8ca1d4a6", "h264_ins", step_h264_ins)
 	rtl.RegisterNative("f7f54ff253b38df4d70e2d4d14ed59c15dcb8e8b8bdf6669f3a0df9dfc85aaf4", "h264_pruned", step_h264_pruned)
+	rtl.RegisterNative("cacb145f90acfc06150042fae3ec6a189ea1d8c40ef1d994d3321de3cec67a51", "h264_cone", step_h264_cone)
 	rtl.RegisterNative("de1f57a45a5b837b82f8044f7aa92308eeca8e3eea0e26049663e3ee74f91784", "h264_slice_all", step_h264_slice_all)
 	rtl.RegisterNative("f1ebf5ed02d2f1d80b1271c8223e6cd1639a32323534d6159422e1fc41971f28", "h264_slice_t42", step_h264_slice_t42)
 	rtl.RegisterNative("cb66cbf22c56c3341a0150ada76f2f9c957df40034e5b67e98a8ead4d94f0a35", "h264_slice_quick", step_h264_slice_quick)

@@ -3996,6 +3996,523 @@ loop:
 	return cycles + 1, done
 }
 
+func step_md_cone(vals []uint64, mems [][]uint64, limit uint64) (uint64, bool) {
+	_ = vals[38]
+	m0 := mems[0]
+	v0 := vals[0]
+	v7 := vals[7]
+	v15 := vals[15]
+	v34 := vals[34]
+	var cycles uint64
+loop:
+	for ; cycles+1 < limit; cycles++ {
+		switch v0 {
+		case 0x0:
+			var v29 uint64
+			if v7 != 0x0 {
+				v29 = 1
+			}
+			v31 := (v7 - 0x1) & 0x7f
+			var v32 uint64
+			if v29 != 0 {
+				v32 = v31
+			} else {
+				v32 = v7
+			}
+			v25 := v15
+			v33 := v32
+			v37 := v34
+			n1 := v25
+			n2 := v33
+			n3 := v37
+			v0 = 0x1
+			v15 = n1
+			v7 = n2
+			v34 = n3
+		case 0x1:
+			var v26 uint64
+			if addr := uint64(v15); addr < uint64(len(m0)) {
+				v26 = m0[addr] & 0x7fffff
+			}
+			v28 := v26 & 0x7f
+			v36 := (v34 + 0x1) & 0xffffff
+			v25 := v15
+			v33 := v28
+			v37 := v36
+			n1 := v25
+			n2 := v33
+			n3 := v37
+			v0 = 0x2
+			v15 = n1
+			v7 = n2
+			v34 = n3
+		case 0x2:
+			var v9 uint64
+			if v7 == 0x0 {
+				v9 = 1
+			}
+			var v29 uint64
+			if v7 != 0x0 {
+				v29 = 1
+			}
+			v31 := (v7 - 0x1) & 0x7f
+			var v32 uint64
+			if v29 != 0 {
+				v32 = v31
+			} else {
+				v32 = v7
+			}
+			var v11 uint64
+			if v9 != 0 {
+				v11 = 0x3
+			} else {
+				v11 = 0x2
+			}
+			v20 := v11
+			v21 := v20
+			v22 := v21
+			v25 := v15
+			v33 := v32
+			v37 := v34
+			n0 := v22
+			n1 := v25
+			n2 := v33
+			n3 := v37
+			v0 = n0
+			v15 = n1
+			v7 = n2
+			v34 = n3
+		case 0x3:
+			var v14 uint64
+			if addr := uint64(0x0); addr < uint64(len(m0)) {
+				v14 = m0[addr] & 0x1ff
+			}
+			var v16 uint64
+			if v14 <= v15 {
+				v16 = 1
+			}
+			var v18 uint64
+			if v16 != 0 {
+				v18 = 0x4
+			} else {
+				v18 = 0x1
+			}
+			v24 := (v15 + 0x1) & 0x1ff
+			var v29 uint64
+			if v7 != 0x0 {
+				v29 = 1
+			}
+			v31 := (v7 - 0x1) & 0x7f
+			var v32 uint64
+			if v29 != 0 {
+				v32 = v31
+			} else {
+				v32 = v7
+			}
+			v19 := v18
+			v20 := v19
+			v21 := v20
+			v22 := v21
+			v25 := v24
+			v33 := v32
+			v37 := v34
+			n0 := v22
+			n1 := v25
+			n2 := v33
+			n3 := v37
+			v0 = n0
+			v15 = n1
+			v7 = n2
+			v34 = n3
+		case 0x4:
+			break loop
+		default:
+			var v9 uint64
+			if v7 == 0x0 {
+				v9 = 1
+			}
+			var v14 uint64
+			if addr := uint64(0x0); addr < uint64(len(m0)) {
+				v14 = m0[addr] & 0x1ff
+			}
+			var v16 uint64
+			if v14 <= v15 {
+				v16 = 1
+			}
+			var v18 uint64
+			if v16 != 0 {
+				v18 = 0x4
+			} else {
+				v18 = 0x1
+			}
+			v24 := (v15 + 0x1) & 0x1ff
+			var v26 uint64
+			if addr := uint64(v15); addr < uint64(len(m0)) {
+				v26 = m0[addr] & 0x7fffff
+			}
+			v28 := v26 & 0x7f
+			var v29 uint64
+			if v7 != 0x0 {
+				v29 = 1
+			}
+			v31 := (v7 - 0x1) & 0x7f
+			var v32 uint64
+			if v29 != 0 {
+				v32 = v31
+			} else {
+				v32 = v7
+			}
+			v36 := (v34 + 0x1) & 0xffffff
+			var v2 uint64
+			if v0 == 0x0 {
+				v2 = 1
+			}
+			var v4 uint64
+			if v0 == 0x1 {
+				v4 = 1
+			}
+			var v6 uint64
+			if v0 == 0x2 {
+				v6 = 1
+			}
+			var v11 uint64
+			if v9 != 0 {
+				v11 = 0x3
+			} else {
+				v11 = v0
+			}
+			var v12 uint64
+			if v0 == 0x3 {
+				v12 = 1
+			}
+			var v19 uint64
+			if v12 != 0 {
+				v19 = v18
+			} else {
+				v19 = v0
+			}
+			var v20 uint64
+			if v6 != 0 {
+				v20 = v11
+			} else {
+				v20 = v19
+			}
+			var v21 uint64
+			if v4 != 0 {
+				v21 = 0x2
+			} else {
+				v21 = v20
+			}
+			var v22 uint64
+			if v2 != 0 {
+				v22 = 0x1
+			} else {
+				v22 = v21
+			}
+			var v25 uint64
+			if v12 != 0 {
+				v25 = v24
+			} else {
+				v25 = v15
+			}
+			var v33 uint64
+			if v4 != 0 {
+				v33 = v28
+			} else {
+				v33 = v32
+			}
+			var v37 uint64
+			if v4 != 0 {
+				v37 = v36
+			} else {
+				v37 = v34
+			}
+			var v38 uint64
+			if v0 == 0x4 {
+				v38 = 1
+			}
+			if v38 != 0 {
+				break loop
+			}
+			n0 := v22
+			n1 := v25
+			n2 := v33
+			n3 := v37
+			v0 = n0
+			v15 = n1
+			v7 = n2
+			v34 = n3
+		}
+	}
+	vals[0] = v0
+	vals[15] = v15
+	vals[7] = v7
+	vals[34] = v34
+	var v9 uint64
+	if v7 == 0x0 {
+		v9 = 1
+	}
+	vals[9] = v9
+	var v14 uint64
+	if addr := uint64(0x0); addr < uint64(len(m0)) {
+		v14 = m0[addr] & 0x1ff
+	}
+	vals[14] = v14
+	var v16 uint64
+	if v14 <= v15 {
+		v16 = 1
+	}
+	vals[16] = v16
+	var v18 uint64
+	if v16 != 0 {
+		v18 = 0x4
+	} else {
+		v18 = 0x1
+	}
+	vals[18] = v18
+	v24 := (v15 + 0x1) & 0x1ff
+	vals[24] = v24
+	var v26 uint64
+	if addr := uint64(v15); addr < uint64(len(m0)) {
+		v26 = m0[addr] & 0x7fffff
+	}
+	vals[26] = v26
+	v28 := v26 & 0x7f
+	vals[28] = v28
+	var v29 uint64
+	if v7 != 0x0 {
+		v29 = 1
+	}
+	vals[29] = v29
+	v31 := (v7 - 0x1) & 0x7f
+	vals[31] = v31
+	var v32 uint64
+	if v29 != 0 {
+		v32 = v31
+	} else {
+		v32 = v7
+	}
+	vals[32] = v32
+	v36 := (v34 + 0x1) & 0xffffff
+	vals[36] = v36
+	switch v0 {
+	case 0x0:
+		vals[2] = 0x1
+		vals[4] = 0x0
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x0
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		vals[19] = 0x0
+		vals[20] = 0x0
+		vals[21] = 0x0
+		vals[22] = 0x1
+		v25 := v15
+		vals[25] = v25
+		v33 := v32
+		vals[33] = v33
+		v37 := v34
+		vals[37] = v37
+		vals[38] = 0x0
+	case 0x1:
+		vals[2] = 0x0
+		vals[4] = 0x1
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x1
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		vals[19] = 0x1
+		vals[20] = 0x1
+		vals[21] = 0x2
+		vals[22] = 0x2
+		v25 := v15
+		vals[25] = v25
+		v33 := v28
+		vals[33] = v33
+		v37 := v36
+		vals[37] = v37
+		vals[38] = 0x0
+	case 0x2:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		vals[6] = 0x1
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x2
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		vals[19] = 0x2
+		v20 := v11
+		vals[20] = v20
+		v21 := v20
+		vals[21] = v21
+		v22 := v21
+		vals[22] = v22
+		v25 := v15
+		vals[25] = v25
+		v33 := v32
+		vals[33] = v33
+		v37 := v34
+		vals[37] = v37
+		vals[38] = 0x0
+	case 0x3:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x3
+		}
+		vals[11] = v11
+		vals[12] = 0x1
+		v19 := v18
+		vals[19] = v19
+		v20 := v19
+		vals[20] = v20
+		v21 := v20
+		vals[21] = v21
+		v22 := v21
+		vals[22] = v22
+		v25 := v24
+		vals[25] = v25
+		v33 := v32
+		vals[33] = v33
+		v37 := v34
+		vals[37] = v37
+		vals[38] = 0x0
+	case 0x4:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		vals[6] = 0x0
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = 0x4
+		}
+		vals[11] = v11
+		vals[12] = 0x0
+		vals[19] = 0x4
+		vals[20] = 0x4
+		vals[21] = 0x4
+		vals[22] = 0x4
+		v25 := v15
+		vals[25] = v25
+		v33 := v32
+		vals[33] = v33
+		v37 := v34
+		vals[37] = v37
+		vals[38] = 0x1
+	default:
+		var v2 uint64
+		if v0 == 0x0 {
+			v2 = 1
+		}
+		vals[2] = v2
+		var v4 uint64
+		if v0 == 0x1 {
+			v4 = 1
+		}
+		vals[4] = v4
+		var v6 uint64
+		if v0 == 0x2 {
+			v6 = 1
+		}
+		vals[6] = v6
+		var v11 uint64
+		if v9 != 0 {
+			v11 = 0x3
+		} else {
+			v11 = v0
+		}
+		vals[11] = v11
+		var v12 uint64
+		if v0 == 0x3 {
+			v12 = 1
+		}
+		vals[12] = v12
+		var v19 uint64
+		if v12 != 0 {
+			v19 = v18
+		} else {
+			v19 = v0
+		}
+		vals[19] = v19
+		var v20 uint64
+		if v6 != 0 {
+			v20 = v11
+		} else {
+			v20 = v19
+		}
+		vals[20] = v20
+		var v21 uint64
+		if v4 != 0 {
+			v21 = 0x2
+		} else {
+			v21 = v20
+		}
+		vals[21] = v21
+		var v22 uint64
+		if v2 != 0 {
+			v22 = 0x1
+		} else {
+			v22 = v21
+		}
+		vals[22] = v22
+		var v25 uint64
+		if v12 != 0 {
+			v25 = v24
+		} else {
+			v25 = v15
+		}
+		vals[25] = v25
+		var v33 uint64
+		if v4 != 0 {
+			v33 = v28
+		} else {
+			v33 = v32
+		}
+		vals[33] = v33
+		var v37 uint64
+		if v4 != 0 {
+			v37 = v36
+		} else {
+			v37 = v34
+		}
+		vals[37] = v37
+		var v38 uint64
+		if v0 == 0x4 {
+			v38 = 1
+		}
+		vals[38] = v38
+	}
+	done := vals[38] != 0
+	l0 := vals[22] & 0x7
+	l1 := vals[25] & 0x1ff
+	l2 := vals[33] & 0x7f
+	l3 := vals[37] & 0xffffff
+	vals[0] = l0
+	vals[15] = l1
+	vals[7] = l2
+	vals[34] = l3
+	return cycles + 1, done
+}
+
 func step_md_slice_all(vals []uint64, mems [][]uint64, limit uint64) (uint64, bool) {
 	_ = vals[58]
 	m0 := mems[0]
@@ -5111,6 +5628,7 @@ func init() {
 	rtl.RegisterNative("bf665af83092e78ba4742ba0360fdb4a642472c8157b274d0cf98fbf0a4e62bf", "md", step_md)
 	rtl.RegisterNative("71c048f69366b0da4b4475476728fcd000efc70268835312d5d54a9c13ffbbd8", "md_ins", step_md_ins)
 	rtl.RegisterNative("05b7ef3c862051b804d0a5af1480df5629f338cab0de597ab655c62723a60af3", "md_pruned", step_md_pruned)
+	rtl.RegisterNative("3d5f803f1279c3c300160a2cb66a57b94232d703f6d490ea214965954ed06327", "md_cone", step_md_cone)
 	rtl.RegisterNative("8ad7a0606b801a145109b1f8a3fc057a4974fa5a36349f61ef2a4947f1c67b2a", "md_slice_all", step_md_slice_all)
 	rtl.RegisterNative("dea19e0260931bacd423fd7f3db8ffd5b185d4fe6b5dbaea3c873e975387bbd9", "md_slice_t42", step_md_slice_t42)
 }

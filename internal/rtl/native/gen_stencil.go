@@ -3969,6 +3969,724 @@ loop:
 	return cycles + 1, done
 }
 
+func step_stencil_cone(vals []uint64, mems [][]uint64, limit uint64) (uint64, bool) {
+	_ = vals[46]
+	m0 := mems[0]
+	v0 := vals[0]
+	v5 := vals[5]
+	v10 := vals[10]
+	v17 := vals[17]
+	v39 := vals[39]
+	v43 := vals[43]
+	var cycles uint64
+loop:
+	for ; cycles+1 < limit; cycles++ {
+		var v30 uint64
+		if v10 != 0x0 {
+			v30 = 1
+		}
+		v31 := (v10 - 0x1) & 0x7f
+		var v32 uint64
+		if v30 != 0 {
+			v32 = v31
+		} else {
+			v32 = v10
+		}
+		switch v0 {
+		case 0x0:
+			v44 := (v43 + 0x1) & 0xffffff
+			v27 := v17
+			v33 := v32
+			v42 := v39
+			v45 := v44
+			n1 := v27
+			n2 := v33
+			n4 := v42
+			n5 := v45
+			v0 = 0x1
+			v17 = n1
+			v10 = n2
+			v5 = 0x2
+			v39 = n4
+			v43 = n5
+		case 0x1:
+			var v6 uint64
+			if v5 == 0x0 {
+				v6 = 1
+			}
+			var v29 uint64
+			if addr := uint64(0x1); addr < uint64(len(m0)) {
+				v29 = m0[addr] & 0x7f
+			}
+			var v35 uint64
+			if v5 != 0x0 {
+				v35 = 1
+			}
+			v36 := (v5 - 0x1) & 0x7
+			var v37 uint64
+			if v35 != 0 {
+				v37 = v36
+			} else {
+				v37 = v5
+			}
+			v41 := (v39 + 0x1) & 0xffffff
+			var v8 uint64
+			if v6 != 0 {
+				v8 = 0x2
+			} else {
+				v8 = 0x1
+			}
+			v25 := v8
+			v26 := v25
+			v27 := v17
+			v28 := v6
+			var v33 uint64
+			if v28 != 0 {
+				v33 = v29
+			} else {
+				v33 = v32
+			}
+			v38 := v37
+			var v42 uint64
+			if v28 != 0 {
+				v42 = v41
+			} else {
+				v42 = v39
+			}
+			v45 := v43
+			n0 := v26
+			n1 := v27
+			n2 := v33
+			n3 := v38
+			n4 := v42
+			n5 := v45
+			v0 = n0
+			v17 = n1
+			v10 = n2
+			v5 = n3
+			v39 = n4
+			v43 = n5
+		case 0x2:
+			var v12 uint64
+			if v10 == 0x0 {
+				v12 = 1
+			}
+			var v35 uint64
+			if v5 != 0x0 {
+				v35 = 1
+			}
+			v36 := (v5 - 0x1) & 0x7
+			var v37 uint64
+			if v35 != 0 {
+				v37 = v36
+			} else {
+				v37 = v5
+			}
+			var v14 uint64
+			if v12 != 0 {
+				v14 = 0x3
+			} else {
+				v14 = 0x2
+			}
+			v24 := v14
+			v25 := v24
+			v26 := v25
+			v27 := v17
+			v33 := v32
+			v38 := v37
+			v42 := v39
+			v45 := v43
+			n0 := v26
+			n1 := v27
+			n2 := v33
+			n3 := v38
+			n4 := v42
+			n5 := v45
+			v0 = n0
+			v17 = n1
+			v10 = n2
+			v5 = n3
+			v39 = n4
+			v43 = n5
+		case 0x3:
+			var v16 uint64
+			if addr := uint64(0x0); addr < uint64(len(m0)) {
+				v16 = m0[addr] & 0x7f
+			}
+			v19 := (v17 + 0x1) & 0x7f
+			var v20 uint64
+			if v16 <= v19 {
+				v20 = 1
+			}
+			var v22 uint64
+			if v20 != 0 {
+				v22 = 0x4
+			} else {
+				v22 = 0x1
+			}
+			v44 := (v43 + 0x1) & 0xffffff
+			v23 := v22
+			v24 := v23
+			v25 := v24
+			v26 := v25
+			v27 := v19
+			v33 := v32
+			v42 := v39
+			v45 := v44
+			n0 := v26
+			n1 := v27
+			n2 := v33
+			n4 := v42
+			n5 := v45
+			v0 = n0
+			v17 = n1
+			v10 = n2
+			v5 = 0x2
+			v39 = n4
+			v43 = n5
+		case 0x4:
+			break loop
+		default:
+			var v6 uint64
+			if v5 == 0x0 {
+				v6 = 1
+			}
+			var v12 uint64
+			if v10 == 0x0 {
+				v12 = 1
+			}
+			var v16 uint64
+			if addr := uint64(0x0); addr < uint64(len(m0)) {
+				v16 = m0[addr] & 0x7f
+			}
+			v19 := (v17 + 0x1) & 0x7f
+			var v20 uint64
+			if v16 <= v19 {
+				v20 = 1
+			}
+			var v22 uint64
+			if v20 != 0 {
+				v22 = 0x4
+			} else {
+				v22 = 0x1
+			}
+			var v29 uint64
+			if addr := uint64(0x1); addr < uint64(len(m0)) {
+				v29 = m0[addr] & 0x7f
+			}
+			var v35 uint64
+			if v5 != 0x0 {
+				v35 = 1
+			}
+			v36 := (v5 - 0x1) & 0x7
+			var v37 uint64
+			if v35 != 0 {
+				v37 = v36
+			} else {
+				v37 = v5
+			}
+			v41 := (v39 + 0x1) & 0xffffff
+			v44 := (v43 + 0x1) & 0xffffff
+			var v2 uint64
+			if v0 == 0x0 {
+				v2 = 1
+			}
+			var v4 uint64
+			if v0 == 0x1 {
+				v4 = 1
+			}
+			var v8 uint64
+			if v6 != 0 {
+				v8 = 0x2
+			} else {
+				v8 = v0
+			}
+			var v9 uint64
+			if v0 == 0x2 {
+				v9 = 1
+			}
+			var v14 uint64
+			if v12 != 0 {
+				v14 = 0x3
+			} else {
+				v14 = v0
+			}
+			var v15 uint64
+			if v0 == 0x3 {
+				v15 = 1
+			}
+			var v23 uint64
+			if v15 != 0 {
+				v23 = v22
+			} else {
+				v23 = v0
+			}
+			var v24 uint64
+			if v9 != 0 {
+				v24 = v14
+			} else {
+				v24 = v23
+			}
+			var v25 uint64
+			if v4 != 0 {
+				v25 = v8
+			} else {
+				v25 = v24
+			}
+			var v26 uint64
+			if v2 != 0 {
+				v26 = 0x1
+			} else {
+				v26 = v25
+			}
+			var v27 uint64
+			if v15 != 0 {
+				v27 = v19
+			} else {
+				v27 = v17
+			}
+			v28 := v4 & v6
+			var v33 uint64
+			if v28 != 0 {
+				v33 = v29
+			} else {
+				v33 = v32
+			}
+			v34 := (v2 | v15)
+			var v38 uint64
+			if v34 != 0 {
+				v38 = 0x2
+			} else {
+				v38 = v37
+			}
+			var v42 uint64
+			if v28 != 0 {
+				v42 = v41
+			} else {
+				v42 = v39
+			}
+			var v45 uint64
+			if v34 != 0 {
+				v45 = v44
+			} else {
+				v45 = v43
+			}
+			var v46 uint64
+			if v0 == 0x4 {
+				v46 = 1
+			}
+			if v46 != 0 {
+				break loop
+			}
+			n0 := v26
+			n1 := v27
+			n2 := v33
+			n3 := v38
+			n4 := v42
+			n5 := v45
+			v0 = n0
+			v17 = n1
+			v10 = n2
+			v5 = n3
+			v39 = n4
+			v43 = n5
+		}
+	}
+	vals[0] = v0
+	vals[17] = v17
+	vals[10] = v10
+	vals[5] = v5
+	vals[39] = v39
+	vals[43] = v43
+	var v6 uint64
+	if v5 == 0x0 {
+		v6 = 1
+	}
+	vals[6] = v6
+	var v12 uint64
+	if v10 == 0x0 {
+		v12 = 1
+	}
+	vals[12] = v12
+	var v16 uint64
+	if addr := uint64(0x0); addr < uint64(len(m0)) {
+		v16 = m0[addr] & 0x7f
+	}
+	vals[16] = v16
+	v19 := (v17 + 0x1) & 0x7f
+	vals[19] = v19
+	var v20 uint64
+	if v16 <= v19 {
+		v20 = 1
+	}
+	vals[20] = v20
+	var v22 uint64
+	if v20 != 0 {
+		v22 = 0x4
+	} else {
+		v22 = 0x1
+	}
+	vals[22] = v22
+	var v29 uint64
+	if addr := uint64(0x1); addr < uint64(len(m0)) {
+		v29 = m0[addr] & 0x7f
+	}
+	vals[29] = v29
+	var v30 uint64
+	if v10 != 0x0 {
+		v30 = 1
+	}
+	vals[30] = v30
+	v31 := (v10 - 0x1) & 0x7f
+	vals[31] = v31
+	var v32 uint64
+	if v30 != 0 {
+		v32 = v31
+	} else {
+		v32 = v10
+	}
+	vals[32] = v32
+	var v35 uint64
+	if v5 != 0x0 {
+		v35 = 1
+	}
+	vals[35] = v35
+	v36 := (v5 - 0x1) & 0x7
+	vals[36] = v36
+	var v37 uint64
+	if v35 != 0 {
+		v37 = v36
+	} else {
+		v37 = v5
+	}
+	vals[37] = v37
+	v41 := (v39 + 0x1) & 0xffffff
+	vals[41] = v41
+	v44 := (v43 + 0x1) & 0xffffff
+	vals[44] = v44
+	switch v0 {
+	case 0x0:
+		vals[2] = 0x1
+		vals[4] = 0x0
+		var v8 uint64
+		if v6 != 0 {
+			v8 = 0x2
+		} else {
+			v8 = 0x0
+		}
+		vals[8] = v8
+		vals[9] = 0x0
+		var v14 uint64
+		if v12 != 0 {
+			v14 = 0x3
+		} else {
+			v14 = 0x0
+		}
+		vals[14] = v14
+		vals[15] = 0x0
+		vals[23] = 0x0
+		vals[24] = 0x0
+		vals[25] = 0x0
+		vals[26] = 0x1
+		v27 := v17
+		vals[27] = v27
+		vals[28] = 0x0
+		v33 := v32
+		vals[33] = v33
+		vals[34] = 0x1
+		vals[38] = 0x2
+		v42 := v39
+		vals[42] = v42
+		v45 := v44
+		vals[45] = v45
+		vals[46] = 0x0
+	case 0x1:
+		vals[2] = 0x0
+		vals[4] = 0x1
+		var v8 uint64
+		if v6 != 0 {
+			v8 = 0x2
+		} else {
+			v8 = 0x1
+		}
+		vals[8] = v8
+		vals[9] = 0x0
+		var v14 uint64
+		if v12 != 0 {
+			v14 = 0x3
+		} else {
+			v14 = 0x1
+		}
+		vals[14] = v14
+		vals[15] = 0x0
+		vals[23] = 0x1
+		vals[24] = 0x1
+		v25 := v8
+		vals[25] = v25
+		v26 := v25
+		vals[26] = v26
+		v27 := v17
+		vals[27] = v27
+		v28 := v6
+		vals[28] = v28
+		var v33 uint64
+		if v28 != 0 {
+			v33 = v29
+		} else {
+			v33 = v32
+		}
+		vals[33] = v33
+		vals[34] = 0x0
+		v38 := v37
+		vals[38] = v38
+		var v42 uint64
+		if v28 != 0 {
+			v42 = v41
+		} else {
+			v42 = v39
+		}
+		vals[42] = v42
+		v45 := v43
+		vals[45] = v45
+		vals[46] = 0x0
+	case 0x2:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		var v8 uint64
+		if v6 != 0 {
+			v8 = 0x2
+		} else {
+			v8 = 0x2
+		}
+		vals[8] = v8
+		vals[9] = 0x1
+		var v14 uint64
+		if v12 != 0 {
+			v14 = 0x3
+		} else {
+			v14 = 0x2
+		}
+		vals[14] = v14
+		vals[15] = 0x0
+		vals[23] = 0x2
+		v24 := v14
+		vals[24] = v24
+		v25 := v24
+		vals[25] = v25
+		v26 := v25
+		vals[26] = v26
+		v27 := v17
+		vals[27] = v27
+		vals[28] = 0x0
+		v33 := v32
+		vals[33] = v33
+		vals[34] = 0x0
+		v38 := v37
+		vals[38] = v38
+		v42 := v39
+		vals[42] = v42
+		v45 := v43
+		vals[45] = v45
+		vals[46] = 0x0
+	case 0x3:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		var v8 uint64
+		if v6 != 0 {
+			v8 = 0x2
+		} else {
+			v8 = 0x3
+		}
+		vals[8] = v8
+		vals[9] = 0x0
+		var v14 uint64
+		if v12 != 0 {
+			v14 = 0x3
+		} else {
+			v14 = 0x3
+		}
+		vals[14] = v14
+		vals[15] = 0x1
+		v23 := v22
+		vals[23] = v23
+		v24 := v23
+		vals[24] = v24
+		v25 := v24
+		vals[25] = v25
+		v26 := v25
+		vals[26] = v26
+		v27 := v19
+		vals[27] = v27
+		vals[28] = 0x0
+		v33 := v32
+		vals[33] = v33
+		vals[34] = 0x1
+		vals[38] = 0x2
+		v42 := v39
+		vals[42] = v42
+		v45 := v44
+		vals[45] = v45
+		vals[46] = 0x0
+	case 0x4:
+		vals[2] = 0x0
+		vals[4] = 0x0
+		var v8 uint64
+		if v6 != 0 {
+			v8 = 0x2
+		} else {
+			v8 = 0x4
+		}
+		vals[8] = v8
+		vals[9] = 0x0
+		var v14 uint64
+		if v12 != 0 {
+			v14 = 0x3
+		} else {
+			v14 = 0x4
+		}
+		vals[14] = v14
+		vals[15] = 0x0
+		vals[23] = 0x4
+		vals[24] = 0x4
+		vals[25] = 0x4
+		vals[26] = 0x4
+		v27 := v17
+		vals[27] = v27
+		vals[28] = 0x0
+		v33 := v32
+		vals[33] = v33
+		vals[34] = 0x0
+		v38 := v37
+		vals[38] = v38
+		v42 := v39
+		vals[42] = v42
+		v45 := v43
+		vals[45] = v45
+		vals[46] = 0x1
+	default:
+		var v2 uint64
+		if v0 == 0x0 {
+			v2 = 1
+		}
+		vals[2] = v2
+		var v4 uint64
+		if v0 == 0x1 {
+			v4 = 1
+		}
+		vals[4] = v4
+		var v8 uint64
+		if v6 != 0 {
+			v8 = 0x2
+		} else {
+			v8 = v0
+		}
+		vals[8] = v8
+		var v9 uint64
+		if v0 == 0x2 {
+			v9 = 1
+		}
+		vals[9] = v9
+		var v14 uint64
+		if v12 != 0 {
+			v14 = 0x3
+		} else {
+			v14 = v0
+		}
+		vals[14] = v14
+		var v15 uint64
+		if v0 == 0x3 {
+			v15 = 1
+		}
+		vals[15] = v15
+		var v23 uint64
+		if v15 != 0 {
+			v23 = v22
+		} else {
+			v23 = v0
+		}
+		vals[23] = v23
+		var v24 uint64
+		if v9 != 0 {
+			v24 = v14
+		} else {
+			v24 = v23
+		}
+		vals[24] = v24
+		var v25 uint64
+		if v4 != 0 {
+			v25 = v8
+		} else {
+			v25 = v24
+		}
+		vals[25] = v25
+		var v26 uint64
+		if v2 != 0 {
+			v26 = 0x1
+		} else {
+			v26 = v25
+		}
+		vals[26] = v26
+		var v27 uint64
+		if v15 != 0 {
+			v27 = v19
+		} else {
+			v27 = v17
+		}
+		vals[27] = v27
+		v28 := v4 & v6
+		vals[28] = v28
+		var v33 uint64
+		if v28 != 0 {
+			v33 = v29
+		} else {
+			v33 = v32
+		}
+		vals[33] = v33
+		v34 := (v2 | v15)
+		vals[34] = v34
+		var v38 uint64
+		if v34 != 0 {
+			v38 = 0x2
+		} else {
+			v38 = v37
+		}
+		vals[38] = v38
+		var v42 uint64
+		if v28 != 0 {
+			v42 = v41
+		} else {
+			v42 = v39
+		}
+		vals[42] = v42
+		var v45 uint64
+		if v34 != 0 {
+			v45 = v44
+		} else {
+			v45 = v43
+		}
+		vals[45] = v45
+		var v46 uint64
+		if v0 == 0x4 {
+			v46 = 1
+		}
+		vals[46] = v46
+	}
+	done := vals[46] != 0
+	l0 := vals[26] & 0x7
+	l1 := vals[27] & 0x7f
+	l2 := vals[33] & 0x7f
+	l3 := vals[38] & 0x7
+	l4 := vals[42] & 0xffffff
+	l5 := vals[45] & 0xffffff
+	vals[0] = l0
+	vals[17] = l1
+	vals[10] = l2
+	vals[5] = l3
+	vals[39] = l4
+	vals[43] = l5
+	return cycles + 1, done
+}
+
 func step_stencil_slice_all(vals []uint64, mems [][]uint64, limit uint64) (uint64, bool) {
 	_ = vals[64]
 	m0 := mems[0]
@@ -5559,6 +6277,7 @@ func init() {
 	rtl.RegisterNative("2e9becaef6b2d11ff4abb9b823bb0b5fbd77f08a4875fbb75e47a7c57fb7cfb7", "stencil", step_stencil)
 	rtl.RegisterNative("01271f0e59b5b9ac0d9a51ac82f807ec5493c1a90582350981eef20ba03b63cb", "stencil_ins", step_stencil_ins)
 	rtl.RegisterNative("b755c08a24d4dd3cbea12fa3569634b8e271aa7e06a31111b3622a4bde374399", "stencil_pruned", step_stencil_pruned)
+	rtl.RegisterNative("40080459c7753f5e0d230bf375cbd5aa3812bf6c423a9bd0d9983ae1325f5f8c", "stencil_cone", step_stencil_cone)
 	rtl.RegisterNative("78ad64c70e827f8f73f19df51cedfef177b31472078509f2e51d99a86712f57f", "stencil_slice_all", step_stencil_slice_all)
 	rtl.RegisterNative("cbe54fb5e215dd9d7ce8c0b9050041a06210d68fe146ed654cc6f795db375526", "stencil_slice_t42", step_stencil_slice_t42)
 }

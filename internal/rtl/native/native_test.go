@@ -132,11 +132,14 @@ func TestGeneratedCodeMatchesInterpOnSuite(t *testing.T) {
 }
 
 // TestServedPredictorsRunNative is the no-fallback guarantee for the
-// serving path: predictors trained the way dvfserved trains them (seed
-// 42, pruning on) must run both the hardware slice and the full design
-// on generated code under the native default. A failure means the
-// checked-in registry is stale for a netlist the daemon simulates on
-// every job: regenerate with `go generate ./internal/rtl/native`.
+// serving path: predictors trained the way dvfserved trains them
+// (pruning on) must run both the hardware slice and the ground-truth
+// timing cone on generated code under the native default, at the
+// canonical seed 42 and at another seed. The cone depends only on the
+// design, so it must hit at any seed; the slices trained at seed 7 have
+// seed 42's shape. A failure means the checked-in registry is stale for
+// a netlist the daemon simulates on every job: regenerate with
+// `go generate ./internal/rtl/native`.
 func TestServedPredictorsRunNative(t *testing.T) {
 	prevEngine, prevPrune := rtl.DefaultEngine(), core.PruningEnabled()
 	defer func() {
@@ -149,18 +152,21 @@ func TestServedPredictorsRunNative(t *testing.T) {
 	if err := rtl.SetDefaultEngine(rtl.EngineNative); err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range suite.All() {
-		before := rtl.NativeFallbacks()
-		pred, err := core.Train(spec, core.Options{Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
-		js := pred.NewJobSimulator()
-		if d := rtl.NativeFallbacks() - before; d != 0 {
-			t.Errorf("%s: NativeFallbacks advanced by %d", spec.Name, d)
-		}
-		if sl, full := js.Engines(); sl != rtl.EngineNative || full != rtl.EngineNative {
-			t.Errorf("%s: slice engine %s, full-design engine %s; want native for both", spec.Name, sl, full)
+	for _, seed := range []int64{42, 7} {
+		for _, spec := range suite.All() {
+			before := rtl.NativeFallbacks()
+			pred, err := core.Train(spec, core.Options{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			js := pred.NewJobSimulator()
+			if d := rtl.NativeFallbacks() - before; d != 0 {
+				t.Errorf("%s seed %d: NativeFallbacks advanced by %d", spec.Name, seed, d)
+			}
+			if sl, full := js.Engines(); sl != rtl.EngineNative || full != rtl.EngineNative {
+				t.Errorf("%s seed %d: slice engine %s, timing-cone engine %s; want native for both",
+					spec.Name, seed, sl, full)
+			}
 		}
 	}
 }

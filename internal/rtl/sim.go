@@ -263,20 +263,12 @@ func (s *Sim) memIndex(name string) int {
 // LoadMem fills a named scratchpad with job input data (the DMA transfer
 // of the paper's system model). Excess words are zero.
 func (s *Sim) LoadMem(name string, data []uint64) error {
-	idx := s.memIndex(name)
-	if idx < 0 {
-		return fmt.Errorf("rtl: module %s has no memory %q", s.m.Name, name)
+	if err := s.m.CheckLoad(name, len(data)); err != nil {
+		return err
 	}
-	mem := s.m.Mems[idx]
-	if mem.ROM {
-		return fmt.Errorf("rtl: memory %q is a ROM", name)
-	}
-	if len(data) > mem.Words {
-		return fmt.Errorf("rtl: %d words exceed memory %q size %d", len(data), name, mem.Words)
-	}
-	dst := s.mems[idx]
+	dst := s.mems[s.memIndex(name)]
 	copy(dst, data)
-	for i := len(data); i < mem.Words; i++ {
+	for i := len(data); i < len(dst); i++ {
 		dst[i] = 0
 	}
 	return nil

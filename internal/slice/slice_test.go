@@ -112,27 +112,104 @@ func TestSliceIsFasterWithElision(t *testing.T) {
 	}
 }
 
+// TestSliceWithoutElisionMatchesFullTiming is the timing-cone property:
+// with no wait elided, a slice of done plus any non-empty witness subset
+// — plain or pruned — finishes on the full design's cycle (or, like the
+// full design, not within the limit) with every kept witness equal to
+// the full design's. It runs over the toy, the data-wait design and
+// every test design that instruments with features, on random memory
+// images.
 func TestSliceWithoutElisionMatchesFullTiming(t *testing.T) {
-	ins := instrumentedToy(t)
-	r, err := Slice(ins, allFeatures(ins), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.ElidedWaits != 0 {
-		t.Errorf("elided waits = %d, want 0", r.ElidedWaits)
+	hand, _ := testdesigns.HandFSM()
+	dwait, _ := dataWaitDesign()
+	designs := []*rtl.Module{
+		testdesigns.Toy().M, dwait, hand,
+		testdesigns.UnqualifiedLoad(), testdesigns.QualifiedLoad(), testdesigns.EdgeQualifiedLoad(),
+		testdesigns.EscapingCounter(), testdesigns.DeadCounter(), testdesigns.TruncatingAdd(),
+		testdesigns.UnreachableState(), testdesigns.RacyWrites(), testdesigns.DeadWrite(),
+		testdesigns.NeverAssigned(), testdesigns.IdleInput(), testdesigns.DataWaitOnly(),
+		testdesigns.SkippingCounter(), testdesigns.GuardedDeadState(), testdesigns.FrozenConstant(),
+		testdesigns.PartiallyDeadReg(), testdesigns.CombCycle(),
 	}
 	rng := rand.New(rand.NewSource(23))
-	items := randomItems(rng, 8)
-	fullC, fullF := runFull(t, ins, items)
-	sliceC, sliceF := runSlice(t, r, items)
-	if sliceC != fullC {
-		t.Errorf("unelided slice cycles %d != full %d", sliceC, fullC)
-	}
-	for i, k := range r.Kept {
-		if sliceF[i] != fullF[k] {
-			t.Errorf("feature %s differs", ins.Features[k].Name)
+	checked, finished, runs := 0, 0, 0
+	for _, m := range designs {
+		ins, err := instrument.Instrument(m)
+		if err != nil {
+			t.Logf("%s: skipped: %v", m.Name, err)
+			continue
+		}
+		if len(ins.Features) == 0 {
+			t.Logf("%s: skipped: no features", m.Name)
+			continue
+		}
+		checked++
+		for trial := 0; trial < 40; trial++ {
+			var keep []int
+			for len(keep) == 0 {
+				for i := range ins.Features {
+					if rng.Intn(3) == 0 {
+						keep = append(keep, i)
+					}
+				}
+			}
+			r, err := Slice(ins, keep, Options{Prune: trial%2 == 1})
+			if err != nil {
+				t.Fatalf("%s: %v", m.Name, err)
+			}
+			if r.ElidedWaits != 0 || r.ApproxWaits != 0 {
+				t.Fatalf("%s: elided %d waits, approximated %d; want none", m.Name, r.ElidedWaits, r.ApproxWaits)
+			}
+			full, cone := rtl.NewSim(ins.M), rtl.NewSim(r.M)
+			for _, mem := range ins.M.Mems {
+				if mem.ROM {
+					continue
+				}
+				img := randomImage(rng, mem.Words)
+				if err := full.LoadMem(mem.Name, img); err != nil {
+					t.Fatal(err)
+				}
+				if cone.Mem(mem.Name) != nil {
+					if err := cone.LoadMem(mem.Name, img); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			const limit = 1 << 14
+			fullC, fullErr := full.Run(limit)
+			coneC, coneErr := cone.Run(limit)
+			if coneC != fullC || (coneErr == nil) != (fullErr == nil) {
+				t.Fatalf("%s trial %d (keep %v): cone ran %d cycles (%v), full design %d (%v)",
+					m.Name, trial, keep, coneC, coneErr, fullC, fullErr)
+			}
+			runs++
+			if fullErr == nil {
+				finished++
+			}
+			fullF := ins.ReadFeatures(full)
+			for i, k := range r.Kept {
+				if v := float64(cone.RegValue(r.WitnessRegs[i])); v != fullF[k] {
+					t.Fatalf("%s trial %d: witness %s = %v in the cone, %v in the full design",
+						m.Name, trial, ins.Features[k].Name, v, fullF[k])
+				}
+			}
 		}
 	}
+	t.Logf("%d designs, %d of %d runs reached done", checked, finished, runs)
+	if checked < 10 || 2*finished < runs {
+		t.Errorf("%d designs instrumented with features, %d of %d runs reached done; the property needs a broad sample",
+			checked, finished, runs)
+	}
+}
+
+// randomImage fills a memory with small random words, so latencies
+// stay short enough for most jobs to finish.
+func randomImage(rng *rand.Rand, words int) []uint64 {
+	img := make([]uint64, words)
+	for i := range img {
+		img[i] = uint64(rng.Intn(48))
+	}
+	return img
 }
 
 func TestSliceRemovesDatapath(t *testing.T) {
