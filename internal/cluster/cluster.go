@@ -99,6 +99,8 @@ type Job struct {
 	// when Trace is set.
 	Payload accel.Job
 	// Trace replays a pre-simulated job, bypassing router prediction.
+	// The pool and the serving replica read it through this pointer
+	// without copying it, so the caller must not modify it after Submit.
 	Trace *core.JobTrace
 	// Result, when non-nil, receives the job's outcome from whichever
 	// replica finally serves it, or the error of a job that failed at
@@ -146,7 +148,23 @@ type replica struct {
 
 type doomedJob struct {
 	job serve.Job
-	key string
+	key routeKey
+}
+
+// routeKey is a job's routing key. A job submitted without one is keyed
+// by its pool sequence number, which is formatted only when a policy
+// that reads keys asks for it.
+type routeKey struct {
+	s     string
+	seq   uint64
+	bySeq bool
+}
+
+func (k routeKey) String() string {
+	if k.bySeq {
+		return strconv.FormatUint(k.seq, 10)
+	}
+	return k.s
 }
 
 func (r *replica) state() string {
@@ -190,6 +208,18 @@ type Pool struct {
 	closed   bool
 
 	scaler *autoscaler
+
+	// needKey is false for policies whose Pick ignores the routing key.
+	needKey bool
+	// eagerFresh fills Candidate.FreshFeasible on every placement: the
+	// reference router that tests hold the lazy fill to. Only tests set
+	// it.
+	eagerFresh bool
+	// candBuf and viewBuf are place's scratch slices (guarded by mu).
+	// Placements never nest, so one pair serves every place call and
+	// the replay path allocates nothing per job.
+	candBuf []*replica
+	viewBuf []Candidate
 
 	// Deterministic router counters (guarded by mu).
 	submitted uint64
@@ -239,7 +269,8 @@ func NewPool(cfg Config) (*Pool, error) {
 			return nil, fmt.Errorf("cluster: %s: kill at %g", cfg.Shard.Name, k.At)
 		}
 	}
-	p := &Pool{cfg: cfg, js: cfg.Shard.Profile.NewJobSimulator(),
+	_, keyless := cfg.Policy.(keylessPolicy)
+	p := &Pool{cfg: cfg, js: cfg.Shard.Profile.NewJobSimulator(), needKey: !keyless,
 		predHist: serve.NsHistogram(), execHist: serve.NsHistogram()}
 	if p.js != nil {
 		sl, full := p.js.Engines()
@@ -327,7 +358,7 @@ func (p *Pool) Submit(j Job) error {
 	p.seq++
 	p.detectKills(j.Arrival)
 
-	tr, stall, err := p.predict(j, seq)
+	tr, stall, err := p.predict(&j, seq)
 	if err != nil {
 		p.errs++
 		err = fmt.Errorf("cluster: %s: predict: %w", p.cfg.Shard.Name, err)
@@ -336,12 +367,12 @@ func (p *Pool) Submit(j Job) error {
 		}
 		return err
 	}
-	key := j.Key
-	if key == "" {
-		key = strconv.FormatUint(seq, 10)
+	key := routeKey{s: j.Key}
+	if j.Key == "" {
+		key = routeKey{seq: seq, bySeq: true}
 	}
 
-	sj := serve.Job{Arrival: j.Arrival, Trace: &tr, Stall: stall, Result: j.Result}
+	sj := serve.Job{Arrival: j.Arrival, Trace: tr, Stall: stall, Result: j.Result}
 	wait, ok := p.place(sj, key, false)
 	if p.scaler != nil {
 		p.autoscaleTick(j.Arrival, wait, !ok)
@@ -361,7 +392,8 @@ func (p *Pool) Submit(j Job) error {
 // when retries are exhausted the job is simulated once more on the
 // degraded path, which skips the slice, as a last resort. Trace jobs
 // climb the same ladder, so a replayed stream sees the same stalls.
-func (p *Pool) predict(j Job, seq uint64) (core.JobTrace, serve.Stall, error) {
+// A trace job's trace is returned as is, not copied.
+func (p *Pool) predict(j *Job, seq uint64) (*core.JobTrace, serve.Stall, error) {
 	cfg := &p.cfg.Shard
 	// The fault key is the pool's job sequence: arrival timestamps
 	// collide inside bursts, and the schedule must be a pure function of
@@ -407,33 +439,33 @@ func (p *Pool) predict(j Job, seq uint64) (core.JobTrace, serve.Stall, error) {
 // stalled (timed out — the result is void and the router's simulator
 // has been replaced with a fresh clone, since the wedged attempt may
 // have left it mid-job), and any simulation error.
-func (p *Pool) simulate(j Job, degraded bool) (core.JobTrace, bool, error) {
+func (p *Pool) simulate(j *Job, degraded bool) (*core.JobTrace, bool, error) {
 	switch {
 	case j.Trace != nil:
-		return *j.Trace, false, nil
+		return j.Trace, false, nil
 	case p.js == nil:
-		return core.JobTrace{}, false, fmt.Errorf("job without trace on a replay-only pool")
+		return nil, false, fmt.Errorf("job without trace on a replay-only pool")
 	}
 	if p.cfg.Shard.JobTimeout <= 0 {
 		r := execute(p.js, j.Payload, degraded)
 		p.observe(r, degraded)
-		return r.tr, false, r.err
+		return &r.tr, false, r.err
 	}
-	js := p.js
+	js, payload := p.js, j.Payload
 	ch := make(chan simResult, 1)
-	go func() { ch <- execute(js, j.Payload, degraded) }()
+	go func() { ch <- execute(js, payload, degraded) }()
 	timer := time.NewTimer(p.cfg.Shard.JobTimeout)
 	defer timer.Stop()
 	select {
 	case r := <-ch:
 		p.observe(r, degraded)
-		return r.tr, false, r.err
+		return &r.tr, false, r.err
 	case <-timer.C:
 		// The attempt wedged. The goroutine owns js and will exit into
 		// its buffered channel on its own; the router abandons both and
 		// rebuilds its simulator.
 		p.js = p.cfg.Shard.Profile.NewJobSimulator()
-		return core.JobTrace{}, true, nil
+		return nil, true, nil
 	}
 }
 
@@ -484,13 +516,19 @@ func (p *Pool) observe(r simResult, degraded bool) {
 // was already admitted once), and a re-placed job that then misses its
 // deadline is attributed to fault debt. It reports the placed job's
 // projected queue wait and whether it was placed at all.
-func (p *Pool) place(sj serve.Job, key string, replaced bool) (float64, bool) {
-	cands := p.candidates(sj.Arrival)
+//
+// Each candidate's twin evaluates the job once: the fresh-deadline
+// projections behind Candidate.FreshFeasible run only when no candidate
+// is feasible, and commit applies the winner's projection rather than
+// evaluating it again.
+func (p *Pool) place(sj serve.Job, key routeKey, replaced bool) (float64, bool) {
+	cands := p.candidates(p.candBuf[:0], sj.Arrival)
 	if len(cands) == 0 && replaced {
 		// Every active replica is gone; draining ones still own live
 		// queues, so recovered work prefers them over being dropped.
-		cands = p.drainingReplicas()
+		cands = p.drainingReplicas(cands)
 	}
+	p.candBuf = cands
 	if len(cands) == 0 {
 		if replaced {
 			p.lost++
@@ -500,11 +538,26 @@ func (p *Pool) place(sj serve.Job, key string, replaced bool) (float64, bool) {
 		}
 		return 0, false
 	}
-	views := make([]Candidate, len(cands))
-	for i, r := range cands {
-		views[i] = p.project(r, sj)
+	if cap(p.viewBuf) < len(cands) {
+		p.viewBuf = make([]Candidate, len(cands))
 	}
-	idx := p.cfg.Policy.Pick(views, key)
+	views := p.viewBuf[:len(cands)]
+	feasible := false
+	for i, r := range cands {
+		p.project(r, &sj, &views[i])
+		feasible = feasible || views[i].Feasible
+	}
+	if !feasible || p.eagerFresh {
+		for i, r := range cands {
+			jr, _ := r.model.Evaluate(sj.Trace, p.cfg.Shard.Deadline, sj.Stall.Exhausted)
+			views[i].FreshFeasible = !jr.Missed
+		}
+	}
+	var k string
+	if p.needKey {
+		k = key.String()
+	}
+	idx := p.cfg.Policy.Pick(views, k)
 	if idx < 0 || idx >= len(cands) {
 		if !replaced {
 			return 0, false
@@ -520,37 +573,37 @@ func (p *Pool) place(sj serve.Job, key string, replaced bool) (float64, bool) {
 		// and counts, so shedding them would skew reconciliation.
 		p.intrinsic++
 	}
-	p.commit(cands[idx], sj, views[idx], key, replaced)
+	p.commit(cands[idx], sj, &views[idx], key, replaced)
 	return views[idx].Wait, true
 }
 
-// candidates returns placement-eligible replicas in id order: alive,
-// not draining, and activated at or before the arrival.
-func (p *Pool) candidates(arrival float64) []*replica {
-	out := make([]*replica, 0, len(p.replicas))
+// candidates appends the placement-eligible replicas to dst in id
+// order: alive, not draining, and activated at or before the arrival.
+func (p *Pool) candidates(dst []*replica, arrival float64) []*replica {
 	for _, r := range p.replicas {
 		if !r.dead && !r.draining && arrival >= r.activeFrom {
-			out = append(out, r)
+			dst = append(dst, r)
 		}
 	}
-	return out
+	return dst
 }
 
-func (p *Pool) drainingReplicas() []*replica {
-	out := make([]*replica, 0, 1)
+// drainingReplicas appends the live draining replicas to dst.
+func (p *Pool) drainingReplicas(dst []*replica) []*replica {
 	for _, r := range p.replicas {
 		if !r.dead && r.draining {
-			out = append(out, r)
+			dst = append(dst, r)
 		}
 	}
-	return out
+	return dst
 }
 
-// project computes one replica's Candidate view of a job: the exact
+// project fills v with one replica's Candidate view of a job: the exact
 // outcome the shard would produce, from the twin governor, with the
 // job's stall delay charged exactly as the shard charges it.
-func (p *Pool) project(r *replica, sj serve.Job) Candidate {
-	arrival, tr := sj.Arrival, *sj.Trace
+// FreshFeasible is left false; place fills it when it is needed.
+func (p *Pool) project(r *replica, sj *serve.Job, v *Candidate) {
+	arrival := sj.Arrival
 	start := r.clock
 	if arrival > start {
 		start = arrival
@@ -563,7 +616,7 @@ func (p *Pool) project(r *replica, sj serve.Job) Candidate {
 	}
 	degraded = degraded || sj.Stall.Exhausted
 	delay := sj.Stall.Delay()
-	jr := r.model.Project(tr, budget-delay, degraded)
+	jr, charged := r.model.Evaluate(sj.Trace, budget-delay, degraded)
 	backlog := 0
 	for _, f := range r.backlog {
 		if f > arrival {
@@ -574,23 +627,22 @@ func (p *Pool) project(r *replica, sj serve.Job) Candidate {
 	if p.cfg.MaxBacklog > 0 && backlog >= p.cfg.MaxBacklog {
 		feasible = false
 	}
-	fresh := r.model.Project(tr, p.cfg.Shard.Deadline, sj.Stall.Exhausted)
-	return Candidate{
+	*v = Candidate{
 		ID: r.id, Name: r.name,
 		Start: start, Wait: wait, Budget: budget - delay, Finish: start + delay + jr.TotalSeconds,
 		Backlog: backlog, Degraded: degraded,
-		Feasible: feasible, FreshFeasible: !fresh.Missed,
-		Result: jr,
+		Feasible: feasible,
+		Result:   jr, charged: charged,
 	}
 }
 
 // commit places the job on the chosen replica: the twin governor and
-// clock advance with the shard's exact accounting, and the job is
-// enqueued on the shard. A job whose projected start is at or past the
-// replica's crash horizon is doomed: the shard will hand it back
-// unserved, so the twin does not advance — the router records it for
-// re-placement at death detection instead.
-func (p *Pool) commit(r *replica, sj serve.Job, v Candidate, key string, replaced bool) {
+// clock advance by v, the projection the shard's exact accounting will
+// reproduce, and the job is enqueued on the shard. A job whose
+// projected start is at or past the replica's crash horizon is doomed:
+// the shard will hand it back unserved, so the twin does not advance —
+// the router records it for re-placement at death detection instead.
+func (p *Pool) commit(r *replica, sj serve.Job, v *Candidate, key routeKey, replaced bool) {
 	if r.killAt > 0 && v.Start >= r.killAt {
 		r.doomed = append(r.doomed, doomedJob{job: sj, key: key})
 		r.placed++
@@ -598,13 +650,12 @@ func (p *Pool) commit(r *replica, sj serve.Job, v Candidate, key string, replace
 		r.shard.SubmitWait(sj)
 		return
 	}
-	var jr sim.JobResult
-	if v.Degraded {
-		jr = r.model.StepDegraded(*sj.Trace, v.Budget)
-	} else {
-		jr = r.model.Step(*sj.Trace, v.Budget)
-	}
-	finish := v.Start + sj.Stall.Delay() + jr.TotalSeconds
+	// v was evaluated against the twin's current state with this trace,
+	// budget and degraded flag, and Plan is pure, so applying it is
+	// exactly stepping the job again.
+	jr := v.Result
+	r.model.Commit(sj.Trace, jr, v.charged)
+	finish := v.Finish
 	r.clock = finish
 	if jr.Missed && r.clock > sj.Arrival+p.cfg.Shard.Deadline {
 		// Frame-drop resync, mirroring serve.Shard exactly.
@@ -740,14 +791,14 @@ func (p *Pool) RetireNow(name string) error {
 	if victim == nil {
 		return fmt.Errorf("cluster: %s: no live replica %q", p.cfg.Shard.Name, name)
 	}
-	if cands := p.candidates(p.last); len(cands) == 1 && cands[0] == victim {
+	if cands := p.candidates(nil, p.last); len(cands) == 1 && cands[0] == victim {
 		// Retiring the last active replica would strand its queue.
 		return fmt.Errorf("cluster: %s: %q is the last active replica", p.cfg.Shard.Name, name)
 	}
 	victim.dead = true
 	for _, sj := range victim.shard.CloseHandoff() {
 		p.replaced++
-		p.place(sj, "", true)
+		p.place(sj, routeKey{}, true)
 	}
 	return nil
 }

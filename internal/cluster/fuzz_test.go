@@ -20,6 +20,8 @@ type auditPolicy struct {
 	inner Policy
 	pool  *Pool
 	t     *testing.T
+	// picks records every decision in order.
+	picks []int
 }
 
 func (a *auditPolicy) Name() string { return a.inner.Name() }
@@ -62,6 +64,7 @@ func (a *auditPolicy) Pick(cands []Candidate, key string) int {
 	if _, ok := a.inner.(PolicyPredict); ok {
 		a.auditPredict(cands, idx)
 	}
+	a.picks = append(a.picks, idx)
 	return idx
 }
 
@@ -123,19 +126,35 @@ func (a *auditPolicy) auditPredict(cands []Candidate, idx int) {
 // submits a job without a trace, which the replay-only pool must
 // reject as a counted error.
 func FuzzRouterPlacement(f *testing.F) {
-	f.Add([]byte{0, 2, 0, 0, 10, 50, 30, 80, 200, 120, 0, 60})
-	f.Add([]byte{1, 2, 0, 3, 0, 90, 0, 90, 5, 90, 90, 40, 200, 100, 90, 90})
-	f.Add([]byte{2, 3, 2, 0, 10, 50, 255, 0, 20, 60, 20, 60, 0, 200})
-	f.Add([]byte{0, 1, 1, 1, 0, 255, 0, 255, 40, 40, 250, 10, 0, 10})
-	f.Add([]byte{1, 2, 0, 0, 10, 50, 254, 0, 20, 60})
+	for _, seed := range routerSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(fuzzScenario)
+}
+
+// routerSeeds is FuzzRouterPlacement's seed corpus.
+var routerSeeds = [][]byte{
+	{0, 2, 0, 0, 10, 50, 30, 80, 200, 120, 0, 60},
+	{1, 2, 0, 3, 0, 90, 0, 90, 5, 90, 90, 40, 200, 100, 90, 90},
+	{2, 3, 2, 0, 10, 50, 255, 0, 20, 60, 20, 60, 0, 200},
+	{0, 1, 1, 1, 0, 255, 0, 255, 40, 40, 250, 10, 0, 10},
+	{1, 2, 0, 0, 10, 50, 254, 0, 20, 60},
 }
 
 // fuzzScenario is FuzzRouterPlacement's body, shared with the
 // deterministic regression tests that replay notable inputs.
 func fuzzScenario(t *testing.T, data []byte) {
+	runScenario(t, data, false)
+}
+
+// runScenario drives one encoded scenario (see FuzzRouterPlacement) and
+// checks every invariant. eagerFresh selects the reference placement
+// that fills FreshFeasible before every Pick. It returns the policy's
+// decisions in order and the closed pool's statistics (nil and zero for
+// inputs too short to decode).
+func runScenario(t *testing.T, data []byte, eagerFresh bool) ([]int, PoolStats) {
 	if len(data) < 6 {
-		return
+		return nil, PoolStats{}
 	}
 	pols := []Policy{PolicyPredict{}, PolicyPressure{}, PolicyHash{}}
 	cfg := testConfig("fz", 1+int(data[1])%4)
@@ -153,6 +172,7 @@ func fuzzScenario(t *testing.T, data []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.eagerFresh = eagerFresh
 	audit.pool = p
 
 	ops := data[4:]
@@ -171,7 +191,7 @@ func fuzzScenario(t *testing.T, data []byte) {
 		}
 		if ops[i] == 0xFF && !drained {
 			p.mu.Lock()
-			if cands := p.candidates(clock); len(cands) > 1 {
+			if cands := p.candidates(nil, clock); len(cands) > 1 {
 				cands[len(cands)-1].draining = true
 				drained = true
 			}
@@ -234,4 +254,5 @@ func fuzzScenario(t *testing.T, data []byte) {
 		t.Fatalf("placement counter %d, want %d admissions + %d recoveries - %d lost",
 			st.Placed, placed, st.Replaced, st.Lost)
 	}
+	return audit.picks, st
 }

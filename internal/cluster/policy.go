@@ -32,11 +32,16 @@ type Candidate struct {
 	// Feasible: the projection meets the deadline and the backlog
 	// bound. FreshFeasible: the job would meet a full deadline from an
 	// empty queue — false on every candidate means the job is
-	// intrinsically infeasible, not a victim of fleet load.
+	// intrinsically infeasible, not a victim of fleet load. The router
+	// fills FreshFeasible only when no candidate is Feasible (the one
+	// case a policy needs it); otherwise it is false on every candidate.
 	Feasible, FreshFeasible bool
 	// Result is the exact outcome the replica's shard would produce
 	// (level, energy, miss, total time).
 	Result sim.JobResult
+	// charged reports that Result charges a DVFS transition; the router
+	// needs it to commit the projection.
+	charged bool
 }
 
 // Policy picks a replica for a job. Pick returns an index into cands,
@@ -61,6 +66,11 @@ func ParsePolicy(s string) (Policy, error) {
 	return nil, fmt.Errorf("cluster: unknown routing policy %q (want predict, pressure or hash)", s)
 }
 
+// keylessPolicy is implemented by the built-in policies whose Pick never
+// reads the routing key, so the router can skip formatting a default
+// one. Pick receives an empty key under such a policy.
+type keylessPolicy interface{ keyless() }
+
 // PolicyPredict is predict-then-place, the paper's predictor driving
 // placement: admit the job to the replica that still meets the deadline
 // at the lowest projected energy; ties break on earlier finish, then
@@ -73,6 +83,8 @@ type PolicyPredict struct{}
 
 // Name implements Policy.
 func (PolicyPredict) Name() string { return "predict" }
+
+func (PolicyPredict) keyless() {}
 
 // Pick implements Policy.
 func (PolicyPredict) Pick(cands []Candidate, key string) int {
@@ -117,6 +129,8 @@ type PolicyPressure struct{}
 
 // Name implements Policy.
 func (PolicyPressure) Name() string { return "pressure" }
+
+func (PolicyPressure) keyless() {}
 
 // Pick implements Policy.
 func (PolicyPressure) Pick(cands []Candidate, key string) int {

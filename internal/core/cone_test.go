@@ -115,13 +115,14 @@ func loadUntrained(t *testing.T, spec accel.Spec) *Predictor {
 	return p
 }
 
-// TestTimingConeMemoryContract pins how the cone treats job memories.
-// It checks every name against the instrumented design, so a job the
-// full design would reject (unknown memory, a ROM, an oversized image)
-// fails from Complete, Execute and CollectTraces with accel.RunJob's
-// error on that design. It loads only what the cone kept, so a job
-// that also fills memories the cone dropped (aes's out and keymem)
-// completes with the full design's ticks.
+// TestTimingConeMemoryContract pins how the cone and the slice treat
+// job memories. Both check every name against the instrumented design,
+// so a job the full design would reject (unknown memory, a ROM, an
+// oversized image) fails from Predict, Complete, Execute and
+// CollectTraces with accel.RunJob's error on that design. Both load
+// only what they kept, so a job that also fills memories they dropped
+// (aes's out and keymem) is predicted and completes with the full
+// design's ticks.
 func TestTimingConeMemoryContract(t *testing.T) {
 	spec := aes.Spec()
 	p := loadUntrained(t, spec)
@@ -149,6 +150,9 @@ func TestTimingConeMemoryContract(t *testing.T) {
 		if _, err := js.Execute(job); err == nil || !strings.Contains(err.Error(), want.Error()) {
 			t.Errorf("Execute: %v, want an error containing %q", err, want)
 		}
+		if _, err := js.Predict(job); err == nil || !strings.Contains(err.Error(), want.Error()) {
+			t.Errorf("Predict: %v, want an error containing %q", err, want)
+		}
 		if _, err := js.Complete(job, Prediction{}); err == nil || !strings.Contains(err.Error(), want.Error()) {
 			t.Errorf("Complete: %v, want an error containing %q", err, want)
 		}
@@ -175,6 +179,21 @@ func TestTimingConeMemoryContract(t *testing.T) {
 	tr, err = js.Complete(job, Prediction{})
 	if err != nil || tr.Ticks != want {
 		t.Errorf("Complete: %d ticks (%v), full design %d", tr.Ticks, err, want)
+	}
+	if js.slice.Mem("out") != nil || js.slice.Mem("keymem") != nil {
+		t.Fatal("the aes slice keeps out or keymem; the job no longer loads a dropped memory")
+	}
+	basePr, err := js.Predict(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := js.Predict(job)
+	if err != nil || pr.SliceTicks != basePr.SliceTicks {
+		t.Errorf("Predict: %d slice ticks (%v), %d without the dropped memories", pr.SliceTicks, err, basePr.SliceTicks)
+	}
+	tr, err = js.Trace(job)
+	if err != nil || tr.Ticks != want || tr.SliceTicks != basePr.SliceTicks {
+		t.Errorf("Trace: %d ticks, %d slice ticks (%v); want %d and %d", tr.Ticks, tr.SliceTicks, err, want, basePr.SliceTicks)
 	}
 }
 

@@ -424,11 +424,13 @@ type Prediction struct {
 
 // Predict runs one job on the hardware slice and evaluates the live
 // model on the slice's features: the prediction step of §3.6, without
-// the full design.
+// the full design. Job memories are checked against the instrumented
+// design and only those the slice kept are loaded (see accel.RunCone),
+// so Predict accepts exactly the jobs the full design accepts.
 func (js *JobSimulator) Predict(job accel.Job) (Prediction, error) {
 	simJobs.Add(1)
 	p := js.p
-	ticks, err := accel.RunJob(js.slice, job, p.Spec.MaxTicks)
+	ticks, err := accel.RunCone(js.slice, p.Ins.M, job, p.Spec.MaxTicks)
 	if err != nil {
 		return Prediction{}, fmt.Errorf("core: %s slice job: %w", p.Spec.Name, err)
 	}

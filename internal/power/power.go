@@ -88,10 +88,40 @@ func leakScale(v float64) float64 {
 
 // JobEnergy returns the energy of executing `cycles` at operating point
 // pt, in joules. Idle time after completion is power-gated and free.
+// Each product is wrapped in an explicit float64 conversion so that no
+// compiler fuses it into a multiply-add: the result is bit-identical on
+// every architecture, and to Factors.Energy.
 func (m Model) JobEnergy(pt dvfs.OperatingPoint, cycles float64) float64 {
 	t := cycles / pt.Freq
 	v2 := pt.V * pt.V
-	return m.DynPerCycle*v2*cycles + m.MemPerCycle*cycles + m.LeakPower*leakScale(pt.V)*t
+	return float64(m.DynPerCycle*v2*cycles) + float64(m.MemPerCycle*cycles) + float64(m.LeakPower*leakScale(pt.V)*t)
+}
+
+// Factors are a Model's per-operating-point energy coefficients,
+// precomputed so that a job's energy at that point costs three
+// multiplies and a divide instead of an exponential per job.
+type Factors struct {
+	// Dyn is DynPerCycle·V², Mem is MemPerCycle, and Leak is
+	// LeakPower·leakScale(V), all at the point's voltage; Freq is the
+	// point's frequency.
+	Dyn, Mem, Leak, Freq float64
+}
+
+// Factors returns m's energy coefficients at operating point pt.
+func (m Model) Factors(pt dvfs.OperatingPoint) Factors {
+	return Factors{
+		Dyn:  m.DynPerCycle * (pt.V * pt.V),
+		Mem:  m.MemPerCycle,
+		Leak: m.LeakPower * leakScale(pt.V),
+		Freq: pt.Freq,
+	}
+}
+
+// Energy returns the energy of executing cycles at the factors' point:
+// bit-identical to Model.JobEnergy there, because it keeps JobEnergy's
+// association order, (Dyn·cycles) + (Mem·cycles) + (Leak·(cycles/Freq)).
+func (f Factors) Energy(cycles float64) float64 {
+	return float64(f.Dyn*cycles) + float64(f.Mem*cycles) + float64(f.Leak*(cycles/f.Freq))
 }
 
 // SliceEnergy returns the energy of running the predictor slice for

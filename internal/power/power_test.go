@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -123,5 +124,37 @@ func TestSliceEnergyMuchSmallerThanJob(t *testing.T) {
 	ratio := sliceE / jobE
 	if ratio > 0.05 {
 		t.Errorf("slice energy ratio = %v, want well below 5%%", ratio)
+	}
+}
+
+// TestFactorsMatchJobEnergyBitForBit holds the per-level factors the
+// simulator evaluates jobs with to JobEnergy and SliceEnergy exactly:
+// every level of the ASIC (with boost) and FPGA profiles, a job model
+// and a slice model, and cycle counts from 0 to 1e12 — any
+// reassociation of the sum or its products shows up in the low bits.
+func TestFactorsMatchJobEnergyBitForBit(t *testing.T) {
+	sliceM := FromStats(rtl.AreaStats{LogicGates: 3000, RegGates: 1200}, DefaultParams(250e6))
+	rng := rand.New(rand.NewSource(1))
+	cycles := []float64{0, 1, 1e12}
+	for i := 0; i < 200; i++ {
+		cycles = append(cycles, math.Ldexp(rng.Float64(), rng.Intn(41)), float64(rng.Int63n(1e12)))
+	}
+	for _, d := range []*dvfs.Device{dvfs.ASIC(250e6, true), dvfs.FPGA(100e6)} {
+		for _, m := range []Model{testModel(), sliceM} {
+			for li, pt := range d.Points {
+				f := m.Factors(pt)
+				for _, c := range cycles {
+					if got, want := f.Energy(c), m.JobEnergy(pt, c); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s level %d, %v cycles: factored energy %v, JobEnergy %v", d.Name, li, c, got, want)
+					}
+				}
+			}
+			f := m.Factors(d.Points[d.Nominal])
+			for _, c := range cycles {
+				if got, want := f.Energy(c), m.SliceEnergy(d, c); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s, %v slice cycles: factored energy %v, SliceEnergy %v", d.Name, c, got, want)
+				}
+			}
+		}
 	}
 }

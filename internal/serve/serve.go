@@ -433,12 +433,7 @@ func (s *Shard) serve(j Job) Outcome {
 	// Stall delays come out of the job's budget before the stepper sees
 	// it, exactly like queue wait.
 	stallDelay := j.Stall.Delay()
-	var jr sim.JobResult
-	if degraded {
-		jr = s.stepper.StepDegraded(*j.Trace, budget-stallDelay)
-	} else {
-		jr = s.stepper.Step(*j.Trace, budget-stallDelay)
-	}
+	jr := s.stepper.StepTrace(j.Trace, budget-stallDelay, degraded)
 	finish := start + stallDelay + jr.TotalSeconds
 	// Frame-drop resync: a job that overran its own absolute deadline is
 	// already lost (counted and charged below), so the shard re-anchors

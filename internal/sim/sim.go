@@ -87,6 +87,11 @@ type Stepper struct {
 	cfg      Config
 	curLevel int
 	switches int
+	// levels holds cfg.Power's energy factors per operating point and
+	// slice the slice domain's at the nominal point, computed once so
+	// that evaluating a job never calls math.Exp.
+	levels []power.Factors
+	slice  power.Factors
 }
 
 // NewStepper validates the configuration and returns a stepper with the
@@ -102,7 +107,13 @@ func NewStepper(cfg Config) (*Stepper, error) {
 		return nil, fmt.Errorf("sim: non-positive deadline")
 	}
 	cfg.Controller.Reset()
-	return &Stepper{cfg: cfg, curLevel: cfg.Device.Nominal}, nil
+	st := &Stepper{cfg: cfg, curLevel: cfg.Device.Nominal,
+		levels: make([]power.Factors, len(cfg.Device.Points)),
+		slice:  cfg.SlicePower.Factors(cfg.Device.Points[cfg.Device.Nominal])}
+	for i, pt := range cfg.Device.Points {
+		st.levels[i] = cfg.Power.Factors(pt)
+	}
+	return st, nil
 }
 
 // Scheme returns the controller's scheme name.
@@ -119,46 +130,53 @@ func (st *Stepper) Switches() int { return st.switches }
 // switching, and execution time/energy per §3.6 and marked missed when
 // the total exceeds the budget.
 func (st *Stepper) Step(tr core.JobTrace, budget float64) JobResult {
-	return st.step(tr, budget, false)
+	return st.StepTrace(&tr, budget, false)
 }
 
-// StepDegraded executes one job with prediction bypassed: the device
-// runs the job at the nominal (maximum non-boost) level, charging no
-// slice time or energy. This is the serving layer's graceful
-// degradation path for when prediction falls behind.
-func (st *Stepper) StepDegraded(tr core.JobTrace, budget float64) JobResult {
-	return st.step(tr, budget, true)
-}
-
-// Project evaluates one job without committing it: the JobResult that
-// Step (or, with degraded set, StepDegraded) would return for tr at
-// this budget, with the device level, switch count, and controller
-// state all left untouched. The cluster router uses it to assess
-// candidate replicas before placing a job (predict-then-place).
-// Exact for controllers whose Plan method is pure — every built-in
-// controller qualifies (the reactive ones mutate only in Observe).
-func (st *Stepper) Project(tr core.JobTrace, budget float64, degraded bool) JobResult {
-	jr, _ := st.compute(tr, budget, degraded)
+// StepTrace is Step on a trace passed by reference (tr is only read).
+// With degraded set, prediction is bypassed: the device runs the job at
+// the nominal (maximum non-boost) level, charging no slice time or
+// energy. This is the serving layer's graceful degradation path for
+// when prediction falls behind.
+func (st *Stepper) StepTrace(tr *core.JobTrace, budget float64, degraded bool) JobResult {
+	jr, chargedSwitch := st.Evaluate(tr, budget, degraded)
+	st.Commit(tr, jr, chargedSwitch)
 	return jr
 }
 
-// step evaluates the job and commits its effects: the device moves to
-// the chosen level, a charged transition increments the switch count,
-// and the controller observes the outcome.
-func (st *Stepper) step(tr core.JobTrace, budget float64, degraded bool) JobResult {
-	jr, chargedSwitch := st.compute(tr, budget, degraded)
+// Project evaluates one job without committing it: the JobResult that
+// StepTrace(&tr, budget, degraded) would return, with the device level,
+// switch count, and controller state all left untouched. Exact for
+// controllers whose Plan method is pure — every built-in controller
+// qualifies (the reactive ones mutate only in Observe). The cluster
+// router assesses candidate replicas with Evaluate, its by-reference
+// form, before placing a job (predict-then-place).
+func (st *Stepper) Project(tr core.JobTrace, budget float64, degraded bool) JobResult {
+	jr, _ := st.Evaluate(&tr, budget, degraded)
+	return jr
+}
+
+// Commit applies an evaluation of tr that Evaluate returned against the
+// stepper's current state: the device moves to the chosen level, a
+// charged transition increments the switch count, and the controller
+// observes the job's actual time. The cluster router projects each
+// candidate once and commits the winner's projection instead of
+// stepping it again.
+func (st *Stepper) Commit(tr *core.JobTrace, jr JobResult, chargedSwitch bool) {
 	st.curLevel = jr.Level
 	if chargedSwitch {
 		st.switches++
 	}
 	st.cfg.Controller.Observe(tr.Seconds)
-	return jr
 }
 
-// compute is the pure core of Step: plan, level selection, and the
-// time/energy/miss accounting, with no state mutation. It reports
-// whether a DVFS transition was charged so step can commit it.
-func (st *Stepper) compute(tr core.JobTrace, budget float64, degraded bool) (JobResult, bool) {
+// Evaluate is the pure core of Step and Project: plan, level
+// selection, and the time/energy/miss accounting, with no state
+// mutation, on a trace passed by reference (tr is only read). It also
+// reports whether the job's DVFS transition is charged, which Commit
+// needs to apply the evaluation later: Evaluate and then Commit with
+// the same trace is exactly StepTrace.
+func (st *Stepper) Evaluate(tr *core.JobTrace, budget float64, degraded bool) (JobResult, bool) {
 	cfg := &st.cfg
 	ctrl := cfg.Controller
 	view := control.JobView{
@@ -208,13 +226,13 @@ func (st *Stepper) compute(tr core.JobTrace, budget float64, degraded bool) (Job
 	}
 
 	switched := level != st.curLevel
-	pt := cfg.Device.Points[level]
+	lv := &st.levels[level]
 
-	tExec := tr.Cycles / pt.Freq
+	tExec := tr.Cycles / lv.Freq
 	total := tExec + plan.SliceTime
-	energy := cfg.Power.JobEnergy(pt, tr.Cycles)
+	energy := lv.Energy(tr.Cycles)
 	if plan.SliceTime > 0 {
-		energy += cfg.SlicePower.SliceEnergy(cfg.Device, float64(tr.SliceTicks)*(tr.Cycles/float64(tr.Ticks)))
+		energy += st.slice.Energy(float64(tr.SliceTicks) * (tr.Cycles / float64(tr.Ticks)))
 	}
 	chargedSwitch := switched && plan.ChargeSwitch
 	if chargedSwitch {
@@ -240,8 +258,8 @@ func Run(traces []core.JobTrace, cfg Config) (Result, error) {
 	}
 	res := Result{Scheme: st.Scheme(), Jobs: len(traces)}
 	res.PerJob = make([]JobResult, 0, len(traces))
-	for _, tr := range traces {
-		jr := st.Step(tr, cfg.Deadline)
+	for i := range traces {
+		jr := st.StepTrace(&traces[i], cfg.Deadline, false)
 		res.Energy += jr.Energy
 		if jr.Missed {
 			res.Misses++

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/control"
@@ -279,5 +280,43 @@ func TestMissRate(t *testing.T) {
 	}
 	if (Result{}).MissRate() != 0 {
 		t.Error("empty result miss rate nonzero")
+	}
+}
+
+// TestStepEnergyMatchesPowerModel holds the stepper's per-level energy
+// factors to the power model's closed forms bit for bit: every job's
+// energy equals JobEnergy at its level, plus SliceEnergy for the slice
+// run and TransitionEnergy for a charged switch, over random execution
+// times that visit every level on both device profiles.
+func TestStepEnergyMatchesPowerModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ms := make([]float64, 400)
+	for i := range ms {
+		ms[i] = 0.01 + 18*rng.Float64()
+	}
+	traces := synthTraces(ms)
+	for _, d := range []*dvfs.Device{dvfs.ASIC(250e6, true), dvfs.FPGA(250e6)} {
+		cfg := testConfig(control.NewPredictive(0.05, true))
+		cfg.Device = d
+		res, err := Run(traces, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		levels := map[int]bool{}
+		for i, jr := range res.PerJob {
+			tr := traces[i]
+			want := cfg.Power.JobEnergy(d.Points[jr.Level], tr.Cycles)
+			want += cfg.SlicePower.SliceEnergy(d, float64(tr.SliceTicks)*(tr.Cycles/float64(tr.Ticks)))
+			if jr.Switched {
+				want += cfg.Power.TransitionEnergy(1)
+			}
+			if math.Float64bits(jr.Energy) != math.Float64bits(want) {
+				t.Fatalf("%s job %d at level %d: energy %v, power model %v", d.Name, i, jr.Level, jr.Energy, want)
+			}
+			levels[jr.Level] = true
+		}
+		if len(levels) != len(d.Points) {
+			t.Errorf("%s: jobs visited %d of %d levels", d.Name, len(levels), len(d.Points))
+		}
 	}
 }
