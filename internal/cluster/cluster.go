@@ -209,6 +209,9 @@ type Pool struct {
 
 	scaler *autoscaler
 
+	// policy is cfg.Policy, or this pool's own cached ring for the hash
+	// policy.
+	policy Policy
 	// needKey is false for policies whose Pick ignores the routing key.
 	needKey bool
 	// eagerFresh fills Candidate.FreshFeasible on every placement: the
@@ -269,8 +272,12 @@ func NewPool(cfg Config) (*Pool, error) {
 			return nil, fmt.Errorf("cluster: %s: kill at %g", cfg.Shard.Name, k.At)
 		}
 	}
+	policy := cfg.Policy
+	if _, ok := policy.(PolicyHash); ok {
+		policy = &hashRing{}
+	}
 	_, keyless := cfg.Policy.(keylessPolicy)
-	p := &Pool{cfg: cfg, js: cfg.Shard.Profile.NewJobSimulator(), needKey: !keyless,
+	p := &Pool{cfg: cfg, js: cfg.Shard.Profile.NewJobSimulator(), policy: policy, needKey: !keyless,
 		predHist: serve.NsHistogram(), execHist: serve.NsHistogram()}
 	if p.js != nil {
 		sl, full := p.js.Engines()
@@ -557,7 +564,7 @@ func (p *Pool) place(sj serve.Job, key routeKey, replaced bool) (float64, bool) 
 	if p.needKey {
 		k = key.String()
 	}
-	idx := p.cfg.Policy.Pick(views, k)
+	idx := p.policy.Pick(views, k)
 	if idx < 0 || idx >= len(cands) {
 		if !replaced {
 			return 0, false

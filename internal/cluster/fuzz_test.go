@@ -144,19 +144,37 @@ var routerSeeds = [][]byte{
 // fuzzScenario is FuzzRouterPlacement's body, shared with the
 // deterministic regression tests that replay notable inputs.
 func fuzzScenario(t *testing.T, data []byte) {
-	runScenario(t, data, false)
+	runScenario(t, data, scenarioOpts{})
+}
+
+// scenarioOpts selects reference implementations and extra machinery
+// for runScenario.
+type scenarioOpts struct {
+	// eagerFresh selects the reference placement that fills
+	// FreshFeasible before every Pick.
+	eagerFresh bool
+	// freshRing routes the hash policy through PolicyHash.Pick, which
+	// rebuilds the ring on every pick, instead of a pool's cached ring.
+	freshRing bool
+	// autoscale, when set, lets the pool scale itself.
+	autoscale *AutoscaleConfig
 }
 
 // runScenario drives one encoded scenario (see FuzzRouterPlacement) and
-// checks every invariant. eagerFresh selects the reference placement
-// that fills FreshFeasible before every Pick. It returns the policy's
-// decisions in order and the closed pool's statistics (nil and zero for
-// inputs too short to decode).
-func runScenario(t *testing.T, data []byte, eagerFresh bool) ([]int, PoolStats) {
+// checks every invariant. It returns the policy's decisions in order and
+// the closed pool's statistics (nil and zero for inputs too short to
+// decode).
+func runScenario(t *testing.T, data []byte, opts scenarioOpts) ([]int, PoolStats) {
 	if len(data) < 6 {
 		return nil, PoolStats{}
 	}
-	pols := []Policy{PolicyPredict{}, PolicyPressure{}, PolicyHash{}}
+	// The audit wrapper hides the policy's type from the pool, so the
+	// hash policy's per-pool ring is created here.
+	var hash Policy = &hashRing{}
+	if opts.freshRing {
+		hash = PolicyHash{}
+	}
+	pols := []Policy{PolicyPredict{}, PolicyPressure{}, hash}
 	cfg := testConfig("fz", 1+int(data[1])%4)
 	cfg.MaxBacklog = int(data[2]) % 4
 	if k := data[3]; k&1 == 1 {
@@ -166,13 +184,14 @@ func runScenario(t *testing.T, data []byte, eagerFresh bool) ([]int, PoolStats) 
 		}
 		cfg.Kills = []Kill{{Replica: int(k>>2) % cfg.Replicas, At: 25e-3, RestartAfter: restart}}
 	}
+	cfg.Autoscale = opts.autoscale
 	audit := &auditPolicy{inner: pols[int(data[0])%3], t: t}
 	cfg.Policy = audit
 	p, err := NewPool(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.eagerFresh = eagerFresh
+	p.eagerFresh = opts.eagerFresh
 	audit.pool = p
 
 	ops := data[4:]

@@ -1,9 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"slices"
 	"strconv"
 
 	"repro/internal/sim"
@@ -151,6 +151,9 @@ func (PolicyPressure) Pick(cands []Candidate, key string) int {
 // the stability property the router tests pin down. Feasibility is
 // ignored: affinity callers trade deadline awareness for placement
 // stickiness.
+//
+// Pick builds the ring afresh; a pool picks through its own hashRing,
+// which rebuilds only when the candidate names change.
 type PolicyHash struct{}
 
 const hashVnodes = 32
@@ -160,40 +163,89 @@ func (PolicyHash) Name() string { return "hash" }
 
 // Pick implements Policy.
 func (PolicyHash) Pick(cands []Candidate, key string) int {
-	type point struct {
-		h   uint64
-		idx int
+	var r hashRing
+	return r.Pick(cands, key)
+}
+
+// hashRing is PolicyHash with its sorted ring cached for the candidate
+// names it was built from, in order.
+type hashRing struct {
+	names  []string
+	points []ringPoint
+}
+
+type ringPoint struct {
+	h   uint64
+	idx int
+}
+
+// Name implements Policy.
+func (r *hashRing) Name() string { return "hash" }
+
+// Pick implements Policy.
+func (r *hashRing) Pick(cands []Candidate, key string) int {
+	if !r.builtFor(cands) {
+		r.build(cands)
 	}
-	points := make([]point, 0, len(cands)*hashVnodes)
-	for i, c := range cands {
-		for v := 0; v < hashVnodes; v++ {
-			points = append(points, point{hash64(c.Name + "#" + strconv.Itoa(v)), i})
-		}
-	}
-	sort.Slice(points, func(a, b int) bool {
-		if points[a].h != points[b].h {
-			return points[a].h < points[b].h
-		}
-		return points[a].idx < points[b].idx
-	})
-	h := hash64(key)
-	lo, hi := 0, len(points)
+	h := fnv1a(fnvOffset, key)
+	lo, hi := 0, len(r.points)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if points[mid].h < h {
+		if r.points[mid].h < h {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo == len(points) {
+	if lo == len(r.points) {
 		lo = 0 // wrap around the ring
 	}
-	return points[lo].idx
+	return r.points[lo].idx
 }
 
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+func (r *hashRing) builtFor(cands []Candidate) bool {
+	if len(r.names) != len(cands) {
+		return false
+	}
+	for i, c := range cands {
+		if r.names[i] != c.Name {
+			return false
+		}
+	}
+	return true
+}
+
+// build hashes hashVnodes points per candidate, each the FNV-1a hash of
+// "<name>#<vnode>", and sorts them by hash, then candidate index.
+func (r *hashRing) build(cands []Candidate) {
+	r.names, r.points = r.names[:0], r.points[:0]
+	for i, c := range cands {
+		r.names = append(r.names, c.Name)
+		h := fnv1a(fnvOffset, c.Name)
+		h = fnv1a(h, "#")
+		for v := 0; v < hashVnodes; v++ {
+			r.points = append(r.points, ringPoint{fnv1a(h, strconv.Itoa(v)), i})
+		}
+	}
+	slices.SortFunc(r.points, func(a, b ringPoint) int {
+		if c := cmp.Compare(a.h, b.h); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+}
+
+// 64-bit FNV-1a, as hash/fnv's New64a.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnv1a continues an FNV-1a hash h over the bytes of s.
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
+	}
+	return h
 }

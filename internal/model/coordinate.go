@@ -20,7 +20,7 @@ func FitCD(X [][]float64, y []float64, gamma float64, sweeps int) (*Predictor, e
 		}
 	}
 	st := standardize(X)
-	Z := st.apply(X)
+	z := st.apply(X)
 
 	// Precompute column norms; residual maintained incrementally. After
 	// standardization a live column has colSq ≈ n, so anything orders of
@@ -28,8 +28,8 @@ func FitCD(X [][]float64, y []float64, gamma float64, sweeps int) (*Predictor, e
 	// update by it would manufacture enormous coefficients from rounding
 	// noise. Zero such columns out entirely.
 	colSq := make([]float64, d)
-	for _, row := range Z {
-		for j, v := range row {
+	for i := 0; i < n; i++ {
+		for j, v := range z[i*d : (i+1)*d] {
 			colSq[j] += v * v
 		}
 	}
@@ -66,8 +66,8 @@ func FitCD(X [][]float64, y []float64, gamma float64, sweeps int) (*Predictor, e
 			}
 			// rho = Z_jᵀ(r + Z_j w_j): the partial residual correlation.
 			var rho float64
-			for i := range Z {
-				rho += Z[i][j] * r[i]
+			for i := range r {
+				rho += z[i*d+j] * r[i]
 			}
 			rho += colSq[j] * w[j]
 			// Soft-threshold update for (1/1)·‖r‖² + γ‖w‖₁ scaling:
@@ -75,8 +75,8 @@ func FitCD(X [][]float64, y []float64, gamma float64, sweeps int) (*Predictor, e
 			// w_j = S(rho, γ/2) / colSq[j].
 			newW := softThreshold(rho, gamma/2) / colSq[j]
 			if delta := newW - w[j]; delta != 0 {
-				for i := range Z {
-					r[i] -= Z[i][j] * delta
+				for i := range r {
+					r[i] -= z[i*d+j] * delta
 				}
 				if ad := math.Abs(delta); ad > maxDelta {
 					maxDelta = ad

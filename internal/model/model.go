@@ -96,26 +96,52 @@ func FitWarm(X [][]float64, y []float64, cfg Config, init *Predictor) (*Predicto
 }
 
 func fit(X [][]float64, y []float64, cfg Config, init *Predictor) (*Predictor, error) {
+	if err := checkShape(X, y); err != nil {
+		return nil, err
+	}
+	if d := len(X[0]); init != nil && len(init.Coef) != d {
+		return nil, fmt.Errorf("%w: warm start has %d coefficients, data has %d columns", ErrBadShape, len(init.Coef), d)
+	}
+	if err := checkTargets(y); err != nil {
+		return nil, err
+	}
+	cfg, err := cfg.checked()
+	if err != nil {
+		return nil, err
+	}
+	return solve(newProblem(X, y), cfg, init)
+}
+
+// checkShape rejects an empty or ragged design and a target count that
+// does not match its rows.
+func checkShape(X [][]float64, y []float64) error {
 	n := len(X)
 	if n == 0 || n != len(y) {
-		return nil, fmt.Errorf("%w: %d rows, %d targets", ErrBadShape, n, len(y))
+		return fmt.Errorf("%w: %d rows, %d targets", ErrBadShape, n, len(y))
 	}
 	d := len(X[0])
 	for _, row := range X {
 		if len(row) != d {
-			return nil, fmt.Errorf("%w: ragged rows", ErrBadShape)
+			return fmt.Errorf("%w: ragged rows", ErrBadShape)
 		}
 	}
-	if init != nil && len(init.Coef) != d {
-		return nil, fmt.Errorf("%w: warm start has %d coefficients, data has %d columns", ErrBadShape, len(init.Coef), d)
-	}
+	return nil
+}
+
+func checkTargets(y []float64) error {
 	for _, v := range y {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("model: non-finite target %v", v)
+			return fmt.Errorf("model: non-finite target %v", v)
 		}
 	}
+	return nil
+}
+
+// checked validates cfg and fills the defaults of unset iteration
+// limits.
+func (cfg Config) checked() (Config, error) {
 	if cfg.Alpha < 1 {
-		return nil, fmt.Errorf("model: alpha %v < 1", cfg.Alpha)
+		return cfg, fmt.Errorf("model: alpha %v < 1", cfg.Alpha)
 	}
 	if cfg.MaxIter <= 0 {
 		cfg.MaxIter = DefaultConfig().MaxIter
@@ -123,13 +149,46 @@ func fit(X [][]float64, y []float64, cfg Config, init *Predictor) (*Predictor, e
 	if cfg.Tol <= 0 {
 		cfg.Tol = DefaultConfig().Tol
 	}
+	return cfg, nil
+}
 
-	st := standardize(X)
-	Z := st.apply(X)
-	// Center the target; the intercept in standardized space is trained
-	// as an explicit unpenalized coordinate starting from mean(y).
+// problem is one training split prepared for FISTA: everything a fit
+// needs that does not depend on the hyper-parameters or the start. It
+// is built once per split and only read afterwards, so concurrent fits
+// (SelectGamma's γ sweep) share it.
+type problem struct {
+	n, d int
+	st   scaler
+	// z is the standardized design, row-major: row i is z[i*d : i*d+d].
+	z []float64
+	y []float64
+	// yMean is mean(y): the intercept's cold start, which centres the
+	// targets in standardized space.
+	yMean float64
+	// lam estimates λmax(ZᵀZ) for the Lipschitz step size.
+	lam float64
+}
+
+// newProblem prepares a validated (see checkShape) design and targets.
+func newProblem(X [][]float64, y []float64) *problem {
+	pr := &problem{n: len(X), d: len(X[0]), st: standardize(X), y: y, yMean: mean(y)}
+	pr.z = pr.st.apply(X)
+	pr.lam = pr.powerIterLambda(60)
+	return pr
+}
+
+func (pr *problem) row(i int) []float64 {
+	return pr.z[i*pr.d : (i+1)*pr.d : (i+1)*pr.d]
+}
+
+// solve runs FISTA over a prepared problem. cfg must be checked; a
+// non-nil init must have pr.d coefficients.
+func solve(pr *problem, cfg Config, init *Predictor) (*Predictor, error) {
+	n, d, st := pr.n, pr.d, pr.st
+	// The intercept in standardized space is trained as an explicit
+	// unpenalized coordinate starting from mean(y).
 	w := make([]float64, d)
-	b0 := mean(y)
+	b0 := pr.yMean
 	if init != nil {
 		// Map the raw-unit warm start into standardized coordinates:
 		// raw c_j x_j + b  ==  (c_j σ_j) z_j + (b + Σ c_j μ_j).
@@ -148,58 +207,39 @@ func fit(X [][]float64, y []float64, cfg Config, init *Predictor) (*Predictor, e
 		} else {
 			// A poisoned warm start (non-finite incumbent) must not
 			// contaminate the refit; fall back to the cold start.
-			for j := range w {
-				w[j] = 0
-			}
-			b0 = mean(y)
+			clear(w)
+			b0 = pr.yMean
 		}
 	}
 
 	// Lipschitz constant of the smooth part: 2·max(1,α)·λmax(AᵀA) where
 	// A is Z with an all-ones intercept column.
-	lam := powerIterLambda(Z, 60)
-	L := 2 * cfg.Alpha * (lam + float64(n)) // +n bounds the intercept column's contribution
+	L := 2 * cfg.Alpha * (pr.lam + float64(n)) // +n bounds the intercept column's contribution
 	if L <= 0 || math.IsNaN(L) {
 		L = 1
 	}
 	step := 1 / (1.1 * L)
 
-	obj := func(w []float64, b0 float64) float64 {
-		return objective(Z, y, w, b0, cfg.Alpha, cfg.Gamma)
-	}
-
 	// FISTA state.
 	wPrev := append([]float64(nil), w...)
 	b0Prev := b0
 	tk := 1.0
-	prevObj := obj(w, b0)
+	prevObj := pr.objective(w, b0, cfg.Alpha, cfg.Gamma)
 	iters := 0
-	r := make([]float64, n)
-	g := make([]float64, n)
+	yw := make([]float64, d)
 	gradW := make([]float64, d)
 
 	for iters = 1; iters <= cfg.MaxIter; iters++ {
 		// Extrapolated point.
 		tNext := (1 + math.Sqrt(1+4*tk*tk)) / 2
 		beta := (tk - 1) / tNext
-		yw := make([]float64, d)
 		for j := range yw {
 			yw[j] = w[j] + beta*(w[j]-wPrev[j])
 		}
 		yb0 := b0 + beta*(b0-b0Prev)
 
 		// Gradient of the smooth part at the extrapolated point.
-		residual(Z, y, yw, yb0, r)
-		var gradB0 float64
-		for i := range r {
-			if r[i] > 0 {
-				g[i] = 2 * r[i]
-			} else {
-				g[i] = 2 * cfg.Alpha * r[i]
-			}
-			gradB0 += g[i]
-		}
-		matTVec(Z, g, gradW)
+		gradB0 := pr.gradient(yw, yb0, cfg.Alpha, gradW)
 
 		// Proximal step: soft threshold on w, plain step on intercept.
 		copy(wPrev, w)
@@ -213,7 +253,7 @@ func fit(X [][]float64, y []float64, cfg Config, init *Predictor) (*Predictor, e
 		tk = tNext
 
 		if iters%25 == 0 {
-			cur := obj(w, b0)
+			cur := pr.objective(w, b0, cfg.Alpha, cfg.Gamma)
 			if math.Abs(prevObj-cur) <= cfg.Tol*(math.Abs(prevObj)+1) {
 				prevObj = cur
 				break
@@ -262,10 +302,10 @@ func (p *Predictor) checkFinite() error {
 }
 
 // objective computes the full training objective.
-func objective(Z [][]float64, y, w []float64, b0, alpha, gamma float64) float64 {
+func (pr *problem) objective(w []float64, b0, alpha, gamma float64) float64 {
 	var s float64
-	for i := range Z {
-		r := dot(Z[i], w) + b0 - y[i]
+	for i := 0; i < pr.n; i++ {
+		r := dot(pr.row(i), w) + b0 - pr.y[i]
 		if r > 0 {
 			s += r * r
 		} else {
@@ -278,10 +318,79 @@ func objective(Z [][]float64, y, w []float64, b0, alpha, gamma float64) float64 
 	return s
 }
 
-// residual fills r with Zw + b0 − y.
-func residual(Z [][]float64, y, w []float64, b0 float64, r []float64) {
-	for i := range Z {
-		r[i] = dot(Z[i], w) + b0 - y[i]
+// gradient computes the smooth part's gradient at (w, b0) in one pass
+// over the design: it sets out = Zᵀg and returns Σ g_i, where r = Zw +
+// b0 − y and g_i = 2·r_i, or 2α·r_i when r_i ≤ 0.
+//
+// Rows go in blocks of four: their dot products run interleaved, then
+// their terms of Zᵀg are added to each out[j] while it stays in a
+// register. Every sum keeps the order of the plain two-pass form, so
+// fits are bit-identical to it: each dot in j order, r_i as (dot+b0)−y_i,
+// g_i as (2α)·r_i, and out[j] and Σg accumulated in i order, skipping
+// rows with g_i = 0.
+func (pr *problem) gradient(w []float64, b0, alpha float64, out []float64) float64 {
+	d, y := pr.d, pr.y
+	w = w[:d]
+	out = out[:d]
+	clear(out)
+	weight := func(s float64, i int) float64 {
+		r := s + b0 - y[i]
+		if r > 0 {
+			return 2 * r
+		}
+		return 2 * alpha * r
+	}
+	var gradB0 float64
+	i := 0
+	for ; i+4 <= pr.n; i += 4 {
+		blk := pr.z[i*d:]
+		z0, z1, z2, z3 := blk[:d], blk[d:][:d], blk[2*d:][:d], blk[3*d:][:d]
+		var s0, s1, s2, s3 float64
+		for j := 0; j < d; j++ {
+			wj := w[j]
+			s0 += z0[j] * wj
+			s1 += z1[j] * wj
+			s2 += z2[j] * wj
+			s3 += z3[j] * wj
+		}
+		g0, g1, g2, g3 := weight(s0, i), weight(s1, i+1), weight(s2, i+2), weight(s3, i+3)
+		gradB0 += g0
+		gradB0 += g1
+		gradB0 += g2
+		gradB0 += g3
+		if g0 == 0 || g1 == 0 || g2 == 0 || g3 == 0 {
+			axpy(out, z0, g0)
+			axpy(out, z1, g1)
+			axpy(out, z2, g2)
+			axpy(out, z3, g3)
+			continue
+		}
+		for j := 0; j < d; j++ {
+			acc := out[j]
+			acc += z0[j] * g0
+			acc += z1[j] * g1
+			acc += z2[j] * g2
+			acc += z3[j] * g3
+			out[j] = acc
+		}
+	}
+	for ; i < pr.n; i++ {
+		z := pr.row(i)
+		g := weight(dot(z, w), i)
+		gradB0 += g
+		axpy(out, z, g)
+	}
+	return gradB0
+}
+
+// axpy adds row·g to out, skipping a zero g.
+func axpy(out, row []float64, g float64) {
+	if g == 0 {
+		return
+	}
+	row = row[:len(out)]
+	for j := range out {
+		out[j] += row[j] * g
 	}
 }
 
@@ -304,41 +413,25 @@ func dot(a, b []float64) float64 {
 	return s
 }
 
-// matTVec computes out = Zᵀ g.
-func matTVec(Z [][]float64, g []float64, out []float64) {
-	for j := range out {
-		out[j] = 0
-	}
-	for i := range Z {
-		gi := g[i]
-		if gi == 0 {
-			continue
-		}
-		row := Z[i]
-		for j := range row {
-			out[j] += row[j] * gi
-		}
-	}
-}
-
 // powerIterLambda estimates λmax(ZᵀZ) by power iteration.
-func powerIterLambda(Z [][]float64, iters int) float64 {
-	if len(Z) == 0 || len(Z[0]) == 0 {
+func (pr *problem) powerIterLambda(iters int) float64 {
+	if pr.n == 0 || pr.d == 0 {
 		return 0
 	}
-	d := len(Z[0])
+	d := pr.d
 	v := make([]float64, d)
 	for j := range v {
 		v[j] = 1 / math.Sqrt(float64(d))
 	}
-	zv := make([]float64, len(Z))
 	ztzv := make([]float64, d)
 	lam := 0.0
 	for it := 0; it < iters; it++ {
-		for i := range Z {
-			zv[i] = dot(Z[i], v)
+		// ZᵀZv row by row: out[j] accumulates in i order.
+		clear(ztzv)
+		for i := 0; i < pr.n; i++ {
+			z := pr.row(i)
+			axpy(ztzv, z, dot(z, v))
 		}
-		matTVec(Z, zv, ztzv)
 		norm := math.Sqrt(dot(ztzv, ztzv))
 		if norm == 0 {
 			return 0
@@ -396,18 +489,19 @@ func standardize(X [][]float64) scaler {
 	return st
 }
 
-func (st scaler) apply(X [][]float64) [][]float64 {
-	Z := make([][]float64, len(X))
+// apply standardizes X into one row-major slice.
+func (st scaler) apply(X [][]float64) []float64 {
+	d := len(st.mu)
+	z := make([]float64, len(X)*d)
 	for i, row := range X {
-		z := make([]float64, len(row))
+		zi := z[i*d : (i+1)*d]
 		for j, v := range row {
 			if st.sigma[j] > 0 {
-				z[j] = (v - st.mu[j]) / st.sigma[j]
+				zi[j] = (v - st.mu[j]) / st.sigma[j]
 			}
 		}
-		Z[i] = z
 	}
-	return Z
+	return z
 }
 
 func mean(y []float64) float64 {

@@ -121,17 +121,16 @@ func TestObjectiveConvexityMidpoint(t *testing.T) {
 	// condition of convexity for the implemented objective.
 	rng := rand.New(rand.NewSource(5))
 	X, y := synth(rng, 50, []float64{1, -2, 3}, 0, 5)
-	st := standardize(X)
-	Z := st.apply(X)
+	pr := newProblem(X, y)
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a := []float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
 		b := []float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
 		mid := []float64{(a[0] + b[0]) / 2, (a[1] + b[1]) / 2, (a[2] + b[2]) / 2}
 		alpha, gamma := 1+r.Float64()*10, r.Float64()*100
-		fa := objective(Z, y, a, 0, alpha, gamma)
-		fb := objective(Z, y, b, 0, alpha, gamma)
-		fm := objective(Z, y, mid, 0, alpha, gamma)
+		fa := pr.objective(a, 0, alpha, gamma)
+		fb := pr.objective(b, 0, alpha, gamma)
+		fm := pr.objective(mid, 0, alpha, gamma)
 		return fm <= (fa+fb)/2+1e-9*(fa+fb)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -309,11 +308,11 @@ func TestPowerIterationOnIdentityLikeData(t *testing.T) {
 	// For Z with orthonormal-ish columns scaled by k, λmax(ZᵀZ) ≈ k²·n/d
 	// at least must be positive and finite.
 	rng := rand.New(rand.NewSource(11))
-	Z := make([][]float64, 100)
-	for i := range Z {
-		Z[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
+	pr := &problem{n: 100, d: 2, z: make([]float64, 200)}
+	for i := range pr.z {
+		pr.z[i] = rng.NormFloat64()
 	}
-	lam := powerIterLambda(Z, 50)
+	lam := pr.powerIterLambda(50)
 	if lam <= 0 || math.IsNaN(lam) || math.IsInf(lam, 0) {
 		t.Errorf("lambda = %v", lam)
 	}

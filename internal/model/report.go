@@ -3,8 +3,11 @@ package model
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Errors summarizes a predictor's accuracy on a labelled dataset.
@@ -100,6 +103,11 @@ func (p *Predictor) Report(names []string) string {
 // returns the predictor that minimizes a conservatism-weighted score on
 // the validation split, preferring sparser models on near-ties. This is
 // the "empirically determined" γ of §3.4 made reproducible.
+//
+// The validation fits share one prepared training split and run on up
+// to GOMAXPROCS goroutines. Each writes only its own γ's slot, and the
+// slots are read in γ order, so the chosen γ and the error returned
+// (the first in γ order) are those of a serial sweep.
 func SelectGamma(X [][]float64, y []float64, valFrac float64, cfg Config, gammas []float64) (*Predictor, float64, error) {
 	if valFrac <= 0 || valFrac >= 1 {
 		valFrac = 0.25
@@ -108,6 +116,11 @@ func SelectGamma(X [][]float64, y []float64, valFrac float64, cfg Config, gammas
 	nVal := int(float64(n) * valFrac)
 	if nVal < 1 || n-nVal < 1 {
 		return nil, 0, fmt.Errorf("model: dataset too small for validation split (%d rows)", n)
+	}
+	// Checked up front: a ragged validation row would panic in a
+	// sweep goroutine, out of the caller's reach.
+	if err := checkShape(X, y); err != nil {
+		return nil, 0, err
 	}
 	// Deterministic interleaved split: every k-th row validates.
 	k := n / nVal
@@ -122,26 +135,40 @@ func SelectGamma(X [][]float64, y []float64, valFrac float64, cfg Config, gammas
 			trY = append(trY, y[i])
 		}
 	}
-	if len(gammas) == 0 {
-		gammas = DefaultGammas(trX, trY)
+	if err := checkTargets(trY); err != nil {
+		return nil, 0, err
 	}
-	var best *Predictor
-	bestGamma := 0.0
-	bestScore := math.Inf(1)
-	for _, g := range gammas {
-		c := cfg
-		c.Gamma = g
-		p, err := Fit(trX, trY, c)
+	checked, err := cfg.checked()
+	if err != nil {
+		return nil, 0, err
+	}
+	tr := newProblem(trX, trY)
+	if len(gammas) == 0 {
+		gammas = tr.gammas()
+	}
+	scores := make([]float64, len(gammas))
+	errs := make([]error, len(gammas))
+	parallel(len(gammas), func(i int) {
+		c := checked
+		c.Gamma = gammas[i]
+		p, err := solve(tr, c, nil)
 		if err != nil {
-			return nil, 0, err
+			errs[i] = err
+			return
 		}
 		e := Evaluate(p, vaX, vaY)
 		// Under-predictions dominate the score; each non-zero term costs
 		// a little, encoding the paper's preference for tiny slices.
-		score := e.MeanAbs - 3*e.WorstUnder + 0.004*float64(len(p.NonZero()))
-		if score < bestScore {
-			bestScore = score
-			best = p
+		scores[i] = e.MeanAbs - 3*e.WorstUnder + 0.004*float64(len(p.NonZero()))
+	})
+	bestGamma := 0.0
+	bestScore := math.Inf(1)
+	for i, g := range gammas {
+		if errs[i] != nil {
+			return nil, 0, errs[i]
+		}
+		if scores[i] < bestScore {
+			bestScore = scores[i]
 			bestGamma = g
 		}
 	}
@@ -152,24 +179,53 @@ func SelectGamma(X [][]float64, y []float64, valFrac float64, cfg Config, gammas
 	if err != nil {
 		return nil, 0, err
 	}
-	_ = best
 	return p, bestGamma, nil
+}
+
+// parallel calls fn(0), ..., fn(n−1) on min(GOMAXPROCS, n) goroutines,
+// handing out indices through an atomic counter, and returns when all
+// calls have. fn(i) must write only state that belongs to index i.
+func parallel(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // DefaultGammas builds a descending log-spaced γ path scaled to the
 // data, from a value that zeroes everything down to (almost) none.
 func DefaultGammas(X [][]float64, y []float64) []float64 {
+	return newProblem(X, y).gammas()
+}
+
+func (pr *problem) gammas() []float64 {
 	// γ_max ≈ 2·max_j |Z_jᵀ y_c| zeroes all coefficients for plain
 	// lasso; the asymmetric weight only increases it, so this is a good
 	// upper anchor.
-	st := standardize(X)
-	Z := st.apply(X)
-	ym := mean(y)
 	gmax := 0.0
-	for j := 0; j < len(st.mu); j++ {
+	for j := 0; j < pr.d; j++ {
 		var s float64
-		for i := range Z {
-			s += Z[i][j] * (y[i] - ym)
+		for i := 0; i < pr.n; i++ {
+			s += pr.z[i*pr.d+j] * (pr.y[i] - pr.yMean)
 		}
 		if a := 2 * math.Abs(s); a > gmax {
 			gmax = a
