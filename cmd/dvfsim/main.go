@@ -10,9 +10,9 @@
 // fig11, fig12, fig13, fig14, fig15, fig16, fig17, fig18, fig19,
 // casestudy.
 //
-// Job-level RTL simulation fans out across -workers goroutines
-// (default: GOMAXPROCS); results are deterministic regardless of the
-// worker count. -engine selects the RTL engine: native (the default),
+// Job-level RTL simulation and each predictor's γ sweep fan out across
+// -workers goroutines (default: GOMAXPROCS); results are deterministic
+// regardless of the worker count. -engine selects the RTL engine: native (the default),
 // which runs the pre-generated code in internal/rtl/native and falls
 // back to the codegen plan for unregistered netlists, or interp. The
 // run ends by reporting "native fallbacks: N", the netlists that had
@@ -45,7 +45,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	charts := flag.Bool("charts", false, "render ASCII plots for figure experiments")
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
-	workers := flag.Int("workers", 0, "parallel job-simulation workers (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "parallel job-simulation and γ-sweep workers (0 = GOMAXPROCS)")
 	engine := flag.String("engine", "", "RTL engine: native or interp (default: native, or $REPRO_ENGINE)")
 	cacheDir := flag.String("cachedir", os.Getenv("REPRO_CACHE_DIR"),
 		"persistent trace cache directory (default: $REPRO_CACHE_DIR; empty disables)")

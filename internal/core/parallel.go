@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/model"
 )
 
 // Job-level parallelism. RTL simulation of independent jobs is
@@ -17,9 +19,13 @@ import (
 var workerCount atomic.Int32
 
 // SetWorkers configures the number of parallel job-simulation workers
-// used by Train and CollectTraces. n <= 0 restores the default
+// used by Train and CollectTraces, and bounds Train's γ sweep to the
+// same count (model.SetWorkers). n <= 0 restores the default
 // (GOMAXPROCS). Safe to call concurrently.
-func SetWorkers(n int) { workerCount.Store(int32(n)) }
+func SetWorkers(n int) {
+	workerCount.Store(int32(n))
+	model.SetWorkers(n)
+}
 
 // Workers returns the effective worker count.
 func Workers() int {

@@ -10,11 +10,12 @@ import (
 
 	"repro/internal/accel/md"
 	"repro/internal/fault"
+	"repro/internal/model"
 )
 
 // TestWorkersDefaulting pins the SetWorkers contract: positive counts
 // are taken literally, zero and negative restore the GOMAXPROCS
-// default.
+// default, for job simulation and the γ sweep alike.
 func TestWorkersDefaulting(t *testing.T) {
 	defer SetWorkers(0)
 	gomax := runtime.GOMAXPROCS(0)
@@ -32,6 +33,10 @@ func TestWorkersDefaulting(t *testing.T) {
 		SetWorkers(tc.set)
 		if got := Workers(); got != tc.want {
 			t.Errorf("SetWorkers(%d): Workers() = %d, want %d", tc.set, got, tc.want)
+		}
+		// The same count bounds Train's γ sweep.
+		if got := model.Workers(); got != tc.want {
+			t.Errorf("SetWorkers(%d): model.Workers() = %d, want %d", tc.set, got, tc.want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package model
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -9,6 +10,8 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -249,6 +252,92 @@ func TestSelectGammaDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		}
 		if c.name == "diverging" && wantErr == nil {
 			t.Fatal("the diverging case fitted; it no longer exercises the error path")
+		}
+	}
+}
+
+// TestParallelHonoursWorkers: the sweep's fan-out is bounded by
+// SetWorkers, not by GOMAXPROCS alone, and one worker runs every index
+// in order on the calling goroutine, as -workers 1 promises.
+func TestParallelHonoursWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	defer SetWorkers(0)
+	const n = 64
+	for _, workers := range []int{1, 3, 0} {
+		SetWorkers(workers)
+		bound := Workers()
+		var inFlight, peak atomic.Int32
+		var order []int
+		var mu sync.Mutex
+		seen := make([]int, n)
+		err := parallel(n, func(i int) error {
+			cur := inFlight.Add(1)
+			for {
+				p := peak.Load()
+				if cur <= p || peak.CompareAndSwap(p, cur) {
+					break
+				}
+			}
+			for k := 0; k < 100; k++ {
+				runtime.Gosched()
+			}
+			mu.Lock()
+			order = append(order, i)
+			seen[i]++
+			mu.Unlock()
+			inFlight.Add(-1)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if p := int(peak.Load()); p > bound {
+			t.Errorf("workers %d: %d calls in flight, bound %d", workers, p, bound)
+		}
+		for i, c := range seen {
+			if c != 1 {
+				t.Fatalf("workers %d: index %d ran %d times", workers, i, c)
+			}
+		}
+		if workers == 1 {
+			for k, i := range order {
+				if i != k {
+					t.Fatalf("one worker ran index %d at position %d: not serial", i, k)
+				}
+			}
+		}
+	}
+}
+
+// TestParallelStopsAfterFirstError: the first error in index order is
+// returned, and, as in a serial loop, the indices after it are not all
+// run: once a fit has failed the workers stop taking new ones.
+func TestParallelStopsAfterFirstError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	defer SetWorkers(0)
+	const n, first = 64, 5
+	for _, workers := range []int{1, 2, 4} {
+		SetWorkers(workers)
+		var calls atomic.Int32
+		err := parallel(n, func(i int) error {
+			calls.Add(1)
+			runtime.Gosched()
+			if i >= first {
+				return fmt.Errorf("fit %d", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != fmt.Sprintf("fit %d", first) {
+			t.Fatalf("workers %d: error %v, want the first failing index's", workers, err)
+		}
+		// Indices 0..first run; each worker may be running one more
+		// when the failure lands and take one more before it sees it.
+		limit := first + 1
+		if workers > 1 {
+			limit += 2 * workers
+		}
+		if c := int(calls.Load()); c > limit {
+			t.Errorf("workers %d: %d of %d indices ran after index %d failed (limit %d)", workers, c, n, first, limit)
 		}
 	}
 }

@@ -290,7 +290,7 @@ func indexOf(s, sub string) int {
 func TestDefaultGammasDescending(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	X, y := synth(rng, 60, []float64{1, 2, 3}, 0, 1)
-	gs := DefaultGammas(X, y)
+	gs := newProblem(X, y).gammas()
 	if len(gs) < 5 {
 		t.Fatalf("too few gammas: %d", len(gs))
 	}

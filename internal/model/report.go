@@ -105,7 +105,7 @@ func (p *Predictor) Report(names []string) string {
 // the "empirically determined" γ of §3.4 made reproducible.
 //
 // The validation fits share one prepared training split and run on up
-// to GOMAXPROCS goroutines. Each writes only its own γ's slot, and the
+// to Workers() goroutines. Each writes only its own γ's slot, and the
 // slots are read in γ order, so the chosen γ and the error returned
 // (the first in γ order) are those of a serial sweep.
 func SelectGamma(X [][]float64, y []float64, valFrac float64, cfg Config, gammas []float64) (*Predictor, float64, error) {
@@ -147,26 +147,25 @@ func SelectGamma(X [][]float64, y []float64, valFrac float64, cfg Config, gammas
 		gammas = tr.gammas()
 	}
 	scores := make([]float64, len(gammas))
-	errs := make([]error, len(gammas))
-	parallel(len(gammas), func(i int) {
+	err = parallel(len(gammas), func(i int) error {
 		c := checked
 		c.Gamma = gammas[i]
 		p, err := solve(tr, c, nil)
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
 		e := Evaluate(p, vaX, vaY)
 		// Under-predictions dominate the score; each non-zero term costs
 		// a little, encoding the paper's preference for tiny slices.
 		scores[i] = e.MeanAbs - 3*e.WorstUnder + 0.004*float64(len(p.NonZero()))
+		return nil
 	})
+	if err != nil {
+		return nil, 0, err
+	}
 	bestGamma := 0.0
 	bestScore := math.Inf(1)
 	for i, g := range gammas {
-		if errs[i] != nil {
-			return nil, 0, errs[i]
-		}
 		if scores[i] < bestScore {
 			bestScore = scores[i]
 			bestGamma = g
@@ -182,41 +181,70 @@ func SelectGamma(X [][]float64, y []float64, valFrac float64, cfg Config, gammas
 	return p, bestGamma, nil
 }
 
-// parallel calls fn(0), ..., fn(n−1) on min(GOMAXPROCS, n) goroutines,
-// handing out indices through an atomic counter, and returns when all
-// calls have. fn(i) must write only state that belongs to index i.
-func parallel(n int, fn func(i int)) {
-	workers := min(runtime.GOMAXPROCS(0), n)
+// workerCount holds the γ sweep's fan-out; <= 0 means GOMAXPROCS.
+var workerCount atomic.Int32
+
+// SetWorkers bounds the number of goroutines a γ sweep fits on. n <= 0
+// restores the default (GOMAXPROCS). core.SetWorkers sets it, so one
+// -workers flag bounds both RTL simulation and training. Safe to call
+// concurrently.
+func SetWorkers(n int) { workerCount.Store(int32(n)) }
+
+// Workers returns the γ sweep's effective fan-out.
+func Workers() int {
+	if n := int(workerCount.Load()); n > 0 {
+		return n
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// parallel calls fn(0), ..., fn(n−1) on min(Workers(), n) goroutines,
+// handing out indices through an atomic counter, and returns the first
+// error in index order. fn(i) must write only state that belongs to
+// index i. Once an index has failed the workers take no new ones:
+// indices are handed out in increasing order, so every index still to
+// be handed out is past the failure and, as in a serial loop that
+// returns at its first error, the rest of the range is not run.
+func parallel(n int, fn func(i int) error) error {
+	workers := min(Workers(), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			if err := fn(i); err != nil {
+				return err
+			}
 		}
-		return
+		return nil
 	}
+	errs := make([]error, n)
 	var next atomic.Int64
+	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			for !failed.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				fn(i)
+				if errs[i] = fn(i); errs[i] != nil {
+					failed.Store(true)
+				}
 			}
 		}()
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// DefaultGammas builds a descending log-spaced γ path scaled to the
-// data, from a value that zeroes everything down to (almost) none.
-func DefaultGammas(X [][]float64, y []float64) []float64 {
-	return newProblem(X, y).gammas()
-}
-
+// gammas builds a descending log-spaced γ path scaled to the data, from
+// a value that zeroes everything down to (almost) none.
 func (pr *problem) gammas() []float64 {
 	// γ_max ≈ 2·max_j |Z_jᵀ y_c| zeroes all coefficients for plain
 	// lasso; the asymmetric weight only increases it, so this is a good
