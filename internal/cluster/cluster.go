@@ -13,16 +13,16 @@
 // degraded, and the job carries its serve.Stall record to the replica,
 // which charges the delay against the job's budget.
 //
-// For every replica the router keeps a twin of the replica's governor
-// (a sim.Stepper seeded identically) and a virtual clock advanced by
-// the same accounting the shard applies, stall delay included. Because
-// traces carry actual cycles, the twin's projection of a job IS the
-// outcome the shard will compute: projected completion, energy, and
-// deadline feasibility at each candidate are exact, not estimates. The
-// router admits the job to the replica that can still meet the
-// deadline at the lowest energy (policy "predict"), shedding only when
-// no replica can; least-pressure (which never sheds) and
-// consistent-hash policies are available behind the same interface.
+// For every replica the router keeps a twin serve.Replica, built like
+// the one inside the replica's shard. Each candidate plans the job
+// once and the winner's twin applies that step. Because traces carry
+// actual cycles, a candidate's step IS the outcome the shard will
+// compute from the same state: completion, energy, and deadline
+// feasibility are exact, not estimates. The router admits the job to
+// the replica that can still meet the deadline at the lowest energy
+// (policy "predict"), shedding only when no replica can;
+// least-pressure (which never sheds) and consistent-hash policies are
+// available behind the same interface.
 //
 // Determinism holds at fleet scale: placement, shedding, autoscaling,
 // and replica-kill handling are all pure functions of the virtual-time
@@ -44,7 +44,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/online"
 	"repro/internal/serve"
-	"repro/internal/sim"
 )
 
 // Kill is one entry of a seeded chaos schedule: the replica at the
@@ -62,7 +61,7 @@ type Kill struct {
 type Config struct {
 	// Shard is the replica template: its Profile (predictor, device,
 	// energy models, deadline) is shared by every replica and by the
-	// router's twin governors; its queueing knobs apply per replica.
+	// router's twin replicas; its queueing knobs apply per replica.
 	// Name names the pool; replicas are named "<Name>/<id>". The
 	// prediction-attempt knobs (JobTimeout, MaxRetries, RetryBackoff,
 	// StallPenalty, Faults) drive the router's ladder. Shard.Online
@@ -118,30 +117,26 @@ type replica struct {
 	id    int
 	name  string
 	shard *serve.Shard
-	// model is the twin governor: a sim.Stepper identical to the
-	// shard's, advanced by the router at placement time with the exact
-	// accounting the shard will apply. clock mirrors the shard's
-	// virtual clock (including the frame-drop resync).
-	model *sim.Stepper
-	clock float64
+	// twin is the router's copy of the shard's serve.Replica, built from
+	// the same config and activation time. The router applies to it
+	// every step it commits to the shard, in queue order, so it is the
+	// state the shard's worker reaches once it has served the queue.
+	twin *serve.Replica
 	// backlog holds projected virtual finish times of placed jobs,
 	// pruned as arrivals pass them; its length is the virtual queue
 	// depth the MaxBacklog bound applies to.
 	backlog []float64
 	// activeFrom gates placements: the replica is a candidate only for
 	// arrivals at or after it (0 for initial replicas; kill time +
-	// restart delay for restarts).
+	// restart delay for restarts). Its clock starts there.
 	activeFrom float64
-	// killAt mirrors the shard's KillAt crash horizon (0: immortal).
-	// restartAfter < 0 means the crash is permanent.
-	killAt       float64
+	// restartAfter < 0 means a crash at the twin's KillAt is permanent.
 	restartAfter float64
 	dead         bool
 	draining     bool
-	// doomed holds jobs placed on this replica whose projected service
-	// start is at or past killAt — in-flight work that will die with
-	// the replica. The shard will hand each of them back unserved; the
-	// router re-places them when it detects the death.
+	// doomed holds jobs placed here whose step is Doomed: the shard
+	// will hand each back unserved, and the router re-places them when
+	// it detects the death.
 	doomed []doomedJob
 	placed uint64
 }
@@ -243,9 +238,6 @@ func NewPool(cfg Config) (*Pool, error) {
 	if cfg.Shard.Name == "" {
 		return nil, fmt.Errorf("cluster: pool has no name")
 	}
-	if err := cfg.Shard.Profile.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Replicas < 1 {
 		cfg.Replicas = 1
 	}
@@ -284,9 +276,6 @@ func NewPool(cfg Config) (*Pool, error) {
 		p.predEngine, p.execEngine = string(sl), string(full)
 	}
 	if cfg.Shard.Online != nil {
-		if cfg.Shard.Pred == nil {
-			return nil, fmt.Errorf("cluster: %s: online learning needs a predictor", cfg.Shard.Name)
-		}
 		tr, err := online.NewTrainer(cfg.Shard.Pred, cfg.Shard.Profile.Stepper, cfg.Shard.Deadline, *cfg.Shard.Online)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %s: %w", cfg.Shard.Name, err)
@@ -318,26 +307,25 @@ func NewPool(cfg Config) (*Pool, error) {
 // Name returns the pool's accelerator name.
 func (p *Pool) Name() string { return p.cfg.Shard.Name }
 
-// addReplica spawns a shard and its twin governor. Caller holds mu (or
-// is NewPool).
+// addReplica spawns a shard and its twin. Caller holds mu (or is
+// NewPool).
 func (p *Pool) addReplica(activeFrom, killAt, restartAfter float64) (*replica, error) {
 	id := p.nextID
 	p.nextID++
 	scfg := p.cfg.Shard
 	scfg.Name = fmt.Sprintf("%s/%d", p.cfg.Shard.Name, id)
 	scfg.KillAt = killAt
-	sh, err := serve.NewShard(scfg)
+	twin, err := serve.NewReplica(scfg, activeFrom)
 	if err != nil {
 		return nil, err
 	}
-	model, err := scfg.Profile.Stepper()
+	sh, err := serve.NewShard(scfg, activeFrom)
 	if err != nil {
-		sh.Close()
 		return nil, err
 	}
 	r := &replica{
-		id: id, name: scfg.Name, shard: sh, model: model,
-		activeFrom: activeFrom, killAt: killAt, restartAfter: restartAfter,
+		id: id, name: scfg.Name, shard: sh, twin: twin,
+		activeFrom: activeFrom, restartAfter: restartAfter,
 	}
 	p.replicas = append(p.replicas, r)
 	return r, nil
@@ -524,16 +512,18 @@ func (p *Pool) observe(r simResult, degraded bool) {
 // deadline is attributed to fault debt. It reports the placed job's
 // projected queue wait and whether it was placed at all.
 //
-// Each candidate's twin evaluates the job once: the fresh-deadline
-// projections behind Candidate.FreshFeasible run only when no candidate
-// is feasible, and commit applies the winner's projection rather than
-// evaluating it again.
+// Each candidate's twin plans the job once: the fresh-deadline
+// evaluations behind Candidate.FreshFeasible run only when no candidate
+// is feasible, and commit applies the winner's step rather than
+// planning it again.
 func (p *Pool) place(sj serve.Job, key routeKey, replaced bool) (float64, bool) {
 	cands := p.candidates(p.candBuf[:0], sj.Arrival)
 	if len(cands) == 0 && replaced {
-		// Every active replica is gone; draining ones still own live
-		// queues, so recovered work prefers them over being dropped.
-		cands = p.drainingReplicas(cands)
+		// Every active replica is gone. Draining ones still own live
+		// queues, and a registered restart takes recovered work from its
+		// activation time on, so recovered work goes there rather than
+		// being dropped.
+		cands = p.fallbackReplicas(cands)
 	}
 	p.candBuf = cands
 	if len(cands) == 0 {
@@ -556,8 +546,7 @@ func (p *Pool) place(sj serve.Job, key routeKey, replaced bool) (float64, bool) 
 	}
 	if !feasible || p.eagerFresh {
 		for i, r := range cands {
-			jr, _ := r.model.Evaluate(sj.Trace, p.cfg.Shard.Deadline, sj.Stall.Exhausted)
-			views[i].FreshFeasible = !jr.Missed
+			views[i].FreshFeasible = r.twin.FitsFresh(&sj)
 		}
 	}
 	var k string
@@ -595,79 +584,54 @@ func (p *Pool) candidates(dst []*replica, arrival float64) []*replica {
 	return dst
 }
 
-// drainingReplicas appends the live draining replicas to dst.
-func (p *Pool) drainingReplicas(dst []*replica) []*replica {
+// fallbackReplicas appends the live draining replicas to dst or, when
+// there are none, the live replicas not yet active: registered restarts.
+func (p *Pool) fallbackReplicas(dst []*replica) []*replica {
 	for _, r := range p.replicas {
 		if !r.dead && r.draining {
+			dst = append(dst, r)
+		}
+	}
+	if len(dst) > 0 {
+		return dst
+	}
+	for _, r := range p.replicas {
+		if !r.dead {
 			dst = append(dst, r)
 		}
 	}
 	return dst
 }
 
-// project fills v with one replica's Candidate view of a job: the exact
-// outcome the shard would produce, from the twin governor, with the
-// job's stall delay charged exactly as the shard charges it.
+// project fills v with one replica's Candidate view of a job: the step
+// its twin plans, which is exactly the step the shard will take.
 // FreshFeasible is left false; place fills it when it is needed.
 func (p *Pool) project(r *replica, sj *serve.Job, v *Candidate) {
-	arrival := sj.Arrival
-	start := r.clock
-	if arrival > start {
-		start = arrival
-	}
-	wait := start - arrival
-	budget := p.cfg.Shard.Deadline - wait
-	degraded := budget <= p.cfg.Shard.Device.SwitchTime
-	if dw := p.cfg.Shard.EffectiveDegradeWait(); !degraded && dw > 0 && wait >= dw {
-		degraded = true
-	}
-	degraded = degraded || sj.Stall.Exhausted
-	delay := sj.Stall.Delay()
-	jr, charged := r.model.Evaluate(sj.Trace, budget-delay, degraded)
 	backlog := 0
 	for _, f := range r.backlog {
-		if f > arrival {
+		if f > sj.Arrival {
 			backlog++
 		}
 	}
-	feasible := !jr.Missed
-	if p.cfg.MaxBacklog > 0 && backlog >= p.cfg.MaxBacklog {
-		feasible = false
-	}
-	*v = Candidate{
-		ID: r.id, Name: r.name,
-		Start: start, Wait: wait, Budget: budget - delay, Finish: start + delay + jr.TotalSeconds,
-		Backlog: backlog, Degraded: degraded,
-		Feasible: feasible,
-		Result:   jr, charged: charged,
-	}
+	*v = Candidate{ID: r.id, Name: r.name, Backlog: backlog}
+	r.twin.Plan(sj, &v.Step) // predict hands place only jobs with a trace
+	v.Feasible = !v.Result.Missed && (p.cfg.MaxBacklog == 0 || backlog < p.cfg.MaxBacklog)
 }
 
-// commit places the job on the chosen replica: the twin governor and
-// clock advance by v, the projection the shard's exact accounting will
-// reproduce, and the job is enqueued on the shard. A job whose
-// projected start is at or past the replica's crash horizon is doomed:
-// the shard will hand it back unserved, so the twin does not advance —
-// the router records it for re-placement at death detection instead.
+// commit places the job on the chosen replica: the twin applies v's
+// step, the one the shard will take, and the job is enqueued on the
+// shard. A doomed job is not applied — the shard will hand it back
+// unserved — and the router records it for re-placement at death
+// detection instead.
 func (p *Pool) commit(r *replica, sj serve.Job, v *Candidate, key routeKey, replaced bool) {
-	if r.killAt > 0 && v.Start >= r.killAt {
+	r.placed++
+	p.placed++
+	if v.Doomed {
 		r.doomed = append(r.doomed, doomedJob{job: sj, key: key})
-		r.placed++
-		p.placed++
 		r.shard.SubmitWait(sj)
 		return
 	}
-	// v was evaluated against the twin's current state with this trace,
-	// budget and degraded flag, and Plan is pure, so applying it is
-	// exactly stepping the job again.
-	jr := v.Result
-	r.model.Commit(sj.Trace, jr, v.charged)
-	finish := v.Finish
-	r.clock = finish
-	if jr.Missed && r.clock > sj.Arrival+p.cfg.Shard.Deadline {
-		// Frame-drop resync, mirroring serve.Shard exactly.
-		r.clock = sj.Arrival + p.cfg.Shard.Deadline
-	}
+	r.twin.Apply(&v.Step)
 	// Prune finishes the stream has passed, then record this job's.
 	kept := r.backlog[:0]
 	for _, f := range r.backlog {
@@ -675,19 +639,16 @@ func (p *Pool) commit(r *replica, sj serve.Job, v *Candidate, key routeKey, repl
 			kept = append(kept, f)
 		}
 	}
-	r.backlog = append(kept, finish)
-	r.placed++
-	p.placed++
-	if replaced && jr.Missed {
+	r.backlog = append(kept, v.Finish)
+	if replaced && v.Result.Missed {
 		p.faultDebt++
 	}
-	// Online-learning tap, mirroring the shard tap: committed,
-	// non-degraded placements feed the pool trainer, which may hot-swap
-	// the shared live model here — before the next submission is
-	// predicted. Re-placements of recovered work are skipped to keep
-	// each job observed at most once.
-	if p.trainer != nil && !replaced && !v.Degraded {
-		p.trainer.Observe(*sj.Trace, jr.Missed)
+	// Online-learning tap: committed, non-degraded placements feed the
+	// pool trainer, which may hot-swap the shared live model here —
+	// before the next submission is predicted. Re-placements of
+	// recovered work are skipped to keep each job observed at most once.
+	if p.trainer != nil && !replaced && !v.Degraded() {
+		p.trainer.Observe(*sj.Trace, v.Result.Missed)
 	}
 	r.shard.SubmitWait(sj)
 }
@@ -712,7 +673,8 @@ func minStart(views []Candidate) int {
 func (p *Pool) detectKills(arrival float64) {
 	for i := 0; i < len(p.replicas); i++ {
 		r := p.replicas[i]
-		if r.dead || r.killAt <= 0 || arrival < r.killAt {
+		killAt := r.twin.KillAt()
+		if r.dead || killAt <= 0 || arrival < killAt {
 			continue
 		}
 		r.dead = true
@@ -720,7 +682,7 @@ func (p *Pool) detectKills(arrival float64) {
 		if r.restartAfter >= 0 {
 			// The replacement registers now but only becomes a candidate
 			// once the stream reaches its activation time.
-			if _, err := p.addReplica(r.killAt+r.restartAfter, 0, -1); err != nil {
+			if _, err := p.addReplica(killAt+r.restartAfter, 0, -1); err != nil {
 				// Profile already validated at pool construction; a failure
 				// here means the process is out of resources. Skip the
 				// restart rather than wedge the stream.
@@ -757,14 +719,8 @@ func (p *Pool) autoscaleTick(arrival, wait float64, shed bool) {
 		// Drain the highest-id active replica: placements stop, its
 		// already-placed work completes, and the physical close happens
 		// at Pool.Close (drain-then-retire).
-		var victim *replica
-		for _, r := range p.replicas {
-			if !r.dead && !r.draining && arrival >= r.activeFrom {
-				victim = r
-			}
-		}
-		if victim != nil {
-			victim.draining = true
+		if c := p.candidates(p.candBuf[:0], arrival); len(c) > 0 {
+			c[len(c)-1].draining = true
 			p.scaleDown++
 		}
 	}

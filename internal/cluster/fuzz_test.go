@@ -13,6 +13,7 @@ import (
 //   - the pick is in range (or -1),
 //   - dead replicas are never offered as candidates, and draining ones
 //     only on the recovery fallback (every candidate draining),
+//   - no candidate's step starts before its replica came up,
 //   - predict picks the (energy, finish, id)-lexicographic minimum
 //     among feasible candidates, sheds only load-infeasible jobs, and
 //     places intrinsically infeasible ones at the earliest start.
@@ -43,6 +44,9 @@ func (a *auditPolicy) Pick(cands []Candidate, key string) int {
 			}
 			if r.dead {
 				t.Fatalf("dead replica %d offered as a candidate", r.id)
+			}
+			if c.Start < r.activeFrom {
+				t.Fatalf("replica %d, active from %g, would start a job at %g", r.id, r.activeFrom, c.Start)
 			}
 			if !r.draining {
 				allDraining = false
@@ -117,7 +121,8 @@ func (a *auditPolicy) auditPredict(cands []Candidate, idx int) {
 // replicas, predict's choice lexicographically minimal among feasible,
 // and exact job conservation (every submission is placed, shed or
 // counted as an error; every admitted job yields exactly one outcome;
-// handoffs equal recoveries; nothing is silently dropped).
+// handoffs equal recoveries; nothing is silently dropped, and nothing
+// is lost while a restart is registered).
 //
 // Encoding: data[0] policy, data[1] replicas, data[2] backlog bound,
 // data[3] kill spec (bit0 arm, bit1 restart, rest replica index), then
@@ -268,6 +273,9 @@ func runScenario(t *testing.T, data []byte, opts scenarioOpts) ([]int, PoolStats
 	}
 	if done != uint64(placed)-st.Lost {
 		t.Fatalf("fleet served %d jobs, want %d admitted - %d lost", done, placed, st.Lost)
+	}
+	if data[3]&3 == 3 && st.Lost != 0 {
+		t.Fatalf("%d recovered jobs lost with a restart registered", st.Lost)
 	}
 	if st.Placed != uint64(placed)+st.Replaced-st.Lost {
 		t.Fatalf("placement counter %d, want %d admissions + %d recoveries - %d lost",

@@ -6,42 +6,31 @@ import (
 	"slices"
 	"strconv"
 
-	"repro/internal/sim"
+	"repro/internal/serve"
 )
 
-// Candidate is one placement-eligible replica's exact projected view of
-// a job, computed by the router from the replica's twin governor.
+// Candidate is one placement-eligible replica's exact view of a job:
+// the step the replica's twin plans for it (serve.Replica.Plan) plus
+// the router's own view.
 type Candidate struct {
 	// ID and Name identify the replica (IDs are stable and unique for
 	// the pool's lifetime; candidates arrive in ascending ID order).
 	ID   int
 	Name string
-	// Start is the projected virtual service start (max of the
-	// replica's clock and the arrival); Wait = Start − arrival; Budget
-	// is the deadline remaining at Start less the job's stall delay (the
-	// budget the governor sees); Finish = Start + stall delay +
-	// projected slice/switch/execution time.
-	Start, Wait, Budget, Finish float64
+	// Step is the replica's step for the job: Start, Wait, Budget,
+	// Finish, the degrade Trigger, and the Result its shard will produce
+	// (level, energy, miss, total time).
+	serve.Step
 	// Backlog counts placed jobs still unfinished (in virtual time) at
 	// the arrival.
 	Backlog int
-	// Degraded reports that the replica would serve this job on the
-	// max-frequency bypass (budget, queue-wait or stall-exhaustion
-	// trigger).
-	Degraded bool
-	// Feasible: the projection meets the deadline and the backlog
-	// bound. FreshFeasible: the job would meet a full deadline from an
-	// empty queue — false on every candidate means the job is
-	// intrinsically infeasible, not a victim of fleet load. The router
-	// fills FreshFeasible only when no candidate is Feasible (the one
-	// case a policy needs it); otherwise it is false on every candidate.
+	// Feasible: the step meets the deadline and the backlog bound.
+	// FreshFeasible: the job would meet a full deadline from an empty
+	// queue — false on every candidate means the job is intrinsically
+	// infeasible, not a victim of fleet load. The router fills
+	// FreshFeasible only when no candidate is Feasible (the one case a
+	// policy needs it); otherwise it is false on every candidate.
 	Feasible, FreshFeasible bool
-	// Result is the exact outcome the replica's shard would produce
-	// (level, energy, miss, total time).
-	Result sim.JobResult
-	// charged reports that Result charges a DVFS transition; the router
-	// needs it to commit the projection.
-	charged bool
 }
 
 // Policy picks a replica for a job. Pick returns an index into cands,
@@ -89,7 +78,8 @@ func (PolicyPredict) keyless() {}
 // Pick implements Policy.
 func (PolicyPredict) Pick(cands []Candidate, key string) int {
 	best := -1
-	for i, c := range cands {
+	for i := range cands {
+		c := &cands[i]
 		if !c.Feasible {
 			continue
 		}
@@ -135,7 +125,8 @@ func (PolicyPressure) keyless() {}
 // Pick implements Policy.
 func (PolicyPressure) Pick(cands []Candidate, key string) int {
 	best := -1
-	for i, c := range cands {
+	for i := range cands {
+		c := &cands[i]
 		if best < 0 || less3(c.Wait, float64(c.Backlog), float64(c.ID),
 			cands[best].Wait, float64(cands[best].Backlog), float64(cands[best].ID)) {
 			best = i

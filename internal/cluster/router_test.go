@@ -65,9 +65,8 @@ func synthTrace(ms float64) core.JobTrace {
 func cand(id int, energy, finish, start float64, feasible, fresh bool) Candidate {
 	return Candidate{
 		ID: id, Name: "p/" + string(rune('0'+id)),
-		Start: start, Finish: finish,
+		Step:     serve.Step{Start: start, Finish: finish, Result: sim.JobResult{Energy: energy}},
 		Feasible: feasible, FreshFeasible: fresh,
-		Result: sim.JobResult{Energy: energy},
 	}
 }
 
@@ -163,7 +162,7 @@ func TestPolicyPredictTable(t *testing.T) {
 
 func TestPolicyPressureTable(t *testing.T) {
 	mk := func(id int, wait float64, backlog int) Candidate {
-		return Candidate{ID: id, Wait: wait, Backlog: backlog}
+		return Candidate{ID: id, Step: serve.Step{Wait: wait}, Backlog: backlog}
 	}
 	cases := []struct {
 		name  string
@@ -297,6 +296,11 @@ func TestPoolValidation(t *testing.T) {
 	cfg.Kills = []Kill{{Replica: 0, At: -1}}
 	if _, err := NewPool(cfg); err == nil {
 		t.Error("non-positive kill horizon accepted")
+	}
+	cfg = testConfig("x", 2)
+	cfg.Shard.Device = nil
+	if _, err := NewPool(cfg); err == nil {
+		t.Error("pool without a device accepted")
 	}
 	cfg = testConfig("x", 2)
 	cfg.Autoscale = &AutoscaleConfig{Min: 3, Max: 2}

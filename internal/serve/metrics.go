@@ -48,29 +48,23 @@ func (a *afloat) Store(v float64) { a.bits.Store(math.Float64bits(v)) }
 // 24 logarithmic buckets from 10 µs to ~1.3 s plus a +Inf overflow.
 // Serving latencies of interest sit between a slice runtime (~100 µs)
 // and a few deadlines (~50 ms), which this range brackets comfortably.
-var histBuckets = func() []float64 {
-	b := make([]float64, 24)
-	v := 10e-6
-	for i := range b {
-		b[i] = v
-		v *= 1.6
-	}
-	return b
-}()
+var histBuckets = logBuckets(10e-6)
 
 // nsBuckets are the upper bounds (nanoseconds) of the router's
 // prediction and full-design simulation latency histograms: 24 logarithmic buckets
 // from 1 µs to ~50 ms plus a +Inf overflow. They span a native slice
 // run (a few µs) up to a full-design simulation on the plan fallback.
-var nsBuckets = func() []float64 {
+var nsBuckets = logBuckets(1000)
+
+// logBuckets returns 24 bucket bounds growing ×1.6 from first.
+func logBuckets(first float64) []float64 {
 	b := make([]float64, 24)
-	v := 1000.0
 	for i := range b {
-		b[i] = v
-		v *= 1.6
+		b[i] = first
+		first *= 1.6
 	}
 	return b
-}()
+}
 
 // Histogram counts observations into 24 logarithmic buckets plus
 // overflow. The zero value uses second-scale buckets (10 µs to ~1.3 s);

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"fmt"
-
 	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/dvfs"
@@ -37,10 +35,9 @@ type Profile struct {
 }
 
 // Stepper builds the profile's governor: a predictive-controller
-// sim.Stepper carrying the device level between jobs. Every replica
-// shard owns one, and the cluster router builds an identical twin per
-// replica for its predict-then-place projections, so the two advance
-// in lockstep on the same job stream.
+// sim.Stepper carrying the device level between jobs. Every Replica
+// owns one, and so does the online trainer's shadow replay. It fails
+// on a profile without a valid device or with a non-positive deadline.
 func (p Profile) Stepper() (*sim.Stepper, error) {
 	return sim.NewStepper(sim.Config{
 		Device:     p.Device,
@@ -58,20 +55,4 @@ func (p Profile) NewJobSimulator() *core.JobSimulator {
 		return nil
 	}
 	return p.Pred.NewJobSimulator()
-}
-
-// Validate checks the pieces a governor needs; it mirrors the checks
-// sim.NewStepper performs so configuration errors surface with the
-// profile, not three layers down.
-func (p Profile) Validate() error {
-	if p.Device == nil {
-		return fmt.Errorf("serve: profile has no device")
-	}
-	if err := p.Device.Validate(); err != nil {
-		return err
-	}
-	if p.Deadline <= 0 {
-		return fmt.Errorf("serve: non-positive deadline")
-	}
-	return nil
 }

@@ -1,28 +1,30 @@
 // Package serve is the replica engine of the paper's §3.6 loop: a
-// shard replays router-predicted jobs on one accelerator, applying the
-// frequency-selection formula with Tslice/TDVFS accounting (through
+// replica replays router-predicted jobs on one accelerator, applying
+// the frequency-selection formula with Tslice/TDVFS accounting (through
 // sim.Stepper, the exact accounting the offline experiments replay)
 // and tracking each job's deadline against its own arrival time.
 // Prediction itself happens once, at the cluster router (package
-// cluster), which hands every shard a JobTrace carrying both the
+// cluster), which hands every replica a JobTrace carrying both the
 // slice-driven prediction and the actual cycle count.
 //
-// Time is virtual: a shard owns a clock that advances by each job's
-// slice + switch + execution time, so a job that arrives while its
-// predecessor is still executing burns queue wait out of its own
-// budget — the deadline-aware part reactive offline replay cannot
-// express. When a job's queue wait crosses the degradation threshold
-// or its remaining budget is too small to pay for prediction, the
-// shard degrades gracefully: it ignores the prediction and runs the
-// job at the nominal (maximum non-boost) frequency, trading energy for
-// safety.
+// The per-job rule is written once, as Replica's transition: Plan
+// works out a job's Step and Apply commits it. Time is virtual: a
+// replica's clock advances by each job's slice + switch + execution
+// time, so a job that arrives while its predecessor is still executing
+// burns queue wait out of its own budget — the deadline-aware part
+// reactive offline replay cannot express. When a job's queue wait
+// crosses the degradation threshold or its remaining budget is too
+// small to pay for prediction, the job degrades gracefully: it ignores
+// the prediction and runs at the nominal (maximum non-boost)
+// frequency, trading energy for safety.
 //
 // The router's prediction attempts may stall (a wedged simulator, or
 // an injected stall at the FaultStall site). Each job arrives with its
-// Stall record; the shard charges the record's delay against the
+// Stall record; the replica charges the record's delay against the
 // job's budget, serves a job whose retries ran out on the degraded
 // path, and attributes the misses those delays cause to FaultMisses.
-// Every one of these transitions is observable in Stats and /metrics.
+// A Shard runs one Replica behind a queue and a worker goroutine and
+// makes every transition observable in Stats and /metrics.
 package serve
 
 import (
@@ -104,17 +106,6 @@ type ShardConfig struct {
 	KillAt float64
 }
 
-// EffectiveDegradeWait resolves the DegradeWait zero-value default
-// exactly as NewShard does (DefaultDegradeFrac of the deadline), so
-// the cluster router's replica model can mirror the shard's
-// degradation trigger without constructing a shard.
-func (c ShardConfig) EffectiveDegradeWait() float64 {
-	if c.DegradeWait == 0 {
-		return DefaultDegradeFrac * c.Deadline
-	}
-	return c.DegradeWait
-}
-
 // Defaults for ShardConfig's zero values.
 const (
 	DefaultQueueDepth = 64
@@ -123,7 +114,7 @@ const (
 )
 
 // Stall is the record of a job's stalled prediction attempts, made by
-// the router and charged by the shard.
+// the router and charged by the replica.
 type Stall struct {
 	// Count is the number of attempts that timed out.
 	Count int
@@ -195,21 +186,15 @@ type Stats struct {
 	// bypass path; Errors counts jobs that failed without executing.
 	Done, Degraded, Errors uint64
 	// DegradedWait, DegradedBudget and DegradedStall break Degraded down
-	// by trigger: queue wait over the threshold, budget too small for a
-	// DVFS switch, and stall-retry exhaustion. A job may trip several
-	// triggers; it is attributed to the first in the order above.
+	// by the step's Trigger.
 	DegradedWait, DegradedBudget, DegradedStall uint64
 	// Stalled counts prediction attempts that timed out; Retries counts
 	// the retry attempts they provoked.
 	Stalled, Retries uint64
-	// Misses counts arrival-relative deadline violations. ServingMisses
-	// counts the subset attributable to the serving layer itself: jobs
-	// whose slice+switch+execution time fit inside a full deadline but
-	// whose queue wait made them late. FaultMisses carves out of that
-	// the misses attributable to injected stall delays (the job, and
-	// the share of its queue wait not inherited from injected delays,
-	// would have met the deadline) — the chaos soak asserts every
-	// serving-layer miss under injection lands here.
+	// Misses counts arrival-relative deadline violations; ServingMisses
+	// and FaultMisses count those of class MissServing and MissFault.
+	// The chaos soak asserts every serving-layer miss under injection
+	// lands in FaultMisses.
 	Misses, ServingMisses, FaultMisses uint64
 	// Switches counts charged DVFS transitions.
 	Switches uint64
@@ -249,8 +234,7 @@ func (s Stats) MissRate() float64 {
 }
 
 // Shard serves one accelerator: a bounded queue feeding a single
-// worker goroutine that owns the stepper (controller + DVFS level
-// state) and the virtual clock.
+// worker goroutine that owns the shard's Replica.
 type Shard struct {
 	cfg       ShardConfig
 	queue     chan Job
@@ -264,32 +248,24 @@ type Shard struct {
 	handoffNow atomic.Bool
 	handoff    []Job
 
-	// Worker-private state (no locks needed).
-	stepper      *sim.Stepper
-	now          float64
-	prevSwitches int
-	// faultDebt is the share of the clock's backlog caused by injected
-	// stall delays, used to attribute cascaded queue-wait misses to the
-	// fault schedule. It resets when the queue drains (a job waits 0)
-	// and is capped by the actual backlog after every job.
-	faultDebt float64
+	// rep is the worker's replica state (worker-private, no locks).
+	rep *Replica
 
-	// Shared counters (atomic; see metrics.go).
-	done, degraded, errs         counter
-	degWait, degBudget, degStall counter
-	stalled, retries             counter
-	handedOff                    counter
-	misses, servingMisses        counter
-	faultMisses                  counter
-	switches                     counter
-	energy                       afloat
-	clock                        afloat
-	depth                        gauge
-	waitHist, latHist            Histogram
+	// Shared counters (atomic; see metrics.go). byTrigger and byMiss
+	// count served jobs by their step's Trigger and Miss.
+	done, errs, handedOff counter
+	byTrigger             [TriggerStall + 1]counter
+	byMiss                [MissIntrinsic + 1]counter
+	stalled, retries      counter
+	switches              counter
+	energy, clock         afloat
+	depth                 gauge
+	waitHist, latHist     Histogram
 }
 
 // NewShard validates the configuration and starts the shard's worker.
-func NewShard(cfg ShardConfig) (*Shard, error) {
+// The shard comes up at virtual time from (see NewReplica).
+func NewShard(cfg ShardConfig, from float64) (*Shard, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("serve: shard has no name")
 	}
@@ -299,21 +275,17 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 	if cfg.QueueDepth < 1 {
 		return nil, fmt.Errorf("serve: %s: queue depth %d", cfg.Name, cfg.QueueDepth)
 	}
-	cfg.DegradeWait = cfg.EffectiveDegradeWait()
-	if cfg.KillAt < 0 {
-		return nil, fmt.Errorf("serve: %s: negative kill horizon", cfg.Name)
-	}
 	// The trainer runs at the pool router, but wiring one to a
 	// replay-only profile is a configuration error wherever the config
 	// is used: there are no slice features to learn from.
 	if cfg.Online != nil && cfg.Pred == nil {
 		return nil, fmt.Errorf("serve: %s: online learning needs a predictor", cfg.Name)
 	}
-	stepper, err := cfg.Profile.Stepper()
+	rep, err := NewReplica(cfg, from)
 	if err != nil {
-		return nil, fmt.Errorf("serve: %s: %w", cfg.Name, err)
+		return nil, err
 	}
-	s := &Shard{cfg: cfg, queue: make(chan Job, cfg.QueueDepth), stepper: stepper}
+	s := &Shard{cfg: cfg, queue: make(chan Job, cfg.QueueDepth), rep: rep}
 	s.wg.Add(1)
 	go s.run()
 	return s, nil
@@ -362,25 +334,23 @@ func (s *Shard) CloseHandoff() []Job {
 func (s *Shard) Handoff() []Job { return s.handoff }
 
 // run is the shard worker: one goroutine consuming the queue in
-// arrival order.
+// arrival order, serving each job with its replica's Plan and Apply.
 func (s *Shard) run() {
 	defer s.wg.Done()
 	for j := range s.queue {
+		var step Step
+		err := s.rep.Plan(&j, &step)
 		// Crash horizon / fast drain: a job whose service would start at
 		// or after KillAt died with the replica, and once CloseHandoff
 		// has fired every remaining job is handed back. Handed-back jobs
 		// get no Outcome from this shard — the caller re-places them.
-		start := s.now
-		if j.Arrival > start {
-			start = j.Arrival
-		}
-		if (s.cfg.KillAt > 0 && start >= s.cfg.KillAt) || s.handoffNow.Load() {
+		if step.Doomed || s.handoffNow.Load() {
 			s.handoff = append(s.handoff, j)
 			s.handedOff.Inc()
 			s.depth.Add(-1)
 			continue
 		}
-		out := s.serve(j)
+		out := s.serve(&j, &step, err)
 		// The depth gauge counts queued AND executing jobs, so it only
 		// drops after the job completes — "depth 0" means fully drained.
 		s.depth.Add(-1)
@@ -390,111 +360,35 @@ func (s *Shard) run() {
 	}
 }
 
-// serve executes one job on the worker goroutine.
-func (s *Shard) serve(j Job) Outcome {
-	start := j.Arrival
-	if s.now > start {
-		start = s.now
-	}
-	wait := start - j.Arrival
-	if j.Trace == nil {
+// serve applies one planned job on the worker goroutine and feeds the
+// shard's counters from its step.
+func (s *Shard) serve(j *Job, step *Step, err error) Outcome {
+	if err != nil {
 		s.errs.Inc()
 		s.done.Inc()
-		return Outcome{Wait: wait, Start: start, Finish: start,
-			Err: fmt.Errorf("serve: %s: job without trace", s.cfg.Name)}
+		return Outcome{Wait: step.Wait, Start: step.Start, Finish: step.Finish, Err: err}
 	}
-	if wait == 0 {
-		// The backlog fully drained before this job arrived: no inherited
-		// delay remains, injected or otherwise.
-		s.faultDebt = 0
-	}
-	budget := s.cfg.Deadline - wait
-
-	// Degrade when the job has already burned too much of its life in
-	// the queue, when the remaining budget cannot absorb even a DVFS
-	// transition, or when the router's prediction attempts stalled past
-	// their retries — in every case prediction has fallen behind, so
-	// stop paying for it and run flat out. The trigger counters
-	// attribute each degraded job to the first condition that fired.
-	degraded := true
-	switch {
-	case budget <= s.cfg.Device.SwitchTime:
-		s.degBudget.Inc()
-	case s.cfg.DegradeWait > 0 && wait >= s.cfg.DegradeWait:
-		s.degWait.Inc()
-	case j.Stall.Exhausted:
-		s.degStall.Inc()
-	default:
-		degraded = false
-	}
+	s.rep.Apply(step)
+	s.clock.Store(s.rep.clock)
+	s.byTrigger[step.Trigger].Inc()
+	s.byMiss[step.Miss].Inc()
 	s.stalled.Add(uint64(j.Stall.Count))
 	s.retries.Add(uint64(j.Stall.Retries()))
-
-	// Stall delays come out of the job's budget before the stepper sees
-	// it, exactly like queue wait.
-	stallDelay := j.Stall.Delay()
-	jr := s.stepper.StepTrace(j.Trace, budget-stallDelay, degraded)
-	finish := start + stallDelay + jr.TotalSeconds
-	// Frame-drop resync: a job that overran its own absolute deadline is
-	// already lost (counted and charged below), so the shard re-anchors
-	// the clock to that deadline rather than letting one overrun slide
-	// every subsequent frame — a 60 fps pipeline skips the vsync, it does
-	// not shift the whole schedule.
-	s.now = finish
-	if jr.Missed && s.now > j.Arrival+s.cfg.Deadline {
-		s.now = j.Arrival + s.cfg.Deadline
-	}
-	s.clock.Store(s.now)
-
 	s.done.Inc()
-	if degraded {
-		s.degraded.Inc()
-	}
+	jr := step.Result
 	s.energy.Add(jr.Energy)
-	if n := s.stepper.Switches(); n > s.prevSwitches {
-		s.switches.Add(uint64(n - s.prevSwitches))
-		s.prevSwitches = n
+	if step.Charged {
+		s.switches.Inc()
 	}
-	if jr.Missed {
-		s.misses.Inc()
-		// Attribution: subtract the injected share of the lateness — the
-		// delay injected into this job plus the inherited fault debt
-		// riding in its queue wait — and ask whether the job would still
-		// have missed. If not, the fault schedule owns the miss; if the
-		// job fit a fresh deadline, the serving layer owns it; otherwise
-		// the job was intrinsically infeasible.
-		inherited := s.faultDebt
-		if inherited > wait {
-			inherited = wait
-		}
-		clean := jr.TotalSeconds + j.Stall.Genuine + (wait - inherited)
-		switch {
-		case clean <= s.cfg.Deadline*(1+1e-12):
-			s.faultMisses.Inc()
-		case jr.TotalSeconds <= s.cfg.Deadline*(1+1e-12):
-			s.servingMisses.Inc()
-		}
-	}
-	// Carry the injected share of the backlog forward for the next job's
-	// attribution, never claiming more debt than the backlog that
-	// actually remains (the frame-drop resync above can discard time,
-	// injected or not).
-	s.faultDebt += j.Stall.Injected
-	if backlog := s.now - j.Arrival; s.faultDebt > backlog {
-		s.faultDebt = backlog
-	}
-	if s.faultDebt < 0 {
-		s.faultDebt = 0
-	}
-
-	s.waitHist.Observe(wait)
-	s.latHist.Observe(wait + stallDelay + jr.TotalSeconds)
+	stallDelay := j.Stall.Delay()
+	s.waitHist.Observe(step.Wait)
+	s.latHist.Observe(step.Wait + stallDelay + jr.TotalSeconds)
 	return Outcome{
 		Job:        jr,
-		Wait:       wait,
-		Start:      start,
-		Finish:     finish,
-		Degraded:   degraded,
+		Wait:       step.Wait,
+		Start:      step.Start,
+		Finish:     step.Finish,
+		Degraded:   step.Degraded(),
 		Stalls:     j.Stall.Count,
 		StallDelay: stallDelay,
 	}
@@ -508,20 +402,18 @@ func (s *Shard) Stats() Stats {
 		clamps = s.cfg.Pred.BoundClamps()
 		version = s.cfg.Pred.ModelVersion()
 	}
-	return Stats{
+	st := Stats{
 		Name:           s.cfg.Name,
 		Done:           s.done.Value(),
-		Degraded:       s.degraded.Value(),
 		Errors:         s.errs.Value(),
-		DegradedWait:   s.degWait.Value(),
-		DegradedBudget: s.degBudget.Value(),
-		DegradedStall:  s.degStall.Value(),
+		DegradedWait:   s.byTrigger[TriggerWait].Value(),
+		DegradedBudget: s.byTrigger[TriggerBudget].Value(),
+		DegradedStall:  s.byTrigger[TriggerStall].Value(),
 		Stalled:        s.stalled.Value(),
 		Retries:        s.retries.Value(),
 		HandedOff:      s.handedOff.Value(),
-		Misses:         s.misses.Value(),
-		ServingMisses:  s.servingMisses.Value(),
-		FaultMisses:    s.faultMisses.Value(),
+		ServingMisses:  s.byMiss[MissServing].Value(),
+		FaultMisses:    s.byMiss[MissFault].Value(),
 		Switches:       s.switches.Value(),
 		BoundClamps:    clamps,
 		ModelVersion:   version,
@@ -534,4 +426,7 @@ func (s *Shard) Stats() Stats {
 		LatencyP99:     s.latHist.Quantile(0.99),
 		LatencyMean:    s.latHist.Mean(),
 	}
+	st.Degraded = st.DegradedWait + st.DegradedBudget + st.DegradedStall
+	st.Misses = st.FaultMisses + st.ServingMisses + s.byMiss[MissIntrinsic].Value()
+	return st
 }

@@ -80,22 +80,22 @@ func submitTraces(t *testing.T, sh *Shard, traces []core.JobTrace, arrivals []fl
 }
 
 func TestShardValidation(t *testing.T) {
-	if _, err := NewShard(ShardConfig{}); err == nil {
+	if _, err := NewShard(ShardConfig{}, 0); err == nil {
 		t.Error("nameless shard accepted")
 	}
 	cfg := testShardConfig("x")
 	cfg.QueueDepth = -1
-	if _, err := NewShard(cfg); err == nil {
+	if _, err := NewShard(cfg, 0); err == nil {
 		t.Error("negative queue depth accepted")
 	}
 	cfg = testShardConfig("x")
 	cfg.Device = nil
-	if _, err := NewShard(cfg); err == nil {
+	if _, err := NewShard(cfg, 0); err == nil {
 		t.Error("missing device accepted")
 	}
 	cfg = testShardConfig("x")
 	cfg.KillAt = -1
-	if _, err := NewShard(cfg); err == nil {
+	if _, err := NewShard(cfg, 0); err == nil {
 		t.Error("negative kill horizon accepted")
 	}
 }
@@ -103,7 +103,7 @@ func TestShardValidation(t *testing.T) {
 func TestOnlineRequiresPredictor(t *testing.T) {
 	cfg := testShardConfig("replay")
 	cfg.Online = &online.Config{}
-	if _, err := NewShard(cfg); err == nil {
+	if _, err := NewShard(cfg, 0); err == nil {
 		t.Error("replay-only shard accepted an online trainer")
 	}
 }
@@ -117,7 +117,7 @@ func TestOnlineRequiresPredictor(t *testing.T) {
 func TestCloseHandoffReturnsQueuedJobs(t *testing.T) {
 	cfg := testShardConfig("retire")
 	cfg.QueueDepth = 16
-	sh, err := NewShard(cfg)
+	sh, err := NewShard(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestCloseHandoffReturnsQueuedJobs(t *testing.T) {
 func TestKillAtHandsBackJobsPastHorizon(t *testing.T) {
 	cfg := testShardConfig("mortal")
 	cfg.KillAt = 2.5 * testDeadline
-	sh, err := NewShard(cfg)
+	sh, err := NewShard(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestKillAtUsesServiceStartNotArrival(t *testing.T) {
 	cfg := testShardConfig("backlogged")
 	cfg.KillAt = 10e-3
 	cfg.DegradeWait = -1
-	sh, err := NewShard(cfg)
+	sh, err := NewShard(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestPeriodicStreamMatchesOfflineReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sh, err := NewShard(testShardConfig("replay"))
+	sh, err := NewShard(testShardConfig("replay"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestQueueWaitConsumesBudget(t *testing.T) {
 	traces := synthTraces([]float64{15, 15})
 	cfg := testShardConfig("wait")
 	cfg.DegradeWait = -1 // isolate wait accounting from degradation
-	sh, err := NewShard(cfg)
+	sh, err := NewShard(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestQueueWaitConsumesBudget(t *testing.T) {
 func TestDegradationUnderBacklog(t *testing.T) {
 	cfg := testShardConfig("burst")
 	cfg.QueueDepth = 64
-	sh, err := NewShard(cfg)
+	sh, err := NewShard(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestBudgetExhaustionDegrades(t *testing.T) {
 	traces := synthTraces([]float64{16.6, 4})
 	cfg := testShardConfig("exhausted")
 	cfg.DegradeWait = -1
-	sh, err := NewShard(cfg)
+	sh, err := NewShard(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestBudgetExhaustionDegrades(t *testing.T) {
 // TestTracelessJobErrors: a job without a trace cannot be served; the
 // shard reports it as an error outcome and counts it, never silently.
 func TestTracelessJobErrors(t *testing.T) {
-	sh, err := NewShard(testShardConfig("noTrace"))
+	sh, err := NewShard(testShardConfig("noTrace"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

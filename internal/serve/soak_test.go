@@ -49,7 +49,7 @@ func shardFor(t *testing.T, e *exp.Entry, name string, queue int) *serve.Shard {
 			Margin:     exp.PredictiveMargin,
 		},
 		QueueDepth: queue,
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 func TestShardStressConcurrent(t *testing.T) {
 	cfg := testShardConfig("stress")
 	cfg.QueueDepth = 256
-	sh, err := NewShard(cfg)
+	sh, err := NewShard(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,9 +148,9 @@ func (st *Stepper) StepTrace(tr *core.JobTrace, budget float64, degraded bool) J
 // StepTrace(&tr, budget, degraded) would return, with the device level,
 // switch count, and controller state all left untouched. Exact for
 // controllers whose Plan method is pure — every built-in controller
-// qualifies (the reactive ones mutate only in Observe). The cluster
-// router assesses candidate replicas with Evaluate, its by-reference
-// form, before placing a job (predict-then-place).
+// qualifies (the reactive ones mutate only in Observe). A serving
+// replica plans each job with Evaluate, its by-reference form
+// (serve.Replica.Plan).
 func (st *Stepper) Project(tr core.JobTrace, budget float64, degraded bool) JobResult {
 	jr, _ := st.Evaluate(&tr, budget, degraded)
 	return jr
@@ -159,9 +159,10 @@ func (st *Stepper) Project(tr core.JobTrace, budget float64, degraded bool) JobR
 // Commit applies an evaluation of tr that Evaluate returned against the
 // stepper's current state: the device moves to the chosen level, a
 // charged transition increments the switch count, and the controller
-// observes the job's actual time. The cluster router projects each
-// candidate once and commits the winner's projection instead of
-// stepping it again.
+// observes the job's actual time. A serving replica commits the step
+// it planned (serve.Replica.Apply) instead of stepping the job again,
+// so the cluster router can plan a job on every candidate and apply
+// only the winner's step.
 func (st *Stepper) Commit(tr *core.JobTrace, jr JobResult, chargedSwitch bool) {
 	st.curLevel = jr.Level
 	if chargedSwitch {
