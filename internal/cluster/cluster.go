@@ -519,10 +519,8 @@ func (p *Pool) observe(r simResult, degraded bool) {
 func (p *Pool) place(sj serve.Job, key routeKey, replaced bool) (float64, bool) {
 	cands := p.candidates(p.candBuf[:0], sj.Arrival)
 	if len(cands) == 0 && replaced {
-		// Every active replica is gone. Draining ones still own live
-		// queues, and a registered restart takes recovered work from its
-		// activation time on, so recovered work goes there rather than
-		// being dropped.
+		// Every active replica is gone: recovered work goes to a draining
+		// replica or a registered restart rather than being dropped.
 		cands = p.fallbackReplicas(cands)
 	}
 	p.candBuf = cands

@@ -73,8 +73,7 @@ const (
 	// MissFault: without the injected stall delays — the job's own and
 	// the fault debt riding in its queue wait — it would have met it.
 	MissFault
-	// MissServing: the job's own time fit a full deadline; its queue
-	// wait made it late.
+	// MissServing: its own time fit a full deadline; queue wait made it late.
 	MissServing
 	// MissIntrinsic: the job would miss even a fresh deadline.
 	MissIntrinsic

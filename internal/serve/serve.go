@@ -252,7 +252,7 @@ type Shard struct {
 	rep *Replica
 
 	// Shared counters (atomic; see metrics.go). byTrigger and byMiss
-	// count served jobs by their step's Trigger and Miss.
+	// count degraded and missed jobs by their step's Trigger and Miss.
 	done, errs, handedOff counter
 	byTrigger             [TriggerStall + 1]counter
 	byMiss                [MissIntrinsic + 1]counter
@@ -337,8 +337,8 @@ func (s *Shard) Handoff() []Job { return s.handoff }
 // arrival order, serving each job with its replica's Plan and Apply.
 func (s *Shard) run() {
 	defer s.wg.Done()
+	var step Step
 	for j := range s.queue {
-		var step Step
 		err := s.rep.Plan(&j, &step)
 		// Crash horizon / fast drain: a job whose service would start at
 		// or after KillAt died with the replica, and once CloseHandoff
@@ -370,21 +370,24 @@ func (s *Shard) serve(j *Job, step *Step, err error) Outcome {
 	}
 	s.rep.Apply(step)
 	s.clock.Store(s.rep.clock)
-	s.byTrigger[step.Trigger].Inc()
-	s.byMiss[step.Miss].Inc()
+	if step.Degraded() {
+		s.byTrigger[step.Trigger].Inc()
+	}
+	if step.Result.Missed {
+		s.byMiss[step.Miss].Inc()
+	}
 	s.stalled.Add(uint64(j.Stall.Count))
 	s.retries.Add(uint64(j.Stall.Retries()))
 	s.done.Inc()
-	jr := step.Result
-	s.energy.Add(jr.Energy)
+	s.energy.Add(step.Result.Energy)
 	if step.Charged {
 		s.switches.Inc()
 	}
 	stallDelay := j.Stall.Delay()
 	s.waitHist.Observe(step.Wait)
-	s.latHist.Observe(step.Wait + stallDelay + jr.TotalSeconds)
+	s.latHist.Observe(step.Wait + stallDelay + step.Result.TotalSeconds)
 	return Outcome{
-		Job:        jr,
+		Job:        step.Result,
 		Wait:       step.Wait,
 		Start:      step.Start,
 		Finish:     step.Finish,
