@@ -12,7 +12,7 @@
 //
 //	dvfserved [-addr :8437] [-seed N] [-quick] [-benchmarks h264,aes]
 //	          [-queue N] [-degrade-wait-ms F] [-boost] [-deadline-ms F]
-//	          [-workers N] [-engine E] [-cachedir DIR]
+//	          [-workers N] [-engine E]
 //	          [-job-timeout-ms F] [-job-retries N]
 //	          [-retry-backoff-ms F] [-stall-penalty-ms F]
 //	          [-faults SPEC] [-fault-seed N]
@@ -63,7 +63,6 @@ import (
 	"repro/internal/rtl"
 	"repro/internal/serve"
 	"repro/internal/suite"
-	"repro/internal/tracecache"
 )
 
 func main() {
@@ -90,7 +89,7 @@ func usage(err error) error { return fmt.Errorf("%w: %v", errUsage, err) }
 
 // setup parses args, trains the predictors, and builds the fleet and
 // its HTTP handler; it also installs the process-wide fault injector,
-// worker count, engine and trace cache the flags select. Progress goes
+// worker count and engine the flags select. Progress goes
 // to stdout, warnings to stderr.
 func setup(args []string, stdout, stderr io.Writer) (*cluster.Fleet, http.Handler, string, error) {
 	fs := flag.NewFlagSet("dvfserved", flag.ContinueOnError)
@@ -105,13 +104,11 @@ func setup(args []string, stdout, stderr io.Writer) (*cluster.Fleet, http.Handle
 	deadlineMs := fs.Float64("deadline-ms", exp.Deadline*1e3, "per-job deadline in milliseconds")
 	workers := fs.Int("workers", 0, "parallel training workers (0 = GOMAXPROCS)")
 	engine := fs.String("engine", "", "RTL engine: native or interp (default: native, or $REPRO_ENGINE)")
-	cacheDir := fs.String("cachedir", os.Getenv("REPRO_CACHE_DIR"),
-		"persistent trace cache directory (default: $REPRO_CACHE_DIR; empty disables)")
 	jobTimeoutMs := fs.Float64("job-timeout-ms", 0, "wall-clock watchdog per prediction attempt in ms (0 disables)")
 	jobRetries := fs.Int("job-retries", 1, "retries for a stalled prediction attempt before degrading")
 	retryBackoffMs := fs.Float64("retry-backoff-ms", 1, "wall-clock backoff before the first retry in ms, doubling per attempt")
 	stallPenaltyMs := fs.Float64("stall-penalty-ms", 0, "virtual time charged per stalled attempt in ms (0 = the job timeout)")
-	faults := fs.String("faults", "", `fault-injection spec, e.g. "serve.stall=0.1,tracecache.read=0.05" (empty disables)`)
+	faults := fs.String("faults", "", `fault-injection spec, e.g. "serve.stall=0.1,core.job=0.05" (empty disables)`)
 	faultSeed := fs.Int64("fault-seed", 1, "seed for the injected fault schedule")
 	onlineLearn := fs.Bool("online", false, "enable online learning at each pool's router: drift detection, background refit, canary hot-swap")
 	driftWindow := fs.Int("drift-window", 64, "online: drift-monitor evaluation window in observations")
@@ -136,8 +133,7 @@ func setup(args []string, stdout, stderr io.Writer) (*cluster.Fleet, http.Handle
 			return nil, nil, "", usage(err)
 		}
 		// One injector serves every subsystem: the routers key stalls by
-		// pool name, the cache by entry key, training by job id — the
-		// sites never collide.
+		// pool name, training by job id — the sites never collide.
 		core.SetFaultInjector(injector)
 		fmt.Fprintf(stdout, "dvfserved: %s\n", injector)
 	}
@@ -147,14 +143,6 @@ func setup(args []string, stdout, stderr io.Writer) (*cluster.Fleet, http.Handle
 		if err := rtl.SetDefaultEngine(rtl.Engine(*engine)); err != nil {
 			return nil, nil, "", usage(err)
 		}
-	}
-	if *cacheDir != "" {
-		cache, err := tracecache.Open(*cacheDir)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		cache.SetFaults(injector)
-		core.SetTraceCache(cache)
 	}
 
 	names := suite.Names()

@@ -16,10 +16,7 @@
 // which runs the pre-generated code in internal/rtl/native and falls
 // back to the codegen plan for unregistered netlists, or interp. The
 // run ends by reporting "native fallbacks: N", the netlists that had
-// no generated simulator. -cachedir (or REPRO_CACHE_DIR) enables the
-// persistent trace cache: a re-run with unchanged netlists and
-// workloads replays every simulation from disk and reports "jobs
-// simulated: 0".
+// no generated simulator.
 // -cpuprofile/-memprofile write pprof profiles of the run for
 // "Profiling the simulator" in README.md.
 package main
@@ -36,7 +33,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/rtl"
-	"repro/internal/tracecache"
 )
 
 func main() {
@@ -47,8 +43,6 @@ func main() {
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
 	workers := flag.Int("workers", 0, "parallel job-simulation and γ-sweep workers (0 = GOMAXPROCS)")
 	engine := flag.String("engine", "", "RTL engine: native or interp (default: native, or $REPRO_ENGINE)")
-	cacheDir := flag.String("cachedir", os.Getenv("REPRO_CACHE_DIR"),
-		"persistent trace cache directory (default: $REPRO_CACHE_DIR; empty disables)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
@@ -66,16 +60,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dvfsim: %v\n", err)
 			os.Exit(2)
 		}
-	}
-	var cache *tracecache.Cache
-	if *cacheDir != "" {
-		var err error
-		cache, err = tracecache.Open(*cacheDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dvfsim: %v\n", err)
-			os.Exit(1)
-		}
-		core.SetTraceCache(cache)
 	}
 
 	if *cpuprofile != "" {
@@ -139,9 +123,6 @@ func main() {
 		}
 	}
 	fmt.Printf("completed %d experiment(s) in %s\n", len(ids), time.Since(start).Round(time.Millisecond))
-	if cache != nil {
-		fmt.Printf("trace cache [%s]: %s; ", cache.Dir(), cache.Stats())
-	}
 	fmt.Printf("jobs simulated: %d\n", core.SimulatedJobs())
 	fmt.Printf("native fallbacks: %d\n", rtl.NativeFallbacks())
 

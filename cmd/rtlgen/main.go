@@ -4,10 +4,8 @@
 // simulate into specialized straight-line Go via internal/rtl/codegen:
 //
 //   - the raw spec netlist (testbench and differential-test runs),
-//   - the instrumented design (the full-design simulator when pruning
-//     is disabled, REPRO_PRUNE=0),
-//   - its pruned twin (the full-design simulator core.Train binds under
-//     default pruning),
+//   - the instrumented design (unpruned: simbench and tests run it),
+//   - its pruned twin (the full-design simulator core.Train binds),
 //   - its timing cone (core.TimingCone: the ground-truth simulator of
 //     every JobSimulator; model-independent, so one per benchmark),
 //   - the keep-everything slice (the suite tests' shape),
@@ -69,11 +67,6 @@ func main() {
 	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("rtlgen: ")
-
-	// The generated slices must match what core.Train produces under
-	// default settings regardless of the environment go generate runs
-	// in: force pruning on for the generation process.
-	core.SetPruning(true)
 
 	// Regenerate from scratch so benchmarks removed from the suite do
 	// not leave stale registrations behind.

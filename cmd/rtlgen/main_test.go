@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/accel"
-	"repro/internal/core"
 	"repro/internal/rtl"
 	"repro/internal/suite"
 )
@@ -21,9 +20,6 @@ import (
 // and limit. Values are only stored on the cycle a generated run
 // returns, so these are the states that path must get exactly right.
 func TestGeneratedRunMatchesInterp(t *testing.T) {
-	prev := core.PruningEnabled()
-	defer core.SetPruning(prev)
-	core.SetPruning(true) // the shapes rtlgen generates, whatever REPRO_PRUNE says
 	for _, spec := range suite.All() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	simbench [-out BENCH_sim.json] [-workers N] [-seed N] [-reps N]
-//	         [-designs a,b,...] [-engine E] [-warm] [-cachedir dir]
+//	         [-designs a,b,...] [-engine E] [-warm]
 //
 // Every timed cell is samplesPerCell samples; the report keeps each
 // cell's median and interquartile range (q1, q3), never a best run,
@@ -27,8 +27,8 @@
 //  3. trace-collection throughput (instrumented design + hardware
 //     slice per job, the work core.CollectTraces does) per benchmark:
 //     plan jobs/s vs native jobs/s and their ratio,
-//  4. the wall-clock of warming the full (quick) experiment lab with
-//     the trace cache detached (skipped with -warm=false),
+//  4. the wall-clock of warming the full (quick) experiment lab
+//     (skipped with -warm=false),
 //  5. per benchmark, the ground-truth simulators on native code: the
 //     pruned full design core.Train simulates against the timing cone
 //     every JobSimulator serves from (core.TimingCone) — ns/cycle,
@@ -60,7 +60,6 @@ import (
 	"repro/internal/slice"
 	"repro/internal/suite"
 	"repro/internal/testdesigns"
-	"repro/internal/tracecache"
 )
 
 // samplesPerCell is the number of timed samples behind every reported
@@ -289,8 +288,6 @@ func run() error {
 	designs := flag.String("designs", "", "comma-separated benchmark subset for the throughput sections (default: all)")
 	engine := flag.String("engine", "", "process-wide default RTL engine: native or interp (default: native, or $REPRO_ENGINE)")
 	warm := flag.Bool("warm", true, "measure the quick-lab warm-up wall-clock")
-	cacheDir := flag.String("cachedir", os.Getenv("REPRO_CACHE_DIR"),
-		"persistent trace cache directory (default: $REPRO_CACHE_DIR; empty disables)")
 	flag.Parse()
 
 	if *reps < 1 {
@@ -314,13 +311,6 @@ func run() error {
 		specs = picked
 	}
 
-	if *cacheDir != "" {
-		c, err := tracecache.Open(*cacheDir)
-		if err != nil {
-			return err
-		}
-		core.SetTraceCache(c)
-	}
 	maxWorkers := *workers
 	if maxWorkers <= 0 {
 		maxWorkers = runtime.GOMAXPROCS(0)
@@ -385,7 +375,7 @@ func run() error {
 	// 2. CollectTraces fan-out: sweep worker counts 1, 2, 4, 8 (capped
 	// at maxWorkers) under the native engine. Train binds the
 	// predictor's simulators to the engine current at train time, so
-	// native is selected for the (cheap, cache-served) Train call.
+	// native is selected for the Train call.
 	spec, err := suite.ByName("stencil")
 	if err != nil {
 		return err
@@ -398,9 +388,6 @@ func run() error {
 	if cap := min(maxWorkers, 8); len(counts) == 0 || counts[len(counts)-1] != cap {
 		counts = append(counts, cap)
 	}
-	// The sweep times real simulation: detach the cache so every pass
-	// actually runs RTL, then restore it afterwards.
-	sweepCache := core.TraceCache()
 	sweepDefault := rtl.DefaultEngine()
 	if err := rtl.SetDefaultEngine(rtl.EngineNative); err != nil {
 		return err
@@ -409,7 +396,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	core.SetTraceCache(nil)
 	var oneWorker float64
 	for _, w := range counts {
 		core.SetWorkers(w)
@@ -437,7 +423,6 @@ func run() error {
 		return err
 	}
 	core.SetWorkers(*workers)
-	core.SetTraceCache(sweepCache)
 
 	// 3. Trace-collection throughput per benchmark: the work one
 	// CollectTraces job does (instrumented full design + hardware
@@ -451,10 +436,8 @@ func run() error {
 	}
 
 	// 4. Full quick-lab warm-up wall-clock (train + trace all seven
-	// benchmarks), the end-to-end number the experiments feel. The
-	// cache is detached so every sample simulates.
+	// benchmarks), the end-to-end number the experiments feel.
 	if *warm {
-		core.SetTraceCache(nil)
 		samples, err := sampleCells([]cell{{engine: rtl.DefaultEngine(), run: func() (uint64, error) {
 			lab := exp.NewLab(*seed)
 			lab.Quick = true
@@ -465,7 +448,6 @@ func run() error {
 		}
 		d := newDist(samples[0])
 		rep.SuiteWallclockS = &d
-		core.SetTraceCache(sweepCache)
 	}
 	// 5. Ground truth: pruned full design vs timing cone, native.
 	for _, spec := range specs {

@@ -4,119 +4,124 @@
 //
 // Usage:
 //
-//	trainpred [-seed N] [-engine E] [-cachedir dir] [-save model.json] [-load model.json] [benchmark]
+//	trainpred [-seed N] [-engine E] [-save model.json] [-load model.json] [benchmark]
 //
 // Without an argument every benchmark is trained. -save writes the
-// trained model (named coefficients) as JSON; -load skips training and
-// evaluates a previously saved model instead. -cachedir (or
-// REPRO_CACHE_DIR) enables the persistent trace cache, so retraining
-// with unchanged netlists and workloads skips all RTL simulation.
-// -engine selects the RTL engine: native (the default) runs
+// trained model (named coefficients) as JSON, replacing the file
+// crash-safely: a crash mid-save leaves the previous model, never a
+// torn one. -load skips training and evaluates a previously saved model
+// instead. -engine selects the RTL engine: native (the default) runs
 // pre-generated straight-line code where registered and the codegen
 // plan elsewhere; interp is the reference interpreter.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"repro/internal/atomicfile"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/rtl"
 	"repro/internal/suite"
-	"repro/internal/tracecache"
 )
 
 func main() {
-	seed := flag.Int64("seed", 42, "workload generation seed")
-	save := flag.String("save", "", "write the trained model as JSON (single benchmark only)")
-	load := flag.String("load", "", "evaluate a saved model instead of training")
-	engine := flag.String("engine", "", "RTL engine: native or interp (default: native, or $REPRO_ENGINE)")
-	cacheDir := flag.String("cachedir", os.Getenv("REPRO_CACHE_DIR"),
-		"persistent trace cache directory (default: $REPRO_CACHE_DIR; empty disables)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr, nil); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		fmt.Fprintln(os.Stderr, err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// errUsage marks command-line errors (exit status 2).
+var errUsage = errors.New("usage")
+
+func usage(err error) error { return fmt.Errorf("%w: %v", errUsage, err) }
+
+// run parses args, trains or loads each predictor, and writes its
+// report to stdout. faults is consulted by the -save writer (nil never
+// injects).
+func run(args []string, stdout, stderr io.Writer, faults *fault.Injector) error {
+	fs := flag.NewFlagSet("trainpred", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Int64("seed", 42, "workload generation seed")
+	save := fs.String("save", "", "write the trained model as JSON (single benchmark only)")
+	load := fs.String("load", "", "evaluate a saved model instead of training")
+	engine := fs.String("engine", "", "RTL engine: native or interp (default: native, or $REPRO_ENGINE)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usage(err)
+	}
 
 	if *engine != "" {
 		if err := rtl.SetDefaultEngine(rtl.Engine(*engine)); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return usage(err)
 		}
-	}
-
-	var cache *tracecache.Cache
-	if *cacheDir != "" {
-		var err error
-		cache, err = tracecache.Open(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		core.SetTraceCache(cache)
 	}
 
 	names := suite.Names()
-	if flag.NArg() == 1 {
-		names = []string{flag.Arg(0)}
-	} else if flag.NArg() > 1 {
-		fmt.Fprintln(os.Stderr, "usage: trainpred [-seed N] [-engine e] [-save f] [-load f] [benchmark]")
-		os.Exit(2)
+	if fs.NArg() == 1 {
+		names = []string{fs.Arg(0)}
+	} else if fs.NArg() > 1 {
+		return usage(errors.New("trainpred [-seed N] [-engine e] [-save f] [-load f] [benchmark]"))
 	}
 	if (*save != "" || *load != "") && len(names) != 1 {
-		fmt.Fprintln(os.Stderr, "trainpred: -save/-load require a single benchmark")
-		os.Exit(2)
+		return usage(errors.New("-save/-load require a single benchmark"))
 	}
 
 	for _, name := range names {
 		spec, err := suite.ByName(name)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		var pred *core.Predictor
 		if *load != "" {
 			data, err := os.ReadFile(*load)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
 			pred, err = core.Load(data, spec)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
-			fmt.Printf("loaded %s model from %s (%d terms)\n", name, *load, len(pred.Kept))
+			fmt.Fprintf(stdout, "loaded %s model from %s (%d terms)\n", name, *load, len(pred.Kept))
 		} else {
 			pred, err = core.Train(spec, core.Options{Seed: *seed})
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
 		}
 		if *save != "" {
 			data, err := pred.Save()
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
-			if err := os.WriteFile(*save, data, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+			if err := atomicfile.WriteFile(*save, data, faults); err != nil {
+				return err
 			}
-			fmt.Printf("saved model to %s\n", *save)
+			fmt.Fprintf(stdout, "saved model to %s\n", *save)
 		}
-		fmt.Print(pred.Report())
+		fmt.Fprint(stdout, pred.Report())
 		errs, err := pred.EvaluateTest(spec.TestJobs(*seed + 1))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("  test error: median %+.2f%%, p25 %+.2f%%, p75 %+.2f%%, range [%+.2f%%, %+.2f%%]\n",
+		fmt.Fprintf(stdout, "  test error: median %+.2f%%, p25 %+.2f%%, p75 %+.2f%%, range [%+.2f%%, %+.2f%%]\n",
 			100*errs.Median, 100*errs.P25, 100*errs.P75, 100*errs.Min, 100*errs.Max)
-		fmt.Printf("  under-predicted %.1f%% of jobs (worst %+.2f%%)\n\n",
+		fmt.Fprintf(stdout, "  under-predicted %.1f%% of jobs (worst %+.2f%%)\n\n",
 			100*errs.UnderFrac, 100*errs.WorstUnder)
 	}
-	if cache != nil {
-		fmt.Printf("trace cache [%s]: %s; ", cache.Dir(), cache.Stats())
-	}
-	fmt.Printf("jobs simulated: %d\n", core.SimulatedJobs())
+	fmt.Fprintf(stdout, "jobs simulated: %d\n", core.SimulatedJobs())
+	return nil
 }

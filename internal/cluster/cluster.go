@@ -4,14 +4,14 @@
 // behind a router that does predict-then-place.
 //
 // The trained-slice prediction runs once, at the router: the arriving
-// job is simulated (slice + full design) on the pool's own predictor
-// clone, and the resulting trace — which carries both the prediction
-// and the actual cycle count — is what the chosen replica replays. The
-// router also owns the prediction-attempt ladder: an attempt that
-// stalls (an injected serve.FaultStall, or the JobTimeout watchdog
-// firing) is retried with backoff up to MaxRetries times and then
-// degraded, and the job carries its serve.Stall record to the replica,
-// which charges the delay against the job's budget.
+// job is simulated (slice, then the timing cone for ground truth) on
+// the pool's own predictor clone, and the resulting trace — which
+// carries both the prediction and the actual cycle count — is what the
+// chosen replica replays. The router also owns the prediction-attempt
+// ladder: an attempt that stalls (an injected serve.FaultStall, or the
+// JobTimeout watchdog firing) is retried with backoff up to MaxRetries
+// times and then degraded, and the job carries its serve.Stall record
+// to the replica, which charges the delay against the job's budget.
 //
 // For every replica the router keeps a twin serve.Replica, built like
 // the one inside the replica's shard. Each candidate plans the job
@@ -185,8 +185,8 @@ type Pool struct {
 	// predHist and execHist time the router's simulation of payload
 	// jobs in wall-clock nanoseconds: predHist the prediction (hardware
 	// slice run plus model, JobSimulator.Predict), execHist the
-	// full-design run (JobSimulator.Complete, or Execute on the degraded
-	// last resort). Each is labeled with the engine its simulator
+	// ground-truth timing-cone run (JobSimulator.Complete, or Execute on
+	// the degraded last resort). Each is labeled with the engine its simulator
 	// resolved to. Neither enters PoolStats: stats must stay a
 	// deterministic function of the job stream, and wall-clock is not.
 	predHist, execHist     *serve.Histogram
@@ -465,7 +465,7 @@ func (p *Pool) simulate(j *Job, degraded bool) (*core.JobTrace, bool, error) {
 }
 
 // simResult is one simulation attempt's outcome plus the wall-clock
-// nanoseconds its prediction and full-design halves took (zero for a
+// nanoseconds its prediction and timing-cone halves took (zero for a
 // half that did not run).
 type simResult struct {
 	tr             core.JobTrace
@@ -474,8 +474,9 @@ type simResult struct {
 }
 
 // execute runs one simulation attempt: the slice-driven prediction and
-// then the full design, or — on the degraded path — the full design
-// alone, because the predictor is the component that fell behind.
+// then the timing cone (the full design's exact done cycle), or — on
+// the degraded path — the timing cone alone, because the predictor is
+// the component that fell behind.
 func execute(js *core.JobSimulator, job accel.Job, degraded bool) simResult {
 	start := time.Now() //detlint:allow metrics-only wall-clock; no effect on serving behavior
 	if degraded {

@@ -274,7 +274,7 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"Wall-clock prediction latency at the router (hardware slice run plus model) in nanoseconds, labeled with the RTL engine executing the slice.",
 		func(p *Pool) (*serve.Histogram, string) { return p.predHist, p.predEngine })
 	a.writeStageMetrics(w, "dvfserved_execute_ns",
-		"Wall-clock full-design simulation latency at the router in nanoseconds, labeled with the RTL engine executing the full design.",
+		"Wall-clock ground-truth simulation latency (the timing cone) at the router in nanoseconds, labeled with the RTL engine executing the cone.",
 		func(p *Pool) (*serve.Histogram, string) { return p.execHist, p.execEngine })
 
 	counters := []struct {

@@ -9,7 +9,7 @@ import (
 
 // TimingCone builds the module JobSimulator runs for ground truth: the
 // backward cone of done plus every IC witness (what JobTrace.Items
-// reads), sliced with no wait elided and pruned when PruningEnabled.
+// reads), sliced with no wait elided and pruned.
 // Nothing that decides when done rises is cut, so done fires on the
 // same cycle as in the full design, and the kept witnesses hold the
 // full design's values (the slicing invariant; pruning preserves
@@ -28,7 +28,7 @@ func TimingCone(ins *instrument.Instrumented) (*slice.Result, error) {
 	if len(keep) == 0 {
 		keep = []int{0}
 	}
-	cone, err := slice.Slice(ins, keep, slice.Options{Prune: PruningEnabled()})
+	cone, err := slice.Slice(ins, keep, slice.Options{Prune: true})
 	if err != nil {
 		return nil, fmt.Errorf("core: timing cone of %s: %w", ins.M.Name, err)
 	}

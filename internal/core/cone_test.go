@@ -25,9 +25,6 @@ import (
 // JobSimulator.Trace on each leg must report the design's Ticks,
 // Seconds and Items. -short and -race builds take every 16th job.
 func TestTimingConeMatchesOnSuite(t *testing.T) {
-	prev := PruningEnabled()
-	t.Cleanup(func() { SetPruning(prev) })
-	SetPruning(true) // the cone every served predictor builds
 	for _, spec := range suite.All() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {

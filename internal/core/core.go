@@ -136,15 +136,12 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 	}
 
 	// RTL simulation of the training set: features + execution time.
-	// The (X, y) pair is a pure function of the instrumented netlist,
-	// the workload bytes, and the spec's tick constants, so it is
-	// served from the persistent trace cache when one is installed.
-	// On a miss, jobs are independent and fan out across worker
-	// goroutines, each owning a private Sim clone; results land in
-	// index-addressed slots and are identical to a serial run.
-	// The full-design simulators run the pruned twin when pruning is
-	// enabled: identical cycle-for-cycle on done, memories, and every
-	// witness register, but with proven-constant logic folded away.
+	// Jobs are independent and fan out across worker goroutines, each
+	// owning a private Sim clone; results land in index-addressed slots
+	// and are identical to a serial run. The full-design simulators run
+	// the absint-pruned twin: identical cycle-for-cycle on done,
+	// memories, and every witness register, but with proven-constant
+	// logic folded away.
 	fullM, featRegs, err := bindFull(ins)
 	if err != nil {
 		return nil, err
@@ -154,13 +151,6 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 	// interval is a hard error, not a bad sample. (The bounds hold for
 	// the pruned twin too — pruning is behavior-preserving.)
 	bounds := absint.Bounds(ins.M)
-	checkTicks := func(i int, ticks uint64) error {
-		if !bounds.Contains(ticks) {
-			return fmt.Errorf("core: %s train job %d: observed %d ticks outside static bounds %s — engine or analysis bug",
-				spec.Name, i, ticks, bounds)
-		}
-		return nil
-	}
 	readFeats := func(s *rtl.Sim) []float64 {
 		out := make([]float64, len(featRegs))
 		for i, ri := range featRegs {
@@ -169,42 +159,28 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 		return out
 	}
 	sim := rtl.NewSim(fullM)
-	var X [][]float64
-	var y []float64
-	var cacheKey string
-	if c := TraceCache(); c != nil {
-		cacheKey = trainKey(&spec, rtl.Fingerprint(ins.M), jobs)
-		var art trainArtifact
-		if c.Get(cacheKey, &art) && len(art.X) == len(jobs) && len(art.Y) == len(jobs) {
-			X, y = art.X, art.Y
+	simJobs.Add(uint64(len(jobs)))
+	X := make([][]float64, len(jobs))
+	y := make([]float64, len(jobs))
+	newState := func() *rtl.Sim { return sim.Clone() }
+	runJob := func(s *rtl.Sim, i, attempt int) error {
+		if err := FaultInjector().ErrN(FaultJob, fmt.Sprintf("train/%s/%d", spec.Name, i), attempt); err != nil {
+			return fmt.Errorf("core: %s train job %d: %w", spec.Name, i, err)
 		}
+		ticks, err := accel.RunJob(s, jobs[i], spec.MaxTicks)
+		if err != nil {
+			return fmt.Errorf("core: %s train job %d: %w", spec.Name, i, err)
+		}
+		if !bounds.Contains(ticks) {
+			return fmt.Errorf("core: %s train job %d: observed %d ticks outside static bounds %s — engine or analysis bug",
+				spec.Name, i, ticks, bounds)
+		}
+		X[i] = readFeats(s)
+		y[i] = spec.Seconds(ticks)
+		return nil
 	}
-	if X == nil {
-		simJobs.Add(uint64(len(jobs)))
-		X = make([][]float64, len(jobs))
-		y = make([]float64, len(jobs))
-		newState := func() *rtl.Sim { return sim.Clone() }
-		runJob := func(s *rtl.Sim, i, attempt int) error {
-			if err := FaultInjector().ErrN(FaultJob, fmt.Sprintf("train/%s/%d", spec.Name, i), attempt); err != nil {
-				return fmt.Errorf("core: %s train job %d: %w", spec.Name, i, err)
-			}
-			ticks, err := accel.RunJob(s, jobs[i], spec.MaxTicks)
-			if err != nil {
-				return fmt.Errorf("core: %s train job %d: %w", spec.Name, i, err)
-			}
-			if err := checkTicks(i, ticks); err != nil {
-				return err
-			}
-			X[i] = readFeats(s)
-			y[i] = spec.Seconds(ticks)
-			return nil
-		}
-		if err := runParallel(len(jobs), newState, runJob); err != nil {
-			return nil, err
-		}
-		if c := TraceCache(); c != nil {
-			c.Put(cacheKey, trainArtifact{X: X, Y: y}) // best effort; tracked in Stats
-		}
+	if err := runParallel(len(jobs), newState, runJob); err != nil {
+		return nil, err
 	}
 
 	cfg := opt.Model
@@ -224,7 +200,6 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 	}
 
 	so := slice.DefaultOptions()
-	so.Prune = PruningEnabled()
 	if opt.Slice != nil {
 		so = *opt.Slice
 	}
@@ -518,21 +493,10 @@ func (js *JobSimulator) Execute(job accel.Job) (JobTrace, error) {
 }
 
 // CollectTraces runs each job on both the timing cone and the slice,
-// returning per-job traces. When a persistent cache is
-// installed (SetTraceCache) the whole trace set is served from disk if
-// the netlists, model, spec constants, and workload bytes all match a
-// previous run. On a miss, jobs fan out across worker goroutines (see
+// returning per-job traces. Jobs fan out across worker goroutines (see
 // SetWorkers), each with a private JobSimulator; trace slots are
 // index-addressed, so the result is byte-identical to a serial run.
 func (p *Predictor) CollectTraces(jobs []accel.Job) ([]JobTrace, error) {
-	var cacheKey string
-	if c := TraceCache(); c != nil {
-		cacheKey = traceKey(p, jobs)
-		var cached []JobTrace
-		if c.Get(cacheKey, &cached) && len(cached) == len(jobs) {
-			return cached, nil
-		}
-	}
 	traces := make([]JobTrace, len(jobs))
 	runJob := func(js *JobSimulator, i, attempt int) error {
 		if err := FaultInjector().ErrN(FaultJob, fmt.Sprintf("traces/%s/%d", p.Spec.Name, i), attempt); err != nil {
@@ -547,9 +511,6 @@ func (p *Predictor) CollectTraces(jobs []accel.Job) ([]JobTrace, error) {
 	}
 	if err := runParallel(len(jobs), p.NewJobSimulator, runJob); err != nil {
 		return nil, err
-	}
-	if c := TraceCache(); c != nil {
-		c.Put(cacheKey, traces) // best effort; tracked in Stats
 	}
 	return traces, nil
 }

@@ -128,6 +128,20 @@ func TestTrainRejectsTinyWorkload(t *testing.T) {
 	}
 }
 
+// TestTrainCountsSimulatedJobs: Train simulates every training job and
+// counts each one in SimulatedJobs.
+func TestTrainCountsSimulatedJobs(t *testing.T) {
+	spec := md.Spec()
+	jobs := spec.TrainJobs(4)
+	before := SimulatedJobs()
+	if _, err := Train(spec, Options{TrainJobs: jobs}); err != nil {
+		t.Fatal(err)
+	}
+	if d := SimulatedJobs() - before; d != uint64(len(jobs)) {
+		t.Fatalf("Train advanced SimulatedJobs by %d, want %d", d, len(jobs))
+	}
+}
+
 func TestReportMentionsFeatures(t *testing.T) {
 	p, err := Train(md.Spec(), Options{Seed: 9})
 	if err != nil {

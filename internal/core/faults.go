@@ -6,10 +6,9 @@ import (
 	"repro/internal/fault"
 )
 
-// Fault-injection wiring for the offline train/collect fan-out,
-// mirroring the process-global TraceCache hookup: the injector is
-// installed once by the experiment driver and read lock-free by every
-// worker goroutine. Injection happens only in the Train and
+// Fault-injection wiring for the offline train/collect fan-out: the
+// injector is installed once by the experiment driver and read
+// lock-free by every worker goroutine. Injection happens only in the Train and
 // CollectTraces job closures — never inside JobSimulator, which also
 // backs the online serving shards (those carry their own injector).
 const (

@@ -35,6 +35,15 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// simJobs counts the RTL job simulations this process has run: every
+// training job, slice prediction and timing-cone run. Commands print it
+// as "jobs simulated: N".
+var simJobs atomic.Uint64
+
+// SimulatedJobs returns the number of RTL job simulations executed by
+// this process so far.
+func SimulatedJobs() uint64 { return simJobs.Load() }
+
 // runParallel invokes run(state, i, attempt) for every i in [0, n),
 // fanning out across min(Workers(), n) goroutines. newState builds
 // per-goroutine state (Sim clones) once per worker. Jobs are handed out

@@ -94,9 +94,7 @@ func Load(data []byte, spec accel.Spec) (*Predictor, error) {
 		m.Coef[idx] = term.Coef
 		kept = append(kept, idx)
 	}
-	so := slice.DefaultOptions()
-	so.Prune = PruningEnabled()
-	sl, err := slice.Slice(ins, kept, so)
+	sl, err := slice.Slice(ins, kept, slice.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,8 @@
 // Package fault is a deterministic, seeded fault-injection layer for
-// the repository's stateful subsystems: the persistent trace cache
-// (injected I/O errors, truncated payloads, failed commits), the online
-// serving shards (stalled predictor attempts), and the offline
-// training/collection fan-out (failed worker jobs).
+// the repository's stateful subsystems: the crash-safe file writer
+// (failed writes and commits), the online serving routers (stalled
+// predictor attempts), and the offline training/collection fan-out
+// (failed worker jobs).
 //
 // Every injection decision is a pure function of (seed, site, key,
 // attempt): a 64-bit FNV-1a hash over the identifiers is compared
@@ -20,7 +20,7 @@
 // every retry succeed.
 //
 // Injection site names are declared by the consuming packages
-// (tracecache.FaultRead, serve.FaultStall, core.FaultJob, ...) so the
+// (atomicfile.FaultWrite, serve.FaultStall, core.FaultJob, ...) so the
 // spec strings operators pass to -faults stay greppable next to the
 // code they perturb.
 package fault
@@ -97,7 +97,7 @@ func clamp01(v float64) float64 {
 // Parse builds an injector from a comma-separated spec of
 // "site=rate" or "site=rate*repeat" entries, e.g.
 //
-//	tracecache.read=0.1,serve.stall=0.05*0.5
+//	core.job=0.1,serve.stall=0.05*0.5
 //
 // An empty spec yields an injector with no sites.
 func Parse(seed int64, spec string) (*Injector, error) {

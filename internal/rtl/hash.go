@@ -6,8 +6,9 @@ import (
 	"encoding/hex"
 )
 
-// fingerprintVersion bumps when the encoding below changes, so stale
-// cache entries keyed on an old encoding can never alias a new one.
+// fingerprintVersion bumps when the encoding below changes, so a
+// generated simulator registered under an old encoding can never alias
+// a new netlist.
 const fingerprintVersion = 1
 
 // Fingerprint returns a stable, content-addressed hash of the netlist:
@@ -16,8 +17,8 @@ const fingerprintVersion = 1
 // Debug names of nodes and registers are excluded (analyses must not
 // depend on them); memory names are included because jobs address
 // scratchpads by name. Two modules with equal fingerprints simulate
-// identically on identical jobs, which is the property the persistent
-// trace cache (internal/tracecache via internal/core) keys on.
+// identically on identical jobs, which is the property the native
+// simulator registry (RegisterNative) keys on.
 func Fingerprint(m *Module) string {
 	h := sha256.New()
 	var buf [8]byte

@@ -245,6 +245,34 @@ func TestMemoryReadWrite(t *testing.T) {
 	}
 }
 
+// TestLoadMemZeroesTail: a shorter image loaded over a longer one, with
+// no Reset in between, must leave the words past its end zero.
+func TestLoadMemZeroesTail(t *testing.T) {
+	b := NewBuilder("load")
+	mem := b.Memory("buf", 16)
+	addr := b.Reg("addr", 4, 0)
+	b.SetNext(addr, addr.Inc())
+	b.SetDone(b.Read(mem, addr.Signal, 32).EqK(0))
+	s := NewSim(b.MustBuild())
+	long := make([]uint64, 16)
+	for i := range long {
+		long[i] = uint64(i + 1)
+	}
+	if err := s.LoadMem("buf", long); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadMem("buf", []uint64{7, 8, 9}); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]uint64, 16)
+	copy(want, []uint64{7, 8, 9})
+	for i, w := range s.Mem("buf") {
+		if w != want[i] {
+			t.Fatalf("buf[%d] = %d after loading a shorter image, want %d", i, w, want[i])
+		}
+	}
+}
+
 func TestROMRead(t *testing.T) {
 	b := NewBuilder("rom")
 	rom := b.ROM("sbox", []uint64{7, 11, 13, 17})

@@ -61,12 +61,6 @@ func TestGeneratedCodeMatchesInterpOnSuite(t *testing.T) {
 	for _, spec := range suite.All() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			if !core.PruningEnabled() {
-				// The checked-in slices are generated under default
-				// pruning; REPRO_PRUNE=0 slices legitimately fall back
-				// to the plan (covered by TestNativeFallback in rtl).
-				t.Skip("pruning disabled; generated slices target the pruned flow")
-			}
 			pred, err := core.Train(spec, core.Options{Seed: 42})
 			if err != nil {
 				t.Fatal(err)
@@ -132,8 +126,8 @@ func TestGeneratedCodeMatchesInterpOnSuite(t *testing.T) {
 }
 
 // TestServedPredictorsRunNative is the no-fallback guarantee for the
-// serving path: predictors trained the way dvfserved trains them
-// (pruning on) must run both the hardware slice and the ground-truth
+// serving path: predictors trained the way dvfserved trains them must
+// run both the hardware slice and the ground-truth
 // timing cone on generated code under the native default, at the
 // canonical seed 42 and at another seed. The cone depends only on the
 // design, so it must hit at any seed; the slices trained at seed 7 have
@@ -141,14 +135,12 @@ func TestGeneratedCodeMatchesInterpOnSuite(t *testing.T) {
 // a netlist the daemon simulates on every job: regenerate with
 // `go generate ./internal/rtl/native`.
 func TestServedPredictorsRunNative(t *testing.T) {
-	prevEngine, prevPrune := rtl.DefaultEngine(), core.PruningEnabled()
+	prevEngine := rtl.DefaultEngine()
 	defer func() {
-		core.SetPruning(prevPrune)
 		if err := rtl.SetDefaultEngine(prevEngine); err != nil {
 			t.Fatal(err)
 		}
 	}()
-	core.SetPruning(true)
 	if err := rtl.SetDefaultEngine(rtl.EngineNative); err != nil {
 		t.Fatal(err)
 	}

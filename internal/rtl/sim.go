@@ -268,9 +268,7 @@ func (s *Sim) LoadMem(name string, data []uint64) error {
 	}
 	dst := s.mems[s.memIndex(name)]
 	copy(dst, data)
-	for i := len(data); i < len(dst); i++ {
-		dst[i] = 0
-	}
+	clear(dst[len(data):])
 	return nil
 }
 
