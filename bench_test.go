@@ -17,6 +17,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/accel"
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/instrument"
@@ -410,20 +411,33 @@ func BenchmarkAblationDenseModel(b *testing.B) {
 	b.ReportMetric(100*sparseArea/denseArea, "lasso_area_vs_dense_pct")
 }
 
-// BenchmarkRTLSimThroughput measures the raw cycle-accurate simulator —
-// the substrate everything above runs on.
+// BenchmarkRTLSimThroughput measures the cycle-accurate simulator —
+// the substrate everything above runs on — on aes's timing cone
+// (core.TimingCone), the ground-truth simulator every flow runs.
 func BenchmarkRTLSimThroughput(b *testing.B) {
 	spec, err := suite.ByName("aes")
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := spec.Build()
+	ins, err := instrument.Instrument(spec.Build())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cone, err := core.TimingCone(ins)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := cone.M
 	s := rtl.NewSim(m)
 	job := spec.TestJobs(3)[0]
 	var ticks uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ticks += runJob(b, s, job.Mems, spec.MaxTicks)
+		t, err := accel.RunCone(s, ins.M, job, spec.MaxTicks)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ticks += t
 	}
 	evals := float64(ticks) * float64(len(m.Nodes))
 	b.ReportMetric(evals/b.Elapsed().Seconds()/1e6, "Mevals/s")

@@ -169,8 +169,8 @@ func setup(args []string, stdout, stderr io.Writer) (*cluster.Fleet, http.Handle
 			fleet.Close()
 			return nil, nil, "", fmt.Errorf("train %s: %w", name, err)
 		}
-		if sl, full := entry.Pred.Engines(); sl != rtl.EngineNative || full != rtl.EngineNative {
-			offNative = append(offNative, fmt.Sprintf("%s (slice %s, full design %s)", name, sl, full))
+		if sl, cone := entry.Pred.Engines(); sl != rtl.EngineNative || cone != rtl.EngineNative {
+			offNative = append(offNative, fmt.Sprintf("%s (slice %s, timing cone %s)", name, sl, cone))
 		}
 		if _, err := fleet.AddPool(cluster.Config{
 			Shard: serve.ShardConfig{

@@ -1,20 +1,24 @@
 // Command rtlgen pre-generates the native (codegen) simulators that
 // internal/rtl/native registers at init. For every benchmark in the
-// suite it translates the netlist shapes the production flows actually
-// simulate into specialized straight-line Go via internal/rtl/codegen:
+// suite it translates the netlist shapes the production flows build
+// into specialized straight-line Go via internal/rtl/codegen:
 //
-//   - the raw spec netlist (testbench and differential-test runs),
-//   - the instrumented design (unpruned: simbench and tests run it),
-//   - its pruned twin (the full-design simulator core.Train binds),
-//   - its timing cone (core.TimingCone: the ground-truth simulator of
-//     every JobSimulator; model-independent, so one per benchmark),
-//   - the keep-everything slice (the suite tests' shape),
+//   - the timing cone (core.TimingCone): the ground-truth simulator of
+//     Train and of every JobSimulator; model-independent, so one per
+//     benchmark,
+//   - the all-witness slice (core.AllWitnessSlice), which Train reads
+//     every feature from,
 //   - the trained predictor slice for the canonical training seed (42,
 //     the default of simbench/slicegen) — the latency-critical module
 //     on the serving path, and
 //   - the slice a quick exp.Lab trains (dvfsim -quick, the exp tests):
 //     the same seed on its first exp.QuickJobs training jobs, which
 //     for most benchmarks has the full-trained slice's fingerprint.
+//
+// Each shape is built by the same core constructor the flows call, so
+// the generated code cannot drift from what they simulate. Netlists of
+// any other shape (the raw design, the instrumented design, its pruned
+// twin) run on the plan fallback.
 //
 // Variants are deduplicated by netlist fingerprint across the whole
 // run, one generated file per benchmark. Output is deterministic for a
@@ -41,14 +45,12 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/absint"
 	"repro/internal/accel"
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/instrument"
 	"repro/internal/rtl"
 	"repro/internal/rtl/codegen"
-	"repro/internal/slice"
 	"repro/internal/suite"
 )
 
@@ -100,40 +102,22 @@ func main() {
 }
 
 // variants builds the netlist shapes worth pre-generating for one
-// benchmark, mirroring the exact transformations the production flows
-// apply (instrument, bindFull's prune, the timing cone, keep-all slice,
-// trained slices).
+// benchmark through the constructors the production flows call (the
+// timing cone, the all-witness slice, trained slices).
 func variants(spec accel.Spec) ([]variant, error) {
-	vars := []variant{{spec.Name, spec.Build()}}
-
 	ins, err := instrument.Instrument(spec.Build())
 	if err != nil {
 		return nil, err
 	}
-	vars = append(vars, variant{spec.Name + "_ins", ins.M})
-
-	featRegs := make([]int, len(ins.Features))
-	for i, f := range ins.Features {
-		featRegs[i] = f.Witness
-	}
-	pm, _ := absint.Prune(ins.M, featRegs)
-	vars = append(vars, variant{spec.Name + "_pruned", pm})
-
 	cone, err := core.TimingCone(ins)
 	if err != nil {
 		return nil, err
 	}
-	vars = append(vars, variant{spec.Name + "_cone", cone.M})
-
-	keep := make([]int, len(ins.Features))
-	for i := range keep {
-		keep[i] = i
-	}
-	slAll, err := slice.Slice(ins, keep, slice.DefaultOptions())
+	all, err := core.AllWitnessSlice(ins)
 	if err != nil {
 		return nil, err
 	}
-	vars = append(vars, variant{spec.Name + "_slice_all", slAll.M})
+	vars := []variant{{spec.Name + "_cone", cone.M}, {spec.Name + "_slice_all", all.M}}
 
 	pred, err := core.Train(spec, core.Options{Seed: trainSeed})
 	if err != nil {

@@ -11,9 +11,9 @@ import (
 
 // TestGeneratedRunMatchesInterp drives the multi-cycle path of every
 // checked-in generated simulator: for each shape this command generates
-// (raw, instrumented, pruned, timing cone, all-features slice, trained
-// and quick slices), one reused native Sim with activity off runs real jobs
-// through accel.RunJob with three cycle limits — the benchmark's
+// (timing cone, all-witness slice, trained and quick slices), one
+// reused native Sim with activity off runs real jobs through
+// accel.RunJob with three cycle limits — the benchmark's
 // MaxTicks, 1, and one cycle short of the job's length — and after each
 // run the tick count, the ErrNoProgress verdict, every node value and
 // every memory word must equal a fresh interpreter run of the same job

@@ -14,25 +14,27 @@
 // their samples round-robin, so background load drifts onto every
 // engine alike.
 //
-// It reports five things:
+// It times and counts only netlist shapes a flow simulates. It
+// reports five things:
 //
 //  1. engine speed (ns/cycle, Mevals/s) for interp, the codegen plan
 //     (the native fallback), and native (pre-generated straight-line
-//     code) on the Toy design and on every benchmark of the suite,
-//     with per-design speedup ratios. Toy has no generated native
-//     simulator by design, so it has no native row (a native request
-//     would measure the plan fallback),
+//     code) on the Toy design and on every benchmark's timing cone
+//     (core.TimingCone, the ground-truth simulator), with per-design
+//     speedup ratios. Toy has no generated native simulator by design,
+//     so it has no native row (a native request would measure the plan
+//     fallback); section 1b adds the static win of absint pruning on
+//     each benchmark's all-witness slice (combinational nodes,
+//     unpruned vs pruned),
 //  2. CollectTraces wall-clock swept across worker counts (1, 2, 4, 8,
 //     capped at -workers, default GOMAXPROCS) under the native engine,
-//  3. trace-collection throughput (instrumented design + hardware
-//     slice per job, the work core.CollectTraces does) per benchmark:
-//     plan jobs/s vs native jobs/s and their ratio,
+//  3. trace-collection throughput per benchmark — one CollectTraces
+//     job as it runs: the timing cone plus the slice trained at -seed
+//     — plan jobs/s vs native jobs/s and their ratio,
 //  4. the wall-clock of warming the full (quick) experiment lab
 //     (skipped with -warm=false),
-//  5. per benchmark, the ground-truth simulators on native code: the
-//     pruned full design core.Train simulates against the timing cone
-//     every JobSimulator serves from (core.TimingCone) — ns/cycle,
-//     µs/job, combinational nodes and memories.
+//  5. per benchmark, the timing cone on native code over several jobs:
+//     ns/cycle, µs/job, combinational nodes and memories.
 //
 // -designs restricts sections 1, 3 and 5 to a comma-separated subset of
 // benchmarks (CI smoke runs use this). -engine sets the process-wide
@@ -50,7 +52,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/absint"
 	"repro/internal/accel"
 	"repro/internal/core"
 	"repro/internal/exp"
@@ -136,8 +137,8 @@ type TraceResult struct {
 }
 
 // ThroughputResult is one benchmark's trace-collection throughput:
-// plan vs native on the same work (one instrumented full-design job
-// plus one slice job).
+// plan vs native on the same work (one CollectTraces job: a timing-cone
+// run plus a trained-slice run).
 type ThroughputResult struct {
 	Benchmark      string  `json:"benchmark"`
 	PlanJobsPerS   Dist    `json:"plan_jobs_per_s"`
@@ -147,36 +148,26 @@ type ThroughputResult struct {
 
 // PruneResult records the static win of absint pruning on one
 // benchmark: combinational nodes (those an engine evaluates each
-// cycle, see rtl.CombNodes) of the instrumented full design and its
-// hardware slice, unpruned vs pruned.
+// cycle, see rtl.CombNodes) of its all-witness slice, unpruned vs
+// pruned.
 type PruneResult struct {
-	Benchmark        string  `json:"benchmark"`
-	FullComb         int     `json:"full_comb"`
-	FullCombPruned   int     `json:"full_comb_pruned"`
-	FullReductionPct float64 `json:"full_reduction_pct"`
-	SliceComb        int     `json:"slice_comb"`
-	SliceCombPruned  int     `json:"slice_comb_pruned"`
+	Benchmark       string `json:"benchmark"`
+	SliceComb       int    `json:"slice_comb"`
+	SliceCombPruned int    `json:"slice_comb_pruned"`
 }
 
-// ConeResult compares one benchmark's two ground-truth simulators on
-// the native engine over the same jobs: the pruned full design and the
-// timing cone, whose ticks are equal by construction.
+// ConeResult times one benchmark's ground-truth simulator, the timing
+// cone, on the native engine over several jobs.
 type ConeResult struct {
 	Benchmark string `json:"benchmark"`
 	Jobs      int    `json:"jobs"`
-	// FullComb and ConeComb count combinational nodes (rtl.CombNodes);
-	// FullMems and ConeMems count memories, each zeroed on every Reset.
-	FullComb int `json:"full_comb"`
+	// ConeComb counts combinational nodes (rtl.CombNodes); ConeMems
+	// counts memories, each zeroed on every Reset.
 	ConeComb int `json:"cone_comb"`
-	FullMems int `json:"full_mems"`
 	ConeMems int `json:"cone_mems"`
 	// NsPerCycle and UsPerJob time the same samples two ways.
-	FullNsPerCycle Dist `json:"full_ns_per_cycle"`
 	ConeNsPerCycle Dist `json:"cone_ns_per_cycle"`
-	FullUsPerJob   Dist `json:"full_us_per_job"`
 	ConeUsPerJob   Dist `json:"cone_us_per_job"`
-	// ConeVsFull is the full design's median µs/job over the cone's.
-	ConeVsFull float64 `json:"cone_vs_full"`
 }
 
 // Report is the BENCH_sim.json schema.
@@ -351,9 +342,17 @@ func run() error {
 	rep.Designs = append(rep.Designs, dr)
 	for _, spec := range specs {
 		spec := spec
+		ins, err := instrument.Instrument(spec.Build())
+		if err != nil {
+			return err
+		}
+		cone, err := core.TimingCone(ins)
+		if err != nil {
+			return err
+		}
 		job := spec.TestJobs(3)[0]
-		dr, err := measureDesign(spec.Name, spec.Build(), *reps, func(s *rtl.Sim) func() (uint64, error) {
-			return func() (uint64, error) { return accel.RunJob(s, job, spec.MaxTicks) }
+		dr, err := measureDesign(spec.Name+"_cone", cone.M, *reps, func(s *rtl.Sim) func() (uint64, error) {
+			return func() (uint64, error) { return accel.RunCone(s, ins.M, job, spec.MaxTicks) }
 		})
 		if err != nil {
 			return err
@@ -362,8 +361,7 @@ func run() error {
 	}
 
 	// 1b. Static pruning win: combinational nodes, unpruned vs
-	// absint-pruned, for each benchmark's instrumented design and its
-	// hardware slice.
+	// absint-pruned, for each benchmark's all-witness slice.
 	for _, spec := range specs {
 		pr, err := measurePrune(spec)
 		if err != nil {
@@ -425,10 +423,10 @@ func run() error {
 	core.SetWorkers(*workers)
 
 	// 3. Trace-collection throughput per benchmark: the work one
-	// CollectTraces job does (instrumented full design + hardware
-	// slice), plan vs native, in jobs/s.
+	// CollectTraces job does (timing cone + trained slice), plan vs
+	// native, in jobs/s.
 	for _, spec := range specs {
-		tr, err := measureTraceThroughput(spec)
+		tr, err := measureTraceThroughput(spec, *seed)
 		if err != nil {
 			return err
 		}
@@ -449,7 +447,7 @@ func run() error {
 		d := newDist(samples[0])
 		rep.SuiteWallclockS = &d
 	}
-	// 5. Ground truth: pruned full design vs timing cone, native.
+	// 5. Ground truth: the timing cone, native.
 	for _, spec := range specs {
 		cr, err := measureCone(spec)
 		if err != nil {
@@ -511,56 +509,47 @@ func commit() string {
 }
 
 // measurePrune counts the combinational nodes of each benchmark's
-// instrumented design and slice with and without absint pruning.
+// all-witness slice with and without absint pruning.
 func measurePrune(spec accel.Spec) (PruneResult, error) {
 	ins, err := instrument.Instrument(spec.Build())
 	if err != nil {
 		return PruneResult{}, err
 	}
-	keep := make([]int, len(ins.Features))
 	kept := make([]int, len(ins.Features))
-	for i, f := range ins.Features {
-		keep[i] = f.Witness
+	for i := range kept {
 		kept[i] = i
 	}
-	pm, _ := absint.Prune(ins.M, keep)
 	plain := slice.DefaultOptions()
 	plain.Prune = false
 	slP, err := slice.Slice(ins, kept, plain)
 	if err != nil {
 		return PruneResult{}, err
 	}
-	slA, err := slice.Slice(ins, kept, slice.DefaultOptions())
+	slA, err := core.AllWitnessSlice(ins)
 	if err != nil {
 		return PruneResult{}, err
 	}
-	fi, pi := rtl.CombNodes(ins.M), rtl.CombNodes(pm)
 	return PruneResult{
-		Benchmark:        spec.Name,
-		FullComb:         fi,
-		FullCombPruned:   pi,
-		FullReductionPct: 100 * float64(fi-pi) / float64(fi),
-		SliceComb:        rtl.CombNodes(slP.M),
-		SliceCombPruned:  rtl.CombNodes(slA.M),
+		Benchmark:       spec.Name,
+		SliceComb:       rtl.CombNodes(slP.M),
+		SliceCombPruned: rtl.CombNodes(slA.M),
 	}, nil
 }
 
-// measureTraceThroughput times the per-job work of CollectTraces —
-// one instrumented full-design simulation plus one slice simulation —
-// on the plan and native engines, each sample traceReps jobs.
-func measureTraceThroughput(spec accel.Spec) (ThroughputResult, error) {
-	ins, err := instrument.Instrument(spec.Build())
+// measureTraceThroughput times the per-job work of CollectTraces — one
+// timing-cone simulation plus one simulation of the slice trained at
+// seed, each loading only the memories it kept (accel.RunCone) — on the
+// plan and native engines, each sample traceReps jobs.
+func measureTraceThroughput(spec accel.Spec, seed int64) (ThroughputResult, error) {
+	pred, err := core.Train(spec, core.Options{Seed: seed})
 	if err != nil {
 		return ThroughputResult{}, err
 	}
-	keep := make([]int, len(ins.Features))
-	for i := range keep {
-		keep[i] = i
-	}
-	sl, err := slice.Slice(ins, keep, slice.DefaultOptions())
+	cone, err := core.TimingCone(pred.Ins)
 	if err != nil {
 		return ThroughputResult{}, err
 	}
+	design := pred.Ins.M
 	job := spec.TestJobs(3)[0]
 	// The sections before this one leave a large heap behind; collect
 	// now so background GC does not tax one engine's timed window.
@@ -572,11 +561,11 @@ func measureTraceThroughput(spec accel.Spec) (ThroughputResult, error) {
 		if eng == rtl.EngineNative {
 			sim = func(m *rtl.Module) *rtl.Sim { return rtl.NewSimEngine(m, rtl.EngineNative) }
 		}
-		full, sliceS := sim(ins.M), sim(sl.M)
+		coneS, sliceS := sim(cone.M), sim(pred.Slice.M)
 		cells = append(cells, cell{engine: eng, run: func() (uint64, error) {
 			for i := 0; i < traceReps; i++ {
-				for _, s := range []*rtl.Sim{full, sliceS} {
-					if _, err := accel.RunJob(s, job, spec.MaxTicks); err != nil {
+				for _, s := range []*rtl.Sim{coneS, sliceS} {
+					if _, err := accel.RunCone(s, design, job, spec.MaxTicks); err != nil {
 						return 0, err
 					}
 				}
@@ -603,20 +592,14 @@ func measureTraceThroughput(spec accel.Spec) (ThroughputResult, error) {
 	}, nil
 }
 
-// measureCone times the pruned full design against the timing cone on
-// the native engine, each sample coneJobs jobs run back to back the way
-// the flows run them (accel.RunJob on the full design, accel.RunCone on
-// the cone, which loads only the memories it kept).
+// measureCone times the timing cone on the native engine, each sample
+// coneJobs jobs run back to back the way the flows run them
+// (accel.RunCone, which loads only the memories the cone kept).
 func measureCone(spec accel.Spec) (ConeResult, error) {
 	ins, err := instrument.Instrument(spec.Build())
 	if err != nil {
 		return ConeResult{}, err
 	}
-	regs := make([]int, len(ins.Features))
-	for i, f := range ins.Features {
-		regs[i] = f.Witness
-	}
-	pm, _ := absint.Prune(ins.M, regs)
 	cone, err := core.TimingCone(ins)
 	if err != nil {
 		return ConeResult{}, err
@@ -624,59 +607,40 @@ func measureCone(spec accel.Spec) (ConeResult, error) {
 	const coneJobs = 8
 	jobs := spec.TestJobs(3)[:coneJobs]
 	runtime.GC()
-	full, cs := rtl.NewSimEngine(pm, rtl.EngineNative), rtl.NewSimEngine(cone.M, rtl.EngineNative)
-	runAll := func(run func(accel.Job) (uint64, error)) func() (uint64, error) {
-		return func() (uint64, error) {
-			var cycles uint64
-			for _, job := range jobs {
-				c, err := run(job)
-				if err != nil {
-					return 0, err
-				}
-				cycles += c
+	cs := rtl.NewSimEngine(cone.M, rtl.EngineNative)
+	c := cell{engine: rtl.EngineNative, run: func() (uint64, error) {
+		var cycles uint64
+		for _, job := range jobs {
+			n, err := accel.RunCone(cs, ins.M, job, spec.MaxTicks)
+			if err != nil {
+				return 0, err
 			}
-			return cycles, nil
+			cycles += n
 		}
-	}
-	cells := []cell{
-		{engine: rtl.EngineNative, run: runAll(func(job accel.Job) (uint64, error) {
-			return accel.RunJob(full, job, spec.MaxTicks)
-		})},
-		{engine: rtl.EngineNative, run: runAll(func(job accel.Job) (uint64, error) {
-			return accel.RunCone(cs, ins.M, job, spec.MaxTicks)
-		})},
-	}
-	cycles, err := cells[0].run()
+		return cycles, nil
+	}}
+	cycles, err := c.run()
 	if err != nil {
 		return ConeResult{}, fmt.Errorf("%s: %w", spec.Name, err)
 	}
-	samples, err := sampleCells(cells)
+	samples, err := sampleCells([]cell{c})
 	if err != nil {
 		return ConeResult{}, fmt.Errorf("%s: %w", spec.Name, err)
 	}
-	// Both cells run the same jobs for the same cycles, so seconds per
-	// cycle converts exactly to µs per job.
-	var ns, us [2]Dist
-	for ci := range cells {
-		perJob := make([]float64, len(samples[ci]))
-		for i, secs := range samples[ci] {
-			perJob[i] = secs * float64(cycles) / coneJobs * 1e6
-			samples[ci][i] = secs * 1e9
-		}
-		ns[ci], us[ci] = newDist(samples[ci]), newDist(perJob)
+	// Every sample runs the same jobs for the same cycles, so seconds
+	// per cycle converts exactly to µs per job.
+	perJob := make([]float64, len(samples[0]))
+	for i, secs := range samples[0] {
+		perJob[i] = secs * float64(cycles) / coneJobs * 1e6
+		samples[0][i] = secs * 1e9
 	}
 	return ConeResult{
 		Benchmark:      spec.Name,
 		Jobs:           coneJobs,
-		FullComb:       rtl.CombNodes(pm),
 		ConeComb:       rtl.CombNodes(cone.M),
-		FullMems:       len(pm.Mems),
 		ConeMems:       len(cone.M.Mems),
-		FullNsPerCycle: ns[0],
-		ConeNsPerCycle: ns[1],
-		FullUsPerJob:   us[0],
-		ConeUsPerJob:   us[1],
-		ConeVsFull:     us[0].Median / us[1].Median,
+		ConeNsPerCycle: newDist(samples[0]),
+		ConeUsPerJob:   newDist(perJob),
 	}, nil
 }
 

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/suite"
 )
 
 // TestNewDist checks the quartile interpolation on known samples.
@@ -25,10 +27,11 @@ func TestNewDist(t *testing.T) {
 
 // TestReport runs simbench end to end on one benchmark and checks the
 // report's shape: every cell carries samplesPerCell samples, toy has no
-// native row (it has no generated simulator), the benchmark measures
-// all three engines (interp, plan, native) and native beats the plan,
-// the timing cone is smaller and faster than the pruned full design,
-// and nothing fell back.
+// native row (it has no generated simulator), the benchmark's timing
+// cone is measured on all three engines (interp, plan, native) and
+// native beats the plan, the cone row keeps fewer memories than the
+// instrumented design, and nothing fell back — every shape simbench
+// times has generated code.
 func TestReport(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "bench.json")
 	args := os.Args
@@ -51,8 +54,8 @@ func TestReport(t *testing.T) {
 	if rep.NativeFallbacks != 0 {
 		t.Errorf("%d native fallbacks", rep.NativeFallbacks)
 	}
-	if len(rep.Designs) != 2 {
-		t.Fatalf("%d designs, want toy and stencil", len(rep.Designs))
+	if len(rep.Designs) != 2 || rep.Designs[1].Design != "stencil_cone" {
+		t.Fatalf("designs %+v, want toy and stencil_cone", rep.Designs)
 	}
 	for i, want := range []int{2, 3} {
 		d := rep.Designs[i]
@@ -79,13 +82,16 @@ func TestReport(t *testing.T) {
 		t.Fatalf("%d cone rows, want stencil's", len(rep.Cone))
 	}
 	c := rep.Cone[0]
-	for _, d := range []Dist{c.FullNsPerCycle, c.ConeNsPerCycle, c.FullUsPerJob, c.ConeUsPerJob} {
+	for _, d := range []Dist{c.ConeNsPerCycle, c.ConeUsPerJob} {
 		if d.K != samplesPerCell || d.Q1 > d.Median || d.Median > d.Q3 {
 			t.Errorf("cone row %+v", d)
 		}
 	}
-	if c.ConeComb >= c.FullComb || c.ConeMems >= c.FullMems || c.ConeVsFull <= 1 {
-		t.Errorf("cone: %d/%d comb nodes, %d/%d mems (cone/full), %gx faster",
-			c.ConeComb, c.FullComb, c.ConeMems, c.FullMems, c.ConeVsFull)
+	spec, err := suite.ByName("stencil")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mems := len(spec.Build().Mems); c.Jobs < 1 || c.ConeComb < 1 || c.ConeMems < 1 || c.ConeMems >= mems {
+		t.Errorf("cone: %d jobs, %d comb nodes, %d of the design's %d mems", c.Jobs, c.ConeComb, c.ConeMems, mems)
 	}
 }

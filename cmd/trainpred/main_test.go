@@ -76,7 +76,9 @@ func TestSaveFaultKeepsPreviousModel(t *testing.T) {
 
 // TestSaveLoadSameReport: a model saved by -save loads back with -load
 // and prints the same model and the same test-set report. Training
-// error is not part of a saved model, so its line is left out.
+// error is not part of a saved model, so the loaded report must not
+// print a train-error line, and the comparison leaves the trained
+// report's out.
 func TestSaveLoadSameReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.json")
 	saved, err := trainpred(t, nil, "-save", path, "sha")
@@ -103,6 +105,9 @@ func TestSaveLoadSameReport(t *testing.T) {
 	}
 	if !strings.Contains(saved, "saved model to ") || !strings.Contains(loaded, "loaded sha model from ") {
 		t.Fatalf("unexpected output:\n%s\n---\n%s", saved, loaded)
+	}
+	if !strings.Contains(saved, "  train error:") || strings.Contains(loaded, "train error:") {
+		t.Fatalf("want a train-error line for the trained model only\n--- saved ---\n%s\n--- loaded ---\n%s", saved, loaded)
 	}
 	if got, want := report(loaded), report(saved); got != want {
 		t.Fatalf("loaded model reports differently\n--- saved ---\n%s\n--- loaded ---\n%s", want, got)

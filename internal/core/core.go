@@ -31,10 +31,10 @@ import (
 	"repro/internal/rtl"
 
 	// Register the pre-generated native simulators for the benchmark
-	// suite: with this import, the native default engine resolves suite
-	// netlists (full designs, pruned twins, timing cones, predictor
-	// slices) to specialized straight-line code in every flow built on
-	// core.
+	// suite: with this import, the native default engine resolves the
+	// netlists the flows simulate (timing cones, all-witness slices,
+	// trained predictor slices) to specialized straight-line code in
+	// every flow built on core.
 	_ "repro/internal/rtl/native"
 
 	"repro/internal/slice"
@@ -74,7 +74,8 @@ type Predictor struct {
 	Kept []int
 	// Slice is the generated hardware slice.
 	Slice *slice.Result
-	// TrainErr summarizes accuracy on the training set.
+	// TrainErr summarizes accuracy on the training set; a loaded
+	// predictor (see Load) has none.
 	TrainErr model.Errors
 	// Bounds is the static cycles-to-done interval of the full
 	// instrumented design, from abstract interpretation. Predictions are
@@ -135,51 +136,12 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 		return nil, fmt.Errorf("core: %s: %d training jobs is too few", spec.Name, len(jobs))
 	}
 
-	// RTL simulation of the training set: features + execution time.
-	// Jobs are independent and fan out across worker goroutines, each
-	// owning a private Sim clone; results land in index-addressed slots
-	// and are identical to a serial run. The full-design simulators run
-	// the absint-pruned twin: identical cycle-for-cycle on done,
-	// memories, and every witness register, but with proven-constant
-	// logic folded away.
-	fullM, featRegs, err := bindFull(ins)
-	if err != nil {
-		return nil, err
-	}
 	// Static cycle bounds of the instrumented design double as a free
 	// engine-bug tripwire: any observed run outside the provable
-	// interval is a hard error, not a bad sample. (The bounds hold for
-	// the pruned twin too — pruning is behavior-preserving.)
+	// interval is a hard error, not a bad sample.
 	bounds := absint.Bounds(ins.M)
-	readFeats := func(s *rtl.Sim) []float64 {
-		out := make([]float64, len(featRegs))
-		for i, ri := range featRegs {
-			out[i] = float64(s.RegValue(ri))
-		}
-		return out
-	}
-	sim := rtl.NewSim(fullM)
-	simJobs.Add(uint64(len(jobs)))
-	X := make([][]float64, len(jobs))
-	y := make([]float64, len(jobs))
-	newState := func() *rtl.Sim { return sim.Clone() }
-	runJob := func(s *rtl.Sim, i, attempt int) error {
-		if err := FaultInjector().ErrN(FaultJob, fmt.Sprintf("train/%s/%d", spec.Name, i), attempt); err != nil {
-			return fmt.Errorf("core: %s train job %d: %w", spec.Name, i, err)
-		}
-		ticks, err := accel.RunJob(s, jobs[i], spec.MaxTicks)
-		if err != nil {
-			return fmt.Errorf("core: %s train job %d: %w", spec.Name, i, err)
-		}
-		if !bounds.Contains(ticks) {
-			return fmt.Errorf("core: %s train job %d: observed %d ticks outside static bounds %s — engine or analysis bug",
-				spec.Name, i, ticks, bounds)
-		}
-		X[i] = readFeats(s)
-		y[i] = spec.Seconds(ticks)
-		return nil
-	}
-	if err := runParallel(len(jobs), newState, runJob); err != nil {
+	X, y, cone, err := simulateTrainingSet(spec, ins, bounds, jobs)
+	if err != nil {
 		return nil, err
 	}
 
@@ -218,19 +180,65 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 		Bounds:      bounds,
 		SliceBounds: absint.Bounds(sl.M),
 	}
-	return pred.withSims()
+	return pred.withSims(cone), nil
+}
+
+// simulateTrainingSet runs every training job and returns its feature
+// row and execution seconds, plus the timing cone it built. It runs the
+// two simulators trace collection and serving run too: the timing cone
+// gives each job's ticks (done fires on the full design's cycle, see
+// TimingCone), which must lie within bounds, and the all-witness slice
+// gives every feature (its witnesses hold the full design's values,
+// see AllWitnessSlice). Jobs fan out across worker goroutines, each
+// owning private Sim clones; results land in index-addressed slots and
+// are identical to a serial run.
+func simulateTrainingSet(spec accel.Spec, ins *instrument.Instrumented, bounds absint.CycleBounds, jobs []accel.Job) ([][]float64, []float64, *slice.Result, error) {
+	cone, err := TimingCone(ins)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	all, err := AllWitnessSlice(ins)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	type trainSims struct{ cone, feats *rtl.Sim }
+	coneSim, featSim := rtl.NewSim(cone.M), rtl.NewSim(all.M)
+	simJobs.Add(uint64(len(jobs)))
+	X := make([][]float64, len(jobs))
+	y := make([]float64, len(jobs))
+	newState := func() trainSims { return trainSims{coneSim.Clone(), featSim.Clone()} }
+	runJob := func(s trainSims, i, attempt int) error {
+		if err := FaultInjector().ErrN(FaultJob, fmt.Sprintf("train/%s/%d", spec.Name, i), attempt); err != nil {
+			return fmt.Errorf("core: %s train job %d: %w", spec.Name, i, err)
+		}
+		ticks, err := accel.RunCone(s.cone, ins.M, jobs[i], spec.MaxTicks)
+		if err != nil {
+			return fmt.Errorf("core: %s train job %d: %w", spec.Name, i, err)
+		}
+		if !bounds.Contains(ticks) {
+			return fmt.Errorf("core: %s train job %d: observed %d ticks outside static bounds %s — engine or analysis bug",
+				spec.Name, i, ticks, bounds)
+		}
+		if _, err := accel.RunCone(s.feats, ins.M, jobs[i], spec.MaxTicks); err != nil {
+			return fmt.Errorf("core: %s train job %d: %w", spec.Name, i, err)
+		}
+		X[i] = all.ReadFeatures(s.feats)
+		y[i] = spec.Seconds(ticks)
+		return nil
+	}
+	if err := runParallel(len(jobs), newState, runJob); err != nil {
+		return nil, nil, nil, err
+	}
+	return X, y, cone, nil
 }
 
 // withSims binds the predictor's simulators: the hardware slice and
-// the timing cone its JobSimulators run for ground truth.
-func (p *Predictor) withSims() (*Predictor, error) {
-	cone, err := TimingCone(p.Ins)
-	if err != nil {
-		return nil, err
-	}
+// the timing cone (see TimingCone) its JobSimulators run for ground
+// truth.
+func (p *Predictor) withSims(cone *slice.Result) *Predictor {
 	p.coneSim, p.coneItems = rtl.NewSim(cone.M), itemRegs(p.Ins, cone)
 	p.sliceSim = rtl.NewSim(p.Slice.M)
-	return p, nil
+	return p
 }
 
 // liveModel pairs a hot-swapped β with its monotonically increasing
@@ -367,20 +375,20 @@ func (p *Predictor) NewJobSimulator() *JobSimulator {
 }
 
 // Engines reports the engines actually executing the predictor's
-// hardware slice and its full-design ground truth, the timing cone.
-// Under the native default, a netlist without a registered generated
-// step reports the plan fallback.
-func (p *Predictor) Engines() (slice, full rtl.Engine) {
+// hardware slice and its ground truth, the timing cone. Under the
+// native default, a netlist without a registered generated step
+// reports the plan fallback.
+func (p *Predictor) Engines() (slice, cone rtl.Engine) {
 	return p.sliceSim.Engine(), p.coneSim.Engine()
 }
 
 // Engines reports the engines actually executing this simulator's
 // slice — the latency-critical simulator on the serving path — and its
-// full-design ground truth, the timing cone (exact: see TimingCone).
+// ground truth, the timing cone (exact: see TimingCone).
 // When the default engine is native but a netlist has no registered
 // generated step, it reports the plan fallback, making a silently
 // stale registry observable (see rtl.NativeFallbacks).
-func (js *JobSimulator) Engines() (slice, full rtl.Engine) {
+func (js *JobSimulator) Engines() (slice, cone rtl.Engine) {
 	return js.slice.Engine(), js.cone.Engine()
 }
 
@@ -604,11 +612,15 @@ func (p *Predictor) FeatureNames() []string {
 	return names
 }
 
-// Report renders a human-readable training summary.
+// Report renders a human-readable training summary. The training
+// error line is left out for a loaded predictor, which has none (see
+// Load).
 func (p *Predictor) Report() string {
-	return fmt.Sprintf(
-		"%s: %d features detected, %d kept (gamma=%.3g)\n%s  train error: median %+.2f%%, worst under %+.2f%%, worst over %+.2f%%\n",
-		p.Spec.Name, len(p.Ins.Features), len(p.Kept), p.Gamma,
-		p.Model.Report(p.Ins.Names()),
-		100*p.TrainErr.Median, 100*p.TrainErr.WorstUnder, 100*p.TrainErr.WorstOver)
+	r := fmt.Sprintf("%s: %d features detected, %d kept (gamma=%.3g)\n%s",
+		p.Spec.Name, len(p.Ins.Features), len(p.Kept), p.Gamma, p.Model.Report(p.Ins.Names()))
+	if len(p.TrainErr.Rel) > 0 {
+		r += fmt.Sprintf("  train error: median %+.2f%%, worst under %+.2f%%, worst over %+.2f%%\n",
+			100*p.TrainErr.Median, 100*p.TrainErr.WorstUnder, 100*p.TrainErr.WorstOver)
+	}
+	return r
 }

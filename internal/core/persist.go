@@ -98,6 +98,10 @@ func Load(data []byte, spec accel.Spec) (*Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
+	cone, err := TimingCone(ins)
+	if err != nil {
+		return nil, err
+	}
 	pred := &Predictor{
 		Spec:        spec,
 		Ins:         ins,
@@ -108,5 +112,5 @@ func Load(data []byte, spec accel.Spec) (*Predictor, error) {
 		Bounds:      absint.Bounds(ins.M),
 		SliceBounds: absint.Bounds(sl.M),
 	}
-	return pred.withSims()
+	return pred.withSims(cone), nil
 }

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/absint"
 	"repro/internal/accel"
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/instrument"
 	"repro/internal/rtl"
 	"repro/internal/suite"
@@ -15,41 +15,80 @@ import (
 )
 
 // TestRegistryCoversSuiteShapes asserts the checked-in generated code
-// actually resolves for every netlist shape the production flows
-// simulate — raw design, instrumented design, pruned twin — on all 7
-// benchmarks. A miss here means internal/rtl/native is stale:
-// regenerate with `go generate ./internal/rtl/native`.
+// is exactly the set of netlist shapes the production flows build on
+// all 7 benchmarks, each built through the core constructor the flows
+// call: the timing cone, the all-witness slice, the slice trained at
+// the canonical seed 42 and the slice a quick lab trains (the first
+// exp.QuickJobs seed-42 training jobs). It fails on a flow shape with
+// no generated simulator — internal/rtl/native is stale: regenerate
+// with `go generate ./internal/rtl/native` — and on a generated
+// simulator that no flow builds.
 func TestRegistryCoversSuiteShapes(t *testing.T) {
+	built := map[string]bool{} // fingerprints of every flow shape
+	names := map[string]bool{} // every flow shape's name, as cmd/rtlgen labels it
 	for _, spec := range suite.All() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			mods := map[string]*rtl.Module{"raw": spec.Build()}
 			ins, err := instrument.Instrument(spec.Build())
 			if err != nil {
 				t.Fatal(err)
 			}
-			mods["instrumented"] = ins.M
-			featRegs := make([]int, len(ins.Features))
-			for i, f := range ins.Features {
-				featRegs[i] = f.Witness
+			cone, err := core.TimingCone(ins)
+			if err != nil {
+				t.Fatal(err)
 			}
-			pm, _ := absint.Prune(ins.M, featRegs)
-			mods["pruned"] = pm
-			for shape, m := range mods { //detlint:allow independent subtests, order immaterial for pass/fail
-				s := rtl.NewSimEngine(m, rtl.EngineNative)
-				if got := s.Engine(); got != rtl.EngineNative {
-					t.Errorf("%s %s: engine %q (registry stale? run go generate ./internal/rtl/native)",
-						spec.Name, shape, got)
+			all, err := core.AllWitnessSlice(ins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trained, err := core.Train(spec, core.Options{Seed: 42})
+			if err != nil {
+				t.Fatal(err)
+			}
+			quickJobs := spec.TrainJobs(42)
+			if len(quickJobs) > exp.QuickJobs {
+				quickJobs = quickJobs[:exp.QuickJobs]
+			}
+			quick, err := core.Train(spec, core.Options{Seed: 42, TrainJobs: quickJobs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, shape := range []struct {
+				suffix string
+				m      *rtl.Module
+			}{
+				{"_cone", cone.M},
+				{"_slice_all", all.M},
+				{"_slice_t42", trained.Slice.M},
+				{"_slice_quick", quick.Slice.M},
+			} {
+				name := spec.Name + shape.suffix
+				names[name] = true
+				built[rtl.Fingerprint(shape.m)] = true
+				if _, ok := rtl.NativeStepFor(shape.m); !ok {
+					t.Errorf("%s: no generated simulator (registry stale? run go generate ./internal/rtl/native)", name)
 				}
 			}
 		})
+	}
+	registered := rtl.NativeNames()
+	for _, name := range registered {
+		if !names[name] {
+			t.Errorf("generated simulator %s is not a shape any flow builds", name)
+		}
+	}
+	// Each registered name is a flow shape's and each distinct flow
+	// shape resolves, so equal counts leave no registered fingerprint
+	// that no flow builds.
+	if len(registered) != len(built) {
+		t.Errorf("%d generated simulators for %d distinct flow shapes", len(registered), len(built))
 	}
 }
 
 // TestGeneratedCodeMatchesInterpOnSuite is the differential check of
 // the emitted (checked-in) code itself, as opposed to the codegen plan
 // evaluator the rtl package fuzzes: for every benchmark, real jobs run
-// on the generated native sims for the raw design and the trained
+// on the generated native sims for the timing cone and the trained
 // predictor slice. Each job is stepped one cycle at a time with every
 // node value compared on every cycle, then run whole through Run (one
 // call of the generated function), and ticks, node values and memories
@@ -69,7 +108,11 @@ func TestGeneratedCodeMatchesInterpOnSuite(t *testing.T) {
 			if len(jobs) > 3 {
 				jobs = jobs[:3]
 			}
-			for _, m := range []*rtl.Module{spec.Build(), pred.Slice.M} {
+			cone, err := core.TimingCone(pred.Ins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range []*rtl.Module{cone.M, pred.Slice.M} {
 				nat := rtl.NewSimEngine(m, rtl.EngineNative)
 				if got := nat.Engine(); got != rtl.EngineNative {
 					t.Fatalf("%s: engine %q, want native (stale registry?)", m.Name, got)

@@ -5,12 +5,15 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/accel/stencil"
+	"repro/internal/core"
+	"repro/internal/instrument"
 	"repro/internal/rtl"
 	"repro/internal/rtl/codegen"
 	"repro/internal/testdesigns"
 
 	// Register the generated simulators so EngineNative resolves
-	// stencil in BenchmarkStencilSimNative, and the plan fallback.
+	// stencil's timing cone in BenchmarkStencilSimNative, and the plan
+	// fallback.
 	_ "repro/internal/rtl/native"
 )
 
@@ -57,17 +60,26 @@ func BenchmarkToySimInterp(b *testing.B) {
 }
 
 // benchAccel runs one real accelerator job repeatedly on the given
-// sim. stencil is used because its netlist is datapath-heavy and
-// representative of the suite's per-cycle cost.
+// sim of stencil's timing cone (core.TimingCone), the ground-truth
+// simulator every flow runs. stencil is used because its netlist is
+// datapath-heavy and representative of the suite's per-cycle cost.
 func benchAccel(b *testing.B, sim func(*rtl.Module) *rtl.Sim) {
 	spec := stencil.Spec()
-	m := spec.Build()
+	ins, err := instrument.Instrument(spec.Build())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cone, err := core.TimingCone(ins)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := cone.M
 	s := sim(m)
 	job := spec.TestJobs(3)[0]
 	b.ResetTimer()
 	total := uint64(0)
 	for i := 0; i < b.N; i++ {
-		c, err := accel.RunJob(s, job, spec.MaxTicks)
+		c, err := accel.RunCone(s, ins.M, job, spec.MaxTicks)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -79,13 +91,13 @@ func benchAccel(b *testing.B, sim func(*rtl.Module) *rtl.Sim) {
 }
 
 // BenchmarkStencilSim measures the plan fallback on a real accelerator
-// netlist.
+// netlist, stencil's timing cone.
 func BenchmarkStencilSim(b *testing.B) {
 	benchAccel(b, func(m *rtl.Module) *rtl.Sim { return rtl.NewNativeSim(m, codegen.Build(m).Step) })
 }
 
-// BenchmarkStencilSimNative measures the default engine: stencil's
-// checked-in generated simulator.
+// BenchmarkStencilSimNative measures the default engine: the
+// checked-in generated simulator of stencil's timing cone.
 func BenchmarkStencilSimNative(b *testing.B) {
 	benchAccel(b, func(m *rtl.Module) *rtl.Sim { return rtl.NewSimEngine(m, rtl.EngineNative) })
 }

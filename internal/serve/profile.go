@@ -17,8 +17,9 @@ import (
 // from one set of parts.
 type Profile struct {
 	// Pred is the trained predictor the cluster router simulates
-	// arriving jobs on (slice + full design). It may be nil for
-	// replay-only serving, where every job carries a Trace.
+	// arriving jobs on (the slice for the prediction, the timing cone
+	// for the ground truth). It may be nil for replay-only serving,
+	// where every job carries a Trace.
 	Pred *core.Predictor
 	// Device, Power and SlicePower are the DVFS profile and energy
 	// models, as in sim.Config.

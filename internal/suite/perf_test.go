@@ -12,9 +12,9 @@ import (
 // TestNativeEngineNoRegression guards the native (codegen) engine's
 // reason to exist: single-job latency, the quantity that matters on
 // the serving path where a prediction runs inline before each job.
-// Aggregate single-job throughput (instrumented full design + hardware
-// slice per job) across the whole suite must comfortably beat the
-// codegen plan the native fallback runs (BENCH_sim.json
+// Aggregate single-job throughput (timing cone + all-witness slice per
+// job, the shapes core.CollectTraces runs) across the whole suite must
+// comfortably beat the codegen plan the native fallback runs (BENCH_sim.json
 // native_vs_plan); the aggregate floor here is 2x so only a real
 // regression — not scheduler noise on a loaded runner — can trip it. Skipped under -short: it measures wall-clock
 // on purpose.
@@ -30,9 +30,8 @@ func TestNativeEngineNoRegression(t *testing.T) {
 	}
 	var pairs []pair
 	for _, spec := range All() {
-		ins, sl := instrumentAndSlice(t, spec)
 		job := spec.TestJobs(3)[0]
-		for _, m := range []*rtl.Module{ins.M, sl.M} {
+		for _, m := range coneAndSlice(t, spec) {
 			nat := rtl.NewSimEngine(m, rtl.EngineNative)
 			if got := nat.Engine(); got != rtl.EngineNative {
 				t.Fatalf("%s: native sim reports %q — regenerate internal/rtl/native", m.Name, got)
@@ -75,10 +74,10 @@ func TestNativeEngineNoRegression(t *testing.T) {
 
 // TestBatchEngineNoRegression guards bulk trace collection per
 // benchmark, the job the deleted batch engine did before native beat
-// it: collecting one trace (instrumented full design + hardware slice,
-// the exact work core.CollectTraces does per job) on the native engine
-// must comfortably beat the plan fallback on every benchmark, not just
-// in the suite aggregate that TestNativeEngineNoRegression checks
+// it: collecting one trace (timing cone + all-witness slice, the
+// shapes of the work core.CollectTraces does per job) on the native
+// engine must comfortably beat the plan fallback on every benchmark,
+// not just in the suite aggregate that TestNativeEngineNoRegression checks
 // (BENCH_sim.json native_vs_plan); the floor here is 1.5x so only a
 // real regression — or a benchmark silently falling back — can trip it.
 // Skipped under -short: it measures wall-clock on purpose.
@@ -90,11 +89,11 @@ func TestBatchEngineNoRegression(t *testing.T) {
 	for _, spec := range All() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			ins, sl := instrumentAndSlice(t, spec)
+			mods := coneAndSlice(t, spec)
 			job := spec.TestJobs(3)[0]
 			collector := func(sim func(*rtl.Module) *rtl.Sim) func() {
 				var sims []*rtl.Sim
-				for _, m := range []*rtl.Module{ins.M, sl.M} {
+				for _, m := range mods {
 					sims = append(sims, sim(m))
 				}
 				return func() {

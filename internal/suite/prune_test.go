@@ -15,9 +15,11 @@ import (
 // absint pruning on the real benchmarks: for every instrumented
 // design, the pruned twin must reproduce the unpruned interpreter's
 // observables bit-exactly on real jobs — tick count, every feature
-// witness register, and every surviving memory — under every
-// engine: interp, the codegen plan (the native fallback), and the
-// generated native code.
+// witness register, and every surviving memory — under interp and
+// the codegen plan (the native fallback). No flow simulates the pruned
+// twin, so it has no generated native code; the generated code is
+// checked against the interpreter on the shapes the flows build
+// (TestEnginesMatchOnSuite).
 func TestPrunedFullDesignMatchesOnSuite(t *testing.T) {
 	for _, spec := range All() {
 		spec := spec
@@ -55,7 +57,6 @@ func TestPrunedFullDesignMatchesOnSuite(t *testing.T) {
 			}{
 				{"interp", rtl.NewInterpSim(pm)},
 				{"plan", rtl.NewNativeSim(pm, codegen.Build(pm).Step)},
-				{"native", rtl.NewSimEngine(pm, rtl.EngineNative)},
 			}
 			ref := rtl.NewInterpSim(ins.M)
 			for ji, job := range jobs {

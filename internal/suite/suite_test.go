@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/accel"
+	"repro/internal/core"
 	"repro/internal/instrument"
 	"repro/internal/rtl"
 	"repro/internal/slice"
@@ -232,22 +233,31 @@ func TestExecutionTimesRoughlyMatchTable4(t *testing.T) {
 	}
 }
 
-// instrumentAndSlice builds the instrumented design and its full
-// hardware slice for a benchmark — the pair of modules every
-// trace-collection job simulates.
+// instrumentAndSlice builds the instrumented design and its
+// all-witness hardware slice for a benchmark, through the constructor
+// Train reads its features from (core.AllWitnessSlice).
 func instrumentAndSlice(t *testing.T, spec accel.Spec) (*instrument.Instrumented, *slice.Result) {
 	t.Helper()
 	ins, err := instrument.Instrument(spec.Build())
 	if err != nil {
 		t.Fatal(err)
 	}
-	keep := make([]int, len(ins.Features))
-	for i := range keep {
-		keep[i] = i
-	}
-	sl, err := slice.Slice(ins, keep, slice.DefaultOptions())
+	sl, err := core.AllWitnessSlice(ins)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ins, sl
+}
+
+// coneAndSlice returns a benchmark's timing cone and its all-witness
+// slice: the shapes of the pair of modules every trace-collection job
+// simulates (core.CollectTraces runs the cone and the trained slice).
+func coneAndSlice(t *testing.T, spec accel.Spec) []*rtl.Module {
+	t.Helper()
+	ins, sl := instrumentAndSlice(t, spec)
+	cone, err := core.TimingCone(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*rtl.Module{cone.M, sl.M}
 }
