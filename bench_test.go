@@ -412,10 +412,10 @@ func BenchmarkAblationDenseModel(b *testing.B) {
 }
 
 // BenchmarkRTLSimThroughput measures the cycle-accurate simulator —
-// the substrate everything above runs on — on aes's timing cone
-// (core.TimingCone), the ground-truth simulator every flow runs.
+// the substrate everything above runs on — on djpeg's timing cone
+// (core.TimingCone), the slowest ground-truth simulator a flow runs.
 func BenchmarkRTLSimThroughput(b *testing.B) {
-	spec, err := suite.ByName("aes")
+	spec, err := suite.ByName("djpeg")
 	if err != nil {
 		b.Fatal(err)
 	}

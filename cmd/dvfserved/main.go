@@ -66,7 +66,7 @@ import (
 )
 
 func main() {
-	fleet, handler, addr, err := setup(os.Args[1:], os.Stdout, os.Stderr)
+	fleet, srv, err := setup(os.Args[1:], os.Stdout, os.Stderr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dvfserved: %v\n", err)
 		if errors.Is(err, errUsage) {
@@ -75,8 +75,8 @@ func main() {
 		os.Exit(1)
 	}
 	defer fleet.Close()
-	fmt.Printf("dvfserved: listening on %s, serving %v\n", addr, fleet.Names())
-	if err := http.ListenAndServe(addr, handler); err != nil {
+	fmt.Printf("dvfserved: listening on %s, serving %v\n", srv.Addr, fleet.Names())
+	if err := srv.ListenAndServe(); err != nil {
 		fmt.Fprintf(os.Stderr, "dvfserved: %v\n", err)
 		os.Exit(1)
 	}
@@ -87,11 +87,21 @@ var errUsage = errors.New("usage")
 
 func usage(err error) error { return fmt.Errorf("%w: %v", errUsage, err) }
 
+// Server timeouts. A client gets readHeaderTimeout to send its request
+// headers, and an idle keep-alive connection is closed after
+// idleTimeout, so slow or abandoned clients cannot hold connections
+// open forever. Neither bounds a request in flight: a /v1/drain waits
+// for the queues however long that takes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // setup parses args, trains the predictors, and builds the fleet and
-// its HTTP handler; it also installs the process-wide fault injector,
+// the HTTP server that serves its API; it also installs the process-wide fault injector,
 // worker count and engine the flags select. Progress goes
 // to stdout, warnings to stderr.
-func setup(args []string, stdout, stderr io.Writer) (*cluster.Fleet, http.Handler, string, error) {
+func setup(args []string, stdout, stderr io.Writer) (*cluster.Fleet, *http.Server, error) {
 	fs := flag.NewFlagSet("dvfserved", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8437", "HTTP listen address")
@@ -119,18 +129,18 @@ func setup(args []string, stdout, stderr io.Writer) (*cluster.Fleet, http.Handle
 	autoscaleWindow := fs.Int("autoscale-window", 64, "autoscaler evaluation window in submissions")
 	maxBacklog := fs.Int("max-backlog", 0, "per-replica virtual backlog bound in jobs (0 = unbounded)")
 	if err := fs.Parse(args); err != nil {
-		return nil, nil, "", usage(err)
+		return nil, nil, usage(err)
 	}
 
 	routePolicy, err := cluster.ParsePolicy(*router)
 	if err != nil {
-		return nil, nil, "", usage(err)
+		return nil, nil, usage(err)
 	}
 	var injector *fault.Injector
 	if *faults != "" {
 		injector, err = fault.Parse(*faultSeed, *faults)
 		if err != nil {
-			return nil, nil, "", usage(err)
+			return nil, nil, usage(err)
 		}
 		// One injector serves every subsystem: the routers key stalls by
 		// pool name, training by job id — the sites never collide.
@@ -141,7 +151,7 @@ func setup(args []string, stdout, stderr io.Writer) (*cluster.Fleet, http.Handle
 	core.SetWorkers(*workers)
 	if *engine != "" {
 		if err := rtl.SetDefaultEngine(rtl.Engine(*engine)); err != nil {
-			return nil, nil, "", usage(err)
+			return nil, nil, usage(err)
 		}
 	}
 
@@ -167,10 +177,10 @@ func setup(args []string, stdout, stderr io.Writer) (*cluster.Fleet, http.Handle
 		entry, err := lab.Entry(name)
 		if err != nil {
 			fleet.Close()
-			return nil, nil, "", fmt.Errorf("train %s: %w", name, err)
+			return nil, nil, fmt.Errorf("train %s: %w", name, err)
 		}
-		if sl, cone := entry.Pred.Engines(); sl != rtl.EngineNative || cone != rtl.EngineNative {
-			offNative = append(offNative, fmt.Sprintf("%s (slice %s, timing cone %s)", name, sl, cone))
+		if sl, truth := entry.Pred.Engines(); sl != rtl.EngineNative || truth != rtl.EngineNative {
+			offNative = append(offNative, fmt.Sprintf("%s (slice %s, ground truth %s)", name, sl, truth))
 		}
 		if _, err := fleet.AddPool(cluster.Config{
 			Shard: serve.ShardConfig{
@@ -199,7 +209,7 @@ func setup(args []string, stdout, stderr io.Writer) (*cluster.Fleet, http.Handle
 			Autoscale:  scale,
 		}); err != nil {
 			fleet.Close()
-			return nil, nil, "", err
+			return nil, nil, err
 		}
 		fmt.Fprintf(stdout, "dvfserved: pool %s ready, %d %s-routed replica(s) (%s)\n",
 			name, *replicas, routePolicy.Name(), entry.Pred.Spec.Description)
@@ -210,7 +220,12 @@ func setup(args []string, stdout, stderr io.Writer) (*cluster.Fleet, http.Handle
 		fmt.Fprintf(stderr, "dvfserved: native engine fell back to the plan for %s; %d native fallbacks (regenerate with go generate ./internal/rtl/native)\n",
 			strings.Join(offNative, ", "), rtl.NativeFallbacks())
 	}
-	return fleet, cluster.NewAPI(fleet, suiteSource).Handler(), *addr, nil
+	return fleet, &http.Server{
+		Addr:              *addr,
+		Handler:           cluster.NewAPI(fleet, suiteSource).Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}, nil
 }
 
 // suiteSource generates request payloads by cycling the benchmark's

@@ -13,19 +13,25 @@ import (
 	"repro/internal/core"
 )
 
-// serveQuick builds the daemon from args (with -quick -benchmarks aes
-// prepended) and returns its handler.
-func serveQuick(t *testing.T, args ...string) http.Handler {
+// serverQuick builds the daemon from args (with -quick -benchmarks aes
+// prepended) and returns its server.
+func serverQuick(t *testing.T, args ...string) *http.Server {
 	t.Helper()
 	// -faults installs a process-wide injector; leave none behind.
 	t.Cleanup(func() { core.SetFaultInjector(nil) })
 	args = append([]string{"-quick", "-benchmarks", "aes"}, args...)
-	fleet, h, _, err := setup(args, io.Discard, io.Discard)
+	fleet, srv, err := setup(args, io.Discard, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(fleet.Close)
-	return h
+	return srv
+}
+
+// serveQuick is serverQuick's handler.
+func serveQuick(t *testing.T, args ...string) http.Handler {
+	t.Helper()
+	return serverQuick(t, args...).Handler
 }
 
 // postJobs submits a job stream and waits for the replicas to drain.
@@ -80,10 +86,27 @@ func TestFailureFlagsApply(t *testing.T) {
 // TestUnknownRouterRejected: a bad -router is a usage error, reported
 // before any training starts.
 func TestUnknownRouterRejected(t *testing.T) {
-	if _, _, _, err := setup([]string{"-router", "bogus"}, io.Discard, io.Discard); !errors.Is(err, errUsage) {
+	if _, _, err := setup([]string{"-router", "bogus"}, io.Discard, io.Discard); !errors.Is(err, errUsage) {
 		t.Fatalf("-router bogus: err %v, want a usage error", err)
 	}
-	if _, _, _, err := setup([]string{"-overflow", "degrade"}, io.Discard, io.Discard); !errors.Is(err, errUsage) {
+	if _, _, err := setup([]string{"-overflow", "degrade"}, io.Discard, io.Discard); !errors.Is(err, errUsage) {
 		t.Fatalf("-overflow is gone, but setup accepted it: %v", err)
+	}
+}
+
+// TestServerHasTimeouts: the server setup returns bounds how long a
+// client may take to send its headers and how long an idle keep-alive
+// connection stays open, and listens on -addr.
+func TestServerHasTimeouts(t *testing.T) {
+	srv := serverQuick(t, "-addr", "127.0.0.1:0")
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.IdleTimeout != idleTimeout {
+		t.Fatalf("ReadHeaderTimeout %v, IdleTimeout %v; want %v, %v",
+			srv.ReadHeaderTimeout, srv.IdleTimeout, readHeaderTimeout, idleTimeout)
+	}
+	if readHeaderTimeout <= 0 || idleTimeout <= 0 {
+		t.Fatalf("timeouts must be positive: %v, %v", readHeaderTimeout, idleTimeout)
+	}
+	if srv.Addr != "127.0.0.1:0" || srv.Handler == nil {
+		t.Fatalf("server addr %q, handler %v", srv.Addr, srv.Handler)
 	}
 }

@@ -4,10 +4,12 @@
 // into specialized straight-line Go via internal/rtl/codegen:
 //
 //   - the timing cone (core.TimingCone): the ground-truth simulator of
-//     Train and of every JobSimulator; model-independent, so one per
-//     benchmark,
+//     Train and of every JobSimulator on a design that is not
+//     certified (see core.GroundTruth); model-independent, so one per
+//     such benchmark,
 //   - the all-witness slice (core.AllWitnessSlice), which Train reads
-//     every feature from,
+//     every feature from, and which is also the ground-truth simulator
+//     of a certified design (aes and sha),
 //   - the trained predictor slice for the canonical training seed (42,
 //     the default of simbench/slicegen) — the latency-critical module
 //     on the serving path, and
@@ -103,13 +105,9 @@ func main() {
 
 // variants builds the netlist shapes worth pre-generating for one
 // benchmark through the constructors the production flows call (the
-// timing cone, the all-witness slice, trained slices).
+// ground truth, the all-witness slice, trained slices).
 func variants(spec accel.Spec) ([]variant, error) {
 	ins, err := instrument.Instrument(spec.Build())
-	if err != nil {
-		return nil, err
-	}
-	cone, err := core.TimingCone(ins)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +115,15 @@ func variants(spec accel.Spec) ([]variant, error) {
 	if err != nil {
 		return nil, err
 	}
-	vars := []variant{{spec.Name + "_cone", cone.M}, {spec.Name + "_slice_all", all.M}}
+	var vars []variant
+	truth, certified, err := core.GroundTruth(ins, all)
+	if err != nil {
+		return nil, err
+	}
+	if !certified {
+		vars = append(vars, variant{spec.Name + "_cone", truth.M})
+	}
+	vars = append(vars, variant{spec.Name + "_slice_all", all.M})
 
 	pred, err := core.Train(spec, core.Options{Seed: trainSeed})
 	if err != nil {

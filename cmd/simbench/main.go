@@ -19,22 +19,20 @@
 //
 //  1. engine speed (ns/cycle, Mevals/s) for interp, the codegen plan
 //     (the native fallback), and native (pre-generated straight-line
-//     code) on the Toy design and on every benchmark's timing cone
-//     (core.TimingCone, the ground-truth simulator), with per-design
-//     speedup ratios. Toy has no generated native simulator by design,
-//     so it has no native row (a native request would measure the plan
-//     fallback); section 1b adds the static win of absint pruning on
-//     each benchmark's all-witness slice (combinational nodes,
-//     unpruned vs pruned),
+//     code) on the Toy design and on every benchmark's ground-truth
+//     simulator (core.GroundTruth: the all-witness slice of a certified
+//     design, else the timing cone), with per-design speedup ratios.
+//     Toy has no generated native simulator by design, so it has no
+//     native row (a native request would measure the plan fallback),
 //  2. CollectTraces wall-clock swept across worker counts (1, 2, 4, 8,
 //     capped at -workers, default GOMAXPROCS) under the native engine,
 //  3. trace-collection throughput per benchmark — one CollectTraces
-//     job as it runs: the timing cone plus the slice trained at -seed
-//     — plan jobs/s vs native jobs/s and their ratio,
+//     job as it runs: the ground-truth simulator plus the slice
+//     trained at -seed — plan jobs/s vs native jobs/s and their ratio,
 //  4. the wall-clock of warming the full (quick) experiment lab
 //     (skipped with -warm=false),
-//  5. per benchmark, the timing cone on native code over several jobs:
-//     ns/cycle, µs/job, combinational nodes and memories.
+//  5. per benchmark, the ground-truth simulator on native code over
+//     several jobs: ns/cycle, µs/job, combinational nodes and memories.
 //
 // -designs restricts sections 1, 3 and 5 to a comma-separated subset of
 // benchmarks (CI smoke runs use this). -engine sets the process-wide
@@ -137,8 +135,8 @@ type TraceResult struct {
 }
 
 // ThroughputResult is one benchmark's trace-collection throughput:
-// plan vs native on the same work (one CollectTraces job: a timing-cone
-// run plus a trained-slice run).
+// plan vs native on the same work (one CollectTraces job: a
+// ground-truth run plus a trained-slice run).
 type ThroughputResult struct {
 	Benchmark      string  `json:"benchmark"`
 	PlanJobsPerS   Dist    `json:"plan_jobs_per_s"`
@@ -146,28 +144,23 @@ type ThroughputResult struct {
 	NativeVsPlan   float64 `json:"native_vs_plan"`
 }
 
-// PruneResult records the static win of absint pruning on one
-// benchmark: combinational nodes (those an engine evaluates each
-// cycle, see rtl.CombNodes) of its all-witness slice, unpruned vs
-// pruned.
-type PruneResult struct {
-	Benchmark       string `json:"benchmark"`
-	SliceComb       int    `json:"slice_comb"`
-	SliceCombPruned int    `json:"slice_comb_pruned"`
-}
-
-// ConeResult times one benchmark's ground-truth simulator, the timing
-// cone, on the native engine over several jobs.
-type ConeResult struct {
+// TruthResult times one benchmark's ground-truth simulator (see
+// core.GroundTruth) on the native engine over several jobs.
+type TruthResult struct {
 	Benchmark string `json:"benchmark"`
+	// Simulator names the module: "slice_all" (a certified design's
+	// all-witness slice, whose ticks plus closed-form elided cycles
+	// are the design's) or "cone" (the timing cone).
+	Simulator string `json:"simulator"`
 	Jobs      int    `json:"jobs"`
-	// ConeComb counts combinational nodes (rtl.CombNodes); ConeMems
-	// counts memories, each zeroed on every Reset.
-	ConeComb int `json:"cone_comb"`
-	ConeMems int `json:"cone_mems"`
-	// NsPerCycle and UsPerJob time the same samples two ways.
-	ConeNsPerCycle Dist `json:"cone_ns_per_cycle"`
-	ConeUsPerJob   Dist `json:"cone_us_per_job"`
+	// Comb counts combinational nodes (rtl.CombNodes); Mems counts
+	// memories, each zeroed on every Reset unless the job loads it.
+	Comb int `json:"comb"`
+	Mems int `json:"mems"`
+	// NsPerCycle and UsPerJob time the same samples two ways; cycles
+	// are the simulator's own.
+	NsPerCycle Dist `json:"ns_per_cycle"`
+	UsPerJob   Dist `json:"us_per_job"`
 }
 
 // Report is the BENCH_sim.json schema.
@@ -177,11 +170,10 @@ type Report struct {
 	SamplesPerCell  int                `json:"samples_per_cell"`
 	MaxWorkers      int                `json:"max_workers"`
 	Designs         []DesignResult     `json:"designs"`
-	Prune           []PruneResult      `json:"prune"`
 	WorkerSweep     []TraceResult      `json:"worker_sweep"`
 	TraceThroughput []ThroughputResult `json:"trace_throughput"`
 	SuiteWallclockS *Dist              `json:"suite_wallclock_s,omitempty"`
-	Cone            []ConeResult       `json:"cone"`
+	Truth           []TruthResult      `json:"truth"`
 	// NativeFallbacks is rtl.NativeFallbacks at the end of the run:
 	// native requests that silently measured the plan fallback.
 	NativeFallbacks uint64 `json:"native_fallbacks"`
@@ -346,28 +338,18 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		cone, err := core.TimingCone(ins)
+		truth, name, err := groundTruth(ins)
 		if err != nil {
 			return err
 		}
 		job := spec.TestJobs(3)[0]
-		dr, err := measureDesign(spec.Name+"_cone", cone.M, *reps, func(s *rtl.Sim) func() (uint64, error) {
+		dr, err := measureDesign(spec.Name+"_"+name, truth.M, *reps, func(s *rtl.Sim) func() (uint64, error) {
 			return func() (uint64, error) { return accel.RunCone(s, ins.M, job, spec.MaxTicks) }
 		})
 		if err != nil {
 			return err
 		}
 		rep.Designs = append(rep.Designs, dr)
-	}
-
-	// 1b. Static pruning win: combinational nodes, unpruned vs
-	// absint-pruned, for each benchmark's all-witness slice.
-	for _, spec := range specs {
-		pr, err := measurePrune(spec)
-		if err != nil {
-			return err
-		}
-		rep.Prune = append(rep.Prune, pr)
 	}
 
 	// 2. CollectTraces fan-out: sweep worker counts 1, 2, 4, 8 (capped
@@ -423,7 +405,7 @@ func run() error {
 	core.SetWorkers(*workers)
 
 	// 3. Trace-collection throughput per benchmark: the work one
-	// CollectTraces job does (timing cone + trained slice), plan vs
+	// CollectTraces job does (ground truth + trained slice), plan vs
 	// native, in jobs/s.
 	for _, spec := range specs {
 		tr, err := measureTraceThroughput(spec, *seed)
@@ -447,13 +429,13 @@ func run() error {
 		d := newDist(samples[0])
 		rep.SuiteWallclockS = &d
 	}
-	// 5. Ground truth: the timing cone, native.
+	// 5. Ground truth, native.
 	for _, spec := range specs {
-		cr, err := measureCone(spec)
+		tr, err := measureTruth(spec)
 		if err != nil {
 			return err
 		}
-		rep.Cone = append(rep.Cone, cr)
+		rep.Truth = append(rep.Truth, tr)
 	}
 	rep.NativeFallbacks = rtl.NativeFallbacks()
 
@@ -508,36 +490,26 @@ func commit() string {
 	return rev
 }
 
-// measurePrune counts the combinational nodes of each benchmark's
-// all-witness slice with and without absint pruning.
-func measurePrune(spec accel.Spec) (PruneResult, error) {
-	ins, err := instrument.Instrument(spec.Build())
+// groundTruth builds the module a predictor of ins takes ground truth
+// from (see core.GroundTruth) and names its shape as cmd/rtlgen does:
+// "slice_all" or "cone".
+func groundTruth(ins *instrument.Instrumented) (*slice.Result, string, error) {
+	all, err := core.AllWitnessSlice(ins)
 	if err != nil {
-		return PruneResult{}, err
+		return nil, "", err
 	}
-	kept := make([]int, len(ins.Features))
-	for i := range kept {
-		kept[i] = i
-	}
-	plain := slice.DefaultOptions()
-	plain.Prune = false
-	slP, err := slice.Slice(ins, kept, plain)
+	truth, certified, err := core.GroundTruth(ins, all)
 	if err != nil {
-		return PruneResult{}, err
+		return nil, "", err
 	}
-	slA, err := core.AllWitnessSlice(ins)
-	if err != nil {
-		return PruneResult{}, err
+	if certified {
+		return truth, "slice_all", nil
 	}
-	return PruneResult{
-		Benchmark:       spec.Name,
-		SliceComb:       rtl.CombNodes(slP.M),
-		SliceCombPruned: rtl.CombNodes(slA.M),
-	}, nil
+	return truth, "cone", nil
 }
 
 // measureTraceThroughput times the per-job work of CollectTraces — one
-// timing-cone simulation plus one simulation of the slice trained at
+// ground-truth simulation plus one simulation of the slice trained at
 // seed, each loading only the memories it kept (accel.RunCone) — on the
 // plan and native engines, each sample traceReps jobs.
 func measureTraceThroughput(spec accel.Spec, seed int64) (ThroughputResult, error) {
@@ -545,7 +517,7 @@ func measureTraceThroughput(spec accel.Spec, seed int64) (ThroughputResult, erro
 	if err != nil {
 		return ThroughputResult{}, err
 	}
-	cone, err := core.TimingCone(pred.Ins)
+	truth, _, err := groundTruth(pred.Ins)
 	if err != nil {
 		return ThroughputResult{}, err
 	}
@@ -561,10 +533,10 @@ func measureTraceThroughput(spec accel.Spec, seed int64) (ThroughputResult, erro
 		if eng == rtl.EngineNative {
 			sim = func(m *rtl.Module) *rtl.Sim { return rtl.NewSimEngine(m, rtl.EngineNative) }
 		}
-		coneS, sliceS := sim(cone.M), sim(pred.Slice.M)
+		truthS, sliceS := sim(truth.M), sim(pred.Slice.M)
 		cells = append(cells, cell{engine: eng, run: func() (uint64, error) {
 			for i := 0; i < traceReps; i++ {
-				for _, s := range []*rtl.Sim{coneS, sliceS} {
+				for _, s := range []*rtl.Sim{truthS, sliceS} {
 					if _, err := accel.RunCone(s, design, job, spec.MaxTicks); err != nil {
 						return 0, err
 					}
@@ -592,22 +564,22 @@ func measureTraceThroughput(spec accel.Spec, seed int64) (ThroughputResult, erro
 	}, nil
 }
 
-// measureCone times the timing cone on the native engine, each sample
-// coneJobs jobs run back to back the way the flows run them
-// (accel.RunCone, which loads only the memories the cone kept).
-func measureCone(spec accel.Spec) (ConeResult, error) {
+// measureTruth times the ground-truth simulator on the native engine,
+// each sample truthJobs jobs run back to back the way the flows run
+// them (accel.RunCone, which loads only the memories the module kept).
+func measureTruth(spec accel.Spec) (TruthResult, error) {
 	ins, err := instrument.Instrument(spec.Build())
 	if err != nil {
-		return ConeResult{}, err
+		return TruthResult{}, err
 	}
-	cone, err := core.TimingCone(ins)
+	truth, name, err := groundTruth(ins)
 	if err != nil {
-		return ConeResult{}, err
+		return TruthResult{}, err
 	}
-	const coneJobs = 8
-	jobs := spec.TestJobs(3)[:coneJobs]
+	const truthJobs = 8
+	jobs := spec.TestJobs(3)[:truthJobs]
 	runtime.GC()
-	cs := rtl.NewSimEngine(cone.M, rtl.EngineNative)
+	cs := rtl.NewSimEngine(truth.M, rtl.EngineNative)
 	c := cell{engine: rtl.EngineNative, run: func() (uint64, error) {
 		var cycles uint64
 		for _, job := range jobs {
@@ -621,26 +593,27 @@ func measureCone(spec accel.Spec) (ConeResult, error) {
 	}}
 	cycles, err := c.run()
 	if err != nil {
-		return ConeResult{}, fmt.Errorf("%s: %w", spec.Name, err)
+		return TruthResult{}, fmt.Errorf("%s: %w", spec.Name, err)
 	}
 	samples, err := sampleCells([]cell{c})
 	if err != nil {
-		return ConeResult{}, fmt.Errorf("%s: %w", spec.Name, err)
+		return TruthResult{}, fmt.Errorf("%s: %w", spec.Name, err)
 	}
 	// Every sample runs the same jobs for the same cycles, so seconds
 	// per cycle converts exactly to µs per job.
 	perJob := make([]float64, len(samples[0]))
 	for i, secs := range samples[0] {
-		perJob[i] = secs * float64(cycles) / coneJobs * 1e6
+		perJob[i] = secs * float64(cycles) / truthJobs * 1e6
 		samples[0][i] = secs * 1e9
 	}
-	return ConeResult{
-		Benchmark:      spec.Name,
-		Jobs:           coneJobs,
-		ConeComb:       rtl.CombNodes(cone.M),
-		ConeMems:       len(cone.M.Mems),
-		ConeNsPerCycle: newDist(samples[0]),
-		ConeUsPerJob:   newDist(perJob),
+	return TruthResult{
+		Benchmark:  spec.Name,
+		Simulator:  name,
+		Jobs:       truthJobs,
+		Comb:       rtl.CombNodes(truth.M),
+		Mems:       len(truth.M.Mems),
+		NsPerCycle: newDist(samples[0]),
+		UsPerJob:   newDist(perJob),
 	}, nil
 }
 

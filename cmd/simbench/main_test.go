@@ -25,18 +25,20 @@ func TestNewDist(t *testing.T) {
 	}
 }
 
-// TestReport runs simbench end to end on one benchmark and checks the
-// report's shape: every cell carries samplesPerCell samples, toy has no
-// native row (it has no generated simulator), the benchmark's timing
-// cone is measured on all three engines (interp, plan, native) and
-// native beats the plan, the cone row keeps fewer memories than the
-// instrumented design, and nothing fell back — every shape simbench
-// times has generated code.
+// TestReport runs simbench end to end on two benchmarks, stencil
+// (ground truth on its timing cone) and sha (certified: ground truth on
+// its all-witness slice), and checks the report's shape: every cell
+// carries samplesPerCell samples, toy has no native row (it has no
+// generated simulator), each benchmark's ground-truth simulator is
+// measured on all three engines (interp, plan, native) and native
+// beats the plan, each ground-truth row names its simulator and keeps
+// fewer memories than the instrumented design, and nothing fell back —
+// every shape simbench times has generated code.
 func TestReport(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "bench.json")
 	args := os.Args
 	defer func() { os.Args = args }()
-	os.Args = []string{"simbench", "-designs", "stencil", "-reps", "2", "-warm=false", "-out", out}
+	os.Args = []string{"simbench", "-designs", "stencil,sha", "-reps", "2", "-warm=false", "-out", out}
 	if err := run(); err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +56,10 @@ func TestReport(t *testing.T) {
 	if rep.NativeFallbacks != 0 {
 		t.Errorf("%d native fallbacks", rep.NativeFallbacks)
 	}
-	if len(rep.Designs) != 2 || rep.Designs[1].Design != "stencil_cone" {
-		t.Fatalf("designs %+v, want toy and stencil_cone", rep.Designs)
+	if len(rep.Designs) != 3 || rep.Designs[1].Design != "stencil_cone" || rep.Designs[2].Design != "sha_slice_all" {
+		t.Fatalf("designs %+v, want toy, stencil_cone and sha_slice_all", rep.Designs)
 	}
-	for i, want := range []int{2, 3} {
+	for i, want := range []int{2, 3, 3} {
 		d := rep.Designs[i]
 		if len(d.Engines) != want {
 			t.Errorf("%s: %d engine rows, want %d", d.Design, len(d.Engines), want)
@@ -71,27 +73,34 @@ func TestReport(t *testing.T) {
 	if d := rep.Designs[0]; d.NativeVsPlan != 0 {
 		t.Errorf("toy reports native_vs_plan %g without a generated simulator", d.NativeVsPlan)
 	}
-	if d := rep.Designs[1]; d.NativeVsPlan <= 1 {
-		t.Errorf("stencil native_vs_plan %g, want > 1", d.NativeVsPlan)
-	}
-	if len(rep.WorkerSweep) == 0 || len(rep.TraceThroughput) != 1 || len(rep.Prune) != 1 || rep.SuiteWallclockS != nil {
-		t.Errorf("sections: %d sweep, %d throughput, %d prune, wall-clock %v",
-			len(rep.WorkerSweep), len(rep.TraceThroughput), len(rep.Prune), rep.SuiteWallclockS)
-	}
-	if len(rep.Cone) != 1 {
-		t.Fatalf("%d cone rows, want stencil's", len(rep.Cone))
-	}
-	c := rep.Cone[0]
-	for _, d := range []Dist{c.ConeNsPerCycle, c.ConeUsPerJob} {
-		if d.K != samplesPerCell || d.Q1 > d.Median || d.Median > d.Q3 {
-			t.Errorf("cone row %+v", d)
+	for _, d := range rep.Designs[1:] {
+		if d.NativeVsPlan <= 1 {
+			t.Errorf("%s native_vs_plan %g, want > 1", d.Design, d.NativeVsPlan)
 		}
 	}
-	spec, err := suite.ByName("stencil")
-	if err != nil {
-		t.Fatal(err)
+	if len(rep.WorkerSweep) == 0 || len(rep.TraceThroughput) != 2 || rep.SuiteWallclockS != nil {
+		t.Errorf("sections: %d sweep, %d throughput, wall-clock %v",
+			len(rep.WorkerSweep), len(rep.TraceThroughput), rep.SuiteWallclockS)
 	}
-	if mems := len(spec.Build().Mems); c.Jobs < 1 || c.ConeComb < 1 || c.ConeMems < 1 || c.ConeMems >= mems {
-		t.Errorf("cone: %d jobs, %d comb nodes, %d of the design's %d mems", c.Jobs, c.ConeComb, c.ConeMems, mems)
+	if len(rep.Truth) != 2 {
+		t.Fatalf("%d ground-truth rows, want stencil's and sha's", len(rep.Truth))
+	}
+	for i, want := range []string{"cone", "slice_all"} {
+		c := rep.Truth[i]
+		if c.Simulator != want {
+			t.Errorf("%s ground truth runs on %q, want %q", c.Benchmark, c.Simulator, want)
+		}
+		for _, d := range []Dist{c.NsPerCycle, c.UsPerJob} {
+			if d.K != samplesPerCell || d.Q1 > d.Median || d.Median > d.Q3 {
+				t.Errorf("%s ground-truth row %+v", c.Benchmark, d)
+			}
+		}
+		spec, err := suite.ByName(c.Benchmark)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mems := len(spec.Build().Mems); c.Jobs < 1 || c.Comb < 1 || c.Mems < 1 || c.Mems >= mems {
+			t.Errorf("%s ground truth: %d jobs, %d comb nodes, %d of the design's %d mems", c.Benchmark, c.Jobs, c.Comb, c.Mems, mems)
+		}
 	}
 }

@@ -99,16 +99,19 @@ func RunJob(s *rtl.Sim, job Job, maxTicks uint64) (uint64, error) {
 	return s.Run(maxTicks)
 }
 
-// RunCone is RunJob for a simulator of a slice of design that keeps its
-// timing (see core.TimingCone). Each job memory is checked against
-// design, so a job fails exactly when RunJob on design would fail, but
-// only the memories the slice kept are loaded.
+// RunCone is RunJob for a simulator of a slice of design (see
+// core.TimingCone and core.AllWitnessSlice). Each job memory is checked
+// against design, so a job fails exactly when RunJob on design would
+// fail, but only the memories the slice kept are loaded, and those are
+// not zeroed first (see rtl.Sim.ResetFor).
 func RunCone(s *rtl.Sim, design *rtl.Module, job Job, maxTicks uint64) (uint64, error) {
-	s.Reset()
-	for name, data := range job.Mems { //detlint:allow each iteration checks or loads a distinct memory; order-independent
+	for name, data := range job.Mems { //detlint:allow each iteration checks a distinct memory; order-independent
 		if err := design.CheckLoad(name, len(data)); err != nil {
 			return 0, fmt.Errorf("accel: load %s: %w", name, err)
 		}
+	}
+	s.ResetFor(job.Mems)
+	for name, data := range job.Mems { //detlint:allow each iteration loads a distinct memory; order-independent
 		if s.Mem(name) == nil {
 			continue // dropped: nothing the slice keeps reads it
 		}

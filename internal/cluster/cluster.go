@@ -4,7 +4,7 @@
 // behind a router that does predict-then-place.
 //
 // The trained-slice prediction runs once, at the router: the arriving
-// job is simulated (slice, then the timing cone for ground truth) on
+// job is simulated (slice, then the ground-truth simulator) on
 // the pool's own predictor clone, and the resulting trace — which
 // carries both the prediction and the actual cycle count — is what the
 // chosen replica replays. The router also owns the prediction-attempt
@@ -185,7 +185,7 @@ type Pool struct {
 	// predHist and execHist time the router's simulation of payload
 	// jobs in wall-clock nanoseconds: predHist the prediction (hardware
 	// slice run plus model, JobSimulator.Predict), execHist the
-	// ground-truth timing-cone run (JobSimulator.Complete, or Execute on
+	// ground-truth run (JobSimulator.Complete, or Execute on
 	// the degraded last resort). Each is labeled with the engine its simulator
 	// resolved to. Neither enters PoolStats: stats must stay a
 	// deterministic function of the job stream, and wall-clock is not.
@@ -272,8 +272,8 @@ func NewPool(cfg Config) (*Pool, error) {
 	p := &Pool{cfg: cfg, js: cfg.Shard.Profile.NewJobSimulator(), policy: policy, needKey: !keyless,
 		predHist: serve.NsHistogram(), execHist: serve.NsHistogram()}
 	if p.js != nil {
-		sl, full := p.js.Engines()
-		p.predEngine, p.execEngine = string(sl), string(full)
+		sl, truth := p.js.Engines()
+		p.predEngine, p.execEngine = string(sl), string(truth)
 	}
 	if cfg.Shard.Online != nil {
 		tr, err := online.NewTrainer(cfg.Shard.Pred, cfg.Shard.Profile.Stepper, cfg.Shard.Deadline, *cfg.Shard.Online)
@@ -465,7 +465,7 @@ func (p *Pool) simulate(j *Job, degraded bool) (*core.JobTrace, bool, error) {
 }
 
 // simResult is one simulation attempt's outcome plus the wall-clock
-// nanoseconds its prediction and timing-cone halves took (zero for a
+// nanoseconds its prediction and ground-truth halves took (zero for a
 // half that did not run).
 type simResult struct {
 	tr             core.JobTrace
@@ -474,8 +474,8 @@ type simResult struct {
 }
 
 // execute runs one simulation attempt: the slice-driven prediction and
-// then the timing cone (the full design's exact done cycle), or — on
-// the degraded path — the timing cone alone, because the predictor is
+// then the ground truth (the full design's exact done cycle), or — on
+// the degraded path — the ground truth alone, because the predictor is
 // the component that fell behind.
 func execute(js *core.JobSimulator, job accel.Job, degraded bool) simResult {
 	start := time.Now() //detlint:allow metrics-only wall-clock; no effect on serving behavior

@@ -15,15 +15,15 @@ import (
 	"repro/internal/testdesigns"
 )
 
-// TestTimingConeMatchesOnSuite is the exactness gate for taking ground
-// truth from the timing cone instead of the full design. On every
-// seed-42 training job and every seed-43 test job (the lab's workloads)
-// of all seven benchmarks, the cone must reproduce the unpruned
-// instrumented design run by the interpreter — the tick count and every
-// IC witness — under each engine: interp, the codegen plan (the native
-// fallback) and the generated native code every predictor binds.
-// JobSimulator.Trace on each leg must report the design's Ticks,
-// Seconds and Items. -short and -race builds take every 16th job.
+// TestTimingConeMatchesOnSuite is the exactness gate for the timing
+// cone, the ground-truth simulator of every design that is not
+// certified. On every seed-42 training job and every seed-43 test job
+// (the lab's workloads) of all seven benchmarks, the cone must
+// reproduce the unpruned instrumented design run by the interpreter —
+// the tick count and every IC witness — under each engine: interp, the
+// codegen plan and the default engine. JobSimulator.Trace on each leg
+// must report the design's Ticks, Seconds and Items. -short and -race
+// builds take every 16th job.
 func TestTimingConeMatchesOnSuite(t *testing.T) {
 	for _, spec := range suite.All() {
 		spec := spec
@@ -34,17 +34,14 @@ func TestTimingConeMatchesOnSuite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			served := p.NewJobSimulator()
-			if _, e := served.Engines(); e != rtl.DefaultEngine() {
-				t.Fatalf("served cone runs on %s, want %s", e, rtl.DefaultEngine())
-			}
+			cp := withTruth(p, groundTruth{sl: cone, items: itemRegs(p.Ins, cone)})
 			legs := []struct {
 				name string
 				js   *JobSimulator
 			}{
-				{"interp", &JobSimulator{p: p, cone: rtl.NewInterpSim(cone.M), slice: p.sliceSim.Clone()}},
-				{"plan", &JobSimulator{p: p, cone: rtl.NewNativeSim(cone.M, codegen.Build(cone.M).Step), slice: p.sliceSim.Clone()}},
-				{string(rtl.DefaultEngine()), served},
+				{"interp", &JobSimulator{p: cp, truth: rtl.NewInterpSim(cone.M), slice: p.sliceSim.Clone()}},
+				{"plan", &JobSimulator{p: cp, truth: rtl.NewNativeSim(cone.M, codegen.Build(cone.M).Step), slice: p.sliceSim.Clone()}},
+				{string(rtl.DefaultEngine()), cp.NewJobSimulator()},
 			}
 			var ics []int // positions in cone.Kept of the IC witnesses
 			for i, k := range cone.Kept {
@@ -82,7 +79,7 @@ func TestTimingConeMatchesOnSuite(t *testing.T) {
 					}
 					for _, i := range ics {
 						f := p.Ins.Features[cone.Kept[i]]
-						if got, w := leg.js.cone.RegValue(cone.WitnessRegs[i]), ref.RegValue(f.Witness); got != w {
+						if got, w := leg.js.truth.RegValue(cone.WitnessRegs[i]), ref.RegValue(f.Witness); got != w {
 							t.Fatalf("job %d (%s cone): witness %s = %d, full design (interp) %d", ji, leg.name, f.Name, got, w)
 						}
 					}
@@ -90,6 +87,91 @@ func TestTimingConeMatchesOnSuite(t *testing.T) {
 			}
 		})
 	}
+}
+
+// certifiedBenches are the benchmarks whose every elided wait is a
+// counter loaded with one constant; the other five elide a wait whose
+// counter is loaded from job data (djpeg also elides a data wait), so
+// they keep the timing cone.
+var certifiedBenches = map[string]bool{"aes": true, "sha": true}
+
+// TestGroundTruthMatchesCone is the exactness gate for certified
+// ground truth. Exactly aes and sha are certified; every other
+// benchmark serves on its timing cone. On every training and test job
+// of aes and sha at seeds 42, 43 and 7, the all-witness slice's ticks
+// plus its elided cycles, and its Items, must equal the timing cone's
+// under each engine: interp, the codegen plan and the served default
+// engine (the cone, exact by TestTimingConeMatchesOnSuite, runs on the
+// plan). -short and -race builds take every 16th job.
+func TestGroundTruthMatchesCone(t *testing.T) {
+	for _, spec := range suite.All() {
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
+			t.Parallel()
+			p := loadUntrained(t, spec)
+			served := p.NewJobSimulator()
+			if _, e := served.Engines(); e != rtl.DefaultEngine() {
+				t.Fatalf("served ground truth runs on %s, want %s", e, rtl.DefaultEngine())
+			}
+			if p.truth.certified != certifiedBenches[spec.Name] {
+				t.Fatalf("certified = %v, want %v", p.truth.certified, certifiedBenches[spec.Name])
+			}
+			if !p.truth.certified {
+				if !strings.HasSuffix(p.truth.sl.M.Name, "_cone") {
+					t.Fatalf("uncertified design serves on %s, not its timing cone", p.truth.sl.M.Name)
+				}
+				return
+			}
+			cone, err := TimingCone(p.Ins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp := withTruth(p, groundTruth{sl: cone, items: itemRegs(p.Ins, cone)})
+			ref := &JobSimulator{p: cp, truth: rtl.NewNativeSim(cone.M, codegen.Build(cone.M).Step), slice: p.sliceSim.Clone()}
+			m := p.truth.sl.M
+			legs := []struct {
+				name string
+				js   *JobSimulator
+			}{
+				{"interp", &JobSimulator{p: p, truth: rtl.NewInterpSim(m), slice: p.sliceSim.Clone()}},
+				{"plan", &JobSimulator{p: p, truth: rtl.NewNativeSim(m, codegen.Build(m).Step), slice: p.sliceSim.Clone()}},
+				{string(rtl.DefaultEngine()), served},
+			}
+			var jobs []accel.Job
+			for _, seed := range []int64{42, 43, 7} {
+				jobs = append(jobs, spec.TrainJobs(seed)...)
+				jobs = append(jobs, spec.TestJobs(seed)...)
+			}
+			stride := 1
+			if testing.Short() || raceEnabled {
+				stride = 16
+			}
+			for ji := 0; ji < len(jobs); ji += stride {
+				want, err := ref.Trace(jobs[ji])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, leg := range legs {
+					tr, err := leg.js.Trace(jobs[ji])
+					if err != nil {
+						t.Fatalf("job %d (%s): %v", ji, leg.name, err)
+					}
+					if tr.Ticks != want.Ticks || tr.Seconds != want.Seconds || tr.Items != want.Items {
+						t.Fatalf("job %d (%s): ticks %d, seconds %g, items %g; timing cone %d, %g, %g",
+							ji, leg.name, tr.Ticks, tr.Seconds, tr.Items, want.Ticks, want.Seconds, want.Items)
+					}
+				}
+			}
+		})
+	}
+}
+
+// withTruth returns a predictor with p's slice and model that takes
+// ground truth from g.
+func withTruth(p *Predictor, g groundTruth) *Predictor {
+	q := &Predictor{Spec: p.Spec, Ins: p.Ins, Model: p.Model, Gamma: p.Gamma, Kept: p.Kept,
+		Slice: p.Slice, Bounds: p.Bounds, SliceBounds: p.SliceBounds}
+	return q.withSims(g)
 }
 
 // loadUntrained builds spec's predictor through Load from a one-term
@@ -214,5 +296,53 @@ func TestTimingConeWithoutICFeatures(t *testing.T) {
 	}
 	if len(cone.Kept) != 1 || cone.Kept[0] != 0 || len(itemRegs(ins, cone)) != 0 {
 		t.Errorf("cone keeps %v with %d Items registers; want feature 0 and none", cone.Kept, len(itemRegs(ins, cone)))
+	}
+}
+
+// TestServedSliceTicksMatchAllWitness: the slice a predictor serves
+// (trained at seed 42) runs exactly as many ticks as the all-witness
+// slice on every training and test job at seeds 42 and 43, on all
+// seven benchmarks. Both elide the same waits, so the closed-form
+// elided cycles that make a certified design's all-witness ticks exact
+// would make the served slice's exact too. -short and -race builds
+// take every 16th job.
+func TestServedSliceTicksMatchAllWitness(t *testing.T) {
+	stride := 1
+	if testing.Short() || raceEnabled {
+		stride = 16
+	}
+	for _, spec := range suite.All() {
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
+			t.Parallel()
+			p, err := Train(spec, Options{Seed: 42})
+			if err != nil {
+				t.Fatal(err)
+			}
+			all, err := AllWitnessSlice(p.Ins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allSim := rtl.NewSim(all.M)
+			js := p.NewJobSimulator()
+			var jobs []accel.Job
+			for _, seed := range []int64{42, 43} {
+				jobs = append(jobs, spec.TrainJobs(seed)...)
+				jobs = append(jobs, spec.TestJobs(seed)...)
+			}
+			for ji := 0; ji < len(jobs); ji += stride {
+				pr, err := js.Predict(jobs[ji])
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := accel.RunCone(allSim, p.Ins.M, jobs[ji], spec.MaxTicks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pr.SliceTicks != want {
+					t.Fatalf("job %d: served slice ran %d ticks, all-witness slice %d", ji, pr.SliceTicks, want)
+				}
+			}
+		})
 	}
 }

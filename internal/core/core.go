@@ -62,7 +62,7 @@ type Predictor struct {
 	// Spec is the accelerator this predictor was trained for.
 	Spec accel.Spec
 	// Ins is the instrumented full design: the source of the feature
-	// catalog, the hardware slice and the timing cone.
+	// catalog, the hardware slice and the ground-truth simulator.
 	Ins *instrument.Instrumented
 	// Model maps full feature vectors to execution seconds at nominal
 	// frequency.
@@ -80,8 +80,8 @@ type Predictor struct {
 	// Bounds is the static cycles-to-done interval of the full
 	// instrumented design, from abstract interpretation. Predictions are
 	// clamped into it (a prediction outside the provable interval is
-	// physically impossible), and every observed ground-truth run (the
-	// timing cone's, whose ticks equal the full design's) is checked
+	// physically impossible), and every observed ground-truth run (whose
+	// ticks are the full design's, see groundTruth) is checked
 	// against it — an out-of-bounds trace means an engine or analysis
 	// bug, and hard-errors. The zero value (Min 0, unbounded Max)
 	// disables both, so hand-built predictors stay valid.
@@ -90,11 +90,11 @@ type Predictor struct {
 	// slice runs are checked against it.
 	SliceBounds absint.CycleBounds
 
-	// coneSim runs the timing cone (see TimingCone), the ground-truth
-	// simulator; coneItems are its IC witness registers.
-	coneSim   *rtl.Sim
-	coneItems []int
-	sliceSim  *rtl.Sim
+	// truthSim runs the ground-truth simulator truth describes (see
+	// groundTruth); sliceSim runs the hardware slice.
+	truth    groundTruth
+	truthSim *rtl.Sim
+	sliceSim *rtl.Sim
 
 	// boundClamps counts predictions pulled into Bounds (see
 	// PredFromSliceOrFloor); exposed in serving metrics.
@@ -140,7 +140,7 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 	// engine-bug tripwire: any observed run outside the provable
 	// interval is a hard error, not a bad sample.
 	bounds := absint.Bounds(ins.M)
-	X, y, cone, err := simulateTrainingSet(spec, ins, bounds, jobs)
+	X, y, truth, err := simulateTrainingSet(spec, ins, bounds, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -180,63 +180,75 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 		Bounds:      bounds,
 		SliceBounds: absint.Bounds(sl.M),
 	}
-	return pred.withSims(cone), nil
+	return pred.withSims(truth), nil
 }
 
 // simulateTrainingSet runs every training job and returns its feature
-// row and execution seconds, plus the timing cone it built. It runs the
-// two simulators trace collection and serving run too: the timing cone
-// gives each job's ticks (done fires on the full design's cycle, see
-// TimingCone), which must lie within bounds, and the all-witness slice
-// gives every feature (its witnesses hold the full design's values,
-// see AllWitnessSlice). Jobs fan out across worker goroutines, each
-// owning private Sim clones; results land in index-addressed slots and
-// are identical to a serial run.
-func simulateTrainingSet(spec accel.Spec, ins *instrument.Instrumented, bounds absint.CycleBounds, jobs []accel.Job) ([][]float64, []float64, *slice.Result, error) {
-	cone, err := TimingCone(ins)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+// row and execution seconds, plus the ground truth it chose. It runs
+// the simulators trace collection and serving run too: the all-witness
+// slice gives every feature (its witnesses hold the full design's
+// values, see AllWitnessSlice), and the ground truth (see groundTruth)
+// gives each job's ticks, which must lie within bounds. On a certified
+// design the two are one run. Jobs fan out across worker goroutines,
+// each owning private Sim clones; results land in index-addressed
+// slots and are identical to a serial run.
+func simulateTrainingSet(spec accel.Spec, ins *instrument.Instrumented, bounds absint.CycleBounds, jobs []accel.Job) ([][]float64, []float64, groundTruth, error) {
 	all, err := AllWitnessSlice(ins)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, groundTruth{}, err
 	}
-	type trainSims struct{ cone, feats *rtl.Sim }
-	coneSim, featSim := rtl.NewSim(cone.M), rtl.NewSim(all.M)
+	truth, err := newGroundTruth(ins, all)
+	if err != nil {
+		return nil, nil, groundTruth{}, err
+	}
+	type trainSims struct{ truth, feats *rtl.Sim }
+	featSim := rtl.NewSim(all.M)
+	var truthSim *rtl.Sim
+	if !truth.certified {
+		truthSim = rtl.NewSim(truth.sl.M)
+	}
 	simJobs.Add(uint64(len(jobs)))
 	X := make([][]float64, len(jobs))
 	y := make([]float64, len(jobs))
-	newState := func() trainSims { return trainSims{coneSim.Clone(), featSim.Clone()} }
+	newState := func() trainSims {
+		feats := featSim.Clone()
+		if truthSim == nil {
+			return trainSims{feats, feats}
+		}
+		return trainSims{truthSim.Clone(), feats}
+	}
 	runJob := func(s trainSims, i, attempt int) error {
 		if err := FaultInjector().ErrN(FaultJob, fmt.Sprintf("train/%s/%d", spec.Name, i), attempt); err != nil {
 			return fmt.Errorf("core: %s train job %d: %w", spec.Name, i, err)
 		}
-		ticks, err := accel.RunCone(s.cone, ins.M, jobs[i], spec.MaxTicks)
+		ticks, err := accel.RunCone(s.truth, ins.M, jobs[i], spec.MaxTicks)
 		if err != nil {
 			return fmt.Errorf("core: %s train job %d: %w", spec.Name, i, err)
 		}
+		ticks = truth.ticks(s.truth, ticks)
 		if !bounds.Contains(ticks) {
 			return fmt.Errorf("core: %s train job %d: observed %d ticks outside static bounds %s — engine or analysis bug",
 				spec.Name, i, ticks, bounds)
 		}
-		if _, err := accel.RunCone(s.feats, ins.M, jobs[i], spec.MaxTicks); err != nil {
-			return fmt.Errorf("core: %s train job %d: %w", spec.Name, i, err)
+		if s.feats != s.truth {
+			if _, err := accel.RunCone(s.feats, ins.M, jobs[i], spec.MaxTicks); err != nil {
+				return fmt.Errorf("core: %s train job %d: %w", spec.Name, i, err)
+			}
 		}
 		X[i] = all.ReadFeatures(s.feats)
 		y[i] = spec.Seconds(ticks)
 		return nil
 	}
 	if err := runParallel(len(jobs), newState, runJob); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, groundTruth{}, err
 	}
-	return X, y, cone, nil
+	return X, y, truth, nil
 }
 
 // withSims binds the predictor's simulators: the hardware slice and
-// the timing cone (see TimingCone) its JobSimulators run for ground
-// truth.
-func (p *Predictor) withSims(cone *slice.Result) *Predictor {
-	p.coneSim, p.coneItems = rtl.NewSim(cone.M), itemRegs(p.Ins, cone)
+// the ground truth (see groundTruth) its JobSimulators run.
+func (p *Predictor) withSims(truth groundTruth) *Predictor {
+	p.truth, p.truthSim = truth, rtl.NewSim(truth.sl.M)
 	p.sliceSim = rtl.NewSim(p.Slice.M)
 	return p
 }
@@ -326,10 +338,12 @@ func predictSlice(m *model.Predictor, kept []int, sliceFeats []float64) float64 
 // frequency-independent (T = C/f, §3.6), so each job's RTL simulation
 // runs once no matter how many schemes and deadlines are evaluated.
 //
-// The ground truth (Ticks, Seconds, Cycles, Items) is simulated on the
-// timing cone (see TimingCone), not the full design. It is exact: the
-// cone keeps everything done and the IC witnesses depend on, with no
-// wait elided, so done fires on the full design's cycle.
+// The ground truth (Ticks, Seconds, Cycles, Items) is the full
+// design's, but it is not simulated on the full design (see
+// groundTruth). A certified design runs its all-witness slice and adds
+// the closed-form cycles of the waits the slice elides; any other
+// design runs its timing cone, which keeps everything done and the IC
+// witnesses depend on, with no wait elided. Both are exact.
 type JobTrace struct {
 	// Ticks and Seconds are the full design's execution at nominal.
 	Ticks   uint64
@@ -347,7 +361,7 @@ type JobTrace struct {
 	SliceFeatures []float64
 	// Items is the job's work-item count, read as the largest counter
 	// initialization count (IC) across all instrumented features (the
-	// cone's IC witnesses) — the number of iterations any
+	// ground-truth simulator's IC witnesses) — the number of iterations any
 	// feature-computing loop must make. Used by the HLS slicing
 	// extension's cost model (§4.5).
 	Items float64
@@ -357,39 +371,40 @@ type JobTrace struct {
 
 // JobSimulator owns private simulator clones and turns individual jobs
 // into JobTraces — the per-job, online analogue of CollectTraces. Its
-// ground truth comes from the timing cone (see TimingCone), whose done
-// cycle and IC witnesses equal the full design's because nothing they
-// depend on is cut. A JobSimulator is NOT safe for concurrent use; each
+// ground truth comes from the all-witness slice plus elided cycles on a
+// certified design and from the timing cone on any other (see
+// groundTruth); either way its ticks and IC witnesses are the full
+// design's. A JobSimulator is NOT safe for concurrent use; each
 // goroutine (worker, serving shard) creates its own, which is cheap
 // because the step functions and ROM images are shared read-only
 // through Clone.
 type JobSimulator struct {
-	p           *Predictor
-	cone, slice *rtl.Sim
+	p            *Predictor
+	truth, slice *rtl.Sim
 }
 
 // NewJobSimulator returns a simulator bound to this predictor with
-// private clones of the timing cone and the slice.
+// private clones of its ground-truth simulator and its slice.
 func (p *Predictor) NewJobSimulator() *JobSimulator {
-	return &JobSimulator{p: p, cone: p.coneSim.Clone(), slice: p.sliceSim.Clone()}
+	return &JobSimulator{p: p, truth: p.truthSim.Clone(), slice: p.sliceSim.Clone()}
 }
 
 // Engines reports the engines actually executing the predictor's
-// hardware slice and its ground truth, the timing cone. Under the
-// native default, a netlist without a registered generated step
-// reports the plan fallback.
-func (p *Predictor) Engines() (slice, cone rtl.Engine) {
-	return p.sliceSim.Engine(), p.coneSim.Engine()
+// hardware slice and its ground-truth simulator (see groundTruth).
+// Under the native default, a netlist without a registered generated
+// step reports the plan fallback.
+func (p *Predictor) Engines() (slice, truth rtl.Engine) {
+	return p.sliceSim.Engine(), p.truthSim.Engine()
 }
 
 // Engines reports the engines actually executing this simulator's
 // slice — the latency-critical simulator on the serving path — and its
-// ground truth, the timing cone (exact: see TimingCone).
+// ground-truth simulator (see groundTruth).
 // When the default engine is native but a netlist has no registered
 // generated step, it reports the plan fallback, making a silently
 // stale registry observable (see rtl.NativeFallbacks).
-func (js *JobSimulator) Engines() (slice, cone rtl.Engine) {
-	return js.slice.Engine(), js.cone.Engine()
+func (js *JobSimulator) Engines() (slice, truth rtl.Engine) {
+	return js.slice.Engine(), js.truth.Engine()
 }
 
 // Prediction is the slice half of a JobTrace: what the runtime loop
@@ -425,20 +440,16 @@ func (js *JobSimulator) Predict(job accel.Job) (Prediction, error) {
 	return Prediction{SliceTicks: ticks, Features: feats, Seconds: p.PredFromSliceOrFloor(feats)}, nil
 }
 
-// Complete runs one job on the timing cone and joins the ground truth
-// with the job's earlier Prediction into its JobTrace.
+// Complete runs one job on the ground-truth simulator and joins the
+// ground truth with the job's earlier Prediction into its JobTrace.
 func (js *JobSimulator) Complete(job accel.Job, pr Prediction) (JobTrace, error) {
-	ticks, err := js.runCone(job)
+	ticks, err := js.runTruth(job)
 	if err != nil {
 		return JobTrace{}, err
 	}
 	p := js.p
-	var items float64
-	for _, ri := range p.coneItems {
-		items = max(items, float64(js.cone.RegValue(ri)))
-	}
 	return JobTrace{
-		Items:         items,
+		Items:         p.truth.itemsOf(js.truth),
 		Ticks:         ticks,
 		Seconds:       p.Spec.Seconds(ticks),
 		Cycles:        p.Spec.Cycles(ticks),
@@ -450,8 +461,8 @@ func (js *JobSimulator) Complete(job accel.Job, pr Prediction) (JobTrace, error)
 	}, nil
 }
 
-// Trace runs one job on the hardware slice and then the timing cone,
-// returning its complete trace (the slice-driven prediction plus
+// Trace runs one job on the hardware slice and then the ground-truth
+// simulator, returning its complete trace (the slice-driven prediction plus
 // ground-truth cycles). It is Predict followed by Complete.
 func (js *JobSimulator) Trace(job accel.Job) (JobTrace, error) {
 	pr, err := js.Predict(job)
@@ -461,19 +472,20 @@ func (js *JobSimulator) Trace(job accel.Job) (JobTrace, error) {
 	return js.Complete(job, pr)
 }
 
-// runCone runs one job on the timing cone and checks the observed tick
-// count against the full design's static bounds, which hold for the
-// cone because its ticks are the full design's: a run escaping the
-// provable interval can only mean a simulation-engine or analysis bug,
-// never a legitimate sample. Job memories are checked against the
-// instrumented design (see accel.RunCone).
-func (js *JobSimulator) runCone(job accel.Job) (uint64, error) {
+// runTruth runs one job on the ground-truth simulator and checks the
+// full design's ticks it yields (see groundTruth) against the full
+// design's static bounds: a run escaping the provable interval can
+// only mean a simulation-engine or analysis bug, never a legitimate
+// sample. Job memories are checked against the instrumented design
+// (see accel.RunCone).
+func (js *JobSimulator) runTruth(job accel.Job) (uint64, error) {
 	simJobs.Add(1)
 	p := js.p
-	ticks, err := accel.RunCone(js.cone, p.Ins.M, job, p.Spec.MaxTicks)
+	ticks, err := accel.RunCone(js.truth, p.Ins.M, job, p.Spec.MaxTicks)
 	if err != nil {
 		return 0, fmt.Errorf("core: %s job: %w", p.Spec.Name, err)
 	}
+	ticks = p.truth.ticks(js.truth, ticks)
 	if !p.Bounds.Contains(ticks) {
 		return 0, fmt.Errorf("core: %s: observed %d ticks outside static bounds %s — engine or analysis bug",
 			p.Spec.Name, ticks, p.Bounds)
@@ -481,13 +493,13 @@ func (js *JobSimulator) runCone(job accel.Job) (uint64, error) {
 	return ticks, nil
 }
 
-// Execute runs one job on the timing cone only (the full design's
-// exact done cycle, see TimingCone), skipping the slice and the
-// prediction — the serving layer's degraded path, where the job runs at
+// Execute runs one job on the ground-truth simulator only (the full
+// design's exact done cycle, see groundTruth), skipping the slice and
+// the prediction — the serving layer's degraded path, where the job runs at
 // maximum frequency and the predictor is bypassed entirely. Prediction
 // fields and Items are zero.
 func (js *JobSimulator) Execute(job accel.Job) (JobTrace, error) {
-	ticks, err := js.runCone(job)
+	ticks, err := js.runTruth(job)
 	if err != nil {
 		return JobTrace{}, err
 	}
@@ -500,8 +512,8 @@ func (js *JobSimulator) Execute(job accel.Job) (JobTrace, error) {
 	}, nil
 }
 
-// CollectTraces runs each job on both the timing cone and the slice,
-// returning per-job traces. Jobs fan out across worker goroutines (see
+// CollectTraces runs each job on both the slice and the ground-truth
+// simulator, returning per-job traces. Jobs fan out across worker goroutines (see
 // SetWorkers), each with a private JobSimulator; trace slots are
 // index-addressed, so the result is byte-identical to a serial run.
 func (p *Predictor) CollectTraces(jobs []accel.Job) ([]JobTrace, error) {

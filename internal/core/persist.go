@@ -57,7 +57,8 @@ func (p *Predictor) Save() ([]byte, error) {
 // Load rebuilds a predictor from a saved model and the accelerator
 // spec: the netlist is rebuilt and re-instrumented, coefficients are
 // re-bound by feature name, the hardware slice is regenerated for the
-// model's features, and the timing cone is rebuilt.
+// model's features, and the ground-truth simulator is rebuilt (see
+// groundTruth).
 func Load(data []byte, spec accel.Spec) (*Predictor, error) {
 	var sp SavedPredictor
 	if err := json.Unmarshal(data, &sp); err != nil {
@@ -98,7 +99,11 @@ func Load(data []byte, spec accel.Spec) (*Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	cone, err := TimingCone(ins)
+	all, err := AllWitnessSlice(ins)
+	if err != nil {
+		return nil, err
+	}
+	truth, err := newGroundTruth(ins, all)
 	if err != nil {
 		return nil, err
 	}
@@ -112,5 +117,5 @@ func Load(data []byte, spec accel.Spec) (*Predictor, error) {
 		Bounds:      absint.Bounds(ins.M),
 		SliceBounds: absint.Bounds(sl.M),
 	}
-	return pred.withSims(cone), nil
+	return pred.withSims(truth), nil
 }

@@ -228,6 +228,7 @@ func solve(pr *problem, cfg Config, init *Predictor) (*Predictor, error) {
 	iters := 0
 	yw := make([]float64, d)
 	gradW := make([]float64, d)
+	nz := make([]int, 0, d)
 
 	for iters = 1; iters <= cfg.MaxIter; iters++ {
 		// Extrapolated point.
@@ -239,7 +240,7 @@ func solve(pr *problem, cfg Config, init *Predictor) (*Predictor, error) {
 		yb0 := b0 + beta*(b0-b0Prev)
 
 		// Gradient of the smooth part at the extrapolated point.
-		gradB0 := pr.gradient(yw, yb0, cfg.Alpha, gradW)
+		gradB0 := pr.gradient(yw, yb0, cfg.Alpha, gradW, nz)
 
 		// Proximal step: soft threshold on w, plain step on intercept.
 		copy(wPrev, w)
@@ -301,11 +302,13 @@ func (p *Predictor) checkFinite() error {
 	return nil
 }
 
-// objective computes the full training objective.
+// objective computes the full training objective. Zw skips w's zero
+// coefficients (see nonZero).
 func (pr *problem) objective(w []float64, b0, alpha, gamma float64) float64 {
+	nz := nonZero(w, make([]int, 0, len(w)))
 	var s float64
 	for i := 0; i < pr.n; i++ {
-		r := dot(pr.row(i), w) + b0 - pr.y[i]
+		r := dotAt(pr.row(i), w, nz) + b0 - pr.y[i]
 		if r > 0 {
 			s += r * r
 		} else {
@@ -327,12 +330,14 @@ func (pr *problem) objective(w []float64, b0, alpha, gamma float64) float64 {
 // register. Every sum keeps the order of the plain two-pass form, so
 // fits are bit-identical to it: each dot in j order, r_i as (dot+b0)−y_i,
 // g_i as (2α)·r_i, and out[j] and Σg accumulated in i order, skipping
-// rows with g_i = 0.
-func (pr *problem) gradient(w []float64, b0, alpha float64, out []float64) float64 {
+// rows with g_i = 0. The dot products skip w's zero coefficients, which
+// nz (scratch of capacity d) collects (see nonZero).
+func (pr *problem) gradient(w []float64, b0, alpha float64, out []float64, nz []int) float64 {
 	d, y := pr.d, pr.y
 	w = w[:d]
 	out = out[:d]
 	clear(out)
+	nz = nonZero(w, nz)
 	weight := func(s float64, i int) float64 {
 		r := s + b0 - y[i]
 		if r > 0 {
@@ -346,7 +351,7 @@ func (pr *problem) gradient(w []float64, b0, alpha float64, out []float64) float
 		blk := pr.z[i*d:]
 		z0, z1, z2, z3 := blk[:d], blk[d:][:d], blk[2*d:][:d], blk[3*d:][:d]
 		var s0, s1, s2, s3 float64
-		for j := 0; j < d; j++ {
+		for _, j := range nz {
 			wj := w[j]
 			s0 += z0[j] * wj
 			s1 += z1[j] * wj
@@ -376,7 +381,7 @@ func (pr *problem) gradient(w []float64, b0, alpha float64, out []float64) float
 	}
 	for ; i < pr.n; i++ {
 		z := pr.row(i)
-		g := weight(dot(z, w), i)
+		g := weight(dotAt(z, w, nz), i)
 		gradB0 += g
 		axpy(out, z, g)
 	}
@@ -409,6 +414,30 @@ func dot(a, b []float64) float64 {
 	var s float64
 	for i := range a {
 		s += a[i] * b[i]
+	}
+	return s
+}
+
+// nonZero appends the indices of w's non-zero coefficients to nz[:0].
+// A dot product with w over just those indices (dotAt) is bit-identical
+// to the full one on finite rows: each skipped term z·(±0) is an exact
+// zero, and adding a zero leaves a running sum that starts at +0
+// unchanged (x + ±0 = x for x ≠ 0, and +0 + −0 = +0).
+func nonZero(w []float64, nz []int) []int {
+	nz = nz[:0]
+	for j, wj := range w {
+		if wj != 0 {
+			nz = append(nz, j)
+		}
+	}
+	return nz
+}
+
+// dotAt is dot(z, w) over the indices nz, in order.
+func dotAt(z, w []float64, nz []int) float64 {
+	var s float64
+	for _, j := range nz {
+		s += z[j] * w[j]
 	}
 	return s
 }

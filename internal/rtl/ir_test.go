@@ -650,3 +650,33 @@ func TestRegIndex(t *testing.T) {
 		t.Error("RegIndex of non-reg should be -1")
 	}
 }
+
+// TestResetForSkipsOnlyLoadedRAMs: ResetFor leaves the RAMs it names
+// for LoadMem as they are and zeroes every other RAM, like Reset.
+func TestResetForSkipsOnlyLoadedRAMs(t *testing.T) {
+	b := NewBuilder("resetfor")
+	a := b.Memory("a", 4)
+	c := b.Memory("c", 4)
+	b.SetDone(b.Read(a, b.Const(0, 2), 8).Eq(b.Read(c, b.Const(0, 2), 8)))
+	s := NewSim(b.MustBuild())
+	fill := []uint64{1, 2, 3, 4}
+	for _, name := range []string{"a", "c"} {
+		if err := s.LoadMem(name, fill); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.ResetFor(map[string][]uint64{"a": nil, "absent": nil})
+	for i, w := range s.Mem("a") {
+		if w != fill[i] {
+			t.Fatalf("a[%d] = %d after ResetFor named it, want %d untouched", i, w, fill[i])
+		}
+	}
+	for i, w := range s.Mem("c") {
+		if w != 0 {
+			t.Fatalf("c[%d] = %d after ResetFor left it out, want 0", i, w)
+		}
+	}
+	if s.Cycles() != 0 {
+		t.Fatalf("cycles %d after ResetFor", s.Cycles())
+	}
+}

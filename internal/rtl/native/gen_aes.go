@@ -6,1587 +6,6 @@ package native
 
 import "repro/internal/rtl"
 
-func step_aes_cone(vals []uint64, mems [][]uint64, limit uint64) (uint64, bool) {
-	_ = vals[90]
-	m0 := mems[0]
-	v0 := vals[0]
-	v5 := vals[5]
-	v10 := vals[10]
-	v16 := vals[16]
-	v22 := vals[22]
-	v28 := vals[28]
-	v74 := vals[74]
-	v78 := vals[78]
-	v81 := vals[81]
-	v84 := vals[84]
-	v87 := vals[87]
-	var cycles uint64
-loop:
-	for ; cycles+1 < limit; cycles++ {
-		var v50 uint64
-		if v22 != 0x0 {
-			v50 = 1
-		}
-		v52 := (v22 - 0x1) & 0xf
-		var v53 uint64
-		if v50 != 0 {
-			v53 = v52
-		} else {
-			v53 = v22
-		}
-		var v58 uint64
-		if v16 != 0x0 {
-			v58 = 1
-		}
-		v60 := (v16 - 0x1) & 0x1f
-		var v61 uint64
-		if v58 != 0 {
-			v61 = v60
-		} else {
-			v61 = v16
-		}
-		var v65 uint64
-		if v10 != 0x0 {
-			v65 = 1
-		}
-		v67 := (v10 - 0x1) & 0x3f
-		var v68 uint64
-		if v65 != 0 {
-			v68 = v67
-		} else {
-			v68 = v10
-		}
-		switch v0 {
-		case 0x0:
-			var v40 uint64
-			if addr := uint64(0x0); addr < uint64(len(m0)) {
-				v40 = m0[addr] & 0xffff
-			}
-			v42 := (v40 - 0x1) & 0xffff
-			v82 := (v81 + 0x1) & 0xffffff
-			v88 := (v87 + 0x1) & 0xffffff
-			v47 := v42
-			v54 := v53
-			v62 := v61
-			v69 := v68
-			v77 := v74
-			v80 := v78
-			v83 := v82
-			v86 := v84
-			v89 := v88
-			n1 := v47
-			n2 := v54
-			n3 := v62
-			n4 := v69
-			n6 := v77
-			n7 := v80
-			n8 := v83
-			n9 := v86
-			n10 := v89
-			v0 = 0x1
-			v28 = n1
-			v22 = n2
-			v16 = n3
-			v10 = n4
-			v5 = 0x3
-			v74 = n6
-			v78 = n7
-			v81 = n8
-			v84 = n9
-			v87 = n10
-		case 0x1:
-			var v6 uint64
-			if v5 == 0x0 {
-				v6 = 1
-			}
-			var v70 uint64
-			if v5 != 0x0 {
-				v70 = 1
-			}
-			v71 := (v5 - 0x1) & 0x7
-			var v72 uint64
-			if v70 != 0 {
-				v72 = v71
-			} else {
-				v72 = v5
-			}
-			v85 := (v84 + 0x1) & 0xffffff
-			var v8 uint64
-			if v6 != 0 {
-				v8 = 0x2
-			} else {
-				v8 = 0x1
-			}
-			v37 := v8
-			v38 := v37
-			v46 := v28
-			v47 := v46
-			v54 := v53
-			v62 := v61
-			v63 := v6
-			var v69 uint64
-			if v63 != 0 {
-				v69 = 0x27
-			} else {
-				v69 = v68
-			}
-			v73 := v72
-			v77 := v74
-			v80 := v78
-			v83 := v81
-			var v86 uint64
-			if v63 != 0 {
-				v86 = v85
-			} else {
-				v86 = v84
-			}
-			v89 := v87
-			n0 := v38
-			n1 := v47
-			n2 := v54
-			n3 := v62
-			n4 := v69
-			n5 := v73
-			n6 := v77
-			n7 := v80
-			n8 := v83
-			n9 := v86
-			n10 := v89
-			v0 = n0
-			v28 = n1
-			v22 = n2
-			v16 = n3
-			v10 = n4
-			v5 = n5
-			v74 = n6
-			v78 = n7
-			v81 = n8
-			v84 = n9
-			v87 = n10
-		case 0x2:
-			var v12 uint64
-			if v10 == 0x0 {
-				v12 = 1
-			}
-			var v70 uint64
-			if v5 != 0x0 {
-				v70 = 1
-			}
-			v71 := (v5 - 0x1) & 0x7
-			var v72 uint64
-			if v70 != 0 {
-				v72 = v71
-			} else {
-				v72 = v5
-			}
-			v79 := (v78 + 0x1) & 0xffffff
-			var v14 uint64
-			if v12 != 0 {
-				v14 = 0x3
-			} else {
-				v14 = 0x2
-			}
-			v36 := v14
-			v37 := v36
-			v38 := v37
-			v46 := v28
-			v47 := v46
-			v54 := v53
-			v55 := v12
-			v56 := v55
-			var v62 uint64
-			if v56 != 0 {
-				v62 = 0x17
-			} else {
-				v62 = v61
-			}
-			v69 := v68
-			v73 := v72
-			v77 := v74
-			var v80 uint64
-			if v56 != 0 {
-				v80 = v79
-			} else {
-				v80 = v78
-			}
-			v83 := v81
-			v86 := v84
-			v89 := v87
-			n0 := v38
-			n1 := v47
-			n2 := v54
-			n3 := v62
-			n4 := v69
-			n5 := v73
-			n6 := v77
-			n7 := v80
-			n8 := v83
-			n9 := v86
-			n10 := v89
-			v0 = n0
-			v28 = n1
-			v22 = n2
-			v16 = n3
-			v10 = n4
-			v5 = n5
-			v74 = n6
-			v78 = n7
-			v81 = n8
-			v84 = n9
-			v87 = n10
-		case 0x3:
-			var v18 uint64
-			if v16 == 0x0 {
-				v18 = 1
-			}
-			var v70 uint64
-			if v5 != 0x0 {
-				v70 = 1
-			}
-			v71 := (v5 - 0x1) & 0x7
-			var v72 uint64
-			if v70 != 0 {
-				v72 = v71
-			} else {
-				v72 = v5
-			}
-			v76 := (v74 + 0x1) & 0xffffff
-			var v20 uint64
-			if v18 != 0 {
-				v20 = 0x4
-			} else {
-				v20 = 0x3
-			}
-			v35 := v20
-			v36 := v35
-			v37 := v36
-			v38 := v37
-			v46 := v28
-			v47 := v46
-			v48 := v18
-			var v54 uint64
-			if v48 != 0 {
-				v54 = 0x9
-			} else {
-				v54 = v53
-			}
-			v62 := v61
-			v69 := v68
-			v73 := v72
-			var v77 uint64
-			if v48 != 0 {
-				v77 = v76
-			} else {
-				v77 = v74
-			}
-			v80 := v78
-			v83 := v81
-			v86 := v84
-			v89 := v87
-			n0 := v38
-			n1 := v47
-			n2 := v54
-			n3 := v62
-			n4 := v69
-			n5 := v73
-			n6 := v77
-			n7 := v80
-			n8 := v83
-			n9 := v86
-			n10 := v89
-			v0 = n0
-			v28 = n1
-			v22 = n2
-			v16 = n3
-			v10 = n4
-			v5 = n5
-			v74 = n6
-			v78 = n7
-			v81 = n8
-			v84 = n9
-			v87 = n10
-		case 0x4:
-			var v24 uint64
-			if v22 == 0x0 {
-				v24 = 1
-			}
-			var v70 uint64
-			if v5 != 0x0 {
-				v70 = 1
-			}
-			v71 := (v5 - 0x1) & 0x7
-			var v72 uint64
-			if v70 != 0 {
-				v72 = v71
-			} else {
-				v72 = v5
-			}
-			var v26 uint64
-			if v24 != 0 {
-				v26 = 0x5
-			} else {
-				v26 = 0x4
-			}
-			v34 := v26
-			v35 := v34
-			v36 := v35
-			v37 := v36
-			v38 := v37
-			v46 := v28
-			v47 := v46
-			v54 := v53
-			v62 := v61
-			v69 := v68
-			v73 := v72
-			v77 := v74
-			v80 := v78
-			v83 := v81
-			v86 := v84
-			v89 := v87
-			n0 := v38
-			n1 := v47
-			n2 := v54
-			n3 := v62
-			n4 := v69
-			n5 := v73
-			n6 := v77
-			n7 := v80
-			n8 := v83
-			n9 := v86
-			n10 := v89
-			v0 = n0
-			v28 = n1
-			v22 = n2
-			v16 = n3
-			v10 = n4
-			v5 = n5
-			v74 = n6
-			v78 = n7
-			v81 = n8
-			v84 = n9
-			v87 = n10
-		case 0x5:
-			var v30 uint64
-			if v28 == 0x0 {
-				v30 = 1
-			}
-			var v32 uint64
-			if v30 != 0 {
-				v32 = 0x6
-			} else {
-				v32 = 0x3
-			}
-			var v43 uint64
-			if v28 != 0x0 {
-				v43 = 1
-			}
-			v45 := (v28 - 0x1) & 0xffff
-			var v70 uint64
-			if v5 != 0x0 {
-				v70 = 1
-			}
-			v71 := (v5 - 0x1) & 0x7
-			var v72 uint64
-			if v70 != 0 {
-				v72 = v71
-			} else {
-				v72 = v5
-			}
-			v79 := (v78 + 0x1) & 0xffffff
-			v33 := v32
-			v34 := v33
-			v35 := v34
-			v36 := v35
-			v37 := v36
-			v38 := v37
-			v44 := v43
-			var v46 uint64
-			if v44 != 0 {
-				v46 = v45
-			} else {
-				v46 = v28
-			}
-			v47 := v46
-			v54 := v53
-			v56 := v44
-			var v62 uint64
-			if v56 != 0 {
-				v62 = 0x17
-			} else {
-				v62 = v61
-			}
-			v69 := v68
-			v73 := v72
-			v77 := v74
-			var v80 uint64
-			if v56 != 0 {
-				v80 = v79
-			} else {
-				v80 = v78
-			}
-			v83 := v81
-			v86 := v84
-			v89 := v87
-			n0 := v38
-			n1 := v47
-			n2 := v54
-			n3 := v62
-			n4 := v69
-			n5 := v73
-			n6 := v77
-			n7 := v80
-			n8 := v83
-			n9 := v86
-			n10 := v89
-			v0 = n0
-			v28 = n1
-			v22 = n2
-			v16 = n3
-			v10 = n4
-			v5 = n5
-			v74 = n6
-			v78 = n7
-			v81 = n8
-			v84 = n9
-			v87 = n10
-		case 0x6:
-			break loop
-		default:
-			var v6 uint64
-			if v5 == 0x0 {
-				v6 = 1
-			}
-			var v12 uint64
-			if v10 == 0x0 {
-				v12 = 1
-			}
-			var v18 uint64
-			if v16 == 0x0 {
-				v18 = 1
-			}
-			var v24 uint64
-			if v22 == 0x0 {
-				v24 = 1
-			}
-			var v30 uint64
-			if v28 == 0x0 {
-				v30 = 1
-			}
-			var v32 uint64
-			if v30 != 0 {
-				v32 = 0x6
-			} else {
-				v32 = 0x3
-			}
-			var v40 uint64
-			if addr := uint64(0x0); addr < uint64(len(m0)) {
-				v40 = m0[addr] & 0xffff
-			}
-			v42 := (v40 - 0x1) & 0xffff
-			var v43 uint64
-			if v28 != 0x0 {
-				v43 = 1
-			}
-			v45 := (v28 - 0x1) & 0xffff
-			var v70 uint64
-			if v5 != 0x0 {
-				v70 = 1
-			}
-			v71 := (v5 - 0x1) & 0x7
-			var v72 uint64
-			if v70 != 0 {
-				v72 = v71
-			} else {
-				v72 = v5
-			}
-			v76 := (v74 + 0x1) & 0xffffff
-			v79 := (v78 + 0x1) & 0xffffff
-			v82 := (v81 + 0x1) & 0xffffff
-			v85 := (v84 + 0x1) & 0xffffff
-			v88 := (v87 + 0x1) & 0xffffff
-			var v2 uint64
-			if v0 == 0x0 {
-				v2 = 1
-			}
-			var v4 uint64
-			if v0 == 0x1 {
-				v4 = 1
-			}
-			var v8 uint64
-			if v6 != 0 {
-				v8 = 0x2
-			} else {
-				v8 = v0
-			}
-			var v9 uint64
-			if v0 == 0x2 {
-				v9 = 1
-			}
-			var v14 uint64
-			if v12 != 0 {
-				v14 = 0x3
-			} else {
-				v14 = v0
-			}
-			var v15 uint64
-			if v0 == 0x3 {
-				v15 = 1
-			}
-			var v20 uint64
-			if v18 != 0 {
-				v20 = 0x4
-			} else {
-				v20 = v0
-			}
-			var v21 uint64
-			if v0 == 0x4 {
-				v21 = 1
-			}
-			var v26 uint64
-			if v24 != 0 {
-				v26 = 0x5
-			} else {
-				v26 = v0
-			}
-			var v27 uint64
-			if v0 == 0x5 {
-				v27 = 1
-			}
-			var v33 uint64
-			if v27 != 0 {
-				v33 = v32
-			} else {
-				v33 = v0
-			}
-			var v34 uint64
-			if v21 != 0 {
-				v34 = v26
-			} else {
-				v34 = v33
-			}
-			var v35 uint64
-			if v15 != 0 {
-				v35 = v20
-			} else {
-				v35 = v34
-			}
-			var v36 uint64
-			if v9 != 0 {
-				v36 = v14
-			} else {
-				v36 = v35
-			}
-			var v37 uint64
-			if v4 != 0 {
-				v37 = v8
-			} else {
-				v37 = v36
-			}
-			var v38 uint64
-			if v2 != 0 {
-				v38 = 0x1
-			} else {
-				v38 = v37
-			}
-			v44 := v27 & v43
-			var v46 uint64
-			if v44 != 0 {
-				v46 = v45
-			} else {
-				v46 = v28
-			}
-			var v47 uint64
-			if v2 != 0 {
-				v47 = v42
-			} else {
-				v47 = v46
-			}
-			v48 := v15 & v18
-			var v54 uint64
-			if v48 != 0 {
-				v54 = 0x9
-			} else {
-				v54 = v53
-			}
-			v55 := v9 & v12
-			v56 := (v55 | v44)
-			var v62 uint64
-			if v56 != 0 {
-				v62 = 0x17
-			} else {
-				v62 = v61
-			}
-			v63 := v4 & v6
-			var v69 uint64
-			if v63 != 0 {
-				v69 = 0x27
-			} else {
-				v69 = v68
-			}
-			var v73 uint64
-			if v2 != 0 {
-				v73 = 0x3
-			} else {
-				v73 = v72
-			}
-			var v77 uint64
-			if v48 != 0 {
-				v77 = v76
-			} else {
-				v77 = v74
-			}
-			var v80 uint64
-			if v56 != 0 {
-				v80 = v79
-			} else {
-				v80 = v78
-			}
-			var v83 uint64
-			if v2 != 0 {
-				v83 = v82
-			} else {
-				v83 = v81
-			}
-			var v86 uint64
-			if v63 != 0 {
-				v86 = v85
-			} else {
-				v86 = v84
-			}
-			var v89 uint64
-			if v2 != 0 {
-				v89 = v88
-			} else {
-				v89 = v87
-			}
-			var v90 uint64
-			if v0 == 0x6 {
-				v90 = 1
-			}
-			if v90 != 0 {
-				break loop
-			}
-			n0 := v38
-			n1 := v47
-			n2 := v54
-			n3 := v62
-			n4 := v69
-			n5 := v73
-			n6 := v77
-			n7 := v80
-			n8 := v83
-			n9 := v86
-			n10 := v89
-			v0 = n0
-			v28 = n1
-			v22 = n2
-			v16 = n3
-			v10 = n4
-			v5 = n5
-			v74 = n6
-			v78 = n7
-			v81 = n8
-			v84 = n9
-			v87 = n10
-		}
-	}
-	vals[0] = v0
-	vals[28] = v28
-	vals[22] = v22
-	vals[16] = v16
-	vals[10] = v10
-	vals[5] = v5
-	vals[74] = v74
-	vals[78] = v78
-	vals[81] = v81
-	vals[84] = v84
-	vals[87] = v87
-	var v6 uint64
-	if v5 == 0x0 {
-		v6 = 1
-	}
-	vals[6] = v6
-	var v12 uint64
-	if v10 == 0x0 {
-		v12 = 1
-	}
-	vals[12] = v12
-	var v18 uint64
-	if v16 == 0x0 {
-		v18 = 1
-	}
-	vals[18] = v18
-	var v24 uint64
-	if v22 == 0x0 {
-		v24 = 1
-	}
-	vals[24] = v24
-	var v30 uint64
-	if v28 == 0x0 {
-		v30 = 1
-	}
-	vals[30] = v30
-	var v32 uint64
-	if v30 != 0 {
-		v32 = 0x6
-	} else {
-		v32 = 0x3
-	}
-	vals[32] = v32
-	var v40 uint64
-	if addr := uint64(0x0); addr < uint64(len(m0)) {
-		v40 = m0[addr] & 0xffff
-	}
-	vals[40] = v40
-	v42 := (v40 - 0x1) & 0xffff
-	vals[42] = v42
-	var v43 uint64
-	if v28 != 0x0 {
-		v43 = 1
-	}
-	vals[43] = v43
-	v45 := (v28 - 0x1) & 0xffff
-	vals[45] = v45
-	var v50 uint64
-	if v22 != 0x0 {
-		v50 = 1
-	}
-	vals[50] = v50
-	v52 := (v22 - 0x1) & 0xf
-	vals[52] = v52
-	var v53 uint64
-	if v50 != 0 {
-		v53 = v52
-	} else {
-		v53 = v22
-	}
-	vals[53] = v53
-	var v58 uint64
-	if v16 != 0x0 {
-		v58 = 1
-	}
-	vals[58] = v58
-	v60 := (v16 - 0x1) & 0x1f
-	vals[60] = v60
-	var v61 uint64
-	if v58 != 0 {
-		v61 = v60
-	} else {
-		v61 = v16
-	}
-	vals[61] = v61
-	var v65 uint64
-	if v10 != 0x0 {
-		v65 = 1
-	}
-	vals[65] = v65
-	v67 := (v10 - 0x1) & 0x3f
-	vals[67] = v67
-	var v68 uint64
-	if v65 != 0 {
-		v68 = v67
-	} else {
-		v68 = v10
-	}
-	vals[68] = v68
-	var v70 uint64
-	if v5 != 0x0 {
-		v70 = 1
-	}
-	vals[70] = v70
-	v71 := (v5 - 0x1) & 0x7
-	vals[71] = v71
-	var v72 uint64
-	if v70 != 0 {
-		v72 = v71
-	} else {
-		v72 = v5
-	}
-	vals[72] = v72
-	v76 := (v74 + 0x1) & 0xffffff
-	vals[76] = v76
-	v79 := (v78 + 0x1) & 0xffffff
-	vals[79] = v79
-	v82 := (v81 + 0x1) & 0xffffff
-	vals[82] = v82
-	v85 := (v84 + 0x1) & 0xffffff
-	vals[85] = v85
-	v88 := (v87 + 0x1) & 0xffffff
-	vals[88] = v88
-	switch v0 {
-	case 0x0:
-		vals[2] = 0x1
-		vals[4] = 0x0
-		var v8 uint64
-		if v6 != 0 {
-			v8 = 0x2
-		} else {
-			v8 = 0x0
-		}
-		vals[8] = v8
-		vals[9] = 0x0
-		var v14 uint64
-		if v12 != 0 {
-			v14 = 0x3
-		} else {
-			v14 = 0x0
-		}
-		vals[14] = v14
-		vals[15] = 0x0
-		var v20 uint64
-		if v18 != 0 {
-			v20 = 0x4
-		} else {
-			v20 = 0x0
-		}
-		vals[20] = v20
-		vals[21] = 0x0
-		var v26 uint64
-		if v24 != 0 {
-			v26 = 0x5
-		} else {
-			v26 = 0x0
-		}
-		vals[26] = v26
-		vals[27] = 0x0
-		vals[33] = 0x0
-		vals[34] = 0x0
-		vals[35] = 0x0
-		vals[36] = 0x0
-		vals[37] = 0x0
-		vals[38] = 0x1
-		vals[44] = 0x0
-		v46 := v28
-		vals[46] = v46
-		v47 := v42
-		vals[47] = v47
-		vals[48] = 0x0
-		v54 := v53
-		vals[54] = v54
-		vals[55] = 0x0
-		vals[56] = 0x0
-		v62 := v61
-		vals[62] = v62
-		vals[63] = 0x0
-		v69 := v68
-		vals[69] = v69
-		vals[73] = 0x3
-		v77 := v74
-		vals[77] = v77
-		v80 := v78
-		vals[80] = v80
-		v83 := v82
-		vals[83] = v83
-		v86 := v84
-		vals[86] = v86
-		v89 := v88
-		vals[89] = v89
-		vals[90] = 0x0
-	case 0x1:
-		vals[2] = 0x0
-		vals[4] = 0x1
-		var v8 uint64
-		if v6 != 0 {
-			v8 = 0x2
-		} else {
-			v8 = 0x1
-		}
-		vals[8] = v8
-		vals[9] = 0x0
-		var v14 uint64
-		if v12 != 0 {
-			v14 = 0x3
-		} else {
-			v14 = 0x1
-		}
-		vals[14] = v14
-		vals[15] = 0x0
-		var v20 uint64
-		if v18 != 0 {
-			v20 = 0x4
-		} else {
-			v20 = 0x1
-		}
-		vals[20] = v20
-		vals[21] = 0x0
-		var v26 uint64
-		if v24 != 0 {
-			v26 = 0x5
-		} else {
-			v26 = 0x1
-		}
-		vals[26] = v26
-		vals[27] = 0x0
-		vals[33] = 0x1
-		vals[34] = 0x1
-		vals[35] = 0x1
-		vals[36] = 0x1
-		v37 := v8
-		vals[37] = v37
-		v38 := v37
-		vals[38] = v38
-		vals[44] = 0x0
-		v46 := v28
-		vals[46] = v46
-		v47 := v46
-		vals[47] = v47
-		vals[48] = 0x0
-		v54 := v53
-		vals[54] = v54
-		vals[55] = 0x0
-		vals[56] = 0x0
-		v62 := v61
-		vals[62] = v62
-		v63 := v6
-		vals[63] = v63
-		var v69 uint64
-		if v63 != 0 {
-			v69 = 0x27
-		} else {
-			v69 = v68
-		}
-		vals[69] = v69
-		v73 := v72
-		vals[73] = v73
-		v77 := v74
-		vals[77] = v77
-		v80 := v78
-		vals[80] = v80
-		v83 := v81
-		vals[83] = v83
-		var v86 uint64
-		if v63 != 0 {
-			v86 = v85
-		} else {
-			v86 = v84
-		}
-		vals[86] = v86
-		v89 := v87
-		vals[89] = v89
-		vals[90] = 0x0
-	case 0x2:
-		vals[2] = 0x0
-		vals[4] = 0x0
-		var v8 uint64
-		if v6 != 0 {
-			v8 = 0x2
-		} else {
-			v8 = 0x2
-		}
-		vals[8] = v8
-		vals[9] = 0x1
-		var v14 uint64
-		if v12 != 0 {
-			v14 = 0x3
-		} else {
-			v14 = 0x2
-		}
-		vals[14] = v14
-		vals[15] = 0x0
-		var v20 uint64
-		if v18 != 0 {
-			v20 = 0x4
-		} else {
-			v20 = 0x2
-		}
-		vals[20] = v20
-		vals[21] = 0x0
-		var v26 uint64
-		if v24 != 0 {
-			v26 = 0x5
-		} else {
-			v26 = 0x2
-		}
-		vals[26] = v26
-		vals[27] = 0x0
-		vals[33] = 0x2
-		vals[34] = 0x2
-		vals[35] = 0x2
-		v36 := v14
-		vals[36] = v36
-		v37 := v36
-		vals[37] = v37
-		v38 := v37
-		vals[38] = v38
-		vals[44] = 0x0
-		v46 := v28
-		vals[46] = v46
-		v47 := v46
-		vals[47] = v47
-		vals[48] = 0x0
-		v54 := v53
-		vals[54] = v54
-		v55 := v12
-		vals[55] = v55
-		v56 := v55
-		vals[56] = v56
-		var v62 uint64
-		if v56 != 0 {
-			v62 = 0x17
-		} else {
-			v62 = v61
-		}
-		vals[62] = v62
-		vals[63] = 0x0
-		v69 := v68
-		vals[69] = v69
-		v73 := v72
-		vals[73] = v73
-		v77 := v74
-		vals[77] = v77
-		var v80 uint64
-		if v56 != 0 {
-			v80 = v79
-		} else {
-			v80 = v78
-		}
-		vals[80] = v80
-		v83 := v81
-		vals[83] = v83
-		v86 := v84
-		vals[86] = v86
-		v89 := v87
-		vals[89] = v89
-		vals[90] = 0x0
-	case 0x3:
-		vals[2] = 0x0
-		vals[4] = 0x0
-		var v8 uint64
-		if v6 != 0 {
-			v8 = 0x2
-		} else {
-			v8 = 0x3
-		}
-		vals[8] = v8
-		vals[9] = 0x0
-		var v14 uint64
-		if v12 != 0 {
-			v14 = 0x3
-		} else {
-			v14 = 0x3
-		}
-		vals[14] = v14
-		vals[15] = 0x1
-		var v20 uint64
-		if v18 != 0 {
-			v20 = 0x4
-		} else {
-			v20 = 0x3
-		}
-		vals[20] = v20
-		vals[21] = 0x0
-		var v26 uint64
-		if v24 != 0 {
-			v26 = 0x5
-		} else {
-			v26 = 0x3
-		}
-		vals[26] = v26
-		vals[27] = 0x0
-		vals[33] = 0x3
-		vals[34] = 0x3
-		v35 := v20
-		vals[35] = v35
-		v36 := v35
-		vals[36] = v36
-		v37 := v36
-		vals[37] = v37
-		v38 := v37
-		vals[38] = v38
-		vals[44] = 0x0
-		v46 := v28
-		vals[46] = v46
-		v47 := v46
-		vals[47] = v47
-		v48 := v18
-		vals[48] = v48
-		var v54 uint64
-		if v48 != 0 {
-			v54 = 0x9
-		} else {
-			v54 = v53
-		}
-		vals[54] = v54
-		vals[55] = 0x0
-		vals[56] = 0x0
-		v62 := v61
-		vals[62] = v62
-		vals[63] = 0x0
-		v69 := v68
-		vals[69] = v69
-		v73 := v72
-		vals[73] = v73
-		var v77 uint64
-		if v48 != 0 {
-			v77 = v76
-		} else {
-			v77 = v74
-		}
-		vals[77] = v77
-		v80 := v78
-		vals[80] = v80
-		v83 := v81
-		vals[83] = v83
-		v86 := v84
-		vals[86] = v86
-		v89 := v87
-		vals[89] = v89
-		vals[90] = 0x0
-	case 0x4:
-		vals[2] = 0x0
-		vals[4] = 0x0
-		var v8 uint64
-		if v6 != 0 {
-			v8 = 0x2
-		} else {
-			v8 = 0x4
-		}
-		vals[8] = v8
-		vals[9] = 0x0
-		var v14 uint64
-		if v12 != 0 {
-			v14 = 0x3
-		} else {
-			v14 = 0x4
-		}
-		vals[14] = v14
-		vals[15] = 0x0
-		var v20 uint64
-		if v18 != 0 {
-			v20 = 0x4
-		} else {
-			v20 = 0x4
-		}
-		vals[20] = v20
-		vals[21] = 0x1
-		var v26 uint64
-		if v24 != 0 {
-			v26 = 0x5
-		} else {
-			v26 = 0x4
-		}
-		vals[26] = v26
-		vals[27] = 0x0
-		vals[33] = 0x4
-		v34 := v26
-		vals[34] = v34
-		v35 := v34
-		vals[35] = v35
-		v36 := v35
-		vals[36] = v36
-		v37 := v36
-		vals[37] = v37
-		v38 := v37
-		vals[38] = v38
-		vals[44] = 0x0
-		v46 := v28
-		vals[46] = v46
-		v47 := v46
-		vals[47] = v47
-		vals[48] = 0x0
-		v54 := v53
-		vals[54] = v54
-		vals[55] = 0x0
-		vals[56] = 0x0
-		v62 := v61
-		vals[62] = v62
-		vals[63] = 0x0
-		v69 := v68
-		vals[69] = v69
-		v73 := v72
-		vals[73] = v73
-		v77 := v74
-		vals[77] = v77
-		v80 := v78
-		vals[80] = v80
-		v83 := v81
-		vals[83] = v83
-		v86 := v84
-		vals[86] = v86
-		v89 := v87
-		vals[89] = v89
-		vals[90] = 0x0
-	case 0x5:
-		vals[2] = 0x0
-		vals[4] = 0x0
-		var v8 uint64
-		if v6 != 0 {
-			v8 = 0x2
-		} else {
-			v8 = 0x5
-		}
-		vals[8] = v8
-		vals[9] = 0x0
-		var v14 uint64
-		if v12 != 0 {
-			v14 = 0x3
-		} else {
-			v14 = 0x5
-		}
-		vals[14] = v14
-		vals[15] = 0x0
-		var v20 uint64
-		if v18 != 0 {
-			v20 = 0x4
-		} else {
-			v20 = 0x5
-		}
-		vals[20] = v20
-		vals[21] = 0x0
-		var v26 uint64
-		if v24 != 0 {
-			v26 = 0x5
-		} else {
-			v26 = 0x5
-		}
-		vals[26] = v26
-		vals[27] = 0x1
-		v33 := v32
-		vals[33] = v33
-		v34 := v33
-		vals[34] = v34
-		v35 := v34
-		vals[35] = v35
-		v36 := v35
-		vals[36] = v36
-		v37 := v36
-		vals[37] = v37
-		v38 := v37
-		vals[38] = v38
-		v44 := v43
-		vals[44] = v44
-		var v46 uint64
-		if v44 != 0 {
-			v46 = v45
-		} else {
-			v46 = v28
-		}
-		vals[46] = v46
-		v47 := v46
-		vals[47] = v47
-		vals[48] = 0x0
-		v54 := v53
-		vals[54] = v54
-		vals[55] = 0x0
-		v56 := v44
-		vals[56] = v56
-		var v62 uint64
-		if v56 != 0 {
-			v62 = 0x17
-		} else {
-			v62 = v61
-		}
-		vals[62] = v62
-		vals[63] = 0x0
-		v69 := v68
-		vals[69] = v69
-		v73 := v72
-		vals[73] = v73
-		v77 := v74
-		vals[77] = v77
-		var v80 uint64
-		if v56 != 0 {
-			v80 = v79
-		} else {
-			v80 = v78
-		}
-		vals[80] = v80
-		v83 := v81
-		vals[83] = v83
-		v86 := v84
-		vals[86] = v86
-		v89 := v87
-		vals[89] = v89
-		vals[90] = 0x0
-	case 0x6:
-		vals[2] = 0x0
-		vals[4] = 0x0
-		var v8 uint64
-		if v6 != 0 {
-			v8 = 0x2
-		} else {
-			v8 = 0x6
-		}
-		vals[8] = v8
-		vals[9] = 0x0
-		var v14 uint64
-		if v12 != 0 {
-			v14 = 0x3
-		} else {
-			v14 = 0x6
-		}
-		vals[14] = v14
-		vals[15] = 0x0
-		var v20 uint64
-		if v18 != 0 {
-			v20 = 0x4
-		} else {
-			v20 = 0x6
-		}
-		vals[20] = v20
-		vals[21] = 0x0
-		var v26 uint64
-		if v24 != 0 {
-			v26 = 0x5
-		} else {
-			v26 = 0x6
-		}
-		vals[26] = v26
-		vals[27] = 0x0
-		vals[33] = 0x6
-		vals[34] = 0x6
-		vals[35] = 0x6
-		vals[36] = 0x6
-		vals[37] = 0x6
-		vals[38] = 0x6
-		vals[44] = 0x0
-		v46 := v28
-		vals[46] = v46
-		v47 := v46
-		vals[47] = v47
-		vals[48] = 0x0
-		v54 := v53
-		vals[54] = v54
-		vals[55] = 0x0
-		vals[56] = 0x0
-		v62 := v61
-		vals[62] = v62
-		vals[63] = 0x0
-		v69 := v68
-		vals[69] = v69
-		v73 := v72
-		vals[73] = v73
-		v77 := v74
-		vals[77] = v77
-		v80 := v78
-		vals[80] = v80
-		v83 := v81
-		vals[83] = v83
-		v86 := v84
-		vals[86] = v86
-		v89 := v87
-		vals[89] = v89
-		vals[90] = 0x1
-	default:
-		var v2 uint64
-		if v0 == 0x0 {
-			v2 = 1
-		}
-		vals[2] = v2
-		var v4 uint64
-		if v0 == 0x1 {
-			v4 = 1
-		}
-		vals[4] = v4
-		var v8 uint64
-		if v6 != 0 {
-			v8 = 0x2
-		} else {
-			v8 = v0
-		}
-		vals[8] = v8
-		var v9 uint64
-		if v0 == 0x2 {
-			v9 = 1
-		}
-		vals[9] = v9
-		var v14 uint64
-		if v12 != 0 {
-			v14 = 0x3
-		} else {
-			v14 = v0
-		}
-		vals[14] = v14
-		var v15 uint64
-		if v0 == 0x3 {
-			v15 = 1
-		}
-		vals[15] = v15
-		var v20 uint64
-		if v18 != 0 {
-			v20 = 0x4
-		} else {
-			v20 = v0
-		}
-		vals[20] = v20
-		var v21 uint64
-		if v0 == 0x4 {
-			v21 = 1
-		}
-		vals[21] = v21
-		var v26 uint64
-		if v24 != 0 {
-			v26 = 0x5
-		} else {
-			v26 = v0
-		}
-		vals[26] = v26
-		var v27 uint64
-		if v0 == 0x5 {
-			v27 = 1
-		}
-		vals[27] = v27
-		var v33 uint64
-		if v27 != 0 {
-			v33 = v32
-		} else {
-			v33 = v0
-		}
-		vals[33] = v33
-		var v34 uint64
-		if v21 != 0 {
-			v34 = v26
-		} else {
-			v34 = v33
-		}
-		vals[34] = v34
-		var v35 uint64
-		if v15 != 0 {
-			v35 = v20
-		} else {
-			v35 = v34
-		}
-		vals[35] = v35
-		var v36 uint64
-		if v9 != 0 {
-			v36 = v14
-		} else {
-			v36 = v35
-		}
-		vals[36] = v36
-		var v37 uint64
-		if v4 != 0 {
-			v37 = v8
-		} else {
-			v37 = v36
-		}
-		vals[37] = v37
-		var v38 uint64
-		if v2 != 0 {
-			v38 = 0x1
-		} else {
-			v38 = v37
-		}
-		vals[38] = v38
-		v44 := v27 & v43
-		vals[44] = v44
-		var v46 uint64
-		if v44 != 0 {
-			v46 = v45
-		} else {
-			v46 = v28
-		}
-		vals[46] = v46
-		var v47 uint64
-		if v2 != 0 {
-			v47 = v42
-		} else {
-			v47 = v46
-		}
-		vals[47] = v47
-		v48 := v15 & v18
-		vals[48] = v48
-		var v54 uint64
-		if v48 != 0 {
-			v54 = 0x9
-		} else {
-			v54 = v53
-		}
-		vals[54] = v54
-		v55 := v9 & v12
-		vals[55] = v55
-		v56 := (v55 | v44)
-		vals[56] = v56
-		var v62 uint64
-		if v56 != 0 {
-			v62 = 0x17
-		} else {
-			v62 = v61
-		}
-		vals[62] = v62
-		v63 := v4 & v6
-		vals[63] = v63
-		var v69 uint64
-		if v63 != 0 {
-			v69 = 0x27
-		} else {
-			v69 = v68
-		}
-		vals[69] = v69
-		var v73 uint64
-		if v2 != 0 {
-			v73 = 0x3
-		} else {
-			v73 = v72
-		}
-		vals[73] = v73
-		var v77 uint64
-		if v48 != 0 {
-			v77 = v76
-		} else {
-			v77 = v74
-		}
-		vals[77] = v77
-		var v80 uint64
-		if v56 != 0 {
-			v80 = v79
-		} else {
-			v80 = v78
-		}
-		vals[80] = v80
-		var v83 uint64
-		if v2 != 0 {
-			v83 = v82
-		} else {
-			v83 = v81
-		}
-		vals[83] = v83
-		var v86 uint64
-		if v63 != 0 {
-			v86 = v85
-		} else {
-			v86 = v84
-		}
-		vals[86] = v86
-		var v89 uint64
-		if v2 != 0 {
-			v89 = v88
-		} else {
-			v89 = v87
-		}
-		vals[89] = v89
-		var v90 uint64
-		if v0 == 0x6 {
-			v90 = 1
-		}
-		vals[90] = v90
-	}
-	done := vals[90] != 0
-	l0 := vals[38] & 0x7
-	l1 := vals[47] & 0xffff
-	l2 := vals[54] & 0xf
-	l3 := vals[62] & 0x1f
-	l4 := vals[69] & 0x3f
-	l5 := vals[73] & 0x7
-	l6 := vals[77] & 0xffffff
-	l7 := vals[80] & 0xffffff
-	l8 := vals[83] & 0xffffff
-	l9 := vals[86] & 0xffffff
-	l10 := vals[89] & 0xffffff
-	vals[0] = l0
-	vals[28] = l1
-	vals[22] = l2
-	vals[16] = l3
-	vals[10] = l4
-	vals[5] = l5
-	vals[74] = l6
-	vals[78] = l7
-	vals[81] = l8
-	vals[84] = l9
-	vals[87] = l10
-	return cycles + 1, done
-}
-
 func step_aes_slice_all(vals []uint64, mems [][]uint64, limit uint64) (uint64, bool) {
 	_ = vals[110]
 	m0 := mems[0]
@@ -4384,7 +2803,6 @@ loop:
 }
 
 func init() {
-	rtl.RegisterNative("b5b06f6b869625a064ec0fcd8509a6285d5ce2dc84a5ac809db226620acea32b", "aes_cone", step_aes_cone)
 	rtl.RegisterNative("22f29b2846a49eaca86ca01e88524a0044aa72e94d1bcc840c3a2b5f9856d219", "aes_slice_all", step_aes_slice_all)
 	rtl.RegisterNative("a276e22e970259a3da68a3d092bfa716d99fc3af004f0f8a9e536dacd8de8dcb", "aes_slice_t42", step_aes_slice_t42)
 }

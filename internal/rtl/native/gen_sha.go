@@ -6,949 +6,6 @@ package native
 
 import "repro/internal/rtl"
 
-func step_sha_cone(vals []uint64, mems [][]uint64, limit uint64) (uint64, bool) {
-	_ = vals[61]
-	m0 := mems[0]
-	v0 := vals[0]
-	v5 := vals[5]
-	v11 := vals[11]
-	v17 := vals[17]
-	v51 := vals[51]
-	v55 := vals[55]
-	v58 := vals[58]
-	var cycles uint64
-loop:
-	for ; cycles+1 < limit; cycles++ {
-		var v39 uint64
-		if v11 != 0x0 {
-			v39 = 1
-		}
-		v41 := (v11 - 0x1) & 0x7f
-		var v42 uint64
-		if v39 != 0 {
-			v42 = v41
-		} else {
-			v42 = v11
-		}
-		switch v0 {
-		case 0x0:
-			var v30 uint64
-			if addr := uint64(0x0); addr < uint64(len(m0)) {
-				v30 = m0[addr] & 0xffff
-			}
-			v32 := (v30 - 0x1) & 0xffff
-			v56 := (v55 + 0x1) & 0xffffff
-			v59 := (v58 + 0x1) & 0xffffff
-			v36 := v32
-			v43 := v42
-			v54 := v51
-			v57 := v56
-			v60 := v59
-			n1 := v36
-			n2 := v43
-			n4 := v54
-			n5 := v57
-			n6 := v60
-			v0 = 0x1
-			v17 = n1
-			v11 = n2
-			v5 = 0xf
-			v51 = n4
-			v55 = n5
-			v58 = n6
-		case 0x1:
-			var v7 uint64
-			if v5 == 0x0 {
-				v7 = 1
-			}
-			var v46 uint64
-			if v5 != 0x0 {
-				v46 = 1
-			}
-			v48 := (v5 - 0x1) & 0x1f
-			var v49 uint64
-			if v46 != 0 {
-				v49 = v48
-			} else {
-				v49 = v5
-			}
-			v53 := (v51 + 0x1) & 0xffffff
-			var v9 uint64
-			if v7 != 0 {
-				v9 = 0x2
-			} else {
-				v9 = 0x1
-			}
-			v27 := v9
-			v28 := v27
-			v35 := v17
-			v36 := v35
-			v37 := v7
-			var v43 uint64
-			if v37 != 0 {
-				v43 = 0x3f
-			} else {
-				v43 = v42
-			}
-			v50 := v49
-			var v54 uint64
-			if v37 != 0 {
-				v54 = v53
-			} else {
-				v54 = v51
-			}
-			v57 := v55
-			v60 := v58
-			n0 := v28
-			n1 := v36
-			n2 := v43
-			n3 := v50
-			n4 := v54
-			n5 := v57
-			n6 := v60
-			v0 = n0
-			v17 = n1
-			v11 = n2
-			v5 = n3
-			v51 = n4
-			v55 = n5
-			v58 = n6
-		case 0x2:
-			var v13 uint64
-			if v11 == 0x0 {
-				v13 = 1
-			}
-			var v46 uint64
-			if v5 != 0x0 {
-				v46 = 1
-			}
-			v48 := (v5 - 0x1) & 0x1f
-			var v49 uint64
-			if v46 != 0 {
-				v49 = v48
-			} else {
-				v49 = v5
-			}
-			var v15 uint64
-			if v13 != 0 {
-				v15 = 0x3
-			} else {
-				v15 = 0x2
-			}
-			v26 := v15
-			v27 := v26
-			v28 := v27
-			v35 := v17
-			v36 := v35
-			v43 := v42
-			v50 := v49
-			v54 := v51
-			v57 := v55
-			v60 := v58
-			n0 := v28
-			n1 := v36
-			n2 := v43
-			n3 := v50
-			n4 := v54
-			n5 := v57
-			n6 := v60
-			v0 = n0
-			v17 = n1
-			v11 = n2
-			v5 = n3
-			v51 = n4
-			v55 = n5
-			v58 = n6
-		case 0x3:
-			var v19 uint64
-			if v17 != 0x0 {
-				v19 = 1
-			}
-			var v21 uint64
-			if v19 != 0 {
-				v21 = 0x1
-			} else {
-				v21 = 0x4
-			}
-			v34 := (v17 - 0x1) & 0xffff
-			var v46 uint64
-			if v5 != 0x0 {
-				v46 = 1
-			}
-			v48 := (v5 - 0x1) & 0x1f
-			var v49 uint64
-			if v46 != 0 {
-				v49 = v48
-			} else {
-				v49 = v5
-			}
-			v56 := (v55 + 0x1) & 0xffffff
-			v25 := v21
-			v26 := v25
-			v27 := v26
-			v28 := v27
-			v33 := v19
-			var v35 uint64
-			if v33 != 0 {
-				v35 = v34
-			} else {
-				v35 = v17
-			}
-			v36 := v35
-			v43 := v42
-			v44 := v33
-			var v50 uint64
-			if v44 != 0 {
-				v50 = 0xf
-			} else {
-				v50 = v49
-			}
-			v54 := v51
-			var v57 uint64
-			if v44 != 0 {
-				v57 = v56
-			} else {
-				v57 = v55
-			}
-			v60 := v58
-			n0 := v28
-			n1 := v36
-			n2 := v43
-			n3 := v50
-			n4 := v54
-			n5 := v57
-			n6 := v60
-			v0 = n0
-			v17 = n1
-			v11 = n2
-			v5 = n3
-			v51 = n4
-			v55 = n5
-			v58 = n6
-		case 0x4:
-			var v46 uint64
-			if v5 != 0x0 {
-				v46 = 1
-			}
-			v48 := (v5 - 0x1) & 0x1f
-			var v49 uint64
-			if v46 != 0 {
-				v49 = v48
-			} else {
-				v49 = v5
-			}
-			v35 := v17
-			v36 := v35
-			v43 := v42
-			v50 := v49
-			v54 := v51
-			v57 := v55
-			v60 := v58
-			n1 := v36
-			n2 := v43
-			n3 := v50
-			n4 := v54
-			n5 := v57
-			n6 := v60
-			v0 = 0x5
-			v17 = n1
-			v11 = n2
-			v5 = n3
-			v51 = n4
-			v55 = n5
-			v58 = n6
-		case 0x5:
-			break loop
-		default:
-			var v7 uint64
-			if v5 == 0x0 {
-				v7 = 1
-			}
-			var v13 uint64
-			if v11 == 0x0 {
-				v13 = 1
-			}
-			var v19 uint64
-			if v17 != 0x0 {
-				v19 = 1
-			}
-			var v21 uint64
-			if v19 != 0 {
-				v21 = 0x1
-			} else {
-				v21 = 0x4
-			}
-			var v30 uint64
-			if addr := uint64(0x0); addr < uint64(len(m0)) {
-				v30 = m0[addr] & 0xffff
-			}
-			v32 := (v30 - 0x1) & 0xffff
-			v34 := (v17 - 0x1) & 0xffff
-			var v46 uint64
-			if v5 != 0x0 {
-				v46 = 1
-			}
-			v48 := (v5 - 0x1) & 0x1f
-			var v49 uint64
-			if v46 != 0 {
-				v49 = v48
-			} else {
-				v49 = v5
-			}
-			v53 := (v51 + 0x1) & 0xffffff
-			v56 := (v55 + 0x1) & 0xffffff
-			v59 := (v58 + 0x1) & 0xffffff
-			var v2 uint64
-			if v0 == 0x0 {
-				v2 = 1
-			}
-			var v4 uint64
-			if v0 == 0x1 {
-				v4 = 1
-			}
-			var v9 uint64
-			if v7 != 0 {
-				v9 = 0x2
-			} else {
-				v9 = v0
-			}
-			var v10 uint64
-			if v0 == 0x2 {
-				v10 = 1
-			}
-			var v15 uint64
-			if v13 != 0 {
-				v15 = 0x3
-			} else {
-				v15 = v0
-			}
-			var v16 uint64
-			if v0 == 0x3 {
-				v16 = 1
-			}
-			var v22 uint64
-			if v0 == 0x4 {
-				v22 = 1
-			}
-			var v24 uint64
-			if v22 != 0 {
-				v24 = 0x5
-			} else {
-				v24 = v0
-			}
-			var v25 uint64
-			if v16 != 0 {
-				v25 = v21
-			} else {
-				v25 = v24
-			}
-			var v26 uint64
-			if v10 != 0 {
-				v26 = v15
-			} else {
-				v26 = v25
-			}
-			var v27 uint64
-			if v4 != 0 {
-				v27 = v9
-			} else {
-				v27 = v26
-			}
-			var v28 uint64
-			if v2 != 0 {
-				v28 = 0x1
-			} else {
-				v28 = v27
-			}
-			v33 := v16 & v19
-			var v35 uint64
-			if v33 != 0 {
-				v35 = v34
-			} else {
-				v35 = v17
-			}
-			var v36 uint64
-			if v2 != 0 {
-				v36 = v32
-			} else {
-				v36 = v35
-			}
-			v37 := v4 & v7
-			var v43 uint64
-			if v37 != 0 {
-				v43 = 0x3f
-			} else {
-				v43 = v42
-			}
-			v44 := (v2 | v33)
-			var v50 uint64
-			if v44 != 0 {
-				v50 = 0xf
-			} else {
-				v50 = v49
-			}
-			var v54 uint64
-			if v37 != 0 {
-				v54 = v53
-			} else {
-				v54 = v51
-			}
-			var v57 uint64
-			if v44 != 0 {
-				v57 = v56
-			} else {
-				v57 = v55
-			}
-			var v60 uint64
-			if v2 != 0 {
-				v60 = v59
-			} else {
-				v60 = v58
-			}
-			var v61 uint64
-			if v0 == 0x5 {
-				v61 = 1
-			}
-			if v61 != 0 {
-				break loop
-			}
-			n0 := v28
-			n1 := v36
-			n2 := v43
-			n3 := v50
-			n4 := v54
-			n5 := v57
-			n6 := v60
-			v0 = n0
-			v17 = n1
-			v11 = n2
-			v5 = n3
-			v51 = n4
-			v55 = n5
-			v58 = n6
-		}
-	}
-	vals[0] = v0
-	vals[17] = v17
-	vals[11] = v11
-	vals[5] = v5
-	vals[51] = v51
-	vals[55] = v55
-	vals[58] = v58
-	var v7 uint64
-	if v5 == 0x0 {
-		v7 = 1
-	}
-	vals[7] = v7
-	var v13 uint64
-	if v11 == 0x0 {
-		v13 = 1
-	}
-	vals[13] = v13
-	var v19 uint64
-	if v17 != 0x0 {
-		v19 = 1
-	}
-	vals[19] = v19
-	var v21 uint64
-	if v19 != 0 {
-		v21 = 0x1
-	} else {
-		v21 = 0x4
-	}
-	vals[21] = v21
-	var v30 uint64
-	if addr := uint64(0x0); addr < uint64(len(m0)) {
-		v30 = m0[addr] & 0xffff
-	}
-	vals[30] = v30
-	v32 := (v30 - 0x1) & 0xffff
-	vals[32] = v32
-	v34 := (v17 - 0x1) & 0xffff
-	vals[34] = v34
-	var v39 uint64
-	if v11 != 0x0 {
-		v39 = 1
-	}
-	vals[39] = v39
-	v41 := (v11 - 0x1) & 0x7f
-	vals[41] = v41
-	var v42 uint64
-	if v39 != 0 {
-		v42 = v41
-	} else {
-		v42 = v11
-	}
-	vals[42] = v42
-	var v46 uint64
-	if v5 != 0x0 {
-		v46 = 1
-	}
-	vals[46] = v46
-	v48 := (v5 - 0x1) & 0x1f
-	vals[48] = v48
-	var v49 uint64
-	if v46 != 0 {
-		v49 = v48
-	} else {
-		v49 = v5
-	}
-	vals[49] = v49
-	v53 := (v51 + 0x1) & 0xffffff
-	vals[53] = v53
-	v56 := (v55 + 0x1) & 0xffffff
-	vals[56] = v56
-	v59 := (v58 + 0x1) & 0xffffff
-	vals[59] = v59
-	switch v0 {
-	case 0x0:
-		vals[2] = 0x1
-		vals[4] = 0x0
-		var v9 uint64
-		if v7 != 0 {
-			v9 = 0x2
-		} else {
-			v9 = 0x0
-		}
-		vals[9] = v9
-		vals[10] = 0x0
-		var v15 uint64
-		if v13 != 0 {
-			v15 = 0x3
-		} else {
-			v15 = 0x0
-		}
-		vals[15] = v15
-		vals[16] = 0x0
-		vals[22] = 0x0
-		vals[24] = 0x0
-		vals[25] = 0x0
-		vals[26] = 0x0
-		vals[27] = 0x0
-		vals[28] = 0x1
-		vals[33] = 0x0
-		v35 := v17
-		vals[35] = v35
-		v36 := v32
-		vals[36] = v36
-		vals[37] = 0x0
-		v43 := v42
-		vals[43] = v43
-		vals[44] = 0x1
-		vals[50] = 0xf
-		v54 := v51
-		vals[54] = v54
-		v57 := v56
-		vals[57] = v57
-		v60 := v59
-		vals[60] = v60
-		vals[61] = 0x0
-	case 0x1:
-		vals[2] = 0x0
-		vals[4] = 0x1
-		var v9 uint64
-		if v7 != 0 {
-			v9 = 0x2
-		} else {
-			v9 = 0x1
-		}
-		vals[9] = v9
-		vals[10] = 0x0
-		var v15 uint64
-		if v13 != 0 {
-			v15 = 0x3
-		} else {
-			v15 = 0x1
-		}
-		vals[15] = v15
-		vals[16] = 0x0
-		vals[22] = 0x0
-		vals[24] = 0x1
-		vals[25] = 0x1
-		vals[26] = 0x1
-		v27 := v9
-		vals[27] = v27
-		v28 := v27
-		vals[28] = v28
-		vals[33] = 0x0
-		v35 := v17
-		vals[35] = v35
-		v36 := v35
-		vals[36] = v36
-		v37 := v7
-		vals[37] = v37
-		var v43 uint64
-		if v37 != 0 {
-			v43 = 0x3f
-		} else {
-			v43 = v42
-		}
-		vals[43] = v43
-		vals[44] = 0x0
-		v50 := v49
-		vals[50] = v50
-		var v54 uint64
-		if v37 != 0 {
-			v54 = v53
-		} else {
-			v54 = v51
-		}
-		vals[54] = v54
-		v57 := v55
-		vals[57] = v57
-		v60 := v58
-		vals[60] = v60
-		vals[61] = 0x0
-	case 0x2:
-		vals[2] = 0x0
-		vals[4] = 0x0
-		var v9 uint64
-		if v7 != 0 {
-			v9 = 0x2
-		} else {
-			v9 = 0x2
-		}
-		vals[9] = v9
-		vals[10] = 0x1
-		var v15 uint64
-		if v13 != 0 {
-			v15 = 0x3
-		} else {
-			v15 = 0x2
-		}
-		vals[15] = v15
-		vals[16] = 0x0
-		vals[22] = 0x0
-		vals[24] = 0x2
-		vals[25] = 0x2
-		v26 := v15
-		vals[26] = v26
-		v27 := v26
-		vals[27] = v27
-		v28 := v27
-		vals[28] = v28
-		vals[33] = 0x0
-		v35 := v17
-		vals[35] = v35
-		v36 := v35
-		vals[36] = v36
-		vals[37] = 0x0
-		v43 := v42
-		vals[43] = v43
-		vals[44] = 0x0
-		v50 := v49
-		vals[50] = v50
-		v54 := v51
-		vals[54] = v54
-		v57 := v55
-		vals[57] = v57
-		v60 := v58
-		vals[60] = v60
-		vals[61] = 0x0
-	case 0x3:
-		vals[2] = 0x0
-		vals[4] = 0x0
-		var v9 uint64
-		if v7 != 0 {
-			v9 = 0x2
-		} else {
-			v9 = 0x3
-		}
-		vals[9] = v9
-		vals[10] = 0x0
-		var v15 uint64
-		if v13 != 0 {
-			v15 = 0x3
-		} else {
-			v15 = 0x3
-		}
-		vals[15] = v15
-		vals[16] = 0x1
-		vals[22] = 0x0
-		vals[24] = 0x3
-		v25 := v21
-		vals[25] = v25
-		v26 := v25
-		vals[26] = v26
-		v27 := v26
-		vals[27] = v27
-		v28 := v27
-		vals[28] = v28
-		v33 := v19
-		vals[33] = v33
-		var v35 uint64
-		if v33 != 0 {
-			v35 = v34
-		} else {
-			v35 = v17
-		}
-		vals[35] = v35
-		v36 := v35
-		vals[36] = v36
-		vals[37] = 0x0
-		v43 := v42
-		vals[43] = v43
-		v44 := v33
-		vals[44] = v44
-		var v50 uint64
-		if v44 != 0 {
-			v50 = 0xf
-		} else {
-			v50 = v49
-		}
-		vals[50] = v50
-		v54 := v51
-		vals[54] = v54
-		var v57 uint64
-		if v44 != 0 {
-			v57 = v56
-		} else {
-			v57 = v55
-		}
-		vals[57] = v57
-		v60 := v58
-		vals[60] = v60
-		vals[61] = 0x0
-	case 0x4:
-		vals[2] = 0x0
-		vals[4] = 0x0
-		var v9 uint64
-		if v7 != 0 {
-			v9 = 0x2
-		} else {
-			v9 = 0x4
-		}
-		vals[9] = v9
-		vals[10] = 0x0
-		var v15 uint64
-		if v13 != 0 {
-			v15 = 0x3
-		} else {
-			v15 = 0x4
-		}
-		vals[15] = v15
-		vals[16] = 0x0
-		vals[22] = 0x1
-		vals[24] = 0x5
-		vals[25] = 0x5
-		vals[26] = 0x5
-		vals[27] = 0x5
-		vals[28] = 0x5
-		vals[33] = 0x0
-		v35 := v17
-		vals[35] = v35
-		v36 := v35
-		vals[36] = v36
-		vals[37] = 0x0
-		v43 := v42
-		vals[43] = v43
-		vals[44] = 0x0
-		v50 := v49
-		vals[50] = v50
-		v54 := v51
-		vals[54] = v54
-		v57 := v55
-		vals[57] = v57
-		v60 := v58
-		vals[60] = v60
-		vals[61] = 0x0
-	case 0x5:
-		vals[2] = 0x0
-		vals[4] = 0x0
-		var v9 uint64
-		if v7 != 0 {
-			v9 = 0x2
-		} else {
-			v9 = 0x5
-		}
-		vals[9] = v9
-		vals[10] = 0x0
-		var v15 uint64
-		if v13 != 0 {
-			v15 = 0x3
-		} else {
-			v15 = 0x5
-		}
-		vals[15] = v15
-		vals[16] = 0x0
-		vals[22] = 0x0
-		vals[24] = 0x5
-		vals[25] = 0x5
-		vals[26] = 0x5
-		vals[27] = 0x5
-		vals[28] = 0x5
-		vals[33] = 0x0
-		v35 := v17
-		vals[35] = v35
-		v36 := v35
-		vals[36] = v36
-		vals[37] = 0x0
-		v43 := v42
-		vals[43] = v43
-		vals[44] = 0x0
-		v50 := v49
-		vals[50] = v50
-		v54 := v51
-		vals[54] = v54
-		v57 := v55
-		vals[57] = v57
-		v60 := v58
-		vals[60] = v60
-		vals[61] = 0x1
-	default:
-		var v2 uint64
-		if v0 == 0x0 {
-			v2 = 1
-		}
-		vals[2] = v2
-		var v4 uint64
-		if v0 == 0x1 {
-			v4 = 1
-		}
-		vals[4] = v4
-		var v9 uint64
-		if v7 != 0 {
-			v9 = 0x2
-		} else {
-			v9 = v0
-		}
-		vals[9] = v9
-		var v10 uint64
-		if v0 == 0x2 {
-			v10 = 1
-		}
-		vals[10] = v10
-		var v15 uint64
-		if v13 != 0 {
-			v15 = 0x3
-		} else {
-			v15 = v0
-		}
-		vals[15] = v15
-		var v16 uint64
-		if v0 == 0x3 {
-			v16 = 1
-		}
-		vals[16] = v16
-		var v22 uint64
-		if v0 == 0x4 {
-			v22 = 1
-		}
-		vals[22] = v22
-		var v24 uint64
-		if v22 != 0 {
-			v24 = 0x5
-		} else {
-			v24 = v0
-		}
-		vals[24] = v24
-		var v25 uint64
-		if v16 != 0 {
-			v25 = v21
-		} else {
-			v25 = v24
-		}
-		vals[25] = v25
-		var v26 uint64
-		if v10 != 0 {
-			v26 = v15
-		} else {
-			v26 = v25
-		}
-		vals[26] = v26
-		var v27 uint64
-		if v4 != 0 {
-			v27 = v9
-		} else {
-			v27 = v26
-		}
-		vals[27] = v27
-		var v28 uint64
-		if v2 != 0 {
-			v28 = 0x1
-		} else {
-			v28 = v27
-		}
-		vals[28] = v28
-		v33 := v16 & v19
-		vals[33] = v33
-		var v35 uint64
-		if v33 != 0 {
-			v35 = v34
-		} else {
-			v35 = v17
-		}
-		vals[35] = v35
-		var v36 uint64
-		if v2 != 0 {
-			v36 = v32
-		} else {
-			v36 = v35
-		}
-		vals[36] = v36
-		v37 := v4 & v7
-		vals[37] = v37
-		var v43 uint64
-		if v37 != 0 {
-			v43 = 0x3f
-		} else {
-			v43 = v42
-		}
-		vals[43] = v43
-		v44 := (v2 | v33)
-		vals[44] = v44
-		var v50 uint64
-		if v44 != 0 {
-			v50 = 0xf
-		} else {
-			v50 = v49
-		}
-		vals[50] = v50
-		var v54 uint64
-		if v37 != 0 {
-			v54 = v53
-		} else {
-			v54 = v51
-		}
-		vals[54] = v54
-		var v57 uint64
-		if v44 != 0 {
-			v57 = v56
-		} else {
-			v57 = v55
-		}
-		vals[57] = v57
-		var v60 uint64
-		if v2 != 0 {
-			v60 = v59
-		} else {
-			v60 = v58
-		}
-		vals[60] = v60
-		var v61 uint64
-		if v0 == 0x5 {
-			v61 = 1
-		}
-		vals[61] = v61
-	}
-	done := vals[61] != 0
-	l0 := vals[28] & 0x7
-	l1 := vals[36] & 0xffff
-	l2 := vals[43] & 0x7f
-	l3 := vals[50] & 0x1f
-	l4 := vals[54] & 0xffffff
-	l5 := vals[57] & 0xffffff
-	l6 := vals[60] & 0xffffff
-	vals[0] = l0
-	vals[17] = l1
-	vals[11] = l2
-	vals[5] = l3
-	vals[51] = l4
-	vals[55] = l5
-	vals[58] = l6
-	return cycles + 1, done
-}
-
 func step_sha_slice_all(vals []uint64, mems [][]uint64, limit uint64) (uint64, bool) {
 	_ = vals[86]
 	m0 := mems[0]
@@ -3141,7 +2198,6 @@ loop:
 }
 
 func init() {
-	rtl.RegisterNative("632f8d420428d89b2ad70fa3f0be40d82297b02d956b2bf09a0a0f2b37d1083d", "sha_cone", step_sha_cone)
 	rtl.RegisterNative("b7785925d1651b69335eafcafb7922228b9be2275ed44878100b260aa9467530", "sha_slice_all", step_sha_slice_all)
 	rtl.RegisterNative("2e4b2e9f4d59aabb42b25949d22e9544d035c67ba5e73c88fc6284a510a3d3ef", "sha_slice_t42", step_sha_slice_t42)
 }

@@ -1,7 +1,8 @@
 // Package native holds the pre-generated (checked-in) native
 // simulators for the benchmark suite: one specialized Go function per
-// distinct netlist shape the production flows build — timing cones,
-// all-witness slices, and trained predictor slices (including the ones
+// distinct netlist shape the production flows build — timing cones (of
+// designs not certified for closed-form ground truth), all-witness
+// slices, and trained predictor slices (including the ones
 // a quick exp.Lab trains) — that runs a whole job per call (see
 // rtl.NativeStep). The gen_*.go files are produced by cmd/rtlgen
 // from internal/rtl/codegen plans and register themselves with the rtl

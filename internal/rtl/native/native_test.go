@@ -17,9 +17,12 @@ import (
 // TestRegistryCoversSuiteShapes asserts the checked-in generated code
 // is exactly the set of netlist shapes the production flows build on
 // all 7 benchmarks, each built through the core constructor the flows
-// call: the timing cone, the all-witness slice, the slice trained at
-// the canonical seed 42 and the slice a quick lab trains (the first
-// exp.QuickJobs seed-42 training jobs). It fails on a flow shape with
+// call: the all-witness slice, the timing cone of a design that takes
+// ground truth from it (every design but the certified aes and sha,
+// which take it from the all-witness slice, see core.GroundTruth), the
+// slice trained at the canonical seed 42 and the slice a quick lab
+// trains (the first exp.QuickJobs seed-42 training jobs). It fails on
+// a flow shape with
 // no generated simulator — internal/rtl/native is stale: regenerate
 // with `go generate ./internal/rtl/native` — and on a generated
 // simulator that no flow builds.
@@ -33,13 +36,16 @@ func TestRegistryCoversSuiteShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cone, err := core.TimingCone(ins)
-			if err != nil {
-				t.Fatal(err)
-			}
 			all, err := core.AllWitnessSlice(ins)
 			if err != nil {
 				t.Fatal(err)
+			}
+			truth, certified, err := core.GroundTruth(ins, all)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if certified != (spec.Name == "aes" || spec.Name == "sha") {
+				t.Fatalf("certified = %v; only aes and sha take ground truth from the all-witness slice", certified)
 			}
 			trained, err := core.Train(spec, core.Options{Seed: 42})
 			if err != nil {
@@ -53,15 +59,19 @@ func TestRegistryCoversSuiteShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, shape := range []struct {
+			type shape struct {
 				suffix string
 				m      *rtl.Module
-			}{
-				{"_cone", cone.M},
+			}
+			shapes := []shape{
 				{"_slice_all", all.M},
 				{"_slice_t42", trained.Slice.M},
 				{"_slice_quick", quick.Slice.M},
-			} {
+			}
+			if !certified {
+				shapes = append(shapes, shape{"_cone", truth.M})
+			}
+			for _, shape := range shapes {
 				name := spec.Name + shape.suffix
 				names[name] = true
 				built[rtl.Fingerprint(shape.m)] = true
@@ -88,8 +98,9 @@ func TestRegistryCoversSuiteShapes(t *testing.T) {
 // TestGeneratedCodeMatchesInterpOnSuite is the differential check of
 // the emitted (checked-in) code itself, as opposed to the codegen plan
 // evaluator the rtl package fuzzes: for every benchmark, real jobs run
-// on the generated native sims for the timing cone and the trained
-// predictor slice. Each job is stepped one cycle at a time with every
+// on the generated native sims for the ground-truth simulator (the
+// timing cone, or the all-witness slice of a certified design) and the
+// trained predictor slice. Each job is stepped one cycle at a time with every
 // node value compared on every cycle, then run whole through Run (one
 // call of the generated function), and ticks, node values and memories
 // must match the interpreter bit-exactly.
@@ -108,11 +119,15 @@ func TestGeneratedCodeMatchesInterpOnSuite(t *testing.T) {
 			if len(jobs) > 3 {
 				jobs = jobs[:3]
 			}
-			cone, err := core.TimingCone(pred.Ins)
+			all, err := core.AllWitnessSlice(pred.Ins)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, m := range []*rtl.Module{cone.M, pred.Slice.M} {
+			truth, _, err := core.GroundTruth(pred.Ins, all)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range []*rtl.Module{truth.M, pred.Slice.M} {
 				nat := rtl.NewSimEngine(m, rtl.EngineNative)
 				if got := nat.Engine(); got != rtl.EngineNative {
 					t.Fatalf("%s: engine %q, want native (stale registry?)", m.Name, got)
@@ -170,10 +185,11 @@ func TestGeneratedCodeMatchesInterpOnSuite(t *testing.T) {
 
 // TestServedPredictorsRunNative is the no-fallback guarantee for the
 // serving path: predictors trained the way dvfserved trains them must
-// run both the hardware slice and the ground-truth
-// timing cone on generated code under the native default, at the
-// canonical seed 42 and at another seed. The cone depends only on the
-// design, so it must hit at any seed; the slices trained at seed 7 have
+// run both the hardware slice and the ground-truth simulator (the
+// timing cone, or a certified design's all-witness slice) on generated
+// code under the native default, at the canonical seed 42 and at
+// another seed. The ground truth depends only on the design, so it
+// must hit at any seed; the slices trained at seed 7 have
 // seed 42's shape. A failure means the checked-in registry is stale for
 // a netlist the daemon simulates on every job: regenerate with
 // `go generate ./internal/rtl/native`.
@@ -198,9 +214,9 @@ func TestServedPredictorsRunNative(t *testing.T) {
 			if d := rtl.NativeFallbacks() - before; d != 0 {
 				t.Errorf("%s seed %d: NativeFallbacks advanced by %d", spec.Name, seed, d)
 			}
-			if sl, full := js.Engines(); sl != rtl.EngineNative || full != rtl.EngineNative {
-				t.Errorf("%s seed %d: slice engine %s, timing-cone engine %s; want native for both",
-					spec.Name, seed, sl, full)
+			if sl, truth := js.Engines(); sl != rtl.EngineNative || truth != rtl.EngineNative {
+				t.Errorf("%s seed %d: slice engine %s, ground-truth engine %s; want native for both",
+					spec.Name, seed, sl, truth)
 			}
 		}
 	}

@@ -217,7 +217,13 @@ func (s *Sim) Engine() Engine { return s.engine }
 
 // Reset restores registers to their init values, zeroes non-ROM memory,
 // clears inputs and the cycle counter.
-func (s *Sim) Reset() {
+func (s *Sim) Reset() { s.ResetFor(nil) }
+
+// ResetFor is Reset before a run that loads every RAM named in loads
+// with LoadMem, which writes each of its words: it zeroes only the RAMs
+// loads does not name. A named RAM the caller then leaves unloaded
+// keeps its previous contents.
+func (s *Sim) ResetFor(loads map[string][]uint64) {
 	for i := range s.vals {
 		s.vals[i] = 0
 	}
@@ -229,13 +235,10 @@ func (s *Sim) Reset() {
 		s.vals[r.Node] = r.Init
 	}
 	for i, mem := range s.m.Mems {
-		if mem.ROM {
+		if _, loaded := loads[mem.Name]; mem.ROM || loaded {
 			continue
 		}
-		data := s.mems[i]
-		for j := range data {
-			data[j] = 0
-		}
+		clear(s.mems[i])
 	}
 	s.cycles = 0
 }

@@ -51,10 +51,10 @@ func (a *afloat) Store(v float64) { a.bits.Store(math.Float64bits(v)) }
 var histBuckets = logBuckets(10e-6)
 
 // nsBuckets are the upper bounds (nanoseconds) of the router's
-// prediction and ground-truth (timing cone) simulation latency
-// histograms: 24 logarithmic buckets from 1 µs to ~50 ms plus a +Inf
-// overflow. They span a native slice run (a few µs) up to a timing-cone
-// simulation on the plan fallback.
+// prediction and ground-truth simulation latency histograms: 24
+// logarithmic buckets from 1 µs to ~50 ms plus a +Inf overflow. They
+// span a native slice run (a few µs) up to a timing-cone simulation on
+// the plan fallback.
 var nsBuckets = logBuckets(1000)
 
 // logBuckets returns 24 bucket bounds growing ×1.6 from first.

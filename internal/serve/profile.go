@@ -17,8 +17,8 @@ import (
 // from one set of parts.
 type Profile struct {
 	// Pred is the trained predictor the cluster router simulates
-	// arriving jobs on (the slice for the prediction, the timing cone
-	// for the ground truth). It may be nil for replay-only serving,
+	// arriving jobs on (the slice for the prediction, its ground-truth
+	// simulator for the actual cycles). It may be nil for replay-only serving,
 	// where every job carries a Trace.
 	Pred *core.Predictor
 	// Device, Power and SlicePower are the DVFS profile and energy

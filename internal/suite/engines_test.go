@@ -78,8 +78,9 @@ func runJob(t *testing.T, mod *rtl.Module, job accel.Job, maxTicks uint64, ref, 
 }
 
 // TestEnginesMatchOnSuite is the suite-wide differential test: for
-// every benchmark, the timing cone AND the all-witness hardware slice
-// (the shapes a trace-collection job simulates) are run on real jobs
+// every benchmark, the ground-truth simulator AND the all-witness
+// hardware slice (the shapes a trace-collection job simulates; one
+// module on a certified design) are run on real jobs
 // by every engine — the codegen plan (the native fallback) and the
 // generated native code — against the interpreter.
 // Each job is stepped one cycle at a time with every node value
@@ -90,7 +91,7 @@ func TestEnginesMatchOnSuite(t *testing.T) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			jobs := spec.TestJobs(23)[:2]
-			for _, mod := range coneAndSlice(t, spec) {
+			for _, mod := range truthAndSlice(t, spec) {
 				nat := rtl.NewSimEngine(mod, rtl.EngineNative)
 				if got := nat.Engine(); got != rtl.EngineNative {
 					t.Fatalf("%s: native sim reports %q — generated registry stale? run go generate ./internal/rtl/native",
@@ -122,8 +123,8 @@ func TestEnginesMatchOnSuite(t *testing.T) {
 // jobs of differing lengths, as a core worker reuses its simulators.
 // Each job is stepped one cycle at a time against a fresh interpreter,
 // every node value compared on every cycle, then run whole, with ticks,
-// node values and memories compared bit-exactly, on both the timing
-// cone and the all-witness slice. A long job followed by a shorter
+// node values and memories compared bit-exactly, on both the
+// ground-truth simulator and the all-witness slice. A long job followed by a shorter
 // one on the same Sim is what catches state that Reset fails to clear.
 func TestBatchEngineMatchesOnSuite(t *testing.T) {
 	for _, spec := range All() {
@@ -133,7 +134,7 @@ func TestBatchEngineMatchesOnSuite(t *testing.T) {
 			if len(jobs) > 5 {
 				jobs = jobs[:5]
 			}
-			for _, mod := range coneAndSlice(t, spec) {
+			for _, mod := range truthAndSlice(t, spec) {
 				nat := rtl.NewSimEngine(mod, rtl.EngineNative)
 				if got := nat.Engine(); got != rtl.EngineNative {
 					t.Fatalf("%s: native sim reports %q — regenerate internal/rtl/native", mod.Name, got)

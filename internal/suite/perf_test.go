@@ -12,7 +12,7 @@ import (
 // TestNativeEngineNoRegression guards the native (codegen) engine's
 // reason to exist: single-job latency, the quantity that matters on
 // the serving path where a prediction runs inline before each job.
-// Aggregate single-job throughput (timing cone + all-witness slice per
+// Aggregate single-job throughput (ground truth + all-witness slice per
 // job, the shapes core.CollectTraces runs) across the whole suite must
 // comfortably beat the codegen plan the native fallback runs (BENCH_sim.json
 // native_vs_plan); the aggregate floor here is 2x so only a real
@@ -31,7 +31,7 @@ func TestNativeEngineNoRegression(t *testing.T) {
 	var pairs []pair
 	for _, spec := range All() {
 		job := spec.TestJobs(3)[0]
-		for _, m := range coneAndSlice(t, spec) {
+		for _, m := range truthAndSlice(t, spec) {
 			nat := rtl.NewSimEngine(m, rtl.EngineNative)
 			if got := nat.Engine(); got != rtl.EngineNative {
 				t.Fatalf("%s: native sim reports %q — regenerate internal/rtl/native", m.Name, got)
@@ -74,7 +74,7 @@ func TestNativeEngineNoRegression(t *testing.T) {
 
 // TestBatchEngineNoRegression guards bulk trace collection per
 // benchmark, the job the deleted batch engine did before native beat
-// it: collecting one trace (timing cone + all-witness slice, the
+// it: collecting one trace (ground truth + all-witness slice, the
 // shapes of the work core.CollectTraces does per job) on the native
 // engine must comfortably beat the plan fallback on every benchmark,
 // not just in the suite aggregate that TestNativeEngineNoRegression checks
@@ -89,7 +89,7 @@ func TestBatchEngineNoRegression(t *testing.T) {
 	for _, spec := range All() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			mods := coneAndSlice(t, spec)
+			mods := truthAndSlice(t, spec)
 			job := spec.TestJobs(3)[0]
 			collector := func(sim func(*rtl.Module) *rtl.Sim) func() {
 				var sims []*rtl.Sim

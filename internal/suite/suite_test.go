@@ -249,15 +249,20 @@ func instrumentAndSlice(t *testing.T, spec accel.Spec) (*instrument.Instrumented
 	return ins, sl
 }
 
-// coneAndSlice returns a benchmark's timing cone and its all-witness
-// slice: the shapes of the pair of modules every trace-collection job
-// simulates (core.CollectTraces runs the cone and the trained slice).
-func coneAndSlice(t *testing.T, spec accel.Spec) []*rtl.Module {
+// truthAndSlice returns a benchmark's ground-truth simulator (see
+// core.GroundTruth) and its all-witness slice: the shapes of the pair
+// of modules every trace-collection job simulates (core.CollectTraces
+// runs the ground truth and the trained slice). A certified design's
+// ground truth is its all-witness slice, so it returns that once.
+func truthAndSlice(t *testing.T, spec accel.Spec) []*rtl.Module {
 	t.Helper()
 	ins, sl := instrumentAndSlice(t, spec)
-	cone, err := core.TimingCone(ins)
+	truth, certified, err := core.GroundTruth(ins, sl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []*rtl.Module{cone.M, sl.M}
+	if certified {
+		return []*rtl.Module{sl.M}
+	}
+	return []*rtl.Module{truth.M, sl.M}
 }
