@@ -149,9 +149,6 @@ func lintVerilog(path string, cfg lint.Config) ([]lint.Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(mods) == 0 {
-		return nil, fmt.Errorf("rtlcheck: %s: no modules", path)
-	}
 	top := mods[len(mods)-1].Name
 	m, warns, err := verilog.ElaborateHierarchyWarn(mods, top)
 	diags := lint.ConvertWarnings(top, warns, cfg)
@@ -224,10 +221,7 @@ func boundsTarget(target string) ([]boundsRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(mods) == 0 {
-			return nil, fmt.Errorf("rtlcheck: %s: no modules", target)
-		}
-		m, err := verilog.ElaborateHierarchy(mods, mods[len(mods)-1].Name)
+		m, _, err := verilog.ElaborateHierarchyWarn(mods, mods[len(mods)-1].Name)
 		if err != nil {
 			return nil, err
 		}

@@ -192,7 +192,6 @@ func classifyCounter(m *rtl.Module, r *rtl.Reg, ri int, leaves []leaf) (Counter,
 	c := Counter{Reg: ri, Node: r.Node, Name: r.Name}
 	foundStep := false
 	for _, lf := range leaves {
-		n := &m.Nodes[lf.node]
 		if lf.node == r.Node {
 			continue // hold arm
 		}
@@ -204,7 +203,6 @@ func classifyCounter(m *rtl.Module, r *rtl.Reg, ri int, leaves []leaf) (Counter,
 			foundStep = true
 			continue
 		}
-		_ = n
 		c.Loads = append(c.Loads, Load{Cond: lf.path, Value: lf.node})
 	}
 	if !foundStep {

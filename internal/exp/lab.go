@@ -27,12 +27,8 @@ import (
 // Deadline is the paper's 60 fps frame budget (§4.2).
 const Deadline = 16.7e-3
 
-// Margins used by the schemes (§4.2).
-const (
-	PredictiveMargin = 0.05
-	PIDMargin        = 0.10
-	TableMargin      = 0.10
-)
+// PredictiveMargin is the prediction-based scheme's margin (§4.2).
+const PredictiveMargin = 0.05
 
 // QuickJobs is how many training and test jobs a Quick lab keeps per
 // benchmark (cmd/rtlgen pre-generates the slices it trains).
@@ -116,7 +112,6 @@ func (l *Lab) build(name string) (*Entry, error) {
 		return nil, err
 	}
 
-	fullStats := rtl.Stats(pred.Ins.M)
 	// Instrumentation witnesses for UNUSED features would not be taped
 	// out; the shipped accelerator carries only the kept witnesses, so
 	// cost the baseline as the clean design.
@@ -139,7 +134,6 @@ func (l *Lab) build(name string) (*Entry, error) {
 	sliceParams.MemFraction = 0.1 // slices are logic-dominated
 	spm := power.FromStats(sliceLogic, sliceParams)
 
-	_ = fullStats
 	return &Entry{
 		Pred:       pred,
 		Train:      trainTr,

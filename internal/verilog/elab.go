@@ -35,7 +35,12 @@ func (w Warning) String() string {
 	return fmt.Sprintf("%s: %s: %s", w.Module, loc, w.Msg)
 }
 
-// Elaborate lowers a parsed module to an rtl.Module:
+// ParseAndElaborate is the one-call frontend: it parses src and lowers
+// it to an rtl.Module. Sources with several modules are elaborated
+// hierarchically: the *last* module is the top (the common Verilog file
+// convention of leaves-first), instances are flattened into one netlist
+// with dotted name prefixes, exactly as a synthesis tool's flatten pass
+// would. Within a module:
 //
 //   - input ports become rtl inputs (the clock is identified from the
 //     always blocks and not materialized — the rtl simulator is
@@ -49,43 +54,28 @@ func (w Warning) String() string {
 //     compose path conditions,
 //   - the output port named "done" becomes the module's done signal.
 //
-// Width semantics are simplified relative to the LRM: unsized literals
-// take their minimal width, and every operator works at the wider of
-// its operand widths (comparisons are 1 bit). This matches the rtl IR
-// and is sufficient for the accelerator subset.
-func Elaborate(m *Module) (*rtl.Module, error) {
-	return ElaborateHierarchy([]*Module{m}, m.Name)
-}
-
-// ParseAndElaborate is the one-call frontend. Sources with several
-// modules are elaborated hierarchically: the *last* module is the top
-// (the common Verilog file convention of leaves-first), instances are
-// flattened into one netlist with dotted name prefixes, exactly as a
-// synthesis tool's flatten pass would.
+// Expressions are unsigned and sized as IEEE 1364-2005 §5.4 sizes
+// them: + - * & | ^ ~, unary minus, ?: and a shift's left operand
+// compute at the wider of their own width and their context's (an
+// assignment's target, an instance port, or an enclosing such
+// operator); a comparison widens both operands to the wider of the
+// two, and a case its subject and labels to the widest of them;
+// logical operators, reductions, concatenation parts, selects, indices
+// and shift amounts are self-determined. Unsized literals take their
+// minimal width rather than 32 bits.
 func ParseAndElaborate(src string) (*rtl.Module, error) {
-	m, _, err := ParseAndElaborateWarn(src)
-	return m, err
-}
-
-// ParseAndElaborateWarn is ParseAndElaborate with elaboration warnings.
-func ParseAndElaborateWarn(src string) (*rtl.Module, []Warning, error) {
 	mods, err := ParseFile(src)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return ElaborateHierarchyWarn(mods, mods[len(mods)-1].Name)
-}
-
-// ElaborateHierarchy elaborates the named top module against a library
-// of modules, inlining every instance.
-func ElaborateHierarchy(mods []*Module, top string) (*rtl.Module, error) {
-	m, _, err := ElaborateHierarchyWarn(mods, top)
+	m, _, err := ElaborateHierarchyWarn(mods, mods[len(mods)-1].Name)
 	return m, err
 }
 
-// ElaborateHierarchyWarn elaborates like ElaborateHierarchy and also
-// returns the non-fatal warnings (undriven or unused wires) collected
-// across the whole hierarchy, in deterministic order.
+// ElaborateHierarchyWarn elaborates the named top module against a
+// library of modules, inlining every instance as ParseAndElaborate
+// does, and also returns the non-fatal warnings (undriven or unused
+// wires) collected across the whole hierarchy, in deterministic order.
 func ElaborateHierarchyWarn(mods []*Module, top string) (*rtl.Module, []Warning, error) {
 	lib := map[string]*Module{}
 	for _, m := range mods {
@@ -480,6 +470,12 @@ func (e *elaborator) declare() error {
 			if w == 0 || w > 64 {
 				return e.errorf(it.Line, "reg %s width out of range", it.Name)
 			}
+			if _, dup := e.regs[it.Name]; dup {
+				return e.errorf(it.Line, "reg %s redeclared", it.Name)
+			}
+			if _, dup := e.mems[it.Name]; dup {
+				return e.errorf(it.Line, "memory %s redeclared", it.Name)
+			}
 			if it.Array {
 				words := it.AMSB - it.ALSB + 1
 				if words <= 0 {
@@ -502,6 +498,9 @@ func (e *elaborator) declare() error {
 			init := uint64(0)
 			if it.HasInit {
 				init = it.Init
+			}
+			if init&^rtl.WidthMask(w) != 0 {
+				return e.errorf(it.Line, "reg %s initial value %d exceeds its %d-bit width", it.Name, init, w)
 			}
 			e.widths[it.Name] = w
 			e.atLine(it.Line)
@@ -611,7 +610,7 @@ func (e *elaborator) elaborateInstance(st *instanceState, line int) error {
 		if !ok {
 			return e.errorf(st.inst.Line, "instance %s leaves input %s unconnected", st.inst.Name, p.Name)
 		}
-		sig, err := e.lowerExprW(ex, st.inst.Line, p.Width())
+		sig, err := e.lowerExpr(ex, st.inst.Line, p.Width())
 		if err != nil {
 			return err
 		}
@@ -669,7 +668,7 @@ func (e *elaborator) signalOf(name string, line int) (rtl.Signal, error) {
 		case wd.expr != nil:
 			var err error
 			e.atLine(wd.line)
-			sig, err = e.lowerExprW(wd.expr, wd.line, wd.width)
+			sig, err = e.lowerExpr(wd.expr, wd.line, wd.width)
 			if err != nil {
 				return rtl.Signal{}, err
 			}
@@ -694,8 +693,7 @@ func fitWidth(s rtl.Signal, w uint8) rtl.Signal {
 	if s.Width() > w {
 		return s.Trunc(w)
 	}
-	// Widen: builder Or with a zero constant of the target width.
-	return widen(s, w)
+	return s.WidenTo(w)
 }
 
 // widthOfExpr computes an expression's self-determined width per the
@@ -766,258 +764,170 @@ func (e *elaborator) widthOfExpr(x Expr) uint8 {
 	return 1
 }
 
-// lowerExprW lowers an expression under a context width: the result and
-// the operands of context-propagating operators (+ - * & | ^ ~ unary-
-// minus ?:, and the left operand of shifts) are computed at
-// max(self-determined, ctx), matching Verilog's context-determined
-// sizing for the cases the subset supports. Comparisons, logical
-// operators, selects and shift amounts are self-determined.
-func (e *elaborator) lowerExprW(x Expr, line int, ctx uint8) (rtl.Signal, error) {
-	final := e.widthOfExpr(x)
-	if ctx > final {
-		final = ctx
-	}
+// lowerExpr lowers an expression under a context width ctx, 0 meaning
+// self-determined, to a signal exactly max(self, ctx) bits wide: the
+// sizing rule is stated on ParseAndElaborate.
+func (e *elaborator) lowerExpr(x Expr, line int, ctx uint8) (rtl.Signal, error) {
+	final := max(e.widthOfExpr(x), ctx)
 	if final > 64 {
 		return rtl.Signal{}, e.errorf(line, "expression wider than 64 bits")
 	}
+	// Composite operators that take the context return at final; the
+	// rest set s (at its self-determined width) and are widened below.
+	var s rtl.Signal
+	var err error
 	switch v := x.(type) {
 	case *Num:
 		if v.Width != 0 && v.Val&^rtl.WidthMask(v.Width) != 0 {
 			return rtl.Signal{}, e.errorf(line, "literal %d exceeds its %d-bit size", v.Val, v.Width)
 		}
 		return e.b.Const(v.Val, final), nil
-	case *Unary:
-		switch v.Op {
-		case "~":
-			xs, err := e.lowerExprW(v.X, line, final)
-			if err != nil {
-				return rtl.Signal{}, err
-			}
-			return fitWidth(xs, final).Not(), nil
-		case "-":
-			xs, err := e.lowerExprW(v.X, line, final)
-			if err != nil {
-				return rtl.Signal{}, err
-			}
-			zero := e.b.Const(0, final)
-			return zero.Sub(fitWidth(xs, final)), nil
-		case "!":
-			xs, err := e.lowerExprW(v.X, line, 0)
-			if err != nil {
-				return rtl.Signal{}, err
-			}
-			return xs.IsZero(), nil
-		}
-	case *Binary:
-		switch v.Op {
-		case "+", "-", "*", "&", "|", "^":
-			a, err := e.lowerExprW(v.X, line, final)
-			if err != nil {
-				return rtl.Signal{}, err
-			}
-			bsig, err := e.lowerExprW(v.Y, line, final)
-			if err != nil {
-				return rtl.Signal{}, err
-			}
-			a, bsig = fitWidth(a, final), fitWidth(bsig, final)
-			switch v.Op {
-			case "+":
-				return a.Add(bsig), nil
-			case "-":
-				return a.Sub(bsig), nil
-			case "*":
-				return a.Mul(bsig, final), nil
-			case "&":
-				return a.And(bsig), nil
-			case "|":
-				return a.Or(bsig), nil
-			case "^":
-				return a.Xor(bsig), nil
-			}
-		case "<<", ">>":
-			a, err := e.lowerExprW(v.X, line, final)
-			if err != nil {
-				return rtl.Signal{}, err
-			}
-			amt, err := e.lowerExprW(v.Y, line, 0)
-			if err != nil {
-				return rtl.Signal{}, err
-			}
-			a = fitWidth(a, final)
-			if v.Op == "<<" {
-				return a.Shl(amt), nil
-			}
-			return a.Shr(amt), nil
-		}
-		// Comparisons and logical ops: self-determined, width 1.
-		return e.lowerExpr(x, line)
-	case *Cond:
-		sel, err := e.lowerExprW(v.Sel, line, 0)
-		if err != nil {
-			return rtl.Signal{}, err
-		}
-		a, err := e.lowerExprW(v.A, line, final)
-		if err != nil {
-			return rtl.Signal{}, err
-		}
-		bb, err := e.lowerExprW(v.B, line, final)
-		if err != nil {
-			return rtl.Signal{}, err
-		}
-		return sel.NonZero().Mux(fitWidth(a, final), fitWidth(bb, final)), nil
-	}
-	// Leaves and everything else: self-determined lowering, widened.
-	s, err := e.lowerExpr(x, line)
-	if err != nil {
-		return rtl.Signal{}, err
-	}
-	if s.Width() < final {
-		s = widen(s, final)
-	}
-	return s, nil
-}
-
-// lowerExpr converts an AST expression into a signal.
-func (e *elaborator) lowerExpr(x Expr, line int) (rtl.Signal, error) {
-	switch v := x.(type) {
-	case *Num:
-		w := v.Width
-		if w == 0 {
-			w = rtl.WidthFor(v.Val)
-		}
-		if v.Val&^rtl.WidthMask(w) != 0 {
-			return rtl.Signal{}, e.errorf(line, "literal %d exceeds its %d-bit size", v.Val, w)
-		}
-		return e.b.Const(v.Val, w), nil
 	case *Ref:
-		return e.signalOf(v.Name, line)
+		s, err = e.signalOf(v.Name, line)
 	case *PartSelect:
-		base, err := e.signalOf(v.Name, line)
-		if err != nil {
+		if s, err = e.signalOf(v.Name, line); err != nil {
 			return rtl.Signal{}, err
 		}
-		if v.MSB < v.LSB || v.MSB >= int(base.Width()) {
+		if v.MSB < v.LSB || v.MSB >= int(s.Width()) {
 			return rtl.Signal{}, e.errorf(line, "part select %s[%d:%d] out of range", v.Name, v.MSB, v.LSB)
 		}
-		return base.Bits(uint8(v.LSB), uint8(v.MSB-v.LSB+1)), nil
+		s = s.Bits(uint8(v.LSB), uint8(v.MSB-v.LSB+1))
 	case *Index:
 		if md, ok := e.mems[v.Name]; ok {
-			addr, err := e.lowerExpr(v.At, line)
+			addr, err := e.lowerExpr(v.At, line, 0)
 			if err != nil {
 				return rtl.Signal{}, err
 			}
-			return e.b.Read(md.mem, addr, md.width), nil
+			s = e.b.Read(md.mem, addr, md.width)
+			break
 		}
 		base, err := e.signalOf(v.Name, line)
 		if err != nil {
 			return rtl.Signal{}, err
 		}
-		at, err := e.lowerExpr(v.At, line)
+		at, err := e.lowerExpr(v.At, line, 0)
 		if err != nil {
 			return rtl.Signal{}, err
 		}
-		return base.Shr(at).Trunc(1), nil
+		s = base.Shr(at).Trunc(1)
 	case *Unary:
-		xs, err := e.lowerExpr(v.X, line)
-		if err != nil {
-			return rtl.Signal{}, err
-		}
-		switch v.Op {
-		case "~":
-			return xs.Not(), nil
-		case "!":
-			return xs.IsZero(), nil
-		case "-":
-			zero := e.b.Const(0, xs.Width())
-			return zero.Sub(xs), nil
-		}
-		return rtl.Signal{}, e.errorf(line, "unsupported unary %q", v.Op)
-	case *Binary:
-		a, err := e.lowerExpr(v.X, line)
-		if err != nil {
-			return rtl.Signal{}, err
-		}
-		bsig, err := e.lowerExpr(v.Y, line)
-		if err != nil {
-			return rtl.Signal{}, err
-		}
-		switch v.Op {
-		case "+":
-			return a.Add(bsig), nil
-		case "-":
-			return a.Sub(bsig), nil
-		case "*":
-			w := a.Width()
-			if bsig.Width() > w {
-				w = bsig.Width()
+		if v.Op == "!" {
+			if s, err = e.lowerExpr(v.X, line, 0); err != nil {
+				return rtl.Signal{}, err
 			}
-			return a.Mul(bsig, w), nil
-		case "&":
-			return a.And(bsig), nil
-		case "|":
-			return a.Or(bsig), nil
-		case "^":
-			return a.Xor(bsig), nil
-		case "<<":
-			return a.Shl(bsig), nil
-		case ">>":
-			return a.Shr(bsig), nil
-		case "==":
-			return eqWidths(a, bsig), nil
-		case "!=":
-			return eqWidths(a, bsig).Not(), nil
-		case "<":
-			return ltWidths(a, bsig), nil
-		case "<=":
-			return ltWidths(bsig, a).Not(), nil
-		case ">":
-			return ltWidths(bsig, a), nil
-		case ">=":
-			return ltWidths(a, bsig).Not(), nil
-		case "&&":
-			return a.NonZero().And(bsig.NonZero()), nil
-		case "||":
-			return a.NonZero().Or(bsig.NonZero()), nil
+			s = s.IsZero()
+			break
 		}
-		return rtl.Signal{}, e.errorf(line, "unsupported operator %q", v.Op)
+		xs, err := e.lowerExpr(v.X, line, final)
+		if err != nil {
+			return rtl.Signal{}, err
+		}
+		if v.Op == "-" {
+			return e.b.Const(0, final).Sub(xs), nil
+		}
+		return xs.Not(), nil
+	case *Binary:
+		s, err = e.lowerBinary(v, line, final)
 	case *Cond:
-		sel, err := e.lowerExpr(v.Sel, line)
+		sel, err := e.lowerExpr(v.Sel, line, 0)
 		if err != nil {
 			return rtl.Signal{}, err
 		}
-		a, err := e.lowerExpr(v.A, line)
+		a, err := e.lowerExpr(v.A, line, final)
 		if err != nil {
 			return rtl.Signal{}, err
 		}
-		bb, err := e.lowerExpr(v.B, line)
+		b, err := e.lowerExpr(v.B, line, final)
 		if err != nil {
 			return rtl.Signal{}, err
 		}
-		return sel.NonZero().Mux(a, bb), nil
+		return sel.NonZero().Mux(a, b), nil
 	case *Concat:
-		return e.lowerConcat(v.Parts, line)
+		s, err = e.lowerConcat(v.Parts, line)
 	case *Repl:
 		parts := make([]Expr, v.Count)
 		for i := range parts {
 			parts[i] = v.X
 		}
-		return e.lowerConcat(parts, line)
+		s, err = e.lowerConcat(parts, line)
 	case *Reduce:
-		xs, err := e.lowerExpr(v.X, line)
-		if err != nil {
+		if s, err = e.lowerExpr(v.X, line, 0); err != nil {
 			return rtl.Signal{}, err
 		}
 		switch v.Op {
 		case "|":
-			return xs.NonZero(), nil
+			s = s.NonZero()
 		case "&":
-			return xs.Eq(e.b.Const(rtl.WidthMask(xs.Width()), xs.Width())), nil
-		case "^":
-			return parity(xs), nil
+			s = s.Eq(e.b.Const(rtl.WidthMask(s.Width()), s.Width()))
+		default:
+			s = parity(s)
 		}
-		return rtl.Signal{}, e.errorf(line, "unsupported reduction %q", v.Op)
+	default:
+		return rtl.Signal{}, e.errorf(line, "unsupported expression %T", x)
 	}
-	return rtl.Signal{}, e.errorf(line, "unsupported expression %T", x)
+	if err != nil {
+		return rtl.Signal{}, err
+	}
+	return fitWidth(s, final), nil
+}
+
+// lowerBinary lowers a binary operator whose context-sized operators
+// compute at width final.
+func (e *elaborator) lowerBinary(v *Binary, line int, final uint8) (rtl.Signal, error) {
+	// xw and yw size the operands; 0 leaves one self-determined.
+	var xw, yw uint8
+	switch v.Op {
+	case "+", "-", "*", "&", "|", "^":
+		xw, yw = final, final
+	case "<<", ">>":
+		xw = final
+	case "==", "!=", "<", "<=", ">", ">=":
+		xw = max(e.widthOfExpr(v.X), e.widthOfExpr(v.Y))
+		yw = xw
+	}
+	a, err := e.lowerExpr(v.X, line, xw)
+	if err != nil {
+		return rtl.Signal{}, err
+	}
+	b, err := e.lowerExpr(v.Y, line, yw)
+	if err != nil {
+		return rtl.Signal{}, err
+	}
+	switch v.Op {
+	case "+":
+		return a.Add(b), nil
+	case "-":
+		return a.Sub(b), nil
+	case "*":
+		return a.Mul(b, final), nil
+	case "&":
+		return a.And(b), nil
+	case "|":
+		return a.Or(b), nil
+	case "^":
+		return a.Xor(b), nil
+	case "<<":
+		return a.Shl(b), nil
+	case ">>":
+		return a.Shr(b), nil
+	case "==":
+		return a.Eq(b), nil
+	case "!=":
+		return a.Ne(b), nil
+	case "<":
+		return a.Lt(b), nil
+	case "<=":
+		return a.Le(b), nil
+	case ">":
+		return a.Gt(b), nil
+	case ">=":
+		return a.Ge(b), nil
+	case "&&":
+		return a.NonZero().And(b.NonZero()), nil
+	case "||":
+		return a.NonZero().Or(b.NonZero()), nil
+	}
+	return rtl.Signal{}, e.errorf(line, "unsupported operator %q", v.Op)
 }
 
 // lowerConcat assembles parts MSB-first into one vector.
@@ -1028,7 +938,7 @@ func (e *elaborator) lowerConcat(parts []Expr, line int) (rtl.Signal, error) {
 	total := 0
 	sigs := make([]rtl.Signal, len(parts))
 	for i, part := range parts {
-		s, err := e.lowerExpr(part, line)
+		s, err := e.lowerExpr(part, line, 0)
 		if err != nil {
 			return rtl.Signal{}, err
 		}
@@ -1039,9 +949,9 @@ func (e *elaborator) lowerConcat(parts []Expr, line int) (rtl.Signal, error) {
 		return rtl.Signal{}, e.errorf(line, "concatenation wider than 64 bits (%d)", total)
 	}
 	w := uint8(total)
-	acc := widen(sigs[0], w)
+	acc := sigs[0].WidenTo(w)
 	for _, s := range sigs[1:] {
-		acc = acc.Shl(e.b.Const(uint64(s.Width()), 7)).Or(widen(s, w))
+		acc = acc.Shl(e.b.Const(uint64(s.Width()), 7)).Or(s.WidenTo(w))
 	}
 	return acc, nil
 }
@@ -1055,28 +965,6 @@ func parity(x rtl.Signal) rtl.Signal {
 		}
 	}
 	return s.Trunc(1)
-}
-
-// eqWidths compares signals of possibly different widths by widening
-// the narrower (unsigned semantics).
-func eqWidths(a, b rtl.Signal) rtl.Signal {
-	a, b = matchWidths(a, b)
-	return a.Eq(b)
-}
-
-func ltWidths(a, b rtl.Signal) rtl.Signal {
-	a, b = matchWidths(a, b)
-	return a.Lt(b)
-}
-
-func matchWidths(a, b rtl.Signal) (rtl.Signal, rtl.Signal) {
-	switch {
-	case a.Width() < b.Width():
-		return widen(a, b.Width()), b
-	case b.Width() < a.Width():
-		return a, widen(b, a.Width())
-	}
-	return a, b
 }
 
 // lowerAlways symbolically executes every always block into per-reg
@@ -1123,7 +1011,7 @@ func (e *elaborator) execStmt(s Stmt, cond rtl.Signal, haveCond bool, next map[s
 		}
 		return nil
 	case *If:
-		c, err := e.lowerExpr(st.Cond, line)
+		c, err := e.lowerExpr(st.Cond, line, 0)
 		if err != nil {
 			return err
 		}
@@ -1143,7 +1031,14 @@ func (e *elaborator) execStmt(s Stmt, cond rtl.Signal, haveCond bool, next map[s
 		}
 		return nil
 	case *Case:
-		subj, err := e.lowerExpr(st.Subject, line)
+		// The subject and every label compare at the widest of them.
+		w := e.widthOfExpr(st.Subject)
+		for _, item := range st.Items {
+			for _, lbl := range item.Labels {
+				w = max(w, e.widthOfExpr(lbl))
+			}
+		}
+		subj, err := e.lowerExpr(st.Subject, line, w)
 		if err != nil {
 			return err
 		}
@@ -1154,11 +1049,11 @@ func (e *elaborator) execStmt(s Stmt, cond rtl.Signal, haveCond bool, next map[s
 			var match rtl.Signal
 			haveMatch := false
 			for _, lbl := range item.Labels {
-				ls, err := e.lowerExpr(lbl, line)
+				ls, err := e.lowerExpr(lbl, line, w)
 				if err != nil {
 					return err
 				}
-				eq := eqWidths(subj, ls)
+				eq := subj.Eq(ls)
 				if haveMatch {
 					match = match.Or(eq)
 				} else {
@@ -1209,7 +1104,7 @@ func (e *elaborator) execStmt(s Stmt, cond rtl.Signal, haveCond bool, next map[s
 		} else if r, ok := e.regs[st.Name]; ok {
 			ctxW = r.Width()
 		}
-		rhs, err := e.lowerExprW(st.RHS, st.Line, ctxW)
+		rhs, err := e.lowerExpr(st.RHS, st.Line, ctxW)
 		if err != nil {
 			return err
 		}
@@ -1218,7 +1113,7 @@ func (e *elaborator) execStmt(s Stmt, cond rtl.Signal, haveCond bool, next map[s
 			if !ok {
 				return e.errorf(st.Line, "indexed assignment to non-memory %s", st.Name)
 			}
-			addr, err := e.lowerExpr(st.Index, st.Line)
+			addr, err := e.lowerExpr(st.Index, st.Line, 0)
 			if err != nil {
 				return err
 			}
@@ -1271,9 +1166,4 @@ func (e *elaborator) bindOutputs() error {
 		return fmt.Errorf("verilog: %s: top module must have an output named done", e.ast.Name)
 	}
 	return nil
-}
-
-// widen zero-extends a signal (helper shared with fitWidth).
-func widen(s rtl.Signal, w uint8) rtl.Signal {
-	return s.WidenTo(w)
 }

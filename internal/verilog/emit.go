@@ -138,68 +138,32 @@ func (e *emitter) emit() {
 	fmt.Fprintf(e.sb, "endmodule\n")
 }
 
-// expr renders one combinational node's defining expression. The
-// frontend uses self-determined widths (each operator works at the
-// wider of its operand widths), so when the node is wider than an
-// operand the operand is explicitly zero-extended — this is what makes
-// emit → parse an exact behavioural round trip.
+// binaryOps spells each two-operand rtl op in Verilog.
+var binaryOps = map[rtl.Op]string{
+	rtl.OpAdd: "+", rtl.OpSub: "-", rtl.OpMul: "*",
+	rtl.OpAnd: "&", rtl.OpOr: "|", rtl.OpXor: "^",
+	rtl.OpShl: "<<", rtl.OpShr: ">>",
+	rtl.OpEq: "==", rtl.OpNe: "!=", rtl.OpLt: "<", rtl.OpLe: "<=",
+}
+
+// expr renders one combinational node's defining expression. Each wire
+// is declared at its node's width and holds one operator, so the
+// frontend's context sizing (see ParseAndElaborate) widens the operands
+// exactly as the rtl op does: emit → parse is a behavioural round trip
+// with no explicit zero-extension.
 func (e *emitter) expr(i int, memNames []string) string {
 	n := &e.m.Nodes[i]
-	// a renders argument k, zero-extended to the node's width when the
-	// node is wider (widening matters for carries, shifts, and ~).
-	a := func(k int) string {
-		id := n.Args[k]
-		name := e.names[id]
-		if e.m.Nodes[id].Width < n.Width {
-			return fmt.Sprintf("(%s | %d'd0)", name, n.Width)
-		}
-		return name
-	}
-	// raw renders argument k at its own width (selectors, comparisons).
-	raw := func(k int) string { return e.names[n.Args[k]] }
-	// cmp renders a comparison with both operands at the wider width.
-	cmp := func(op string) string {
-		x, y := n.Args[0], n.Args[1]
-		wx, wy := e.m.Nodes[x].Width, e.m.Nodes[y].Width
-		sx, sy := e.names[x], e.names[y]
-		if wx < wy {
-			sx = fmt.Sprintf("(%s | %d'd0)", sx, wy)
-		} else if wy < wx {
-			sy = fmt.Sprintf("(%s | %d'd0)", sy, wx)
-		}
-		return fmt.Sprintf("%s %s %s", sx, op, sy)
+	a := func(k int) string { return e.names[n.Args[k]] }
+	if op, ok := binaryOps[n.Op]; ok {
+		return fmt.Sprintf("%s %s %s", a(0), op, a(1))
 	}
 	switch n.Op {
-	case rtl.OpAdd:
-		return fmt.Sprintf("%s + %s", a(0), a(1))
-	case rtl.OpSub:
-		return fmt.Sprintf("%s - %s", a(0), a(1))
-	case rtl.OpMul:
-		return fmt.Sprintf("%s * %s", a(0), a(1))
-	case rtl.OpAnd:
-		return fmt.Sprintf("%s & %s", a(0), a(1))
-	case rtl.OpOr:
-		return fmt.Sprintf("%s | %s", a(0), a(1))
-	case rtl.OpXor:
-		return fmt.Sprintf("%s ^ %s", a(0), a(1))
 	case rtl.OpNot:
-		return fmt.Sprintf("~%s", a(0))
-	case rtl.OpShl:
-		return fmt.Sprintf("%s << %s", a(0), raw(1))
-	case rtl.OpShr:
-		return fmt.Sprintf("%s >> %s", a(0), raw(1))
-	case rtl.OpEq:
-		return cmp("==")
-	case rtl.OpNe:
-		return cmp("!=")
-	case rtl.OpLt:
-		return cmp("<")
-	case rtl.OpLe:
-		return cmp("<=")
+		return "~" + a(0)
 	case rtl.OpMux:
-		return fmt.Sprintf("%s ? %s : %s", raw(0), a(1), a(2))
+		return fmt.Sprintf("%s ? %s : %s", a(0), a(1), a(2))
 	case rtl.OpMemRead:
-		return fmt.Sprintf("%s[%s]", memNames[n.Mem], raw(0))
+		return fmt.Sprintf("%s[%s]", memNames[n.Mem], a(0))
 	}
 	return "0"
 }

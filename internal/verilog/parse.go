@@ -10,20 +10,6 @@ type parser struct {
 	src string
 }
 
-// Parse parses one module from Verilog source.
-func Parse(src string) (*Module, error) {
-	p := &parser{lex: newLexer(src), src: src}
-	p.advance()
-	m, err := p.parseModule()
-	if err != nil {
-		return nil, err
-	}
-	if p.tok.kind != tokEOF {
-		return nil, p.errorf("trailing input after endmodule")
-	}
-	return m, nil
-}
-
 // ParseFile parses a source file containing one or more modules.
 func ParseFile(src string) ([]*Module, error) {
 	p := &parser{lex: newLexer(src), src: src}

@@ -41,6 +41,7 @@ module expr(input clk, input [7:0] a, input [7:0] b, output done);
   reg [0:0] lt = 0;
   reg [7:0] sel = 0;
   reg [0:0] logic_and = 0;
+  reg [0:0] carry = 0;
   wire [7:0] masked = a & 8'h0f;
   always @(posedge clk) begin
     sum <= a + b;
@@ -49,6 +50,7 @@ module expr(input clk, input [7:0] a, input [7:0] b, output done);
     lt <= a < b;
     sel <= (a > b) ? a : b;
     logic_and <= (a != 0) && (b != 0);
+    carry <= (a + b) > 9'd255;
   end
   assign done = masked == 0;
 endmodule
@@ -87,6 +89,14 @@ endmodule
 		}
 		if got := evalOnce(t, src, in, "logic_and"); got != wantAnd {
 			t.Errorf("and(%d,%d) = %d", c.a, c.b, got)
+		}
+		// A comparison sizes a + b to its 9-bit operand: the carry counts.
+		wantCarry := uint64(0)
+		if c.a+c.b > 255 {
+			wantCarry = 1
+		}
+		if got := evalOnce(t, src, in, "carry"); got != wantCarry {
+			t.Errorf("carry(%d,%d) = %d, want %d", c.a, c.b, got, wantCarry)
 		}
 	}
 }
@@ -152,6 +162,30 @@ endmodule
 			t.Fatalf("step %d: state=%d want %d", i, got, w)
 		}
 		s.Step()
+	}
+}
+
+// TestCaseSubjectWidth checks that a case subject is sized to its
+// widest label: a + b keeps its carry against a 9-bit label.
+func TestCaseSubjectWidth(t *testing.T) {
+	src := `
+module cw(input clk, input [7:0] a, input [7:0] b, output done);
+  reg [1:0] hit = 0;
+  always @(posedge clk) begin
+    case (a + b)
+      9'd300: hit <= 2'd1;
+      9'd44: hit <= 2'd2;
+      default: hit <= 2'd3;
+    endcase
+  end
+  assign done = hit == 0;
+endmodule
+`
+	cases := []struct{ a, b, want uint64 }{{200, 100, 1}, {20, 24, 2}, {1, 2, 3}}
+	for _, c := range cases {
+		if got := evalOnce(t, src, map[string]uint64{"a": c.a, "b": c.b}, "hit"); got != c.want {
+			t.Errorf("case (%d + %d): hit = %d, want %d", c.a, c.b, got, c.want)
+		}
 	}
 }
 
@@ -250,6 +284,11 @@ func TestElaborateErrors(t *testing.T) {
 		"module m(input clk, output done); wire [7:0] a = b + 8'd1; wire [7:0] b = a + 8'd1; assign done = a == 0; endmodule",
 		// Assignment to non-register.
 		"module m(input clk, input [7:0] x, output done); always @(posedge clk) x <= 8'd0; assign done = 1'd1; endmodule",
+		// Register initial value wider than the register.
+		"module m(input clk, output done); reg [0:0] r = 10; assign done = r == 0; endmodule",
+		// Register and memory redeclared.
+		"module m(input clk, output done); reg [3:0] r = 0; reg [3:0] r = 1; assign done = r == 0; endmodule",
+		"module m(input clk, output done); reg [3:0] k [0:3]; reg [3:0] k [0:3]; assign done = 1'd1; endmodule",
 	}
 	for i, src := range cases {
 		if _, err := ParseAndElaborate(src); err == nil {
