@@ -41,16 +41,25 @@
 //	curl -s -X POST localhost:8437/v1/drain
 //	curl -s localhost:8437/v1/stats
 //	curl -s localhost:8437/metrics | grep deadline_misses
+//
+// On SIGTERM or SIGINT the daemon drains: it stops accepting
+// connections, finishes the requests in flight, runs every job still
+// queued, prints each pool's submitted, done, shed and error counts,
+// and exits 0.
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/accel"
@@ -66,7 +75,9 @@ import (
 )
 
 func main() {
-	fleet, srv, err := setup(os.Args[1:], os.Stdout, os.Stderr)
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dvfserved: %v\n", err)
 		if errors.Is(err, errUsage) {
@@ -74,12 +85,44 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	defer fleet.Close()
-	fmt.Printf("dvfserved: listening on %s, serving %v\n", srv.Addr, fleet.Names())
-	if err := srv.ListenAndServe(); err != nil {
-		fmt.Fprintf(os.Stderr, "dvfserved: %v\n", err)
-		os.Exit(1)
+}
+
+// run builds the daemon from args and serves its API on -addr until
+// ctx is done (main ties ctx to SIGTERM and SIGINT), then drains. The
+// server shuts down first: it closes its listener and idle
+// connections and waits for the requests in flight, so every job a
+// POST /v1/jobs accepted is queued on a replica. Closing the fleet
+// then runs every queued job, and each pool's outcome counts are
+// printed. A server that fails also closes the fleet before run
+// returns its error.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fleet, srv, err := setup(args, stdout, stderr)
+	if err != nil {
+		return err
 	}
+	ln, err := net.Listen("tcp", srv.Addr)
+	if err != nil {
+		fleet.Close()
+		return err
+	}
+	fmt.Fprintf(stdout, "dvfserved: listening on %s, serving %v\n", ln.Addr(), fleet.Names())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		fleet.Close()
+		return err
+	case <-ctx.Done():
+	}
+	fmt.Fprintln(stdout, "dvfserved: draining")
+	err = srv.Shutdown(context.Background())
+	<-served
+	fleet.Close()
+	for _, st := range fleet.Stats() {
+		fmt.Fprintf(stdout, "dvfserved: %s: %d submitted, %d done, %d shed, %d errors\n",
+			st.Name, st.Submitted, st.Fleet.Done, st.Shed, st.Errors)
+	}
+	return err
 }
 
 // errUsage marks setup errors caused by the command line (exit 2).

@@ -1,13 +1,19 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -108,5 +114,125 @@ func TestServerHasTimeouts(t *testing.T) {
 	}
 	if srv.Addr != "127.0.0.1:0" || srv.Handler == nil {
 		t.Fatalf("server addr %q, handler %v", srv.Addr, srv.Handler)
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe for one writer and one reader.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestRunDrainsOnSignal drives run as main does, with the context
+// main cancels on SIGTERM or SIGINT, and cancels it while a POST
+// /v1/jobs is still routing its jobs. The request must complete with
+// every job accounted for, run must return nil (exit 0), and its
+// closing report must give every accepted job an outcome.
+func TestRunDrainsOnSignal(t *testing.T) {
+	t.Cleanup(func() { core.SetFaultInjector(nil) })
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := &syncBuffer{}
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-quick", "-benchmarks", "aes", "-addr", "127.0.0.1:0"}, out, io.Discard)
+	}()
+	var addr string
+	for addr == "" {
+		select {
+		case err := <-done:
+			t.Fatalf("run returned before listening: %v\n%s", err, out)
+		case <-time.After(10 * time.Millisecond):
+		}
+		for _, line := range strings.Split(out.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, "dvfserved: listening on "); ok {
+				addr, _, _ = strings.Cut(rest, ",")
+			}
+		}
+	}
+	const count = 20000
+	type jobsResult struct {
+		status                 int
+		Accepted, Shed, Errors int
+		err                    error
+	}
+	posted := make(chan jobsResult, 1)
+	go func() {
+		var jr jobsResult
+		resp, err := http.Post("http://"+addr+"/v1/jobs", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"bench":"aes","count":%d}`, count)))
+		if err == nil {
+			jr.status = resp.StatusCode
+			err = json.NewDecoder(resp.Body).Decode(&jr)
+			resp.Body.Close()
+		}
+		jr.err = err
+		posted <- jr
+	}()
+	// Signal once the request is routing.
+	var submitted uint64
+	for submitted == 0 {
+		resp, err := http.Get("http://" + addr + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st []cluster.PoolStats
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil || len(st) != 1 {
+			t.Fatalf("stats %+v: %v", st, err)
+		}
+		submitted = st[0].Submitted
+	}
+	cancel()
+	jr := <-posted
+	if jr.err != nil || jr.status != http.StatusOK || jr.Accepted+jr.Shed+jr.Errors != count {
+		t.Fatalf("POST /v1/jobs in flight at the signal: %d %+v", jr.status, jr)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("run after the signal: %v", err)
+	}
+	if submitted == count {
+		t.Logf("the request had routed every job before the signal")
+	}
+	var sub, doneJobs, shed, errs int
+	report := out.String()
+	report = report[max(0, strings.LastIndex(report, "dvfserved: aes: ")):]
+	if _, err := fmt.Sscanf(report, "dvfserved: aes: %d submitted, %d done, %d shed, %d errors",
+		&sub, &doneJobs, &shed, &errs); err != nil {
+		t.Fatalf("no closing report: %v\n%s", err, out)
+	}
+	if sub != count || doneJobs != jr.Accepted || shed != jr.Shed || errs != jr.Errors {
+		t.Fatalf("closing report: %d submitted, %d done, %d shed, %d errors; the POST accepted %d, shed %d, failed %d of %d",
+			sub, doneJobs, shed, errs, jr.Accepted, jr.Shed, jr.Errors, count)
+	}
+	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
+		t.Error("the server still answers after the drain")
+	}
+}
+
+// TestRunFailsWhenAddressTaken: a server that cannot listen is an
+// error, returned after the fleet is closed, not a hang.
+func TestRunFailsWhenAddressTaken(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	err = run(context.Background(), []string{"-quick", "-benchmarks", "aes", "-addr", ln.Addr().String()}, io.Discard, io.Discard)
+	if err == nil {
+		t.Fatal("run served on an address already in use")
 	}
 }

@@ -15,7 +15,7 @@
 // engine alike.
 //
 // It times and counts only netlist shapes a flow simulates. It
-// reports five things:
+// reports six things:
 //
 //  1. engine speed (ns/cycle, Mevals/s) for interp, the codegen plan
 //     (the native fallback), and native (pre-generated straight-line
@@ -32,9 +32,11 @@
 //  4. the wall-clock of warming the full (quick) experiment lab
 //     (skipped with -warm=false),
 //  5. per benchmark, the ground-truth simulator on native code over
-//     several jobs: ns/cycle, µs/job, combinational nodes and memories.
+//     several jobs: ns/cycle, µs/job, combinational nodes and memories,
+//  6. per benchmark, core.Train at -seed and the γ sweep inside it
+//     (model.SelectGamma on the same training matrix), in ms.
 //
-// -designs restricts sections 1, 3 and 5 to a comma-separated subset of
+// -designs restricts sections 1, 3, 5 and 6 to a comma-separated subset of
 // benchmarks (CI smoke runs use this). -engine sets the process-wide
 // default RTL engine, which section 4 picks up.
 package main
@@ -50,10 +52,12 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/absint"
 	"repro/internal/accel"
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/instrument"
+	"repro/internal/model"
 	"repro/internal/rtl"
 	"repro/internal/rtl/codegen"
 	"repro/internal/slice"
@@ -163,6 +167,23 @@ type TruthResult struct {
 	UsPerJob   Dist `json:"us_per_job"`
 }
 
+// TrainResult times one benchmark's offline training at -seed:
+// core.Train end to end, and model.SelectGamma on its training matrix
+// (the γ sweep and the refit at the chosen γ, which Train runs after
+// simulating the training jobs). The two take their samples
+// round-robin.
+type TrainResult struct {
+	Benchmark string `json:"benchmark"`
+	Jobs      int    `json:"jobs"`
+	// Columns is the feature count; Varying counts the columns whose
+	// values are not all equal, the only ones the solver fits.
+	Columns int     `json:"columns"`
+	Varying int     `json:"varying"`
+	Gamma   float64 `json:"gamma"`
+	TrainMs Dist    `json:"train_ms"`
+	SweepMs Dist    `json:"sweep_ms"`
+}
+
 // Report is the BENCH_sim.json schema.
 type Report struct {
 	Generated       string             `json:"generated"`
@@ -174,6 +195,7 @@ type Report struct {
 	TraceThroughput []ThroughputResult `json:"trace_throughput"`
 	SuiteWallclockS *Dist              `json:"suite_wallclock_s,omitempty"`
 	Truth           []TruthResult      `json:"truth"`
+	Train           []TrainResult      `json:"train"`
 	// NativeFallbacks is rtl.NativeFallbacks at the end of the run:
 	// native requests that silently measured the plan fallback.
 	NativeFallbacks uint64 `json:"native_fallbacks"`
@@ -437,6 +459,14 @@ func run() error {
 		}
 		rep.Truth = append(rep.Truth, tr)
 	}
+	// 6. Training and its γ sweep.
+	for _, spec := range specs {
+		tr, err := measureTrain(spec, *seed)
+		if err != nil {
+			return err
+		}
+		rep.Train = append(rep.Train, tr)
+	}
 	rep.NativeFallbacks = rtl.NativeFallbacks()
 
 	data, err := json.MarshalIndent(&rep, "", "  ")
@@ -614,6 +644,86 @@ func measureTruth(spec accel.Spec) (TruthResult, error) {
 		Mems:       len(truth.M.Mems),
 		NsPerCycle: newDist(samples[0]),
 		UsPerJob:   newDist(perJob),
+	}, nil
+}
+
+// measureTrain times core.Train of spec at seed against
+// model.SelectGamma on the training matrix Train fits. The matrix is
+// read off the absint-pruned full instrumented design on the codegen
+// plan, whose features and ticks are Train's bit for bit (see
+// core's TestTrainingSetMatchesPrunedFullDesign); this setup is
+// untimed, and the plan run is not counted as a native fallback. A
+// sweep that picks another γ than Train did is an error.
+func measureTrain(spec accel.Spec, seed int64) (TrainResult, error) {
+	ins, err := instrument.Instrument(spec.Build())
+	if err != nil {
+		return TrainResult{}, err
+	}
+	regs := make([]int, len(ins.Features))
+	for i, f := range ins.Features {
+		regs[i] = f.Witness
+	}
+	pm, regMap := absint.Prune(ins.M, regs)
+	full := planSim(pm)
+	jobs := spec.TrainJobs(seed)
+	X := make([][]float64, len(jobs))
+	y := make([]float64, len(jobs))
+	for i, job := range jobs {
+		ticks, err := accel.RunJob(full, job, spec.MaxTicks)
+		if err != nil {
+			return TrainResult{}, fmt.Errorf("%s train job %d: %w", spec.Name, i, err)
+		}
+		X[i] = make([]float64, len(regs))
+		for k, r := range regs {
+			X[i][k] = float64(full.RegValue(regMap[r]))
+		}
+		y[i] = spec.Seconds(ticks)
+	}
+	varying := 0
+	for k := range regs {
+		for i := range X {
+			if X[i][k] != X[0][k] {
+				varying++
+				break
+			}
+		}
+	}
+	var trainGamma, sweepGamma float64
+	runtime.GC()
+	samples, err := sampleCells([]cell{
+		{engine: rtl.DefaultEngine(), run: func() (uint64, error) {
+			p, err := core.Train(spec, core.Options{Seed: seed})
+			if err == nil {
+				trainGamma = p.Gamma
+			}
+			return 1, err
+		}},
+		{engine: rtl.DefaultEngine(), run: func() (uint64, error) {
+			_, g, err := model.SelectGamma(X, y, 0.25, model.DefaultConfig(), nil)
+			sweepGamma = g
+			return 1, err
+		}},
+	})
+	if err != nil {
+		return TrainResult{}, fmt.Errorf("%s: %w", spec.Name, err)
+	}
+	if trainGamma != sweepGamma {
+		return TrainResult{}, fmt.Errorf("%s: the sweep on the pruned full design's matrix chose γ %g, Train chose %g",
+			spec.Name, sweepGamma, trainGamma)
+	}
+	for _, ss := range samples {
+		for i := range ss {
+			ss[i] *= 1e3
+		}
+	}
+	return TrainResult{
+		Benchmark: spec.Name,
+		Jobs:      len(jobs),
+		Columns:   len(regs),
+		Varying:   varying,
+		Gamma:     trainGamma,
+		TrainMs:   newDist(samples[0]),
+		SweepMs:   newDist(samples[1]),
 	}, nil
 }
 

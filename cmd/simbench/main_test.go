@@ -33,7 +33,8 @@ func TestNewDist(t *testing.T) {
 // measured on all three engines (interp, plan, native) and native
 // beats the plan, each ground-truth row names its simulator and keeps
 // fewer memories than the instrumented design, and nothing fell back —
-// every shape simbench times has generated code.
+// every shape simbench times has generated code. Each benchmark also
+// has a train row with a sampled Train and γ-sweep time.
 func TestReport(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "bench.json")
 	args := os.Args
@@ -101,6 +102,20 @@ func TestReport(t *testing.T) {
 		}
 		if mems := len(spec.Build().Mems); c.Jobs < 1 || c.Comb < 1 || c.Mems < 1 || c.Mems >= mems {
 			t.Errorf("%s ground truth: %d jobs, %d comb nodes, %d of the design's %d mems", c.Benchmark, c.Jobs, c.Comb, c.Mems, mems)
+		}
+	}
+	if len(rep.Train) != 2 {
+		t.Fatalf("%d train rows, want stencil's and sha's", len(rep.Train))
+	}
+	for i, want := range []string{"stencil", "sha"} {
+		c := rep.Train[i]
+		if c.Benchmark != want || c.Jobs < 8 || c.Varying < 1 || c.Varying > c.Columns {
+			t.Errorf("train row %d: %+v, want %s with 8+ jobs and 1..columns varying", i, c, want)
+		}
+		for _, d := range []Dist{c.TrainMs, c.SweepMs} {
+			if d.K != samplesPerCell || d.Median <= 0 || d.Q1 > d.Median || d.Median > d.Q3 {
+				t.Errorf("%s train row %+v", c.Benchmark, d)
+			}
 		}
 	}
 }

@@ -123,9 +123,10 @@ func (g *groundTruth) itemsOf(s *rtl.Sim) float64 {
 }
 
 // newGroundTruth certifies ins against its all-witness slice all (see
-// groundTruth), or builds its timing cone.
-func newGroundTruth(ins *instrument.Instrumented, all *slice.Result) (groundTruth, error) {
-	if elided, ok := elidedCycles(ins, all); ok {
+// groundTruth), or builds its timing cone. av is the abstract
+// interpretation of ins.M.
+func newGroundTruth(ins *instrument.Instrumented, all *slice.Result, av *absint.Analysis) (groundTruth, error) {
+	if elided, ok := elidedCycles(ins, all, av); ok {
 		return groundTruth{sl: all, items: itemRegs(ins, all), certified: true, elided: elided}, nil
 	}
 	cone, err := TimingCone(ins)
@@ -137,11 +138,12 @@ func newGroundTruth(ins *instrument.Instrumented, all *slice.Result) (groundTrut
 
 // elidedCycles returns the terms that add the elided waits' cycles to
 // the all-witness slice's ticks, or false when ins is not certified.
-func elidedCycles(ins *instrument.Instrumented, all *slice.Result) ([]elidedTerm, bool) {
+// av is the abstract interpretation of ins.M.
+func elidedCycles(ins *instrument.Instrumented, all *slice.Result, av *absint.Analysis) ([]elidedTerm, bool) {
 	if all.ApproxWaits != 0 {
 		return nil, false
 	}
-	dwells, err := absint.WaitDwells(absint.Analyze(ins.M), ins.Analysis)
+	dwells, err := absint.WaitDwells(av, ins.Analysis)
 	if err != nil {
 		return nil, false
 	}
@@ -176,7 +178,7 @@ func elidedCycles(ins *instrument.Instrumented, all *slice.Result) ([]elidedTerm
 // cycles of its elided counter waits are the full design's), else the
 // timing cone. certified reports which.
 func GroundTruth(ins *instrument.Instrumented, all *slice.Result) (truth *slice.Result, certified bool, err error) {
-	g, err := newGroundTruth(ins, all)
+	g, err := newGroundTruth(ins, all, absint.Analyze(ins.M))
 	if err != nil {
 		return nil, false, err
 	}

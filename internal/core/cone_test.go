@@ -171,7 +171,7 @@ func TestGroundTruthMatchesCone(t *testing.T) {
 func withTruth(p *Predictor, g groundTruth) *Predictor {
 	q := &Predictor{Spec: p.Spec, Ins: p.Ins, Model: p.Model, Gamma: p.Gamma, Kept: p.Kept,
 		Slice: p.Slice, Bounds: p.Bounds, SliceBounds: p.SliceBounds}
-	return q.withSims(g)
+	return q.withSims(g, nil)
 }
 
 // loadUntrained builds spec's predictor through Load from a one-term

@@ -138,9 +138,11 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 
 	// Static cycle bounds of the instrumented design double as a free
 	// engine-bug tripwire: any observed run outside the provable
-	// interval is a hard error, not a bad sample.
-	bounds := absint.Bounds(ins.M)
-	X, y, truth, err := simulateTrainingSet(spec, ins, bounds, jobs)
+	// interval is a hard error, not a bad sample. Its abstract
+	// interpretation also certifies the ground truth (see groundTruth).
+	av := absint.Analyze(ins.M)
+	bounds := absint.ComputeBounds(av, analyze.Analyze(ins.M))
+	X, y, truth, truthSim, err := simulateTrainingSet(spec, ins, av, bounds, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -180,30 +182,32 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 		Bounds:      bounds,
 		SliceBounds: absint.Bounds(sl.M),
 	}
-	return pred.withSims(truth), nil
+	return pred.withSims(truth, truthSim), nil
 }
 
 // simulateTrainingSet runs every training job and returns its feature
-// row and execution seconds, plus the ground truth it chose. It runs
-// the simulators trace collection and serving run too: the all-witness
+// row and execution seconds, plus the ground truth it chose and the
+// simulator of it that its workers cloned. av is the abstract
+// interpretation of ins.M. It runs the simulators trace collection and
+// serving run too: the all-witness
 // slice gives every feature (its witnesses hold the full design's
 // values, see AllWitnessSlice), and the ground truth (see groundTruth)
 // gives each job's ticks, which must lie within bounds. On a certified
 // design the two are one run. Jobs fan out across worker goroutines,
 // each owning private Sim clones; results land in index-addressed
 // slots and are identical to a serial run.
-func simulateTrainingSet(spec accel.Spec, ins *instrument.Instrumented, bounds absint.CycleBounds, jobs []accel.Job) ([][]float64, []float64, groundTruth, error) {
+func simulateTrainingSet(spec accel.Spec, ins *instrument.Instrumented, av *absint.Analysis, bounds absint.CycleBounds, jobs []accel.Job) ([][]float64, []float64, groundTruth, *rtl.Sim, error) {
 	all, err := AllWitnessSlice(ins)
 	if err != nil {
-		return nil, nil, groundTruth{}, err
+		return nil, nil, groundTruth{}, nil, err
 	}
-	truth, err := newGroundTruth(ins, all)
+	truth, err := newGroundTruth(ins, all, av)
 	if err != nil {
-		return nil, nil, groundTruth{}, err
+		return nil, nil, groundTruth{}, nil, err
 	}
 	type trainSims struct{ truth, feats *rtl.Sim }
 	featSim := rtl.NewSim(all.M)
-	var truthSim *rtl.Sim
+	truthSim := featSim
 	if !truth.certified {
 		truthSim = rtl.NewSim(truth.sl.M)
 	}
@@ -212,7 +216,7 @@ func simulateTrainingSet(spec accel.Spec, ins *instrument.Instrumented, bounds a
 	y := make([]float64, len(jobs))
 	newState := func() trainSims {
 		feats := featSim.Clone()
-		if truthSim == nil {
+		if truthSim == featSim {
 			return trainSims{feats, feats}
 		}
 		return trainSims{truthSim.Clone(), feats}
@@ -240,15 +244,19 @@ func simulateTrainingSet(spec accel.Spec, ins *instrument.Instrumented, bounds a
 		return nil
 	}
 	if err := runParallel(len(jobs), newState, runJob); err != nil {
-		return nil, nil, groundTruth{}, err
+		return nil, nil, groundTruth{}, nil, err
 	}
-	return X, y, truth, nil
+	return X, y, truth, truthSim, nil
 }
 
 // withSims binds the predictor's simulators: the hardware slice and
-// the ground truth (see groundTruth) its JobSimulators run.
-func (p *Predictor) withSims(truth groundTruth) *Predictor {
-	p.truth, p.truthSim = truth, rtl.NewSim(truth.sl.M)
+// the ground truth (see groundTruth) its JobSimulators run. truthSim
+// simulates truth.sl; nil builds one.
+func (p *Predictor) withSims(truth groundTruth, truthSim *rtl.Sim) *Predictor {
+	if truthSim == nil {
+		truthSim = rtl.NewSim(truth.sl.M)
+	}
+	p.truth, p.truthSim = truth, truthSim
 	p.sliceSim = rtl.NewSim(p.Slice.M)
 	return p
 }

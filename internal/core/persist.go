@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/absint"
 	"repro/internal/accel"
+	"repro/internal/analyze"
 	"repro/internal/instrument"
 	"repro/internal/model"
 	"repro/internal/slice"
@@ -103,7 +104,8 @@ func Load(data []byte, spec accel.Spec) (*Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	truth, err := newGroundTruth(ins, all)
+	av := absint.Analyze(ins.M)
+	truth, err := newGroundTruth(ins, all, av)
 	if err != nil {
 		return nil, err
 	}
@@ -114,8 +116,8 @@ func Load(data []byte, spec accel.Spec) (*Predictor, error) {
 		Gamma:       sp.Gamma,
 		Kept:        kept,
 		Slice:       sl,
-		Bounds:      absint.Bounds(ins.M),
+		Bounds:      absint.ComputeBounds(av, analyze.Analyze(ins.M)),
 		SliceBounds: absint.Bounds(sl.M),
 	}
-	return pred.withSims(truth), nil
+	return pred.withSims(truth, nil), nil
 }

@@ -49,6 +49,7 @@ func TestTrainingSetMatchesPrunedFullDesign(t *testing.T) {
 				featRegs[i] = regMap[ri]
 			}
 			ref := rtl.NewNativeSim(pm, codegen.Build(pm).Step)
+			av := absint.Analyze(ins.M)
 			bounds := absint.Bounds(ins.M)
 			sets := map[string][]accel.Job{"quick": spec.TrainJobs(42)[:quickTrainJobs]}
 			for _, seed := range []int64{42, 43, 7} {
@@ -59,7 +60,7 @@ func TestTrainingSetMatchesPrunedFullDesign(t *testing.T) {
 				for i := 0; i < len(all); i += stride {
 					jobs = append(jobs, all[i])
 				}
-				X, y, _, err := simulateTrainingSet(spec, ins, bounds, jobs)
+				X, y, _, _, err := simulateTrainingSet(spec, ins, av, bounds, jobs)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

@@ -180,6 +180,99 @@ func TestFitMatchesReference(t *testing.T) {
 	assertMatchesRef(t, "exact warm", X, y, Config{Alpha: 2}, &Predictor{Coef: []float64{1, 1}})
 }
 
+// TestFitMatchesReferenceOnDroppedColumns holds the solver, which fits
+// only the varying columns, to the reference on the columns it drops:
+// a design with every column constant, non-finite columns, and warm
+// starts whose poisoned or extra non-zero coefficients sit on constant
+// columns only. A poisoned one must fall back to the cold start, and
+// a non-zero one must shift the starting intercept by c_j μ_j, so a
+// warm-start map that skipped constant columns would fail both.
+func TestFitMatchesReferenceOnDroppedColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	gammas := []float64{0, 0.1, math.Inf(1), math.NaN()}
+
+	constant := make([][]float64, 37)
+	cy := make([]float64, len(constant))
+	for i := range constant {
+		constant[i] = []float64{3, 0, -1.5}
+		cy[i] = 2 + rng.Float64()
+	}
+	for _, g := range gammas {
+		assertMatchesRef(t, fmt.Sprintf("every column constant, γ %v", g), constant, cy, Config{Alpha: 4, Gamma: g, MaxIter: 300}, nil)
+	}
+
+	X, y := randomDesign(rng, 43, 7)
+	for i := range X {
+		X[i][1], X[i][4] = 7, -2.5
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		Xb := make([][]float64, len(X))
+		for i := range X {
+			Xb[i] = append([]float64(nil), X[i]...)
+		}
+		Xb[5][2] = bad
+		for _, g := range gammas {
+			assertMatchesRef(t, fmt.Sprintf("column 2 holds %v, γ %v", bad, g), Xb, y, Config{Alpha: 4, Gamma: g, MaxIter: 300}, nil)
+		}
+	}
+
+	cfg := Config{Alpha: 4, Gamma: 1e-3}
+	drifted := append([]float64(nil), y...)
+	for i := range drifted {
+		drifted[i] *= 1.2
+	}
+	incumbent, err := Fit(X, drifted, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Fit(X, y, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		init := *incumbent
+		init.Coef = append([]float64(nil), incumbent.Coef...)
+		init.Coef[4] = bad
+		name := fmt.Sprintf("warm start with %v on a constant column", bad)
+		assertMatchesRef(t, name, X, y, cfg, &init)
+		if got, err := FitWarm(X, y, cfg, &init); err != nil || !sameFit(got, cold) {
+			t.Fatalf("%s: not the cold fit (err %v)", name, err)
+		}
+	}
+	for _, maxIter := range []int{1, 30, 0} {
+		c := cfg
+		c.MaxIter = maxIter
+		init := *incumbent
+		init.Coef = append([]float64(nil), incumbent.Coef...)
+		init.Coef[1], init.Coef[4] = 0.75, -2
+		name := fmt.Sprintf("warm start with non-zero constant-column coefficients, MaxIter %d", maxIter)
+		assertMatchesRef(t, name, X, y, c, &init)
+		unshifted, err := FitWarm(X, y, c, incumbent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := FitWarm(X, y, c, &init); err != nil || sameFit(got, unshifted) {
+			t.Fatalf("%s: same fit as without them (err %v): the intercept shift is lost", name, err)
+		}
+	}
+}
+
+// TestNegativeGammaRejected: a negative L1 weight has no minimum to
+// find; Fit, FitWarm and a γ sweep that reaches one refuse it.
+func TestNegativeGammaRejected(t *testing.T) {
+	X, y := synth(rand.New(rand.NewSource(8)), 40, []float64{1, 2}, 5, 0.1)
+	cfg := Config{Alpha: 2, Gamma: -1}
+	if _, err := Fit(X, y, cfg); err == nil {
+		t.Error("Fit accepted γ -1")
+	}
+	if _, err := FitWarm(X, y, cfg, &Predictor{Coef: []float64{1, 1}}); err == nil {
+		t.Error("FitWarm accepted γ -1")
+	}
+	if _, _, err := SelectGamma(X, y, 0.25, Config{Alpha: 2}, []float64{1, -0.5, 0}); err == nil {
+		t.Error("SelectGamma accepted a path through γ -0.5")
+	}
+}
+
 // h264Design is a seeded 600×27 design shaped like h264's training
 // matrix: 13 constant columns, repeated and near-repeated transition
 // counts, a few wide activity counters, and execution times of a few
@@ -229,6 +322,7 @@ func TestSelectGammaDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		{"h264-shaped", hX, hy, nil},
 		{"sparse", sX, sy, nil},
 		{"given path", sX, sy, []float64{5, 0.5, 0.05, 0}},
+		{"negative γ on the path", sX, sy, []float64{5, -0.5, 0}},
 		{"diverging", dX, dy, nil},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))

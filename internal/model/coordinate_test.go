@@ -33,18 +33,8 @@ func TestSolversAgreeOnSymmetricProblems(t *testing.T) {
 		// Compare via the objective value (coefficients can differ
 		// slightly under correlated columns at equal objective).
 		pr := newProblem(X, y)
-		st := pr.st
-		toStd := func(p *Predictor) ([]float64, float64) {
-			w := make([]float64, d)
-			b0 := p.Intercept
-			for j := 0; j < d; j++ {
-				w[j] = p.Coef[j] * st.sigma[j]
-				b0 += p.Coef[j] * st.mu[j]
-			}
-			return w, b0
-		}
-		wF, bF := toStd(fista)
-		wC, bC := toStd(cd)
+		wF, bF := pr.standardized(fista)
+		wC, bC := pr.standardized(cd)
 		objF := pr.objective(wF, bF, 1, gamma)
 		objC := pr.objective(wC, bC, 1, gamma)
 		rel := math.Abs(objF-objC) / (math.Abs(objC) + 1)

@@ -259,14 +259,8 @@ func TestSolversAgreePerturbedScales(t *testing.T) {
 
 		// Compare achieved objectives in the shared standardized space.
 		pr := newProblem(X, y)
-		st := pr.st
 		obj := func(p *Predictor) float64 {
-			w := make([]float64, d)
-			b0 := p.Intercept
-			for j := 0; j < d; j++ {
-				w[j] = p.Coef[j] * st.sigma[j]
-				b0 += p.Coef[j] * st.mu[j]
-			}
+			w, b0 := pr.standardized(p)
 			return pr.objective(w, b0, 1, gamma)
 		}
 		of, oc := obj(pf), obj(pc)

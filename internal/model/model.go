@@ -156,10 +156,22 @@ func (cfg Config) checked() (Config, error) {
 // needs that does not depend on the hyper-parameters or the start. It
 // is built once per split and only read afterwards, so concurrent fits
 // (SelectGamma's γ sweep) share it.
+//
+// Only the varying columns (σ > 0) are fitted. A constant or
+// non-finite column standardizes to all zeros, so its coefficient
+// stays exactly 0 whatever the start and γ ≥ 0, and every sum it would
+// enter gains only exact zeros (see nonZero). Dropping it leaves every
+// fit bit-identical to one over all the columns.
 type problem struct {
+	// n is the row count and d the number of varying columns.
 	n, d int
-	st   scaler
-	// z is the standardized design, row-major: row i is z[i*d : i*d+d].
+	// st standardizes every column of the design, varying or not.
+	st scaler
+	// keep lists the varying columns, ascending: column k of z is
+	// column keep[k] of the design.
+	keep []int
+	// z is the standardized design over keep, row-major: row i is
+	// z[i*d : i*d+d].
 	z []float64
 	y []float64
 	// yMean is mean(y): the intercept's cold start, which centres the
@@ -171,9 +183,11 @@ type problem struct {
 
 // newProblem prepares a validated (see checkShape) design and targets.
 func newProblem(X [][]float64, y []float64) *problem {
-	pr := &problem{n: len(X), d: len(X[0]), st: standardize(X), y: y, yMean: mean(y)}
-	pr.z = pr.st.apply(X)
-	pr.lam = pr.powerIterLambda(60)
+	st := standardize(X)
+	keep := st.varying()
+	pr := &problem{n: len(X), d: len(keep), st: st, keep: keep, y: y, yMean: mean(y)}
+	pr.z = st.apply(X, keep)
+	pr.lam = pr.powerIterLambda(60, len(X[0]))
 	return pr
 }
 
@@ -181,36 +195,53 @@ func (pr *problem) row(i int) []float64 {
 	return pr.z[i*pr.d : (i+1)*pr.d : (i+1)*pr.d]
 }
 
+// standardized maps a raw-unit predictor with one coefficient per
+// design column into the problem's coordinates:
+// raw c_j x_j + b  ==  (c_j σ_j) z_j + (b + Σ c_j μ_j).
+// The map walks every column. A constant column has no w_j, but its
+// c_j μ_j still shifts the intercept, and a non-finite c_j poisons the
+// whole start. A nil or poisoned p yields the cold start: w = 0 and
+// the intercept at mean(y), so a non-finite incumbent cannot
+// contaminate a refit.
+func (pr *problem) standardized(p *Predictor) ([]float64, float64) {
+	w := make([]float64, pr.d)
+	if p == nil {
+		return w, pr.yMean
+	}
+	wb := p.Intercept
+	k := 0
+	for j, c := range p.Coef {
+		wj := c * pr.st.sigma[j]
+		if math.IsNaN(wj) || math.IsInf(wj, 0) {
+			clear(w)
+			return w, pr.yMean
+		}
+		wb += c * pr.st.mu[j]
+		if k < pr.d && pr.keep[k] == j {
+			w[k] = wj
+			k++
+		}
+	}
+	if math.IsNaN(wb) || math.IsInf(wb, 0) {
+		clear(w)
+		return w, pr.yMean
+	}
+	return w, wb
+}
+
 // solve runs FISTA over a prepared problem. cfg must be checked; a
-// non-nil init must have pr.d coefficients.
+// non-nil init must have one coefficient per design column.
 func solve(pr *problem, cfg Config, init *Predictor) (*Predictor, error) {
+	if cfg.Gamma < 0 {
+		// A negative L1 weight rewards large coefficients, so the
+		// objective has no minimum, and it would move the coefficients
+		// of constant columns off zero.
+		return nil, fmt.Errorf("model: gamma %v < 0", cfg.Gamma)
+	}
 	n, d, st := pr.n, pr.d, pr.st
 	// The intercept in standardized space is trained as an explicit
 	// unpenalized coordinate starting from mean(y).
-	w := make([]float64, d)
-	b0 := pr.yMean
-	if init != nil {
-		// Map the raw-unit warm start into standardized coordinates:
-		// raw c_j x_j + b  ==  (c_j σ_j) z_j + (b + Σ c_j μ_j).
-		wb := init.Intercept
-		ok := true
-		for j := 0; j < d; j++ {
-			w[j] = init.Coef[j] * st.sigma[j]
-			wb += init.Coef[j] * st.mu[j]
-			if math.IsNaN(w[j]) || math.IsInf(w[j], 0) {
-				ok = false
-				break
-			}
-		}
-		if ok && !math.IsNaN(wb) && !math.IsInf(wb, 0) {
-			b0 = wb
-		} else {
-			// A poisoned warm start (non-finite incumbent) must not
-			// contaminate the refit; fall back to the cold start.
-			clear(w)
-			b0 = pr.yMean
-		}
-	}
+	w, b0 := pr.standardized(init)
 
 	// Lipschitz constant of the smooth part: 2·max(1,α)·λmax(AᵀA) where
 	// A is Z with an all-ones intercept column.
@@ -269,13 +300,13 @@ func solve(pr *problem, cfg Config, init *Predictor) (*Predictor, error) {
 
 	// Translate standardized coefficients back to raw feature units:
 	// ŷ = b0 + Σ w_j (x_j − μ_j)/σ_j.
-	p := &Predictor{Coef: make([]float64, d), Iters: iters, Objective: prevObj}
+	p := &Predictor{Coef: make([]float64, len(st.mu)), Iters: iters, Objective: prevObj}
 	p.Intercept = b0
-	for j := 0; j < d; j++ {
-		if st.sigma[j] == 0 || w[j] == 0 {
+	for k, j := range pr.keep {
+		if w[k] == 0 {
 			continue
 		}
-		c := w[j] / st.sigma[j]
+		c := w[k] / st.sigma[j]
 		p.Coef[j] = c
 		p.Intercept -= c * st.mu[j]
 	}
@@ -302,8 +333,9 @@ func (p *Predictor) checkFinite() error {
 	return nil
 }
 
-// objective computes the full training objective. Zw skips w's zero
-// coefficients (see nonZero).
+// objective computes the full training objective at (w, b0), with w
+// over the varying columns. Zw skips w's zero coefficients (see
+// nonZero).
 func (pr *problem) objective(w []float64, b0, alpha, gamma float64) float64 {
 	nz := nonZero(w, make([]int, 0, len(w)))
 	var s float64
@@ -317,6 +349,12 @@ func (pr *problem) objective(w []float64, b0, alpha, gamma float64) float64 {
 	}
 	for _, c := range w {
 		s += gamma * math.Abs(c)
+	}
+	if pr.d < len(pr.st.mu) {
+		// The constant columns' penalty terms γ·|0|: +0 for a finite γ,
+		// which leaves s as it is, and NaN for a NaN or infinite one,
+		// which makes s NaN wherever it is added. One stands for all.
+		s += gamma * 0
 	}
 	return s
 }
@@ -442,17 +480,21 @@ func dotAt(z, w []float64, nz []int) float64 {
 	return s
 }
 
-// powerIterLambda estimates λmax(ZᵀZ) by power iteration.
-func (pr *problem) powerIterLambda(iters int) float64 {
+// powerIterLambda estimates λmax(ZᵀZ) by power iteration. The start
+// vector is the unit vector over all cols columns of the design,
+// 1/√cols in each: a dropped column's component is zero from the first
+// step on and adds only exact zeros, so the estimate is the one over
+// every column, bit for bit. A start of 1/√d would change it in the
+// last bits, and with it every fit.
+func (pr *problem) powerIterLambda(iters, cols int) float64 {
 	if pr.n == 0 || pr.d == 0 {
 		return 0
 	}
-	d := pr.d
-	v := make([]float64, d)
+	v := make([]float64, pr.d)
 	for j := range v {
-		v[j] = 1 / math.Sqrt(float64(d))
+		v[j] = 1 / math.Sqrt(float64(cols))
 	}
-	ztzv := make([]float64, d)
+	ztzv := make([]float64, pr.d)
 	lam := 0.0
 	for it := 0; it < iters; it++ {
 		// ZᵀZv row by row: out[j] accumulates in i order.
@@ -518,16 +560,26 @@ func standardize(X [][]float64) scaler {
 	return st
 }
 
-// apply standardizes X into one row-major slice.
-func (st scaler) apply(X [][]float64) []float64 {
-	d := len(st.mu)
+// varying returns the columns with σ > 0, ascending.
+func (st scaler) varying() []int {
+	var cols []int
+	for j, s := range st.sigma {
+		if s > 0 {
+			cols = append(cols, j)
+		}
+	}
+	return cols
+}
+
+// apply standardizes the columns cols of X, each with σ > 0, into one
+// row-major slice of len(cols) values a row.
+func (st scaler) apply(X [][]float64, cols []int) []float64 {
+	d := len(cols)
 	z := make([]float64, len(X)*d)
 	for i, row := range X {
 		zi := z[i*d : (i+1)*d]
-		for j, v := range row {
-			if st.sigma[j] > 0 {
-				zi[j] = (v - st.mu[j]) / st.sigma[j]
-			}
+		for k, j := range cols {
+			zi[k] = (row[j] - st.mu[j]) / st.sigma[j]
 		}
 	}
 	return z

@@ -312,7 +312,7 @@ func TestPowerIterationOnIdentityLikeData(t *testing.T) {
 	for i := range pr.z {
 		pr.z[i] = rng.NormFloat64()
 	}
-	lam := pr.powerIterLambda(50)
+	lam := pr.powerIterLambda(50, 2)
 	if lam <= 0 || math.IsNaN(lam) || math.IsInf(lam, 0) {
 		t.Errorf("lambda = %v", lam)
 	}

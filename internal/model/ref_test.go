@@ -1,8 +1,10 @@
 package model
 
 // The reference solver: the plain two-pass FISTA over [][]float64 rows
-// that the prepared, fused solver replaced, kept verbatim so the tests
-// can hold every fit to it bit for bit.
+// and every column that the prepared, fused solver over the varying
+// columns replaced, kept verbatim so the tests can hold every fit to it
+// bit for bit. Its one addition is the solver's refusal of a negative
+// γ, under which the two would part (see solve).
 
 import (
 	"fmt"
@@ -36,6 +38,9 @@ func refFit(X [][]float64, y []float64, cfg Config, init *Predictor) (*Predictor
 	}
 	if cfg.Tol <= 0 {
 		cfg.Tol = DefaultConfig().Tol
+	}
+	if cfg.Gamma < 0 {
+		return nil, fmt.Errorf("model: gamma %v < 0", cfg.Gamma)
 	}
 
 	st := standardize(X)
@@ -176,7 +181,7 @@ func FitCD(X [][]float64, y []float64, gamma float64, sweeps int) (*Predictor, e
 		}
 	}
 	st := standardize(X)
-	z := st.apply(X)
+	Z := refApply(st, X)
 
 	// Precompute column norms; residual maintained incrementally. After
 	// standardization a live column has colSq ≈ n, so anything orders of
@@ -184,8 +189,8 @@ func FitCD(X [][]float64, y []float64, gamma float64, sweeps int) (*Predictor, e
 	// update by it would manufacture enormous coefficients from rounding
 	// noise. Zero such columns out entirely.
 	colSq := make([]float64, d)
-	for i := 0; i < n; i++ {
-		for j, v := range z[i*d : (i+1)*d] {
+	for _, z := range Z {
+		for j, v := range z {
 			colSq[j] += v * v
 		}
 	}
@@ -223,7 +228,7 @@ func FitCD(X [][]float64, y []float64, gamma float64, sweeps int) (*Predictor, e
 			// rho = Z_jᵀ(r + Z_j w_j): the partial residual correlation.
 			var rho float64
 			for i := range r {
-				rho += z[i*d+j] * r[i]
+				rho += Z[i][j] * r[i]
 			}
 			rho += colSq[j] * w[j]
 			// Soft-threshold update for (1/1)·‖r‖² + γ‖w‖₁ scaling:
@@ -232,7 +237,7 @@ func FitCD(X [][]float64, y []float64, gamma float64, sweeps int) (*Predictor, e
 			newW := softThreshold(rho, gamma/2) / colSq[j]
 			if delta := newW - w[j]; delta != 0 {
 				for i := range r {
-					r[i] -= z[i*d+j] * delta
+					r[i] -= Z[i][j] * delta
 				}
 				if ad := math.Abs(delta); ad > maxDelta {
 					maxDelta = ad

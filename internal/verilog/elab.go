@@ -1153,7 +1153,12 @@ func (e *elaborator) bindOutputs() error {
 			return err
 		}
 		if e.isTop && port.Name == "done" {
-			e.b.SetDone(sig.NonZero())
+			// done is true when non-zero; a one-bit signal already is
+			// that test, and a second one would grow every round trip.
+			if sig.Width() != 1 {
+				sig = sig.NonZero()
+			}
+			e.b.SetDone(sig)
 			doneSet = true
 		}
 	}

@@ -47,9 +47,14 @@ func (e *emitter) emit() {
 	m := e.m
 	e.names = make([]string, len(m.Nodes))
 
-	// Port list: clk, inputs, done.
+	// Port list: clk, inputs, done. A module with no register and no
+	// memory write has no always block to clock, and a clk it declared
+	// would parse back as a real input.
+	sequential := len(m.Regs) > 0 || len(m.Writes) > 0
 	var ports []string
-	ports = append(ports, "input clk")
+	if sequential {
+		ports = append(ports, "input clk")
+	}
 	for i := range m.Nodes {
 		n := &m.Nodes[i]
 		if n.Op != rtl.OpInput {
@@ -121,7 +126,7 @@ func (e *emitter) emit() {
 	}
 
 	// Sequential logic.
-	if len(m.Regs) > 0 || len(m.Writes) > 0 {
+	if sequential {
 		fmt.Fprintf(e.sb, "  always @(posedge clk) begin\n")
 		for ri := range m.Regs {
 			r := &m.Regs[ri]
@@ -134,7 +139,13 @@ func (e *emitter) emit() {
 		fmt.Fprintf(e.sb, "  end\n")
 	}
 
-	fmt.Fprintf(e.sb, "  assign done = %s != 1'd0;\n", e.names[m.Done])
+	// A one-bit done is assigned as it is, which the parser binds as it
+	// is (see bindOutputs); a wider one is compared with zero.
+	if m.Nodes[m.Done].Width == 1 {
+		fmt.Fprintf(e.sb, "  assign done = %s;\n", e.names[m.Done])
+	} else {
+		fmt.Fprintf(e.sb, "  assign done = %s != 1'd0;\n", e.names[m.Done])
+	}
 	fmt.Fprintf(e.sb, "endmodule\n")
 }
 

@@ -3,6 +3,7 @@ package verilog
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/rtl"
@@ -135,4 +136,68 @@ func TestEmitParseRoundTripRandom(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRegisterFreeRoundTripIsFixedPoint: a module with no register and
+// no memory write, whose done is one bit, comes back from an emit →
+// parse round with the same combinational nodes, and emits the same
+// bytes again: no clk is declared (it would come back as a real
+// input) and done is bound without a second comparison with zero.
+// Input and register names are prefixed again on every round, and a
+// memory read narrower than a word comes back as a word read and a
+// mask, so the byte check runs on modules without inputs whose reads
+// are whole words.
+func TestRegisterFreeRoundTripIsFixedPoint(t *testing.T) {
+	build := func(name string, body func(b *rtl.Builder) rtl.Signal) *rtl.Module {
+		b := rtl.NewBuilder(name)
+		b.SetDone(body(b))
+		return b.MustBuild()
+	}
+	cases := []struct {
+		m         *rtl.Module
+		sameBytes bool
+	}{
+		{build("const", func(b *rtl.Builder) rtl.Signal { return b.Const(1, 1) }), true},
+		{build("rom", func(b *rtl.Builder) rtl.Signal {
+			rom := b.ROM("k", []uint64{5, 9, 2, 7})
+			sum := b.Read(rom, b.Const(1, 2), 64).Add(b.Read(rom, b.Const(3, 2), 64))
+			return sum.Lt(b.Const(20, 64))
+		}), true},
+		{build("inputs", func(b *rtl.Builder) rtl.Signal {
+			x, y := b.Input("x", 8), b.Input("y", 8)
+			return x.Add(y).Eq(b.Const(12, 8)).Or(x.Lt(y))
+		}), false},
+	}
+	for _, c := range cases {
+		src := Emit(c.m)
+		if strings.Contains(src, "clk") {
+			t.Errorf("%s: a register-free module declares a clock:\n%s", c.m.Name, src)
+		}
+		m2, err := ParseAndElaborate(src)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", c.m.Name, err, src)
+		}
+		if got, want := rtl.CombNodes(m2), rtl.CombNodes(c.m); got != want {
+			t.Errorf("%s: %d comb nodes after a round, %d before\n%s", c.m.Name, got, want, src)
+		}
+		if got := countInputs(m2); got != countInputs(c.m) {
+			t.Errorf("%s: %d inputs after a round, %d before", c.m.Name, got, countInputs(c.m))
+		}
+		if src2 := Emit(m2); c.sameBytes && src2 != src {
+			t.Errorf("%s: second emit differs:\n%s\nfirst:\n%s", c.m.Name, src2, src)
+		}
+		if d1, d2 := rtl.NewSim(c.m).Step(), rtl.NewSim(m2).Step(); d1 != d2 {
+			t.Errorf("%s: done %v before the round, %v after", c.m.Name, d1, d2)
+		}
+	}
+}
+
+func countInputs(m *rtl.Module) int {
+	n := 0
+	for i := range m.Nodes {
+		if m.Nodes[i].Op == rtl.OpInput {
+			n++
+		}
+	}
+	return n
 }
