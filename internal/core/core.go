@@ -187,15 +187,15 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 
 // simulateTrainingSet runs every training job and returns its feature
 // row and execution seconds, plus the ground truth it chose and the
-// simulator of it that its workers cloned. av is the abstract
-// interpretation of ins.M. It runs the simulators trace collection and
-// serving run too: the all-witness
-// slice gives every feature (its witnesses hold the full design's
-// values, see AllWitnessSlice), and the ground truth (see groundTruth)
-// gives each job's ticks, which must lie within bounds. On a certified
-// design the two are one run. Jobs fan out across worker goroutines,
-// each owning private Sim clones; results land in index-addressed
-// slots and are identical to a serial run.
+// simulator of it its workers cloned. av is the abstract
+// interpretation of ins.M. It runs the simulators trace collection
+// and serving run too: the all-witness slice gives every feature (its
+// witnesses hold the full design's values, see AllWitnessSlice), and
+// the ground truth (see groundTruth) gives each job's ticks, which
+// must lie within bounds. On a certified design the two are one run.
+// Jobs fan out across worker goroutines, each owning private Sim
+// clones; results land in index-addressed slots and are identical to
+// a serial run.
 func simulateTrainingSet(spec accel.Spec, ins *instrument.Instrumented, av *absint.Analysis, bounds absint.CycleBounds, jobs []accel.Job) ([][]float64, []float64, groundTruth, *rtl.Sim, error) {
 	all, err := AllWitnessSlice(ins)
 	if err != nil {

@@ -484,8 +484,8 @@ func dotAt(z, w []float64, nz []int) float64 {
 // vector is the unit vector over all cols columns of the design,
 // 1/√cols in each: a dropped column's component is zero from the first
 // step on and adds only exact zeros, so the estimate is the one over
-// every column, bit for bit. A start of 1/√d would change it in the
-// last bits, and with it every fit.
+// every column, bit for bit. A start of 1/√d changes it in the last
+// bits on some designs, and with it their fits.
 func (pr *problem) powerIterLambda(iters, cols int) float64 {
 	if pr.n == 0 || pr.d == 0 {
 		return 0
