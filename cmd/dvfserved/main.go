@@ -100,9 +100,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	defer fleet.Close() // idempotent; the drain closes it first
 	ln, err := net.Listen("tcp", srv.Addr)
 	if err != nil {
-		fleet.Close()
 		return err
 	}
 	fmt.Fprintf(stdout, "dvfserved: listening on %s, serving %v\n", ln.Addr(), fleet.Names())
@@ -110,7 +110,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	go func() { served <- srv.Serve(ln) }()
 	select {
 	case err := <-served:
-		fleet.Close()
 		return err
 	case <-ctx.Done():
 	}
